@@ -17,7 +17,7 @@ import numpy as np
 from .drt import RunRecord
 from .errors import IterationBudgetExceeded
 from .operators import project_nullspace
-from .qp import QpInstance, estimate_beta_V, estimate_eta
+from .qp import QpInstance, estimate_beta_V
 
 __all__ = [
     "BaselineConfig",
@@ -46,7 +46,7 @@ class BaselineConfig:
 
 
 def tos_config(inst: QpInstance) -> BaselineConfig:
-    beta = estimate_eta(inst.Q)
+    beta = inst.eta
     if not np.isfinite(beta):
         raise ValueError("zero quadratic term: beta is unbounded")
     return BaselineConfig(gamma=1.99 * beta, beta=beta)
@@ -88,7 +88,7 @@ def run_baseline(inst: QpInstance, algo: str, tol: float,
     block gap ||z+ - z||/lam <= tol (identical at unit relaxation).
     Returns (record, solution) where the solution is the scheme's own
     solution-approximating block: P_X(z) for TOS, P_M(z) for rFDRS.
-    abs_err, when z_star is given, is measured on the governing iterate.
+    abs_err, when z_star is given, is ||solution - z_star||.
     """
     if algo == "tos":
         cfg = tos_config(inst)
@@ -123,7 +123,7 @@ def run_baseline(inst: QpInstance, algo: str, tol: float,
         sol = project_nullspace(inst.K, z)
     abs_err = float("nan")
     if z_star is not None:
-        abs_err = float(np.linalg.norm(z - np.asarray(z_star, dtype=float)))
+        abs_err = float(np.linalg.norm(sol - np.asarray(z_star, dtype=float)))
     rec = RunRecord(instance=instance_id, algo=algo, n=inst.n, iters=iters,
                     extragrad=0, null=0, inner=0, f2_evals=iters,
                     time_s=elapsed, residual=resid, abs_err=abs_err)

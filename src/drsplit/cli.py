@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     print(format_summary(table, spec=spec, errors=len(failed)))
     est = stats.get("estimate_time_s")
     if est is not None:
-        print(f"eta/beta estimation: {est:.3f} s total "
+        print(f"eta/beta estimation (instance set-up): {est:.3f} s total "
               "(excluded from time_s)")
 
     if args.out:

@@ -3,7 +3,9 @@
 Instances minimize 0.5 <Qz, z> + <e, z> subject to Kz = 0 and
 z in X = [0, 10]^n, with e the all-ones vector and K a single +/-1 row.
 The operator decomposition used by the solvers is A = N_M (M = null(K)),
-C = N_X, F1 = 0 and F2(z) = Qz + e with eta = 1/||Q||.
+C = N_X, F1 = 0 and F2(z) = Qz + e with eta = 1/||Q||.  Spectral
+constants are exact: each instance runs one eigvalsh(Q) when it is built,
+which both checks Q for positive semidefiniteness and fixes eta.
 
 Oracles: KKT active-set enumeration for n <= 6, a high-accuracy
 three-operator fixed-point reference for larger n, an exact-resolvent
@@ -14,7 +16,7 @@ box-constrained QP solver used for exact resolvents of C + F2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +44,6 @@ __all__ = [
     "load_instance",
 ]
 
-# eigvalsh-based PSD validation is skipped above this size (cost only;
-# generated instances are PSD by construction)
-_PSD_CHECK_MAX_N = 200
-
 
 @dataclass(frozen=True)
 class QpInstance:
@@ -56,6 +54,7 @@ class QpInstance:
     hi: np.ndarray
     definite: bool
     seed: int
+    eta: float = field(init=False, compare=False)   # 1/||Q||, inf for Q = 0
 
     def __post_init__(self):
         n = self.Q.shape[0]
@@ -68,10 +67,10 @@ class QpInstance:
             raise ValueError("Q must be symmetric to 1e-12")
         if not np.all(np.abs(self.K) == 1.0):
             raise ValueError("K entries must be +1 or -1")
-        if n <= _PSD_CHECK_MAX_N:
-            w = np.linalg.eigvalsh(self.Q)
-            if w[0] < -1e-10:
-                raise ValueError(f"Q has eigenvalue {w[0]} < -1e-10")
+        w = np.linalg.eigvalsh(self.Q)
+        if w[0] < -1e-10:
+            raise ValueError(f"Q has eigenvalue {w[0]} < -1e-10")
+        object.__setattr__(self, "eta", _inverse_norm(w))
 
     @property
     def n(self) -> int:
@@ -109,50 +108,28 @@ def generate_instance(n: int, definite: bool, seed: int) -> QpInstance:
                       seed=int(seed))
 
 
-def _power_norm(matvec, n, tol=1e-12, max_iter=10000):
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    rho_prev = None
-    rho = 0.0
-    for _ in range(max_iter):
-        y = matvec(x)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return 0.0
-        rho = float(x @ y)
-        if rho_prev is not None and abs(rho - rho_prev) <= tol * abs(rho):
-            break
-        x = y / ny
-        rho_prev = rho
-    return abs(rho)
+def _inverse_norm(w) -> float:
+    # w from eigvalsh, in ascending order
+    nrm = max(-float(w[0]), float(w[-1]))
+    return float("inf") if nrm == 0.0 else 1.0 / nrm
 
 
 def estimate_eta(Q) -> float:
-    """Reciprocal spectral norm of Q by power iteration; inf for the zero map."""
-    Q = np.asarray(Q, dtype=float)
-    nrm = _power_norm(lambda v: Q @ v, Q.shape[0])
-    return float("inf") if nrm == 0.0 else 1.0 / nrm
+    """Reciprocal spectral norm of symmetric Q; inf for the zero map."""
+    return _inverse_norm(np.linalg.eigvalsh(np.asarray(Q, dtype=float)))
 
 
 def estimate_beta_V(Q, K) -> float:
     """Reciprocal spectral norm of P_M Q P_M with M = null(K)."""
-    Q = np.asarray(Q, dtype=float)
     K = np.asarray(K, dtype=float)
-    n = K.size
-
-    def matvec(v):
-        w = v - (K @ v / n) * K
-        w = Q @ w
-        return w - (K @ w / n) * K
-
-    nrm = _power_norm(matvec, n)
-    return float("inf") if nrm == 0.0 else 1.0 / nrm
+    P = np.eye(K.size) - np.outer(K, K) / K.size
+    Q = np.asarray(Q, dtype=float)
+    return _inverse_norm(np.linalg.eigvalsh(P @ Q @ P))
 
 
 def qp_operators(inst: QpInstance) -> QpOperators:
-    """Operator decomposition with the estimated cocoercivity constant."""
-    eta = estimate_eta(inst.Q)
+    """Operator decomposition with the instance's cocoercivity constant."""
+    eta = inst.eta
     if not np.isfinite(eta):
         raise ValueError("zero quadratic term: eta is unbounded")
     Q, e = inst.Q, inst.e
@@ -252,8 +229,7 @@ def _kkt_enumerate(inst: QpInstance, tol: float = 1e-8) -> np.ndarray:
 
 def _tos_reference(inst: QpInstance, tol: float = 1e-12,
                    max_iter: int = 10 ** 6) -> np.ndarray:
-    eta = estimate_eta(inst.Q)
-    gamma = 1.99 * (eta if np.isfinite(eta) else 1.0)
+    gamma = 1.99 * (inst.eta if np.isfinite(inst.eta) else 1.0)
     Q, e, K = inst.Q, inst.e, inst.K
     z = np.zeros(inst.n)
     for _ in range(max_iter):
@@ -326,8 +302,7 @@ class BoxAffineSum(SplittableOperator):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         self.tol = tol
-        self._qnorm = float(np.linalg.norm(Q, 2)) if Q.shape[0] <= 400 \
-            else 1.0 / estimate_eta(Q)
+        self._qnorm = 1.0 / estimate_eta(Q)
 
     def resolvent(self, gamma, z):
         z = self._check_dim(z)

@@ -11,7 +11,8 @@ from drsplit.baselines import (
     tos_iterate,
 )
 from drsplit.errors import IterationBudgetExceeded
-from drsplit.qp import QpInstance, generate_instance, reference_solution
+from drsplit.qp import (QpInstance, generate_instance, qp_operators,
+                        reference_solution)
 
 
 def _two_dim():
@@ -40,6 +41,11 @@ def test_configs_from_instance():
     # the nullspace-restricted curvature is no larger, so its step is no
     # smaller
     assert r.beta >= t.beta * (1 - 1e-9)
+
+
+def test_one_eta_per_instance():
+    inst = generate_instance(30, True, 9)
+    assert inst.eta == qp_operators(inst).eta == tos_config(inst).beta
 
 
 def test_configs_reject_zero_curvature():
@@ -126,7 +132,7 @@ def test_run_baseline_record_fields():
     assert rec.f2_evals == rec.iters
     assert rec.extragrad == 0 and rec.null == 0 and rec.inner == 0
     assert np.isfinite(rec.residual)
-    assert np.isfinite(rec.abs_err)
+    assert rec.abs_err == float(np.linalg.norm(sol - z_star))
     # solution block lives in the box
     assert np.all(sol >= inst.lo - 1e-12) and np.all(sol <= inst.hi + 1e-12)
     rec2, sol2 = run_baseline(inst, "rfdrs", tol=1e-8)

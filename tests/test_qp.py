@@ -127,6 +127,35 @@ def test_estimate_beta_V_matches_dense():
                                                                 rel=1e-7)
 
 
+def test_instance_eta_is_exact_on_a_hard_spectrum():
+    # a clustered top of the spectrum, where a power iteration at 1e-12
+    # stalls at its step cap and overestimates eta by 7.7e-8
+    inst = generate_instance(500, True, 263)
+    assert qp_operators(inst).eta * np.linalg.eigvalsh(inst.Q).max() == \
+        pytest.approx(1.0, rel=1e-12)
+
+
+def test_instance_eta_is_derived_not_passed():
+    inst = generate_instance(6, False, 4)
+    assert inst.eta == estimate_eta(inst.Q)
+    with pytest.raises(TypeError):
+        QpInstance(Q=inst.Q, e=inst.e, K=inst.K, lo=inst.lo, hi=inst.hi,
+                   definite=False, seed=4, eta=1.0)
+    flat = _manual_instance(np.zeros((2, 2)), [1.0, 1.0], [1.0, -1.0])
+    assert flat.eta == np.inf
+
+
+def test_psd_check_runs_above_n_200():
+    n = 201
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = (U * np.linspace(-1e-6, 2.0, n)) @ U.T
+    Q = (Q + Q.T) / 2.0
+    with pytest.raises(ValueError, match="eigenvalue"):
+        QpInstance(Q=Q, e=np.ones(n), K=np.ones(n), lo=np.zeros(n),
+                   hi=10.0 * np.ones(n), definite=False, seed=-1)
+
+
 # ----------------------------------------------------------------- operators
 
 def test_qp_operators_bundle():

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .drt import RunRecord
 from .errors import IterationBudgetExceeded
-from .operators import project_nullspace
-from .qp import QpInstance, estimate_beta_V
+from .operators import _inverse_norm, project_nullspace
+
+if TYPE_CHECKING:   # qp runs tos_iterate for its reference oracle
+    from .qp import QpInstance
 
 __all__ = [
     "BaselineConfig",
@@ -43,6 +46,14 @@ class BaselineConfig:
             raise ValueError("gamma must equal 1.99*beta")
         if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("lam must be positive")
+
+
+def estimate_beta_V(Q, K) -> float:
+    """Reciprocal spectral norm of P_M Q P_M with M = null(K)."""
+    K = np.asarray(K, dtype=float)
+    P = np.eye(K.size) - np.outer(K, K) / K.size
+    Q = np.asarray(Q, dtype=float)
+    return _inverse_norm(np.linalg.eigvalsh(P @ Q @ P))
 
 
 def tos_config(inst: QpInstance) -> BaselineConfig:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
-from .hpe import HpeStepCertificate, hpe_update, verify_hpe_inequality
+from .hpe import (HpeStepCertificate, _ergodic_average, hpe_update,
+                  verify_hpe_inequality)
 from .operators import SplittableOperator, slack
 
 __all__ = [
@@ -104,15 +105,12 @@ class DrsState:
     the trace.
     """
 
-    def __init__(self, z0, tau0, theta):
+    def __init__(self, z0, tau0):
         self.z = np.asarray(z0, dtype=float).copy()
         self.z_prev = self.z.copy()
-        self.tau0 = float(tau0)
-        self.theta = float(theta)
         self.tau = float(tau0)
         self.k = 0
         self.beta = 0
-        self.step_log: list[str] = []
         self.last: Quadruple | None = None
         self.hist_z_prev: list[np.ndarray] = []
         self.hist_x: list[np.ndarray] = []
@@ -124,7 +122,7 @@ class DrsState:
 
     @classmethod
     def initial(cls, z0, cfg: DrsConfig) -> "DrsState":
-        return cls(z0, cfg.tau0, cfg.theta)
+        return cls(z0, cfg.tau0)
 
     @property
     def n_extragradient(self) -> int:
@@ -136,7 +134,7 @@ class DrsState:
 
     @property
     def last_step(self) -> str | None:
-        return self.step_log[-1] if self.step_log else None
+        return self.trace[-1].step if self.trace else None
 
     @property
     def residual(self) -> float:
@@ -218,7 +216,6 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         state.tau = cfg.theta ** state.beta * cfg.tau0
         step = NULL
     state.k += 1
-    state.step_log.append(step)
     state.last = quad
     state.trace.append(TraceRecord(state.k, step, state.tau, residual, eps_b))
     return state
@@ -251,25 +248,12 @@ def drs_ergodic(state: DrsState, upto: int | None = None) -> ErgodicQuadruple:
         raise StateError("no extragradient steps taken yet")
     if j > state.n_extragradient:
         raise ValueError("upto exceeds extragradient count")
-    X = np.stack(state.hist_x[:j])
-    Y = np.stack(state.hist_y[:j])
-    Aa = np.stack(state.hist_a[:j])
-    Bb = np.stack(state.hist_b[:j])
-    eps = np.asarray(state.hist_eps_b[:j])
-    xbar = X.mean(axis=0)
-    ybar = Y.mean(axis=0)
-    abar = Aa.mean(axis=0)
-    bbar = Bb.mean(axis=0)
-    corr_a = np.einsum("ij,ij->i", Y - ybar, Aa)
-    corr_b = np.einsum("ij,ij->i", X - xbar, Bb)
-    eps_a_bar = float(corr_a.mean())
-    eps_b_bar = float((eps + corr_b).mean())
-    scale_a = float(np.abs(corr_a).mean())
-    scale_b = float((np.abs(eps) + np.abs(corr_b)).mean())
-    if eps_a_bar < -slack(scale_a) or eps_b_bar < -slack(scale_b):
-        raise InvariantViolation("negative ergodic enlargement")
-    return ErgodicQuadruple(xbar, ybar, abar, bbar,
-                            max(eps_a_bar, 0.0), max(eps_b_bar, 0.0))
+    w = np.ones(j)
+    ybar, abar, eps_a_bar = _ergodic_average(
+        state.hist_y[:j], state.hist_a[:j], np.zeros(j), w)
+    xbar, bbar, eps_b_bar = _ergodic_average(
+        state.hist_x[:j], state.hist_b[:j], state.hist_eps_b[:j], w)
+    return ErgodicQuadruple(xbar, ybar, abar, bbar, eps_a_bar, eps_b_bar)
 
 
 def embed_hpe(state: DrsState, cfg: DrsConfig) -> HpeStepCertificate:

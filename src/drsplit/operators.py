@@ -104,16 +104,12 @@ def resolvent_box(gamma: float, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     x, u : ndarray
         Projection of z onto the box and the matching normal-cone element.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     z = _point(z)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), z.shape)
     hi = np.broadcast_to(np.asarray(hi, dtype=float), z.shape)
     if np.any(lo > hi):
         raise ValueError("box requires lo <= hi componentwise")
-    x = np.clip(z, lo, hi)
-    u = (z - x) / gamma
-    return x, u
+    return _box_resolvent(gamma, z, lo, hi)
 
 
 def project_nullspace(K, z) -> np.ndarray:
@@ -124,8 +120,22 @@ def project_nullspace(K, z) -> np.ndarray:
         raise ValueError("K and z must share a dimension")
     if not np.all(np.abs(K) == 1.0):
         raise ValueError("K entries must be +1 or -1")
-    n = K.size
-    return z - (K @ z / n) * K
+    return _project_sign_row(K, z)
+
+
+# The kernels behind both the module functions, which validate every
+# argument per call, and the cone classes, which validate lo/hi/K once in
+# their constructors and only the incoming point per resolvent.
+
+def _box_resolvent(gamma, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    x = np.clip(z, lo, hi)
+    return x, (z - x) / gamma
+
+
+def _project_sign_row(K, z) -> np.ndarray:
+    return z - (K @ z / K.size) * K
 
 
 class BoxNormalCone(SplittableOperator):
@@ -141,7 +151,7 @@ class BoxNormalCone(SplittableOperator):
         self.hi = hi
 
     def resolvent(self, gamma, z):
-        return resolvent_box(gamma, self._check_dim(z), self.lo, self.hi)
+        return _box_resolvent(gamma, self._check_dim(z), self.lo, self.hi)
 
     def sample_graph(self, count, rng=None):
         # x uniform in the box; on a face, u is a scaled outward normal.
@@ -170,7 +180,7 @@ class NullspaceNormalCone(SplittableOperator):
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         z = self._check_dim(z)
-        x = project_nullspace(self.K, z)
+        x = _project_sign_row(self.K, z)
         return x, (z - x) / gamma
 
     def sample_graph(self, count, rng=None):
@@ -243,6 +253,13 @@ class CocoerciveMap:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+
+
+def _inverse_norm(w) -> float:
+    # 1/||W|| from the ascending eigenvalues w of a symmetric W (the
+    # cocoercivity modulus when W is PSD); inf for W = 0
+    nrm = max(-float(w[0]), float(w[-1]))
+    return float("inf") if nrm == 0.0 else 1.0 / nrm
 
 
 def cocoercive_enlargement(F2: CocoerciveMap, z_eval, z_target) -> EnlargementTriple:

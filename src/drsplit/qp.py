@@ -8,7 +8,8 @@ constants are exact: each instance runs one eigvalsh(Q) when it is built,
 which both checks Q for positive semidefiniteness and fixes eta.
 
 Oracles: KKT active-set enumeration for n <= 6, a high-accuracy
-three-operator fixed-point reference for larger n, an exact-resolvent
+three-operator fixed-point reference for larger n (it runs the TOS step
+of ``baselines.tos_iterate`` to a 1e-12 fixed point), an exact-resolvent
 Douglas-Rachford reference for the splitting operator's zero set, and a
 box-constrained QP solver used for exact resolvents of C + F2.
 """
@@ -20,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import BaselineConfig, estimate_beta_V, tos_iterate
 from .errors import OracleFailure, ParseError
 from .operators import (BoxNormalCone, CocoerciveMap, LipschitzMap,
                         NullspaceNormalCone, SplittableOperator,
-                        project_nullspace)
+                        _inverse_norm, project_nullspace)
 
 __all__ = [
     "QpInstance",
@@ -108,23 +110,9 @@ def generate_instance(n: int, definite: bool, seed: int) -> QpInstance:
                       seed=int(seed))
 
 
-def _inverse_norm(w) -> float:
-    # w from eigvalsh, in ascending order
-    nrm = max(-float(w[0]), float(w[-1]))
-    return float("inf") if nrm == 0.0 else 1.0 / nrm
-
-
 def estimate_eta(Q) -> float:
     """Reciprocal spectral norm of symmetric Q; inf for the zero map."""
     return _inverse_norm(np.linalg.eigvalsh(np.asarray(Q, dtype=float)))
-
-
-def estimate_beta_V(Q, K) -> float:
-    """Reciprocal spectral norm of P_M Q P_M with M = null(K)."""
-    K = np.asarray(K, dtype=float)
-    P = np.eye(K.size) - np.outer(K, K) / K.size
-    Q = np.asarray(Q, dtype=float)
-    return _inverse_norm(np.linalg.eigvalsh(P @ Q @ P))
 
 
 def qp_operators(inst: QpInstance) -> QpOperators:
@@ -229,13 +217,11 @@ def _kkt_enumerate(inst: QpInstance, tol: float = 1e-8) -> np.ndarray:
 
 def _tos_reference(inst: QpInstance, tol: float = 1e-12,
                    max_iter: int = 10 ** 6) -> np.ndarray:
-    gamma = 1.99 * (inst.eta if np.isfinite(inst.eta) else 1.0)
-    Q, e, K = inst.Q, inst.e, inst.K
+    beta = inst.eta if np.isfinite(inst.eta) else 1.0
+    cfg = BaselineConfig(gamma=1.99 * beta, beta=beta)
     z = np.zeros(inst.n)
     for _ in range(max_iter):
-        xB = np.clip(z, inst.lo, inst.hi)
-        xA = project_nullspace(K, 2.0 * xB - z - gamma * (Q @ xB + e))
-        z_new = z + (xA - xB)
+        z_new = tos_iterate(z, inst, cfg)
         if float(np.linalg.norm(z_new - z)) <= tol:
             z = z_new
             break

@@ -351,8 +351,8 @@ def test_accept_10_fejer_boundedness(instrumented):
             if np.linalg.norm(z - z0) > 2.0 * d0 * (1 + 1e-10):
                 violations += 1
         dists = [d0]
-        for z, step in zip(it["zs"], state.step_log):
-            if step == EXTRAGRADIENT:
+        for z, t in zip(it["zs"], state.trace):
+            if t.step == EXTRAGRADIENT:
                 dists.append(float(np.linalg.norm(z - z_inf)))
         for a, b in zip(dists, dists[1:]):
             checked += 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_summary_csv(tmp_path):
     sp = summary_csv_path(out)
     assert sp.endswith("runs.summary.csv")
     write_summary_csv(stats, sp)
-    rows = [l.split(",") for l in open(sp).read().splitlines()]
+    rows = [l.split(",") for l in Path(sp).read_text().splitlines()]
     assert rows[0] == ["column", "min", "max", "mean"]
     got = {r[0]: tuple(float(c) for c in r[1:]) for r in rows[1:]}
     for col in CSV_COLUMNS[3:]:

@@ -49,8 +49,6 @@ def test_accumulator_requires_data():
     acc = ErgodicAccumulator()
     with pytest.raises(StateError):
         acc.read()
-    with pytest.raises(StateError):
-        acc.read_transport()
 
 
 def test_accumulator_mirrored_pair():
@@ -87,11 +85,9 @@ def test_accumulator_matches_transport_formula():
         got = acc.read()
         w = np.asarray(lams) / np.sum(lams)
         want = transport_ergodic(triples, w)
-        oracle = acc.read_transport()
         assert_allclose(got.z, want.z, atol=1e-12)
         assert_allclose(got.v, want.v, atol=1e-12)
         assert got.eps == pytest.approx(want.eps, abs=1e-12)
-        assert oracle.eps == pytest.approx(want.eps, abs=1e-14)
 
 
 def test_accumulator_push_validation():

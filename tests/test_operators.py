@@ -87,6 +87,42 @@ def test_box_normal_cone_resolvent_and_dim_check():
         op.resolvent(1.0, np.zeros(4))
 
 
+def test_cone_constructors_reject_bad_data():
+    # the cones check lo/hi and K once, here, and not per resolvent
+    with pytest.raises(ValueError):
+        BoxNormalCone(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        NullspaceNormalCone(np.array([1.0, 0.5, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cone_resolvents_reject_non_finite_points(bad):
+    z = np.array([1.0, bad, 3.0])
+    with pytest.raises(ValueError):
+        BoxNormalCone(np.zeros(3), 10.0 * np.ones(3)).resolvent(1.0, z)
+    with pytest.raises(ValueError):
+        NullspaceNormalCone(np.array([1.0, -1.0, 1.0])).resolvent(1.0, z)
+
+
+def test_cone_resolvents_match_module_functions_bitwise():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(1, 20))
+        lo = rng.uniform(-5.0, 0.0, n)
+        hi = lo + rng.uniform(0.0, 5.0, n)
+        K = rng.integers(0, 2, n) * 2.0 - 1.0
+        z = rng.standard_normal(n) * 6.0
+        gamma = float(rng.uniform(0.1, 3.0))
+        x, u = BoxNormalCone(lo, hi).resolvent(gamma, z)
+        x_ref, u_ref = resolvent_box(gamma, z, lo, hi)
+        assert_array_equal(x, x_ref)
+        assert_array_equal(u, u_ref)
+        y, a = NullspaceNormalCone(K).resolvent(gamma, z)
+        y_ref = project_nullspace(K, z)
+        assert_array_equal(y, y_ref)
+        assert_array_equal(a, (z - y_ref) / gamma)
+
+
 def test_box_normal_cone_graph_samples_are_members():
     op = BoxNormalCone(np.zeros(4), 10.0 * np.ones(4))
     Z, V = op.sample_graph(200, np.random.default_rng(3))

@@ -17,7 +17,7 @@ from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, OracleFailure, ParseError,
                      StateError)
 from .hpe import (ErgodicAccumulator, HpeStepCertificate, RateEnvelope,
-                  ergodic_bound, hpe_update, pointwise_bound, strong_rate,
+                  ergodic_bound, pointwise_bound, strong_rate,
                   verify_hpe_inequality)
 from .operators import (AffineMonotone, BoxNormalCone, CocoerciveMap,
                         EnlargementTriple, LipschitzMap, NullspaceNormalCone,
@@ -44,7 +44,7 @@ __all__ = [
     "delta_stop", "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_solve",
     "embed_hpe", "embed_strongly_monotone", "ergodic_bound", "estimate_beta_V",
     "estimate_eta", "exact_bsolver", "gamma_max", "generate_instance",
-    "hpe_update", "load_instance", "null_step_bounds", "pointwise_bound",
+    "load_instance", "null_step_bounds", "pointwise_bound",
     "project_nullspace", "qp_operators", "reference_solution",
     "resolvent_box", "residual_stop", "save_instance", "strong_rate",
     "tau0_default", "tolerance_stop", "transport_ergodic", "tseng_solve",

@@ -4,13 +4,14 @@ Two fixed-point schemes over the same three-piece decomposition
 (box, nullspace, affine forward map): a three-operator splitting (TOS)
 iteration and a relaxed forward-Douglas-Rachford (rFDRS) iteration,
 both run with step gamma = 1.99*beta for the scheme's own cocoercivity
-constant beta and unit relaxation.
+constant beta.  Both run at unit relaxation, where a step's displacement
+||z+ - z|| is also its fixed-point residual, so the delta and residual
+stopping rules are one test for them and ``--stop`` changes only drt.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,29 +24,12 @@ if TYPE_CHECKING:   # qp runs tos_iterate for its reference oracle
     from .qp import QpInstance
 
 __all__ = [
-    "BaselineConfig",
-    "tos_config",
-    "rfdrs_config",
+    "tos_gamma",
+    "rfdrs_gamma",
     "tos_iterate",
     "rfdrs_iterate",
     "run_baseline",
 ]
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    gamma: float
-    beta: float
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError("beta must be positive and finite")
-        # pinned step rule for both schemes
-        if abs(self.gamma - 1.99 * self.beta) > 1e-9 * self.beta:
-            raise ValueError("gamma must equal 1.99*beta")
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError("lam must be positive")
 
 
 def estimate_beta_V(Q, K) -> float:
@@ -56,73 +40,69 @@ def estimate_beta_V(Q, K) -> float:
     return _inverse_norm(np.linalg.eigvalsh(P @ Q @ P))
 
 
-def tos_config(inst: QpInstance) -> BaselineConfig:
+def tos_gamma(inst: QpInstance) -> float:
+    """TOS step 1.99*beta with beta = inst.eta = 1/||Q||."""
     beta = inst.eta
     if not np.isfinite(beta):
         raise ValueError("zero quadratic term: beta is unbounded")
-    return BaselineConfig(gamma=1.99 * beta, beta=beta)
+    return 1.99 * beta
 
 
-def rfdrs_config(inst: QpInstance) -> BaselineConfig:
+def rfdrs_gamma(inst: QpInstance) -> float:
+    """rFDRS step 1.99*beta with beta = 1/||P_M Q P_M||."""
     beta = estimate_beta_V(inst.Q, inst.K)
     if not np.isfinite(beta):
         raise ValueError("P_M Q P_M vanishes: beta is unbounded")
-    return BaselineConfig(gamma=1.99 * beta, beta=beta)
+    return 1.99 * beta
 
 
-def tos_iterate(z, inst: QpInstance, cfg: BaselineConfig):
-    """One TOS step: box point, shifted nullspace projection, relaxed update."""
+def tos_iterate(z, inst: QpInstance, gamma: float):
+    """One TOS step: box point, shifted nullspace projection, update."""
     z = np.asarray(z, dtype=float)
     xB = np.clip(z, inst.lo, inst.hi)
     xA = project_nullspace(
-        inst.K, 2.0 * xB - z - cfg.gamma * (inst.Q @ xB + inst.e))
-    return z + cfg.lam * (xA - xB)
+        inst.K, 2.0 * xB - z - gamma * (inst.Q @ xB + inst.e))
+    return z + (xA - xB)
 
 
-def rfdrs_iterate(z, inst: QpInstance, cfg: BaselineConfig):
+def rfdrs_iterate(z, inst: QpInstance, gamma: float):
     """One rFDRS step; the forward term is evaluated through P_M."""
     z = np.asarray(z, dtype=float)
     x = project_nullspace(inst.K, z)
     w = np.clip(
-        2.0 * x - z - cfg.gamma * project_nullspace(inst.K,
-                                                    inst.Q @ x + inst.e),
+        2.0 * x - z - gamma * project_nullspace(inst.K, inst.Q @ x + inst.e),
         inst.lo, inst.hi)
-    return z + cfg.lam * (w - x)
+    return z + (w - x)
 
 
-def run_baseline(inst: QpInstance, algo: str, tol: float,
-                 stop: str = "delta", z0=None, max_iter: int = 10 ** 6,
-                 instance_id: int = -1, z_star=None):
-    """Drive a baseline to its stopping rule.
+def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
+                 max_iter: int = 10 ** 6, instance_id: int = -1,
+                 z_star=None):
+    """Drive a baseline until ||z+ - z|| <= tol.
 
-    stop="delta" tests ||z+ - z|| <= tol, stop="residual" tests the
-    block gap ||z+ - z||/lam <= tol (identical at unit relaxation).
-    Returns (record, solution) where the solution is the scheme's own
-    solution-approximating block: P_X(z) for TOS, P_M(z) for rFDRS.
-    abs_err, when z_star is given, is ||solution - z_star||.
+    At unit relaxation the displacement is the fixed-point residual, which
+    the record reports.  Returns (record, solution) where the solution is
+    the scheme's own solution-approximating block: P_X(z) for TOS, P_M(z)
+    for rFDRS.  abs_err, when z_star is given, is ||solution - z_star||.
     """
     if algo == "tos":
-        cfg = tos_config(inst)
+        gamma = tos_gamma(inst)
         step = tos_iterate
     elif algo == "rfdrs":
-        cfg = rfdrs_config(inst)
+        gamma = rfdrs_gamma(inst)
         step = rfdrs_iterate
     else:
         raise ValueError(f"unknown baseline {algo!r}")
-    if stop not in ("delta", "residual"):
-        raise ValueError(f"unknown stop rule {stop!r}")
     z = np.zeros(inst.n) if z0 is None else np.asarray(z0, dtype=float).copy()
     iters = 0
     resid = float("nan")
     t0 = time.perf_counter()
     for _ in range(max_iter):
-        z_new = step(z, inst, cfg)
-        shift = float(np.linalg.norm(z_new - z))
+        z_new = step(z, inst, gamma)
+        resid = float(np.linalg.norm(z_new - z))
         z = z_new
         iters += 1
-        resid = shift / cfg.lam
-        gap = shift if stop == "delta" else resid
-        if gap <= tol:
+        if resid <= tol:
             break
     else:
         raise IterationBudgetExceeded(

@@ -35,7 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("drt", "rfdrs", "tos"), default="drt",
                    help="solver (default drt)")
     p.add_argument("--stop", choices=("delta", "residual"), default="delta",
-                   help="stopping rule (default delta)")
+                   help="stopping rule of drt (default delta); tos and rfdrs "
+                        "run at unit relaxation, where both rules are one "
+                        "test")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="stopping tolerance (default 1e-6)")
     p.add_argument("--sigma", type=float, default=0.99,

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
-from .hpe import (HpeStepCertificate, _ergodic_average, hpe_update,
-                  verify_hpe_inequality)
+from .hpe import HpeStepCertificate, _ergodic_average, verify_hpe_inequality
 from .operators import SplittableOperator, slack
 
 __all__ = [
@@ -208,7 +207,7 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         state.hist_a.append(a)
         state.hist_b.append(b)
         state.hist_eps_b.append(eps_b)
-        state.z = hpe_update(z, v, 1.0)
+        state.z = z - v
         step = EXTRAGRADIENT
     else:
         state.z = z

@@ -72,28 +72,24 @@ class RunRecord:
     error: str | None = field(default=None, compare=False)
 
 
-def tolerance_stop(cfg: DrsConfig, mode: str = "both") -> StopRule:
-    """Tolerance rule on the freshest quadruple.
+def tolerance_stop(cfg: DrsConfig) -> StopRule:
+    """Tolerance rule, pointwise first, then ergodic.
 
-    Pointwise: ||x-y|| <= rho_tol and eps_b <= eps_tol (eps_a = 0).
-    Ergodic: same test on the uniform extragradient averages.  mode is
-    "pointwise", "ergodic", or "both" (pointwise checked first).
+    Pointwise: ||x-y|| <= rho_tol and eps_b <= eps_tol (eps_a = 0) on the
+    freshest quadruple.  Ergodic: the same test on the uniform
+    extragradient averages.
     """
-    if mode not in ("pointwise", "ergodic", "both"):
-        raise ValueError(f"unknown tolerance mode: {mode}")
 
     def fired(state: DrsState) -> bool:
         if state.last is None:
             return False
-        if mode in ("pointwise", "both"):
-            x, y, a, b, eps_b = state.last
-            if check_termination(x, y, a, b, 0.0, eps_b, cfg):
-                return True
-        if mode in ("ergodic", "both") and state.n_extragradient >= 1:
-            e = drs_ergodic(state)
-            if check_termination(e.x, e.y, e.a, e.b, e.eps_a, e.eps_b, cfg):
-                return True
-        return False
+        x, y, a, b, eps_b = state.last
+        if check_termination(x, y, a, b, 0.0, eps_b, cfg):
+            return True
+        if state.n_extragradient < 1:
+            return False
+        e = drs_ergodic(state)
+        return check_termination(e.x, e.y, e.a, e.b, e.eps_a, e.eps_b, cfg)
 
     return fired
 

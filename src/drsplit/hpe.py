@@ -1,9 +1,9 @@
 """Hybrid proximal extragradient core.
 
-Step certificates for the relative-error proximal condition, the
-extragradient update, ergodic aggregation of certified steps, and the
-rate-envelope calculators (pointwise, ergodic, and linear under strong
-monotonicity) used as oracles by the solver tests.
+Step certificates for the relative-error proximal condition, ergodic
+aggregation of certified steps, and the rate-envelope calculators
+(pointwise, ergodic, and linear under strong monotonicity) used as
+oracles by the solver tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .operators import EnlargementTriple, slack
 __all__ = [
     "HpeStepCertificate",
     "verify_hpe_inequality",
-    "hpe_update",
     "ErgodicAccumulator",
     "RateEnvelope",
     "pointwise_bound",
@@ -51,11 +50,6 @@ def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
     r = cert.z_tilde - cert.z_prev
     rhs = cert.sigma ** 2 * float(r @ r)
     return lhs <= rhs + slack(rhs)
-
-
-def hpe_update(z_prev: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    """Extragradient update z_prev - lam*v."""
-    return z_prev - lam * v
 
 
 class ErgodicAccumulator:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BaselineConfig, estimate_beta_V, tos_iterate
+from .baselines import estimate_beta_V, tos_iterate
 from .errors import OracleFailure, ParseError
 from .operators import (BoxNormalCone, CocoerciveMap, LipschitzMap,
                         NullspaceNormalCone, SplittableOperator,
@@ -174,7 +174,7 @@ def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
     return lam_lo <= lam_hi
 
 
-def _kkt_enumerate(inst: QpInstance, tol: float = 1e-8) -> np.ndarray:
+def _kkt_enumerate(inst: QpInstance) -> np.ndarray:
     # 3^n active-set patterns: each coordinate at lo, free, or at hi
     n = inst.n
     best = None
@@ -201,7 +201,7 @@ def _kkt_enumerate(inst: QpInstance, tol: float = 1e-8) -> np.ndarray:
             z[fidx] = sol[:nf]
         if not np.all(np.isfinite(z)):
             continue
-        if not kkt_check(inst, z, tol):
+        if not kkt_check(inst, z):
             continue
         zc = np.clip(z, inst.lo, inst.hi)
         obj = objective(inst, zc)
@@ -215,14 +215,13 @@ def _kkt_enumerate(inst: QpInstance, tol: float = 1e-8) -> np.ndarray:
     return best
 
 
-def _tos_reference(inst: QpInstance, tol: float = 1e-12,
-                   max_iter: int = 10 ** 6) -> np.ndarray:
+def _tos_reference(inst: QpInstance) -> np.ndarray:
     beta = inst.eta if np.isfinite(inst.eta) else 1.0
-    cfg = BaselineConfig(gamma=1.99 * beta, beta=beta)
+    gamma = 1.99 * beta
     z = np.zeros(inst.n)
-    for _ in range(max_iter):
-        z_new = tos_iterate(z, inst, cfg)
-        if float(np.linalg.norm(z_new - z)) <= tol:
+    for _ in range(10 ** 6):
+        z_new = tos_iterate(z, inst, gamma)
+        if float(np.linalg.norm(z_new - z)) <= 1e-12:
             z = z_new
             break
         z = z_new
@@ -245,12 +244,12 @@ def reference_solution(inst: QpInstance) -> np.ndarray:
     return _tos_reference(inst)
 
 
-def box_qp_solve(H, c, lo, hi, tol: float = 1e-13, max_iter: int = 100000,
+def box_qp_solve(H, c, lo, hi, max_iter: int = 100000,
                  lip: float | None = None) -> np.ndarray:
     """Minimize 0.5 x^T H x - c^T x over the box by projected gradient.
 
     H must be symmetric positive definite for the linear rate this relies
-    on; stops when the successive change drops to tol (fixed-point
+    on; stops when the successive change drops to 1e-13 (fixed-point
     residual of the projected-gradient map).
     """
     H = np.asarray(H, dtype=float)
@@ -261,15 +260,15 @@ def box_qp_solve(H, c, lo, hi, tol: float = 1e-13, max_iter: int = 100000,
     x = np.clip(np.zeros_like(c), lo, hi)
     for _ in range(max_iter):
         x_new = np.clip(x - step * (H @ x - c), lo, hi)
-        if float(np.linalg.norm(x_new - x)) <= tol:
+        if float(np.linalg.norm(x_new - x)) <= 1e-13:
             return x_new
         x = x_new
     raise OracleFailure("box QP projected gradient hit its cap")
 
 
-def box_solution(inst: QpInstance, tol: float = 1e-13) -> np.ndarray:
+def box_solution(inst: QpInstance) -> np.ndarray:
     """Minimizer of the objective over the box alone (equality dropped)."""
-    return box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi, tol=tol)
+    return box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi)
 
 
 class BoxAffineSum(SplittableOperator):
@@ -280,41 +279,39 @@ class BoxAffineSum(SplittableOperator):
     u = (z - x)/gamma so the resolvent identity is exact.
     """
 
-    def __init__(self, Q, e, lo, hi, tol: float = 1e-13):
+    def __init__(self, Q, e, lo, hi):
         Q = np.asarray(Q, dtype=float)
         super().__init__(Q.shape[0])
         self.Q = Q
         self.e = np.asarray(e, dtype=float)
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        self.tol = tol
         self._qnorm = 1.0 / estimate_eta(Q)
 
     def resolvent(self, gamma, z):
         z = self._check_dim(z)
         H = np.eye(self.dim) + gamma * self.Q
         x = box_qp_solve(H, z - gamma * self.e, self.lo, self.hi,
-                         tol=self.tol, lip=1.0 + gamma * self._qnorm)
+                         lip=1.0 + gamma * self._qnorm)
         return x, (z - x) / gamma
 
 
-def drs_reference_zero(inst: QpInstance, gamma: float, z0,
-                       tol: float = 1e-12, max_iter: int = 10 ** 6):
+def drs_reference_zero(inst: QpInstance, gamma: float, z0):
     """Exact-resolvent Douglas-Rachford run to a zero of the splitting operator.
 
     Returns (z_inf, d0_gamma) where d0_gamma = ||z0 - z_inf|| upper-bounds
     the distance from z0 to the limit actually reached; the limit is a
-    fixed point (successive change <= tol), hence a zero of the splitting
-    operator to that accuracy.
+    fixed point (successive change <= 1e-12), hence a zero of the
+    splitting operator to that accuracy.
     """
     z0 = np.asarray(z0, dtype=float)
     Jb = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     z = z0.copy()
-    for _ in range(max_iter):
+    for _ in range(10 ** 6):
         x, _ = Jb.resolvent(gamma, z)
         y = project_nullspace(inst.K, 2.0 * x - z)
         z_new = z + (y - x)
-        if float(np.linalg.norm(z_new - z)) <= tol:
+        if float(np.linalg.norm(z_new - z)) <= 1e-12:
             z = z_new
             break
         z = z_new
@@ -323,16 +320,13 @@ def drs_reference_zero(inst: QpInstance, gamma: float, z0,
     return z, float(np.linalg.norm(z0 - z))
 
 
-def tau0_default(inst: QpInstance, z0, include_e: bool = False) -> float:
-    """Initial inner tolerance ||z0 - P_X(z0) + Q z0||^3 + 1.
+def tau0_default(inst: QpInstance, z0) -> float:
+    """Initial inner tolerance tau0 = ||z0 - P_X(z0) + Q z0||^3 + 1.
 
-    include_e switches to the variant with the full forward map Qz0 + e
-    in place of Qz0 (off by default; the printed formula omits e).
+    The linear term e of the forward map does not enter.
     """
     z0 = np.asarray(z0, dtype=float)
     r = z0 - np.clip(z0, inst.lo, inst.hi) + inst.Q @ z0
-    if include_e:
-        r = r + inst.e
     return float(np.linalg.norm(r)) ** 3 + 1.0
 
 

@@ -78,14 +78,16 @@ def tseng_step(p: TsengProblem, z_prev: np.ndarray):
 
     z_prime = P_Omega(z_prev); the backward step goes through the
     resolvent of C at parameter gamma/2 (not gamma); the correction
-    re-evaluates only the Lipschitz part.  F2 is evaluated exactly once.
+    re-evaluates only the Lipschitz part.  F2 is evaluated once and F1
+    twice (at z_prime and at z_tilde).
     """
     gamma = p.gamma
     z_prime = p.F1.project(z_prev)
-    forward = p.F1.eval(z_prime) + p.F2.eval(z_prime)
+    f1_prime = p.F1.eval(z_prime)
+    forward = f1_prime + p.F2.eval(z_prime)
     w = (p.z_hat + z_prev - gamma * forward) / 2.0
     z_tilde, _ = p.C.resolvent(gamma / 2.0, w)
-    z_next = z_tilde - gamma * (p.F1.eval(z_tilde) - p.F1.eval(z_prime))
+    z_next = z_tilde - gamma * (p.F1.eval(z_tilde) - f1_prime)
     return z_prime, z_tilde, z_next
 
 
@@ -98,16 +100,15 @@ def tseng_terminate(z_prev, z_next, z_prime_prev, z_tilde,
     return lhs <= p.tau_hat
 
 
-def tseng_solve(p: TsengProblem, max_inner: int = 1000, warm_start=None,
+def tseng_solve(p: TsengProblem, max_inner: int = 1000,
                 cert_log: list | None = None) -> TsengOutput:
     """Iterate from z0 = z_hat until the exit test fires.
 
-    warm_start overrides the start point (off by default; the complexity
-    guarantee assumes z0 = z_hat).  When cert_log is a list, the per-step
-    certificate is appended for each inner iteration.
+    The start z_hat is the one the inner complexity bound assumes.  When
+    cert_log is a list, the per-step certificate is appended for each
+    inner iteration.
     """
-    z = np.asarray(p.z_hat, dtype=float) if warm_start is None \
-        else np.asarray(warm_start, dtype=float)
+    z = np.asarray(p.z_hat, dtype=float)
     for j in range(1, max_inner + 1):
         z_prime, z_tilde, z_next = tseng_step(p, z)
         if cert_log is not None:

@@ -173,11 +173,10 @@ def test_accept_03_oracle_equivalence():
             _, quad = drt_solve(prob, tolerance_stop(cfg), z0=z0)
             worst_drt = max(worst_drt,
                             float(np.max(np.abs(quad.x - z_star))))
-            _, sol_t = run_baseline(inst, "tos", tol=1e-10, stop="residual")
+            _, sol_t = run_baseline(inst, "tos", tol=1e-10)
             worst_tos = max(worst_tos,
                             float(np.max(np.abs(sol_t - z_star))))
-            _, sol_r = run_baseline(inst, "rfdrs", tol=1e-10,
-                                    stop="residual")
+            _, sol_r = run_baseline(inst, "rfdrs", tol=1e-10)
             worst_rfdrs = max(worst_rfdrs,
                               float(np.max(np.abs(sol_r - z_star))))
             count += 1

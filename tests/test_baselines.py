@@ -3,16 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from drsplit.baselines import (
-    BaselineConfig,
-    rfdrs_config,
+    rfdrs_gamma,
     rfdrs_iterate,
     run_baseline,
-    tos_config,
+    tos_gamma,
     tos_iterate,
 )
 from drsplit.errors import IterationBudgetExceeded
-from drsplit.qp import (QpInstance, generate_instance, qp_operators,
-                        reference_solution)
+from drsplit.qp import (QpInstance, estimate_beta_V, generate_instance,
+                        qp_operators, reference_solution)
 
 
 def _two_dim():
@@ -21,31 +20,21 @@ def _two_dim():
                       definite=True, seed=-1)
 
 
-def test_config_pins_step_to_beta():
-    cfg = BaselineConfig(gamma=1.99 * 0.5, beta=0.5)
-    assert cfg.lam == 1.0
-    with pytest.raises(ValueError):
-        BaselineConfig(gamma=1.0, beta=0.5)
-    with pytest.raises(ValueError):
-        BaselineConfig(gamma=0.0, beta=0.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(gamma=1.99, beta=1.0, lam=0.0)
-
-
 def test_configs_from_instance():
     inst = generate_instance(8, True, 2)
-    t = tos_config(inst)
-    r = rfdrs_config(inst)
-    assert t.gamma == pytest.approx(1.99 * t.beta)
-    assert r.gamma == pytest.approx(1.99 * r.beta)
+    t = tos_gamma(inst)
+    r = rfdrs_gamma(inst)
+    assert t == pytest.approx(1.99 * inst.eta)
+    assert r == pytest.approx(1.99 * estimate_beta_V(inst.Q, inst.K))
     # the nullspace-restricted curvature is no larger, so its step is no
     # smaller
-    assert r.beta >= t.beta * (1 - 1e-9)
+    assert r >= t * (1 - 1e-9)
 
 
 def test_one_eta_per_instance():
     inst = generate_instance(30, True, 9)
-    assert inst.eta == qp_operators(inst).eta == tos_config(inst).beta
+    assert inst.eta == qp_operators(inst).eta
+    assert tos_gamma(inst) == 1.99 * inst.eta
 
 
 def test_configs_reject_zero_curvature():
@@ -53,56 +42,55 @@ def test_configs_reject_zero_curvature():
                       K=np.array([1.0, 1.0]), lo=np.zeros(2),
                       hi=10.0 * np.ones(2), definite=False, seed=-1)
     with pytest.raises(ValueError):
-        tos_config(flat)
+        tos_gamma(flat)
     with pytest.raises(ValueError):
-        rfdrs_config(flat)
+        rfdrs_gamma(flat)
 
 
 def test_tos_hand_step_from_origin():
     inst = _two_dim()
-    cfg = tos_config(inst)
-    z1 = tos_iterate(np.zeros(2), inst, cfg)
+    gamma = tos_gamma(inst)
+    z1 = tos_iterate(np.zeros(2), inst, gamma)
     # box point 0, gradient e, drift -gamma*e already lies in null(K)
-    assert_allclose(z1, [-cfg.gamma, -cfg.gamma], atol=1e-14)
+    assert_allclose(z1, [-gamma, -gamma], atol=1e-14)
 
 
 def test_rfdrs_origin_is_fixed_point():
     inst = _two_dim()
-    cfg = rfdrs_config(inst)
-    z1 = rfdrs_iterate(np.zeros(2), inst, cfg)
+    z1 = rfdrs_iterate(np.zeros(2), inst, rfdrs_gamma(inst))
     assert_allclose(z1, [0.0, 0.0], atol=1e-14)
 
 
 def test_iterates_are_deterministic_functions():
     inst = generate_instance(6, True, 7)
     z = np.linspace(-2.0, 2.0, 6)
-    a = tos_iterate(z, inst, tos_config(inst))
-    b = tos_iterate(z, inst, tos_config(inst))
+    a = tos_iterate(z, inst, tos_gamma(inst))
+    b = tos_iterate(z, inst, tos_gamma(inst))
     assert_allclose(a, b, rtol=0, atol=0)
 
 
 def test_converged_point_is_fixed():
     inst = generate_instance(10, True, 3)
-    for algo, step, cfg in (("tos", tos_iterate, tos_config(inst)),
-                            ("rfdrs", rfdrs_iterate, rfdrs_config(inst))):
+    for algo, step, gamma in (("tos", tos_iterate, tos_gamma(inst)),
+                              ("rfdrs", rfdrs_iterate, rfdrs_gamma(inst))):
         rec, _ = run_baseline(inst, algo, tol=1e-12)
         # re-run to recover the final z: drive a copy by hand
         z = np.zeros(10)
         for _ in range(rec.iters):
-            z = step(z, inst, cfg)
-        z_next = step(z, inst, cfg)
+            z = step(z, inst, gamma)
+        z_next = step(z, inst, gamma)
         assert np.linalg.norm(z_next - z) <= 2e-12
 
 
 def test_displacement_monotone():
     # averaged fixed-point iterations have nonincreasing step norms
     inst = generate_instance(10, True, 13)
-    for step, cfg in ((tos_iterate, tos_config(inst)),
-                      (rfdrs_iterate, rfdrs_config(inst))):
+    for step, gamma in ((tos_iterate, tos_gamma(inst)),
+                        (rfdrs_iterate, rfdrs_gamma(inst))):
         z = np.full(10, 6.0)
         shifts = []
         for _ in range(200):
-            z_new = step(z, inst, cfg)
+            z_new = step(z, inst, gamma)
             shifts.append(np.linalg.norm(z_new - z))
             z = z_new
         for a, b in zip(shifts[50:], shifts[51:]):
@@ -114,9 +102,9 @@ def test_solutions_match_oracle():
     for seed in range(20):
         inst = generate_instance(10, True, seed)
         z_star = reference_solution(inst)
-        _, sol_t = run_baseline(inst, "tos", tol=1e-10, stop="residual")
+        _, sol_t = run_baseline(inst, "tos", tol=1e-10)
         assert np.max(np.abs(sol_t - z_star)) < 1e-6
-        _, sol_r = run_baseline(inst, "rfdrs", tol=1e-10, stop="residual")
+        _, sol_r = run_baseline(inst, "rfdrs", tol=1e-10)
         assert np.max(np.abs(sol_r - z_star)) < 1e-5
 
 
@@ -140,19 +128,10 @@ def test_run_baseline_record_fields():
     assert abs(inst.K @ sol2) < 1e-10
 
 
-def test_run_baseline_stop_rule_equivalence_at_unit_relaxation():
-    inst = generate_instance(6, True, 29)
-    rec_d, _ = run_baseline(inst, "tos", tol=1e-7, stop="delta")
-    rec_r, _ = run_baseline(inst, "tos", tol=1e-7, stop="residual")
-    assert rec_d.iters == rec_r.iters
-
-
 def test_run_baseline_validation_and_budget():
     inst = generate_instance(5, True, 31)
     with pytest.raises(ValueError):
         run_baseline(inst, "sor", tol=1e-6)
-    with pytest.raises(ValueError):
-        run_baseline(inst, "tos", tol=1e-6, stop="never")
     with pytest.raises(IterationBudgetExceeded):
         run_baseline(inst, "tos", tol=1e-14, max_iter=3,
                      z0=np.full(5, 9.0))

@@ -21,9 +21,10 @@ from drsplit.drt import (
 )
 from drsplit.errors import IterationBudgetExceeded
 from drsplit.bench import CSV_COLUMNS, initial_point
-from drsplit.hpe import verify_hpe_inequality
-from drsplit.operators import CocoerciveMap
+from drsplit.hpe import HpeStepCertificate, verify_hpe_inequality
+from drsplit.operators import CocoerciveMap, LipschitzMap
 from drsplit.qp import generate_instance, qp_operators, reference_solution, tau0_default
+from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
 
 
 def _problem(n=6, seed=0, sigma=0.99, theta=0.01, tol=1e-6, z0=None):
@@ -35,6 +36,19 @@ def _problem(n=6, seed=0, sigma=0.99, theta=0.01, tol=1e-6, z0=None):
     cfg = DrsConfig(gamma=gamma, sigma=sigma, theta=theta,
                     tau0=tau0_default(inst, z0), rho_tol=tol, eps_tol=tol)
     return inst, ops, cfg, np.asarray(z0, dtype=float)
+
+
+def _skew_problem():
+    # QP data plus a nonzero monotone F1(z) = S z (S skew, so Lipschitz
+    # but not cocoercive) whose domain projector is the box
+    inst = generate_instance(6, True, 0)
+    ops = qp_operators(inst)
+    G = np.random.default_rng(0).standard_normal((6, 6))
+    S = G - G.T
+    F1 = LipschitzMap(eval=lambda z: S @ z, L=float(np.linalg.norm(S, 2)),
+                      project_domain=lambda z: np.clip(z, inst.lo, inst.hi))
+    gamma = gamma_max(ops.eta, F1.L, 0.99)
+    return inst, ops, F1, S, gamma
 
 
 def test_problem_rejects_oversized_gamma():
@@ -105,8 +119,6 @@ def test_stop_rules():
     with pytest.raises(ValueError):
         residual_stop(-1.0)
     inst, ops, cfg, z0 = _problem(n=5, seed=8)
-    with pytest.raises(ValueError):
-        tolerance_stop(cfg, mode="bogus")
     # before any iteration nothing fires
     state = DrsState.initial(z0, cfg)
     assert not delta_stop(1e9)(state)
@@ -195,3 +207,42 @@ def test_inner_budget_carries_outer_context():
     p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
     with pytest.raises(IterationBudgetExceeded, match="B-solve call"):
         drt_solve(p, delta_stop(1e-10), z0=z0, max_inner=1)
+
+
+def test_skew_f1_inner_solve_reaches_resolvent():
+    inst, ops, F1, S, gamma = _skew_problem()
+    z_hat = initial_point(6, 0)
+    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, z_hat=z_hat, gamma=gamma,
+                     tau_hat=1e-24, sigma=0.99)
+    z = tseng_solve(p).z_tilde
+    # natural residual of 0 in N_X(z) + S z + Q z + e + (z - z_hat)/gamma
+    g = S @ z + inst.Q @ z + inst.e + (z - z_hat) / gamma
+    assert np.linalg.norm(z - np.clip(z - g, inst.lo, inst.hi)) <= 1e-9
+    # z_hat lies outside the box, so the domain projection moves it, and
+    # the correction F1(z_tilde) - F1(z_prime) moves z_next off z_tilde
+    z_prime, z_tilde, z_next = tseng_step(p, z_hat)
+    assert np.linalg.norm(z_prime - z_hat) > 1.0
+    assert np.linalg.norm(z_next - z_tilde) > 1e-3
+
+
+def test_skew_f1_certificates_verify():
+    inst, ops, F1, S, gamma = _skew_problem()
+    z0 = initial_point(6, 0)
+    cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
+                    tau0=tau0_default(inst, z0), rho_tol=1e-6, eps_tol=1e-6)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg)
+    state = DrsState.initial(z0, cfg)
+    certs = []
+    record, _ = drt_solve(p, delta_stop(1e-6), state=state,
+                          inner_cert_log=certs)
+    assert record.null >= 1 and len(certs) == record.inner
+    assert all(c.lam == gamma and verify_hpe_inequality(c) for c in certs)
+    # outer certificates rebuilt from the extragradient history
+    assert state.n_extragradient >= 1
+    for j in range(state.n_extragradient):
+        b = state.hist_b[j]
+        cert = HpeStepCertificate(
+            z_prev=state.hist_z_prev[j], z_tilde=state.hist_y[j] + gamma * b,
+            v=gamma * (state.hist_a[j] + b), eps=gamma * state.hist_eps_b[j],
+            lam=1.0, sigma=cfg.sigma)
+        assert verify_hpe_inequality(cert)

@@ -10,7 +10,6 @@ from drsplit.hpe import (
     HpeStepCertificate,
     RateEnvelope,
     ergodic_bound,
-    hpe_update,
     pointwise_bound,
     strong_rate,
     verify_hpe_inequality,
@@ -38,11 +37,6 @@ def test_verify_boundary_has_slack():
     sigma = 0.5
     assert verify_hpe_inequality(_cert(0.0, 1.0, -1.0, sigma ** 2 / 2.0,
                                        sigma=sigma))
-
-
-def test_hpe_update():
-    z = hpe_update(np.array([3.0, 1.0]), np.array([2.0, -2.0]), 0.5)
-    assert_allclose(z, [2.0, 2.0])
 
 
 def test_accumulator_requires_data():

@@ -123,21 +123,6 @@ def test_converges_to_exact_resolvent():
     assert np.linalg.norm(out.z_tilde - x_star) < 1e-8
 
 
-def test_warm_start_near_fixed_point_exits_fast():
-    inst = generate_instance(6, True, 23)
-    ops = qp_operators(inst)
-    gamma = 2.0 * ops.eta * 0.99 ** 2
-    z_hat = np.full(6, 3.0)
-    p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, z_hat=z_hat,
-                     gamma=gamma, tau_hat=1e-12, sigma=0.99)
-    cold = tseng_solve(p, max_inner=5000)
-    B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
-    x_star, _ = B.resolvent(gamma, z_hat)
-    warm = tseng_solve(p, max_inner=5000, warm_start=x_star)
-    assert warm.inner_iters <= 3
-    assert warm.inner_iters <= cold.inner_iters
-
-
 def test_budget_exceeded():
     # first step lands at lhs = 6, far above tau_hat
     p = _scalar_problem(tau_hat=1e-6)
@@ -149,15 +134,23 @@ def test_one_f2_eval_per_step():
     inst = generate_instance(5, True, 31)
     ops = qp_operators(inst)
     calls = [0]
+    f1_calls = [0]
     base = ops.F2.eval
 
     def counted(z):
         calls[0] += 1
         return base(z)
 
+    def counted_f1(z):
+        f1_calls[0] += 1
+        return ops.F1.eval(z)
+
+    F1 = LipschitzMap(eval=counted_f1, L=ops.F1.L)
     F2 = CocoerciveMap(eval=counted, eta=ops.F2.eta)
     gamma = 2.0 * ops.eta * 0.9 ** 2
-    p = TsengProblem(C=ops.C, F1=ops.F1, F2=F2, z_hat=np.full(5, 2.0),
+    p = TsengProblem(C=ops.C, F1=F1, F2=F2, z_hat=np.full(5, 2.0),
                      gamma=gamma, tau_hat=1e-8, sigma=0.9)
     out = tseng_solve(p, max_inner=5000)
     assert calls[0] == out.inner_iters
+    # F1 at z_prime (reused by the correction) and at z_tilde
+    assert f1_calls[0] == 2 * out.inner_iters

@@ -228,8 +228,10 @@ def format_summary(stats, spec: BenchSpec | None = None,
     lines = []
     if spec is not None:
         kind = "definite" if spec.definite else "semidefinite"
+        # the baselines run at unit relaxation, where the stop rules agree
+        stop = f" stop={spec.stop}" if spec.algo == "drt" else ""
         head = (f"algo={spec.algo} n={spec.n} instances={spec.instances} "
-                f"{kind} stop={spec.stop} tol={spec.tol:g}")
+                f"{kind}{stop} tol={spec.tol:g}")
         if errors:
             head += f" ({errors} failed)"
         lines.append(head)

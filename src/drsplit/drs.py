@@ -10,6 +10,7 @@ null step that only shrinks tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -140,7 +141,7 @@ class DrsState:
         if self.last is None:
             raise StateError("no iteration taken yet")
         d = self.last.x - self.last.y
-        return float(np.linalg.norm(d))
+        return math.sqrt(float(d.dot(d)))
 
 
 def exact_bsolver(opB: SplittableOperator) -> BSolver:
@@ -183,11 +184,12 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
 
     y, a = A.resolvent(gamma, x - gamma * b)
     quad = Quadruple(x, y, a, b, eps_b)
-    residual = float(np.linalg.norm(x - y))
+    d = x - y
+    residual = math.sqrt(float(d.dot(d)))
 
     # identity gamma*(a+b) = x - y, exact modulo round-off
     v = gamma * (a + b)
-    if abs(float(np.linalg.norm(v)) - residual) > slack(residual):
+    if abs(math.sqrt(float(v.dot(v))) - residual) > slack(residual):
         raise ContractViolation("gamma*||a+b|| deviates from ||x-y||")
 
     r_test = gamma * b + y - z
@@ -196,8 +198,8 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     # ~1e-16*scale; below (1e-13*scale)^2 their ordering is round-off, and
     # the exact-arithmetic value of lhs there is 0 (b recomposes x and z),
     # so the tie must break toward extragradient or tau underflows
-    scale = float(np.linalg.norm(z) + np.linalg.norm(x)
-                  + np.linalg.norm(y) + gamma * np.linalg.norm(b))
+    scale = (math.sqrt(float(z.dot(z))) + math.sqrt(float(x.dot(x)))
+             + math.sqrt(float(y.dot(y))) + gamma * math.sqrt(float(b.dot(b))))
     noise = (1e-13 * (1.0 + scale)) ** 2
     state.z_prev = z
     if lhs <= rhs + noise:  # inclusive: equality classifies as extragradient
@@ -228,8 +230,10 @@ def check_termination(x, y, a, b, eps_a: float, eps_b: float,
     violation signals a corrupted quadruple, not a negative answer.
     Comparisons are inclusive.
     """
-    residual = float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
-    vnorm = cfg.gamma * float(np.linalg.norm(np.asarray(a) + np.asarray(b)))
+    d = np.asarray(x) - np.asarray(y)
+    v = np.asarray(a) + np.asarray(b)
+    residual = math.sqrt(float(d.dot(d)))
+    vnorm = cfg.gamma * math.sqrt(float(v.dot(v)))
     if abs(vnorm - residual) > slack(residual):
         raise ContractViolation("gamma*||a+b|| deviates from ||x-y||")
     return residual <= cfg.rho_tol and eps_a + eps_b <= cfg.eps_tol

@@ -13,6 +13,7 @@ which satisfies the outer tolerance contract by the inner exit test.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -102,7 +103,8 @@ def delta_stop(tol: float) -> StopRule:
     def fired(state: DrsState) -> bool:
         if state.last_step != EXTRAGRADIENT:
             return False
-        return float(np.linalg.norm(state.z - state.z_prev)) <= tol
+        d = state.z - state.z_prev
+        return math.sqrt(float(d.dot(d))) <= tol
 
     return fired
 

@@ -45,10 +45,11 @@ class HpeStepCertificate(NamedTuple):
 
 def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
     """Check the relative-error inequality with 1e-10 relative slack."""
-    d = cert.lam * cert.v + cert.z_tilde - cert.z_prev
-    lhs = float(d @ d) + 2.0 * cert.lam * cert.eps
-    r = cert.z_tilde - cert.z_prev
-    rhs = cert.sigma ** 2 * float(r @ r)
+    z_prev, z_tilde, v, eps, lam, sigma = cert
+    d = lam * v + z_tilde - z_prev
+    lhs = float(d @ d) + 2.0 * lam * eps
+    r = z_tilde - z_prev
+    rhs = sigma ** 2 * float(r @ r)
     return lhs <= rhs + slack(rhs)
 
 

@@ -44,7 +44,7 @@ def _point(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         z = np.atleast_1d(z.squeeze())
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("point contains non-finite entries")
     return z
 
@@ -130,7 +130,7 @@ def project_nullspace(K, z) -> np.ndarray:
 def _box_resolvent(gamma, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    x = np.clip(z, lo, hi)
+    x = z.clip(lo, hi)
     return x, (z - x) / gamma
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "TsengOutput",
     "gamma_max",
     "tseng_step",
-    "tseng_terminate",
     "tseng_solve",
     "embed_strongly_monotone",
 ]
@@ -79,46 +78,49 @@ def tseng_step(p: TsengProblem, z_prev: np.ndarray):
     z_prime = P_Omega(z_prev); the backward step goes through the
     resolvent of C at parameter gamma/2 (not gamma); the correction
     re-evaluates only the Lipschitz part.  F2 is evaluated once and F1
-    twice (at z_prime and at z_tilde).
+    twice (at z_prime and at z_tilde).  A constant F1 (L = 0) makes the
+    correction z_tilde - gamma*0 = z_tilde, so then F1 is evaluated once
+    and z_tilde itself is returned as z_next.
     """
     gamma = p.gamma
-    z_prime = p.F1.project(z_prev)
-    f1_prime = p.F1.eval(z_prime)
+    F1 = p.F1
+    z_prime = F1.project(z_prev)
+    f1_prime = F1.eval(z_prime)
     forward = f1_prime + p.F2.eval(z_prime)
     w = (p.z_hat + z_prev - gamma * forward) / 2.0
     z_tilde, _ = p.C.resolvent(gamma / 2.0, w)
-    z_next = z_tilde - gamma * (p.F1.eval(z_tilde) - f1_prime)
+    if F1.L == 0:
+        return z_prime, z_tilde, z_tilde
+    z_next = z_tilde - gamma * (F1.eval(z_tilde) - f1_prime)
     return z_prime, z_tilde, z_next
-
-
-def tseng_terminate(z_prev, z_next, z_prime_prev, z_tilde,
-                    p: TsengProblem) -> bool:
-    """Exit test: ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta) <= tau_hat."""
-    d1 = z_prev - z_next
-    d2 = z_prime_prev - z_tilde
-    lhs = float(d1 @ d1) + p.gamma * float(d2 @ d2) / (2.0 * p.F2.eta)
-    return lhs <= p.tau_hat
 
 
 def tseng_solve(p: TsengProblem, max_inner: int = 1000,
                 cert_log: list | None = None) -> TsengOutput:
     """Iterate from z0 = z_hat until the exit test fires.
 
-    The start z_hat is the one the inner complexity bound assumes.  When
-    cert_log is a list, the per-step certificate is appended for each
-    inner iteration.
+    Exit test: ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta)
+    <= tau_hat.  The start z_hat is the one the inner complexity bound
+    assumes.  When cert_log is a list, the per-step certificate is
+    appended for each inner iteration; it reads the same two differences
+    as the exit test.
     """
+    gamma = p.gamma
+    eta = p.F2.eta
+    tau_hat = p.tau_hat
     z = np.asarray(p.z_hat, dtype=float)
     for j in range(1, max_inner + 1):
         z_prime, z_tilde, z_next = tseng_step(p, z)
+        d1 = z - z_next
+        d2 = z_prime - z_tilde
+        d2_sq = float(d2 @ d2)
         if cert_log is not None:
-            cert_log.append(
-                embed_strongly_monotone(z, z_prime, z_tilde, z_next, p))
-        if tseng_terminate(z, z_next, z_prime, z_tilde, p):
+            cert_log.append(_certificate(z, z_tilde, d1, d2_sq, p))
+        if float(d1 @ d1) + gamma * d2_sq / (2.0 * eta) <= tau_hat:
             return TsengOutput(z, z_prime, z_next, z_tilde, j)
         z = z_next
     raise IterationBudgetExceeded(
-        f"inner solver did not reach tau_hat={p.tau_hat} in {max_inner} steps")
+        f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
 
 
 def embed_strongly_monotone(z_prev, z_prime, z_tilde, z_next,
@@ -129,12 +131,16 @@ def embed_strongly_monotone(z_prev, z_prime, z_tilde, z_next,
     the implied operator is B plus the strongly monotone prox term
     (1/gamma)(. - z_hat).
     """
-    gamma = p.gamma
-    v = (z_prev - z_next) / gamma
     d = z_prime - z_tilde
-    eps = float(d @ d) / (4.0 * p.F2.eta)
-    cert = HpeStepCertificate(z_prev=z_prev, z_tilde=z_tilde, v=v, eps=eps,
-                              lam=gamma, sigma=p.sigma)
+    return _certificate(z_prev, z_tilde, z_prev - z_next, float(d @ d), p)
+
+
+def _certificate(z_prev, z_tilde, d1, d2_sq, p: TsengProblem) -> HpeStepCertificate:
+    # the step's certificate from d1 = z_prev - z_next and
+    # d2_sq = ||z_prime - z_tilde||^2, verified before it is returned
+    gamma = p.gamma
+    cert = HpeStepCertificate(z_prev, z_tilde, d1 / gamma,
+                              d2_sq / (4.0 * p.F2.eta), gamma, p.sigma)
     if not verify_hpe_inequality(cert):
         raise InvariantViolation("inner step failed its certificate")
     return cert

@@ -41,6 +41,7 @@ def test_successful_batch_prints_summary(capsys):
     out = capsys.readouterr().out
     head = out.splitlines()[0]
     assert "algo=drt" in head and "n=2" in head and "instances=3" in head
+    assert "stop=delta" in head
     assert "iters" in out and "residual" in out
     assert "eta/beta estimation" in out
 
@@ -50,6 +51,15 @@ def test_semidefinite_and_baseline_run(capsys):
                "--algo", "rfdrs", "--tol", "1e-5"])
     assert rc == 0
     assert "semidefinite" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_baseline_head_line_names_no_stop_rule(capsys):
+    # --stop selects drt's rule only; a tos head line must not name one
+    rc = main(["--n", "2", "--instances", "1", "--algo", "tos",
+               "--stop", "residual"])
+    assert rc == 0
+    head = capsys.readouterr().out.splitlines()[0]
+    assert "algo=tos" in head and "stop=" not in head
 
 
 def test_out_writes_records_and_summary(tmp_path, capsys):

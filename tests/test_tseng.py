@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.errors import IterationBudgetExceeded
 from drsplit.hpe import verify_hpe_inequality
@@ -12,7 +12,6 @@ from drsplit.tseng import (
     gamma_max,
     tseng_solve,
     tseng_step,
-    tseng_terminate,
 )
 
 
@@ -62,7 +61,6 @@ def test_scalar_hand_step():
     assert_allclose(z_tilde, [2.0])
     assert_allclose(z_next, [2.0])
     # exit lhs = ||4-2||^2 + 1*||4-2||^2/2 = 6, boundary counts as done
-    assert tseng_terminate(p.z_hat, z_next, z_prime, z_tilde, p)
     out = tseng_solve(p)
     assert out.inner_iters == 1
     assert_allclose(out.z_next, [2.0])
@@ -151,6 +149,37 @@ def test_one_f2_eval_per_step():
     p = TsengProblem(C=ops.C, F1=F1, F2=F2, z_hat=np.full(5, 2.0),
                      gamma=gamma, tau_hat=1e-8, sigma=0.9)
     out = tseng_solve(p, max_inner=5000)
+    assert out.inner_iters > 1
     assert calls[0] == out.inner_iters
-    # F1 at z_prime (reused by the correction) and at z_tilde
-    assert f1_calls[0] == 2 * out.inner_iters
+    # the QP's F1 is the zero map (L = 0): evaluated at z_prime only, the
+    # correction at z_tilde is skipped
+    assert f1_calls[0] == out.inner_iters
+
+
+def test_constant_f1_skips_the_correction_bitwise():
+    # a constant nonzero F1 declared with L = 0 takes the short-circuit;
+    # declared with L > 0 it runs the correction z_tilde - gamma*(c - c).
+    # Both must give the same bits, and a correction that drops f1_prime
+    # would move z_next by gamma*c
+    inst = generate_instance(8, True, 12)
+    ops = qp_operators(inst)
+    rng = np.random.default_rng(12)
+    c = rng.uniform(-3.0, 3.0, 8)
+    z_hat = rng.uniform(-5.0, 15.0, 8)
+    sigma = 0.9
+    gamma = gamma_max(ops.eta, 0.1, sigma)
+    outs, logs = [], []
+    for L in (0.0, 0.1):
+        F1 = LipschitzMap(eval=lambda z: c, L=L)
+        p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, z_hat=z_hat,
+                         gamma=gamma, tau_hat=1e-20, sigma=sigma)
+        certs = []
+        outs.append(tseng_solve(p, max_inner=5000, cert_log=certs))
+        logs.append(certs)
+    short, full = outs
+    assert short.inner_iters == full.inner_iters > 1
+    for field in ("z_prev", "z_prime_prev", "z_next", "z_tilde"):
+        assert_array_equal(getattr(short, field), getattr(full, field))
+    for a, b in zip(*logs):
+        for x, y in zip(a, b):
+            assert_array_equal(x, y)

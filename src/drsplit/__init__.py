@@ -25,10 +25,9 @@ from .operators import (AffineMonotone, BoxNormalCone, CocoerciveMap,
                         cocoercive_enlargement, project_nullspace,
                         resolvent_box, transport_ergodic)
 from .qp import (QpInstance, QpOperators, estimate_beta_V, estimate_eta,
-                 generate_instance, load_instance, qp_operators,
-                 reference_solution, save_instance, tau0_default)
-from .tseng import (TsengProblem, TsengOutput, embed_strongly_monotone,
-                    gamma_max, tseng_solve, tseng_step)
+                 generate_instance, qp_operators, reference_solution,
+                 tau0_default)
+from .tseng import TsengOutput, TsengProblem, gamma_max, tseng_solve, tseng_step
 
 __version__ = "0.1.0"
 
@@ -42,11 +41,10 @@ __all__ = [
     "SplittableOperator", "StateError", "TsengOutput", "TsengProblem",
     "check_eps_membership", "check_termination", "cocoercive_enlargement",
     "delta_stop", "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_solve",
-    "embed_hpe", "embed_strongly_monotone", "ergodic_bound", "estimate_beta_V",
-    "estimate_eta", "exact_bsolver", "gamma_max", "generate_instance",
-    "load_instance", "null_step_bounds", "pointwise_bound",
-    "project_nullspace", "qp_operators", "reference_solution",
-    "resolvent_box", "residual_stop", "save_instance", "strong_rate",
+    "embed_hpe", "ergodic_bound", "estimate_beta_V", "estimate_eta",
+    "exact_bsolver", "gamma_max", "generate_instance", "null_step_bounds",
+    "pointwise_bound", "project_nullspace", "qp_operators",
+    "reference_solution", "resolvent_box", "residual_stop", "strong_rate",
     "tau0_default", "tolerance_stop", "transport_ergodic", "tseng_solve",
     "tseng_step", "verify_hpe_inequality",
 ]

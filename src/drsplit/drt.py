@@ -24,7 +24,7 @@ from .drs import (EXTRAGRADIENT, BSolver, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
 from .errors import IterationBudgetExceeded
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
-from .tseng import TsengProblem, gamma_max, tseng_solve
+from .tseng import TsengProblem, tseng_solve
 
 __all__ = [
     "DrtProblem",
@@ -42,17 +42,23 @@ StopRule = Callable[[DrsState], bool]
 
 @dataclass(frozen=True)
 class DrtProblem:
+    """0 in A + C + F1 + F2 with the outer configuration; F1 may be None.
+
+    The Tseng subproblem (C, F1, F2, gamma, sigma) is built once here, and
+    its construction is what rejects a gamma above gamma_max.
+    """
+
     A: SplittableOperator
     C: SplittableOperator
-    F1: LipschitzMap
+    F1: LipschitzMap | None
     F2: CocoerciveMap
     cfg: DrsConfig
+    tseng: TsengProblem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        gmax = gamma_max(self.F2.eta, self.F1.L, self.cfg.sigma)
-        if self.cfg.gamma > gmax * (1.0 + 1e-12):
-            raise ValueError(
-                f"gamma={self.cfg.gamma} exceeds gamma_max={gmax}")
+        object.__setattr__(self, "tseng", TsengProblem(
+            C=self.C, F1=self.F1, F2=self.F2, gamma=self.cfg.gamma,
+            sigma=self.cfg.sigma))
 
 
 @dataclass
@@ -126,28 +132,30 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
     """B-solver running the inner Tseng loop on each outer request.
 
     Receives the pre-update tolerance tau_{k-1} and prox center z_{k-1};
-    inner iteration counts append to inner_log, per-step certificates to
-    cert_log when given.  Inner budget errors carry outer-call context.
+    every call reuses the problem's one Tseng subproblem, so gamma must be
+    the problem's.  Inner iteration counts append to inner_log, per-step
+    certificates to cert_log when given.  Inner budget errors carry
+    outer-call context.
     """
+    sub = p.tseng
     call = 0
 
     def solve(z_prev, tau, gamma):
         nonlocal call
+        if gamma != sub.gamma:
+            raise ValueError(
+                f"B-solver built for gamma={sub.gamma}, called with {gamma}")
         call += 1
-        sub = TsengProblem(C=p.C, F1=p.F1, F2=p.F2, z_hat=z_prev,
-                           gamma=gamma, tau_hat=tau, sigma=p.cfg.sigma)
         try:
-            out = tseng_solve(sub, max_inner=max_inner, cert_log=cert_log)
+            out = tseng_solve(sub, z_prev, tau, max_inner=max_inner,
+                              cert_log=cert_log)
         except IterationBudgetExceeded as exc:
             raise IterationBudgetExceeded(
                 f"outer B-solve call {call}: {exc}") from exc
         if inner_log is not None:
             inner_log.append(out.inner_iters)
-        x = out.z_tilde
         b = (z_prev + out.z_prev - (out.z_next + out.z_tilde)) / gamma
-        d = out.z_prime_prev - out.z_tilde
-        eps_b = float(d @ d) / (4.0 * p.F2.eta)
-        return x, b, eps_b
+        return out.z_tilde, b, out.eps
 
     return solve
 

@@ -26,7 +26,7 @@ class StateError(RuntimeError):
 
 
 class ParseError(ValueError):
-    """Malformed instance file."""
+    """Malformed run-records CSV; lineno names the offending line."""
 
     def __init__(self, message, lineno=None):
         if lineno is not None:

@@ -237,11 +237,6 @@ class LipschitzMap:
     def project(self, z: np.ndarray) -> np.ndarray:
         return z if self.project_domain is None else self.project_domain(z)
 
-    @staticmethod
-    def zero() -> "LipschitzMap":
-        """The zero map: L = 0, domain the whole space."""
-        return LipschitzMap(eval=np.zeros_like, L=0.0)
-
 
 @dataclass(frozen=True)
 class CocoerciveMap:

@@ -3,9 +3,10 @@
 Instances minimize 0.5 <Qz, z> + <e, z> subject to Kz = 0 and
 z in X = [0, 10]^n, with e the all-ones vector and K a single +/-1 row.
 The operator decomposition used by the solvers is A = N_M (M = null(K)),
-C = N_X, F1 = 0 and F2(z) = Qz + e with eta = 1/||Q||.  Spectral
-constants are exact: each instance runs one eigvalsh(Q) when it is built,
-which both checks Q for positive semidefiniteness and fixes eta.
+C = N_X, no F1 (``F1=None``: there is no Lipschitz term) and
+F2(z) = Qz + e with eta = 1/||Q||.  Spectral constants are exact: each
+instance runs one eigvalsh(Q) when it is built, which both checks Q for
+positive semidefiniteness and fixes eta.
 
 Oracles: KKT active-set enumeration for n <= 6, a high-accuracy
 three-operator fixed-point reference for larger n (it runs the TOS step
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import estimate_beta_V, tos_iterate
-from .errors import OracleFailure, ParseError
+from .errors import OracleFailure
 from .operators import (BoxNormalCone, CocoerciveMap, LipschitzMap,
                         NullspaceNormalCone, SplittableOperator,
                         _inverse_norm, project_nullspace)
@@ -42,8 +43,6 @@ __all__ = [
     "BoxAffineSum",
     "drs_reference_zero",
     "tau0_default",
-    "save_instance",
-    "load_instance",
 ]
 
 
@@ -83,7 +82,7 @@ class QpInstance:
 class QpOperators:
     A: NullspaceNormalCone
     C: BoxNormalCone
-    F1: LipschitzMap
+    F1: LipschitzMap | None     # None: the family has no Lipschitz term
     F2: CocoerciveMap
     eta: float
 
@@ -124,7 +123,7 @@ def qp_operators(inst: QpInstance) -> QpOperators:
     return QpOperators(
         A=NullspaceNormalCone(inst.K),
         C=BoxNormalCone(inst.lo, inst.hi),
-        F1=LipschitzMap.zero(),
+        F1=None,
         F2=CocoerciveMap(eval=lambda z: Q @ z + e, eta=eta),
         eta=eta,
     )
@@ -328,69 +327,3 @@ def tau0_default(inst: QpInstance, z0) -> float:
     z0 = np.asarray(z0, dtype=float)
     r = z0 - np.clip(z0, inst.lo, inst.hi) + inst.Q @ z0
     return float(np.linalg.norm(r)) ** 3 + 1.0
-
-
-def save_instance(inst: QpInstance, path) -> None:
-    """Write the plain-text instance file; decimal repr round-trips bit-exactly."""
-    kind = "definite" if inst.definite else "semidefinite"
-    lines = [f"{inst.n} {kind} {inst.seed}",
-             " ".join(str(int(k)) for k in inst.K)]
-    for row in inst.Q:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_real(tok: str, lineno: int) -> float:
-    try:
-        v = float.fromhex(tok) if ("x" in tok or "X" in tok) else float(tok)
-    except ValueError:
-        raise ParseError(f"bad real token {tok!r}", lineno) from None
-    if not np.isfinite(v):
-        raise ParseError(f"non-finite value {tok!r}", lineno)
-    return v
-
-
-def load_instance(path) -> QpInstance:
-    """Parse an instance file (decimal or hexfloat tokens accepted)."""
-    with open(path) as fh:
-        raw = fh.read().split("\n")
-    lines = [ln for ln in raw if ln.strip()]
-    if not lines:
-        raise ParseError("empty file", 1)
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError("expected 'n definiteness seed'", 1)
-    try:
-        n = int(head[0])
-    except ValueError:
-        raise ParseError(f"bad dimension {head[0]!r}", 1) from None
-    if n < 1:
-        raise ParseError("dimension must be >= 1", 1)
-    if head[1] not in ("definite", "semidefinite"):
-        raise ParseError(f"bad definiteness {head[1]!r}", 1)
-    try:
-        seed = int(head[2])
-    except ValueError:
-        raise ParseError(f"bad seed {head[2]!r}", 1) from None
-    if len(lines) < 2 + n:
-        raise ParseError(f"expected {2 + n} lines, found {len(lines)}",
-                         len(lines))
-    ktoks = lines[1].split()
-    if len(ktoks) != n:
-        raise ParseError(f"K row needs {n} entries", 2)
-    K = np.array([_parse_real(t, 2) for t in ktoks])
-    if not np.all(np.abs(K) == 1.0):
-        raise ParseError("K entries must be +1 or -1", 2)
-    Q = np.empty((n, n))
-    for i in range(n):
-        toks = lines[2 + i].split()
-        if len(toks) != n:
-            raise ParseError(f"Q row needs {n} entries", 3 + i)
-        Q[i] = [_parse_real(t, 3 + i) for t in toks]
-    try:
-        return QpInstance(Q=Q, e=np.ones(n), K=K, lo=np.zeros(n),
-                          hi=10.0 * np.ones(n),
-                          definite=(head[1] == "definite"), seed=seed)
-    except ValueError as exc:
-        raise ParseError(str(exc), 3) from None

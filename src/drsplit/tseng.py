@@ -25,7 +25,6 @@ __all__ = [
     "gamma_max",
     "tseng_step",
     "tseng_solve",
-    "embed_strongly_monotone",
 ]
 
 
@@ -45,20 +44,24 @@ def gamma_max(eta: float, L: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class TsengProblem:
+    """The part of the subproblem that is fixed for a whole solve.
+
+    F1 is None when there is no Lipschitz term.  Built and validated once;
+    the prox center z_hat and the tolerance tau_hat change from call to
+    call and are passed to tseng_step / tseng_solve.
+    """
+
     C: SplittableOperator
-    F1: LipschitzMap
+    F1: LipschitzMap | None
     F2: CocoerciveMap
-    z_hat: np.ndarray
     gamma: float
-    tau_hat: float
     sigma: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.tau_hat <= 0:
-            raise ValueError("gamma and tau_hat must be positive")
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must lie in (0, 1)")
-        gmax = gamma_max(self.F2.eta, self.F1.L, self.sigma)
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        L = 0.0 if self.F1 is None else self.F1.L
+        gmax = gamma_max(self.F2.eta, L, self.sigma)
         # allow round-off at the boundary gamma == gamma_max
         if self.gamma > gmax * (1.0 + 1e-12):
             raise ValueError(f"gamma={self.gamma} exceeds gamma_max={gmax}")
@@ -66,81 +69,69 @@ class TsengProblem:
 
 class TsengOutput(NamedTuple):
     z_prev: np.ndarray
-    z_prime_prev: np.ndarray
     z_next: np.ndarray
     z_tilde: np.ndarray
+    eps: float          # ||z_prime - z_tilde||^2/(4 eta) of the last step
     inner_iters: int
 
 
-def tseng_step(p: TsengProblem, z_prev: np.ndarray):
+def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray):
     """One forward-backward-forward step from z_prev.
 
     z_prime = P_Omega(z_prev); the backward step goes through the
     resolvent of C at parameter gamma/2 (not gamma); the correction
     re-evaluates only the Lipschitz part.  F2 is evaluated once and F1
-    twice (at z_prime and at z_tilde).  A constant F1 (L = 0) makes the
-    correction z_tilde - gamma*0 = z_tilde, so then F1 is evaluated once
-    and z_tilde itself is returned as z_next.
+    twice (at z_prime and at z_tilde).  Without F1 there is no domain to
+    project on and no correction: F2 is evaluated at z_prev and z_tilde
+    itself is returned as z_next.
     """
     gamma = p.gamma
     F1 = p.F1
+    if F1 is None:
+        w = (z_hat + z_prev - gamma * p.F2.eval(z_prev)) / 2.0
+        z_tilde, _ = p.C.resolvent(gamma / 2.0, w)
+        return z_prev, z_tilde, z_tilde
     z_prime = F1.project(z_prev)
     f1_prime = F1.eval(z_prime)
     forward = f1_prime + p.F2.eval(z_prime)
-    w = (p.z_hat + z_prev - gamma * forward) / 2.0
+    w = (z_hat + z_prev - gamma * forward) / 2.0
     z_tilde, _ = p.C.resolvent(gamma / 2.0, w)
-    if F1.L == 0:
-        return z_prime, z_tilde, z_tilde
     z_next = z_tilde - gamma * (F1.eval(z_tilde) - f1_prime)
     return z_prime, z_tilde, z_next
 
 
-def tseng_solve(p: TsengProblem, max_inner: int = 1000,
+def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
                 cert_log: list | None = None) -> TsengOutput:
     """Iterate from z0 = z_hat until the exit test fires.
 
     Exit test: ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta)
     <= tau_hat.  The start z_hat is the one the inner complexity bound
-    assumes.  When cert_log is a list, the per-step certificate is
-    appended for each inner iteration; it reads the same two differences
-    as the exit test.
+    assumes.  When cert_log is a list, each inner step's certificate is
+    verified and appended: stepsize lam = gamma, v = (z_prev - z_next)/gamma
+    and eps = ||z_prime - z_tilde||^2/(4 eta), read from the same two
+    differences as the exit test; the implied operator is B plus the
+    strongly monotone prox term (1/gamma)(. - z_hat).
     """
+    if tau_hat <= 0:
+        raise ValueError("tau_hat must be positive")
     gamma = p.gamma
     eta = p.F2.eta
-    tau_hat = p.tau_hat
-    z = np.asarray(p.z_hat, dtype=float)
+    z_hat = z = np.asarray(z_hat, dtype=float)
     for j in range(1, max_inner + 1):
-        z_prime, z_tilde, z_next = tseng_step(p, z)
+        z_prime, z_tilde, z_next = tseng_step(p, z_hat, z)
         d1 = z - z_next
         d2 = z_prime - z_tilde
         d2_sq = float(d2 @ d2)
+        eps = d2_sq / (4.0 * eta)
         if cert_log is not None:
-            cert_log.append(_certificate(z, z_tilde, d1, d2_sq, p))
+            cert = HpeStepCertificate(z, z_tilde, d1 / gamma, eps, gamma,
+                                      p.sigma)
+            if not verify_hpe_inequality(cert):
+                raise InvariantViolation("inner step failed its certificate")
+            cert_log.append(cert)
         if float(d1 @ d1) + gamma * d2_sq / (2.0 * eta) <= tau_hat:
-            return TsengOutput(z, z_prime, z_next, z_tilde, j)
+            return TsengOutput(z, z_next, z_tilde, eps, j)
         z = z_next
     raise IterationBudgetExceeded(
         f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
 
-
-def embed_strongly_monotone(z_prev, z_prime, z_tilde, z_next,
-                            p: TsengProblem) -> HpeStepCertificate:
-    """Certificate of one inner step with stepsize lam = gamma.
-
-    v = (z_prev - z_next)/gamma, eps = ||z_prime - z_tilde||^2/(4 eta);
-    the implied operator is B plus the strongly monotone prox term
-    (1/gamma)(. - z_hat).
-    """
-    d = z_prime - z_tilde
-    return _certificate(z_prev, z_tilde, z_prev - z_next, float(d @ d), p)
-
-
-def _certificate(z_prev, z_tilde, d1, d2_sq, p: TsengProblem) -> HpeStepCertificate:
-    # the step's certificate from d1 = z_prev - z_next and
-    # d2_sq = ||z_prime - z_tilde||^2, verified before it is returned
-    gamma = p.gamma
-    cert = HpeStepCertificate(z_prev, z_tilde, d1 / gamma,
-                              d2_sq / (4.0 * p.F2.eta), gamma, p.sigma)
-    if not verify_hpe_inequality(cert):
-        raise InvariantViolation("inner step failed its certificate")
-    return cert

@@ -311,9 +311,9 @@ def test_accept_09_inner_linear_decay(instrumented):
         d_zb = float(np.linalg.norm(z0 - box_solution(inst)))
         for tau_hat in (1e-8, cfg.tau0):
             certs = []
-            p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, z_hat=z0,
-                             gamma=g, tau_hat=tau_hat, sigma=SIGMA)
-            out = tseng_solve(p, cert_log=certs)
+            p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, gamma=g,
+                             sigma=SIGMA)
+            out = tseng_solve(p, z0, tau_hat, cert_log=certs)
             worst_inner = max(worst_inner, out.inner_iters)
             for j, c in enumerate(certs, start=1):
                 lhs = (float(np.dot(g * c.v, g * c.v))

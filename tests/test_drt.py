@@ -24,6 +24,7 @@ from drsplit.bench import CSV_COLUMNS, initial_point
 from drsplit.hpe import HpeStepCertificate, verify_hpe_inequality
 from drsplit.operators import CocoerciveMap, LipschitzMap
 from drsplit.qp import generate_instance, qp_operators, reference_solution, tau0_default
+from drsplit import tseng
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
 
 
@@ -193,6 +194,33 @@ def test_solve_with_caller_state_exposes_history():
                                         rel=1e-12)
 
 
+def test_bsolver_rejects_a_foreign_gamma():
+    # the B-solver reuses the problem's one Tseng subproblem, built for
+    # cfg.gamma; any other stepsize is refused, even a smaller one
+    inst, ops, cfg, z0 = _problem(n=8, seed=3)
+    bs = drt_bsolver(DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2,
+                                cfg=cfg))
+    with pytest.raises(ValueError, match="gamma"):
+        bs(z0, cfg.tau0, 0.5 * cfg.gamma)
+
+
+def test_one_gamma_max_check_per_solve(monkeypatch):
+    # gamma_max runs when the problem is built, not once per outer call
+    calls = [0]
+    base = tseng.gamma_max
+
+    def counted(*args):
+        calls[0] += 1
+        return base(*args)
+
+    monkeypatch.setattr(tseng, "gamma_max", counted)
+    inst, ops, cfg, z0 = _problem(n=8, seed=19)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0)
+    assert record.iters > 1
+    assert calls[0] == 1
+
+
 def test_inner_certificates_verify():
     inst, ops, cfg, z0 = _problem(n=8, seed=19)
     p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
@@ -212,15 +240,14 @@ def test_inner_budget_carries_outer_context():
 def test_skew_f1_inner_solve_reaches_resolvent():
     inst, ops, F1, S, gamma = _skew_problem()
     z_hat = initial_point(6, 0)
-    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, z_hat=z_hat, gamma=gamma,
-                     tau_hat=1e-24, sigma=0.99)
-    z = tseng_solve(p).z_tilde
+    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, gamma=gamma, sigma=0.99)
+    z = tseng_solve(p, z_hat, 1e-24).z_tilde
     # natural residual of 0 in N_X(z) + S z + Q z + e + (z - z_hat)/gamma
     g = S @ z + inst.Q @ z + inst.e + (z - z_hat) / gamma
     assert np.linalg.norm(z - np.clip(z - g, inst.lo, inst.hi)) <= 1e-9
     # z_hat lies outside the box, so the domain projection moves it, and
     # the correction F1(z_tilde) - F1(z_prime) moves z_next off z_tilde
-    z_prime, z_tilde, z_next = tseng_step(p, z_hat)
+    z_prime, z_tilde, z_next = tseng_step(p, z_hat, z_hat)
     assert np.linalg.norm(z_prime - z_hat) > 1.0
     assert np.linalg.norm(z_next - z_tilde) > 1e-3
 
@@ -240,9 +267,8 @@ def test_skew_f1_two_f1_evals_per_step():
     p = TsengProblem(C=ops.C, F1=LipschitzMap(counted("F1", F1.eval), F1.L,
                                               F1.project_domain),
                      F2=CocoerciveMap(counted("F2", ops.F2.eval), ops.F2.eta),
-                     z_hat=initial_point(6, 0), gamma=gamma, tau_hat=1e-12,
-                     sigma=0.99)
-    out = tseng_solve(p)
+                     gamma=gamma, sigma=0.99)
+    out = tseng_solve(p, initial_point(6, 0), 1e-12)
     assert out.inner_iters > 1
     assert calls == {"F1": 2 * out.inner_iters, "F2": out.inner_iters}
 

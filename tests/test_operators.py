@@ -181,7 +181,7 @@ def test_affine_monotone_resolvent_solves_system():
 
 
 def test_lipschitz_map_zero_and_validation():
-    f = LipschitzMap.zero()
+    f = LipschitzMap(eval=np.zeros_like, L=0.0)
     z = np.array([1.0, -2.0])
     assert_array_equal(f.eval(z), [0.0, 0.0])
     assert_array_equal(f.project(z), z)

@@ -1,10 +1,10 @@
-"""Instance generation, oracles, file format, and operator bundles."""
+"""Instance generation, oracles, and operator bundles."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from drsplit.errors import OracleFailure, ParseError
+from drsplit.errors import OracleFailure
 from drsplit.qp import (
     BoxAffineSum,
     QpInstance,
@@ -16,11 +16,9 @@ from drsplit.qp import (
     estimate_eta,
     generate_instance,
     kkt_check,
-    load_instance,
     objective,
     qp_operators,
     reference_solution,
-    save_instance,
     tau0_default,
 )
 
@@ -163,7 +161,7 @@ def test_qp_operators_bundle():
     ops = qp_operators(inst)
     z = np.linspace(-3.0, 3.0, 6)
     assert_allclose(ops.F2.eval(z), inst.Q @ z + inst.e, atol=1e-14)
-    assert ops.F1.L == 0.0
+    assert ops.F1 is None
     assert ops.eta * np.linalg.eigvalsh(inst.Q).max() == pytest.approx(
         1.0, rel=1e-8)
     y, _ = ops.A.resolvent(1.0, z)
@@ -304,70 +302,3 @@ def test_tau0_default_formula():
     r = z0 - np.clip(z0, inst.lo, inst.hi) + inst.Q @ z0
     assert tau0_default(inst, z0) == pytest.approx(
         np.linalg.norm(r) ** 3 + 1.0, rel=1e-12)
-
-
-# --------------------------------------------------------------- file format
-
-def test_save_load_round_trip(tmp_path):
-    for seed, definite in ((0, True), (1, False)):
-        inst = generate_instance(7, definite, seed)
-        path = tmp_path / f"inst_{seed}.txt"
-        save_instance(inst, path)
-        back = load_instance(path)
-        assert_array_equal(back.Q, inst.Q)
-        assert_array_equal(back.K, inst.K)
-        assert_array_equal(back.e, inst.e)
-        assert back.definite == inst.definite
-        assert back.seed == inst.seed
-
-
-def test_load_hexfloat_tokens(tmp_path):
-    inst = generate_instance(3, True, 9)
-    path = tmp_path / "hex.txt"
-    lines = ["3 definite 9", " ".join(str(int(k)) for k in inst.K)]
-    for row in inst.Q:
-        lines.append(" ".join(v.hex() for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    back = load_instance(path)
-    assert_array_equal(back.Q, inst.Q)
-
-
-def test_load_errors_carry_line_numbers(tmp_path):
-    def write(text):
-        p = tmp_path / "bad.txt"
-        p.write_text(text)
-        return p
-
-    with pytest.raises(ParseError) as ei:
-        load_instance(write("2 definite\n1 1\n1 0\n0 1\n"))
-    assert ei.value.lineno == 1
-
-    with pytest.raises(ParseError) as ei:
-        load_instance(write("2 definite 0\n1 1 1\n1 0\n0 1\n"))
-    assert ei.value.lineno == 2
-
-    with pytest.raises(ParseError) as ei:
-        load_instance(write("2 definite 0\n1 3\n1 0\n0 1\n"))
-    assert ei.value.lineno == 2
-
-    with pytest.raises(ParseError) as ei:
-        load_instance(write("2 definite 0\n1 1\n1 bogus\n0 1\n"))
-    assert ei.value.lineno == 3
-
-    # truncated: second matrix row missing, flagged at the short count
-    with pytest.raises(ParseError) as ei:
-        load_instance(write("2 definite 0\n1 1\n1 0\n"))
-    assert ei.value.lineno == 3
-    assert "expected 4 lines" in str(ei.value)
-
-    with pytest.raises(ParseError) as ei:
-        load_instance(write("2 definite 0\n1 1\nnan 0\n0 1\n"))
-    assert ei.value.lineno == 3
-
-    # asymmetric matrix is rejected through instance validation
-    with pytest.raises(ParseError):
-        load_instance(write("2 definite 0\n1 1\n1 5\n0 1\n"))
-
-    with pytest.raises(ParseError) as ei:
-        load_instance(write("2 sorta 0\n1 1\n1 0\n0 1\n"))
-    assert ei.value.lineno == 1

@@ -21,9 +21,8 @@ from .hpe import (ErgodicAccumulator, HpeStepCertificate, RateEnvelope,
                   verify_hpe_inequality)
 from .operators import (AffineMonotone, BoxNormalCone, CocoerciveMap,
                         EnlargementTriple, LipschitzMap, NullspaceNormalCone,
-                        SplittableOperator, check_eps_membership,
-                        cocoercive_enlargement, project_nullspace,
-                        resolvent_box, transport_ergodic)
+                        SplittableOperator, cocoercive_enlargement,
+                        project_nullspace, transport_ergodic)
 from .qp import (QpInstance, QpOperators, estimate_beta_V, estimate_eta,
                  generate_instance, qp_operators, reference_solution,
                  tau0_default)
@@ -39,12 +38,12 @@ __all__ = [
     "NullspaceNormalCone", "OracleFailure", "ParseError", "QpInstance",
     "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",
     "SplittableOperator", "StateError", "TsengOutput", "TsengProblem",
-    "check_eps_membership", "check_termination", "cocoercive_enlargement",
+    "check_termination", "cocoercive_enlargement",
     "delta_stop", "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_solve",
     "embed_hpe", "ergodic_bound", "estimate_beta_V", "estimate_eta",
     "exact_bsolver", "gamma_max", "generate_instance", "null_step_bounds",
     "pointwise_bound", "project_nullspace", "qp_operators",
-    "reference_solution", "resolvent_box", "residual_stop", "strong_rate",
+    "reference_solution", "residual_stop", "strong_rate",
     "tau0_default", "tolerance_stop", "transport_ergodic", "tseng_solve",
     "tseng_step", "verify_hpe_inequality",
 ]

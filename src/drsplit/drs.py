@@ -138,10 +138,10 @@ class DrsState:
 
     @property
     def residual(self) -> float:
-        if self.last is None:
+        """||x - y|| of the last step, as drs_iterate recorded it."""
+        if not self.trace:
             raise StateError("no iteration taken yet")
-        d = self.last.x - self.last.y
-        return math.sqrt(float(d.dot(d)))
+        return self.trace[-1].residual
 
 
 def exact_bsolver(opB: SplittableOperator) -> BSolver:

@@ -1,10 +1,10 @@
 """Monotone operator primitives.
 
 Resolvent-based access to maximal monotone operators, concrete resolvents
-for the cones used by the benchmark family (box normal cone, nullspace
-normal cone of a sign row), Lipschitz and cocoercive forward maps, the
-eps-enlargement triple together with its transportation (convex
-combination) formula, and a sampling-based enlargement membership check.
+and exact eps-enlargement membership for the cones used by the benchmark
+family (box normal cone, nullspace normal cone of a sign row), Lipschitz
+and cocoercive forward maps, and the eps-enlargement triple together with
+its transportation (convex combination) formula.
 
 Everything lives in R^n with the standard Euclidean inner product.
 """
@@ -26,11 +26,9 @@ __all__ = [
     "AffineMonotone",
     "LipschitzMap",
     "CocoerciveMap",
-    "resolvent_box",
     "project_nullspace",
     "cocoercive_enlargement",
     "transport_ergodic",
-    "check_eps_membership",
     "slack",
 ]
 
@@ -61,9 +59,7 @@ class SplittableOperator:
     """Maximal monotone operator accessed through its resolvent.
 
     Subclasses implement ``resolvent(gamma, z) -> (x, u)`` with
-    ``u in T(x)`` and ``gamma*u + x == z`` to round-off, and may expose
-    ``sample_graph`` returning points of the operator's graph for
-    sampling-based membership checks.
+    ``u in T(x)`` and ``gamma*u + x == z`` to round-off.
     """
 
     def __init__(self, dim: int):
@@ -74,42 +70,11 @@ class SplittableOperator:
     def resolvent(self, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def sample_graph(self, count: int, rng=None):
-        raise NotImplementedError("operator does not expose a graph sampler")
-
     def _check_dim(self, z: np.ndarray) -> np.ndarray:
         z = _point(z)
         if z.shape != (self.dim,):
             raise ValueError(f"expected dimension {self.dim}, got {z.shape}")
         return z
-
-
-def resolvent_box(gamma: float, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Resolvent of the normal cone of the box [lo, hi].
-
-    The resolvent is the box projection at every scaling.  The normal-cone
-    element is recovered as ``u = (z - x)/gamma``, so ``gamma*u + x = z``
-    holds exactly; u is nonpositive on the lower faces and nonnegative on
-    the upper ones.
-
-    Parameters
-    ----------
-    gamma : float
-        Resolvent scaling, > 0.
-    z, lo, hi : array_like
-        Input point and box bounds, ``lo <= hi`` componentwise.
-
-    Returns
-    -------
-    x, u : ndarray
-        Projection of z onto the box and the matching normal-cone element.
-    """
-    z = _point(z)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), z.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), z.shape)
-    if np.any(lo > hi):
-        raise ValueError("box requires lo <= hi componentwise")
-    return _box_resolvent(gamma, z, lo, hi)
 
 
 def project_nullspace(K, z) -> np.ndarray:
@@ -123,23 +88,12 @@ def project_nullspace(K, z) -> np.ndarray:
     return _project_sign_row(K, z)
 
 
-# The kernels behind both the module functions, which validate every
-# argument per call, and the cone classes, which validate lo/hi/K once in
-# their constructors and only the incoming point per resolvent.
-
-def _box_resolvent(gamma, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    x = z.clip(lo, hi)
-    return x, (z - x) / gamma
-
-
 def _project_sign_row(K, z) -> np.ndarray:
     return z - (K @ z / K.size) * K
 
 
 class BoxNormalCone(SplittableOperator):
-    """Normal cone of the box [lo, hi] in R^n."""
+    """Normal cone of the box [lo, hi] in R^n; resolvent is the box projection."""
 
     def __init__(self, lo, hi):
         lo = _point(lo)
@@ -151,19 +105,26 @@ class BoxNormalCone(SplittableOperator):
         self.hi = hi
 
     def resolvent(self, gamma, z):
-        return _box_resolvent(gamma, self._check_dim(z), self.lo, self.hi)
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+        z = self._check_dim(z)
+        x = z.clip(self.lo, self.hi)
+        return x, (z - x) / gamma
 
-    def sample_graph(self, count, rng=None):
-        # x uniform in the box; on a face, u is a scaled outward normal.
-        rng = np.random.default_rng(0) if rng is None else rng
-        n = self.dim
-        face = rng.integers(0, 3, size=(count, n))  # 0 interior, 1 lower, 2 upper
-        x = rng.uniform(self.lo, self.hi, size=(count, n))
-        x = np.where(face == 1, self.lo, x)
-        x = np.where(face == 2, self.hi, x)
-        mag = rng.exponential(1.0, size=(count, n))
-        v = np.where(face == 1, -mag, 0.0) + np.where(face == 2, mag, 0.0)
-        return x, v
+    def contains(self, triple: EnlargementTriple) -> bool:
+        """Exact test of v in N_X^eps(z), to round-off.
+
+        True iff z lies in X = [lo, hi] and the support-function gap
+        sigma_X(v) - <v, z> = sum_i v_i (hi_i - z_i if v_i > 0 else
+        lo_i - z_i) is at most eps.  The gap of a resolvent output is 0.
+        """
+        z = self._check_dim(triple.z)
+        v = self._check_dim(triple.v)
+        if (np.any(z < self.lo - slack(self.lo))
+                or np.any(z > self.hi + slack(self.hi))):
+            return False
+        terms = np.where(v > 0, v * (self.hi - z), v * (self.lo - z))
+        return float(terms.sum()) <= triple.eps + slack(float(np.abs(terms).sum()))
 
 
 class NullspaceNormalCone(SplittableOperator):
@@ -183,14 +144,20 @@ class NullspaceNormalCone(SplittableOperator):
         x = _project_sign_row(self.K, z)
         return x, (z - x) / gamma
 
-    def sample_graph(self, count, rng=None):
-        # graph = M x M-perp: project Gaussians onto M, normals along K.
-        rng = np.random.default_rng(0) if rng is None else rng
-        n = self.dim
-        Z = rng.standard_normal((count, n))
-        Z = Z - np.outer(Z @ self.K / n, self.K)
-        V = np.outer(rng.standard_normal(count), self.K)
-        return Z, V
+    def contains(self, triple: EnlargementTriple) -> bool:
+        """Exact test of v in N_M^eps(z), to round-off.
+
+        For z in M the enlargement is M-perp at every eps >= 0, so: True
+        iff K.z = 0, v is parallel to K (sigma_M(v) = 0) and the gap
+        -<v, z>, which is then 0, is at most eps.
+        """
+        z = self._check_dim(triple.z)
+        v = self._check_dim(triple.v)
+        in_M = abs(float(self.K @ z)) <= slack(float(np.abs(z).sum()))
+        along_K = (np.abs(_project_sign_row(self.K, v)).max()
+                   <= slack(float(np.abs(v).max())))
+        return bool(in_M and along_K and -float(v @ z)
+                    <= triple.eps + slack(float(np.abs(v) @ np.abs(z))))
 
 
 class AffineMonotone(SplittableOperator):
@@ -215,11 +182,6 @@ class AffineMonotone(SplittableOperator):
         z = self._check_dim(z)
         x = np.linalg.solve(np.eye(self.dim) + gamma * self.W, z - gamma * self.c)
         return x, (z - x) / gamma
-
-    def sample_graph(self, count, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
-        Z = 3.0 * rng.standard_normal((count, self.dim))
-        return Z, Z @ self.W.T + self.c
 
 
 @dataclass(frozen=True)
@@ -313,16 +275,3 @@ def transport_ergodic(triples, weights) -> EnlargementTriple:
         raise InvariantViolation(f"transported eps is negative: {ebar}")
     return EnlargementTriple(zbar, vbar, max(ebar, 0.0))
 
-
-def check_eps_membership(op, triple: EnlargementTriple, samples: int = 1000,
-                         rng=None) -> bool:
-    """Spot-check v in T^eps(z) against sampled graph points.
-
-    True iff ``<z - z', v - v'> >= -eps`` holds (with round-off slack) on
-    every sampled pair ``(z', v')`` of the operator's graph.  A necessary
-    condition only, not a proof of membership.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    Zs, Vs = op.sample_graph(samples, rng)
-    gaps = np.einsum("ij,ij->i", triple.z - Zs, triple.v - Vs)
-    return bool(np.all(gaps >= -triple.eps - slack(triple.eps)))

@@ -22,7 +22,8 @@ from drsplit.drt import (
 from drsplit.errors import IterationBudgetExceeded
 from drsplit.bench import CSV_COLUMNS, initial_point
 from drsplit.hpe import HpeStepCertificate, verify_hpe_inequality
-from drsplit.operators import CocoerciveMap, LipschitzMap
+from drsplit.operators import (BoxNormalCone, CocoerciveMap,
+                               EnlargementTriple, LipschitzMap)
 from drsplit.qp import generate_instance, qp_operators, reference_solution, tau0_default
 from drsplit import tseng
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
@@ -294,3 +295,36 @@ def test_skew_f1_certificates_verify():
             v=gamma * (state.hist_a[j] + b), eps=gamma * state.hist_eps_b[j],
             lam=1.0, sigma=cfg.sigma)
         assert verify_hpe_inequality(cert)
+
+
+@pytest.mark.parametrize("family", ["paper", "skew"])
+def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
+    # every box resolvent output is in N_X's graph, and every extragradient
+    # (y, a) in N_M's graph, at eps = 0
+    if family == "paper":
+        inst, ops, cfg, z0 = _problem(n=100, seed=0)
+        F1 = ops.F1
+    else:
+        inst, ops, F1, S, gamma = _skew_problem()
+        z0 = initial_point(6, 0)
+        cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
+                        tau0=tau0_default(inst, z0), rho_tol=1e-6,
+                        eps_tol=1e-6)
+    outputs = []
+    base = BoxNormalCone.resolvent
+
+    def logged(self, gamma, z):
+        x, u = base(self, gamma, z)
+        outputs.append((self, x, u))
+        return x, u
+
+    monkeypatch.setattr(BoxNormalCone, "resolvent", logged)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg)
+    state = DrsState.initial(z0, cfg)
+    record, _ = drt_solve(p, delta_stop(1e-6), state=state)
+    assert len(outputs) == record.inner
+    assert all(op is ops.C and op.contains(EnlargementTriple(x, u, 0.0))
+               for op, x, u in outputs)
+    assert state.n_extragradient >= 1
+    for y, a in zip(state.hist_y, state.hist_a):
+        assert ops.A.contains(EnlargementTriple(y, a, 0.0))

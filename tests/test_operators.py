@@ -9,10 +9,8 @@ from drsplit.operators import (
     EnlargementTriple,
     LipschitzMap,
     NullspaceNormalCone,
-    check_eps_membership,
     cocoercive_enlargement,
     project_nullspace,
-    resolvent_box,
     slack,
     transport_ergodic,
 )
@@ -23,30 +21,6 @@ def test_slack_scales_with_magnitude():
     assert slack(0.0) == 1e-10
     assert slack(1.0) == 2e-10
     assert slack(-3.0) == 4e-10
-
-
-def test_resolvent_box_projects_and_reconstructs():
-    z = np.array([-1.0, 5.0, 12.0])
-    x, u = resolvent_box(2.0, z, 0.0, 10.0)
-    assert_array_equal(x, [0.0, 5.0, 10.0])
-    # gamma*u + x = z exactly, u signs match the active faces
-    assert_array_equal(2.0 * u + x, z)
-    assert u[0] < 0 and u[1] == 0 and u[2] > 0
-
-
-def test_resolvent_box_scaling_invariance():
-    rng = np.random.default_rng(7)
-    z = rng.standard_normal(6) * 8.0
-    x1, _ = resolvent_box(0.3, z, 0.0, 10.0)
-    x2, _ = resolvent_box(5.0, z, 0.0, 10.0)
-    assert_array_equal(x1, x2)
-
-
-def test_resolvent_box_rejects_bad_input():
-    with pytest.raises(ValueError):
-        resolvent_box(0.0, np.zeros(2), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        resolvent_box(1.0, np.zeros(2), 1.0, 0.0)
 
 
 def test_project_nullspace_hand_example():
@@ -78,6 +52,31 @@ def test_project_nullspace_requires_sign_vector():
         project_nullspace(np.ones(3), np.zeros(2))
 
 
+def test_resolvent_box_projects_and_reconstructs():
+    z = np.array([-1.0, 5.0, 12.0])
+    x, u = BoxNormalCone(np.zeros(3), 10.0 * np.ones(3)).resolvent(2.0, z)
+    assert_array_equal(x, [0.0, 5.0, 10.0])
+    # gamma*u + x = z exactly at this data, u signs match the active faces
+    assert_array_equal(2.0 * u + x, z)
+    assert u[0] < 0 and u[1] == 0 and u[2] > 0
+
+
+def test_resolvent_box_scaling_invariance():
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal(6) * 8.0
+    op = BoxNormalCone(np.zeros(6), 10.0 * np.ones(6))
+    x1, _ = op.resolvent(0.3, z)
+    x2, _ = op.resolvent(5.0, z)
+    assert_array_equal(x1, x2)
+
+
+def test_resolvent_box_rejects_bad_input():
+    with pytest.raises(ValueError):
+        BoxNormalCone(np.zeros(2), np.ones(2)).resolvent(0.0, np.zeros(2))
+    with pytest.raises(ValueError):
+        BoxNormalCone(np.ones(2), np.zeros(2))
+
+
 def test_box_normal_cone_resolvent_and_dim_check():
     op = BoxNormalCone(np.zeros(3), 10.0 * np.ones(3))
     x, u = op.resolvent(1.5, np.array([-2.0, 4.0, 11.0]))
@@ -105,6 +104,8 @@ def test_cone_resolvents_reject_non_finite_points(bad):
 
 
 def test_cone_resolvents_match_module_functions_bitwise():
+    # the box output is an exact graph point with u = (z - x)/gamma bit
+    # for bit; the nullspace resolvent matches project_nullspace bit for bit
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(1, 20))
@@ -113,27 +114,17 @@ def test_cone_resolvents_match_module_functions_bitwise():
         K = rng.integers(0, 2, n) * 2.0 - 1.0
         z = rng.standard_normal(n) * 6.0
         gamma = float(rng.uniform(0.1, 3.0))
-        x, u = BoxNormalCone(lo, hi).resolvent(gamma, z)
-        x_ref, u_ref = resolvent_box(gamma, z, lo, hi)
-        assert_array_equal(x, x_ref)
-        assert_array_equal(u, u_ref)
+        box = BoxNormalCone(lo, hi)
+        x, u = box.resolvent(gamma, z)
+        assert box.contains(EnlargementTriple(x, u, 0.0))
+        assert_array_equal(x, np.clip(z, lo, hi))
+        assert_array_equal(u, (z - x) / gamma)
+        # the division and the product round, so the identity holds to ulps
+        assert_allclose(gamma * u + x, z, rtol=1e-15, atol=1e-14)
         y, a = NullspaceNormalCone(K).resolvent(gamma, z)
         y_ref = project_nullspace(K, z)
         assert_array_equal(y, y_ref)
         assert_array_equal(a, (z - y_ref) / gamma)
-
-
-def test_box_normal_cone_graph_samples_are_members():
-    op = BoxNormalCone(np.zeros(4), 10.0 * np.ones(4))
-    Z, V = op.sample_graph(200, np.random.default_rng(3))
-    assert Z.shape == (200, 4) and V.shape == (200, 4)
-    inside = (Z >= -1e-12) & (Z <= 10.0 + 1e-12)
-    assert inside.all()
-    # cone structure: v <= 0 on the lower face, >= 0 on the upper, 0 inside
-    interior = (Z > 1e-9) & (Z < 10.0 - 1e-9)
-    assert np.all(V[interior] == 0.0)
-    assert np.all(V[np.isclose(Z, 0.0)] <= 1e-12)
-    assert np.all(V[np.isclose(Z, 10.0)] >= -1e-12)
 
 
 def test_nullspace_normal_cone_resolvent():
@@ -152,19 +143,26 @@ def test_nullspace_graph_membership_check():
     K = np.ones(3)
     op = NullspaceNormalCone(K)
     y, a = op.resolvent(1.0, np.array([0.3, -1.2, 4.0]))
-    assert check_eps_membership(op, EnlargementTriple(y, a, 0.0))
+    assert op.contains(EnlargementTriple(y, a, 0.0))
+    # off M, or a normal not along K, is outside at any eps
+    assert not op.contains(EnlargementTriple(y + 1e-6, a, 100.0))
+    assert not op.contains(EnlargementTriple(y, a + [1e-6, 0, 0], 100.0))
 
 
-def test_check_eps_membership_detects_outsiders():
+def test_box_contains_detects_outsiders():
     op = BoxNormalCone(np.zeros(2), 10.0 * np.ones(2))
     good_x, good_u = op.resolvent(1.0, np.array([-3.0, 5.0]))
-    assert check_eps_membership(op, EnlargementTriple(good_x, good_u, 0.0))
+    assert op.contains(EnlargementTriple(good_x, good_u, 0.0))
     # interior point with a large normal element is not in the graph
     bad = EnlargementTriple(np.array([5.0, 5.0]), np.array([-3.0, 0.0]), 0.0)
-    assert not check_eps_membership(op, bad)
-    # a generous eps absorbs the violation
-    loose = EnlargementTriple(bad.z, bad.v, 100.0)
-    assert check_eps_membership(op, loose)
+    assert not op.contains(bad)
+    # a generous eps absorbs the violation (the gap is exactly 15)
+    assert op.contains(EnlargementTriple(bad.z, bad.v, 100.0))
+    assert not op.contains(EnlargementTriple(bad.z, bad.v, 14.9))
+    # a sign-flipped normal fails; a point off the box fails at any eps
+    assert not op.contains(EnlargementTriple(good_x, -good_u, 0.0))
+    assert not op.contains(EnlargementTriple(np.array([-1e-6, 5.0]),
+                                             np.zeros(2), 100.0))
 
 
 def test_affine_monotone_resolvent_solves_system():

@@ -176,13 +176,14 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     eps_b = float(eps_b)
     if eps_b < 0:
         raise ContractViolation("bsolver returned negative eps_b")
-    r_b = gamma * b + x - z
-    lhs = float(r_b @ r_b) + 2.0 * gamma * eps_b
+    gb = gamma * b
+    r_b = gb + x - z
+    lhs = float(r_b.dot(r_b)) + 2.0 * gamma * eps_b
     if lhs > tau_prev + slack(tau_prev):
         raise ContractViolation(
             f"bsolver output violates its tolerance: {lhs} > {tau_prev}")
 
-    y, a = A.resolvent(gamma, x - gamma * b)
+    y, a = A.resolvent(gamma, x - gb)
     quad = Quadruple(x, y, a, b, eps_b)
     d = x - y
     residual = math.sqrt(float(d.dot(d)))
@@ -192,8 +193,8 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     if abs(math.sqrt(float(v.dot(v))) - residual) > slack(residual):
         raise ContractViolation("gamma*||a+b|| deviates from ||x-y||")
 
-    r_test = gamma * b + y - z
-    rhs = cfg.sigma ** 2 * float(r_test @ r_test)
+    r_test = gb + y - z
+    rhs = cfg.sigma ** 2 * float(r_test.dot(r_test))
     # both sides are squares of vectors computed to absolute accuracy
     # ~1e-16*scale; below (1e-13*scale)^2 their ordering is round-off, and
     # the exact-arithmetic value of lhs there is 0 (b recomposes x and z),

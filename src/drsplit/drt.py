@@ -22,7 +22,7 @@ import numpy as np
 
 from .drs import (EXTRAGRADIENT, BSolver, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
-from .errors import IterationBudgetExceeded
+from .errors import ContractViolation, IterationBudgetExceeded
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
 from .tseng import TsengProblem, tseng_solve
 
@@ -134,8 +134,8 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
     Receives the pre-update tolerance tau_{k-1} and prox center z_{k-1};
     every call reuses the problem's one Tseng subproblem, so gamma must be
     the problem's.  Inner iteration counts append to inner_log, per-step
-    certificates to cert_log when given.  Inner budget errors carry
-    outer-call context.
+    certificates to cert_log when given.  Inner budget errors and
+    rejected operator outputs carry outer-call context.
     """
     sub = p.tseng
     call = 0
@@ -149,9 +149,8 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
         try:
             out = tseng_solve(sub, z_prev, tau, max_inner=max_inner,
                               cert_log=cert_log)
-        except IterationBudgetExceeded as exc:
-            raise IterationBudgetExceeded(
-                f"outer B-solve call {call}: {exc}") from exc
+        except (ContractViolation, IterationBudgetExceeded) as exc:
+            raise type(exc)(f"outer B-solve call {call}: {exc}") from exc
         if inner_log is not None:
             inner_log.append(out.inner_iters)
         b = (z_prev + out.z_prev - (out.z_next + out.z_tilde)) / gamma

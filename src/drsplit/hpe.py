@@ -47,9 +47,9 @@ def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
     """Check the relative-error inequality with 1e-10 relative slack."""
     z_prev, z_tilde, v, eps, lam, sigma = cert
     d = lam * v + z_tilde - z_prev
-    lhs = float(d @ d) + 2.0 * lam * eps
+    lhs = float(d.dot(d)) + 2.0 * lam * eps
     r = z_tilde - z_prev
-    rhs = sigma ** 2 * float(r @ r)
+    rhs = sigma ** 2 * float(r.dot(r))
     return lhs <= rhs + slack(rhs)
 
 

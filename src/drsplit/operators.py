@@ -11,6 +11,7 @@ Everything lives in R^n with the standard Euclidean inner product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -42,7 +43,10 @@ def _point(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         z = np.atleast_1d(z.squeeze())
-    if not np.isfinite(z).all():
+    # a finite squared norm proves every entry finite; a NaN or inf entry
+    # makes it non-finite, and so does overflow, which the exact test
+    # clears (vdot, unlike dot, does not warn on that overflow)
+    if not math.isfinite(np.vdot(z, z)) and not np.isfinite(z).all():
         raise ValueError("point contains non-finite entries")
     return z
 
@@ -89,7 +93,7 @@ def project_nullspace(K, z) -> np.ndarray:
 
 
 def _project_sign_row(K, z) -> np.ndarray:
-    return z - (K @ z / K.size) * K
+    return z - (K.dot(z) / K.size) * K
 
 
 class BoxNormalCone(SplittableOperator):
@@ -108,7 +112,8 @@ class BoxNormalCone(SplittableOperator):
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         z = self._check_dim(z)
-        x = z.clip(self.lo, self.hi)
+        # bitwise equal to z.clip(lo, hi), without clip's Python wrapper
+        x = np.minimum(np.maximum(z, self.lo), self.hi)
         return x, (z - x) / gamma
 
     def contains(self, triple: EnlargementTriple) -> bool:

@@ -124,7 +124,7 @@ def qp_operators(inst: QpInstance) -> QpOperators:
         A=NullspaceNormalCone(inst.K),
         C=BoxNormalCone(inst.lo, inst.hi),
         F1=None,
-        F2=CocoerciveMap(eval=lambda z: Q @ z + e, eta=eta),
+        F2=CocoerciveMap(eval=lambda z: Q.dot(z) + e, eta=eta),
         eta=eta,
     )
 

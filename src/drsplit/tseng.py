@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation, IterationBudgetExceeded
+from .errors import (ContractViolation, InvariantViolation,
+                     IterationBudgetExceeded)
 from .hpe import HpeStepCertificate, verify_hpe_inequality
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
 
@@ -110,18 +111,31 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     verified and appended: stepsize lam = gamma, v = (z_prev - z_next)/gamma
     and eps = ||z_prime - z_tilde||^2/(4 eta), read from the same two
     differences as the exit test; the implied operator is B plus the
-    strongly monotone prox term (1/gamma)(. - z_hat).
+    strongly monotone prox term (1/gamma)(. - z_hat).  Without F1,
+    z_prime is z_prev and z_next is z_tilde, so the two differences are
+    one vector and one squared norm serves both.
+
+    A step whose operator output the resolvent rejects (non-finite or of
+    the wrong shape) raises ContractViolation naming the inner step.
     """
     if tau_hat <= 0:
         raise ValueError("tau_hat must be positive")
     gamma = p.gamma
     eta = p.F2.eta
+    one_difference = p.F1 is None
     z_hat = z = np.asarray(z_hat, dtype=float)
     for j in range(1, max_inner + 1):
-        z_prime, z_tilde, z_next = tseng_step(p, z_hat, z)
+        try:
+            z_prime, z_tilde, z_next = tseng_step(p, z_hat, z)
+        except ValueError as exc:
+            raise ContractViolation(f"inner step {j}: {exc}") from exc
         d1 = z - z_next
-        d2 = z_prime - z_tilde
-        d2_sq = float(d2 @ d2)
+        d1_sq = float(d1.dot(d1))
+        if one_difference:
+            d2_sq = d1_sq
+        else:
+            d2 = z_prime - z_tilde
+            d2_sq = float(d2.dot(d2))
         eps = d2_sq / (4.0 * eta)
         if cert_log is not None:
             cert = HpeStepCertificate(z, z_tilde, d1 / gamma, eps, gamma,
@@ -129,7 +143,7 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
             if not verify_hpe_inequality(cert):
                 raise InvariantViolation("inner step failed its certificate")
             cert_log.append(cert)
-        if float(d1 @ d1) + gamma * d2_sq / (2.0 * eta) <= tau_hat:
+        if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:
             return TsengOutput(z, z_next, z_tilde, eps, j)
         z = z_next
     raise IterationBudgetExceeded(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from drsplit.bench import (
 )
 from drsplit.drt import RunRecord
 from drsplit.errors import IterationBudgetExceeded, ParseError
+from drsplit.operators import CocoerciveMap
 
 
 def _strip_time(rec):
@@ -106,6 +108,35 @@ def test_run_batch_marks_failures_and_continues(monkeypatch):
     stats = summarize(records)
     # the failed instance is excluded from every statistic
     assert stats["iters"][0] >= 1
+
+
+def test_run_batch_records_a_non_finite_operator_output(monkeypatch):
+    # instance 1's F2 returns NaN on its fifth call: that instance becomes
+    # an error row naming the outer call and inner step, the rest solve
+    spec = BenchSpec(n=5, instances=3, seed=5)
+    real = bench.qp_operators
+
+    def poisoned(inst):
+        ops = real(inst)
+        if inst.seed != spec.seed + 1:
+            return ops
+        f2, calls = ops.F2.eval, []
+
+        def eval(z):
+            calls.append(None)
+            return f2(z) * (np.nan if len(calls) == 5 else 1.0)
+
+        return dataclasses.replace(
+            ops, F2=CocoerciveMap(eval=eval, eta=ops.F2.eta))
+
+    monkeypatch.setattr(bench, "qp_operators", poisoned)
+    records = run_batch(spec)
+    assert [r.instance for r in records] == [0, 1, 2]
+    assert records[0].error is None and records[2].error is None
+    assert re.fullmatch(r"ContractViolation: outer B-solve call \d+: inner "
+                        r"step \d+: point contains non-finite entries",
+                        records[1].error)
+    assert math.isnan(records[1].time_s)
 
 
 def test_trace_requires_drt(tmp_path):

@@ -19,7 +19,7 @@ from drsplit.drt import (
     residual_stop,
     tolerance_stop,
 )
-from drsplit.errors import IterationBudgetExceeded
+from drsplit.errors import ContractViolation, IterationBudgetExceeded
 from drsplit.bench import CSV_COLUMNS, initial_point
 from drsplit.hpe import HpeStepCertificate, verify_hpe_inequality
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
@@ -236,6 +236,38 @@ def test_inner_budget_carries_outer_context():
     p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
     with pytest.raises(IterationBudgetExceeded, match="B-solve call"):
         drt_solve(p, delta_stop(1e-10), z0=z0, max_inner=1)
+
+
+def _poisoned(F2, bad_call):
+    # F2 whose bad_call-th evaluation returns NaN
+    calls = 0
+
+    def eval(z):
+        nonlocal calls
+        calls += 1
+        out = F2.eval(z)
+        return np.full_like(out, np.nan) if calls == bad_call else out
+
+    return CocoerciveMap(eval=eval, eta=F2.eta)
+
+
+def test_non_finite_f2_output_names_outer_call_and_inner_step():
+    inst, ops, cfg, z0 = _problem(n=20, seed=0)
+    # where F2 evaluation 7 falls in the clean run: outer call, inner step
+    log = []
+    clean = drt_bsolver(DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2,
+                                   cfg=cfg), inner_log=log)
+    state = DrsState.initial(z0, cfg)
+    while sum(log) < 7:
+        drs_iterate(state, cfg, clean, ops.A)
+    call, step = len(log), 7 - sum(log[:-1])
+    assert call > 1
+    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=_poisoned(ops.F2, 7),
+                   cfg=cfg)
+    with pytest.raises(ContractViolation,
+                       match=f"^outer B-solve call {call}: inner step {step}: "
+                             "point contains non-finite entries$"):
+        drt_solve(p, delta_stop(1e-6), z0=z0)
 
 
 def test_skew_f1_inner_solve_reaches_resolvent():

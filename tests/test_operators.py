@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -9,6 +11,7 @@ from drsplit.operators import (
     EnlargementTriple,
     LipschitzMap,
     NullspaceNormalCone,
+    _point,
     cocoercive_enlargement,
     project_nullspace,
     slack,
@@ -101,6 +104,54 @@ def test_cone_resolvents_reject_non_finite_points(bad):
         BoxNormalCone(np.zeros(3), 10.0 * np.ones(3)).resolvent(1.0, z)
     with pytest.raises(ValueError):
         NullspaceNormalCone(np.array([1.0, -1.0, 1.0])).resolvent(1.0, z)
+
+
+def test_point_check_accepts_finite_points_whose_square_overflows():
+    # ||z||^2 overflows to inf, so the fast test defers to the exact one,
+    # which accepts; no overflow warning escapes
+    z = np.array([1e200, -1e200, 3.0, -1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _point(z) is z
+        x, u = BoxNormalCone(np.full(4, -1e300), np.full(4, 1e300)
+                             ).resolvent(1.0, z)
+        y, _ = NullspaceNormalCone(np.array([1.0, 1.0, -1.0, 1.0])
+                                   ).resolvent(1.0, z)
+    assert_array_equal(x, z)
+    assert_array_equal(u, np.zeros(4))
+    assert np.isfinite(y).all()
+    assert_array_equal(z, [1e200, -1e200, 3.0, -1e200])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_point_check_rejects_non_finite_entries_anywhere(bad, where):
+    z = np.linspace(-2.0, 2.0, 7)
+    z[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        _point(z)
+    with pytest.raises(ValueError, match="non-finite"):
+        BoxNormalCone(np.full(7, -5.0), np.full(7, 5.0)).resolvent(1.0, z)
+    with pytest.raises(ValueError, match="non-finite"):
+        NullspaceNormalCone(np.ones(7)).resolvent(1.0, z)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (-5.0, 5.0)])
+def test_box_projection_is_bitwise_clip(lo, hi):
+    # signed zeros, both bounds and their neighbours, subnormals, and
+    # points far outside: x and u equal the np.clip formula bit for bit
+    tiny = np.nextafter(0.0, 1.0)
+    z = np.array([0.0, -0.0, lo, -lo, hi, -hi, tiny, -tiny, 2.0 * tiny,
+                  np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                  np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+                  1e300, -1e300, 1e-300, -1e-300, 3.25, -3.25])
+    n = z.size
+    lo_v, hi_v = np.full(n, lo), np.full(n, hi)
+    gamma = 0.7
+    x, u = BoxNormalCone(lo_v, hi_v).resolvent(gamma, z)
+    x_ref = np.clip(z, lo_v, hi_v)
+    assert x.tobytes() == x_ref.tobytes()
+    assert u.tobytes() == ((z - x_ref) / gamma).tobytes()
 
 
 def test_cone_resolvents_match_module_functions_bitwise():

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from drsplit.bench import initial_point
+from drsplit.drs import DrsConfig, DrsState, drs_iterate
+from drsplit.drt import DrtProblem, drt_bsolver
 from drsplit.errors import IterationBudgetExceeded
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
-from drsplit.qp import BoxAffineSum, generate_instance, qp_operators
+from drsplit.qp import (BoxAffineSum, QpInstance, generate_instance,
+                        qp_operators, tau0_default)
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
 
 Z_HAT = np.array([4.0])
@@ -178,3 +182,72 @@ def test_absent_f1_matches_explicit_zero_map_bitwise():
     for a, b in zip(*logs):
         for x, y in zip(a, b):
             assert_array_equal(x, y)
+
+
+def _faces_instance(n, seed):
+    # semidefinite Q, sign-mixed e and the box [-5, 5]: the optimum has
+    # coordinates on the faces and inside the box
+    base = generate_instance(n, False, seed)
+    e = np.random.default_rng([7, seed]).uniform(-10.0, 10.0, n)
+    return QpInstance(Q=base.Q, e=e, K=base.K, lo=np.full(n, -5.0),
+                      hi=np.full(n, 5.0), definite=False, seed=seed)
+
+
+def _reference_solve(inst, gamma, sigma, eta, z_hat, tau_hat):
+    # the F1-free Tseng loop written with the textbook formulas: matmul,
+    # np.clip, and both differences formed separately
+    certs = []
+    z = z_hat
+    for j in range(1, 1001):
+        z_prime = z
+        w = (z_hat + z_prime - gamma * (inst.Q @ z_prime + inst.e)) / 2.0
+        z_tilde = np.clip(w, inst.lo, inst.hi)
+        z_next = z_tilde
+        d1 = z - z_next
+        d2 = z_prime - z_tilde
+        d2_sq = float(d2 @ d2)
+        eps = d2_sq / (4.0 * eta)
+        certs.append((z, z_tilde, d1 / gamma, eps, gamma, sigma))
+        if float(d1 @ d1) + gamma * d2_sq / (2.0 * eta) <= tau_hat:
+            return (z, z_next, z_tilde, eps, j), certs
+        z = z_next
+    raise AssertionError("reference loop hit its budget")
+
+
+@pytest.mark.parametrize("family", ["paper", "faces"])
+def test_inner_loop_matches_textbook_reference_bitwise(family):
+    # the (z_hat, tau_hat) requests of the first outer calls of an n=100
+    # solve; every output and certificate must equal the reference's bits
+    n, sigma = 100, 0.99
+    inst = (generate_instance(n, True, 3) if family == "paper"
+            else _faces_instance(n, 3))
+    ops = qp_operators(inst)
+    z0 = initial_point(n, 3)
+    cfg = DrsConfig(gamma=2.0 * ops.eta * sigma ** 2, sigma=sigma,
+                    theta=0.01, tau0=tau0_default(inst, z0), rho_tol=1e-6,
+                    eps_tol=1e-6)
+    prob = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    bsolver = drt_bsolver(prob)
+    requests = []
+
+    def recording(z_prev, tau, gamma):
+        requests.append((z_prev, tau))
+        return bsolver(z_prev, tau, gamma)
+
+    state = DrsState.initial(z0, cfg)
+    for _ in range(4):
+        drs_iterate(state, cfg, recording, ops.A)
+    steps = 0
+    for z_hat, tau_hat in requests:
+        certs = []
+        out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=certs)
+        ref, ref_certs = _reference_solve(inst, cfg.gamma, sigma, ops.eta,
+                                          z_hat, tau_hat)
+        for got, want in zip(out, ref):
+            assert_array_equal(got, want)
+        assert out.inner_iters == ref[-1] == len(certs) == len(ref_certs)
+        for cert, want in zip(certs, ref_certs):
+            for got, w in zip(cert, want):
+                assert_array_equal(got, w)
+        steps += out.inner_iters
+    assert steps > 4

@@ -4,9 +4,12 @@ Two fixed-point schemes over the same three-piece decomposition
 (box, nullspace, affine forward map): a three-operator splitting (TOS)
 iteration and a relaxed forward-Douglas-Rachford (rFDRS) iteration,
 both run with step gamma = 1.99*beta for the scheme's own cocoercivity
-constant beta.  Both run at unit relaxation, where a step's displacement
-||z+ - z|| is also its fixed-point residual, so the delta and residual
-stopping rules are one test for them and ``--stop`` changes only drt.
+constant beta.  Both step with the instance's operator set
+(``inst.ops``), the cone resolvents and forward map drt steps with, so
+their timings compare algorithms rather than kernels.  Both run at unit
+relaxation, where a step's displacement ||z+ - z|| is also its
+fixed-point residual, so the delta and residual stopping rules are one
+test for them and ``--stop`` changes only drt.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .drt import RunRecord
 from .errors import IterationBudgetExceeded
-from .operators import _inverse_norm, project_nullspace
+from .operators import _inverse_norm
 
 if TYPE_CHECKING:   # qp runs tos_iterate for its reference oracle
     from .qp import QpInstance
@@ -58,20 +61,18 @@ def rfdrs_gamma(inst: QpInstance) -> float:
 
 def tos_iterate(z, inst: QpInstance, gamma: float):
     """One TOS step: box point, shifted nullspace projection, update."""
-    z = np.asarray(z, dtype=float)
-    xB = np.clip(z, inst.lo, inst.hi)
-    xA = project_nullspace(
-        inst.K, 2.0 * xB - z - gamma * (inst.Q @ xB + inst.e))
+    A, C, F2 = inst.ops.A, inst.ops.C, inst.ops.F2
+    xB, _ = C.resolvent(gamma, z)
+    xA, _ = A.resolvent(gamma, 2.0 * xB - z - gamma * F2.eval(xB))
     return z + (xA - xB)
 
 
 def rfdrs_iterate(z, inst: QpInstance, gamma: float):
     """One rFDRS step; the forward term is evaluated through P_M."""
-    z = np.asarray(z, dtype=float)
-    x = project_nullspace(inst.K, z)
-    w = np.clip(
-        2.0 * x - z - gamma * project_nullspace(inst.K, inst.Q @ x + inst.e),
-        inst.lo, inst.hi)
+    A, C, F2 = inst.ops.A, inst.ops.C, inst.ops.F2
+    x, _ = A.resolvent(gamma, z)
+    g, _ = A.resolvent(gamma, F2.eval(x))
+    w, _ = C.resolvent(gamma, 2.0 * x - z - gamma * g)
     return z + (w - x)
 
 
@@ -86,11 +87,9 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
     for rFDRS.  abs_err, when z_star is given, is ||solution - z_star||.
     """
     if algo == "tos":
-        gamma = tos_gamma(inst)
-        step = tos_iterate
+        gamma, step, block = tos_gamma(inst), tos_iterate, inst.ops.C
     elif algo == "rfdrs":
-        gamma = rfdrs_gamma(inst)
-        step = rfdrs_iterate
+        gamma, step, block = rfdrs_gamma(inst), rfdrs_iterate, inst.ops.A
     else:
         raise ValueError(f"unknown baseline {algo!r}")
     z = np.zeros(inst.n) if z0 is None else np.asarray(z0, dtype=float).copy()
@@ -108,10 +107,7 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
         raise IterationBudgetExceeded(
             f"{algo} did not reach tol {tol} in {max_iter} iterations")
     elapsed = time.perf_counter() - t0
-    if algo == "tos":
-        sol = np.clip(z, inst.lo, inst.hi)
-    else:
-        sol = project_nullspace(inst.K, z)
+    sol, _ = block.resolvent(gamma, z)
     abs_err = float("nan")
     if z_star is not None:
         abs_err = float(np.linalg.norm(sol - np.asarray(z_star, dtype=float)))

@@ -164,11 +164,13 @@ def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
               inner_cert_log: list | None = None) -> tuple[RunRecord, Quadruple]:
     """Run the outer loop until the stop rule fires.
 
-    z0 defaults to the origin.  Passing a preconstructed state keeps the
-    full iteration history accessible to the caller afterwards.  The
-    record's f2_evals equals its inner count: each Tseng step evaluates
-    F2 exactly once.
+    z0 defaults to the origin.  Passing a preconstructed state, which
+    holds its own start, instead of z0 keeps the full iteration history
+    accessible to the caller afterwards.  The record's f2_evals equals
+    its inner count: each Tseng step evaluates F2 exactly once.
     """
+    if state is not None and z0 is not None:
+        raise ValueError("pass z0 or state, not both: a state holds its start")
     if state is None:
         if z0 is None:
             z0 = np.zeros(p.A.dim)

@@ -6,7 +6,10 @@ The operator decomposition used by the solvers is A = N_M (M = null(K)),
 C = N_X, no F1 (``F1=None``: there is no Lipschitz term) and
 F2(z) = Qz + e with eta = 1/||Q||.  Spectral constants are exact: each
 instance runs one eigvalsh(Q) when it is built, which both checks Q for
-positive semidefiniteness and fixes eta.
+positive semidefiniteness and fixes eta.  The instance also builds that
+operator set once (``inst.ops``; its cones reject a K outside
+{+1, -1}^n and an empty box): ``qp_operators`` returns it, and the drt
+solver, both baselines and the iterative oracles all step with it.
 
 Oracles: KKT active-set enumeration for n <= 6, a high-accuracy
 three-operator fixed-point reference for larger n (it runs the TOS step
@@ -25,8 +28,7 @@ import numpy as np
 from .baselines import estimate_beta_V, tos_iterate
 from .errors import OracleFailure
 from .operators import (BoxNormalCone, CocoerciveMap, LipschitzMap,
-                        NullspaceNormalCone, SplittableOperator,
-                        _inverse_norm, project_nullspace)
+                        NullspaceNormalCone, SplittableOperator, _inverse_norm)
 
 __all__ = [
     "QpInstance",
@@ -56,6 +58,7 @@ class QpInstance:
     definite: bool
     seed: int
     eta: float = field(init=False, compare=False)   # 1/||Q||, inf for Q = 0
+    ops: QpOperators = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.Q.shape[0]
@@ -66,12 +69,17 @@ class QpInstance:
                 raise ValueError(f"{name} must have length {n}")
         if not np.allclose(self.Q, self.Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric to 1e-12")
-        if not np.all(np.abs(self.K) == 1.0):
-            raise ValueError("K entries must be +1 or -1")
+        A = NullspaceNormalCone(self.K)
+        C = BoxNormalCone(self.lo, self.hi)
         w = np.linalg.eigvalsh(self.Q)
         if w[0] < -1e-10:
             raise ValueError(f"Q has eigenvalue {w[0]} < -1e-10")
-        object.__setattr__(self, "eta", _inverse_norm(w))
+        eta = _inverse_norm(w)
+        Q, e = self.Q, self.e
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "ops", QpOperators(
+            A=A, C=C, F1=None,
+            F2=CocoerciveMap(eval=lambda z: Q.dot(z) + e, eta=eta), eta=eta))
 
     @property
     def n(self) -> int:
@@ -115,18 +123,10 @@ def estimate_eta(Q) -> float:
 
 
 def qp_operators(inst: QpInstance) -> QpOperators:
-    """Operator decomposition with the instance's cocoercivity constant."""
-    eta = inst.eta
-    if not np.isfinite(eta):
+    """The instance's operator set; rejects an unbounded eta (Q = 0)."""
+    if not np.isfinite(inst.eta):
         raise ValueError("zero quadratic term: eta is unbounded")
-    Q, e = inst.Q, inst.e
-    return QpOperators(
-        A=NullspaceNormalCone(inst.K),
-        C=BoxNormalCone(inst.lo, inst.hi),
-        F1=None,
-        F2=CocoerciveMap(eval=lambda z: Q.dot(z) + e, eta=eta),
-        eta=eta,
-    )
+    return inst.ops
 
 
 def objective(inst: QpInstance, z) -> float:
@@ -226,7 +226,7 @@ def _tos_reference(inst: QpInstance) -> np.ndarray:
         z = z_new
     else:
         raise OracleFailure("reference fixed-point iteration hit its cap")
-    x = np.clip(z, inst.lo, inst.hi)
+    x, _ = inst.ops.C.resolvent(gamma, z)
     if not kkt_check(inst, x, 1e-8):
         raise OracleFailure("reference iterate failed the KKT check")
     return x
@@ -308,7 +308,7 @@ def drs_reference_zero(inst: QpInstance, gamma: float, z0):
     z = z0.copy()
     for _ in range(10 ** 6):
         x, _ = Jb.resolvent(gamma, z)
-        y = project_nullspace(inst.K, 2.0 * x - z)
+        y, _ = inst.ops.A.resolvent(gamma, 2.0 * x - z)
         z_new = z + (y - x)
         if float(np.linalg.norm(z_new - z)) <= 1e-12:
             z = z_new

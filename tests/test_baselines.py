@@ -9,7 +9,9 @@ from drsplit.baselines import (
     tos_gamma,
     tos_iterate,
 )
+from drsplit.bench import initial_point
 from drsplit.errors import IterationBudgetExceeded
+from drsplit.operators import project_nullspace
 from drsplit.qp import (QpInstance, estimate_beta_V, generate_instance,
                         qp_operators, reference_solution)
 
@@ -135,3 +137,51 @@ def test_run_baseline_validation_and_budget():
     with pytest.raises(IterationBudgetExceeded):
         run_baseline(inst, "tos", tol=1e-14, max_iter=3,
                      z0=np.full(5, 9.0))
+
+
+def _textbook_tos(z, inst, gamma):
+    xB = np.clip(z, inst.lo, inst.hi)
+    xA = project_nullspace(
+        inst.K, 2.0 * xB - z - gamma * (inst.Q @ xB + inst.e))
+    return z + (xA - xB)
+
+
+def _textbook_rfdrs(z, inst, gamma):
+    x = project_nullspace(inst.K, z)
+    g = project_nullspace(inst.K, inst.Q @ x + inst.e)
+    w = np.clip(2.0 * x - z - gamma * g, inst.lo, inst.hi)
+    return z + (w - x)
+
+
+@pytest.mark.parametrize("definite", [True, False])
+def test_steps_match_textbook_reference_bitwise(definite):
+    # the baselines step with the instance's cones and forward map; on an
+    # n=100 instance with a sign-mixed e and the box [-5, 5] (optimum on
+    # faces and inside the box, so 100+ nontrivial steps to 1e-9) every
+    # iterate, the stop and the solution block must equal the textbook
+    # formulas' bits
+    n, tol = 100, 1e-9
+    base = generate_instance(n, definite, 5)
+    e = np.random.default_rng([7, 5]).uniform(-10.0, 10.0, n)
+    inst = QpInstance(Q=base.Q, e=e, K=base.K, lo=np.full(n, -5.0),
+                      hi=np.full(n, 5.0), definite=definite, seed=5)
+    z0 = initial_point(n, 5)
+    cases = (
+        ("tos", tos_iterate, _textbook_tos, tos_gamma(inst),
+         lambda z: np.clip(z, inst.lo, inst.hi)),
+        ("rfdrs", rfdrs_iterate, _textbook_rfdrs, rfdrs_gamma(inst),
+         lambda z: project_nullspace(inst.K, z)),
+    )
+    for algo, step, textbook, gamma, block in cases:
+        z, iters = z0, 0
+        while True:
+            z_new = textbook(z, inst, gamma)
+            assert step(z, inst, gamma).tobytes() == z_new.tobytes()
+            resid = float(np.linalg.norm(z_new - z))
+            z, iters = z_new, iters + 1
+            if resid <= tol:
+                break
+        assert iters >= 50
+        rec, sol = run_baseline(inst, algo, tol=tol, z0=z0)
+        assert (rec.iters, rec.residual) == (iters, resid)
+        assert sol.tobytes() == block(z).tobytes()

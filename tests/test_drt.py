@@ -195,6 +195,16 @@ def test_solve_with_caller_state_exposes_history():
                                         rel=1e-12)
 
 
+def test_solve_rejects_both_z0_and_state():
+    # a state carries its own start; a second one would be dropped
+    inst, ops, cfg, z0 = _problem(n=6, seed=13)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    state = DrsState.initial(z0, cfg)
+    with pytest.raises(ValueError, match="not both"):
+        drt_solve(p, delta_stop(1e-6), z0=np.zeros(6), state=state)
+    assert state.k == 0
+
+
 def test_bsolver_rejects_a_foreign_gamma():
     # the B-solver reuses the problem's one Tseng subproblem, built for
     # cfg.gamma; any other stepsize is refused, even a smaller one

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from drsplit.baselines import run_baseline
+from drsplit.bench import BenchSpec, run_single
 from drsplit.errors import OracleFailure
+from drsplit.operators import BoxNormalCone, NullspaceNormalCone
 from drsplit.qp import (
     BoxAffineSum,
     QpInstance,
@@ -89,6 +92,15 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         QpInstance(Q=-ok.Q, e=ok.e, K=ok.K, lo=ok.lo, hi=ok.hi,
                    definite=False, seed=0)
+    # an empty box has no solution: building the instance fails, so no
+    # solver ever runs on it
+    reached = []
+    with pytest.raises(ValueError, match="lo <= hi"):
+        empty = QpInstance(Q=ok.Q, e=ok.e, K=ok.K, lo=np.ones(3),
+                           hi=np.zeros(3), definite=True, seed=0)
+        reached.append(run_baseline(empty, "tos", tol=1e-8))
+        reached.append(run_baseline(empty, "rfdrs", tol=1e-8))
+    assert reached == []
 
 
 # ------------------------------------------------------------------ spectral
@@ -168,6 +180,32 @@ def test_qp_operators_bundle():
     assert abs(inst.K @ y) < 1e-12
     x, _ = ops.C.resolvent(1.0, z)
     assert_array_equal(x, np.clip(z, 0.0, 10.0))
+
+
+def test_instance_builds_its_cones_once(monkeypatch):
+    # qp_operators hands out the instance's own set, and the oracle, both
+    # baselines and a drt solve step with it instead of building their own
+    built = []
+    for cone in (BoxNormalCone, NullspaceNormalCone):
+        init = cone.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cone, "__init__", counted)
+    spec = BenchSpec(n=20, instances=1, seed=3)
+    inst = generate_instance(spec.n, spec.definite, spec.seed)
+    assert sorted(built) == ["BoxNormalCone", "NullspaceNormalCone"]
+    ops = qp_operators(inst)
+    assert qp_operators(inst) is ops is inst.ops
+    reference_solution(inst)
+    for algo in ("tos", "rfdrs"):
+        run_baseline(inst, algo, tol=1e-8)
+    assert len(built) == 2
+    # run_single builds its own instance: one set for it, none in the solve
+    assert run_single(spec, 0).record.iters >= 1
+    assert len(built) == 4
 
 
 def test_qp_operators_rejects_zero_curvature():

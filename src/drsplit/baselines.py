@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .drt import RunRecord
-from .errors import IterationBudgetExceeded
+from .errors import ContractViolation, IterationBudgetExceeded
 from .operators import _inverse_norm
 
 if TYPE_CHECKING:   # qp runs tos_iterate for its reference oracle
@@ -85,6 +85,8 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
     the record reports.  Returns (record, solution) where the solution is
     the scheme's own solution-approximating block: P_X(z) for TOS, P_M(z)
     for rFDRS.  abs_err, when z_star is given, is ||solution - z_star||.
+    A step whose resolvent rejects its input (a non-finite operator
+    output) raises ContractViolation naming the algorithm and iteration.
     """
     if algo == "tos":
         gamma, step, block = tos_gamma(inst), tos_iterate, inst.ops.C
@@ -96,16 +98,20 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
     iters = 0
     resid = float("nan")
     t0 = time.perf_counter()
-    for _ in range(max_iter):
-        z_new = step(z, inst, gamma)
-        resid = float(np.linalg.norm(z_new - z))
-        z = z_new
-        iters += 1
-        if resid <= tol:
-            break
-    else:
-        raise IterationBudgetExceeded(
-            f"{algo} did not reach tol {tol} in {max_iter} iterations")
+    try:
+        for _ in range(max_iter):
+            z_new = step(z, inst, gamma)
+            resid = float(np.linalg.norm(z_new - z))
+            z = z_new
+            iters += 1
+            if resid <= tol:
+                break
+        else:
+            raise IterationBudgetExceeded(
+                f"{algo} did not reach tol {tol} in {max_iter} iterations")
+    except ValueError as exc:
+        # a resolvent rejected its input: a non-finite operator output
+        raise ContractViolation(f"{algo} iteration {iters + 1}: {exc}") from exc
     elapsed = time.perf_counter() - t0
     sol, _ = block.resolvent(gamma, z)
     abs_err = float("nan")

@@ -154,6 +154,17 @@ def exact_bsolver(opB: SplittableOperator) -> BSolver:
     return solve
 
 
+def _tie_noise(gamma, z, x, y, b) -> float:
+    # both sides of the relative-error test are squares of vectors computed
+    # to absolute accuracy ~1e-16*scale; below (1e-13*scale)^2 their
+    # ordering is round-off, and the exact-arithmetic value of lhs there is
+    # 0 (b recomposes x and z), so the tie must break toward extragradient
+    # or tau underflows
+    scale = (math.sqrt(float(z.dot(z))) + math.sqrt(float(x.dot(x)))
+             + math.sqrt(float(y.dot(y))) + gamma * math.sqrt(float(b.dot(b))))
+    return (1e-13 * (1.0 + scale)) ** 2
+
+
 def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
                 A: SplittableOperator) -> DrsState:
     """One outer iteration: B-solve, A-resolvent, classify, update.
@@ -195,15 +206,11 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
 
     r_test = gb + y - z
     rhs = cfg.sigma ** 2 * float(r_test.dot(r_test))
-    # both sides are squares of vectors computed to absolute accuracy
-    # ~1e-16*scale; below (1e-13*scale)^2 their ordering is round-off, and
-    # the exact-arithmetic value of lhs there is 0 (b recomposes x and z),
-    # so the tie must break toward extragradient or tau underflows
-    scale = (math.sqrt(float(z.dot(z))) + math.sqrt(float(x.dot(x)))
-             + math.sqrt(float(y.dot(y))) + gamma * math.sqrt(float(b.dot(b))))
-    noise = (1e-13 * (1.0 + scale)) ** 2
     state.z_prev = z
-    if lhs <= rhs + noise:  # inclusive: equality classifies as extragradient
+    # inclusive: equality classifies as extragradient; the round-off
+    # allowance is computed only when the plain test fails, and since it
+    # is >= 0 the decision is that of lhs <= rhs + _tie_noise(...)
+    if lhs <= rhs or lhs <= rhs + _tie_noise(gamma, z, x, y, b):
         state.hist_z_prev.append(z)
         state.hist_x.append(x)
         state.hist_y.append(y)

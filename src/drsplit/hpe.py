@@ -19,6 +19,7 @@ from .operators import EnlargementTriple, slack
 __all__ = [
     "HpeStepCertificate",
     "verify_hpe_inequality",
+    "verify_hpe_rows",
     "ErgodicAccumulator",
     "RateEnvelope",
     "pointwise_bound",
@@ -50,6 +51,23 @@ def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
     lhs = float(d.dot(d)) + 2.0 * lam * eps
     r = z_tilde - z_prev
     rhs = sigma ** 2 * float(r.dot(r))
+    return lhs <= rhs + slack(rhs)
+
+
+def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
+                    sigma: float) -> np.ndarray:
+    """verify_hpe_inequality on each row of a block of steps at one lam.
+
+    Row i is the certificate (Z_prev[i], Z_tilde[i], V[i], eps[i], lam,
+    sigma); returns the boolean verdict per row.  Element-wise it forms
+    the same differences in the same order, with the same slack; each
+    squared norm is a row sum, so it may differ from the scalar check's
+    dot product in the last bits.
+    """
+    D = lam * V + Z_tilde - Z_prev
+    lhs = np.einsum("ij,ij->i", D, D) + 2.0 * lam * eps
+    R = Z_tilde - Z_prev
+    rhs = sigma ** 2 * np.einsum("ij,ij->i", R, R)
     return lhs <= rhs + slack(rhs)
 
 

@@ -173,8 +173,7 @@ class AffineMonotone(SplittableOperator):
         super().__init__(W.shape[0])
         if W.shape[0] != W.shape[1]:
             raise ValueError("W must be square")
-        if not np.allclose(W, W.T, atol=1e-12):
-            raise ValueError("W must be symmetric")
+        _check_symmetric(W, "W")
         self.W = W
         self.c = np.zeros(self.dim) if c is None else self._check_dim(c)
 
@@ -215,6 +214,16 @@ class CocoerciveMap:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+
+
+def _check_symmetric(W: np.ndarray, name: str) -> None:
+    # absolute test scaled by the largest entry, with no per-entry rtol;
+    # a NaN entry fails it
+    asym = float(np.abs(W - W.T).max(initial=0.0))
+    tol = 1e-12 * float(np.abs(W).max(initial=0.0))
+    if not asym <= tol:
+        raise ValueError(f"{name} must be symmetric to 1e-12*max|{name}| = "
+                         f"{tol:.3g}; max|{name} - {name}^T| = {asym:.3g}")
 
 
 def _inverse_norm(w) -> float:

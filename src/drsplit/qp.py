@@ -28,7 +28,8 @@ import numpy as np
 from .baselines import estimate_beta_V, tos_iterate
 from .errors import OracleFailure
 from .operators import (BoxNormalCone, CocoerciveMap, LipschitzMap,
-                        NullspaceNormalCone, SplittableOperator, _inverse_norm)
+                        NullspaceNormalCone, SplittableOperator,
+                        _check_symmetric, _inverse_norm)
 
 __all__ = [
     "QpInstance",
@@ -67,8 +68,7 @@ class QpInstance:
         for name in ("e", "K", "lo", "hi"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
-        if not np.allclose(self.Q, self.Q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric to 1e-12")
+        _check_symmetric(self.Q, "Q")
         A = NullspaceNormalCone(self.K)
         C = BoxNormalCone(self.lo, self.hi)
         w = np.linalg.eigvalsh(self.Q)
@@ -218,14 +218,17 @@ def _tos_reference(inst: QpInstance) -> np.ndarray:
     beta = inst.eta if np.isfinite(inst.eta) else 1.0
     gamma = 1.99 * beta
     z = np.zeros(inst.n)
-    for _ in range(10 ** 6):
-        z_new = tos_iterate(z, inst, gamma)
-        if float(np.linalg.norm(z_new - z)) <= 1e-12:
+    try:
+        for _ in range(10 ** 6):
+            z_new = tos_iterate(z, inst, gamma)
+            if float(np.linalg.norm(z_new - z)) <= 1e-12:
+                z = z_new
+                break
             z = z_new
-            break
-        z = z_new
-    else:
-        raise OracleFailure("reference fixed-point iteration hit its cap")
+        else:
+            raise OracleFailure("reference fixed-point iteration hit its cap")
+    except ValueError as exc:
+        raise OracleFailure(f"reference fixed-point iteration: {exc}") from exc
     x, _ = inst.ops.C.resolvent(gamma, z)
     if not kkt_check(inst, x, 1e-8):
         raise OracleFailure("reference iterate failed the KKT check")

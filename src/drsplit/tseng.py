@@ -11,13 +11,14 @@ outer splitting loop accept its output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded)
-from .hpe import HpeStepCertificate, verify_hpe_inequality
+from .hpe import HpeStepCertificate, verify_hpe_rows
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
 
 __all__ = [
@@ -107,13 +108,20 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
 
     Exit test: ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta)
     <= tau_hat.  The start z_hat is the one the inner complexity bound
-    assumes.  When cert_log is a list, each inner step's certificate is
-    verified and appended: stepsize lam = gamma, v = (z_prev - z_next)/gamma
-    and eps = ||z_prime - z_tilde||^2/(4 eta), read from the same two
-    differences as the exit test; the implied operator is B plus the
-    strongly monotone prox term (1/gamma)(. - z_hat).  Without F1,
-    z_prime is z_prev and z_next is z_tilde, so the two differences are
-    one vector and one squared norm serves both.
+    assumes.  Without F1, z_prime is z_prev and z_next is z_tilde, so the
+    two differences of the test are one vector and one squared norm
+    serves both.
+
+    When cert_log is a list, every inner step is certified: stepsize
+    lam = gamma, v = (z_prev - z_next)/gamma and eps =
+    ||z_prime - z_tilde||^2/(4 eta), the eps of the exit test; the
+    implied operator is B plus the strongly monotone prox term
+    (1/gamma)(. - z_hat).  The steps are checked as one block when the
+    loop ends (on exit, on budget exhaustion, or when a step raises) by
+    hpe.verify_hpe_rows, and one certificate per step is appended.  A
+    failing step appends the certificates before it and raises
+    InvariantViolation naming it, which takes precedence over the error
+    that ended the loop.
 
     A step whose operator output the resolvent rejects (non-finite or of
     the wrong shape) raises ContractViolation naming the inner step.
@@ -124,28 +132,51 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     eta = p.F2.eta
     one_difference = p.F1 is None
     z_hat = z = np.asarray(z_hat, dtype=float)
-    for j in range(1, max_inner + 1):
-        try:
-            z_prime, z_tilde, z_next = tseng_step(p, z_hat, z)
-        except ValueError as exc:
-            raise ContractViolation(f"inner step {j}: {exc}") from exc
-        d1 = z - z_next
-        d1_sq = float(d1.dot(d1))
-        if one_difference:
-            d2_sq = d1_sq
+    path, tildes, epsilons = [z], [], []
+    try:
+        for j in range(1, max_inner + 1):
+            try:
+                z_prime, z_tilde, z_next = tseng_step(p, z_hat, z)
+            except ValueError as exc:
+                raise ContractViolation(f"inner step {j}: {exc}") from exc
+            d1 = z - z_next
+            d1_sq = float(d1.dot(d1))
+            if one_difference:
+                d2_sq = d1_sq
+            else:
+                d2 = z_prime - z_tilde
+                d2_sq = float(d2.dot(d2))
+            eps = d2_sq / (4.0 * eta)
+            if cert_log is not None:
+                path.append(z_next)
+                tildes.append(z_tilde)
+                epsilons.append(eps)
+            if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:
+                break
+            z = z_next
         else:
-            d2 = z_prime - z_tilde
-            d2_sq = float(d2.dot(d2))
-        eps = d2_sq / (4.0 * eta)
-        if cert_log is not None:
-            cert = HpeStepCertificate(z, z_tilde, d1 / gamma, eps, gamma,
-                                      p.sigma)
-            if not verify_hpe_inequality(cert):
-                raise InvariantViolation("inner step failed its certificate")
-            cert_log.append(cert)
-        if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:
-            return TsengOutput(z, z_next, z_tilde, eps, j)
-        z = z_next
-    raise IterationBudgetExceeded(
-        f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
+            raise IterationBudgetExceeded(
+                f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
+    except Exception:
+        # a failed certificate of an earlier step takes precedence
+        _certify_block(p, path, tildes, epsilons, cert_log)
+        raise
+    _certify_block(p, path, tildes, epsilons, cert_log)
+    return TsengOutput(z, z_next, z_tilde, eps, j)
 
+
+def _certify_block(p: TsengProblem, path: list, tildes: list, eps: list,
+                   cert_log: list) -> None:
+    if not eps:     # no certificate log, or no step completed
+        return
+    # step j runs from path[j] to path[j + 1]: row j of V is bitwise that
+    # step's (z_prev - z_next)/gamma, and its certificate's v is that row
+    W = np.array(path)
+    V = (W[:-1] - W[1:]) / p.gamma
+    ok = verify_hpe_rows(W[:-1], np.array(tildes), V, np.array(eps),
+                         p.gamma, p.sigma)
+    k = len(eps) if ok.all() else int(ok.argmin())
+    cert_log.extend(map(HpeStepCertificate, path[:k], tildes[:k], V[:k],
+                        eps[:k], repeat(p.gamma, k), repeat(p.sigma, k)))
+    if k < len(eps):
+        raise InvariantViolation(f"inner step {k + 1} failed its certificate")

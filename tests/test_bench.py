@@ -139,6 +139,35 @@ def test_run_batch_records_a_non_finite_operator_output(monkeypatch):
     assert math.isnan(records[1].time_s)
 
 
+@pytest.mark.parametrize("algo", ["drt", "tos", "rfdrs"])
+def test_a_poisoned_instance_is_one_error_row(algo, monkeypatch):
+    # instance 1's F2 returns NaN: at n=10 the TOS reference oracle meets
+    # it first (OracleFailure, abs_err stays nan), then the solver, whose
+    # ContractViolation becomes that instance's error row; 0 and 2 solve
+    spec = BenchSpec(n=10, instances=3, algo=algo, seed=5)
+    real = bench.generate_instance
+
+    def poisoned(n, definite, seed):
+        inst = real(n, definite, seed)
+        if seed == spec.seed + 1:
+            nan_f2 = CocoerciveMap(eval=lambda z: np.full_like(z, np.nan),
+                                   eta=inst.eta)
+            object.__setattr__(inst, "ops",
+                               dataclasses.replace(inst.ops, F2=nan_f2))
+        return inst
+
+    monkeypatch.setattr(bench, "generate_instance", poisoned)
+    records = run_batch(spec)
+    assert [r.instance for r in records] == [0, 1, 2]
+    assert records[0].error is None and records[2].error is None
+    assert records[0].iters > 0 and records[2].iters > 0
+    where = {"drt": "outer B-solve call 1: inner step 1",
+             "tos": "tos iteration 1", "rfdrs": "rfdrs iteration 1"}[algo]
+    assert re.fullmatch(rf"ContractViolation: {where}: point contains "
+                        r"non-finite entries", records[1].error)
+    assert math.isnan(records[1].time_s)
+
+
 def test_trace_requires_drt(tmp_path):
     with pytest.raises(ValueError):
         run_batch(BenchSpec(n=3, instances=1, algo="rfdrs"),

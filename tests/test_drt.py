@@ -19,12 +19,15 @@ from drsplit.drt import (
     residual_stop,
     tolerance_stop,
 )
-from drsplit.errors import ContractViolation, IterationBudgetExceeded
+from drsplit.errors import (ContractViolation, InvariantViolation,
+                            IterationBudgetExceeded)
 from drsplit.bench import CSV_COLUMNS, initial_point
-from drsplit.hpe import HpeStepCertificate, verify_hpe_inequality
+from drsplit.hpe import (HpeStepCertificate, verify_hpe_inequality,
+                         verify_hpe_rows)
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                EnlargementTriple, LipschitzMap)
-from drsplit.qp import generate_instance, qp_operators, reference_solution, tau0_default
+from drsplit.qp import (QpInstance, generate_instance, qp_operators,
+                        reference_solution, tau0_default)
 from drsplit import tseng
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
 
@@ -370,3 +373,100 @@ def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
     assert state.n_extragradient >= 1
     for y, a in zip(state.hist_y, state.hist_a):
         assert ops.A.contains(EnlargementTriple(y, a, 0.0))
+
+
+def _mutated_at_step_3(monkeypatch, mutate):
+    # tseng_solve calls the module-level tseng_step once per inner step
+    real, calls = tseng.tseng_step, []
+
+    def step(p, z_hat, z_prev):
+        calls.append(None)
+        out = real(p, z_hat, z_prev)
+        return mutate(*out) if len(calls) == 3 else out
+
+    monkeypatch.setattr(tseng, "tseng_step", step)
+
+
+def test_wrong_correction_at_step_3_fails_its_certificate(monkeypatch):
+    # the skew-F1 correction scaled by 10 at inner step 3: the block check
+    # names that step and logs exactly the two certified steps before it
+    inst, ops, F1, S, gamma = _skew_problem()
+    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, gamma=gamma, sigma=0.99)
+    z_hat = initial_point(6, 0)
+    clean = []
+    assert tseng_solve(p, z_hat, 1e-24, cert_log=clean).inner_iters > 3
+    _mutated_at_step_3(monkeypatch, lambda zp, zt, zn:
+                       (zp, zt, zt + 10.0 * (zn - zt)))
+    certs = []
+    with pytest.raises(InvariantViolation, match=r"^inner step 3 failed"):
+        tseng_solve(p, z_hat, 1e-24, cert_log=certs)
+    assert len(certs) == 2
+    for got, want in zip(certs, clean):
+        for x, y in zip(got, want):
+            assert_array_equal(x, y)
+
+
+def test_step_that_raises_keeps_the_certificates_before_it(monkeypatch):
+    # a non-finite output at inner step 3 raises ContractViolation after
+    # steps 1-2 are checked and logged
+    inst, ops, F1, S, gamma = _skew_problem()
+    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, gamma=gamma, sigma=0.99)
+
+    def poisoned(zp, zt, zn):
+        raise ValueError("point contains non-finite entries")
+
+    _mutated_at_step_3(monkeypatch, poisoned)
+    certs = []
+    with pytest.raises(ContractViolation, match=r"^inner step 3: point"):
+        tseng_solve(p, initial_point(6, 0), 1e-24, cert_log=certs)
+    assert len(certs) == 2
+    assert all(verify_hpe_inequality(c) for c in certs)
+
+
+def _faces_problem(n, seed, sigma=0.99):
+    # semidefinite Q, sign-mixed e and the box [-5, 5]
+    base = generate_instance(n, False, seed)
+    e = np.random.default_rng([7, seed]).uniform(-10.0, 10.0, n)
+    inst = QpInstance(Q=base.Q, e=e, K=base.K, lo=np.full(n, -5.0),
+                      hi=np.full(n, 5.0), definite=False, seed=seed)
+    ops = qp_operators(inst)
+    z0 = initial_point(n, seed)
+    cfg = DrsConfig(gamma=2.0 * ops.eta * sigma ** 2, sigma=sigma,
+                    theta=0.01, tau0=tau0_default(inst, z0), rho_tol=1e-6,
+                    eps_tol=1e-6)
+    return inst, ops, cfg, z0
+
+
+@pytest.mark.parametrize("family", ["paper", "faces", "skew"])
+def test_block_verdicts_equal_the_scalar_check(family):
+    # every inner certificate of a full solve, checked as one block and one
+    # by one; scaling eps makes a share of them fail, so both verdicts
+    # are compared
+    F1 = None
+    if family == "paper":
+        inst, ops, cfg, z0 = _problem(n=100, seed=0)
+    elif family == "faces":
+        inst, ops, cfg, z0 = _faces_problem(100, 0)
+    else:
+        inst, ops, F1, S, gamma = _skew_problem()
+        z0 = initial_point(6, 0)
+        cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
+                        tau0=tau0_default(inst, z0), rho_tol=1e-6,
+                        eps_tol=1e-6)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg)
+    certs = []
+    record, _ = drt_solve(p, delta_stop(1e-6), state=DrsState.initial(z0, cfg),
+                          inner_cert_log=certs)
+    assert len(certs) == record.inner > 10
+    Zp, Zt, V = (np.stack([c[i] for c in certs]) for i in range(3))
+    eps = np.array([c.eps for c in certs])
+    failed = 0
+    for scale in (1.0, 1.0 + 1e-9, 1.0 + 1e-6, 2.0, 10.0, 100.0):
+        scaled = [c._replace(eps=c.eps * scale) for c in certs]
+        want = [verify_hpe_inequality(c) for c in scaled]
+        got = verify_hpe_rows(Zp, Zt, V, eps * scale, cfg.gamma, cfg.sigma)
+        assert got.tolist() == want
+        failed += want.count(False)
+        if scale == 1.0:
+            assert all(want)
+    assert 0 < failed

@@ -229,6 +229,14 @@ def test_affine_monotone_resolvent_solves_system():
     assert_allclose(op(z), W @ z + c, atol=1e-14)
 
 
+def test_affine_monotone_symmetry_check_has_no_relative_slack():
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    AffineMonotone(W)
+    W[0, 1] += 1.5e-6
+    with pytest.raises(ValueError, match=r"symmetric to 1e-12\*max\|W\|"):
+        AffineMonotone(W)
+
+
 def test_lipschitz_map_zero_and_validation():
     f = LipschitzMap(eval=np.zeros_like, L=0.0)
     z = np.array([1.0, -2.0])

@@ -1,5 +1,7 @@
 """Instance generation, oracles, and operator bundles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from drsplit.baselines import run_baseline
 from drsplit.bench import BenchSpec, run_single
 from drsplit.errors import OracleFailure
-from drsplit.operators import BoxNormalCone, NullspaceNormalCone
+from drsplit.operators import BoxNormalCone, CocoerciveMap, NullspaceNormalCone
 from drsplit.qp import (
     BoxAffineSum,
     QpInstance,
@@ -101,6 +103,30 @@ def test_instance_validation():
         reached.append(run_baseline(empty, "tos", tol=1e-8))
         reached.append(run_baseline(empty, "rfdrs", tol=1e-8))
     assert reached == []
+
+
+def test_symmetry_check_has_no_relative_slack():
+    # np.allclose's default rtol=1e-5 let |Q01 - Q10| = 1.5e-6 through;
+    # the check is absolute, 1e-12 times the largest entry
+    ok = generate_instance(3, True, 0)
+    asym = ok.Q.copy()
+    asym[0, 1] += 1.5e-6
+    with pytest.raises(ValueError, match=r"symmetric to 1e-12\*max\|Q\|"):
+        QpInstance(Q=asym, e=ok.e, K=ok.K, lo=ok.lo, hi=ok.hi,
+                   definite=True, seed=0)
+    # generated instances are exactly symmetric, so building them passes
+    for n, definite, seed in ((1, True, 0), (7, True, 3), (100, False, 5)):
+        inst = generate_instance(n, definite, seed)
+        assert_array_equal(inst.Q, inst.Q.T)
+
+
+def test_tos_reference_turns_a_non_finite_step_into_an_oracle_failure():
+    inst = generate_instance(10, True, 3)
+    nan_f2 = CocoerciveMap(eval=lambda z: np.full_like(z, np.nan),
+                           eta=inst.eta)
+    object.__setattr__(inst, "ops", dataclasses.replace(inst.ops, F2=nan_f2))
+    with pytest.raises(OracleFailure, match="non-finite"):
+        reference_solution(inst)
 
 
 # ------------------------------------------------------------------ spectral

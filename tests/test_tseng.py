@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from drsplit.bench import initial_point
 from drsplit.drs import DrsConfig, DrsState, drs_iterate
 from drsplit.drt import DrtProblem, drt_bsolver
-from drsplit.errors import IterationBudgetExceeded
+from drsplit.errors import InvariantViolation, IterationBudgetExceeded
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
 from drsplit.qp import (BoxAffineSum, QpInstance, generate_instance,
@@ -104,6 +104,31 @@ def test_certificates_along_seeded_solves():
         for c in certs:
             assert verify_hpe_inequality(c)
             assert c.eps >= 0.0
+
+
+def test_gamma_above_gamma_max_fails_the_first_certificate():
+    # without F1, lam*v + z_tilde - z_prev is zero up to round-off and
+    # 2*gamma*eps = gamma/(2 eta)*||z_tilde - z_prev||^2, which exceeds
+    # sigma^2 times that norm exactly when gamma > gamma_max = 2 eta sigma^2
+    inst = generate_instance(8, True, 40)
+    ops = qp_operators(inst)
+    sigma = 0.9
+    p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2,
+                     gamma=gamma_max(ops.eta, 0.0, sigma), sigma=sigma)
+    object.__setattr__(p, "gamma", 1.5 * p.gamma)
+    z_hat = np.random.default_rng(40).uniform(-5.0, 15.0, 8)
+    certs = []
+    with pytest.raises(InvariantViolation, match=r"^inner step 1 failed"):
+        tseng_solve(p, z_hat, 1e-10, cert_log=certs)
+    assert certs == []
+    # without a certificate log the same loop runs to its exit
+    assert tseng_solve(p, z_hat, 1e-10).inner_iters > 1
+    # the failed certificate of step 1 takes precedence over the budget
+    # error that ends the loop at step 3
+    with pytest.raises(IterationBudgetExceeded):
+        tseng_solve(p, z_hat, 1e-30, max_inner=3)
+    with pytest.raises(InvariantViolation, match=r"^inner step 1 failed"):
+        tseng_solve(p, z_hat, 1e-30, max_inner=3, cert_log=[])
 
 
 def test_converges_to_exact_resolvent():

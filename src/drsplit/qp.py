@@ -1,15 +1,18 @@
 """Constrained-QP benchmark family and its solution oracles.
 
 Instances minimize 0.5 <Qz, z> + <e, z> subject to Kz = 0 and
-z in X = [0, 10]^n, with e the all-ones vector and K a single +/-1 row.
+z in X = [lo, hi], with Q symmetric positive semidefinite and K a single
++/-1 row.  The box X = [0, 10]^n with e the all-ones vector is the family
+``generate_instance`` draws, not a limit of ``QpInstance``.
 The operator decomposition used by the solvers is A = N_M (M = null(K)),
 C = N_X, no F1 (``F1=None``: there is no Lipschitz term) and
 F2(z) = Qz + e with eta = 1/||Q||.  Spectral constants are exact: each
 instance runs one eigvalsh(Q) when it is built, which both checks Q for
 positive semidefiniteness and fixes eta.  The instance also builds that
 operator set once (``inst.ops``; its cones reject a K outside
-{+1, -1}^n and an empty box): ``qp_operators`` returns it, and the drt
-solver, both baselines and the iterative oracles all step with it.
+{+1, -1}^n and an empty box, and the instance rejects a box with no
+point on Kz = 0): ``qp_operators`` returns it, and the drt solver, both
+baselines and the iterative oracles all step with it.
 
 Oracles: KKT active-set enumeration for n <= 6, a high-accuracy
 three-operator fixed-point reference for larger n (it runs the TOS step
@@ -29,7 +32,7 @@ from .baselines import estimate_beta_V, tos_iterate
 from .errors import OracleFailure
 from .operators import (BoxNormalCone, CocoerciveMap, LipschitzMap,
                         NullspaceNormalCone, SplittableOperator,
-                        _check_symmetric, _inverse_norm)
+                        _check_symmetric, _inverse_norm, slack)
 
 __all__ = [
     "QpInstance",
@@ -71,6 +74,11 @@ class QpInstance:
         _check_symmetric(self.Q, "Q")
         A = NullspaceNormalCone(self.K)
         C = BoxNormalCone(self.lo, self.hi)
+        # K is +/-1, so K.z ranges over K.(lo + hi)/2 +/- sum(hi - lo)/2 on
+        # the box: Kz = 0 meets the box iff |K.(lo + hi)| <= sum(hi - lo)
+        span = float((self.hi - self.lo).sum())
+        if abs(float(self.K.dot(self.lo + self.hi))) > span + slack(span):
+            raise ValueError("no point of the box [lo, hi] satisfies Kz = 0")
         w = np.linalg.eigvalsh(self.Q)
         if w[0] < -1e-10:
             raise ValueError(f"Q has eigenvalue {w[0]} < -1e-10")
@@ -137,40 +145,31 @@ def objective(inst: QpInstance, z) -> float:
 def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
     """Feasibility plus stationarity of z for the instance, to tolerance.
 
-    Stationarity requires a scalar multiplier lam with
-    -(Qz + e + lam*K^T) in N_X(z); each coordinate contributes an
-    interval constraint on lam and the test intersects them.
+    A point with a non-finite entry fails.  Stationarity requires a
+    scalar multiplier lam with -(Qz + e + lam*K^T) in N_X(z): with
+    w = Qz + e, each coordinate bounds t_i = lam*K_i to an interval,
+    [-w_i - tol, inf) at its lower bound, (-inf, -w_i + tol] at its upper
+    bound and [-w_i - tol, -w_i + tol] in between, and the test
+    intersects the intervals mapped to lam.  A coordinate within tol of
+    both bounds (fixed, lo_i == hi_i) has N = R there and puts no
+    constraint on lam.
     """
     z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        return False
     if np.any(z < inst.lo - tol) or np.any(z > inst.hi + tol):
         return False
     if abs(float(inst.K @ z)) > tol * (1.0 + float(np.linalg.norm(z))):
         return False
     w = inst.Q @ z + inst.e
-    lam_lo, lam_hi = -np.inf, np.inf
-    for i in range(z.size):
-        Ki = inst.K[i]
-        if z[i] <= inst.lo[i] + tol:        # u_i <= 0: lam*Ki >= -w_i
-            b = -w[i] - tol
-            if Ki > 0:
-                lam_lo = max(lam_lo, b)
-            else:
-                lam_hi = min(lam_hi, -b)
-        elif z[i] >= inst.hi[i] - tol:      # u_i >= 0: lam*Ki <= -w_i
-            b = -w[i] + tol
-            if Ki > 0:
-                lam_hi = min(lam_hi, b)
-            else:
-                lam_lo = max(lam_lo, -b)
-        else:                               # interior: lam*Ki = -w_i
-            c = -w[i]
-            if Ki > 0:
-                lam_lo = max(lam_lo, c - tol)
-                lam_hi = min(lam_hi, c + tol)
-            else:
-                lam_lo = max(lam_lo, -c - tol)
-                lam_hi = min(lam_hi, -c + tol)
-    return lam_lo <= lam_hi
+    at_lo = z <= inst.lo + tol
+    at_hi = z >= inst.hi - tol
+    t_lo = np.where(at_hi, -np.inf, -w - tol)
+    t_hi = np.where(at_lo, np.inf, -w + tol)
+    pos = inst.K > 0                        # K is +/-1: negation is exact
+    lower = np.where(pos, t_lo, -t_hi)
+    upper = np.where(pos, t_hi, -t_lo)
+    return bool(lower.max() <= upper.min())
 
 
 def _kkt_enumerate(inst: QpInstance) -> np.ndarray:

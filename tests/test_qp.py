@@ -7,7 +7,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.baselines import run_baseline
-from drsplit.bench import BenchSpec, run_single
+from drsplit.bench import BenchSpec, initial_point, run_single
+from drsplit.drs import DrsConfig
+from drsplit.drt import DrtProblem, delta_stop, drt_solve
 from drsplit.errors import OracleFailure
 from drsplit.operators import BoxNormalCone, CocoerciveMap, NullspaceNormalCone
 from drsplit.qp import (
@@ -28,14 +30,29 @@ from drsplit.qp import (
 )
 
 
-def _manual_instance(Q, e, K):
+def _manual_instance(Q, e, K, lo=None, hi=None):
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     return QpInstance(Q=Q, e=np.asarray(e, dtype=float),
                       K=np.asarray(K, dtype=float),
-                      lo=np.zeros(n), hi=10.0 * np.ones(n),
+                      lo=np.zeros(n) if lo is None else np.asarray(lo, float),
+                      hi=10.0 * np.ones(n) if hi is None
+                      else np.asarray(hi, float),
                       definite=bool(np.all(np.linalg.eigvalsh(Q) > 1e-10)),
                       seed=-1)
+
+
+def _sweep_instance(seed, bounds=((0.0, 1.0, 5.0),) * 2):
+    # n in 2..6, rank-deficient Q, e ~ U(-5, 5), box [-a, b] with a and b
+    # drawn from the given sets, so 0 is feasible; with a = b = 0 allowed,
+    # about a third of the instances have a fixed coordinate
+    rng = np.random.default_rng([11, seed])
+    n = int(rng.integers(2, 7))
+    base = generate_instance(n, False, seed)
+    a = rng.choice(bounds[0], size=n)
+    b = rng.choice(bounds[1], size=n)
+    return QpInstance(Q=base.Q, e=rng.uniform(-5.0, 5.0, n), K=base.K,
+                      lo=-a, hi=b, definite=False, seed=seed)
 
 
 # ---------------------------------------------------------------- generation
@@ -103,6 +120,21 @@ def test_instance_validation():
         reached.append(run_baseline(empty, "tos", tol=1e-8))
         reached.append(run_baseline(empty, "rfdrs", tol=1e-8))
     assert reached == []
+    # so does a box that misses Kz = 0: K.z >= 4 on [1, 2]^4
+    with pytest.raises(ValueError, match="satisfies Kz = 0"):
+        QpInstance(Q=np.eye(4), e=np.ones(4), K=np.ones(4), lo=np.ones(4),
+                   hi=np.full(4, 2.0), definite=True, seed=0)
+    # a box that meets Kz = 0 in one point, in many, or in one up to
+    # round-off (in the last box |K.(lo + hi)| exceeds sum(hi - lo) by
+    # 4.4e-16 in floating point), builds
+    for lo, hi, K in ((np.zeros(4), np.ones(4), np.ones(4)),
+                      (np.ones(4), np.full(4, 2.0),
+                       np.array([1.0, -1.0, 1.0, -1.0])),
+                      (np.array([0.14, 0.72, 0.0, 0.0]),
+                       np.array([1.0, 1.0, 0.86, 0.0]),
+                       np.array([1.0, 1.0, -1.0, 1.0]))):
+        QpInstance(Q=np.eye(4), e=np.ones(4), K=K, lo=lo, hi=hi,
+                   definite=True, seed=0)
 
 
 def test_symmetry_check_has_no_relative_slack():
@@ -287,6 +319,107 @@ def test_kkt_check_accepts_and_rejects():
     assert not kkt_check(inst, np.array([5.0, 5.0]))  # feasible, not optimal
     assert not kkt_check(inst, np.array([4.0, 3.0]))  # leaves the nullspace
     assert not kkt_check(inst, np.array([-1.0, -1.0]))  # outside the box
+    # NaN slips through every comparison, so a non-finite point is rejected
+    # before the tests: one NaN entry or all, at the optimum or not
+    for case, good in ((inst, z), (generate_instance(5, True, 0),
+                                   np.zeros(5))):
+        for bad in (np.nan, np.inf):
+            one = good.copy()
+            one[1] = bad
+            assert not kkt_check(case, one)
+            assert not kkt_check(case, np.full(good.size, bad))
+
+
+def test_fixed_coordinate_puts_no_constraint_on_the_multiplier():
+    # z_1 is fixed at 0, so N_X(0) is all of R in that coordinate and the
+    # origin, the only feasible point, is optimal whatever lam*K_1 + w_1 is
+    inst = _manual_instance(np.eye(2), [-5.0, -3.0], [1.0, 1.0],
+                            lo=[0.0, -5.0], hi=[0.0, 5.0])
+    assert kkt_check(inst, np.zeros(2))
+    assert_allclose(reference_solution(inst), [0.0, 0.0], atol=1e-12)
+    assert not kkt_check(inst, np.array([0.0, 1e-3]))   # leaves Kz = 0
+
+
+def _kkt_check_loop(inst, z, tol):
+    # the per-coordinate loop kkt_check replaced, kept as the reference for
+    # boxes without a fixed coordinate (there it took the lower bound only)
+    z = np.asarray(z, dtype=float)
+    if np.any(z < inst.lo - tol) or np.any(z > inst.hi + tol):
+        return False
+    if abs(float(inst.K @ z)) > tol * (1.0 + float(np.linalg.norm(z))):
+        return False
+    w = inst.Q @ z + inst.e
+    lam_lo, lam_hi = -np.inf, np.inf
+    for i in range(z.size):
+        Ki = inst.K[i]
+        if z[i] <= inst.lo[i] + tol:
+            b = -w[i] - tol
+            if Ki > 0:
+                lam_lo = max(lam_lo, b)
+            else:
+                lam_hi = min(lam_hi, -b)
+        elif z[i] >= inst.hi[i] - tol:
+            b = -w[i] + tol
+            if Ki > 0:
+                lam_hi = min(lam_hi, b)
+            else:
+                lam_lo = max(lam_lo, -b)
+        else:
+            c = -w[i]
+            if Ki > 0:
+                lam_lo = max(lam_lo, c - tol)
+                lam_hi = min(lam_hi, c + tol)
+            else:
+                lam_lo = max(lam_lo, -c - tol)
+                lam_hi = min(lam_hi, -c + tol)
+    return lam_lo <= lam_hi
+
+
+def test_kkt_check_verdicts_equal_the_coordinate_loop():
+    # no fixed coordinate (a, b >= 1 never both 0 here): points around the
+    # optimum, moved along null(K) by a few tol and with active coordinates
+    # set within a few tol of their bound, on both sides of every threshold
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for seed in range(40):
+        inst = _sweep_instance(seed, bounds=((0.0, 1.0, 5.0), (1.0, 5.0)))
+        x = reference_solution(inst)
+        active = np.flatnonzero((x <= inst.lo + 1e-9) | (x >= inst.hi - 1e-9))
+        for tol in (1e-8, 1e-5):
+            for _ in range(40):
+                d = rng.standard_normal(inst.n)
+                d -= inst.K * (inst.K @ d) / inst.n
+                z = x + rng.choice([0.0, 0.5, 1.0, 3.0]) * tol * d
+                for i in active[rng.random(active.size) < 0.5]:
+                    bound = inst.lo[i] if x[i] <= inst.lo[i] + 1e-9 \
+                        else inst.hi[i]
+                    z[i] = bound + rng.choice(
+                        [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * tol
+                want = bool(_kkt_check_loop(inst, z, tol))
+                assert kkt_check(inst, z, tol) == want
+                verdicts.append(want)
+    assert 0.2 < np.mean(verdicts) < 0.8
+
+
+def test_oracle_and_drt_agree_on_boxes_with_fixed_coordinates():
+    # the seeded sweep that found fixed coordinates rejected as non-optimal:
+    # at the old check the oracle failed 22 of these 100 instances
+    n_fixed = 0
+    for seed in range(100):
+        inst = _sweep_instance(seed)
+        n_fixed += bool(np.any(inst.lo == inst.hi))
+        x_ref = reference_solution(inst)
+        ops = qp_operators(inst)
+        z0 = initial_point(inst.n, seed)
+        cfg = DrsConfig(gamma=2.0 * ops.eta * 0.99 ** 2, sigma=0.99,
+                        theta=0.01, tau0=tau0_default(inst, z0),
+                        rho_tol=1e-8, eps_tol=1e-8)
+        p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+        _, quad = drt_solve(p, delta_stop(1e-8), z0=z0)
+        assert kkt_check(inst, quad.x, 1e-5)
+        assert objective(inst, quad.x) == pytest.approx(
+            objective(inst, x_ref), abs=1e-5)
+    assert 25 <= n_fixed <= 50
 
 
 def test_enumeration_agrees_with_iterative():

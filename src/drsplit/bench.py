@@ -5,12 +5,18 @@ instances of dimension n, instance i drawing its data from seed
 master+i, and collects one RunRecord per instance.  Solver failures mark
 the record and the batch continues.  Summaries report min/max/mean per
 numeric column as aligned text and as CSV.
+
+Every output file is opened through one helper.  An existing regular
+file is replaced by a new file rather than truncated in place: the new
+file's mode comes from the umask, and a hard link to the old file keeps
+the old content.  Symlinks, devices and FIFOs are written through.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import stat
 import time
 from dataclasses import dataclass
 
@@ -193,9 +199,27 @@ def run_batch(spec: BenchSpec, trace_path=None, stats: dict | None = None) -> li
     return records
 
 
+def _create(path, newline=None):
+    """Open path for writing as a new file if it names a regular file.
+
+    Truncating a file that was itself just written by truncation makes
+    ext4 (auto_da_alloc) flush it, which blocks the open for tens of
+    milliseconds; unlinking it first and creating a new file does not.
+    Renaming a temporary file over it triggers the same flush.  Anything
+    else (a symlink, a device, a FIFO, a missing path) is opened as is.
+    Where the directory forbids the unlink, the file is truncated.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except (FileNotFoundError, PermissionError):
+        pass
+    return open(path, "w", newline=newline)
+
+
 def write_trace(path, blocks) -> None:
     """Trace file: `# instance <i>` separators, then k,type,tau,residual,eps_b lines."""
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         for i, trace in blocks:
             fh.write(f"# instance {i}\n")
             for t in trace:
@@ -242,7 +266,7 @@ def format_summary(stats, spec: BenchSpec | None = None,
 
 
 def write_summary_csv(stats, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("column", "min", "max", "mean"))
         for col, (lo, hi, mean) in stats.items():
@@ -251,7 +275,7 @@ def write_summary_csv(stats, path) -> None:
 
 def write_records(records, path) -> None:
     """Records CSV; repr floats round-trip bit-exactly, error rows go nan."""
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for r in records:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (BenchSpec, format_summary, run_batch, summarize,
@@ -66,6 +67,11 @@ def main(argv=None) -> int:
                          theta=args.theta, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
+    # fail before the batch, not after it, on an output path that cannot be made
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        parent = os.path.dirname(path or "") or "."
+        if path and not os.path.isdir(parent):
+            parser.error(f"{flag}: directory {parent!r} does not exist")
 
     stats: dict = {}
     records = run_batch(spec, trace_path=args.trace, stats=stats)

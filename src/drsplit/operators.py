@@ -101,9 +101,10 @@ class BoxNormalCone(SplittableOperator):
 
     def __init__(self, lo, hi):
         lo = _point(lo)
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), lo.shape).copy()
+        hi = np.broadcast_to(_point(hi), lo.shape).copy()
         super().__init__(lo.size)
-        if np.any(lo > hi):
+        # NaN fails lo <= hi, where it would pass a lo > hi test
+        if not np.all(lo <= hi):
             raise ValueError("box requires lo <= hi componentwise")
         self.lo = lo
         self.hi = hi

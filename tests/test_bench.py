@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import re
 from pathlib import Path
 
@@ -196,6 +197,18 @@ def test_trace_file_contents(tmp_path):
     assert ks[:records[0].iters] == list(range(1, records[0].iters + 1))
 
 
+def test_trace_rewrite_replaces_the_file(tmp_path):
+    path, alias = tmp_path / "trace.csv", tmp_path / "alias.csv"
+    run_batch(BenchSpec(n=3, instances=3, seed=3), trace_path=path)
+    old = path.read_bytes()
+    os.link(path, alias)
+    run_batch(BenchSpec(n=3, instances=1, seed=3), trace_path=path)
+    fresh = tmp_path / "fresh.csv"
+    run_batch(BenchSpec(n=3, instances=1, seed=3), trace_path=fresh)
+    assert alias.read_bytes() == old
+    assert path.read_bytes() == fresh.read_bytes()   # no stale tail
+
+
 def test_summarize_and_format():
     r1 = RunRecord(instance=0, algo="drt", n=2, iters=10, extragrad=8,
                    null=2, inner=12, f2_evals=12, time_s=0.5, residual=1e-7,
@@ -248,6 +261,52 @@ def test_records_csv_error_rows(tmp_path):
     assert back[1].error == "error row"
     assert back[1].instance == 1 and back[1].n == 3
     assert math.isnan(back[1].time_s)
+
+
+def test_rewrite_replaces_the_file_and_a_hard_link_keeps_the_old(tmp_path):
+    records = run_batch(BenchSpec(n=3, instances=3, seed=9))
+    path, alias = tmp_path / "out.csv", tmp_path / "alias.csv"
+    write_records(records, path)
+    old = path.read_bytes()
+    os.link(path, alias)
+    write_records(records[:1], path)
+    assert alias.read_bytes() == old
+    assert len(path.read_text().splitlines()) == 2   # header, one row
+    assert read_records(path) == records[:1]
+
+
+def test_symlinked_out_is_written_through(tmp_path):
+    records = run_batch(BenchSpec(n=3, instances=2, seed=9))
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    write_records(records, target)
+    link.symlink_to(target)
+    write_records(records[:1], link)
+    assert link.is_symlink()
+    assert read_records(target) == records[:1]
+
+
+def test_a_device_is_never_unlinked(monkeypatch):
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"unlink({path!r})")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    records = [RunRecord(instance=0, algo="drt", n=3, iters=4, extragrad=3,
+                         null=1, inner=6, f2_evals=6, time_s=0.2,
+                         residual=1e-7, abs_err=0.5)]
+    write_records(records, os.devnull)
+
+
+def test_a_refused_unlink_falls_back_to_truncation(tmp_path, monkeypatch):
+    records = run_batch(BenchSpec(n=3, instances=3, seed=9))
+    path = tmp_path / "out.csv"
+    write_records(records, path)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(f"unlink({path!r})")
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    write_records(records[:1], path)
+    assert read_records(path) == records[:1]
 
 
 def test_read_records_rejects_bad_input(tmp_path):

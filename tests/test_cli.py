@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import drsplit.bench as bench
+import drsplit.cli as cli
 from drsplit.bench import read_records
 from drsplit.cli import build_parser, main
 from drsplit.errors import IterationBudgetExceeded
@@ -77,6 +78,20 @@ def test_trace_written(tmp_path):
     rc = main(["--n", "2", "--instances", "1", "--trace", str(trace)])
     assert rc == 0
     assert trace.read_text().startswith("# instance 0")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_missing_output_directory_fails_before_the_batch(
+        flag, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the batch ran")
+
+    monkeypatch.setattr(cli, "run_batch", never)
+    with pytest.raises(SystemExit) as ei:
+        main(["--n", "2", "--instances", "1",
+              flag, str(tmp_path / "missing_dir" / "x.csv")])
+    assert ei.value.code == 1
+    assert "missing_dir" in capsys.readouterr().err
 
 
 def test_failed_instance_exits_two(monkeypatch, capsys):

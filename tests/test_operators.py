@@ -93,6 +93,11 @@ def test_cone_constructors_reject_bad_data():
     # the cones check lo/hi and K once, here, and not per resolvent
     with pytest.raises(ValueError):
         BoxNormalCone(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    # hi is checked as lo is: a NaN hi also passed a lo > hi test
+    for bad in (np.nan, np.inf):
+        for hi in (np.array([bad, 1.0]), bad):
+            with pytest.raises(ValueError):
+                BoxNormalCone(np.zeros(2), hi)
     with pytest.raises(ValueError):
         NullspaceNormalCone(np.array([1.0, 0.5, -1.0]))
 

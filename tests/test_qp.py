@@ -111,6 +111,12 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         QpInstance(Q=-ok.Q, e=ok.e, K=ok.K, lo=ok.lo, hi=ok.hi,
                    definite=False, seed=0)
+    for bad in (np.nan, np.inf):
+        hi = ok.hi.copy()
+        hi[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            QpInstance(Q=ok.Q, e=ok.e, K=ok.K, lo=ok.lo, hi=hi,
+                       definite=True, seed=0)
     # an empty box has no solution: building the instance fails, so no
     # solver ever runs on it
     reached = []

@@ -7,9 +7,11 @@ the record and the batch continues.  Summaries report min/max/mean per
 numeric column as aligned text and as CSV.
 
 Every output file is opened through one helper.  An existing regular
-file is replaced by a new file rather than truncated in place: the new
-file's mode comes from the umask, and a hard link to the old file keeps
-the old content.  Symlinks, devices and FIFOs are written through.
+file that the caller owns and may write is replaced by a new file rather
+than truncated in place: the new file's mode comes from the umask, and a
+hard link to the old file keeps the old content.  Symlinks, devices,
+FIFOs and write-protected or foreign files are opened as open(path, "w")
+opens them: written through, truncated in place, or refused.
 """
 
 from __future__ import annotations
@@ -200,17 +202,21 @@ def run_batch(spec: BenchSpec, trace_path=None, stats: dict | None = None) -> li
 
 
 def _create(path, newline=None):
-    """Open path for writing as a new file if it names a regular file.
+    """Open path for writing, as a new file where it may replace one.
 
-    Truncating a file that was itself just written by truncation makes
-    ext4 (auto_da_alloc) flush it, which blocks the open for tens of
-    milliseconds; unlinking it first and creating a new file does not.
-    Renaming a temporary file over it triggers the same flush.  Anything
-    else (a symlink, a device, a FIFO, a missing path) is opened as is.
-    Where the directory forbids the unlink, the file is truncated.
+    Truncating a file that was itself written by truncation makes ext4
+    (auto_da_alloc) flush it, and the next truncating open blocks for
+    tens of milliseconds, a minute later as well as at once; unlinking
+    the file and creating a new one does not.  Renaming a temporary file
+    over it triggers the same flush.  Only a regular file that the caller
+    owns and may write (on POSIX) is unlinked.  Anything else (a symlink,
+    a device, a FIFO, a write-protected or foreign file, a missing path)
+    is opened as is, and so is a file whose directory forbids the unlink.
     """
     try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
+        st = os.lstat(path)
+        if (stat.S_ISREG(st.st_mode) and st.st_mode & stat.S_IWUSR
+                and hasattr(os, "geteuid") and st.st_uid == os.geteuid()):
             os.unlink(path)
     except (FileNotFoundError, PermissionError):
         pass

@@ -173,9 +173,7 @@ def _certify_block(p: TsengProblem, path: list, tildes: list, eps: list,
     # step's (z_prev - z_next)/gamma, and its certificate's v is that row
     W = np.array(path)
     V = (W[:-1] - W[1:]) / p.gamma
-    # without F1 each step's z_next is its z_tilde, so W[1:] holds the rows
-    Z_tilde = W[1:] if p.F1 is None else np.array(tildes)
-    ok = verify_hpe_rows(W[:-1], Z_tilde, V, np.array(eps),
+    ok = verify_hpe_rows(W[:-1], np.array(tildes), V, np.array(eps),
                          p.gamma, p.sigma)
     k = len(eps) if ok.all() else int(ok.argmin())
     cert_log.extend(map(HpeStepCertificate, path[:k], tildes[:k], V[:k],

@@ -285,15 +285,48 @@ def test_symlinked_out_is_written_through(tmp_path):
     assert read_records(target) == records[:1]
 
 
-def test_a_device_is_never_unlinked(monkeypatch):
-    def refuse(path, *args, **kwargs):
-        raise AssertionError(f"unlink({path!r})")
+def _refuse_unlink(path, *args, **kwargs):
+    raise AssertionError(f"unlink({path!r})")
 
-    monkeypatch.setattr(os, "unlink", refuse)
+
+def test_a_device_is_never_unlinked(monkeypatch):
+    monkeypatch.setattr(os, "unlink", _refuse_unlink)
     records = [RunRecord(instance=0, algo="drt", n=3, iters=4, extragrad=3,
                          null=1, inner=6, f2_evals=6, time_s=0.2,
                          residual=1e-7, abs_err=0.5)]
     write_records(records, os.devnull)
+
+
+def test_a_write_protected_out_is_not_replaced(tmp_path, monkeypatch):
+    records = run_batch(BenchSpec(n=3, instances=2, seed=9))
+    path = tmp_path / "out.csv"
+    write_records(records, path)
+    path.chmod(0o444)
+    before = path.stat()
+    monkeypatch.setattr(os, "unlink", _refuse_unlink)
+    if os.geteuid() != 0:
+        with pytest.raises(PermissionError):
+            write_records(records[:1], path)
+        assert read_records(path) == records
+    else:   # root may write it, so it is truncated in place as open() does
+        write_records(records[:1], path)
+        assert read_records(path) == records[:1]
+    after = path.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="chown needs root")
+def test_another_users_out_is_truncated_in_place(tmp_path, monkeypatch):
+    records = run_batch(BenchSpec(n=3, instances=2, seed=9))
+    path = tmp_path / "out.csv"
+    write_records(records, path)
+    os.chown(path, 65534, 65534)
+    before = path.stat()
+    monkeypatch.setattr(os, "unlink", _refuse_unlink)
+    write_records(records[:1], path)
+    assert read_records(path) == records[:1]
+    after = path.stat()
+    assert (after.st_ino, after.st_uid) == (before.st_ino, 65534)
 
 
 def test_a_refused_unlink_falls_back_to_truncation(tmp_path, monkeypatch):

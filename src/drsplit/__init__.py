@@ -16,9 +16,8 @@ from .drt import (DrtProblem, RunRecord, delta_stop, drt_bsolver, drt_solve,
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, OracleFailure, ParseError,
                      StateError)
-from .hpe import (ErgodicAccumulator, HpeStepCertificate, RateEnvelope,
-                  ergodic_bound, pointwise_bound, strong_rate,
-                  verify_hpe_inequality)
+from .hpe import (HpeStepCertificate, RateEnvelope, ergodic_bound,
+                  pointwise_bound, strong_rate, verify_hpe_inequality)
 from .operators import (AffineMonotone, BoxNormalCone, CocoerciveMap,
                         EnlargementTriple, LipschitzMap, NullspaceNormalCone,
                         SplittableOperator, cocoercive_enlargement,
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMonotone", "BoxNormalCone", "CocoerciveMap", "ContractViolation",
     "DrsConfig", "DrsState", "DrtProblem", "EnlargementTriple",
-    "ErgodicAccumulator", "ErgodicQuadruple", "HpeStepCertificate",
+    "ErgodicQuadruple", "HpeStepCertificate",
     "InvariantViolation", "IterationBudgetExceeded", "LipschitzMap",
     "NullspaceNormalCone", "OracleFailure", "ParseError", "QpInstance",
     "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",

@@ -8,10 +8,11 @@ numeric column as aligned text and as CSV.
 
 Every output file is opened through one helper.  An existing regular
 file that the caller owns and may write is replaced by a new file rather
-than truncated in place: the new file's mode comes from the umask, and a
-hard link to the old file keeps the old content.  Symlinks, devices,
-FIFOs and write-protected or foreign files are opened as open(path, "w")
-opens them: written through, truncated in place, or refused.
+than truncated in place: the new file keeps the old file's permission
+bits, narrowed by the umask, and a hard link to the old file keeps the
+old content.  Symlinks, devices, FIFOs and write-protected or foreign
+files are opened as open(path, "w") opens them: written through,
+truncated in place, or refused.
 """
 
 from __future__ import annotations
@@ -74,12 +75,14 @@ class BenchSpec:
             raise ValueError(f"algo must be one of {_ALGOS}")
         if self.stop not in _STOPS:
             raise ValueError(f"stop must be one of {_STOPS}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not 0 < self.sigma < 1:
             raise ValueError("sigma must lie in (0, 1)")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def initial_point(n: int, seed: int) -> np.ndarray:
@@ -209,15 +212,20 @@ def _create(path, newline=None):
     tens of milliseconds, a minute later as well as at once; unlinking
     the file and creating a new one does not.  Renaming a temporary file
     over it triggers the same flush.  Only a regular file that the caller
-    owns and may write (on POSIX) is unlinked.  Anything else (a symlink,
-    a device, a FIFO, a write-protected or foreign file, a missing path)
-    is opened as is, and so is a file whose directory forbids the unlink.
+    owns and may write (on POSIX) is unlinked, and the new file is created
+    with its permission bits, so the umask can narrow them but never
+    widen them.  Anything else (a symlink, a device, a FIFO, a
+    write-protected or foreign file, a missing path) is opened as is, and
+    so is a file whose directory forbids the unlink.
     """
     try:
         st = os.lstat(path)
         if (stat.S_ISREG(st.st_mode) and st.st_mode & stat.S_IWUSR
                 and hasattr(os, "geteuid") and st.st_uid == os.geteuid()):
             os.unlink(path)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                         st.st_mode & 0o777)
+            return open(fd, "w", newline=newline)
     except (FileNotFoundError, PermissionError):
         pass
     return open(path, "w", newline=newline)

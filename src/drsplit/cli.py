@@ -68,10 +68,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     # fail before the batch, not after it, on an output path that cannot be made
-    for flag, path in (("--out", args.out), ("--trace", args.trace)):
-        parent = os.path.dirname(path or "") or "."
-        if path and not os.path.isdir(parent):
+    summary = summary_csv_path(args.out) if args.out else None
+    for flag, path in (("--out", args.out), ("--out", summary),
+                       ("--trace", args.trace)):
+        if not path:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
             parser.error(f"{flag}: directory {parent!r} does not exist")
+        if os.path.isdir(path):
+            parser.error(f"{flag}: {path!r} is a directory")
 
     stats: dict = {}
     records = run_batch(spec, trace_path=args.trace, stats=stats)
@@ -85,7 +91,7 @@ def main(argv=None) -> int:
 
     if args.out:
         write_records(records, args.out)
-        write_summary_csv(table, summary_csv_path(args.out))
+        write_summary_csv(table, summary)
     for r in failed:
         print(f"instance {r.instance}: {r.error}", file=sys.stderr)
     return 2 if failed else 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
-from .hpe import HpeStepCertificate, _ergodic_average, verify_hpe_inequality
+from .hpe import HpeStepCertificate, verify_hpe_inequality
 from .operators import SplittableOperator, slack
 
 __all__ = [
@@ -57,15 +57,15 @@ class DrsConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not 0 < self.sigma < 1:
             raise ValueError("sigma must lie in (0, 1)")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie in (0, 1)")
-        if self.tau0 <= 0:
+        if not self.tau0 > 0:
             raise ValueError("tau0 must be positive")
-        if self.rho_tol <= 0 or self.eps_tol <= 0:
+        if not (self.rho_tol > 0 and self.eps_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -259,12 +259,30 @@ def drs_ergodic(state: DrsState, upto: int | None = None) -> ErgodicQuadruple:
         raise StateError("no extragradient steps taken yet")
     if j > state.n_extragradient:
         raise ValueError("upto exceeds extragradient count")
-    w = np.ones(j)
     ybar, abar, eps_a_bar = _ergodic_average(
-        state.hist_y[:j], state.hist_a[:j], np.zeros(j), w)
+        state.hist_y[:j], state.hist_a[:j], np.zeros(j))
     xbar, bbar, eps_b_bar = _ergodic_average(
-        state.hist_x[:j], state.hist_b[:j], state.hist_eps_b[:j], w)
+        state.hist_x[:j], state.hist_b[:j], state.hist_eps_b[:j])
     return ErgodicQuadruple(xbar, ybar, abar, bbar, eps_a_bar, eps_b_bar)
+
+
+def _ergodic_average(zs, vs, eps) -> tuple[np.ndarray, np.ndarray, float]:
+    # (zbar, vbar, ebar) in the expanded correction form
+    # ebar = (1/j) sum_l (eps_l + <z_l - zbar, v_l>); ebar >= 0 up to
+    # round-off when each v_l lies in T^{eps_l}(z_l), so a clearly
+    # negative value raises
+    Z = np.stack(zs)
+    V = np.stack(vs)
+    eps = np.asarray(eps, dtype=float)
+    j = len(Z)
+    zbar = Z.sum(axis=0) / j
+    vbar = V.sum(axis=0) / j
+    corr = np.einsum("ij,ij->i", Z - zbar, V)
+    ebar = float((eps + corr).sum()) / j
+    scale = float((np.abs(eps) + np.abs(corr)).sum()) / j
+    if ebar < -slack(scale):
+        raise InvariantViolation(f"negative ergodic enlargement: {ebar}")
+    return zbar, vbar, max(ebar, 0.0)
 
 
 def embed_hpe(state: DrsState, cfg: DrsConfig) -> HpeStepCertificate:

@@ -103,7 +103,7 @@ def tolerance_stop(cfg: DrsConfig) -> StopRule:
 
 def delta_stop(tol: float) -> StopRule:
     """Successive-iterate rule ||z_k - z_{k-1}|| <= tol, extragradient steps only."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
 
     def fired(state: DrsState) -> bool:
@@ -117,7 +117,7 @@ def delta_stop(tol: float) -> StopRule:
 
 def residual_stop(tol: float) -> StopRule:
     """Residual rule gamma*||a+b|| = ||x-y|| <= tol, every step."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
 
     def fired(state: DrsState) -> bool:

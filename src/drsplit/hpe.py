@@ -1,9 +1,9 @@
 """Hybrid proximal extragradient core.
 
-Step certificates for the relative-error proximal condition, ergodic
-aggregation of certified steps, and the rate-envelope calculators
-(pointwise, ergodic, and linear under strong monotonicity) used as
-oracles by the solver tests.
+Step certificates for the relative-error proximal condition and the
+rate-envelope calculators (pointwise, ergodic, and linear under strong
+monotonicity) used as oracles by the solver tests.  The ergodic averages
+themselves are formed by drs.drs_ergodic.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation, StateError
-from .operators import EnlargementTriple, slack
+from .operators import slack
 
 __all__ = [
     "HpeStepCertificate",
     "verify_hpe_inequality",
     "verify_hpe_rows",
-    "ErgodicAccumulator",
     "RateEnvelope",
     "pointwise_bound",
     "ergodic_bound",
@@ -69,65 +67,6 @@ def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
     R = Z_tilde - Z_prev
     rhs = sigma ** 2 * np.einsum("ij,ij->i", R, R)
     return lhs <= rhs + slack(rhs)
-
-
-class ErgodicAccumulator:
-    """Weighted-average aggregation of certified steps.
-
-    Stores the per-step history (z_tilde, v, eps, lam) and evaluates the
-    averages on read, using the expanded correction form
-
-        ebar = (1/Lam) sum_l lam_l (eps_l + <z_tilde_l - zbar, v_l>).
-    """
-
-    def __init__(self):
-        self._z = []
-        self._v = []
-        self._eps = []
-        self._lam = []
-
-    def push(self, z_tilde, v, eps, lam):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-        self._z.append(np.asarray(z_tilde, dtype=float))
-        self._v.append(np.asarray(v, dtype=float))
-        self._eps.append(float(eps))
-        self._lam.append(float(lam))
-
-    @property
-    def count(self):
-        return len(self._lam)
-
-    @property
-    def Lambda(self):
-        return float(sum(self._lam))
-
-    def read(self) -> EnlargementTriple:
-        if not self._lam:
-            raise StateError("accumulator is empty")
-        return EnlargementTriple(
-            *_ergodic_average(self._z, self._v, self._eps, self._lam))
-
-
-def _ergodic_average(zs, vs, eps, lam) -> tuple[np.ndarray, np.ndarray, float]:
-    # (zbar, vbar, ebar) in the expanded correction form of the
-    # ErgodicAccumulator docstring; ebar >= 0 up to round-off when each
-    # v_l lies in T^{eps_l}(z_l), so a clearly negative value raises
-    Z = np.stack(zs)
-    V = np.stack(vs)
-    eps = np.asarray(eps, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    Lam = float(lam.sum())
-    zbar = (lam[:, None] * Z).sum(axis=0) / Lam
-    vbar = (lam[:, None] * V).sum(axis=0) / Lam
-    corr = np.einsum("ij,ij->i", Z - zbar, V)
-    ebar = float((lam * (eps + corr)).sum()) / Lam
-    scale = float((lam * (np.abs(eps) + np.abs(corr))).sum()) / Lam
-    if ebar < -slack(scale):
-        raise InvariantViolation(f"negative ergodic enlargement: {ebar}")
-    return zbar, vbar, max(ebar, 0.0)
 
 
 @dataclass(frozen=True)

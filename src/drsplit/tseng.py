@@ -60,7 +60,7 @@ class TsengProblem:
     sigma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         L = 0.0 if self.F1 is None else self.F1.L
         gmax = gamma_max(self.F2.eta, L, self.sigma)
@@ -126,7 +126,7 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     A step whose operator output the resolvent rejects (non-finite or of
     the wrong shape) raises ContractViolation naming the inner step.
     """
-    if tau_hat <= 0:
+    if not tau_hat > 0:
         raise ValueError("tau_hat must be positive")
     gamma = p.gamma
     eta = p.F2.eta

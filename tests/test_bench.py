@@ -35,8 +35,8 @@ def _strip_time(rec):
 
 def test_spec_validation():
     for bad in (dict(n=0), dict(instances=0), dict(algo="pdhg"),
-                dict(stop="energy"), dict(tol=0.0), dict(sigma=1.0),
-                dict(theta=0.0)):
+                dict(stop="energy"), dict(tol=0.0), dict(tol=float("nan")),
+                dict(sigma=1.0), dict(theta=0.0), dict(seed=-1)):
         with pytest.raises(ValueError):
             BenchSpec(n=4, **bad) if "n" not in bad else BenchSpec(**bad)
 
@@ -273,6 +273,29 @@ def test_rewrite_replaces_the_file_and_a_hard_link_keeps_the_old(tmp_path):
     assert alias.read_bytes() == old
     assert len(path.read_text().splitlines()) == 2   # header, one row
     assert read_records(path) == records[:1]
+
+
+def test_rewrite_keeps_the_old_mode_and_a_new_file_gets_the_umask(
+        tmp_path):
+    records = run_batch(BenchSpec(n=3, instances=2, seed=9))
+    private, shared, fresh = (tmp_path / f"{name}.csv"
+                              for name in ("private", "shared", "fresh"))
+    old_umask = os.umask(0o022)
+    try:
+        write_records(records, private)
+        private.chmod(0o600)
+        write_records(records[:1], private)
+        write_records(records, fresh)
+        write_records(records, shared)
+        assert shared.stat().st_mode & 0o777 == 0o644
+        os.umask(0o077)     # the umask narrows the old mode
+        write_records(records[:1], shared)
+    finally:
+        os.umask(old_umask)
+    assert private.stat().st_mode & 0o777 == 0o600
+    assert read_records(private) == records[:1]
+    assert fresh.stat().st_mode & 0o777 == 0o644
+    assert shared.stat().st_mode & 0o777 == 0o600
 
 
 def test_symlinked_out_is_written_through(tmp_path):

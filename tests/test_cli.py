@@ -80,18 +80,53 @@ def test_trace_written(tmp_path):
     assert trace.read_text().startswith("# instance 0")
 
 
-@pytest.mark.parametrize("flag", ["--out", "--trace"])
-def test_missing_output_directory_fails_before_the_batch(
-        flag, tmp_path, monkeypatch, capsys):
+def _no_batch(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the batch ran")
 
     monkeypatch.setattr(cli, "run_batch", never)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_missing_output_directory_fails_before_the_batch(
+        flag, tmp_path, monkeypatch, capsys):
+    _no_batch(monkeypatch)
     with pytest.raises(SystemExit) as ei:
         main(["--n", "2", "--instances", "1",
               flag, str(tmp_path / "missing_dir" / "x.csv")])
     assert ei.value.code == 1
     assert "missing_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--tol", "nan"], ["--seed", "-1"]])
+def test_nan_tol_and_negative_seed_exit_one_before_the_batch(
+        argv, monkeypatch, capsys):
+    _no_batch(monkeypatch)
+    with pytest.raises(SystemExit) as ei:
+        main(["--n", "2", "--instances", "1"] + argv)
+    assert ei.value.code == 1
+    assert argv[0].lstrip("-") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_a_directory_as_output_fails_before_the_batch(
+        flag, tmp_path, monkeypatch, capsys):
+    _no_batch(monkeypatch)
+    with pytest.raises(SystemExit) as ei:
+        main(["--n", "2", "--instances", "1", flag, str(tmp_path)])
+    assert ei.value.code == 1
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_a_directory_at_the_summary_path_fails_before_the_batch(
+        tmp_path, monkeypatch, capsys):
+    _no_batch(monkeypatch)
+    (tmp_path / "bench.summary.csv").mkdir()
+    with pytest.raises(SystemExit) as ei:
+        main(["--n", "2", "--instances", "1",
+              "--out", str(tmp_path / "bench.csv")])
+    assert ei.value.code == 1
+    assert "bench.summary.csv" in capsys.readouterr().err
 
 
 def test_failed_instance_exits_two(monkeypatch, capsys):

@@ -49,6 +49,9 @@ def test_config_validation():
         _cfg(rho_tol=0.0)
     with pytest.raises(ValueError):
         _cfg(max_iter=0)
+    for field in ("gamma", "tau0", "rho_tol", "eps_tol"):
+        with pytest.raises(ValueError):
+            _cfg(**{field: float("nan")})
 
 
 def test_one_dimensional_exact_run():

@@ -123,6 +123,9 @@ def test_stop_rules():
         delta_stop(0.0)
     with pytest.raises(ValueError):
         residual_stop(-1.0)
+    for rule in (delta_stop, residual_stop):
+        with pytest.raises(ValueError):
+            rule(float("nan"))
     inst, ops, cfg, z0 = _problem(n=5, seed=8)
     # before any iteration nothing fires
     state = DrsState.initial(z0, cfg)

@@ -1,12 +1,13 @@
-"""Certificate verification, ergodic accumulation, and rate envelopes."""
+"""Certificate verification, the ergodic reader against its reference,
+and rate envelopes."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from drsplit.errors import InvariantViolation, StateError
+from drsplit.drs import DrsState, drs_ergodic
+from drsplit.errors import InvariantViolation
 from drsplit.hpe import (
-    ErgodicAccumulator,
     HpeStepCertificate,
     RateEnvelope,
     ergodic_bound,
@@ -39,65 +40,58 @@ def test_verify_boundary_has_slack():
                                        sigma=sigma))
 
 
-def test_accumulator_requires_data():
-    acc = ErgodicAccumulator()
-    with pytest.raises(StateError):
-        acc.read()
+def _history(x, b, eps_b, y, a):
+    # a DrsState whose extragradient history is the given data
+    state = DrsState(np.zeros(len(x[0])), 1.0)
+    state.hist_x, state.hist_b, state.hist_eps_b = x, b, eps_b
+    state.hist_y, state.hist_a = y, a
+    return state
 
 
 def test_accumulator_mirrored_pair():
-    acc = ErgodicAccumulator()
-    acc.push(np.array([1.0]), np.array([1.0]), 0.0, 1.0)
-    acc.push(np.array([-1.0]), np.array([-1.0]), 0.0, 1.0)
-    out = acc.read()
-    assert_allclose(out.z, [0.0])
-    assert_allclose(out.v, [0.0])
-    assert out.eps == pytest.approx(1.0)
-    assert acc.count == 2
-    assert acc.Lambda == pytest.approx(2.0)
+    # drs_ergodic on two mirrored triples: the averages cancel and the
+    # correction terms carry the whole enlargement
+    z = [np.array([1.0]), np.array([-1.0])]
+    out = drs_ergodic(_history(z, z, [0.0, 0.0], z, z))
+    assert_allclose(out.x, [0.0])
+    assert_allclose(out.b, [0.0])
+    assert out.eps_b == pytest.approx(1.0)
+    assert out.eps_a == pytest.approx(1.0)
 
 
 def test_accumulator_matches_transport_formula():
-    # the streaming average and the brute-force transported combination
-    # agree; monotone-generated data keeps eps well defined
+    # drs_ergodic and the brute-force transported combination at uniform
+    # weights agree on both halves; monotone-generated data keeps eps
+    # well defined
     rng = np.random.default_rng(13)
     for _ in range(100):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 10))
-        M = rng.standard_normal((n, n))
-        W = M.T @ M
-        acc = ErgodicAccumulator()
-        triples, lams = [], []
-        for _ in range(m):
-            z = rng.standard_normal(n) * 2.0
-            v = W @ z
-            eps = float(rng.random())
-            lam = float(rng.random()) + 0.1
-            acc.push(z, v, eps, lam)
-            triples.append(EnlargementTriple(z, v, eps))
-            lams.append(lam)
-        got = acc.read()
-        w = np.asarray(lams) / np.sum(lams)
-        want = transport_ergodic(triples, w)
-        assert_allclose(got.z, want.z, atol=1e-12)
-        assert_allclose(got.v, want.v, atol=1e-12)
-        assert got.eps == pytest.approx(want.eps, abs=1e-12)
-
-
-def test_accumulator_push_validation():
-    acc = ErgodicAccumulator()
-    with pytest.raises(ValueError):
-        acc.push(np.zeros(1), np.zeros(1), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        acc.push(np.zeros(1), np.zeros(1), -1e-3, 1.0)
+        Wb, Wa = (M.T @ M for M in rng.standard_normal((2, n, n)))
+        xs = [rng.standard_normal(n) * 2.0 for _ in range(m)]
+        ys = [rng.standard_normal(n) * 2.0 for _ in range(m)]
+        bs = [Wb @ x for x in xs]
+        as_ = [Wa @ y for y in ys]
+        eps_b = [float(rng.random()) for _ in range(m)]
+        got = drs_ergodic(_history(xs, bs, eps_b, ys, as_))
+        w = np.full(m, 1.0 / m)
+        want_b = transport_ergodic(
+            [EnlargementTriple(x, b, e) for x, b, e in zip(xs, bs, eps_b)], w)
+        want_a = transport_ergodic(
+            [EnlargementTriple(y, a, 0.0) for y, a in zip(ys, as_)], w)
+        for z, v, eps, want in ((got.x, got.b, got.eps_b, want_b),
+                                (got.y, got.a, got.eps_a, want_a)):
+            assert_allclose(z, want.z, atol=1e-12)
+            assert_allclose(v, want.v, atol=1e-12)
+            assert eps == pytest.approx(want.eps, abs=1e-12)
 
 
 def test_accumulator_flags_negative_ergodic_eps():
-    acc = ErgodicAccumulator()
-    acc.push(np.array([1.0]), np.array([-1.0]), 0.0, 1.0)
-    acc.push(np.array([-1.0]), np.array([1.0]), 0.0, 1.0)
+    # anti-monotone history: the averaged enlargement is clearly negative
+    z = [np.array([1.0]), np.array([-1.0])]
+    v = [-zl for zl in z]
     with pytest.raises(InvariantViolation):
-        acc.read()
+        drs_ergodic(_history(z, v, [0.0, 0.0], z, v))
 
 
 def test_rate_envelope_alpha_frozen():

@@ -51,6 +51,10 @@ def test_problem_validation():
     # gamma above the stepsize cap 2*eta*sigma^2
     with pytest.raises(ValueError):
         _scalar_problem(gamma=1.97, sigma=0.99)
+    with pytest.raises(ValueError):
+        _scalar_problem(gamma=float("nan"))
+    with pytest.raises(ValueError):
+        tseng_solve(p, Z_HAT, float("nan"))
 
 
 def test_scalar_hand_step():

@@ -62,17 +62,17 @@ def rfdrs_gamma(inst: QpInstance) -> float:
 def tos_iterate(z, inst: QpInstance, gamma: float):
     """One TOS step: box point, shifted nullspace projection, update."""
     A, C, F2 = inst.ops.A, inst.ops.C, inst.ops.F2
-    xB, _ = C.resolvent(gamma, z)
-    xA, _ = A.resolvent(gamma, 2.0 * xB - z - gamma * F2.eval(xB))
+    xB = C.resolvent(gamma, z)
+    xA = A.resolvent(gamma, 2.0 * xB - z - gamma * F2.eval(xB))
     return z + (xA - xB)
 
 
 def rfdrs_iterate(z, inst: QpInstance, gamma: float):
     """One rFDRS step; the forward term is evaluated through P_M."""
     A, C, F2 = inst.ops.A, inst.ops.C, inst.ops.F2
-    x, _ = A.resolvent(gamma, z)
-    g, _ = A.resolvent(gamma, F2.eval(x))
-    w, _ = C.resolvent(gamma, 2.0 * x - z - gamma * g)
+    x = A.resolvent(gamma, z)
+    g = A.resolvent(gamma, F2.eval(x))
+    w = C.resolvent(gamma, 2.0 * x - z - gamma * g)
     return z + (w - x)
 
 
@@ -113,7 +113,7 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
         # a resolvent rejected its input: a non-finite operator output
         raise ContractViolation(f"{algo} iteration {iters + 1}: {exc}") from exc
     elapsed = time.perf_counter() - t0
-    sol, _ = block.resolvent(gamma, z)
+    sol = block.resolvent(gamma, z)
     abs_err = float("nan")
     if z_star is not None:
         abs_err = float(np.linalg.norm(sol - np.asarray(z_star, dtype=float)))

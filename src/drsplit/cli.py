@@ -86,8 +86,8 @@ def main(argv=None) -> int:
     print(format_summary(table, spec=spec, errors=len(failed)))
     est = stats.get("estimate_time_s")
     if est is not None:
-        print(f"eta/beta estimation (instance set-up): {est:.3f} s total "
-              "(excluded from time_s)")
+        print(f"instance set-up (eigvalsh of Q, rfdrs beta): {est:.3f} s "
+              "total (excluded from time_s)")
 
     if args.out:
         write_records(records, args.out)

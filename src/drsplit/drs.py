@@ -11,6 +11,7 @@ null step that only shrinks tau.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -67,8 +68,11 @@ class DrsConfig:
             raise ValueError("tau0 must be positive")
         if not (self.rho_tol > 0 and self.eps_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        # a NaN never trips the k >= max_iter budget test, and a
+        # fraction would round the budget up
+        if not (isinstance(self.max_iter, numbers.Integral)
+                and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 class Quadruple(NamedTuple):
@@ -148,8 +152,8 @@ def exact_bsolver(opB: SplittableOperator) -> BSolver:
     """B-solver from an exact resolvent oracle; eps_b = 0, any tau."""
 
     def solve(z_prev, tau, gamma):
-        x, u = opB.resolvent(gamma, z_prev)
-        return x, u, 0.0
+        x = opB.resolvent(gamma, z_prev)
+        return x, (z_prev - x) / gamma, 0.0
 
     return solve
 
@@ -170,10 +174,10 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     """One outer iteration: B-solve, A-resolvent, classify, update.
 
     Calls the B-solver with (z_{k-1}, tau_{k-1}, gamma), checks its
-    contract, computes (y, a) through the resolvent of A at x - gamma*b,
-    and applies the relative-error test: on success the extragradient
-    update moves z and keeps tau, otherwise z freezes and tau shrinks by
-    theta.  Mutates and returns state.
+    contract, takes the resolvent point y of A at w = x - gamma*b and
+    forms a = (w - y)/gamma, and applies the relative-error test: on
+    success the extragradient update moves z and keeps tau, otherwise z
+    freezes and tau shrinks by theta.  Mutates and returns state.
     """
     if state.k >= cfg.max_iter:
         raise IterationBudgetExceeded(f"max_iter={cfg.max_iter} reached")
@@ -194,7 +198,9 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         raise ContractViolation(
             f"bsolver output violates its tolerance: {lhs} > {tau_prev}")
 
-    y, a = A.resolvent(gamma, x - gb)
+    w = x - gb
+    y = A.resolvent(gamma, w)
+    a = (w - y) / gamma
     quad = Quadruple(x, y, a, b, eps_b)
     d = x - y
     residual = math.sqrt(float(d.dot(d)))

@@ -84,7 +84,7 @@ class RateEnvelope:
     mu: float = 0.0
 
     def __post_init__(self):
-        if self.d0 < 0 or self.lambda_min <= 0 or self.mu < 0:
+        if not (self.d0 >= 0 and self.lambda_min > 0 and self.mu >= 0):
             raise ValueError("invalid envelope constants")
         if not 0 <= self.sigma < 1:
             raise ValueError("sigma must lie in [0, 1)")
@@ -107,8 +107,6 @@ def pointwise_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
     if j < 1:
         raise ValueError("j must be >= 1")
     s = env.sigma
-    if s >= 1:
-        raise ValueError("sigma must be < 1")
     rho = env.d0 / (env.lambda_min * np.sqrt(j)) * np.sqrt((1 + s) / (1 - s))
     eps = s ** 2 * env.d0 ** 2 / (2 * (1 - s ** 2) * env.lambda_min * j)
     return float(rho), float(eps)
@@ -119,8 +117,6 @@ def ergodic_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
     if j < 1:
         raise ValueError("j must be >= 1")
     s = env.sigma
-    if s >= 1:
-        raise ValueError("sigma must be < 1")
     rho = 2.0 * env.d0 / (env.lambda_min * j)
     eps = 2.0 * (1 + s / np.sqrt(1 - s ** 2)) * env.d0 ** 2 / (env.lambda_min * j)
     return float(rho), float(eps)
@@ -128,8 +124,6 @@ def ergodic_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
 
 def strong_rate(env: RateEnvelope, j: int) -> tuple[float, float]:
     """Linear-decay bounds under strong monotonicity (mu > 0)."""
-    if env.mu <= 0:
-        raise ValueError("strong_rate requires mu > 0")
     if j < 1:
         raise ValueError("j must be >= 1")
     s = env.sigma

@@ -62,8 +62,9 @@ class EnlargementTriple(NamedTuple):
 class SplittableOperator:
     """Maximal monotone operator accessed through its resolvent.
 
-    Subclasses implement ``resolvent(gamma, z) -> (x, u)`` with
-    ``u in T(x)`` and ``gamma*u + x == z`` to round-off.
+    Subclasses implement ``resolvent(gamma, z) -> x``, the point
+    ``x = (I + gamma*T)^{-1} z`` for a ``gamma > 0``.  A caller that needs
+    the graph element ``u in T(x)`` takes ``u = (z - x)/gamma``.
     """
 
     def __init__(self, dim: int):
@@ -71,7 +72,7 @@ class SplittableOperator:
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
 
-    def resolvent(self, gamma: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def resolvent(self, gamma: float, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _check_dim(self, z: np.ndarray) -> np.ndarray:
@@ -110,19 +111,19 @@ class BoxNormalCone(SplittableOperator):
         self.hi = hi
 
     def resolvent(self, gamma, z):
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         z = self._check_dim(z)
         # bitwise equal to z.clip(lo, hi), without clip's Python wrapper
-        x = np.minimum(np.maximum(z, self.lo), self.hi)
-        return x, (z - x) / gamma
+        return np.minimum(np.maximum(z, self.lo), self.hi)
 
     def contains(self, triple: EnlargementTriple) -> bool:
         """Exact test of v in N_X^eps(z), to round-off.
 
         True iff z lies in X = [lo, hi] and the support-function gap
         sigma_X(v) - <v, z> = sum_i v_i (hi_i - z_i if v_i > 0 else
-        lo_i - z_i) is at most eps.  The gap of a resolvent output is 0.
+        lo_i - z_i) is at most eps.  The gap is 0 at (x, (z - x)/gamma) for
+        a resolvent output x = resolvent(gamma, z).
         """
         z = self._check_dim(triple.z)
         v = self._check_dim(triple.v)
@@ -144,11 +145,10 @@ class NullspaceNormalCone(SplittableOperator):
         self.K = K
 
     def resolvent(self, gamma, z):
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         z = self._check_dim(z)
-        x = _project_sign_row(self.K, z)
-        return x, (z - x) / gamma
+        return _project_sign_row(self.K, z)
 
     def contains(self, triple: EnlargementTriple) -> bool:
         """Exact test of v in N_M^eps(z), to round-off.
@@ -182,11 +182,11 @@ class AffineMonotone(SplittableOperator):
         return self.W @ self._check_dim(z) + self.c
 
     def resolvent(self, gamma, z):
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         z = self._check_dim(z)
-        x = np.linalg.solve(np.eye(self.dim) + gamma * self.W, z - gamma * self.c)
-        return x, (z - x) / gamma
+        return np.linalg.solve(np.eye(self.dim) + gamma * self.W,
+                               z - gamma * self.c)
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class LipschitzMap:
     project_domain: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.L < 0:
+        if not self.L >= 0:
             raise ValueError("L must be >= 0")
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -213,7 +213,8 @@ class CocoerciveMap:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0:
+        # eta = inf (F2 = 0) is admitted; NaN fails
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
 
 

@@ -228,7 +228,7 @@ def _tos_reference(inst: QpInstance) -> np.ndarray:
             raise OracleFailure("reference fixed-point iteration hit its cap")
     except ValueError as exc:
         raise OracleFailure(f"reference fixed-point iteration: {exc}") from exc
-    x, _ = inst.ops.C.resolvent(gamma, z)
+    x = inst.ops.C.resolvent(gamma, z)
     if not kkt_check(inst, x, 1e-8):
         raise OracleFailure("reference iterate failed the KKT check")
     return x
@@ -276,8 +276,7 @@ class BoxAffineSum(SplittableOperator):
     """Operator N_X + (Q . + e); resolvent via an inner box-QP solve.
 
     The resolvent at gamma solves the strongly convex box QP with
-    H = I + gamma*Q, c = z - gamma*e to high accuracy, and returns
-    u = (z - x)/gamma so the resolvent identity is exact.
+    H = I + gamma*Q, c = z - gamma*e to high accuracy.
     """
 
     def __init__(self, Q, e, lo, hi):
@@ -290,11 +289,12 @@ class BoxAffineSum(SplittableOperator):
         self._qnorm = 1.0 / estimate_eta(Q)
 
     def resolvent(self, gamma, z):
+        if not gamma > 0:
+            raise ValueError("gamma must be positive")
         z = self._check_dim(z)
         H = np.eye(self.dim) + gamma * self.Q
-        x = box_qp_solve(H, z - gamma * self.e, self.lo, self.hi,
-                         lip=1.0 + gamma * self._qnorm)
-        return x, (z - x) / gamma
+        return box_qp_solve(H, z - gamma * self.e, self.lo, self.hi,
+                            lip=1.0 + gamma * self._qnorm)
 
 
 def drs_reference_zero(inst: QpInstance, gamma: float, z0):
@@ -309,8 +309,8 @@ def drs_reference_zero(inst: QpInstance, gamma: float, z0):
     Jb = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     z = z0.copy()
     for _ in range(10 ** 6):
-        x, _ = Jb.resolvent(gamma, z)
-        y, _ = inst.ops.A.resolvent(gamma, 2.0 * x - z)
+        x = Jb.resolvent(gamma, z)
+        y = inst.ops.A.resolvent(gamma, 2.0 * x - z)
         z_new = z + (y - x)
         if float(np.linalg.norm(z_new - z)) <= 1e-12:
             z = z_new

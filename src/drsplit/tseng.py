@@ -35,9 +35,9 @@ def gamma_max(eta: float, L: float, sigma: float) -> float:
 
     Collapses to 2*eta*sigma^2 when L = 0.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
-    if L < 0:
+    if not L >= 0:
         raise ValueError("L must be >= 0")
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0, 1)")
@@ -91,13 +91,13 @@ def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray):
     F1 = p.F1
     if F1 is None:
         w = (z_hat + z_prev - gamma * p.F2.eval(z_prev)) / 2.0
-        z_tilde, _ = p.C.resolvent(gamma / 2.0, w)
+        z_tilde = p.C.resolvent(gamma / 2.0, w)
         return z_prev, z_tilde, z_tilde
     z_prime = F1.project(z_prev)
     f1_prime = F1.eval(z_prime)
     forward = f1_prime + p.F2.eval(z_prime)
     w = (z_hat + z_prev - gamma * forward) / 2.0
-    z_tilde, _ = p.C.resolvent(gamma / 2.0, w)
+    z_tilde = p.C.resolvent(gamma / 2.0, w)
     z_next = z_tilde - gamma * (F1.eval(z_tilde) - f1_prime)
     return z_prime, z_tilde, z_next
 

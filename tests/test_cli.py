@@ -44,7 +44,7 @@ def test_successful_batch_prints_summary(capsys):
     assert "algo=drt" in head and "n=2" in head and "instances=3" in head
     assert "stop=delta" in head
     assert "iters" in out and "residual" in out
-    assert "eta/beta estimation" in out
+    assert "instance set-up (eigvalsh of Q, rfdrs beta):" in out
 
 
 def test_semidefinite_and_baseline_run(capsys):

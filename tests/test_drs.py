@@ -52,6 +52,11 @@ def test_config_validation():
     for field in ("gamma", "tau0", "rho_tol", "eps_tol"):
         with pytest.raises(ValueError):
             _cfg(**{field: float("nan")})
+    # with NaN the k >= max_iter budget test never fires
+    for bad in (float("nan"), 2.5, float("inf")):
+        with pytest.raises(ValueError, match="max_iter"):
+            _cfg(max_iter=bad)
+    assert _cfg(max_iter=np.int64(5)).max_iter == 5
 
 
 def test_one_dimensional_exact_run():
@@ -93,8 +98,8 @@ def test_exact_bsolver_matches_plain_recursion():
     z_ref = np.full(6, 3.0)
     for _ in range(25):
         drs_iterate(state, cfg, bs, A)
-        x_ref, _ = B.resolvent(gamma, z_ref)
-        y_ref, _ = A.resolvent(gamma, 2.0 * x_ref - z_ref)
+        x_ref = B.resolvent(gamma, z_ref)
+        y_ref = A.resolvent(gamma, 2.0 * x_ref - z_ref)
         z_ref = z_ref - x_ref + y_ref
         assert state.last_step == EXTRAGRADIENT
         assert_allclose(state.z, z_ref, atol=1e-12)

@@ -347,8 +347,8 @@ def test_skew_f1_certificates_verify():
 
 @pytest.mark.parametrize("family", ["paper", "skew"])
 def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
-    # every box resolvent output is in N_X's graph, and every extragradient
-    # (y, a) in N_M's graph, at eps = 0
+    # every box resolvent output x, with u = (z - x)/gamma, is in N_X's
+    # graph, and every extragradient (y, a) in N_M's graph, at eps = 0
     if family == "paper":
         inst, ops, cfg, z0 = _problem(n=100, seed=0)
         F1 = ops.F1
@@ -362,17 +362,18 @@ def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
     base = BoxNormalCone.resolvent
 
     def logged(self, gamma, z):
-        x, u = base(self, gamma, z)
-        outputs.append((self, x, u))
-        return x, u
+        x = base(self, gamma, z)
+        outputs.append((self, z, gamma, x))
+        return x
 
     monkeypatch.setattr(BoxNormalCone, "resolvent", logged)
     p = DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg)
     state = DrsState.initial(z0, cfg)
     record, _ = drt_solve(p, delta_stop(1e-6), state=state)
     assert len(outputs) == record.inner
-    assert all(op is ops.C and op.contains(EnlargementTriple(x, u, 0.0))
-               for op, x, u in outputs)
+    for op, z, g, x in outputs:
+        assert op is ops.C
+        assert op.contains(EnlargementTriple(x, (z - x) / g, 0.0))
     assert state.n_extragradient >= 1
     for y, a in zip(state.hist_y, state.hist_a):
         assert ops.A.contains(EnlargementTriple(y, a, 0.0))

@@ -152,6 +152,13 @@ def test_strong_rate_linear_decay():
     assert e2 == pytest.approx(e1 * (1 - env.alpha), rel=1e-12)
 
 
+def test_rate_envelope_rejects_nan_constants():
+    good = dict(d0=1.0, lambda_min=1.0, sigma=0.5, mu=1.0)
+    for name in good:
+        with pytest.raises(ValueError):
+            RateEnvelope(**{**good, name: float("nan")})
+
+
 def test_rate_domain_errors():
     env = RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.9)
     with pytest.raises(ValueError):

@@ -57,10 +57,13 @@ def test_project_nullspace_requires_sign_vector():
 
 def test_resolvent_box_projects_and_reconstructs():
     z = np.array([-1.0, 5.0, 12.0])
-    x, u = BoxNormalCone(np.zeros(3), 10.0 * np.ones(3)).resolvent(2.0, z)
+    op = BoxNormalCone(np.zeros(3), 10.0 * np.ones(3))
+    x = op.resolvent(2.0, z)
     assert_array_equal(x, [0.0, 5.0, 10.0])
-    # gamma*u + x = z exactly at this data, u signs match the active faces
-    assert_array_equal(2.0 * u + x, z)
+    # the graph element (z - x)/gamma is in N_X(x): its signs match the
+    # active faces
+    u = (z - x) / 2.0
+    assert op.contains(EnlargementTriple(x, u, 0.0))
     assert u[0] < 0 and u[1] == 0 and u[2] > 0
 
 
@@ -68,8 +71,8 @@ def test_resolvent_box_scaling_invariance():
     rng = np.random.default_rng(7)
     z = rng.standard_normal(6) * 8.0
     op = BoxNormalCone(np.zeros(6), 10.0 * np.ones(6))
-    x1, _ = op.resolvent(0.3, z)
-    x2, _ = op.resolvent(5.0, z)
+    x1 = op.resolvent(0.3, z)
+    x2 = op.resolvent(5.0, z)
     assert_array_equal(x1, x2)
 
 
@@ -82,9 +85,8 @@ def test_resolvent_box_rejects_bad_input():
 
 def test_box_normal_cone_resolvent_and_dim_check():
     op = BoxNormalCone(np.zeros(3), 10.0 * np.ones(3))
-    x, u = op.resolvent(1.5, np.array([-2.0, 4.0, 11.0]))
+    x = op.resolvent(1.5, np.array([-2.0, 4.0, 11.0]))
     assert_array_equal(x, [0.0, 4.0, 10.0])
-    assert_array_equal(1.5 * u + x, [-2.0, 4.0, 11.0])
     with pytest.raises(ValueError):
         op.resolvent(1.0, np.zeros(4))
 
@@ -100,6 +102,16 @@ def test_cone_constructors_reject_bad_data():
                 BoxNormalCone(np.zeros(2), hi)
     with pytest.raises(ValueError):
         NullspaceNormalCone(np.array([1.0, 0.5, -1.0]))
+
+
+def test_resolvents_reject_nan_and_nonpositive_gamma():
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    ops = (BoxNormalCone(np.zeros(2), np.ones(2)),
+           NullspaceNormalCone(np.array([1.0, -1.0])), AffineMonotone(W))
+    for op in ops:
+        for gamma in (np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="gamma"):
+                op.resolvent(gamma, np.array([0.5, 2.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -118,12 +130,11 @@ def test_point_check_accepts_finite_points_whose_square_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _point(z) is z
-        x, u = BoxNormalCone(np.full(4, -1e300), np.full(4, 1e300)
-                             ).resolvent(1.0, z)
-        y, _ = NullspaceNormalCone(np.array([1.0, 1.0, -1.0, 1.0])
-                                   ).resolvent(1.0, z)
+        x = BoxNormalCone(np.full(4, -1e300), np.full(4, 1e300)
+                          ).resolvent(1.0, z)
+        y = NullspaceNormalCone(np.array([1.0, 1.0, -1.0, 1.0])
+                                ).resolvent(1.0, z)
     assert_array_equal(x, z)
-    assert_array_equal(u, np.zeros(4))
     assert np.isfinite(y).all()
     assert_array_equal(z, [1e200, -1e200, 3.0, -1e200])
 
@@ -144,7 +155,7 @@ def test_point_check_rejects_non_finite_entries_anywhere(bad, where):
 @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (-5.0, 5.0)])
 def test_box_projection_is_bitwise_clip(lo, hi):
     # signed zeros, both bounds and their neighbours, subnormals, and
-    # points far outside: x and u equal the np.clip formula bit for bit
+    # points far outside: x equals np.clip bit for bit
     tiny = np.nextafter(0.0, 1.0)
     z = np.array([0.0, -0.0, lo, -lo, hi, -hi, tiny, -tiny, 2.0 * tiny,
                   np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
@@ -153,15 +164,13 @@ def test_box_projection_is_bitwise_clip(lo, hi):
     n = z.size
     lo_v, hi_v = np.full(n, lo), np.full(n, hi)
     gamma = 0.7
-    x, u = BoxNormalCone(lo_v, hi_v).resolvent(gamma, z)
-    x_ref = np.clip(z, lo_v, hi_v)
-    assert x.tobytes() == x_ref.tobytes()
-    assert u.tobytes() == ((z - x_ref) / gamma).tobytes()
+    x = BoxNormalCone(lo_v, hi_v).resolvent(gamma, z)
+    assert x.tobytes() == np.clip(z, lo_v, hi_v).tobytes()
 
 
 def test_cone_resolvents_match_module_functions_bitwise():
-    # the box output is an exact graph point with u = (z - x)/gamma bit
-    # for bit; the nullspace resolvent matches project_nullspace bit for bit
+    # the box output with u = (z - x)/gamma is an exact graph point; the
+    # nullspace resolvent matches project_nullspace bit for bit
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(1, 20))
@@ -171,16 +180,11 @@ def test_cone_resolvents_match_module_functions_bitwise():
         z = rng.standard_normal(n) * 6.0
         gamma = float(rng.uniform(0.1, 3.0))
         box = BoxNormalCone(lo, hi)
-        x, u = box.resolvent(gamma, z)
-        assert box.contains(EnlargementTriple(x, u, 0.0))
+        x = box.resolvent(gamma, z)
+        assert box.contains(EnlargementTriple(x, (z - x) / gamma, 0.0))
         assert_array_equal(x, np.clip(z, lo, hi))
-        assert_array_equal(u, (z - x) / gamma)
-        # the division and the product round, so the identity holds to ulps
-        assert_allclose(gamma * u + x, z, rtol=1e-15, atol=1e-14)
-        y, a = NullspaceNormalCone(K).resolvent(gamma, z)
-        y_ref = project_nullspace(K, z)
-        assert_array_equal(y, y_ref)
-        assert_array_equal(a, (z - y_ref) / gamma)
+        y = NullspaceNormalCone(K).resolvent(gamma, z)
+        assert_array_equal(y, project_nullspace(K, z))
 
 
 def test_nullspace_normal_cone_resolvent():
@@ -188,9 +192,9 @@ def test_nullspace_normal_cone_resolvent():
     op = NullspaceNormalCone(K)
     z = np.array([1.0, 2.0, 3.0])
     for gamma in (0.25, 1.0, 4.0):
-        y, a = op.resolvent(gamma, z)
+        y = op.resolvent(gamma, z)
         assert abs(K @ y) < 1e-12
-        assert_allclose(gamma * a + y, z, atol=1e-14)
+        a = (z - y) / gamma
         # a is normal to the nullspace, i.e. a multiple of K
         assert_allclose(a, (K @ a / 3.0) * K, atol=1e-13)
 
@@ -198,7 +202,9 @@ def test_nullspace_normal_cone_resolvent():
 def test_nullspace_graph_membership_check():
     K = np.ones(3)
     op = NullspaceNormalCone(K)
-    y, a = op.resolvent(1.0, np.array([0.3, -1.2, 4.0]))
+    z = np.array([0.3, -1.2, 4.0])
+    y = op.resolvent(1.0, z)
+    a = z - y
     assert op.contains(EnlargementTriple(y, a, 0.0))
     # off M, or a normal not along K, is outside at any eps
     assert not op.contains(EnlargementTriple(y + 1e-6, a, 100.0))
@@ -207,7 +213,9 @@ def test_nullspace_graph_membership_check():
 
 def test_box_contains_detects_outsiders():
     op = BoxNormalCone(np.zeros(2), 10.0 * np.ones(2))
-    good_x, good_u = op.resolvent(1.0, np.array([-3.0, 5.0]))
+    z = np.array([-3.0, 5.0])
+    good_x = op.resolvent(1.0, z)
+    good_u = z - good_x
     assert op.contains(EnlargementTriple(good_x, good_u, 0.0))
     # interior point with a large normal element is not in the graph
     bad = EnlargementTriple(np.array([5.0, 5.0]), np.array([-3.0, 0.0]), 0.0)
@@ -228,9 +236,9 @@ def test_affine_monotone_resolvent_solves_system():
     c = rng.standard_normal(4)
     op = AffineMonotone(W, c)
     z = rng.standard_normal(4)
-    x, v = op.resolvent(0.7, z)
-    assert_allclose(v, W @ x + c, atol=1e-12)
-    assert_allclose(x + 0.7 * v, z, atol=1e-12)
+    x = op.resolvent(0.7, z)
+    # x solves x + 0.7 (W x + c) = z: (z - x)/gamma is the graph element
+    assert_allclose((z - x) / 0.7, W @ x + c, atol=1e-12)
     assert_allclose(op(z), W @ z + c, atol=1e-14)
 
 
@@ -250,11 +258,17 @@ def test_lipschitz_map_zero_and_validation():
     assert f.L == 0.0
     with pytest.raises(ValueError):
         LipschitzMap(eval=np.zeros_like, L=-1.0)
+    with pytest.raises(ValueError, match="L must"):
+        LipschitzMap(eval=np.zeros_like, L=float("nan"))
 
 
 def test_cocoercive_map_validation():
     with pytest.raises(ValueError):
         CocoerciveMap(eval=lambda z: z, eta=0.0)
+    with pytest.raises(ValueError, match="eta must"):
+        CocoerciveMap(eval=lambda z: z, eta=float("nan"))
+    # F2 = 0 (a Q = 0 instance) is cocoercive with every modulus
+    assert CocoerciveMap(eval=np.zeros_like, eta=float("inf")).eta == np.inf
 
 
 def test_cocoercive_enlargement_formula_and_inequality():

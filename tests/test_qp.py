@@ -240,9 +240,9 @@ def test_qp_operators_bundle():
     assert ops.F1 is None
     assert ops.eta * np.linalg.eigvalsh(inst.Q).max() == pytest.approx(
         1.0, rel=1e-8)
-    y, _ = ops.A.resolvent(1.0, z)
+    y = ops.A.resolvent(1.0, z)
     assert abs(inst.K @ y) < 1e-12
-    x, _ = ops.C.resolvent(1.0, z)
+    x = ops.C.resolvent(1.0, z)
     assert_array_equal(x, np.clip(z, 0.0, 10.0))
 
 
@@ -476,11 +476,18 @@ def test_box_affine_sum_resolvent():
     rng = np.random.default_rng(1)
     for gamma in (0.2, 1.0, 3.0):
         z = rng.uniform(-10.0, 20.0, 8)
-        x, u = B.resolvent(gamma, z)
-        assert_allclose(gamma * u + x, z, atol=1e-12)
+        x = B.resolvent(gamma, z)
         # optimality of the implicit box QP
         g = (np.eye(8) + gamma * inst.Q) @ x - (z - gamma * inst.e)
         assert np.max(np.abs(x - np.clip(x - g, inst.lo, inst.hi))) < 1e-9
+
+
+def test_box_affine_sum_rejects_nonpositive_gamma():
+    inst = generate_instance(4, True, 33)
+    B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
+    for gamma in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="gamma"):
+            B.resolvent(gamma, np.ones(4))
 
 
 def test_drs_reference_zero_is_fixed_point():
@@ -493,7 +500,7 @@ def test_drs_reference_zero_is_fixed_point():
     assert d0 == pytest.approx(np.linalg.norm(z0 - z_inf), rel=1e-12)
     # one exact splitting step must not move z_inf
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
-    x, _ = B.resolvent(gamma, z_inf)
+    x = B.resolvent(gamma, z_inf)
     y = project_nullspace(inst.K, 2.0 * x - z_inf)
     z_next = z_inf + y - x
     assert np.linalg.norm(z_next - z_inf) < 1e-10

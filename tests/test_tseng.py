@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -38,6 +40,24 @@ def test_gamma_max_frozen_and_limit():
         gamma_max(1.0, -1.0, 0.5)
     with pytest.raises(ValueError):
         gamma_max(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="eta"):
+        gamma_max(float("nan"), 0.0, 0.5)
+    with pytest.raises(ValueError, match="L must"):
+        gamma_max(1.0, float("nan"), 0.5)
+
+
+def test_problem_rejects_nan_eta():
+    # the guard gamma > gamma_max is False for a NaN gamma_max, so
+    # gamma_max itself rejects a NaN eta; the duck-typed F2 reaches it
+    # past CocoerciveMap's own check
+    box = BoxNormalCone(np.zeros(1), np.ones(1))
+    f2 = SimpleNamespace(eval=lambda z: z, eta=float("nan"))
+    with pytest.raises(ValueError, match="eta"):
+        TsengProblem(C=box, F1=None, F2=f2, gamma=1.0, sigma=0.5)
+    with pytest.raises(ValueError, match="eta"):
+        TsengProblem(C=box, F1=None,
+                     F2=CocoerciveMap(eval=lambda z: z, eta=float("nan")),
+                     gamma=1.0, sigma=0.5)
 
 
 def test_problem_validation():
@@ -144,7 +164,7 @@ def test_converges_to_exact_resolvent():
     p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, gamma=gamma, sigma=0.99)
     out = tseng_solve(p, z_hat, 1e-24, max_inner=5000)
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
-    x_star, _ = B.resolvent(gamma, z_hat)
+    x_star = B.resolvent(gamma, z_hat)
     assert np.linalg.norm(out.z_next - x_star) < 1e-8
     assert np.linalg.norm(out.z_tilde - x_star) < 1e-8
 

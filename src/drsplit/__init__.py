@@ -18,7 +18,8 @@ from .errors import (ContractViolation, InvariantViolation,
                      StateError)
 from .hpe import (HpeStepCertificate, RateEnvelope, ergodic_bound,
                   pointwise_bound, strong_rate, verify_hpe_inequality)
-from .operators import (AffineMonotone, BoxNormalCone, CocoerciveMap,
+from .operators import (AffineCocoerciveMap, AffineMonotone, BoxNormalCone,
+                        CocoerciveMap,
                         EnlargementTriple, LipschitzMap, NullspaceNormalCone,
                         SplittableOperator, cocoercive_enlargement,
                         project_nullspace, transport_ergodic)
@@ -30,7 +31,7 @@ from .tseng import TsengOutput, TsengProblem, gamma_max, tseng_solve, tseng_step
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMonotone", "BoxNormalCone", "CocoerciveMap", "ContractViolation",
+    "AffineCocoerciveMap", "AffineMonotone", "BoxNormalCone", "CocoerciveMap", "ContractViolation",
     "DrsConfig", "DrsState", "DrtProblem", "EnlargementTriple",
     "ErgodicQuadruple", "HpeStepCertificate",
     "InvariantViolation", "IterationBudgetExceeded", "LipschitzMap",

@@ -189,12 +189,13 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     eps_b = float(eps_b)
-    if eps_b < 0:
-        raise ContractViolation("bsolver returned negative eps_b")
+    # written so that NaN fails both tests
+    if not eps_b >= 0:
+        raise ContractViolation(f"bsolver returned eps_b={eps_b}, not >= 0")
     gb = gamma * b
     r_b = gb + x - z
     lhs = float(r_b.dot(r_b)) + 2.0 * gamma * eps_b
-    if lhs > tau_prev + slack(tau_prev):
+    if not lhs <= tau_prev + slack(tau_prev):
         raise ContractViolation(
             f"bsolver output violates its tolerance: {lhs} > {tau_prev}")
 

@@ -24,7 +24,7 @@ from .drs import (EXTRAGRADIENT, BSolver, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
 from .errors import ContractViolation, IterationBudgetExceeded
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
-from .tseng import TsengProblem, tseng_solve
+from .tseng import CertBlock, TsengProblem, tseng_solve
 
 __all__ = [
     "DrtProblem",
@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 StopRule = Callable[[DrsState], bool]
+
+# pending inner certificate rows at which drt_solve checks its block after
+# a B-solve; a B-solve is never split, so a block checked mid-solve holds
+# this many rows or more, and the one checked at the end may hold fewer
+CERT_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -128,14 +133,15 @@ def residual_stop(tol: float) -> StopRule:
 
 def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
                 inner_log: list | None = None,
-                cert_log: list | None = None) -> BSolver:
+                block: CertBlock | None = None) -> BSolver:
     """B-solver running the inner Tseng loop on each outer request.
 
     Receives the pre-update tolerance tau_{k-1} and prox center z_{k-1};
     every call reuses the problem's one Tseng subproblem, so gamma must be
-    the problem's.  Inner iteration counts append to inner_log, per-step
-    certificates to cert_log when given.  Inner budget errors and
-    rejected operator outputs carry outer-call context.
+    the problem's.  Inner iteration counts append to inner_log, and each
+    call's steps join block when given (drt_solve owns it and checks it).
+    Inner budget errors and rejected operator outputs carry outer-call
+    context.
     """
     sub = p.tseng
     call = 0
@@ -148,7 +154,7 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
         call += 1
         try:
             out = tseng_solve(sub, z_prev, tau, max_inner=max_inner,
-                              cert_log=cert_log)
+                              cert_log=block)
         except (ContractViolation, IterationBudgetExceeded) as exc:
             raise type(exc)(f"outer B-solve call {call}: {exc}") from exc
         if inner_log is not None:
@@ -168,6 +174,14 @@ def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
     holds its own start, instead of z0 keeps the full iteration history
     accessible to the caller afterwards.  The record's f2_evals equals
     its inner count: each Tseng step evaluates F2 exactly once.
+
+    With inner_cert_log, every inner step is certified (see tseng_solve)
+    and the steps of successive B-solves are checked together: whenever
+    CERT_BLOCK_ROWS or more are pending after a B-solve, and always before
+    the solve returns or raises.  A failing step raises InvariantViolation
+    naming its outer B-solve call and inner step, with exactly the
+    certificates before it logged; that error takes precedence over any
+    raised later in the solve.
     """
     if state is not None and z0 is not None:
         raise ValueError("pass z0 or state, not both: a state holds its start")
@@ -176,14 +190,26 @@ def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
             z0 = np.zeros(p.A.dim)
         state = DrsState.initial(z0, p.cfg)
     inner_log: list[int] = []
+    block = (None if inner_cert_log is None else
+             CertBlock(p.tseng, inner_cert_log, label="outer B-solve call"))
     bsolver = drt_bsolver(p, max_inner=max_inner, inner_log=inner_log,
-                          cert_log=inner_cert_log)
+                          block=block)
 
     t0 = time.perf_counter()
-    while True:
-        drs_iterate(state, p.cfg, bsolver, p.A)
-        if stop(state):
-            break
+    try:
+        while True:
+            drs_iterate(state, p.cfg, bsolver, p.A)
+            if block is not None and len(block) >= CERT_BLOCK_ROWS:
+                block.check()
+            if stop(state):
+                break
+    except Exception:
+        # a failed certificate of an earlier step takes precedence
+        if block is not None:
+            block.check()
+        raise
+    if block is not None:
+        block.check()
     elapsed = time.perf_counter() - t0
 
     inner = sum(inner_log)

@@ -12,7 +12,7 @@ Everything lives in R^n with the standard Euclidean inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "AffineMonotone",
     "LipschitzMap",
     "CocoerciveMap",
+    "AffineCocoerciveMap",
     "project_nullspace",
     "cocoercive_enlargement",
     "transport_ergodic",
@@ -216,6 +217,35 @@ class CocoerciveMap:
         # eta = inf (F2 = 0) is admitted; NaN fails
         if not self.eta > 0:
             raise ValueError("eta must be positive")
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class AffineCocoerciveMap(CocoerciveMap):
+    """eta-cocoercive affine map z -> Q z + e.
+
+    (Q, e) is the map's one source: eval is built from it, so a step that
+    reads Q and e directly and one that calls eval evaluate the same map.
+    Both must be finite.  The caller vouches for eta, as for any
+    CocoerciveMap (1/||Q|| for a symmetric PSD Q).
+    """
+
+    eval: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    Q: np.ndarray
+    e: np.ndarray
+
+    def __post_init__(self):
+        Q = np.asarray(self.Q, dtype=float)
+        e = np.asarray(self.e, dtype=float)
+        if e.ndim != 1 or Q.shape != (e.size, e.size):
+            raise ValueError(f"Q must be n x n and e of length n, got "
+                             f"{Q.shape} and {e.shape}")
+        for name, x in (("Q", Q), ("e", e)):
+            if not np.isfinite(x).all():
+                raise ValueError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "eval", lambda z: Q.dot(z) + e)
+        super().__post_init__()
 
 
 def _check_symmetric(W: np.ndarray, name: str) -> None:

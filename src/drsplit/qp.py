@@ -30,7 +30,7 @@ import numpy as np
 
 from .baselines import estimate_beta_V, tos_iterate
 from .errors import OracleFailure
-from .operators import (BoxNormalCone, CocoerciveMap, LipschitzMap,
+from .operators import (AffineCocoerciveMap, BoxNormalCone, LipschitzMap,
                         NullspaceNormalCone, SplittableOperator,
                         _check_symmetric, _inverse_norm, slack)
 
@@ -83,11 +83,10 @@ class QpInstance:
         if w[0] < -1e-10:
             raise ValueError(f"Q has eigenvalue {w[0]} < -1e-10")
         eta = _inverse_norm(w)
-        Q, e = self.Q, self.e
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "ops", QpOperators(
             A=A, C=C, F1=None,
-            F2=CocoerciveMap(eval=lambda z: Q.dot(z) + e, eta=eta), eta=eta))
+            F2=AffineCocoerciveMap(Q=self.Q, e=self.e, eta=eta), eta=eta))
 
     @property
     def n(self) -> int:
@@ -99,7 +98,7 @@ class QpOperators:
     A: NullspaceNormalCone
     C: BoxNormalCone
     F1: LipschitzMap | None     # None: the family has no Lipschitz term
-    F2: CocoerciveMap
+    F2: AffineCocoerciveMap     # Q z + e, built from the instance's Q and e
     eta: float
 
 

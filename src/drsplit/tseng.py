@@ -10,7 +10,8 @@ outer splitting loop accept its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded)
 from .hpe import HpeStepCertificate, verify_hpe_rows
-from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
+from .operators import (AffineCocoerciveMap, CocoerciveMap, LipschitzMap,
+                        SplittableOperator)
 
 __all__ = [
     "TsengProblem",
@@ -50,7 +52,10 @@ class TsengProblem:
 
     F1 is None when there is no Lipschitz term.  Built and validated once;
     the prox center z_hat and the tolerance tau_hat change from call to
-    call and are passed to tseng_step / tseng_solve.
+    call and are passed to tseng_step / tseng_solve.  When F1 is None and
+    F2 is an AffineCocoerciveMap (Q, e), the half-step's matrix
+    G = (I - gamma Q)/2 and vector h = gamma e/2 are built here, once;
+    otherwise both are None and the step evaluates F2.
     """
 
     C: SplittableOperator
@@ -58,6 +63,8 @@ class TsengProblem:
     F2: CocoerciveMap
     gamma: float
     sigma: float
+    G: np.ndarray | None = field(init=False, compare=False, repr=False)
+    h: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -67,6 +74,13 @@ class TsengProblem:
         # allow round-off at the boundary gamma == gamma_max
         if self.gamma > gmax * (1.0 + 1e-12):
             raise ValueError(f"gamma={self.gamma} exceeds gamma_max={gmax}")
+        G = h = None
+        if self.F1 is None and isinstance(self.F2, AffineCocoerciveMap):
+            Q = self.F2.Q
+            G = (np.eye(Q.shape[0]) - self.gamma * Q) / 2.0
+            h = self.gamma * self.F2.e / 2.0
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "h", h)
 
 
 class TsengOutput(NamedTuple):
@@ -77,7 +91,8 @@ class TsengOutput(NamedTuple):
     inner_iters: int
 
 
-def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray):
+def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray,
+               c: np.ndarray | None = None):
     """One forward-backward-forward step from z_prev.
 
     z_prime = P_Omega(z_prev); the backward step goes through the
@@ -86,8 +101,23 @@ def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray):
     twice (at z_prime and at z_tilde).  Without F1 there is no domain to
     project on and no correction: F2 is evaluated at z_prev and z_tilde
     itself is returned as z_next.
+
+    Without F1 and with an affine F2 (p.G set), the resolvent's argument
+    (z_hat + z_prev - gamma F2(z_prev))/2 is formed as G z_prev + c with
+    c = z_hat/2 - h, bitwise (z_hat - gamma e)/2; it agrees with the
+    generic form to round-off.  c depends only on z_hat, so tseng_solve
+    forms it once per solve and passes it; a caller that omits it gets it
+    formed here.
     """
     gamma = p.gamma
+    G = p.G
+    if G is not None:
+        if c is None:
+            c = z_hat * 0.5 - p.h
+        w = G.dot(z_prev)
+        w += c
+        z_tilde = p.C.resolvent(gamma / 2.0, w)
+        return z_prev, z_tilde, z_tilde
     F1 = p.F1
     if F1 is None:
         w = (z_hat + z_prev - gamma * p.F2.eval(z_prev)) / 2.0
@@ -102,41 +132,104 @@ def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray):
     return z_prime, z_tilde, z_next
 
 
+class CertBlock:
+    """Inner-step certificates of one or more solves, awaiting one check.
+
+    tseng_solve adds each step it takes (z_prev, z_tilde, z_next, eps);
+    check() verifies every pending row at once through
+    hpe.verify_hpe_rows, with v = (z_prev - z_next)/gamma formed for the
+    whole block (each row bitwise that step's own), appends one
+    HpeStepCertificate per row to log, and empties the block.  A failing
+    row appends the certificates before it and raises InvariantViolation
+    naming its step, counted within its solve, and, when the block has a
+    label, the solve itself ("<label> <k>: inner step <j> ...", k counting
+    the solves added since the block was made).
+    """
+
+    def __init__(self, p: TsengProblem, log: list, label: str | None = None):
+        self.p = p
+        self.log = log
+        self.label = label
+        self.solves = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        self.prev, self.tildes, self.nexts, self.eps = [], [], [], []
+        self.starts = []    # first pending row of each solve, in order
+
+    def __len__(self) -> int:
+        return len(self.eps)
+
+    def begin(self) -> None:
+        """Mark the start of a solve: the rows added next belong to it."""
+        self.solves += 1
+        self.starts.append(len(self.eps))
+
+    def check(self) -> None:
+        eps = self.eps
+        if not eps:
+            return
+        p, prev, tildes, starts = self.p, self.prev, self.tildes, self.starts
+        Z_prev = np.array(prev)
+        V = (Z_prev - np.array(self.nexts)) / p.gamma
+        ok = verify_hpe_rows(Z_prev, np.array(tildes), V, np.array(eps),
+                             p.gamma, p.sigma)
+        self._clear()
+        k = len(eps) if ok.all() else int(ok.argmin())
+        self.log.extend(map(HpeStepCertificate, prev[:k], tildes[:k], V[:k],
+                            eps[:k], repeat(p.gamma, k), repeat(p.sigma, k)))
+        if k < len(eps):
+            i = bisect_right(starts, k) - 1     # the solve row k belongs to
+            solve = self.solves - len(starts) + 1 + i
+            where = "" if self.label is None else f"{self.label} {solve}: "
+            raise InvariantViolation(
+                f"{where}inner step {k - starts[i] + 1} failed its certificate")
+
+
 def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
-                cert_log: list | None = None) -> TsengOutput:
+                cert_log: list | CertBlock | None = None) -> TsengOutput:
     """Iterate from z0 = z_hat until the exit test fires.
 
     Exit test: ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta)
     <= tau_hat.  The start z_hat is the one the inner complexity bound
     assumes.  Without F1, z_prime is z_prev and z_next is z_tilde, so the
     two differences of the test are one vector and one squared norm
-    serves both.
+    serves both.  With p.G set, the step's constant c is formed once here.
 
-    When cert_log is a list, every inner step is certified: stepsize
-    lam = gamma, v = (z_prev - z_next)/gamma and eps =
-    ||z_prime - z_tilde||^2/(4 eta), the eps of the exit test; the
-    implied operator is B plus the strongly monotone prox term
-    (1/gamma)(. - z_hat).  The steps are checked as one block when the
-    loop ends (on exit, on budget exhaustion, or when a step raises) by
-    hpe.verify_hpe_rows, and one certificate per step is appended.  A
-    failing step appends the certificates before it and raises
-    InvariantViolation naming it, which takes precedence over the error
-    that ended the loop.
+    With a cert_log, every inner step is certified: stepsize lam = gamma,
+    v = (z_prev - z_next)/gamma and eps = ||z_prime - z_tilde||^2/(4 eta),
+    the eps of the exit test; the implied operator is B plus the strongly
+    monotone prox term (1/gamma)(. - z_hat).  When cert_log is a list, the
+    steps of this call are checked as one CertBlock when the loop ends (on
+    exit, on budget exhaustion, or when a step raises), and one
+    certificate per step is appended.  A failing step appends the
+    certificates before it and raises InvariantViolation naming it, which
+    takes precedence over the error that ended the loop.  When cert_log is
+    a CertBlock, the steps join its pending rows and its owner checks
+    them (drt_solve does so across B-solves).
 
     A step whose operator output the resolvent rejects (non-finite or of
     the wrong shape) raises ContractViolation naming the inner step.
     """
     if not tau_hat > 0:
         raise ValueError("tau_hat must be positive")
+    block = cert_log
+    if cert_log is not None and not isinstance(cert_log, CertBlock):
+        block = CertBlock(p, cert_log)      # this call's own block
+    own = block is not cert_log
     gamma = p.gamma
     eta = p.F2.eta
     one_difference = p.F1 is None
     z_hat = z = np.asarray(z_hat, dtype=float)
-    path, tildes, epsilons = [z], [], []
+    c = None if p.G is None else z_hat * 0.5 - p.h
+    if block is not None:
+        block.begin()
+        prev, tildes, nexts, epsilons = (block.prev, block.tildes,
+                                         block.nexts, block.eps)
     try:
         for j in range(1, max_inner + 1):
             try:
-                z_prime, z_tilde, z_next = tseng_step(p, z_hat, z)
+                z_prime, z_tilde, z_next = tseng_step(p, z_hat, z, c)
             except ValueError as exc:
                 raise ContractViolation(f"inner step {j}: {exc}") from exc
             d1 = z - z_next
@@ -147,9 +240,10 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
                 d2 = z_prime - z_tilde
                 d2_sq = float(d2.dot(d2))
             eps = d2_sq / (4.0 * eta)
-            if cert_log is not None:
-                path.append(z_next)
+            if block is not None:
+                prev.append(z)
                 tildes.append(z_tilde)
+                nexts.append(z_next)
                 epsilons.append(eps)
             if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:
                 break
@@ -159,24 +253,9 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
                 f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
     except Exception:
         # a failed certificate of an earlier step takes precedence
-        _certify_block(p, path, tildes, epsilons, cert_log)
+        if own:
+            block.check()
         raise
-    _certify_block(p, path, tildes, epsilons, cert_log)
+    if own:
+        block.check()
     return TsengOutput(z, z_next, z_tilde, eps, j)
-
-
-def _certify_block(p: TsengProblem, path: list, tildes: list, eps: list,
-                   cert_log: list) -> None:
-    if not eps:     # no certificate log, or no step completed
-        return
-    # step j runs from path[j] to path[j + 1]: row j of V is bitwise that
-    # step's (z_prev - z_next)/gamma, and its certificate's v is that row
-    W = np.array(path)
-    V = (W[:-1] - W[1:]) / p.gamma
-    ok = verify_hpe_rows(W[:-1], np.array(tildes), V, np.array(eps),
-                         p.gamma, p.sigma)
-    k = len(eps) if ok.all() else int(ok.argmin())
-    cert_log.extend(map(HpeStepCertificate, path[:k], tildes[:k], V[:k],
-                        eps[:k], repeat(p.gamma, k), repeat(p.sigma, k)))
-    if k < len(eps):
-        raise InvariantViolation(f"inner step {k + 1} failed its certificate")

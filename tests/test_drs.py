@@ -145,6 +145,29 @@ def test_contract_violation_raises():
                     negative_eps, A)
 
 
+def test_nan_contract_data_fails_on_the_first_call():
+    # NaN passes a test written as eps_b < 0 or lhs > tau, and then every
+    # step classifies as null until max_iter; both tests reject it at once
+    cfg = _cfg(tau0=1.0)
+    A = NullspaceNormalCone(np.array([1.0, 1.0]))
+    calls = []
+
+    def nan_eps(z_prev, tau, gamma):
+        calls.append(None)
+        return z_prev / 2.0, z_prev / 2.0, float("nan")
+
+    def nan_point(z_prev, tau, gamma):
+        calls.append(None)
+        return np.array([np.nan, 0.0]), np.zeros(2), 0.0
+
+    for bsolver, match in ((nan_eps, "eps_b=nan"), (nan_point, "tolerance")):
+        calls.clear()
+        state = DrsState.initial(np.array([2.0, 0.0]), cfg)
+        with pytest.raises(ContractViolation, match=match):
+            drs_iterate(state, cfg, bsolver, A)
+        assert len(calls) == 1 and state.k == 0
+
+
 def test_iteration_budget():
     cfg = _cfg(max_iter=2)
     A = NullspaceNormalCone(np.array([1.0]))

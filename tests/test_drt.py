@@ -11,6 +11,7 @@ from drsplit.drs import (
     drs_iterate,
 )
 from drsplit.drt import (
+    CERT_BLOCK_ROWS,
     DrtProblem,
     RunRecord,
     delta_stop,
@@ -28,6 +29,7 @@ from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                EnlargementTriple, LipschitzMap)
 from drsplit.qp import (QpInstance, generate_instance, qp_operators,
                         reference_solution, tau0_default)
+from drsplit import drt as drt_module
 from drsplit import tseng
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
 
@@ -106,7 +108,9 @@ def test_bsolver_matches_hand_inner_loop():
                 return x, b, float(d2 @ d2) / (4.0 * eta)
             z = z_next
 
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    # the generic step: the affine one (p.tseng.G) agrees to round-off
+    F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=F2, cfg=cfg)
     lib = DrsState.initial(z0, cfg)
     ref = DrsState.initial(z0, cfg)
     lib_bs = drt_bsolver(p)
@@ -379,16 +383,23 @@ def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
         assert ops.A.contains(EnlargementTriple(y, a, 0.0))
 
 
-def _mutated_at_step_3(monkeypatch, mutate):
-    # tseng_solve calls the module-level tseng_step once per inner step
+def _mutated(monkeypatch, mutations):
+    # tseng_solve calls the module-level tseng_step once per inner step;
+    # mutations maps a step number, counted over every call, to a
+    # function of that step's output
     real, calls = tseng.tseng_step, []
 
-    def step(p, z_hat, z_prev):
+    def step(*args):
         calls.append(None)
-        out = real(p, z_hat, z_prev)
-        return mutate(*out) if len(calls) == 3 else out
+        out = real(*args)
+        mutate = mutations.get(len(calls))
+        return out if mutate is None else mutate(*out)
 
     monkeypatch.setattr(tseng, "tseng_step", step)
+
+
+def _mutated_at_step_3(monkeypatch, mutate):
+    _mutated(monkeypatch, {3: mutate})
 
 
 def test_wrong_correction_at_step_3_fails_its_certificate(monkeypatch):
@@ -474,3 +485,178 @@ def test_block_verdicts_equal_the_scalar_check(family):
         if scale == 1.0:
             assert all(want)
     assert 0 < failed
+
+
+def _skew_solve_setup(max_iter=10000):
+    inst, ops, F1, S, gamma = _skew_problem()
+    z0 = initial_point(6, 0)
+    cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
+                    tau0=tau0_default(inst, z0), rho_tol=1e-6, eps_tol=1e-6,
+                    max_iter=max_iter)
+    return DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg), z0
+
+
+def _clean_skew_log():
+    # inner counts per B-solve call and every inner certificate of the
+    # clean skew-F1 solve
+    p, z0 = _skew_solve_setup()
+    counts, certs = [], []
+    bsolver = drt_bsolver(p, inner_log=counts)
+    state, stop = DrsState.initial(z0, p.cfg), delta_stop(1e-6)
+    while True:
+        drs_iterate(state, p.cfg, bsolver, p.A)
+        if stop(state):
+            break
+    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    assert record.inner == sum(counts) == len(certs) > CERT_BLOCK_ROWS
+    return counts, certs
+
+
+def _wrong_correction(zp, zt, zn):
+    return zp, zt, zt + 10.0 * (zn - zt)
+
+
+def _nonfinite(zp, zt, zn):
+    raise ValueError("point contains non-finite entries")
+
+
+def _call_and_step(counts, step):
+    # (outer B-solve call, inner step within it) of a global step number
+    starts = np.cumsum([0] + counts)
+    call = int(np.searchsorted(starts, step, side="left"))
+    return call, step - int(starts[call - 1])
+
+
+def test_failed_certificate_in_a_later_bsolve_names_call_and_step(
+        monkeypatch):
+    # the certificate rows of several B-solves are checked together: the
+    # failing row is still named by its own call and step, and the log
+    # holds exactly the certificates before it
+    counts, clean = _clean_skew_log()
+    bad = 9
+    call, step = _call_and_step(counts, bad)
+    assert call > 2 and step > 1 and bad < CERT_BLOCK_ROWS
+    _mutated(monkeypatch, {bad: _wrong_correction})
+    p, z0 = _skew_solve_setup()
+    certs = []
+    with pytest.raises(InvariantViolation,
+                       match=f"^outer B-solve call {call}: inner step {step} "
+                             "failed its certificate$"):
+        drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    assert len(certs) == bad - 1
+    for got, want in zip(certs, clean):
+        for x, y in zip(got, want):
+            assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("later", ["contract", "outer budget", "inner budget"])
+def test_failed_certificate_precedes_a_later_error(monkeypatch, later):
+    # a failed certificate still pending when a later step or call raises
+    # is reported instead of that error, as within one tseng_solve
+    counts, _ = _clean_skew_log()
+    bad = 9
+    call, step = _call_and_step(counts, bad)
+    mutations = {bad: _wrong_correction}
+    max_iter, max_inner = 10000, 1000
+    if later == "contract":
+        mutations[bad + 3] = _nonfinite
+    elif later == "outer budget":
+        max_iter = call + 1
+    else:
+        max_inner = max(counts[:call + 1]) - 1
+    _mutated(monkeypatch, mutations)
+    p, z0 = _skew_solve_setup(max_iter)
+    certs = []
+    with pytest.raises(InvariantViolation,
+                       match=f"^outer B-solve call {call}: inner step {step} "
+                             "failed") as info:
+        drt_solve(p, delta_stop(1e-6), z0=z0, max_inner=max_inner,
+                  inner_cert_log=certs)
+    assert len(certs) == bad - 1
+    # the error it displaced is its context
+    assert isinstance(info.value.__context__,
+                      ContractViolation if later == "contract"
+                      else IterationBudgetExceeded)
+
+
+def test_pending_certificates_are_checked_when_drs_iterate_raises():
+    # the outer budget ends the solve after 7 B-solves, fewer rows than a
+    # block: every step taken is checked and logged before the error
+    counts, clean = _clean_skew_log()
+    p, z0 = _skew_solve_setup(max_iter=7)
+    certs = []
+    with pytest.raises(IterationBudgetExceeded, match="max_iter=7"):
+        drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    assert len(certs) == sum(counts[:7]) < CERT_BLOCK_ROWS
+    for got, want in zip(certs, clean):
+        for x, y in zip(got, want):
+            assert_array_equal(x, y)
+
+
+def _block_rows(monkeypatch):
+    # rows per verify_hpe_rows call, and inner steps per B-solve call
+    rows, counts = [], []
+    real_rows, real_solve = tseng.verify_hpe_rows, drt_module.tseng_solve
+
+    def spy_rows(Z_prev, *args):
+        rows.append(len(Z_prev))
+        return real_rows(Z_prev, *args)
+
+    def spy_solve(*args, **kwargs):
+        out = real_solve(*args, **kwargs)
+        counts.append(out.inner_iters)
+        return out
+
+    monkeypatch.setattr(tseng, "verify_hpe_rows", spy_rows)
+    monkeypatch.setattr(drt_module, "tseng_solve", spy_solve)
+    return rows, counts
+
+
+def test_short_solve_is_checked_in_full(monkeypatch):
+    # fewer rows than a block: one check, of every step, before returning
+    rows, counts = _block_rows(monkeypatch)
+    inst, ops, cfg, z0 = _problem(n=6, seed=0)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    certs = []
+    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    assert record.iters > 1
+    assert rows == [record.inner] == [len(certs)]
+    assert record.inner < CERT_BLOCK_ROWS
+
+
+def test_blocks_span_bsolves_and_log_what_per_call_checks_log(monkeypatch):
+    # a faces n=100 solve: each check takes whole B-solves and runs as
+    # soon as CERT_BLOCK_ROWS rows are pending, and the log equals, element
+    # by element, what checking each B-solve on its own appends
+    inst, ops, cfg, z0 = _faces_problem(100, 0)
+    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    per_call = []
+    bsolver = drt_bsolver(p)
+
+    def checked_per_call(z_prev, tau, gamma):
+        tseng_solve(p.tseng, z_prev, tau, cert_log=per_call)
+        return bsolver(z_prev, tau, gamma)
+
+    state, stop = DrsState.initial(z0, cfg), delta_stop(1e-6)
+    while True:
+        drs_iterate(state, cfg, checked_per_call, ops.A)
+        if stop(state):
+            break
+    rows, counts = _block_rows(monkeypatch)
+    certs = []
+    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    assert sum(rows) == sum(counts) == record.inner == len(certs)
+    assert 1 < len(rows) < len(counts) // 4
+    ends = np.cumsum(counts).tolist()
+    done = 0
+    for i, r in enumerate(rows):
+        # every block but the last is full, and none was full one
+        # B-solve earlier
+        assert r >= CERT_BLOCK_ROWS or i == len(rows) - 1
+        done += r
+        assert done in ends
+        assert r - counts[ends.index(done)] < CERT_BLOCK_ROWS
+    assert len(per_call) == len(certs)
+    for got, want in zip(certs, per_call):
+        for x, y in zip(got, want):
+            assert_array_equal(x, y)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from drsplit.operators import (
     AffineMonotone,
     BoxNormalCone,
+    AffineCocoerciveMap,
     CocoerciveMap,
     EnlargementTriple,
     LipschitzMap,
@@ -269,6 +270,31 @@ def test_cocoercive_map_validation():
         CocoerciveMap(eval=lambda z: z, eta=float("nan"))
     # F2 = 0 (a Q = 0 instance) is cocoercive with every modulus
     assert CocoerciveMap(eval=np.zeros_like, eta=float("inf")).eta == np.inf
+
+
+def test_affine_cocoercive_map_is_built_from_q_and_e():
+    Q = np.array([[2.0, 1.0], [1.0, 2.0]])
+    e = np.array([1.0, -1.0])
+    F = AffineCocoerciveMap(Q=Q, e=e, eta=1.0 / 3.0)
+    assert F.Q is Q and F.e is e and F.eta == 1.0 / 3.0
+    z = np.array([0.5, -2.0])
+    assert_array_equal(F.eval(z), Q.dot(z) + e)
+    for bad in (np.nan, np.inf):
+        e_bad = e.copy()
+        e_bad[1] = bad
+        with pytest.raises(ValueError, match="e contains non-finite"):
+            AffineCocoerciveMap(Q=Q, e=e_bad, eta=1.0)
+        Q_bad = Q.copy()
+        Q_bad[0, 1] = bad
+        with pytest.raises(ValueError, match="Q contains non-finite"):
+            AffineCocoerciveMap(Q=Q_bad, e=e, eta=1.0)
+    with pytest.raises(ValueError, match="n x n"):
+        AffineCocoerciveMap(Q=np.eye(3), e=e, eta=1.0)
+    with pytest.raises(ValueError, match="eta"):
+        AffineCocoerciveMap(Q=Q, e=e, eta=float("nan"))
+    # eval is derived, never passed
+    with pytest.raises(TypeError):
+        AffineCocoerciveMap(eval=lambda z: z, Q=Q, e=e, eta=1.0)
 
 
 def test_cocoercive_enlargement_formula_and_inequality():

@@ -117,6 +117,12 @@ def test_instance_validation():
         with pytest.raises(ValueError, match="non-finite"):
             QpInstance(Q=ok.Q, e=ok.e, K=ok.K, lo=ok.lo, hi=hi,
                        definite=True, seed=0)
+        # F2 = Q z + e would be non-finite everywhere
+        e = ok.e.copy()
+        e[0] = bad
+        with pytest.raises(ValueError, match="e contains non-finite"):
+            QpInstance(Q=ok.Q, e=e, K=ok.K, lo=ok.lo, hi=ok.hi,
+                       definite=True, seed=0)
     # an empty box has no solution: building the instance fails, so no
     # solver ever runs on it
     reached = []

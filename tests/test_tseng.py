@@ -216,9 +216,12 @@ def test_absent_f1_matches_explicit_zero_map_bitwise():
     z_hat = rng.uniform(-5.0, 15.0, 8)
     sigma = 0.9
     gamma = gamma_max(ops.eta, 0.0, sigma)
+    # the generic step: the affine one (p.G) is checked to round-off below
+    F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta)
     outs, logs = [], []
     for F1 in (None, LipschitzMap(eval=np.zeros_like, L=0.0)):
-        p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, gamma=gamma, sigma=sigma)
+        p = TsengProblem(C=ops.C, F1=F1, F2=F2, gamma=gamma, sigma=sigma)
+        assert p.G is None
         certs = []
         outs.append(tseng_solve(p, z_hat, 1e-20, max_inner=5000,
                                 cert_log=certs))
@@ -263,19 +266,20 @@ def _reference_solve(inst, gamma, sigma, eta, z_hat, tau_hat):
     raise AssertionError("reference loop hit its budget")
 
 
-@pytest.mark.parametrize("family", ["paper", "faces"])
-def test_inner_loop_matches_textbook_reference_bitwise(family):
+def _textbook_requests(family, seed, calls, generic):
     # the (z_hat, tau_hat) requests of the first outer calls of an n=100
-    # solve; every output and certificate must equal the reference's bits
+    # solve, made through the generic step or the affine one
     n, sigma = 100, 0.99
-    inst = (generate_instance(n, True, 3) if family == "paper"
-            else _faces_instance(n, 3))
+    inst = (generate_instance(n, True, seed) if family == "paper"
+            else _faces_instance(n, seed))
     ops = qp_operators(inst)
-    z0 = initial_point(n, 3)
+    F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta) if generic else ops.F2
+    z0 = initial_point(n, seed)
     cfg = DrsConfig(gamma=2.0 * ops.eta * sigma ** 2, sigma=sigma,
                     theta=0.01, tau0=tau0_default(inst, z0), rho_tol=1e-6,
                     eps_tol=1e-6)
-    prob = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    prob = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=F2, cfg=cfg)
+    assert (prob.tseng.G is None) == generic
     bsolver = drt_bsolver(prob)
     requests = []
 
@@ -284,13 +288,22 @@ def test_inner_loop_matches_textbook_reference_bitwise(family):
         return bsolver(z_prev, tau, gamma)
 
     state = DrsState.initial(z0, cfg)
-    for _ in range(4):
+    for _ in range(calls):
         drs_iterate(state, cfg, recording, ops.A)
+    return inst, ops, cfg, prob, requests
+
+
+@pytest.mark.parametrize("family", ["paper", "faces"])
+def test_inner_loop_matches_textbook_reference_bitwise(family):
+    # on the generic step every output and certificate must equal the
+    # reference's bits
+    inst, ops, cfg, prob, requests = _textbook_requests(family, 3, 4,
+                                                        generic=True)
     steps = 0
     for z_hat, tau_hat in requests:
         certs = []
         out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=certs)
-        ref, ref_certs = _reference_solve(inst, cfg.gamma, sigma, ops.eta,
+        ref, ref_certs = _reference_solve(inst, cfg.gamma, cfg.sigma, ops.eta,
                                           z_hat, tau_hat)
         for got, want in zip(out, ref):
             assert_array_equal(got, want)
@@ -300,3 +313,52 @@ def test_inner_loop_matches_textbook_reference_bitwise(family):
                 assert_array_equal(got, w)
         steps += out.inner_iters
     assert steps > 4
+
+
+@pytest.mark.parametrize("family", ["paper", "faces"])
+def test_affine_step_matches_textbook_reference_to_round_off(family):
+    # the affine step forms w = G z + c instead of (z_hat + z - gamma
+    # F2(z))/2, so w differs from the reference's in its last bits.  The
+    # map z -> P_X(G z + c) is a (1/2)-contraction (||G|| <= 1/2 at
+    # gamma <= 2 eta), so those errors do not build up along the loop:
+    # iterates stay within BOUND of the reference's, 64 ulps of the box
+    # scale 10, and every request takes as many steps
+    BOUND = 64 * np.finfo(float).eps * 10.0
+    worst, steps = 0.0, 0
+    for seed in range(10):
+        inst, ops, cfg, prob, requests = _textbook_requests(
+            family, seed, 30, generic=False)
+        for z_hat, tau_hat in requests:
+            certs = []
+            out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=certs)
+            ref, _ = _reference_solve(inst, cfg.gamma, cfg.sigma, ops.eta,
+                                      z_hat, tau_hat)
+            assert out.inner_iters == ref[-1] == len(certs)
+            assert all(verify_hpe_inequality(c) for c in certs)
+            for got, want in zip(out[:3], ref[:3]):
+                worst = max(worst, float(np.abs(got - want).max()))
+            steps += out.inner_iters
+    assert worst <= BOUND
+    assert steps > 500
+
+
+def test_affine_step_forms_its_constant_when_not_given():
+    # c = z_hat/2 - h is bitwise (z_hat - gamma e)/2, and tseng_step
+    # forms it itself when called with three arguments
+    inst = _faces_instance(20, 4)
+    ops = qp_operators(inst)
+    gamma = gamma_max(ops.eta, 0.0, 0.99)
+    p = TsengProblem(C=ops.C, F1=None, F2=ops.F2, gamma=gamma, sigma=0.99)
+    assert_array_equal(p.G, (np.eye(20) - gamma * inst.Q) / 2.0)
+    z_hat = initial_point(20, 4)
+    c = z_hat * 0.5 - p.h
+    assert_array_equal(c, (z_hat - gamma * inst.e) / 2.0)
+    z = np.random.default_rng(4).uniform(-5.0, 5.0, 20)
+    for got, want in zip(tseng_step(p, z_hat, z), tseng_step(p, z_hat, z, c)):
+        assert_array_equal(got, want)
+    # any F1, or a non-affine F2, keeps the generic step
+    zero = LipschitzMap(eval=np.zeros_like, L=0.0)
+    generic = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta)
+    for F1, F2 in ((zero, ops.F2), (None, generic)):
+        q = TsengProblem(C=ops.C, F1=F1, F2=F2, gamma=gamma, sigma=0.99)
+        assert q.G is None and q.h is None

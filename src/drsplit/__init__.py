@@ -18,11 +18,10 @@ from .errors import (ContractViolation, InvariantViolation,
                      StateError)
 from .hpe import (HpeStepCertificate, RateEnvelope, ergodic_bound,
                   pointwise_bound, strong_rate, verify_hpe_inequality)
-from .operators import (AffineCocoerciveMap, AffineMonotone, BoxNormalCone,
-                        CocoerciveMap,
+from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
                         EnlargementTriple, LipschitzMap, NullspaceNormalCone,
                         SplittableOperator, cocoercive_enlargement,
-                        project_nullspace, transport_ergodic)
+                        project_nullspace)
 from .qp import (QpInstance, QpOperators, estimate_beta_V, estimate_eta,
                  generate_instance, qp_operators, reference_solution,
                  tau0_default)
@@ -31,7 +30,7 @@ from .tseng import TsengOutput, TsengProblem, gamma_max, tseng_solve, tseng_step
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineCocoerciveMap", "AffineMonotone", "BoxNormalCone", "CocoerciveMap", "ContractViolation",
+    "AffineCocoerciveMap", "BoxNormalCone", "CocoerciveMap", "ContractViolation",
     "DrsConfig", "DrsState", "DrtProblem", "EnlargementTriple",
     "ErgodicQuadruple", "HpeStepCertificate",
     "InvariantViolation", "IterationBudgetExceeded", "LipschitzMap",
@@ -44,6 +43,6 @@ __all__ = [
     "exact_bsolver", "gamma_max", "generate_instance", "null_step_bounds",
     "pointwise_bound", "project_nullspace", "qp_operators",
     "reference_solution", "residual_stop", "strong_rate",
-    "tau0_default", "tolerance_stop", "transport_ergodic", "tseng_solve",
+    "tau0_default", "tolerance_stop", "tseng_solve",
     "tseng_step", "verify_hpe_inequality",
 ]

@@ -18,6 +18,7 @@ truncated in place, or refused.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import stat
 import time
@@ -67,6 +68,11 @@ class BenchSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a NaN passes the range tests below, and a NaN or a fraction
+        # would reach range() and the seeds as a bare TypeError
+        for name in ("n", "instances", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.instances < 1:

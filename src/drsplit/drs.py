@@ -241,8 +241,9 @@ def check_termination(x, y, a, b, eps_a: float, eps_b: float,
                       cfg: DrsConfig) -> bool:
     """Tolerance test on a quadruple: ||x-y|| <= rho and eps_a+eps_b <= eps.
 
-    Precondition: gamma*||a+b|| = ||x-y|| to 1e-10 relative slack; a
-    violation signals a corrupted quadruple, not a negative answer.
+    Precondition: gamma*||a+b|| = ||x-y|| to ``slack(||x-y||)``, an
+    absolute 1e-10 plus a relative 1e-10*||x-y||; a violation signals a
+    corrupted quadruple, not a negative answer.
     Comparisons are inclusive.
     """
     d = np.asarray(x) - np.asarray(y)
@@ -254,22 +255,20 @@ def check_termination(x, y, a, b, eps_a: float, eps_b: float,
     return residual <= cfg.rho_tol and eps_a + eps_b <= cfg.eps_tol
 
 
-def drs_ergodic(state: DrsState, upto: int | None = None) -> ErgodicQuadruple:
-    """Uniform averages over the first `upto` extragradient indices.
+def drs_ergodic(state: DrsState) -> ErgodicQuadruple:
+    """Uniform averages over the j extragradient indices taken so far.
 
     eps_a_bar = (1/j) sum <y_l - ybar, a_l>;
     eps_b_bar = (1/j) sum (eps_b_l + <x_l - xbar, b_l>).
     Both are >= 0 up to round-off (transported enlargements).
     """
-    j = state.n_extragradient if upto is None else upto
+    j = state.n_extragradient
     if j < 1:
         raise StateError("no extragradient steps taken yet")
-    if j > state.n_extragradient:
-        raise ValueError("upto exceeds extragradient count")
     ybar, abar, eps_a_bar = _ergodic_average(
-        state.hist_y[:j], state.hist_a[:j], np.zeros(j))
+        state.hist_y, state.hist_a, np.zeros(j))
     xbar, bbar, eps_b_bar = _ergodic_average(
-        state.hist_x[:j], state.hist_b[:j], state.hist_eps_b[:j])
+        state.hist_x, state.hist_b, state.hist_eps_b)
     return ErgodicQuadruple(xbar, ybar, abar, bbar, eps_a_bar, eps_b_bar)
 
 

@@ -43,7 +43,11 @@ class HpeStepCertificate(NamedTuple):
 
 
 def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
-    """Check the relative-error inequality with 1e-10 relative slack."""
+    """Check the relative-error inequality to ``slack(rhs)``.
+
+    The slack is an absolute 1e-10 plus a relative 1e-10*rhs; near
+    convergence rhs is tiny and the absolute floor decides the verdict.
+    """
     z_prev, z_tilde, v, eps, lam, sigma = cert
     d = lam * v + z_tilde - z_prev
     lhs = float(d.dot(d)) + 2.0 * lam * eps
@@ -104,7 +108,8 @@ def pointwise_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
     Some index i <= j carries a residual v_i with
     ``||v_i|| <= rho_bound`` and eps_i with ``eps_i <= eps_bound``.
     """
-    if j < 1:
+    # written so that NaN fails, here and in the two bounds below
+    if not j >= 1:
         raise ValueError("j must be >= 1")
     s = env.sigma
     rho = env.d0 / (env.lambda_min * np.sqrt(j)) * np.sqrt((1 + s) / (1 - s))
@@ -114,7 +119,7 @@ def pointwise_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
 
 def ergodic_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
     """Ergodic O(1/j) bounds on ||vbar_j|| and ebar_j."""
-    if j < 1:
+    if not j >= 1:
         raise ValueError("j must be >= 1")
     s = env.sigma
     rho = 2.0 * env.d0 / (env.lambda_min * j)
@@ -124,7 +129,7 @@ def ergodic_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
 
 def strong_rate(env: RateEnvelope, j: int) -> tuple[float, float]:
     """Linear-decay bounds under strong monotonicity (mu > 0)."""
-    if j < 1:
+    if not j >= 1:
         raise ValueError("j must be >= 1")
     s = env.sigma
     a = env.alpha

@@ -3,8 +3,8 @@
 Resolvent-based access to maximal monotone operators, concrete resolvents
 and exact eps-enlargement membership for the cones used by the benchmark
 family (box normal cone, nullspace normal cone of a sign row), Lipschitz
-and cocoercive forward maps, and the eps-enlargement triple together with
-its transportation (convex combination) formula.
+and cocoercive forward maps, and the eps-enlargement triple with the
+enlargement of a cocoercive map evaluated off-target.
 
 Everything lives in R^n with the standard Euclidean inner product.
 """
@@ -17,20 +17,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvariantViolation
-
 __all__ = [
     "EnlargementTriple",
     "SplittableOperator",
     "BoxNormalCone",
     "NullspaceNormalCone",
-    "AffineMonotone",
     "LipschitzMap",
     "CocoerciveMap",
     "AffineCocoerciveMap",
     "project_nullspace",
     "cocoercive_enlargement",
-    "transport_ergodic",
     "slack",
 ]
 
@@ -83,6 +79,7 @@ class SplittableOperator:
         return z
 
 
+# perfbench's --trace 1 span list looks this up by name: keep it here
 def project_nullspace(K, z) -> np.ndarray:
     """Project onto the nullspace of a single +/-1 row K: z - (K.z/n) K."""
     K = _point(K)
@@ -165,29 +162,6 @@ class NullspaceNormalCone(SplittableOperator):
                    <= slack(float(np.abs(v).max())))
         return bool(in_M and along_K and -float(v @ z)
                     <= triple.eps + slack(float(np.abs(v) @ np.abs(z))))
-
-
-class AffineMonotone(SplittableOperator):
-    """Single-valued affine monotone operator z -> W z + c with W PSD."""
-
-    def __init__(self, W, c=None):
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        super().__init__(W.shape[0])
-        if W.shape[0] != W.shape[1]:
-            raise ValueError("W must be square")
-        _check_symmetric(W, "W")
-        self.W = W
-        self.c = np.zeros(self.dim) if c is None else self._check_dim(c)
-
-    def __call__(self, z):
-        return self.W @ self._check_dim(z) + self.c
-
-    def resolvent(self, gamma, z):
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_dim(z)
-        return np.linalg.solve(np.eye(self.dim) + gamma * self.W,
-                               z - gamma * self.c)
 
 
 @dataclass(frozen=True)
@@ -279,45 +253,3 @@ def cocoercive_enlargement(F2: CocoerciveMap, z_eval, z_target) -> EnlargementTr
     v = _point(F2.eval(z_eval))
     eps = float(np.dot(z_eval - z_target, z_eval - z_target)) / (4.0 * F2.eta)
     return EnlargementTriple(z_target, v, eps)
-
-
-def transport_ergodic(triples, weights) -> EnlargementTriple:
-    """Convex combination of enlargement triples (transportation formula).
-
-    Parameters
-    ----------
-    triples : sequence of EnlargementTriple
-        Points (z_l, v_l, eps_l) with v_l in T^{eps_l}(z_l).
-    weights : sequence of float
-        Nonnegative, summing to 1 within 1e-12.
-
-    Returns
-    -------
-    EnlargementTriple
-        ``(zbar, vbar, ebar)`` with ``ebar = sum_l w_l (eps_l +
-        <z_l - zbar, v_l - vbar>)``, guaranteed >= 0 up to round-off;
-        vbar belongs to T^{ebar}(zbar).
-    """
-    triples = list(triples)
-    if not triples:
-        raise ValueError("empty triple list")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(triples),):
-        raise ValueError("one weight per triple required")
-    if np.any(w < -1e-12):
-        raise ValueError("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
-
-    Z = np.stack([t.z for t in triples])
-    V = np.stack([t.v for t in triples])
-    eps = np.array([t.eps for t in triples], dtype=float)
-    zbar = w @ Z
-    vbar = w @ V
-    corr = np.einsum("ij,ij->i", Z - zbar, V - vbar)
-    ebar = float(w @ (eps + corr))
-    scale = float(w @ (np.abs(eps) + np.abs(corr)))
-    if ebar < -slack(scale):
-        raise InvariantViolation(f"transported eps is negative: {ebar}")
-    return EnlargementTriple(zbar, vbar, max(ebar, 0.0))
-

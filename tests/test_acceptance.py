@@ -16,7 +16,6 @@ from drsplit.drs import (
     NULL,
     DrsConfig,
     DrsState,
-    drs_ergodic,
     drs_iterate,
     null_step_bounds,
 )
@@ -28,10 +27,8 @@ from drsplit.hpe import (
     pointwise_bound,
     verify_hpe_inequality,
 )
-from drsplit.operators import EnlargementTriple, transport_ergodic
+from drsplit.operators import EnlargementTriple
 from drsplit.qp import (
-    box_solution,
-    drs_reference_zero,
     generate_instance,
     qp_operators,
     reference_solution,
@@ -39,6 +36,8 @@ from drsplit.qp import (
 )
 from drsplit.baselines import run_baseline
 from drsplit.tseng import TsengProblem, tseng_solve
+from oracles import (box_qp_solve, drs_reference_zero, ergodic_prefix,
+                     transport_ergodic)
 
 SIGMA = 0.99
 THETA = 0.01
@@ -95,7 +94,8 @@ def instrumented():
             if stop(state):
                 break
         z_inf, d0 = drs_reference_zero(inst, cfg.gamma, z0)
-        d0b = float(np.linalg.norm(z0 - box_solution(inst)))
+        x_box = box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi)
+        d0b = float(np.linalg.norm(z0 - x_box))
         items.append(dict(inst=inst, cfg=cfg, state=state, z0=z0, zs=zs,
                           taus=taus, inner_log=inner_log, z_inf=z_inf,
                           d0=d0, d0b=d0b))
@@ -261,7 +261,7 @@ def test_accept_07_ergodic_rate_envelope(instrumented):
         g = cfg.gamma
         env = RateEnvelope(d0=d0, lambda_min=1.0, sigma=cfg.sigma)
         for j in range(1, state.n_extragradient + 1):
-            e = drs_ergodic(state, upto=j)
+            e = ergodic_prefix(state, j)
             rho, eps = ergodic_bound(env, j)
             checked += 1
             bad = (g * float(np.linalg.norm(e.a + e.b)) > rho * (1 + 1e-10)
@@ -307,7 +307,8 @@ def test_accept_09_inner_linear_decay(instrumented):
         g = cfg.gamma
         alpha = RateEnvelope(d0=1.0, lambda_min=g, sigma=SIGMA,
                              mu=1.0 / g).alpha
-        d_zb = float(np.linalg.norm(z0 - box_solution(inst)))
+        x_box = box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi)
+        d_zb = float(np.linalg.norm(z0 - x_box))
         for tau_hat in (1e-8, cfg.tau0):
             certs = []
             p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, gamma=g,
@@ -365,7 +366,7 @@ def test_accept_10_fejer_boundedness(instrumented):
 def _ergodic_gap(state, j) -> float:
     # largest gap between drs_ergodic over the first j extragradient
     # indices and the transportation formula at weights 1/j, both halves
-    got = drs_ergodic(state, upto=j)
+    got = ergodic_prefix(state, j)
     w = np.full(j, 1.0 / j)
     want_b = transport_ergodic(
         [EnlargementTriple(x, b, e) for x, b, e in

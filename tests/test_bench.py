@@ -36,9 +36,15 @@ def _strip_time(rec):
 def test_spec_validation():
     for bad in (dict(n=0), dict(instances=0), dict(algo="pdhg"),
                 dict(stop="energy"), dict(tol=0.0), dict(tol=float("nan")),
-                dict(sigma=1.0), dict(theta=0.0), dict(seed=-1)):
+                dict(sigma=1.0), dict(theta=0.0), dict(seed=-1),
+                dict(n=float("nan")), dict(n=2.5), dict(n=4.0),
+                dict(instances=float("nan")), dict(instances=2.5),
+                dict(seed=float("nan")), dict(seed=1.5)):
         with pytest.raises(ValueError):
             BenchSpec(n=4, **bad) if "n" not in bad else BenchSpec(**bad)
+    # numpy integers are integers
+    spec = BenchSpec(n=np.int64(4), instances=np.int32(2), seed=np.uint8(3))
+    assert (spec.n, spec.instances, spec.seed) == (4, 2, 3)
 
 
 def test_initial_point_scale_and_determinism():

@@ -15,7 +15,8 @@ from drsplit.hpe import (
     strong_rate,
     verify_hpe_inequality,
 )
-from drsplit.operators import EnlargementTriple, transport_ergodic
+from drsplit.operators import EnlargementTriple
+from oracles import transport_ergodic
 
 
 def _cert(z_prev, z_tilde, v, eps, lam=1.0, sigma=0.99):
@@ -169,3 +170,7 @@ def test_rate_domain_errors():
         strong_rate(env, 1)  # mu = 0
     with pytest.raises(ValueError):
         strong_rate(RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.9, mu=1.0), 0)
+    strong = RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.9, mu=1.0)
+    for bound in (pointwise_bound, ergodic_bound, strong_rate):
+        with pytest.raises(ValueError, match="j must be"):
+            bound(strong, float("nan"))

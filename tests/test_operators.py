@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.operators import (
-    AffineMonotone,
     BoxNormalCone,
     AffineCocoerciveMap,
     CocoerciveMap,
@@ -16,9 +15,9 @@ from drsplit.operators import (
     cocoercive_enlargement,
     project_nullspace,
     slack,
-    transport_ergodic,
 )
 from drsplit.errors import InvariantViolation
+from oracles import AffineMonotone, transport_ergodic
 
 
 def test_slack_scales_with_magnitude():
@@ -356,6 +355,9 @@ def test_transport_ergodic_weight_validation():
         transport_ergodic([t, t], [0.6, 0.6])
     with pytest.raises(ValueError):
         transport_ergodic([t, t], [1.5, -0.5])
+    for w in ([np.nan, 1.0], [np.nan, np.nan]):
+        with pytest.raises(ValueError):
+            transport_ergodic([t, t], w)
 
 
 def test_transport_ergodic_rejects_structurally_negative_eps():

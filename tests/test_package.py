@@ -1,8 +1,13 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and the
+test oracles stay out of it."""
 
+import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +36,22 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(readme), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_oracles_stay_out_of_the_package():
+    tests = Path(__file__).resolve().parent
+    tree = ast.parse((tests / "oracles.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined
+    left = sorted(f"drsplit.{mod}.{name}" for mod in MODULES for name in defined
+                  if hasattr(importlib.import_module(f"drsplit.{mod}"), name))
+    assert left == []
+    # run from the tests directory, where oracles.py is importable, so a
+    # stray import in the package would load it
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, drsplit; print('oracles' in sys.modules)"],
+        cwd=tests, env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -13,12 +13,8 @@ from drsplit.drt import DrtProblem, delta_stop, drt_solve
 from drsplit.errors import OracleFailure
 from drsplit.operators import BoxNormalCone, CocoerciveMap, NullspaceNormalCone
 from drsplit.qp import (
-    BoxAffineSum,
     QpInstance,
     _tos_reference,
-    box_qp_solve,
-    box_solution,
-    drs_reference_zero,
     estimate_beta_V,
     estimate_eta,
     generate_instance,
@@ -28,6 +24,7 @@ from drsplit.qp import (
     reference_solution,
     tau0_default,
 )
+from oracles import BoxAffineSum, box_qp_solve, drs_reference_zero
 
 
 def _manual_instance(Q, e, K, lo=None, hi=None):
@@ -469,7 +466,7 @@ def test_box_qp_solve_budget():
 def test_box_solution_stationarity():
     for seed in range(6):
         inst = generate_instance(9, True, seed + 120)
-        x = box_solution(inst)
+        x = box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi)
         g = inst.Q @ x + inst.e
         # projected-gradient fixed point of the unconstrained-box problem
         assert np.max(np.abs(x - np.clip(x - g, inst.lo, inst.hi))) < 1e-9

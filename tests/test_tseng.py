@@ -10,9 +10,9 @@ from drsplit.drt import DrtProblem, drt_bsolver
 from drsplit.errors import InvariantViolation, IterationBudgetExceeded
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
-from drsplit.qp import (BoxAffineSum, QpInstance, generate_instance,
-                        qp_operators, tau0_default)
+from drsplit.qp import QpInstance, generate_instance, qp_operators, tau0_default
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
+from oracles import BoxAffineSum
 
 Z_HAT = np.array([4.0])
 

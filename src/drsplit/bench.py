@@ -18,6 +18,7 @@ truncated in place, or refused.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import os
 import stat
@@ -167,11 +168,12 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
 
 def _verify_trace_equivalence(state: DrsState, gamma: float) -> None:
     # on every extragradient step the three residual readings agree:
-    # ||z_k - z_{k-1}|| = gamma*||a+b|| = ||x - y|| to 1e-12
+    # ||z_k - z_{k-1}|| = gamma*||a+b|| = ||x - y|| to 1e-12; null steps
+    # do not move z, so z_k is the next step's start or the final state.z
+    z_after = state.hist_z_prev[1:] + [state.z]
     for idx in range(state.n_extragradient):
-        zb = state.hist_z_prev[idx]
+        zb, za = state.hist_z_prev[idx], z_after[idx]
         v = gamma * (state.hist_a[idx] + state.hist_b[idx])
-        za = zb - v
         shift = float(np.linalg.norm(za - zb))
         vnorm = float(np.linalg.norm(v))
         res = float(np.linalg.norm(state.hist_x[idx] - state.hist_y[idx]))
@@ -307,6 +309,13 @@ def write_records(records, path) -> None:
                         repr(float(r.residual)), repr(float(r.abs_err))])
 
 
+def _count(value: float) -> int:
+    # is_integer() is False for inf and nan as well as for fractions
+    if not value.is_integer():
+        raise ValueError(f"count cell {value!r} is not an integer")
+    return int(value)
+
+
 def read_records(path) -> list[RunRecord]:
     """Inverse of write_records; a nan iters cell marks an error row."""
     records = []
@@ -325,18 +334,18 @@ def read_records(path) -> list[RunRecord]:
             try:
                 instance, n = int(row[0]), int(row[2])
                 nums = [float(c) for c in row[3:]]
+                # a nan iters cell marks an error row
+                counts = (None if math.isnan(nums[0])
+                          else [_count(v) for v in nums[:5]])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            if not np.isfinite(nums[0]):
+            if counts is None:
                 records.append(RunRecord(instance=instance, algo=row[1], n=n,
                                          time_s=float("nan"),
                                          error="error row"))
                 continue
-            records.append(RunRecord(
-                instance=instance, algo=row[1], n=n, iters=int(nums[0]),
-                extragrad=int(nums[1]), null=int(nums[2]), inner=int(nums[3]),
-                f2_evals=int(nums[4]), time_s=nums[5], residual=nums[6],
-                abs_err=nums[7]))
+            # RunRecord's fields follow CSV_COLUMNS
+            records.append(RunRecord(instance, row[1], n, *counts, *nums[5:]))
     return records
 
 

@@ -58,14 +58,16 @@ class DrsConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        # written so that NaN fails; an infinite gamma or tau0 turns tau
+        # into NaN after enough null steps
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0 < self.sigma < 1:
             raise ValueError("sigma must lie in (0, 1)")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie in (0, 1)")
-        if not self.tau0 > 0:
-            raise ValueError("tau0 must be positive")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau0 must be positive and finite")
         if not (self.rho_tol > 0 and self.eps_tol > 0):
             raise ValueError("tolerances must be positive")
         # a NaN never trips the k >= max_iter budget test, and a
@@ -188,6 +190,10 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     x, b, eps_b = bsolver(z, tau_prev, gamma)
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
+    if x.shape != z.shape or b.shape != z.shape:
+        raise ContractViolation(
+            f"bsolver returned x of shape {x.shape} and b of shape "
+            f"{b.shape}, not {z.shape}")
     eps_b = float(eps_b)
     # written so that NaN fails both tests
     if not eps_b >= 0:

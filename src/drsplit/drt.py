@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,12 +39,6 @@ __all__ = [
 ]
 
 StopRule = Callable[[DrsState], bool]
-
-# pending inner certificate rows at which drt_solve checks its block after
-# a B-solve; a B-solve is never split, so a block checked mid-solve holds
-# this many rows or more, and the one checked at the end may hold fewer
-CERT_BLOCK_ROWS = 64
-
 
 @dataclass(frozen=True)
 class DrtProblem:
@@ -139,7 +134,7 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
     Receives the pre-update tolerance tau_{k-1} and prox center z_{k-1};
     every call reuses the problem's one Tseng subproblem, so gamma must be
     the problem's.  Inner iteration counts append to inner_log, and each
-    call's steps join block when given (drt_solve owns it and checks it).
+    call's steps join block when given.
     Inner budget errors and rejected operator outputs carry outer-call
     context.
     """
@@ -176,12 +171,8 @@ def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
     its inner count: each Tseng step evaluates F2 exactly once.
 
     With inner_cert_log, every inner step is certified (see tseng_solve)
-    and the steps of successive B-solves are checked together: whenever
-    CERT_BLOCK_ROWS or more are pending after a B-solve, and always before
-    the solve returns or raises.  A failing step raises InvariantViolation
-    naming its outer B-solve call and inner step, with exactly the
-    certificates before it logged; that error takes precedence over any
-    raised later in the solve.
+    and all B-solves add their steps to one CertBlock, so a failing step
+    raises InvariantViolation naming its outer B-solve call and inner step.
     """
     if state is not None and z0 is not None:
         raise ValueError("pass z0 or state, not both: a state holds its start")
@@ -196,20 +187,11 @@ def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
                           block=block)
 
     t0 = time.perf_counter()
-    try:
+    with block if block is not None else nullcontext():
         while True:
             drs_iterate(state, p.cfg, bsolver, p.A)
-            if block is not None and len(block) >= CERT_BLOCK_ROWS:
-                block.check()
             if stop(state):
                 break
-    except Exception:
-        # a failed certificate of an earlier step takes precedence
-        if block is not None:
-            block.check()
-        raise
-    if block is not None:
-        block.check()
     elapsed = time.perf_counter() - t0
 
     inner = sum(inner_log)

@@ -132,18 +132,27 @@ def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray,
     return z_prime, z_tilde, z_next
 
 
-class CertBlock:
-    """Inner-step certificates of one or more solves, awaiting one check.
+# pending rows at which a block is checked when the next solve begins; a
+# solve is never split, so a block checked then holds this many rows or
+# more, and the one checked on leaving the block may hold fewer
+CERT_BLOCK_ROWS = 64
 
-    tseng_solve adds each step it takes (z_prev, z_tilde, z_next, eps);
-    check() verifies every pending row at once through
-    hpe.verify_hpe_rows, with v = (z_prev - z_next)/gamma formed for the
-    whole block (each row bitwise that step's own), appends one
+
+class CertBlock:
+    """Inner-step certificates of one or more solves, checked together.
+
+    A context manager.  begin() opens a solve and returns the four lists
+    (z_prev, z_tilde, z_next, eps) its steps append to, first checking the
+    pending rows when CERT_BLOCK_ROWS or more wait; leaving the block
+    checks the rest.  check() verifies the pending rows in one
+    hpe.verify_hpe_rows pass, with v = (z_prev - z_next)/gamma formed for
+    the block (each row bitwise that step's own), appends one
     HpeStepCertificate per row to log, and empties the block.  A failing
-    row appends the certificates before it and raises InvariantViolation
-    naming its step, counted within its solve, and, when the block has a
-    label, the solve itself ("<label> <k>: inner step <j> ...", k counting
-    the solves added since the block was made).
+    row logs the certificates before it and raises InvariantViolation
+    naming its step within its solve and, when the block has a label, the
+    solve ("<label> <k>: inner step <j> ...", k counting the solves begun
+    in this block).  Raised on leaving, that error replaces the one that
+    ended the block, which becomes its __context__.
     """
 
     def __init__(self, p: TsengProblem, log: list, label: str | None = None):
@@ -157,13 +166,19 @@ class CertBlock:
         self.prev, self.tildes, self.nexts, self.eps = [], [], [], []
         self.starts = []    # first pending row of each solve, in order
 
-    def __len__(self) -> int:
-        return len(self.eps)
+    def __enter__(self) -> CertBlock:
+        return self
 
-    def begin(self) -> None:
-        """Mark the start of a solve: the rows added next belong to it."""
+    def __exit__(self, *exc_info) -> None:
+        self.check()
+
+    def begin(self) -> tuple[list, list, list, list]:
+        """Start a solve: the rows appended next belong to it."""
+        if len(self.eps) >= CERT_BLOCK_ROWS:
+            self.check()
         self.solves += 1
         self.starts.append(len(self.eps))
+        return self.prev, self.tildes, self.nexts, self.eps
 
     def check(self) -> None:
         eps = self.eps
@@ -199,63 +214,47 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     With a cert_log, every inner step is certified: stepsize lam = gamma,
     v = (z_prev - z_next)/gamma and eps = ||z_prime - z_tilde||^2/(4 eta),
     the eps of the exit test; the implied operator is B plus the strongly
-    monotone prox term (1/gamma)(. - z_hat).  When cert_log is a list, the
-    steps of this call are checked as one CertBlock when the loop ends (on
-    exit, on budget exhaustion, or when a step raises), and one
-    certificate per step is appended.  A failing step appends the
-    certificates before it and raises InvariantViolation naming it, which
-    takes precedence over the error that ended the loop.  When cert_log is
-    a CertBlock, the steps join its pending rows and its owner checks
-    them (drt_solve does so across B-solves).
+    monotone prox term (1/gamma)(. - z_hat).  The steps join a CertBlock
+    (see there): cert_log itself, or, when cert_log is a list, a block of
+    this call alone, checked when the call returns or raises.
 
     A step whose operator output the resolvent rejects (non-finite or of
     the wrong shape) raises ContractViolation naming the inner step.
     """
+    if cert_log is not None and not isinstance(cert_log, CertBlock):
+        with CertBlock(p, cert_log) as block:
+            return tseng_solve(p, z_hat, tau_hat, max_inner, block)
     if not tau_hat > 0:
         raise ValueError("tau_hat must be positive")
-    block = cert_log
-    if cert_log is not None and not isinstance(cert_log, CertBlock):
-        block = CertBlock(p, cert_log)      # this call's own block
-    own = block is not cert_log
     gamma = p.gamma
     eta = p.F2.eta
     one_difference = p.F1 is None
     z_hat = z = np.asarray(z_hat, dtype=float)
     c = None if p.G is None else z_hat * 0.5 - p.h
-    if block is not None:
-        block.begin()
-        prev, tildes, nexts, epsilons = (block.prev, block.tildes,
-                                         block.nexts, block.eps)
-    try:
-        for j in range(1, max_inner + 1):
-            try:
-                z_prime, z_tilde, z_next = tseng_step(p, z_hat, z, c)
-            except ValueError as exc:
-                raise ContractViolation(f"inner step {j}: {exc}") from exc
-            d1 = z - z_next
-            d1_sq = float(d1.dot(d1))
-            if one_difference:
-                d2_sq = d1_sq
-            else:
-                d2 = z_prime - z_tilde
-                d2_sq = float(d2.dot(d2))
-            eps = d2_sq / (4.0 * eta)
-            if block is not None:
-                prev.append(z)
-                tildes.append(z_tilde)
-                nexts.append(z_next)
-                epsilons.append(eps)
-            if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:
-                break
-            z = z_next
+    if cert_log is not None:
+        prev, tildes, nexts, epsilons = cert_log.begin()
+    for j in range(1, max_inner + 1):
+        try:
+            z_prime, z_tilde, z_next = tseng_step(p, z_hat, z, c)
+        except ValueError as exc:
+            raise ContractViolation(f"inner step {j}: {exc}") from exc
+        d1 = z - z_next
+        d1_sq = float(d1.dot(d1))
+        if one_difference:
+            d2_sq = d1_sq
         else:
-            raise IterationBudgetExceeded(
-                f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
-    except Exception:
-        # a failed certificate of an earlier step takes precedence
-        if own:
-            block.check()
-        raise
-    if own:
-        block.check()
+            d2 = z_prime - z_tilde
+            d2_sq = float(d2.dot(d2))
+        eps = d2_sq / (4.0 * eta)
+        if cert_log is not None:
+            prev.append(z)
+            tildes.append(z_tilde)
+            nexts.append(z_next)
+            epsilons.append(eps)
+        if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:
+            break
+        z = z_next
+    else:
+        raise IterationBudgetExceeded(
+            f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
     return TsengOutput(z, z_next, z_tilde, eps, j)

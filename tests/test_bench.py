@@ -24,8 +24,11 @@ from drsplit.bench import (
     write_records,
     write_summary_csv,
 )
+import drsplit.drt as drt_module
+from drsplit.drs import EXTRAGRADIENT
 from drsplit.drt import RunRecord
-from drsplit.errors import IterationBudgetExceeded, ParseError
+from drsplit.errors import (InvariantViolation, IterationBudgetExceeded,
+                            ParseError)
 from drsplit.operators import CocoerciveMap
 
 
@@ -201,6 +204,23 @@ def test_trace_file_contents(tmp_path):
     assert set(steps) <= {"extragradient", "null"}
     # per block, k counts 1..iters
     assert ks[:records[0].iters] == list(range(1, records[0].iters + 1))
+
+
+def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
+    # the first extragradient step of every solve moves z 1% too far; a, b,
+    # x and y still agree, so only the stored iterate shows the fault
+    real = drt_module.drs_iterate
+
+    def overshoot(state, cfg, bsolver, A):
+        real(state, cfg, bsolver, A)
+        if state.last_step == EXTRAGRADIENT and state.n_extragradient == 1:
+            state.z = state.z_prev + 1.01 * (state.z - state.z_prev)
+        return state
+
+    monkeypatch.setattr(drt_module, "drs_iterate", overshoot)
+    with pytest.raises(InvariantViolation,
+                       match="^extragradient step 1: residual readings"):
+        run_batch(BenchSpec(n=20, instances=5), trace_path=tmp_path / "t")
 
 
 def test_trace_rewrite_replaces_the_file(tmp_path):
@@ -385,6 +405,17 @@ def test_read_records_rejects_bad_input(tmp_path):
     with pytest.raises(ParseError) as ei:
         read_records(p)
     assert ei.value.lineno == 2
+    # only a nan iters cell marks an error row; every other count cell
+    # holds an integer
+    for counts in ("5.7,3,2,6,6", "5,inf,2,6,6", "5,nan,2,6,6",
+                   "5,3,2,6,-inf"):
+        p.write_text(",".join(CSV_COLUMNS) + "\n0,drt,3,5,3,2,6,6,0.1,0,0\n"
+                     f"1,drt,3,{counts},0.1,0,0\n")
+        with pytest.raises(ParseError, match="^line 3: count cell") as ei:
+            read_records(p)
+        assert ei.value.lineno == 3
+    p.write_text(",".join(CSV_COLUMNS) + "\n0,drt,3,5.0,3,2,6,6,0.1,0,0\n")
+    assert read_records(p)[0].iters == 5
 
 
 def test_summary_csv(tmp_path):

@@ -53,6 +53,11 @@ def test_config_validation():
     for field in ("gamma", "tau0", "rho_tol", "eps_tol"):
         with pytest.raises(ValueError):
             _cfg(**{field: float("nan")})
+    # an infinite gamma or tau0 turns tau into NaN after enough null steps
+    for field in ("gamma", "tau0"):
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                _cfg(**{field: bad})
     # with NaN the k >= max_iter budget test never fires
     for bad in (float("nan"), 2.5, float("inf")):
         with pytest.raises(ValueError, match="max_iter"):
@@ -167,6 +172,29 @@ def test_nan_contract_data_fails_on_the_first_call():
         with pytest.raises(ContractViolation, match=match):
             drs_iterate(state, cfg, bsolver, A)
         assert len(calls) == 1 and state.k == 0
+
+
+def test_bsolver_output_of_the_wrong_shape_fails_on_the_first_call():
+    # x or b of another shape than z broadcasts through the contract and
+    # the relative-error test, and a scalar x reaches the ergodic averages
+    cfg = _cfg()
+    A = NullspaceNormalCone(np.ones(3))
+    z0 = np.array([2.0, -1.0, 0.5])
+    short = np.array([1.0])
+    cases = (
+        (lambda z, tau, g: (short, z - short, 0.0),
+         r"\(1,\) and b .* \(3,\)"),
+        (lambda z, tau, g: (1.0, z - 1.0, 0.0), r"\(\) and b .* \(3,\)"),
+        (lambda z, tau, g: (z / 2.0, z[:1] / 2.0, 0.0),
+         r"\(3,\) and b .* \(1,\)"),
+    )
+    for bsolver, shapes in cases:
+        state = DrsState.initial(z0, cfg)
+        with pytest.raises(ContractViolation,
+                           match=rf"^bsolver returned x of shape {shapes}, "
+                                 r"not \(3,\)$"):
+            drs_iterate(state, cfg, bsolver, A)
+        assert state.k == 0
 
 
 def test_iteration_budget():

@@ -11,7 +11,6 @@ from drsplit.drs import (
     drs_iterate,
 )
 from drsplit.drt import (
-    CERT_BLOCK_ROWS,
     DrtProblem,
     RunRecord,
     delta_stop,
@@ -31,7 +30,8 @@ from drsplit.qp import (QpInstance, generate_instance, qp_operators,
                         reference_solution, tau0_default)
 from drsplit import drt as drt_module
 from drsplit import tseng
-from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
+from drsplit.tseng import (CERT_BLOCK_ROWS, TsengProblem, gamma_max,
+                           tseng_solve, tseng_step)
 
 
 def _problem(n=6, seed=0, sigma=0.99, theta=0.01, tol=1e-6, z0=None):

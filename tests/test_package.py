@@ -38,6 +38,37 @@ def test_readme_quick_start_runs(capsys):
     assert capsys.readouterr().out
 
 
+def _unused_imports(source: str) -> list[str]:
+    # names a module imports and neither reads nor lists in __all__
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_import_scan_finds_a_stray_name():
+    src = "import math, os\nfrom numpy import array as arr, zeros\n" \
+          "__all__ = ['zeros']\nprint(os.sep)\n"
+    assert _unused_imports(src) == ["arr", "math"]
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_module_imports_are_used(name):
+    path = Path(drsplit.__file__).with_name(f"{name}.py")
+    assert _unused_imports(path.read_text()) == []
+
+
 def test_oracles_stay_out_of_the_package():
     tests = Path(__file__).resolve().parent
     tree = ast.parse((tests / "oracles.py").read_text())

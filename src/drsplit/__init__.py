@@ -8,9 +8,9 @@ benchmark harness reproduces the box/equality-constrained QP experiments
 (see the drsplit-bench console script).
 """
 
-from .drs import (DrsConfig, DrsState, ErgodicQuadruple, Quadruple,
-                  check_termination, drs_ergodic, drs_iterate, embed_hpe,
-                  exact_bsolver, null_step_bounds)
+from .drs import (DrsConfig, DrsState, Quadruple, check_termination,
+                  drs_ergodic, drs_iterate, embed_hpe, exact_bsolver,
+                  null_step_bounds)
 from .drt import (DrtProblem, RunRecord, delta_stop, drt_bsolver, drt_solve,
                   residual_stop, tolerance_stop)
 from .errors import (ContractViolation, InvariantViolation,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineCocoerciveMap", "BoxNormalCone", "CocoerciveMap", "ContractViolation",
     "DrsConfig", "DrsState", "DrtProblem", "EnlargementTriple",
-    "ErgodicQuadruple", "HpeStepCertificate",
+    "HpeStepCertificate",
     "InvariantViolation", "IterationBudgetExceeded", "LipschitzMap",
     "NullspaceNormalCone", "OracleFailure", "ParseError", "QpInstance",
     "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",

@@ -77,14 +77,14 @@ def rfdrs_iterate(z, inst: QpInstance, gamma: float):
 
 
 def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
-                 max_iter: int = 10 ** 6, instance_id: int = -1,
-                 z_star=None):
+                 max_iter: int = 10 ** 6):
     """Drive a baseline until ||z+ - z|| <= tol.
 
     At unit relaxation the displacement is the fixed-point residual, which
     the record reports.  Returns (record, solution) where the solution is
     the scheme's own solution-approximating block: P_X(z) for TOS, P_M(z)
-    for rFDRS.  abs_err, when z_star is given, is ||solution - z_star||.
+    for rFDRS.  The record's instance is -1 and its abs_err nan;
+    bench.run_single fills both.
     A step whose resolvent rejects its input (a non-finite operator
     output) raises ContractViolation naming the algorithm and iteration.
     """
@@ -114,10 +114,6 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
         raise ContractViolation(f"{algo} iteration {iters + 1}: {exc}") from exc
     elapsed = time.perf_counter() - t0
     sol = block.resolvent(gamma, z)
-    abs_err = float("nan")
-    if z_star is not None:
-        abs_err = float(np.linalg.norm(sol - np.asarray(z_star, dtype=float)))
-    rec = RunRecord(instance=instance_id, algo=algo, n=inst.n, iters=iters,
-                    extragrad=0, null=0, inner=0, f2_evals=iters,
-                    time_s=elapsed, residual=resid, abs_err=abs_err)
+    rec = RunRecord(algo=algo, n=inst.n, iters=iters, extragrad=0, null=0,
+                    inner=0, f2_evals=iters, time_s=elapsed, residual=resid)
     return rec, sol

@@ -23,7 +23,7 @@ import numbers
 import os
 import stat
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,8 +48,7 @@ __all__ = [
     "summary_csv_path",
 ]
 
-CSV_COLUMNS = ("instance", "algo", "n", "iters", "extragrad", "null",
-               "inner", "f2_evals", "time_s", "residual", "abs_err")
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name != "error")
 _NUMERIC_COLUMNS = CSV_COLUMNS[3:]
 
 _ALGOS = ("drt", "rfdrs", "tos")
@@ -128,8 +127,9 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
     stats, when given, accumulates "estimate_time_s" (instance
     construction, whose eigendecomposition yields eta, plus the baseline
     step, which computes beta for rfdrs), excluded from the record's wall
-    time.  abs_err is the distance of the solution block (quad.x for drt,
-    the baseline's solution otherwise) to the reference solution.
+    time.  This is where every record gets its instance and abs_err, the
+    distance of the solution block (quad.x for drt, the baseline's
+    solution otherwise) to the reference solution.
     """
     seed = spec.seed + i
     t0 = time.perf_counter()
@@ -153,17 +153,17 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
             else residual_stop(spec.tol)
         state = DrsState.initial(z0, cfg)
         rec, quad = drt_solve(prob, stop, state=state)
-        rec.instance = i
-        if z_star is not None:
-            rec.abs_err = float(np.linalg.norm(quad.x - z_star))
-        return SingleResult(rec, quad.x, state=state, gamma=gamma)
-
-    t0 = time.perf_counter()
-    rec, sol = run_baseline(inst, spec.algo, spec.tol, z0=z0,
-                            instance_id=i, z_star=z_star)
-    # run_baseline computes its step before its timer
-    _tally(stats, time.perf_counter() - t0 - rec.time_s)
-    return SingleResult(rec, sol)
+        result = SingleResult(rec, quad.x, state=state, gamma=gamma)
+    else:
+        t0 = time.perf_counter()
+        rec, sol = run_baseline(inst, spec.algo, spec.tol, z0=z0)
+        # run_baseline computes its step before its timer
+        _tally(stats, time.perf_counter() - t0 - rec.time_s)
+        result = SingleResult(rec, sol)
+    rec.instance = i
+    if z_star is not None:
+        rec.abs_err = float(np.linalg.norm(result.solution - z_star))
+    return result
 
 
 def _verify_trace_equivalence(state: DrsState, gamma: float) -> None:
@@ -344,7 +344,7 @@ def read_records(path) -> list[RunRecord]:
                                          time_s=float("nan"),
                                          error="error row"))
                 continue
-            # RunRecord's fields follow CSV_COLUMNS
+            # CSV_COLUMNS are RunRecord's fields in order
             records.append(RunRecord(instance, row[1], n, *counts, *nums[5:]))
     return records
 

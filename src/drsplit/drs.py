@@ -28,7 +28,6 @@ __all__ = [
     "DrsConfig",
     "DrsState",
     "Quadruple",
-    "ErgodicQuadruple",
     "TraceRecord",
     "BSolver",
     "exact_bsolver",
@@ -78,14 +77,8 @@ class DrsConfig:
 
 
 class Quadruple(NamedTuple):
-    x: np.ndarray
-    y: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    eps_b: float
+    """a in A^{eps_a}(y), b in B^{eps_b}(x); eps_a = 0 for an iterate."""
 
-
-class ErgodicQuadruple(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     a: np.ndarray
@@ -208,7 +201,7 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     w = x - gb
     y = A.resolvent(gamma, w)
     a = (w - y) / gamma
-    quad = Quadruple(x, y, a, b, eps_b)
+    quad = Quadruple(x, y, a, b, 0.0, eps_b)
     d = x - y
     residual = math.sqrt(float(d.dot(d)))
 
@@ -243,25 +236,31 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     return state
 
 
-def check_termination(x, y, a, b, eps_a: float, eps_b: float,
-                      cfg: DrsConfig) -> bool:
+def check_termination(q: Quadruple, cfg: DrsConfig) -> bool:
     """Tolerance test on a quadruple: ||x-y|| <= rho and eps_a+eps_b <= eps.
 
-    Precondition: gamma*||a+b|| = ||x-y|| to ``slack(||x-y||)``, an
-    absolute 1e-10 plus a relative 1e-10*||x-y||; a violation signals a
-    corrupted quadruple, not a negative answer.
+    Serves the iterate (eps_a = 0) and the ergodic average alike.
+    Preconditions: eps_a, eps_b >= 0 and gamma*||a+b|| = ||x-y|| to
+    ``slack(||x-y||)``, an absolute 1e-10 plus a relative 1e-10*||x-y||;
+    a violation, NaN included, signals a corrupted quadruple, not a
+    negative answer, and raises ContractViolation.
     Comparisons are inclusive.
     """
+    x, y, a, b, eps_a, eps_b = q
+    # written so that NaN fails
+    if not (eps_a >= 0 and eps_b >= 0):
+        raise ContractViolation(
+            f"enlargements eps_a={eps_a}, eps_b={eps_b} are not both >= 0")
     d = np.asarray(x) - np.asarray(y)
     v = np.asarray(a) + np.asarray(b)
     residual = math.sqrt(float(d.dot(d)))
     vnorm = cfg.gamma * math.sqrt(float(v.dot(v)))
-    if abs(vnorm - residual) > slack(residual):
+    if not abs(vnorm - residual) <= slack(residual):
         raise ContractViolation("gamma*||a+b|| deviates from ||x-y||")
     return residual <= cfg.rho_tol and eps_a + eps_b <= cfg.eps_tol
 
 
-def drs_ergodic(state: DrsState) -> ErgodicQuadruple:
+def drs_ergodic(state: DrsState) -> Quadruple:
     """Uniform averages over the j extragradient indices taken so far.
 
     eps_a_bar = (1/j) sum <y_l - ybar, a_l>;
@@ -275,14 +274,14 @@ def drs_ergodic(state: DrsState) -> ErgodicQuadruple:
         state.hist_y, state.hist_a, np.zeros(j))
     xbar, bbar, eps_b_bar = _ergodic_average(
         state.hist_x, state.hist_b, state.hist_eps_b)
-    return ErgodicQuadruple(xbar, ybar, abar, bbar, eps_a_bar, eps_b_bar)
+    return Quadruple(xbar, ybar, abar, bbar, eps_a_bar, eps_b_bar)
 
 
 def _ergodic_average(zs, vs, eps) -> tuple[np.ndarray, np.ndarray, float]:
     # (zbar, vbar, ebar) in the expanded correction form
     # ebar = (1/j) sum_l (eps_l + <z_l - zbar, v_l>); ebar >= 0 up to
     # round-off when each v_l lies in T^{eps_l}(z_l), so a clearly
-    # negative value raises
+    # negative value raises, and so does NaN
     Z = np.stack(zs)
     V = np.stack(vs)
     eps = np.asarray(eps, dtype=float)
@@ -292,8 +291,9 @@ def _ergodic_average(zs, vs, eps) -> tuple[np.ndarray, np.ndarray, float]:
     corr = np.einsum("ij,ij->i", Z - zbar, V)
     ebar = float((eps + corr).sum()) / j
     scale = float((np.abs(eps) + np.abs(corr)).sum()) / j
-    if ebar < -slack(scale):
-        raise InvariantViolation(f"negative ergodic enlargement: {ebar}")
+    if not ebar >= -slack(scale):
+        raise InvariantViolation(
+            f"negative or NaN ergodic enlargement: {ebar}")
     return zbar, vbar, max(ebar, 0.0)
 
 
@@ -305,7 +305,7 @@ def embed_hpe(state: DrsState, cfg: DrsConfig) -> HpeStepCertificate:
     """
     if state.last is None or state.last_step != EXTRAGRADIENT:
         raise StateError("certificate requires a completed extragradient step")
-    x, y, a, b, eps_b = state.last
+    x, y, a, b, _, eps_b = state.last
     gamma = cfg.gamma
     cert = HpeStepCertificate(
         z_prev=state.z_prev,

@@ -63,7 +63,7 @@ class DrtProblem:
 
 @dataclass
 class RunRecord:
-    """Per-solve telemetry; field order matches the benchmark CSV schema."""
+    """Per-solve telemetry; all fields but error are the CSV columns."""
 
     instance: int = -1
     algo: str = "drt"
@@ -82,21 +82,15 @@ class RunRecord:
 def tolerance_stop(cfg: DrsConfig) -> StopRule:
     """Tolerance rule, pointwise first, then ergodic.
 
-    Pointwise: ||x-y|| <= rho_tol and eps_b <= eps_tol (eps_a = 0) on the
-    freshest quadruple.  Ergodic: the same test on the uniform
-    extragradient averages.
+    check_termination on the freshest quadruple (eps_a = 0), then on the
+    uniform extragradient averages.
     """
 
     def fired(state: DrsState) -> bool:
-        if state.last is None:
-            return False
-        x, y, a, b, eps_b = state.last
-        if check_termination(x, y, a, b, 0.0, eps_b, cfg):
-            return True
-        if state.n_extragradient < 1:
-            return False
-        e = drs_ergodic(state)
-        return check_termination(e.x, e.y, e.a, e.b, e.eps_a, e.eps_b, cfg)
+        return state.last is not None and (
+            check_termination(state.last, cfg)
+            or (state.n_extragradient >= 1
+                and check_termination(drs_ergodic(state), cfg)))
 
     return fired
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from drsplit.drs import DrsState, ErgodicQuadruple, drs_ergodic
+from drsplit.drs import DrsState, Quadruple, drs_ergodic
 from drsplit.errors import InvariantViolation, OracleFailure
 from drsplit.operators import (EnlargementTriple, SplittableOperator,
                                _check_symmetric, slack)
@@ -156,7 +156,7 @@ def transport_ergodic(triples, weights) -> EnlargementTriple:
     return EnlargementTriple(zbar, vbar, max(ebar, 0.0))
 
 
-def ergodic_prefix(state: DrsState, j: int) -> ErgodicQuadruple:
+def ergodic_prefix(state: DrsState, j: int) -> Quadruple:
     """drs_ergodic over the first j extragradient indices of state.
 
     Builds a state whose history is the first j entries of state's and

@@ -30,6 +30,7 @@ from drsplit.drt import RunRecord
 from drsplit.errors import (InvariantViolation, IterationBudgetExceeded,
                             ParseError)
 from drsplit.operators import CocoerciveMap
+from drsplit.qp import generate_instance, reference_solution
 
 
 def _strip_time(rec):
@@ -76,11 +77,17 @@ def test_run_single_drt():
 
 
 def test_run_single_baseline():
-    spec = BenchSpec(n=4, instances=1, algo="tos", seed=11)
-    res = run_single(spec, 0)
-    assert res.record.algo == "tos"
-    assert res.state is None
-    assert np.isfinite(res.record.abs_err)
+    # run_single, not run_baseline, fills instance and abs_err
+    z_star = reference_solution(generate_instance(4, True, 13))
+    for algo in ("tos", "rfdrs"):
+        spec = BenchSpec(n=4, instances=3, algo=algo, seed=11)
+        res = run_single(spec, 2)
+        assert res.record.algo == algo
+        assert res.record.instance == 2
+        assert res.state is None
+        assert np.isfinite(res.record.abs_err)
+        assert res.record.abs_err == float(
+            np.linalg.norm(res.solution - z_star))
 
 
 @pytest.mark.parametrize("algo", ["drt", "tos", "rfdrs"])

@@ -9,6 +9,7 @@ from drsplit.drs import (
     NULL,
     DrsConfig,
     DrsState,
+    Quadruple,
     check_termination,
     drs_ergodic,
     drs_iterate,
@@ -79,7 +80,7 @@ def test_one_dimensional_exact_run():
         assert state.k == k
         assert state.last_step == EXTRAGRADIENT
         assert state.residual == pytest.approx(want, rel=1e-12)
-        x, y, a, b, eps_b = state.last
+        x, y, a, b, _, eps_b = state.last
         assert x[0] == pytest.approx(want, rel=1e-12)
         assert b[0] == pytest.approx(want, rel=1e-12)
         assert_allclose(y, [0.0], atol=1e-15)
@@ -221,7 +222,7 @@ def test_residual_identity_every_step():
     bs = exact_bsolver(B)
     for _ in range(20):
         drs_iterate(state, cfg, bs, A)
-        x, y, a, b, _ = state.last
+        x, y, a, b, _, _ = state.last
         lhs = gamma * np.linalg.norm(a + b)
         assert lhs == pytest.approx(np.linalg.norm(x - y), abs=1e-11)
 
@@ -232,13 +233,21 @@ def test_check_termination():
     y = np.zeros(2)
     a = np.zeros(2)
     b = np.array([0.3, 0.0])
-    assert check_termination(x, y, a, b, 0.0, 0.05, cfg)
-    assert not check_termination(x, y, a, b, 0.0, 0.2, cfg)  # eps too big
+    assert check_termination(Quadruple(x, y, a, b, 0.0, 0.05), cfg)
+    # eps_a + eps_b too big
+    assert not check_termination(Quadruple(x, y, a, b, 0.0, 0.2), cfg)
+    assert not check_termination(Quadruple(x, y, a, b, 0.06, 0.05), cfg)
     big = np.array([0.8, 0.0])
-    assert not check_termination(big, y, a, big, 0.0, 0.0, cfg)
-    # corrupted quadruple: identity broken
-    with pytest.raises(ContractViolation):
-        check_termination(x, y, a, np.array([9.0, 0.0]), 0.0, 0.0, cfg)
+    assert not check_termination(Quadruple(big, y, a, big, 0.0, 0.0), cfg)
+    # a corrupted quadruple raises rather than reading "not yet": identity
+    # broken, a NaN entry, a NaN or negative enlargement
+    for q in (Quadruple(x, y, a, np.array([9.0, 0.0]), 0.0, 0.0),
+              Quadruple(np.array([np.nan, 0.0]), y, a, b, 0.0, 0.0),
+              Quadruple(x, y, a, b, 0.0, float("nan")),
+              Quadruple(x, y, a, b, float("nan"), 0.0),
+              Quadruple(x, y, a, b, -0.01, 0.05)):
+        with pytest.raises(ContractViolation):
+            check_termination(q, cfg)
 
 
 def test_ergodic_averages_and_guards():
@@ -273,7 +282,7 @@ def test_embed_hpe_certificate():
     drs_iterate(state, cfg, bs, A)
     cert = embed_hpe(state, cfg)
     assert cert.lam == 1.0
-    x, y, a, b, eps_b = state.last
+    x, y, a, b, _, eps_b = state.last
     assert_allclose(cert.z_tilde, y + cfg.gamma * b, atol=1e-14)
     assert_allclose(cert.v, cfg.gamma * (a + b), atol=1e-14)
     assert cert.eps == pytest.approx(cfg.gamma * eps_b)

@@ -8,6 +8,9 @@ from drsplit.drs import (
     EXTRAGRADIENT,
     DrsConfig,
     DrsState,
+    Quadruple,
+    check_termination,
+    drs_ergodic,
     drs_iterate,
 )
 from drsplit.drt import (
@@ -136,6 +139,35 @@ def test_stop_rules():
     assert not delta_stop(1e9)(state)
     assert not residual_stop(1e9)(state)
     assert not tolerance_stop(cfg)(state)
+
+
+def test_tolerance_stop_falls_back_to_the_ergodic_average():
+    # two extragradient steps; the last has ||x - y|| = 1 > rho_tol, and
+    # their average is the zero quadruple with eps_a = 0 and eps_b the
+    # steps' common eps_b (the corrections <x_l - xbar, b_l> vanish)
+    cfg = DrsConfig(gamma=1.0, sigma=0.5, theta=0.5, tau0=1.0, rho_tol=0.5,
+                    eps_tol=0.1)
+    xs = [np.array([0.0, 1.0]), np.array([0.0, -1.0])]
+    bs = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+    as_ = [np.zeros(2), np.zeros(2)]
+    ys = [x - b for x, b in zip(xs, bs)]    # gamma*(a + b) = x - y
+
+    def state(eps_b, steps=2):
+        s = DrsState(np.zeros(2), cfg.tau0)
+        s.hist_x, s.hist_y = xs[:steps], ys[:steps]
+        s.hist_a, s.hist_b = as_[:steps], bs[:steps]
+        s.hist_eps_b = [eps_b] * steps
+        s.last = Quadruple(xs[1], ys[1], as_[1], bs[1], 0.0, eps_b)
+        return s
+
+    stop = tolerance_stop(cfg)
+    assert not check_termination(state(0.0).last, cfg)
+    assert check_termination(drs_ergodic(state(0.0)), cfg)
+    assert stop(state(0.0))
+    # eps_b above eps_tol: the average fails too, and the rule does not fire
+    assert not stop(state(0.3))
+    # without extragradient history only the last quadruple is tested
+    assert not stop(state(0.0, steps=0))
 
 
 def test_delta_stop_ignores_null_steps():

@@ -93,6 +93,9 @@ def test_accumulator_flags_negative_ergodic_eps():
     v = [-zl for zl in z]
     with pytest.raises(InvariantViolation):
         drs_ergodic(_history(z, v, [0.0, 0.0], z, v))
+    # a NaN enlargement in the history is no smaller than zero either
+    with pytest.raises(InvariantViolation, match="NaN"):
+        drs_ergodic(_history(z, z, [float("nan"), 0.0], z, z))
 
 
 def test_rate_envelope_alpha_frozen():

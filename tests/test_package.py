@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import drsplit
+from drsplit.qp import kkt_check
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(drsplit.__path__))
 
@@ -31,11 +32,15 @@ def test_module_all_resolves(name):
 
 
 def test_readme_quick_start_runs(capsys):
+    # the one python block of the README runs as written, and its solve
+    # ends at a KKT point of its instance
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
     assert len(blocks) == 1
-    exec(compile(blocks[0], str(readme), "exec"), {})
+    ns = {}
+    exec(compile(blocks[0], str(readme), "exec"), ns)
     assert capsys.readouterr().out
+    assert kkt_check(ns["inst"], ns["quad"].x, 1e-5)
 
 
 def _unused_imports(source: str) -> list[str]:

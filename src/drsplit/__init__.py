@@ -23,8 +23,8 @@ from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
                         SplittableOperator, cocoercive_enlargement,
                         project_nullspace)
 from .qp import (QpInstance, QpOperators, estimate_beta_V, estimate_eta,
-                 generate_instance, qp_operators, reference_solution,
-                 tau0_default)
+                 faces_instance, generate_instance, qp_operators,
+                 reference_solution, tau0_default)
 from .tseng import TsengOutput, TsengProblem, gamma_max, tseng_solve, tseng_step
 
 __version__ = "0.1.0"
@@ -40,7 +40,8 @@ __all__ = [
     "check_termination", "cocoercive_enlargement",
     "delta_stop", "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_solve",
     "embed_hpe", "ergodic_bound", "estimate_beta_V", "estimate_eta",
-    "exact_bsolver", "gamma_max", "generate_instance", "null_step_bounds",
+    "exact_bsolver", "faces_instance", "gamma_max", "generate_instance",
+    "null_step_bounds",
     "pointwise_bound", "project_nullspace", "qp_operators",
     "reference_solution", "residual_stop", "strong_rate",
     "tau0_default", "tolerance_stop", "tseng_solve",

@@ -94,7 +94,7 @@ class BenchSpec:
 def initial_point(n: int, seed: int) -> np.ndarray:
     """Gaussian direction scaled to the box diagonal, ||z0|| = 10*sqrt(n).
 
-    The problem family has its unique solution at the origin, so a start
+    The paper family has its unique solution at the origin, so a start
     at 0 would end every run in one step; a deterministic random
     direction at box-diagonal distance makes the iteration counts
     informative.  The stream is decorrelated from the instance draw.

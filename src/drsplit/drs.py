@@ -205,10 +205,12 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     d = x - y
     residual = math.sqrt(float(d.dot(d)))
 
-    # identity gamma*(a+b) = x - y, exact modulo round-off
+    # a is formed from y, so gamma*(a+b) = x - y up to round-off; only a
+    # non-finite y can break it (x passed the tolerance check)
+    if not math.isfinite(residual):
+        raise ContractViolation(
+            f"A's resolvent returned a non-finite point (||x-y||={residual})")
     v = gamma * (a + b)
-    if abs(math.sqrt(float(v.dot(v))) - residual) > slack(residual):
-        raise ContractViolation("gamma*||a+b|| deviates from ||x-y||")
 
     r_test = gb + y - z
     rhs = cfg.sigma ** 2 * float(r_test.dot(r_test))

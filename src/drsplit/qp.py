@@ -2,8 +2,11 @@
 
 Instances minimize 0.5 <Qz, z> + <e, z> subject to Kz = 0 and
 z in X = [lo, hi], with Q symmetric positive semidefinite and K a single
-+/-1 row.  The box X = [0, 10]^n with e the all-ones vector is the family
-``generate_instance`` draws, not a limit of ``QpInstance``.
++/-1 row.  Two seeded families draw the same Q and K: the paper family
+(``generate_instance``: e the all-ones vector and X = [0, 10]^n, so its
+unique optimum is the origin) and the faces family (``faces_instance``:
+e uniform in [-10, 10] and X = [-5, 5]^n, so its optimum lies on faces
+of the box and inside it).  Neither is a limit of ``QpInstance``.
 The operator decomposition used by the solvers is A = N_M (M = null(K)),
 C = N_X, no F1 (``F1=None``: there is no Lipschitz term) and
 F2(z) = Qz + e with eta = 1/||Q||.  Spectral constants are exact: each
@@ -38,6 +41,7 @@ __all__ = [
     "QpInstance",
     "QpOperators",
     "generate_instance",
+    "faces_instance",
     "qp_operators",
     "estimate_eta",
     "estimate_beta_V",
@@ -61,9 +65,12 @@ class QpInstance:
     ops: QpOperators = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in ("Q", "e", "K", "lo", "hi"):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
+            raise ValueError("Q must be a square matrix")
         n = self.Q.shape[0]
-        if self.Q.shape != (n, n):
-            raise ValueError("Q must be square")
         for name in ("e", "K", "lo", "hi"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
@@ -98,13 +105,9 @@ class QpOperators:
     eta: float
 
 
-def generate_instance(n: int, definite: bool, seed: int) -> QpInstance:
-    """Seeded random instance: Q = M^T M / n (+ I when definite).
-
-    M is n x n for definite instances and ceil(n/2) x n for semidefinite
-    ones (so rank(Q) <= ceil(n/2)); K is an i.i.d. +/-1 row.  Bitwise
-    deterministic for a fixed seed (M is drawn before K).
-    """
+def _draw_curvature(n: int, definite: bool, seed: int):
+    # Q = M^T M / n (+ I when definite) and an i.i.d. +/-1 row K, M drawn
+    # before K from default_rng(seed)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -115,8 +118,33 @@ def generate_instance(n: int, definite: bool, seed: int) -> QpInstance:
         Q = Q + np.eye(n)
     Q = (Q + Q.T) / 2.0
     K = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    return Q, K
+
+
+def generate_instance(n: int, definite: bool, seed: int) -> QpInstance:
+    """The paper family: Q = M^T M / n (+ I when definite), e = 1, [0, 10].
+
+    M is n x n for definite instances and ceil(n/2) x n for semidefinite
+    ones (so rank(Q) <= ceil(n/2)); K is an i.i.d. +/-1 row.  Bitwise
+    deterministic for a fixed seed (M is drawn before K).
+    """
+    Q, K = _draw_curvature(n, definite, seed)
     return QpInstance(Q=Q, e=np.ones(n), K=K, lo=np.zeros(n),
                       hi=10.0 * np.ones(n), definite=bool(definite),
+                      seed=int(seed))
+
+
+def faces_instance(n: int, definite: bool, seed: int) -> QpInstance:
+    """The faces family: Q, K as generate_instance; e ~ U(-10, 10); [-5, 5].
+
+    After the OSQP random box-QP generators (Stellato et al., arXiv
+    1711.08013): e is drawn from default_rng([7, seed]), and the optimum
+    has coordinates on the faces of the box and strictly inside it.
+    """
+    Q, K = _draw_curvature(n, definite, seed)
+    e = np.random.default_rng([7, seed]).uniform(-10.0, 10.0, n)
+    return QpInstance(Q=Q, e=e, K=K, lo=np.full(n, -5.0),
+                      hi=np.full(n, 5.0), definite=bool(definite),
                       seed=int(seed))
 
 

@@ -12,8 +12,8 @@ from drsplit.baselines import (
 from drsplit.bench import initial_point
 from drsplit.errors import IterationBudgetExceeded
 from drsplit.operators import project_nullspace
-from drsplit.qp import (QpInstance, estimate_beta_V, generate_instance,
-                        qp_operators, reference_solution)
+from drsplit.qp import (QpInstance, estimate_beta_V, faces_instance,
+                        generate_instance, qp_operators, reference_solution)
 
 
 def _two_dim():
@@ -159,10 +159,7 @@ def test_steps_match_textbook_reference_bitwise(definite):
     # iterate, the stop and the solution block must equal the textbook
     # formulas' bits
     n, tol = 100, 1e-9
-    base = generate_instance(n, definite, 5)
-    e = np.random.default_rng([7, 5]).uniform(-10.0, 10.0, n)
-    inst = QpInstance(Q=base.Q, e=e, K=base.K, lo=np.full(n, -5.0),
-                      hi=np.full(n, 5.0), definite=definite, seed=5)
+    inst = faces_instance(n, definite, 5)
     z0 = initial_point(n, 5)
     cases = (
         ("tos", tos_iterate, _textbook_tos, tos_gamma(inst),

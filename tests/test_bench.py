@@ -92,8 +92,8 @@ def test_run_single_baseline():
 
 @pytest.mark.parametrize("algo", ["drt", "tos", "rfdrs"])
 def test_abs_err_is_measured_on_the_solution_block(algo):
-    # the family's optimum is the origin; the governing iterate z of every
-    # scheme stays far from it while its solution block lands on it
+    # the paper family's optimum is the origin; the governing iterate z of
+    # every scheme stays far from it while its solution block lands on it
     records = run_batch(BenchSpec(n=100, instances=20, algo=algo))
     errs = [r.abs_err for r in records]
     assert sum(errs) / len(errs) <= 1e-8

@@ -175,6 +175,26 @@ def test_nan_contract_data_fails_on_the_first_call():
         assert len(calls) == 1 and state.k == 0
 
 
+def test_non_finite_resolvent_of_a_fails_on_the_first_call():
+    # a NaN y makes the residual NaN, which no relative-error test
+    # rejects: every step would classify as null until max_iter
+    class NonFiniteResolvent:
+        def __init__(self, bad):
+            self.bad = bad
+
+        def resolvent(self, gamma, z):
+            return np.full_like(z, self.bad)
+
+    cfg = _cfg(max_iter=5)
+    bs = exact_bsolver(AffineMonotone(np.eye(1)))
+    for bad in (np.nan, np.inf):
+        state = DrsState.initial(np.array([2.0]), cfg)
+        with pytest.raises(ContractViolation,
+                           match=r"^A's resolvent returned a non-finite"):
+            drs_iterate(state, cfg, bs, NonFiniteResolvent(bad))
+        assert state.k == 0 and state.trace == []
+
+
 def test_bsolver_output_of_the_wrong_shape_fails_on_the_first_call():
     # x or b of another shape than z broadcasts through the contract and
     # the relative-error test, and a scalar x reaches the ergodic averages

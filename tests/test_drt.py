@@ -29,7 +29,7 @@ from drsplit.hpe import (HpeStepCertificate, verify_hpe_inequality,
                          verify_hpe_rows)
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                EnlargementTriple, LipschitzMap)
-from drsplit.qp import (QpInstance, generate_instance, qp_operators,
+from drsplit.qp import (faces_instance, generate_instance, qp_operators,
                         reference_solution, tau0_default)
 from drsplit import drt as drt_module
 from drsplit import tseng
@@ -471,11 +471,7 @@ def test_step_that_raises_keeps_the_certificates_before_it(monkeypatch):
 
 
 def _faces_problem(n, seed, sigma=0.99):
-    # semidefinite Q, sign-mixed e and the box [-5, 5]
-    base = generate_instance(n, False, seed)
-    e = np.random.default_rng([7, seed]).uniform(-10.0, 10.0, n)
-    inst = QpInstance(Q=base.Q, e=e, K=base.K, lo=np.full(n, -5.0),
-                      hi=np.full(n, 5.0), definite=False, seed=seed)
+    inst = faces_instance(n, False, seed)
     ops = qp_operators(inst)
     z0 = initial_point(n, seed)
     cfg = DrsConfig(gamma=2.0 * ops.eta * sigma ** 2, sigma=sigma,

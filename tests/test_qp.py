@@ -1,6 +1,7 @@
 """Instance generation, oracles, and operator bundles."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from drsplit.qp import (
     _tos_reference,
     estimate_beta_V,
     estimate_eta,
+    faces_instance,
     generate_instance,
     kkt_check,
     objective,
@@ -30,11 +32,9 @@ from oracles import BoxAffineSum, box_qp_solve, drs_reference_zero
 def _manual_instance(Q, e, K, lo=None, hi=None):
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
-    return QpInstance(Q=Q, e=np.asarray(e, dtype=float),
-                      K=np.asarray(K, dtype=float),
-                      lo=np.zeros(n) if lo is None else np.asarray(lo, float),
-                      hi=10.0 * np.ones(n) if hi is None
-                      else np.asarray(hi, float),
+    return QpInstance(Q=Q, e=e, K=K,
+                      lo=np.zeros(n) if lo is None else lo,
+                      hi=10.0 * np.ones(n) if hi is None else hi,
                       definite=bool(np.all(np.linalg.eigvalsh(Q) > 1e-10)),
                       seed=-1)
 
@@ -92,11 +92,66 @@ def test_generate_fixed_pieces():
     assert inst.seed == 3
 
 
+def test_faces_instance_equals_the_benchmark_copy(monkeypatch):
+    # perfbench/drsbench/workloads.py keeps its own faces_instance, built
+    # on generate_instance, until the benchmark calls this one: both must
+    # give the same bits, and this one must decompose Q once
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from drsbench.workloads import faces_instance as bench_faces_instance
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(None)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for n in (1, 7, 100):
+        for seed in (0, 1, 12345):
+            want = bench_faces_instance(n, seed)
+            calls.clear()
+            got = faces_instance(n, False, seed)
+            assert len(calls) == 1
+            for name in ("Q", "e", "K", "lo", "hi"):
+                assert getattr(got, name).tobytes() == \
+                    getattr(want, name).tobytes()
+            assert (got.definite, got.seed) == (want.definite, want.seed)
+            # a definite instance: generate_instance's definite Q and K,
+            # the same e and box
+            definite = faces_instance(n, True, seed)
+            paper = generate_instance(n, True, seed)
+            for name, ref in (("Q", paper), ("K", paper), ("e", got),
+                              ("lo", got), ("hi", got)):
+                assert_array_equal(getattr(definite, name),
+                                   getattr(ref, name))
+            assert definite.definite
+
+
 def test_instance_validation():
     ok = generate_instance(3, True, 0)
     with pytest.raises(ValueError):
         QpInstance(Q=np.ones((2, 3)), e=np.ones(2), K=np.ones(2),
                    lo=np.zeros(2), hi=np.ones(2), definite=True, seed=0)
+    # a Q that is not a matrix is a ValueError, not an IndexError from
+    # its shape
+    for Q in (np.float64(2.0), np.ones(2), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="^Q must be a square matrix$"):
+            QpInstance(Q=Q, e=np.ones(2), K=np.ones(2), lo=np.zeros(2),
+                       hi=np.ones(2), definite=True, seed=0)
+    # lists and integer arrays are read as float arrays
+    listed = QpInstance(Q=ok.Q.tolist(), e=[1, 1, 1], K=ok.K.astype(int),
+                        lo=[0, 0, 0], hi=ok.hi.tolist(), definite=True,
+                        seed=0)
+    for name in ("Q", "e", "K", "lo", "hi"):
+        got = getattr(listed, name)
+        assert got.dtype == np.float64
+        assert_array_equal(got, getattr(ok, name))
+    assert listed.eta == ok.eta
+    with pytest.raises(ValueError):
+        QpInstance(Q=ok.Q, e=["a", "b", "c"], K=ok.K, lo=ok.lo, hi=ok.hi,
+                   definite=True, seed=0)
     asym = ok.Q.copy()
     asym[0, 1] += 1.0
     with pytest.raises(ValueError):

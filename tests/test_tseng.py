@@ -10,7 +10,8 @@ from drsplit.drt import DrtProblem, drt_bsolver
 from drsplit.errors import InvariantViolation, IterationBudgetExceeded
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
-from drsplit.qp import QpInstance, generate_instance, qp_operators, tau0_default
+from drsplit.qp import (faces_instance, generate_instance, qp_operators,
+                        tau0_default)
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
 from oracles import BoxAffineSum
 
@@ -236,15 +237,6 @@ def test_absent_f1_matches_explicit_zero_map_bitwise():
             assert_array_equal(x, y)
 
 
-def _faces_instance(n, seed):
-    # semidefinite Q, sign-mixed e and the box [-5, 5]: the optimum has
-    # coordinates on the faces and inside the box
-    base = generate_instance(n, False, seed)
-    e = np.random.default_rng([7, seed]).uniform(-10.0, 10.0, n)
-    return QpInstance(Q=base.Q, e=e, K=base.K, lo=np.full(n, -5.0),
-                      hi=np.full(n, 5.0), definite=False, seed=seed)
-
-
 def _reference_solve(inst, gamma, sigma, eta, z_hat, tau_hat):
     # the F1-free Tseng loop written with the textbook formulas: matmul,
     # np.clip, and both differences formed separately
@@ -271,7 +263,7 @@ def _textbook_requests(family, seed, calls, generic):
     # solve, made through the generic step or the affine one
     n, sigma = 100, 0.99
     inst = (generate_instance(n, True, seed) if family == "paper"
-            else _faces_instance(n, seed))
+            else faces_instance(n, False, seed))
     ops = qp_operators(inst)
     F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta) if generic else ops.F2
     z0 = initial_point(n, seed)
@@ -345,7 +337,7 @@ def test_affine_step_matches_textbook_reference_to_round_off(family):
 def test_affine_step_forms_its_constant_when_not_given():
     # c = z_hat/2 - h is bitwise (z_hat - gamma e)/2, and tseng_step
     # forms it itself when called with three arguments
-    inst = _faces_instance(20, 4)
+    inst = faces_instance(20, False, 4)
     ops = qp_operators(inst)
     gamma = gamma_max(ops.eta, 0.0, 0.99)
     p = TsengProblem(C=ops.C, F1=None, F2=ops.F2, gamma=gamma, sigma=0.99)

@@ -108,10 +108,17 @@ class BoxNormalCone(SplittableOperator):
         self.lo = lo
         self.hi = hi
 
-    def resolvent(self, gamma, z):
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        z = self._check_dim(z)
+    def resolvent(self, gamma, z, *, trusted=False):
+        """Project z onto the box.
+
+        trusted=True skips the checks of gamma and z: the caller vouches
+        that gamma > 0 and that z is a finite float array of shape (n,).
+        The projection, and so the result, is the same bit for bit.
+        """
+        if not trusted:
+            if not gamma > 0:
+                raise ValueError("gamma must be positive")
+            z = self._check_dim(z)
         # bitwise equal to z.clip(lo, hi), without clip's Python wrapper
         return np.minimum(np.maximum(z, self.lo), self.hi)
 

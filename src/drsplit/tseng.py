@@ -10,6 +10,7 @@ outer splitting loop accept its output.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -20,8 +21,8 @@ import numpy as np
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded)
 from .hpe import HpeStepCertificate, verify_hpe_rows
-from .operators import (AffineCocoerciveMap, CocoerciveMap, LipschitzMap,
-                        SplittableOperator)
+from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
+                        LipschitzMap, SplittableOperator)
 
 __all__ = [
     "TsengProblem",
@@ -30,6 +31,16 @@ __all__ = [
     "tseng_step",
     "tseng_solve",
 ]
+
+# the trust bound of tseng_solve: far enough below the largest double
+# (1.8e308) that round-off in forming w cannot carry it over
+TRUST_BOUND = 1e300
+
+
+def _norm(a) -> float:
+    # vdot, unlike dot and linalg.norm, does not warn when the square
+    # overflows; the norm is then inf
+    return math.sqrt(np.vdot(a, a))
 
 
 def gamma_max(eta: float, L: float, sigma: float) -> float:
@@ -56,6 +67,14 @@ class TsengProblem:
     F2 is an AffineCocoerciveMap (Q, e), the half-step's matrix
     G = (I - gamma Q)/2 and vector h = gamma e/2 are built here, once;
     otherwise both are None and the step evaluates F2.
+
+    When, in addition, C is a BoxNormalCone [lo, hi], trust_norms holds
+    (||G||_F, ||r||, ||h||) with r = max(|lo|, |hi|), the three norms of
+    the bound tseng_solve tests once per call: with
+    ||G||_F max(||z_hat||, ||r||) + ||z_hat||/2 + ||h|| < TRUST_BOUND, no
+    entry of w = G z + c, nor any partial sum inside G z, can overflow at
+    z = z_hat or at any box point z, so the box projection may skip its
+    point check.  Otherwise trust_norms is None.
     """
 
     C: SplittableOperator
@@ -65,6 +84,8 @@ class TsengProblem:
     sigma: float
     G: np.ndarray | None = field(init=False, compare=False, repr=False)
     h: np.ndarray | None = field(init=False, compare=False, repr=False)
+    trust_norms: tuple[float, float, float] | None = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -74,13 +95,18 @@ class TsengProblem:
         # allow round-off at the boundary gamma == gamma_max
         if self.gamma > gmax * (1.0 + 1e-12):
             raise ValueError(f"gamma={self.gamma} exceeds gamma_max={gmax}")
-        G = h = None
+        G = h = norms = None
         if self.F1 is None and isinstance(self.F2, AffineCocoerciveMap):
             Q = self.F2.Q
             G = (np.eye(Q.shape[0]) - self.gamma * Q) / 2.0
             h = self.gamma * self.F2.e / 2.0
+            C = self.C
+            if isinstance(C, BoxNormalCone):
+                r = np.maximum(np.abs(C.lo), np.abs(C.hi))
+                norms = (_norm(G), _norm(r), _norm(h))
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "trust_norms", norms)
 
 
 class TsengOutput(NamedTuple):
@@ -92,7 +118,7 @@ class TsengOutput(NamedTuple):
 
 
 def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray,
-               c: np.ndarray | None = None):
+               c: np.ndarray | None = None, trusted: bool = False):
     """One forward-backward-forward step from z_prev.
 
     z_prime = P_Omega(z_prev); the backward step goes through the
@@ -107,7 +133,9 @@ def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray,
     c = z_hat/2 - h, bitwise (z_hat - gamma e)/2; it agrees with the
     generic form to round-off.  c depends only on z_hat, so tseng_solve
     forms it once per solve and passes it; a caller that omits it gets it
-    formed here.
+    formed here.  trusted=True, which tseng_solve passes when z_hat meets
+    the bound of TsengProblem, calls the box projection without its point
+    check; a caller that has not tested that bound leaves it False.
     """
     gamma = p.gamma
     G = p.G
@@ -116,7 +144,10 @@ def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray,
             c = z_hat * 0.5 - p.h
         w = G.dot(z_prev)
         w += c
-        z_tilde = p.C.resolvent(gamma / 2.0, w)
+        if trusted:
+            z_tilde = p.C.resolvent(gamma / 2.0, w, trusted=True)
+        else:
+            z_tilde = p.C.resolvent(gamma / 2.0, w)
         return z_prev, z_tilde, z_tilde
     F1 = p.F1
     if F1 is None:
@@ -144,15 +175,17 @@ class CertBlock:
     A context manager.  begin() opens a solve and returns the four lists
     (z_prev, z_tilde, z_next, eps) its steps append to, first checking the
     pending rows when CERT_BLOCK_ROWS or more wait; leaving the block
-    checks the rest.  check() verifies the pending rows in one
-    hpe.verify_hpe_rows pass, with v = (z_prev - z_next)/gamma formed for
-    the block (each row bitwise that step's own), appends one
-    HpeStepCertificate per row to log, and empties the block.  A failing
-    row logs the certificates before it and raises InvariantViolation
-    naming its step within its solve and, when the block has a label, the
-    solve ("<label> <k>: inner step <j> ...", k counting the solves begun
-    in this block).  Raised on leaving, that error replaces the one that
-    ended the block, which becomes its __context__.
+    checks the rest.  Without F1, z_next is z_tilde, so the steps leave
+    the z_next list empty and one stack of z_tilde serves both.  check()
+    verifies the pending rows in one hpe.verify_hpe_rows pass, with
+    v = (z_prev - z_next)/gamma formed for the block (each row bitwise
+    that step's own), appends one HpeStepCertificate per row to log, and
+    empties the block.  A failing row logs the certificates before it and
+    raises InvariantViolation naming its step within its solve and, when
+    the block has a label, the solve ("<label> <k>: inner step <j> ...",
+    k counting the solves begun in this block).  Raised on leaving, that
+    error replaces the one that ended the block, which becomes its
+    __context__.
     """
 
     def __init__(self, p: TsengProblem, log: list, label: str | None = None):
@@ -186,13 +219,16 @@ class CertBlock:
             return
         p, prev, tildes, starts = self.p, self.prev, self.tildes, self.starts
         Z_prev = np.array(prev)
-        V = (Z_prev - np.array(self.nexts)) / p.gamma
-        ok = verify_hpe_rows(Z_prev, np.array(tildes), V, np.array(eps),
-                             p.gamma, p.sigma)
+        Z_tilde = np.array(tildes)
+        Z_next = Z_tilde if p.F1 is None else np.array(self.nexts)
+        V = (Z_prev - Z_next) / p.gamma
+        ok = verify_hpe_rows(Z_prev, Z_tilde, V, np.array(eps), p.gamma,
+                             p.sigma)
         self._clear()
         k = len(eps) if ok.all() else int(ok.argmin())
-        self.log.extend(map(HpeStepCertificate, prev[:k], tildes[:k], V[:k],
-                            eps[:k], repeat(p.gamma, k), repeat(p.sigma, k)))
+        self.log.extend(map(HpeStepCertificate._make,
+                            zip(prev[:k], tildes[:k], V[:k], eps[:k],
+                                repeat(p.gamma, k), repeat(p.sigma, k))))
         if k < len(eps):
             i = bisect_right(starts, k) - 1     # the solve row k belongs to
             solve = self.solves - len(starts) + 1 + i
@@ -211,6 +247,16 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     two differences of the test are one vector and one squared norm
     serves both.  With p.G set, the step's constant c is formed once here.
 
+    z_hat must have shape (n,), n the dimension of C; any other shape
+    raises ValueError before the first step.  With p.trust_norms set
+    (an affine F2 and a box C, see TsengProblem), the call tests the bound
+    ||G||_F max(||z_hat||, ||r||) + ||z_hat||/2 + ||h|| < TRUST_BOUND once,
+    from one np.vdot(z_hat, z_hat); when it holds, no w = G z + c of the
+    solve can hold a non-finite entry and every step projects without the
+    point check.  A NaN or inf in z_hat, or a norm that overflows, fails
+    the bound, and the steps keep the checked projection; so every z_hat
+    meets the same iterates, certificates and errors either way.
+
     With a cert_log, every inner step is certified: stepsize lam = gamma,
     v = (z_prev - z_next)/gamma and eps = ||z_prime - z_tilde||^2/(4 eta),
     the eps of the exit test; the implied operator is B plus the strongly
@@ -226,16 +272,26 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
             return tseng_solve(p, z_hat, tau_hat, max_inner, block)
     if not tau_hat > 0:
         raise ValueError("tau_hat must be positive")
+    z_hat = z = np.asarray(z_hat, dtype=float)
+    n = p.C.dim
+    if z_hat.shape != (n,):
+        raise ValueError(f"z_hat must have shape ({n},), got {z_hat.shape}")
     gamma = p.gamma
     eta = p.F2.eta
     one_difference = p.F1 is None
-    z_hat = z = np.asarray(z_hat, dtype=float)
     c = None if p.G is None else z_hat * 0.5 - p.h
+    trusted = False
+    if p.trust_norms is not None:
+        g_fro, r_norm, h_norm = p.trust_norms
+        z_norm = _norm(z_hat)
+        # a NaN makes the comparison False
+        trusted = (g_fro * max(z_norm, r_norm) + z_norm / 2.0 + h_norm
+                   < TRUST_BOUND)
     if cert_log is not None:
         prev, tildes, nexts, epsilons = cert_log.begin()
     for j in range(1, max_inner + 1):
         try:
-            z_prime, z_tilde, z_next = tseng_step(p, z_hat, z, c)
+            z_prime, z_tilde, z_next = tseng_step(p, z_hat, z, c, trusted)
         except ValueError as exc:
             raise ContractViolation(f"inner step {j}: {exc}") from exc
         d1 = z - z_next
@@ -249,7 +305,8 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
         if cert_log is not None:
             prev.append(z)
             tildes.append(z_tilde)
-            nexts.append(z_next)
+            if not one_difference:
+                nexts.append(z_next)
             epsilons.append(eps)
         if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:
             break

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from drsplit.bench import initial_point
 from drsplit.drs import DrsConfig, DrsState, drs_iterate
 from drsplit.drt import DrtProblem, drt_bsolver
-from drsplit.errors import InvariantViolation, IterationBudgetExceeded
+from drsplit.errors import (ContractViolation, InvariantViolation,
+                            IterationBudgetExceeded)
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
 from drsplit.qp import (faces_instance, generate_instance, qp_operators,
@@ -354,3 +356,141 @@ def test_affine_step_forms_its_constant_when_not_given():
     for F1, F2 in ((zero, ops.F2), (None, generic)):
         q = TsengProblem(C=ops.C, F1=F1, F2=F2, gamma=gamma, sigma=0.99)
         assert q.G is None and q.h is None
+
+
+def _faces_tseng(n, seed, generic=False):
+    # a faces-family subproblem on the affine step, or, with generic=True,
+    # on the generic one (an F2 that is not an AffineCocoerciveMap)
+    ops = qp_operators(faces_instance(n, False, seed))
+    F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta) if generic else ops.F2
+    return TsengProblem(C=ops.C, F1=None, F2=F2,
+                        gamma=gamma_max(ops.eta, 0.0, 0.99), sigma=0.99)
+
+
+def _checked(p):
+    # the same problem with the trust bound withheld: every step projects
+    # through the checked resolvent
+    q = TsengProblem(C=p.C, F1=p.F1, F2=p.F2, gamma=p.gamma, sigma=p.sigma)
+    object.__setattr__(q, "trust_norms", None)
+    return q
+
+
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("z_hat", [np.zeros(7), np.float64(1.0),
+                                   np.zeros((6, 1)), np.zeros((1, 6))],
+                         ids=["n+1", "scalar", "column", "row"])
+def test_misshapen_prox_centre_is_rejected_before_the_first_step(z_hat,
+                                                                 generic):
+    p = _faces_tseng(6, 0, generic)
+    shape = np.shape(z_hat)
+    with pytest.raises(ValueError,
+                       match=rf"^z_hat must have shape \(6,\), got {re.escape(str(shape))}$"):
+        tseng_solve(p, z_hat, 1e-8, cert_log=[])
+
+
+def test_trust_norms_are_set_only_for_an_affine_step_on_a_box():
+    p = _faces_tseng(6, 0)
+    r = np.maximum(np.abs(p.C.lo), np.abs(p.C.hi))
+    assert p.trust_norms == pytest.approx(
+        (np.linalg.norm(p.G), np.linalg.norm(r), np.linalg.norm(p.h)),
+        rel=1e-14)
+    assert _faces_tseng(6, 0, generic=True).trust_norms is None
+    ops = qp_operators(faces_instance(6, False, 0))
+    # an affine F2 on another cone keeps the checked resolvent
+    q = TsengProblem(C=ops.A, F1=None, F2=ops.F2, gamma=p.gamma, sigma=0.99)
+    assert q.G is not None and q.trust_norms is None
+
+
+def _overflowing_centre(p, sign):
+    # entries +-1.7e308 signed along the row of G with the largest diagonal
+    # entry, so that row of w = G z_hat + c overflows
+    i = int(np.argmax(np.diag(p.G)))
+    z_hat = sign * 1.7e308 * np.where(p.G[i] >= 0, 1.0, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = p.G.dot(z_hat) + (z_hat * 0.5 - p.h)
+    assert not np.isfinite(w).all()
+    return z_hat
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "-inf", "1.7e308",
+                                  "-1.7e308"])
+def test_untrusted_prox_centre_keeps_the_checked_error(case):
+    # a non-finite z_hat, or one whose w overflows, fails the trust bound
+    # and meets the point check of the resolvent at step 1, as it would
+    # without the bound
+    p = _faces_tseng(6, 0)
+    if case.endswith("e308"):
+        z_hat = _overflowing_centre(p, -1.0 if case[0] == "-" else 1.0)
+    else:
+        z_hat = np.zeros(6)
+        z_hat[3] = float(case)
+    for q in (p, _checked(p)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolation,
+                               match=r"^inner step 1: point contains "
+                                     r"non-finite entries$"):
+                tseng_solve(q, z_hat, 1e-8, cert_log=[])
+
+
+def _counting_check_dim(monkeypatch):
+    calls = []
+    base = BoxNormalCone._check_dim
+
+    def counted(self, z):
+        calls.append(1)
+        return base(self, z)
+
+    monkeypatch.setattr(BoxNormalCone, "_check_dim", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e299])
+def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
+    # a large but safe z_hat (1e150) takes the trusted path, one past the
+    # bound (1e299) the checked one; either way iterates and certificates
+    # are those of the checked path, bit for bit
+    p = _faces_tseng(20, 2)
+    z_hat = scale * np.random.default_rng(2).uniform(-5.0, 5.0, 20)
+    trusted = scale < 1e299
+    calls = _counting_check_dim(monkeypatch)
+    runs = []
+    for q in (p, _checked(p)):
+        del calls[:]
+        certs = []
+        # at 1e299 the first step's squared norms overflow to inf
+        with np.errstate(over="ignore"):
+            out = tseng_solve(q, z_hat, 1e-10, cert_log=certs)
+        # trusted steps skip the point check; checked ones run it once each
+        assert len(calls) == (0 if trusted and q is p else out.inner_iters)
+        runs.append((out, certs))
+    (out, certs), (ref, ref_certs) = runs
+    assert out.inner_iters == ref.inner_iters == len(certs) > 1
+    for got, want in zip(out, ref):
+        assert_array_equal(got, want)
+    for cert, want in zip(certs, ref_certs):
+        for got, w in zip(cert, want):
+            assert_array_equal(got, w)
+
+
+def test_point_check_runs_only_on_the_generic_step(monkeypatch):
+    # the spy that keeps the gain: a trusted faces solve never calls the
+    # box's point check, the generic step calls it once per inner step
+    calls = _counting_check_dim(monkeypatch)
+    z_hat = initial_point(100, 5)
+    out = tseng_solve(_faces_tseng(100, 5), z_hat, 1e-8)
+    assert out.inner_iters > 1 and calls == []
+    out = tseng_solve(_faces_tseng(100, 5, generic=True), z_hat, 1e-8)
+    assert len(calls) == out.inner_iters > 1
+
+
+def test_direct_step_call_projects_through_the_checked_resolvent(monkeypatch):
+    # trust is an argument of tseng_step: a caller that did not test the
+    # bound gets the point check, and passing trusted=True changes no bit
+    calls = _counting_check_dim(monkeypatch)
+    p = _faces_tseng(8, 1)
+    z_hat = initial_point(8, 1)
+    checked = tseng_step(p, z_hat, z_hat)
+    assert len(calls) == 1
+    for got, want in zip(tseng_step(p, z_hat, z_hat, trusted=True), checked):
+        assert_array_equal(got, want)
+    assert len(calls) == 1

@@ -22,9 +22,9 @@ from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
                         EnlargementTriple, LipschitzMap, NullspaceNormalCone,
                         SplittableOperator, cocoercive_enlargement,
                         project_nullspace)
-from .qp import (QpInstance, QpOperators, estimate_beta_V, estimate_eta,
-                 faces_instance, generate_instance, qp_operators,
-                 reference_solution, tau0_default)
+from .qp import (QpInstance, QpOperators, drt_problem, estimate_beta_V,
+                 estimate_eta, faces_instance, generate_instance,
+                 qp_operators, reference_solution, tau0_default)
 from .tseng import TsengOutput, TsengProblem, gamma_max, tseng_solve, tseng_step
 
 __version__ = "0.1.0"
@@ -37,8 +37,8 @@ __all__ = [
     "NullspaceNormalCone", "OracleFailure", "ParseError", "QpInstance",
     "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",
     "SplittableOperator", "StateError", "TsengOutput", "TsengProblem",
-    "check_termination", "cocoercive_enlargement",
-    "delta_stop", "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_solve",
+    "check_termination", "cocoercive_enlargement", "delta_stop",
+    "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_problem", "drt_solve",
     "embed_hpe", "ergodic_bound", "estimate_beta_V", "estimate_eta",
     "exact_bsolver", "faces_instance", "gamma_max", "generate_instance",
     "null_step_bounds",

@@ -28,10 +28,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import run_baseline
-from .drs import DrsConfig, DrsState
-from .drt import DrtProblem, RunRecord, delta_stop, drt_solve, residual_stop
+from .drs import DrsState
+from .drt import RunRecord, delta_stop, drt_solve, residual_stop
 from .errors import InvariantViolation, OracleFailure, ParseError
-from .qp import generate_instance, qp_operators, reference_solution, tau0_default
+from .qp import drt_problem, generate_instance, reference_solution
 
 __all__ = [
     "CSV_COLUMNS",
@@ -143,17 +143,12 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
         z_star = None   # abs_err stays nan, record otherwise valid
 
     if spec.algo == "drt":
-        ops = qp_operators(inst)
-        gamma = 2.0 * ops.eta * spec.sigma ** 2
-        cfg = DrsConfig(gamma=gamma, sigma=spec.sigma, theta=spec.theta,
-                        tau0=tau0_default(inst, z0), rho_tol=spec.tol,
-                        eps_tol=spec.tol)
-        prob = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-        stop = delta_stop(spec.tol) if spec.stop == "delta" \
-            else residual_stop(spec.tol)
-        state = DrsState.initial(z0, cfg)
-        rec, quad = drt_solve(prob, stop, state=state)
-        result = SingleResult(rec, quad.x, state=state, gamma=gamma)
+        prob = drt_problem(inst, z0, sigma=spec.sigma, theta=spec.theta,
+                           tol=spec.tol)
+        stop = (delta_stop if spec.stop == "delta" else residual_stop)(spec.tol)
+        state = DrsState.initial(z0, prob.cfg)
+        rec, quad = drt_solve(prob, stop, state)
+        result = SingleResult(rec, quad.x, state=state, gamma=prob.cfg.gamma)
     else:
         t0 = time.perf_counter()
         rec, sol = run_baseline(inst, spec.algo, spec.tol, z0=z0)

@@ -19,8 +19,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .drs import (EXTRAGRADIENT, BSolver, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
 from .errors import ContractViolation, IterationBudgetExceeded
@@ -154,26 +152,20 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
     return solve
 
 
-def drt_solve(p: DrtProblem, stop: StopRule, z0=None, max_inner: int = 1000,
-              state: DrsState | None = None,
+def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
+              max_inner: int = 1000,
               inner_cert_log: list | None = None) -> tuple[RunRecord, Quadruple]:
-    """Run the outer loop until the stop rule fires.
+    """Run the outer loop from state until the stop rule fires.
 
-    z0 defaults to the origin.  Passing a preconstructed state, which
-    holds its own start, instead of z0 keeps the full iteration history
-    accessible to the caller afterwards.  The record's f2_evals equals
-    its inner count: each Tseng step evaluates F2 exactly once.
+    The state, DrsState.initial(z0, p.cfg) for a start z0, is the one
+    start; advanced in place, it keeps the full iteration history for the
+    caller.  The record's f2_evals equals its inner count: each Tseng
+    step evaluates F2 exactly once.
 
     With inner_cert_log, every inner step is certified (see tseng_solve)
     and all B-solves add their steps to one CertBlock, so a failing step
     raises InvariantViolation naming its outer B-solve call and inner step.
     """
-    if state is not None and z0 is not None:
-        raise ValueError("pass z0 or state, not both: a state holds its start")
-    if state is None:
-        if z0 is None:
-            z0 = np.zeros(p.A.dim)
-        state = DrsState.initial(z0, p.cfg)
     inner_log: list[int] = []
     block = (None if inner_cert_log is None else
              CertBlock(p.tseng, inner_cert_log, label="outer B-solve call"))

@@ -8,6 +8,7 @@ themselves are formed by drs.drs_ergodic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,15 +46,15 @@ class HpeStepCertificate(NamedTuple):
 def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
     """Check the relative-error inequality to ``slack(rhs)``.
 
-    The slack is an absolute 1e-10 plus a relative 1e-10*rhs; near
-    convergence rhs is tiny and the absolute floor decides the verdict.
+    The slack is 1e-10*(1 + rhs), so near convergence its floor decides;
+    a non-finite rhs fails, since inf <= inf would certify nothing.
     """
     z_prev, z_tilde, v, eps, lam, sigma = cert
     d = lam * v + z_tilde - z_prev
     lhs = float(d.dot(d)) + 2.0 * lam * eps
     r = z_tilde - z_prev
     rhs = sigma ** 2 * float(r.dot(r))
-    return lhs <= rhs + slack(rhs)
+    return math.isfinite(rhs) and lhs <= rhs + slack(rhs)
 
 
 def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
@@ -70,7 +71,7 @@ def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
     lhs = np.einsum("ij,ij->i", D, D) + 2.0 * lam * eps
     R = Z_tilde - Z_prev
     rhs = sigma ** 2 * np.einsum("ij,ij->i", R, R)
-    return lhs <= rhs + slack(rhs)
+    return np.isfinite(rhs) & (lhs <= rhs + slack(rhs))
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,13 @@ import numpy as np
 
 # re-exported: perfbench's every-run span list looks up qp.estimate_beta_V
 from .baselines import estimate_beta_V, tos_iterate
+from .drs import DrsConfig
+from .drt import DrtProblem
 from .errors import OracleFailure
 from .operators import (AffineCocoerciveMap, BoxNormalCone, LipschitzMap,
                         NullspaceNormalCone, _check_symmetric, _inverse_norm,
                         slack)
+from .tseng import gamma_max
 
 __all__ = [
     "QpInstance",
@@ -43,6 +46,7 @@ __all__ = [
     "generate_instance",
     "faces_instance",
     "qp_operators",
+    "drt_problem",
     "estimate_eta",
     "estimate_beta_V",
     "reference_solution",
@@ -159,6 +163,16 @@ def qp_operators(inst: QpInstance) -> QpOperators:
     if not np.isfinite(inst.eta):
         raise ValueError("zero quadratic term: eta is unbounded")
     return inst.ops
+
+
+def drt_problem(inst: QpInstance, z0, *, sigma: float, theta: float,
+                tol: float) -> DrtProblem:
+    """drt on inst.ops from z0: gamma = gamma_max(eta, 0, sigma) (no F1),
+    tau0 = tau0_default(inst, z0) and rho_tol = eps_tol = tol."""
+    ops = qp_operators(inst)
+    cfg = DrsConfig(float(gamma_max(ops.eta, 0.0, sigma)), sigma, theta,
+                    tau0=tau0_default(inst, z0), rho_tol=tol, eps_tol=tol)
+    return DrtProblem(ops.A, ops.C, ops.F1, ops.F2, cfg)
 
 
 def objective(inst: QpInstance, z) -> float:

@@ -11,6 +11,7 @@ outer splitting loop accept its output.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -247,15 +248,15 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     two differences of the test are one vector and one squared norm
     serves both.  With p.G set, the step's constant c is formed once here.
 
-    z_hat must have shape (n,), n the dimension of C; any other shape
-    raises ValueError before the first step.  With p.trust_norms set
-    (an affine F2 and a box C, see TsengProblem), the call tests the bound
-    ||G||_F max(||z_hat||, ||r||) + ||z_hat||/2 + ||h|| < TRUST_BOUND once,
-    from one np.vdot(z_hat, z_hat); when it holds, no w = G z + c of the
-    solve can hold a non-finite entry and every step projects without the
-    point check.  A NaN or inf in z_hat, or a norm that overflows, fails
-    the bound, and the steps keep the checked projection; so every z_hat
-    meets the same iterates, certificates and errors either way.
+    A z_hat of another shape than (n,), n = C.dim, or a max_inner that is
+    not an integer >= 1 raises ValueError before the first step.  With
+    p.trust_norms set (an affine F2 and a box C, see TsengProblem), one
+    np.vdot(z_hat, z_hat) per call tests ||G||_F max(||z_hat||, ||r||) +
+    ||z_hat||/2 + ||h|| < TRUST_BOUND; when it holds, no w = G z + c of
+    the solve can hold a non-finite entry and every step projects without
+    the point check.  A NaN or inf in z_hat, or a norm that overflows,
+    fails the bound, and the steps keep the checked projection; so every
+    z_hat meets the same iterates, certificates and errors either way.
 
     With a cert_log, every inner step is certified: stepsize lam = gamma,
     v = (z_prev - z_next)/gamma and eps = ||z_prime - z_tilde||^2/(4 eta),
@@ -272,6 +273,10 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
             return tseng_solve(p, z_hat, tau_hat, max_inner, block)
     if not tau_hat > 0:
         raise ValueError("tau_hat must be positive")
+    # type() first: the ABC isinstance is slow and runs once per B-solve
+    if (type(max_inner) is not int
+            and not isinstance(max_inner, numbers.Integral)) or max_inner < 1:
+        raise ValueError("max_inner must be an integer >= 1")
     z_hat = z = np.asarray(z_hat, dtype=float)
     n = p.C.dim
     if z_hat.shape != (n,):

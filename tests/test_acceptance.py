@@ -19,12 +19,11 @@ from drsplit.bench import BenchSpec, initial_point, run_batch, summarize
 from drsplit.drs import (
     EXTRAGRADIENT,
     NULL,
-    DrsConfig,
     DrsState,
     drs_iterate,
     null_step_bounds,
 )
-from drsplit.drt import DrtProblem, delta_stop, drt_bsolver, drt_solve, tolerance_stop
+from drsplit.drt import delta_stop, drt_bsolver, drt_solve, tolerance_stop
 from drsplit.hpe import (
     HpeStepCertificate,
     RateEnvelope,
@@ -34,14 +33,13 @@ from drsplit.hpe import (
 )
 from drsplit.operators import EnlargementTriple
 from drsplit.qp import (
+    drt_problem,
     faces_instance,
     generate_instance,
-    qp_operators,
     reference_solution,
-    tau0_default,
 )
 from drsplit.baselines import run_baseline
-from drsplit.tseng import TsengProblem, tseng_solve
+from drsplit.tseng import tseng_solve
 from oracles import (box_qp_solve, drs_reference_zero, ergodic_prefix,
                      transport_ergodic)
 
@@ -64,13 +62,9 @@ def _accept(num, name, check, families=tuple(FAMILIES)):
 
 def _drt_setup(family, n, seed, tol=1e-6):
     inst = FAMILIES[family](n, True, seed)
-    ops = qp_operators(inst)
-    gamma = 2.0 * ops.eta * SIGMA ** 2
     z0 = initial_point(n, seed)
-    cfg = DrsConfig(gamma=gamma, sigma=SIGMA, theta=THETA,
-                    tau0=tau0_default(inst, z0), rho_tol=tol, eps_tol=tol)
-    prob = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-    return inst, ops, cfg, prob, z0
+    prob = drt_problem(inst, z0, sigma=SIGMA, theta=THETA, tol=tol)
+    return inst, prob.cfg, prob, z0
 
 
 def _cert_runs(family):
@@ -79,10 +73,10 @@ def _cert_runs(family):
     plan = [(2, range(34)), (10, range(100, 133)), (50, range(200, 233))]
     for n, seeds in plan:
         for seed in seeds:
-            inst, ops, cfg, prob, z0 = _drt_setup(family, n, seed)
+            inst, cfg, prob, z0 = _drt_setup(family, n, seed)
             state = DrsState.initial(z0, cfg)
             inner_certs = []
-            drt_solve(prob, delta_stop(1e-6), state=state,
+            drt_solve(prob, delta_stop(1e-6), state,
                       inner_cert_log=inner_certs)
             runs.append(dict(n=n, seed=seed, state=state, cfg=cfg,
                              inner_certs=inner_certs))
@@ -100,14 +94,14 @@ def _instrumented(family):
     t0 = time.perf_counter()
     items = []
     for seed in range(20):
-        inst, ops, cfg, prob, z0 = _drt_setup(family, 10, seed)
+        inst, cfg, prob, z0 = _drt_setup(family, 10, seed)
         state = DrsState.initial(z0, cfg)
         bsolver = drt_bsolver(prob, inner_log=(inner_log := []))
         stop = delta_stop(1e-6)
         zs, taus = [], []
         while True:
             taus.append(state.tau)
-            drs_iterate(state, cfg, bsolver, ops.A)
+            drs_iterate(state, cfg, bsolver, prob.A)
             zs.append(state.z.copy())
             if stop(state):
                 break
@@ -195,10 +189,10 @@ def test_accept_03_oracle_equivalence():
         count = 0
         for n, seeds in plan:
             for seed in seeds:
-                inst, ops, cfg, prob, z0 = _drt_setup(family, n, seed,
-                                                      tol=1e-8)
+                inst, cfg, prob, z0 = _drt_setup(family, n, seed, tol=1e-8)
                 z_star = reference_solution(inst)
-                _, quad = drt_solve(prob, tolerance_stop(cfg), z0=z0)
+                _, quad = drt_solve(prob, tolerance_stop(cfg),
+                                    DrsState.initial(z0, cfg))
                 worst_drt = max(worst_drt,
                                 float(np.max(np.abs(quad.x - z_star))))
                 _, sol_t = run_baseline(inst, "tos", tol=1e-10)
@@ -332,7 +326,7 @@ def test_accept_09_inner_linear_decay(instrumented):
         violations = 0
         worst_inner = 0
         for seed in range(200, 220):
-            inst, ops, cfg, prob, z0 = _drt_setup(family, 10, seed)
+            inst, cfg, prob, z0 = _drt_setup(family, 10, seed)
             g = cfg.gamma
             alpha = RateEnvelope(d0=1.0, lambda_min=g, sigma=SIGMA,
                                  mu=1.0 / g).alpha
@@ -340,9 +334,7 @@ def test_accept_09_inner_linear_decay(instrumented):
             d_zb = float(np.linalg.norm(z0 - x_box))
             for tau_hat in (1e-8, cfg.tau0):
                 certs = []
-                p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, gamma=g,
-                                 sigma=SIGMA)
-                out = tseng_solve(p, z0, tau_hat, cert_log=certs)
+                out = tseng_solve(prob.tseng, z0, tau_hat, cert_log=certs)
                 worst_inner = max(worst_inner, out.inner_iters)
                 for j, c in enumerate(certs, start=1):
                     lhs = (float(np.dot(g * c.v, g * c.v))

@@ -25,6 +25,7 @@ from drsplit.bench import (
     write_summary_csv,
 )
 import drsplit.drt as drt_module
+import drsplit.qp as qp_module
 from drsplit.drs import EXTRAGRADIENT
 from drsplit.drt import RunRecord
 from drsplit.errors import (InvariantViolation, IterationBudgetExceeded,
@@ -131,7 +132,7 @@ def test_run_batch_records_a_non_finite_operator_output(monkeypatch):
     # instance 1's F2 returns NaN on its fifth call: that instance becomes
     # an error row naming the outer call and inner step, the rest solve
     spec = BenchSpec(n=5, instances=3, seed=5)
-    real = bench.qp_operators
+    real = qp_module.qp_operators
 
     def poisoned(inst):
         ops = real(inst)
@@ -146,7 +147,8 @@ def test_run_batch_records_a_non_finite_operator_output(monkeypatch):
         return dataclasses.replace(
             ops, F2=CocoerciveMap(eval=eval, eta=ops.F2.eta))
 
-    monkeypatch.setattr(bench, "qp_operators", poisoned)
+    # the recipe run_single calls looks qp_operators up in drsplit.qp
+    monkeypatch.setattr(qp_module, "qp_operators", poisoned)
     records = run_batch(spec)
     assert [r.instance for r in records] == [0, 1, 2]
     assert records[0].error is None and records[2].error is None

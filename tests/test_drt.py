@@ -1,5 +1,7 @@
 """Four-operator composition: B-solver mapping, stop rules, full solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -14,7 +16,6 @@ from drsplit.drs import (
     drs_iterate,
 )
 from drsplit.drt import (
-    DrtProblem,
     RunRecord,
     delta_stop,
     drt_bsolver,
@@ -29,44 +30,41 @@ from drsplit.hpe import (HpeStepCertificate, verify_hpe_inequality,
                          verify_hpe_rows)
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                EnlargementTriple, LipschitzMap)
-from drsplit.qp import (faces_instance, generate_instance, qp_operators,
-                        reference_solution, tau0_default)
+from drsplit.qp import (drt_problem, faces_instance, generate_instance,
+                        reference_solution)
 from drsplit import drt as drt_module
 from drsplit import tseng
 from drsplit.tseng import (CERT_BLOCK_ROWS, TsengProblem, gamma_max,
                            tseng_solve, tseng_step)
 
 
-def _problem(n=6, seed=0, sigma=0.99, theta=0.01, tol=1e-6, z0=None):
-    inst = generate_instance(n, True, seed)
-    ops = qp_operators(inst)
-    gamma = 2.0 * ops.eta * sigma ** 2
-    if z0 is None:
-        z0 = initial_point(n, seed)
-    cfg = DrsConfig(gamma=gamma, sigma=sigma, theta=theta,
-                    tau0=tau0_default(inst, z0), rho_tol=tol, eps_tol=tol)
-    return inst, ops, cfg, np.asarray(z0, dtype=float)
+def _problem(n=6, seed=0, tol=1e-6, family=generate_instance, definite=True):
+    # the benchmark's set-up: the recipe at sigma 0.99, theta 0.01, from
+    # the benchmark's start
+    inst = family(n, definite, seed)
+    z0 = initial_point(n, seed)
+    return inst, drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=tol), z0
 
 
-def _skew_problem():
-    # QP data plus a nonzero monotone F1(z) = S z (S skew, so Lipschitz
-    # but not cocoercive) whose domain projector is the box
-    inst = generate_instance(6, True, 0)
-    ops = qp_operators(inst)
+def _skew_problem(max_iter=10000):
+    # the n=6 problem plus a nonzero monotone F1(z) = S z (S skew, so
+    # Lipschitz but not cocoercive) whose domain projector is the box, at
+    # the gamma_max of that F1
+    inst, qp, z0 = _problem()
     G = np.random.default_rng(0).standard_normal((6, 6))
     S = G - G.T
     F1 = LipschitzMap(eval=lambda z: S @ z, L=float(np.linalg.norm(S, 2)),
                       project_domain=lambda z: np.clip(z, inst.lo, inst.hi))
-    gamma = gamma_max(ops.eta, F1.L, 0.99)
-    return inst, ops, F1, S, gamma
+    cfg = replace(qp.cfg, gamma=gamma_max(inst.eta, F1.L, 0.99),
+                  max_iter=max_iter)
+    return inst, replace(qp, F1=F1, cfg=cfg), z0
 
 
 def test_problem_rejects_oversized_gamma():
-    inst, ops, cfg, _ = _problem()
-    bad = DrsConfig(gamma=2.0 * ops.eta, sigma=cfg.sigma, theta=cfg.theta,
-                    tau0=cfg.tau0, rho_tol=cfg.rho_tol, eps_tol=cfg.eps_tol)
+    inst, p, _ = _problem()
+    bad = replace(p.cfg, gamma=2.0 * inst.eta)
     with pytest.raises(ValueError):
-        DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=bad)
+        replace(p, cfg=bad)
 
 
 def test_run_record_matches_csv_schema():
@@ -78,8 +76,8 @@ def test_run_record_matches_csv_schema():
 def test_bsolver_satisfies_outer_contract_identity():
     # the inner exit quantity IS the outer contract quantity: gamma*b + x
     # - z collapses to the last inner displacement
-    inst, ops, cfg, z0 = _problem(n=8, seed=3)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    inst, p, z0 = _problem(n=8, seed=3)
+    cfg = p.cfg
     bs = drt_bsolver(p)
     gamma = cfg.gamma
     for tau in (cfg.tau0, 1e-2, 1e-6):
@@ -92,9 +90,10 @@ def test_bsolver_satisfies_outer_contract_identity():
 
 def test_bsolver_matches_hand_inner_loop():
     # direct transcription of the inner recursion, no tseng module
-    inst, ops, cfg, z0 = _problem(n=7, seed=5)
+    inst, qp, z0 = _problem(n=7, seed=5)
+    cfg = qp.cfg
     gamma = cfg.gamma
-    Q, e, eta = inst.Q, inst.e, ops.F2.eta
+    Q, e, eta = inst.Q, inst.e, qp.F2.eta
 
     def hand_bsolver(z_hat, tau, gm):
         z = z_hat.copy()
@@ -112,14 +111,13 @@ def test_bsolver_matches_hand_inner_loop():
             z = z_next
 
     # the generic step: the affine one (p.tseng.G) agrees to round-off
-    F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=F2, cfg=cfg)
+    p = replace(qp, F2=CocoerciveMap(eval=qp.F2.eval, eta=qp.F2.eta))
     lib = DrsState.initial(z0, cfg)
     ref = DrsState.initial(z0, cfg)
     lib_bs = drt_bsolver(p)
     for _ in range(40):
-        drs_iterate(lib, cfg, lib_bs, ops.A)
-        drs_iterate(ref, cfg, hand_bsolver, ops.A)
+        drs_iterate(lib, cfg, lib_bs, p.A)
+        drs_iterate(ref, cfg, hand_bsolver, p.A)
         assert lib.trace[-1].step == ref.trace[-1].step
         assert_array_equal(lib.z, ref.z)
         assert lib.tau == ref.tau
@@ -133,12 +131,12 @@ def test_stop_rules():
     for rule in (delta_stop, residual_stop):
         with pytest.raises(ValueError):
             rule(float("nan"))
-    inst, ops, cfg, z0 = _problem(n=5, seed=8)
+    inst, p, z0 = _problem(n=5, seed=8)
     # before any iteration nothing fires
-    state = DrsState.initial(z0, cfg)
+    state = DrsState.initial(z0, p.cfg)
     assert not delta_stop(1e9)(state)
     assert not residual_stop(1e9)(state)
-    assert not tolerance_stop(cfg)(state)
+    assert not tolerance_stop(p.cfg)(state)
 
 
 def test_tolerance_stop_falls_back_to_the_ergodic_average():
@@ -171,14 +169,13 @@ def test_tolerance_stop_falls_back_to_the_ergodic_average():
 
 
 def test_delta_stop_ignores_null_steps():
-    inst, ops, cfg, z0 = _problem(n=6, seed=11)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-    state = DrsState.initial(z0, cfg)
+    inst, p, z0 = _problem(n=6, seed=11)
+    state = DrsState.initial(z0, p.cfg)
     bs = drt_bsolver(p)
     stop = delta_stop(1e-6)
     fired_on = None
     while True:
-        drs_iterate(state, cfg, bs, ops.A)
+        drs_iterate(state, p.cfg, bs, p.A)
         if stop(state):
             fired_on = state.last_step
             break
@@ -187,17 +184,16 @@ def test_delta_stop_ignores_null_steps():
 
 
 def test_full_solve_record_consistency():
-    inst, ops, cfg, z0 = _problem(n=10, seed=1)
+    inst, qp, z0 = _problem(n=10, seed=1)
     calls = 0
 
     def counted(z):
         nonlocal calls
         calls += 1
-        return ops.F2.eval(z)
+        return qp.F2.eval(z)
 
-    F2 = CocoerciveMap(eval=counted, eta=ops.F2.eta)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=F2, cfg=cfg)
-    record, quad = drt_solve(p, delta_stop(1e-6), z0=z0)
+    p = replace(qp, F2=CocoerciveMap(eval=counted, eta=qp.F2.eta))
+    record, quad = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg))
     assert record.algo == "drt"
     assert record.n == 10
     assert record.iters == record.extragrad + record.null
@@ -213,18 +209,18 @@ def test_full_solve_record_consistency():
 
 def test_solve_accuracy_against_oracle():
     for seed in (0, 2, 4):
-        inst, ops, cfg, z0 = _problem(n=4, seed=seed, tol=1e-8)
-        p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-        record, quad = drt_solve(p, tolerance_stop(cfg), z0=z0)
+        inst, p, z0 = _problem(n=4, seed=seed, tol=1e-8)
+        record, quad = drt_solve(p, tolerance_stop(p.cfg),
+                                 DrsState.initial(z0, p.cfg))
         z_star = reference_solution(inst)
         assert np.max(np.abs(quad.x - z_star)) < 1e-4
 
 
 def test_solve_with_caller_state_exposes_history():
-    inst, ops, cfg, z0 = _problem(n=6, seed=13)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    inst, p, z0 = _problem(n=6, seed=13)
+    cfg = p.cfg
     state = DrsState.initial(z0, cfg)
-    record, _ = drt_solve(p, delta_stop(1e-6), state=state)
+    record, _ = drt_solve(p, delta_stop(1e-6), state)
     assert state.k == record.iters
     assert len(state.hist_x) == record.extragrad
     assert len(state.trace) == record.iters
@@ -237,24 +233,22 @@ def test_solve_with_caller_state_exposes_history():
                                         rel=1e-12)
 
 
-def test_solve_rejects_both_z0_and_state():
-    # a state carries its own start; a second one would be dropped
-    inst, ops, cfg, z0 = _problem(n=6, seed=13)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-    state = DrsState.initial(z0, cfg)
-    with pytest.raises(ValueError, match="not both"):
-        drt_solve(p, delta_stop(1e-6), z0=np.zeros(6), state=state)
-    assert state.k == 0
+@pytest.mark.parametrize("max_inner", [2.5, float("nan"), 0, -3])
+def test_solve_rejects_an_inner_budget_that_is_not_an_integer_from_1(max_inner):
+    # a fraction or NaN escaped as a bare TypeError, 0 or -3 as a budget error
+    inst, p, z0 = _problem()
+    with pytest.raises(ValueError, match="^max_inner must be an integer >= 1$"):
+        drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
+                  max_inner=max_inner)
 
 
 def test_bsolver_rejects_a_foreign_gamma():
     # the B-solver reuses the problem's one Tseng subproblem, built for
     # cfg.gamma; any other stepsize is refused, even a smaller one
-    inst, ops, cfg, z0 = _problem(n=8, seed=3)
-    bs = drt_bsolver(DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2,
-                                cfg=cfg))
+    inst, p, z0 = _problem(n=8, seed=3)
+    bs = drt_bsolver(p)
     with pytest.raises(ValueError, match="gamma"):
-        bs(z0, cfg.tau0, 0.5 * cfg.gamma)
+        bs(z0, p.cfg.tau0, 0.5 * p.cfg.gamma)
 
 
 def test_one_gamma_max_check_per_solve(monkeypatch):
@@ -267,27 +261,26 @@ def test_one_gamma_max_check_per_solve(monkeypatch):
         return base(*args)
 
     monkeypatch.setattr(tseng, "gamma_max", counted)
-    inst, ops, cfg, z0 = _problem(n=8, seed=19)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0)
+    inst, p, z0 = _problem(n=8, seed=19)
+    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg))
     assert record.iters > 1
     assert calls[0] == 1
 
 
 def test_inner_certificates_verify():
-    inst, ops, cfg, z0 = _problem(n=8, seed=19)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    inst, p, z0 = _problem(n=8, seed=19)
     certs = []
-    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
+                          inner_cert_log=certs)
     assert len(certs) == record.inner
     assert all(verify_hpe_inequality(c) for c in certs)
 
 
 def test_inner_budget_carries_outer_context():
-    inst, ops, cfg, z0 = _problem(n=10, seed=0)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    inst, p, z0 = _problem(n=10, seed=0)
     with pytest.raises(IterationBudgetExceeded, match="B-solve call"):
-        drt_solve(p, delta_stop(1e-10), z0=z0, max_inner=1)
+        drt_solve(p, delta_stop(1e-10), DrsState.initial(z0, p.cfg),
+                  max_inner=1)
 
 
 def _poisoned(F2, bad_call):
@@ -304,31 +297,28 @@ def _poisoned(F2, bad_call):
 
 
 def test_non_finite_f2_output_names_outer_call_and_inner_step():
-    inst, ops, cfg, z0 = _problem(n=20, seed=0)
+    inst, qp, z0 = _problem(n=20, seed=0)
     # where F2 evaluation 7 falls in the clean run: outer call, inner step
     log = []
-    clean = drt_bsolver(DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2,
-                                   cfg=cfg), inner_log=log)
-    state = DrsState.initial(z0, cfg)
+    clean = drt_bsolver(qp, inner_log=log)
+    state = DrsState.initial(z0, qp.cfg)
     while sum(log) < 7:
-        drs_iterate(state, cfg, clean, ops.A)
+        drs_iterate(state, qp.cfg, clean, qp.A)
     call, step = len(log), 7 - sum(log[:-1])
     assert call > 1
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=_poisoned(ops.F2, 7),
-                   cfg=cfg)
+    p = replace(qp, F2=_poisoned(qp.F2, 7))
     with pytest.raises(ContractViolation,
                        match=f"^outer B-solve call {call}: inner step {step}: "
                              "point contains non-finite entries$"):
-        drt_solve(p, delta_stop(1e-6), z0=z0)
+        drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg))
 
 
 def test_skew_f1_inner_solve_reaches_resolvent():
-    inst, ops, F1, S, gamma = _skew_problem()
-    z_hat = initial_point(6, 0)
-    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, gamma=gamma, sigma=0.99)
+    inst, drt_p, z_hat = _skew_problem()
+    p, gamma = drt_p.tseng, drt_p.cfg.gamma
     z = tseng_solve(p, z_hat, 1e-24).z_tilde
     # natural residual of 0 in N_X(z) + S z + Q z + e + (z - z_hat)/gamma
-    g = S @ z + inst.Q @ z + inst.e + (z - z_hat) / gamma
+    g = p.F1.eval(z) + inst.Q @ z + inst.e + (z - z_hat) / gamma
     assert np.linalg.norm(z - np.clip(z - g, inst.lo, inst.hi)) <= 1e-9
     # z_hat lies outside the box, so the domain projection moves it, and
     # the correction F1(z_tilde) - F1(z_prime) moves z_next off z_tilde
@@ -340,7 +330,8 @@ def test_skew_f1_inner_solve_reaches_resolvent():
 def test_skew_f1_two_f1_evals_per_step():
     # a nonzero Lipschitz F1 runs the correction: F1 at z_prime and at
     # z_tilde, F2 once
-    inst, ops, F1, S, gamma = _skew_problem()
+    inst, drt_p, z0 = _skew_problem()
+    F1, F2 = drt_p.F1, drt_p.F2
     calls = {"F1": 0, "F2": 0}
 
     def counted(name, f):
@@ -349,25 +340,21 @@ def test_skew_f1_two_f1_evals_per_step():
             return f(z)
         return g
 
-    p = TsengProblem(C=ops.C, F1=LipschitzMap(counted("F1", F1.eval), F1.L,
-                                              F1.project_domain),
-                     F2=CocoerciveMap(counted("F2", ops.F2.eval), ops.F2.eta),
-                     gamma=gamma, sigma=0.99)
-    out = tseng_solve(p, initial_point(6, 0), 1e-12)
+    p = TsengProblem(C=drt_p.C, F1=LipschitzMap(counted("F1", F1.eval), F1.L,
+                                                F1.project_domain),
+                     F2=CocoerciveMap(counted("F2", F2.eval), F2.eta),
+                     gamma=drt_p.cfg.gamma, sigma=0.99)
+    out = tseng_solve(p, z0, 1e-12)
     assert out.inner_iters > 1
     assert calls == {"F1": 2 * out.inner_iters, "F2": out.inner_iters}
 
 
 def test_skew_f1_certificates_verify():
-    inst, ops, F1, S, gamma = _skew_problem()
-    z0 = initial_point(6, 0)
-    cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
-                    tau0=tau0_default(inst, z0), rho_tol=1e-6, eps_tol=1e-6)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg)
+    inst, p, z0 = _skew_problem()
+    cfg, gamma = p.cfg, p.cfg.gamma
     state = DrsState.initial(z0, cfg)
     certs = []
-    record, _ = drt_solve(p, delta_stop(1e-6), state=state,
-                          inner_cert_log=certs)
+    record, _ = drt_solve(p, delta_stop(1e-6), state, inner_cert_log=certs)
     assert record.null >= 1 and len(certs) == record.inner
     assert all(c.lam == gamma and verify_hpe_inequality(c) for c in certs)
     # outer certificates rebuilt from the extragradient history
@@ -385,15 +372,7 @@ def test_skew_f1_certificates_verify():
 def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
     # every box resolvent output x, with u = (z - x)/gamma, is in N_X's
     # graph, and every extragradient (y, a) in N_M's graph, at eps = 0
-    if family == "paper":
-        inst, ops, cfg, z0 = _problem(n=100, seed=0)
-        F1 = ops.F1
-    else:
-        inst, ops, F1, S, gamma = _skew_problem()
-        z0 = initial_point(6, 0)
-        cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
-                        tau0=tau0_default(inst, z0), rho_tol=1e-6,
-                        eps_tol=1e-6)
+    inst, p, z0 = _problem(n=100) if family == "paper" else _skew_problem()
     outputs = []
     base = BoxNormalCone.resolvent
 
@@ -407,16 +386,15 @@ def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
         return x
 
     monkeypatch.setattr(BoxNormalCone, "resolvent", logged)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg)
-    state = DrsState.initial(z0, cfg)
-    record, _ = drt_solve(p, delta_stop(1e-6), state=state)
+    state = DrsState.initial(z0, p.cfg)
+    record, _ = drt_solve(p, delta_stop(1e-6), state)
     assert len(outputs) == record.inner
     for op, z, g, x in outputs:
-        assert op is ops.C
+        assert op is p.C
         assert op.contains(EnlargementTriple(x, (z - x) / g, 0.0))
     assert state.n_extragradient >= 1
     for y, a in zip(state.hist_y, state.hist_a):
-        assert ops.A.contains(EnlargementTriple(y, a, 0.0))
+        assert p.A.contains(EnlargementTriple(y, a, 0.0))
 
 
 def _mutated(monkeypatch, mutations):
@@ -441,9 +419,8 @@ def _mutated_at_step_3(monkeypatch, mutate):
 def test_wrong_correction_at_step_3_fails_its_certificate(monkeypatch):
     # the skew-F1 correction scaled by 10 at inner step 3: the block check
     # names that step and logs exactly the two certified steps before it
-    inst, ops, F1, S, gamma = _skew_problem()
-    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, gamma=gamma, sigma=0.99)
-    z_hat = initial_point(6, 0)
+    _, drt_p, z_hat = _skew_problem()
+    p = drt_p.tseng
     clean = []
     assert tseng_solve(p, z_hat, 1e-24, cert_log=clean).inner_iters > 3
     _mutated_at_step_3(monkeypatch, lambda zp, zt, zn:
@@ -460,8 +437,7 @@ def test_wrong_correction_at_step_3_fails_its_certificate(monkeypatch):
 def test_step_that_raises_keeps_the_certificates_before_it(monkeypatch):
     # a non-finite output at inner step 3 raises ContractViolation after
     # steps 1-2 are checked and logged
-    inst, ops, F1, S, gamma = _skew_problem()
-    p = TsengProblem(C=ops.C, F1=F1, F2=ops.F2, gamma=gamma, sigma=0.99)
+    _, drt_p, z_hat = _skew_problem()
 
     def poisoned(zp, zt, zn):
         raise ValueError("point contains non-finite entries")
@@ -469,19 +445,9 @@ def test_step_that_raises_keeps_the_certificates_before_it(monkeypatch):
     _mutated_at_step_3(monkeypatch, poisoned)
     certs = []
     with pytest.raises(ContractViolation, match=r"^inner step 3: point"):
-        tseng_solve(p, initial_point(6, 0), 1e-24, cert_log=certs)
+        tseng_solve(drt_p.tseng, z_hat, 1e-24, cert_log=certs)
     assert len(certs) == 2
     assert all(verify_hpe_inequality(c) for c in certs)
-
-
-def _faces_problem(n, seed, sigma=0.99):
-    inst = faces_instance(n, False, seed)
-    ops = qp_operators(inst)
-    z0 = initial_point(n, seed)
-    cfg = DrsConfig(gamma=2.0 * ops.eta * sigma ** 2, sigma=sigma,
-                    theta=0.01, tau0=tau0_default(inst, z0), rho_tol=1e-6,
-                    eps_tol=1e-6)
-    return inst, ops, cfg, z0
 
 
 @pytest.mark.parametrize("family", ["paper", "faces", "skew"])
@@ -489,20 +455,15 @@ def test_block_verdicts_equal_the_scalar_check(family):
     # every inner certificate of a full solve, checked as one block and one
     # by one; scaling eps makes a share of them fail, so both verdicts
     # are compared
-    F1 = None
     if family == "paper":
-        inst, ops, cfg, z0 = _problem(n=100, seed=0)
+        inst, p, z0 = _problem(n=100)
     elif family == "faces":
-        inst, ops, cfg, z0 = _faces_problem(100, 0)
+        inst, p, z0 = _problem(n=100, family=faces_instance, definite=False)
     else:
-        inst, ops, F1, S, gamma = _skew_problem()
-        z0 = initial_point(6, 0)
-        cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
-                        tau0=tau0_default(inst, z0), rho_tol=1e-6,
-                        eps_tol=1e-6)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg)
+        inst, p, z0 = _skew_problem()
+    cfg = p.cfg
     certs = []
-    record, _ = drt_solve(p, delta_stop(1e-6), state=DrsState.initial(z0, cfg),
+    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, cfg),
                           inner_cert_log=certs)
     assert len(certs) == record.inner > 10
     Zp, Zt, V = (np.stack([c[i] for c in certs]) for i in range(3))
@@ -519,19 +480,10 @@ def test_block_verdicts_equal_the_scalar_check(family):
     assert 0 < failed
 
 
-def _skew_solve_setup(max_iter=10000):
-    inst, ops, F1, S, gamma = _skew_problem()
-    z0 = initial_point(6, 0)
-    cfg = DrsConfig(gamma=gamma, sigma=0.99, theta=0.01,
-                    tau0=tau0_default(inst, z0), rho_tol=1e-6, eps_tol=1e-6,
-                    max_iter=max_iter)
-    return DrtProblem(A=ops.A, C=ops.C, F1=F1, F2=ops.F2, cfg=cfg), z0
-
-
 def _clean_skew_log():
     # inner counts per B-solve call and every inner certificate of the
     # clean skew-F1 solve
-    p, z0 = _skew_solve_setup()
+    _, p, z0 = _skew_problem()
     counts, certs = [], []
     bsolver = drt_bsolver(p, inner_log=counts)
     state, stop = DrsState.initial(z0, p.cfg), delta_stop(1e-6)
@@ -539,7 +491,8 @@ def _clean_skew_log():
         drs_iterate(state, p.cfg, bsolver, p.A)
         if stop(state):
             break
-    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
+                          inner_cert_log=certs)
     assert record.inner == sum(counts) == len(certs) > CERT_BLOCK_ROWS
     return counts, certs
 
@@ -569,12 +522,13 @@ def test_failed_certificate_in_a_later_bsolve_names_call_and_step(
     call, step = _call_and_step(counts, bad)
     assert call > 2 and step > 1 and bad < CERT_BLOCK_ROWS
     _mutated(monkeypatch, {bad: _wrong_correction})
-    p, z0 = _skew_solve_setup()
+    _, p, z0 = _skew_problem()
     certs = []
     with pytest.raises(InvariantViolation,
                        match=f"^outer B-solve call {call}: inner step {step} "
                              "failed its certificate$"):
-        drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+        drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
+                  inner_cert_log=certs)
     assert len(certs) == bad - 1
     for got, want in zip(certs, clean):
         for x, y in zip(got, want):
@@ -597,13 +551,13 @@ def test_failed_certificate_precedes_a_later_error(monkeypatch, later):
     else:
         max_inner = max(counts[:call + 1]) - 1
     _mutated(monkeypatch, mutations)
-    p, z0 = _skew_solve_setup(max_iter)
+    _, p, z0 = _skew_problem(max_iter)
     certs = []
     with pytest.raises(InvariantViolation,
                        match=f"^outer B-solve call {call}: inner step {step} "
                              "failed") as info:
-        drt_solve(p, delta_stop(1e-6), z0=z0, max_inner=max_inner,
-                  inner_cert_log=certs)
+        drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
+                  max_inner=max_inner, inner_cert_log=certs)
     assert len(certs) == bad - 1
     # the error it displaced is its context
     assert isinstance(info.value.__context__,
@@ -615,10 +569,11 @@ def test_pending_certificates_are_checked_when_drs_iterate_raises():
     # the outer budget ends the solve after 7 B-solves, fewer rows than a
     # block: every step taken is checked and logged before the error
     counts, clean = _clean_skew_log()
-    p, z0 = _skew_solve_setup(max_iter=7)
+    _, p, z0 = _skew_problem(max_iter=7)
     certs = []
     with pytest.raises(IterationBudgetExceeded, match="max_iter=7"):
-        drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+        drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
+                  inner_cert_log=certs)
     assert len(certs) == sum(counts[:7]) < CERT_BLOCK_ROWS
     for got, want in zip(certs, clean):
         for x, y in zip(got, want):
@@ -647,10 +602,10 @@ def _block_rows(monkeypatch):
 def test_short_solve_is_checked_in_full(monkeypatch):
     # fewer rows than a block: one check, of every step, before returning
     rows, counts = _block_rows(monkeypatch)
-    inst, ops, cfg, z0 = _problem(n=6, seed=0)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    inst, p, z0 = _problem()
     certs = []
-    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
+                          inner_cert_log=certs)
     assert record.iters > 1
     assert rows == [record.inner] == [len(certs)]
     assert record.inner < CERT_BLOCK_ROWS
@@ -660,8 +615,8 @@ def test_blocks_span_bsolves_and_log_what_per_call_checks_log(monkeypatch):
     # a faces n=100 solve: each check takes whole B-solves and runs as
     # soon as CERT_BLOCK_ROWS rows are pending, and the log equals, element
     # by element, what checking each B-solve on its own appends
-    inst, ops, cfg, z0 = _faces_problem(100, 0)
-    p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
+    inst, p, z0 = _problem(n=100, family=faces_instance, definite=False)
+    cfg = p.cfg
     per_call = []
     bsolver = drt_bsolver(p)
 
@@ -671,12 +626,13 @@ def test_blocks_span_bsolves_and_log_what_per_call_checks_log(monkeypatch):
 
     state, stop = DrsState.initial(z0, cfg), delta_stop(1e-6)
     while True:
-        drs_iterate(state, cfg, checked_per_call, ops.A)
+        drs_iterate(state, cfg, checked_per_call, p.A)
         if stop(state):
             break
     rows, counts = _block_rows(monkeypatch)
     certs = []
-    record, _ = drt_solve(p, delta_stop(1e-6), z0=z0, inner_cert_log=certs)
+    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, cfg),
+                          inner_cert_log=certs)
     assert sum(rows) == sum(counts) == record.inner == len(certs)
     assert 1 < len(rows) < len(counts) // 4
     ends = np.cumsum(counts).tolist()

@@ -14,9 +14,9 @@ single count fails here.
 import pytest
 
 from drsplit.bench import BenchSpec, initial_point, run_batch
-from drsplit.drs import DrsConfig
-from drsplit.drt import DrtProblem, delta_stop, drt_solve
-from drsplit.qp import faces_instance, qp_operators, tau0_default
+from drsplit.drs import DrsState
+from drsplit.drt import delta_stop, drt_solve
+from drsplit.qp import drt_problem, faces_instance
 
 N, INSTANCES = 100, 20
 
@@ -78,13 +78,9 @@ def _counts(rec):
 
 def _faces_record(seed, sigma=0.99, tol=1e-6):
     inst = faces_instance(N, False, seed)
-    ops = qp_operators(inst)
     z0 = initial_point(N, seed)
-    cfg = DrsConfig(gamma=2.0 * ops.eta * sigma ** 2, sigma=sigma,
-                    theta=0.01, tau0=tau0_default(inst, z0), rho_tol=tol,
-                    eps_tol=tol)
-    prob = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-    return drt_solve(prob, delta_stop(tol), z0=z0)[0]
+    prob = drt_problem(inst, z0, sigma=sigma, theta=0.01, tol=tol)
+    return drt_solve(prob, delta_stop(tol), DrsState.initial(z0, prob.cfg))[0]
 
 
 @pytest.mark.parametrize("kind,algo", sorted(GOLDEN))

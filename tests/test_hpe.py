@@ -14,6 +14,7 @@ from drsplit.hpe import (
     pointwise_bound,
     strong_rate,
     verify_hpe_inequality,
+    verify_hpe_rows,
 )
 from drsplit.operators import EnlargementTriple
 from oracles import transport_ergodic
@@ -39,6 +40,18 @@ def test_verify_boundary_has_slack():
     sigma = 0.5
     assert verify_hpe_inequality(_cert(0.0, 1.0, -1.0, sigma ** 2 / 2.0,
                                        sigma=sigma))
+
+
+def test_certificate_with_an_infinite_bound_fails():
+    # ||z_tilde - z_prev||^2 overflows to rhs = inf, and with eps = inf the
+    # check read inf <= inf + slack(inf): it passed.  A finite row keeps
+    # its verdict beside it
+    big, fine = _cert(0.0, 1e300, -1e300, np.inf), _cert(0.0, 1.0, -0.5, 0.1)
+    with np.errstate(over="ignore"):
+        assert not verify_hpe_inequality(big)
+        rows = verify_hpe_rows(*map(np.stack, zip(big[:3], fine[:3])),
+                               np.array([np.inf, 0.1]), 1.0, 0.99)
+    assert rows.tolist() == [False, True]
 
 
 def _history(x, b, eps_b, y, a):

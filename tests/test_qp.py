@@ -9,13 +9,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.baselines import run_baseline
 from drsplit.bench import BenchSpec, initial_point, run_single
-from drsplit.drs import DrsConfig
-from drsplit.drt import DrtProblem, delta_stop, drt_solve
+from drsplit.drs import DrsState
+from drsplit.drt import delta_stop, drt_solve
 from drsplit.errors import OracleFailure
 from drsplit.operators import BoxNormalCone, CocoerciveMap, NullspaceNormalCone
 from drsplit.qp import (
     QpInstance,
     _tos_reference,
+    drt_problem,
     estimate_beta_V,
     estimate_eta,
     faces_instance,
@@ -26,6 +27,7 @@ from drsplit.qp import (
     reference_solution,
     tau0_default,
 )
+from drsplit.tseng import gamma_max
 from oracles import BoxAffineSum, box_qp_solve, drs_reference_zero
 
 
@@ -336,6 +338,23 @@ def test_qp_operators_rejects_zero_curvature():
         qp_operators(inst)
 
 
+@pytest.mark.parametrize("sigma", [0.9, 0.99])
+@pytest.mark.parametrize("family", [generate_instance, faces_instance])
+def test_drt_problem_recipe(family, sigma):
+    # gamma_max at L = 0 is 2 eta sigma^2 to the bit, the other settings
+    # are the arguments, and the operators are the instance's own
+    inst, z0 = family(30, False, 4), initial_point(30, 4)
+    p = drt_problem(inst, z0, sigma=sigma, theta=0.3, tol=1e-7)
+    cfg = p.cfg
+    assert cfg.gamma == 2.0 * inst.eta * sigma ** 2
+    assert cfg.gamma == gamma_max(inst.eta, 0.0, sigma)
+    assert type(cfg.gamma) is float
+    assert (cfg.tau0, cfg.sigma, cfg.theta, cfg.rho_tol, cfg.eps_tol) == (
+        tau0_default(inst, z0), sigma, 0.3, 1e-7, 1e-7)
+    for name in ("A", "C", "F1", "F2"):
+        assert getattr(p, name) is getattr(inst.ops, name)
+
+
 def test_cocoercivity_sampled():
     # defining inequality of the eta estimate, on random pairs
     inst = generate_instance(7, True, 25)
@@ -473,13 +492,9 @@ def test_oracle_and_drt_agree_on_boxes_with_fixed_coordinates():
         inst = _sweep_instance(seed)
         n_fixed += bool(np.any(inst.lo == inst.hi))
         x_ref = reference_solution(inst)
-        ops = qp_operators(inst)
         z0 = initial_point(inst.n, seed)
-        cfg = DrsConfig(gamma=2.0 * ops.eta * 0.99 ** 2, sigma=0.99,
-                        theta=0.01, tau0=tau0_default(inst, z0),
-                        rho_tol=1e-8, eps_tol=1e-8)
-        p = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=ops.F2, cfg=cfg)
-        _, quad = drt_solve(p, delta_stop(1e-8), z0=z0)
+        p = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-8)
+        _, quad = drt_solve(p, delta_stop(1e-8), DrsState.initial(z0, p.cfg))
         assert kkt_check(inst, quad.x, 1e-5)
         assert objective(inst, quad.x) == pytest.approx(
             objective(inst, x_ref), abs=1e-5)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.bench import initial_point
-from drsplit.drs import DrsConfig, DrsState, drs_iterate
-from drsplit.drt import DrtProblem, drt_bsolver
+from drsplit.drs import DrsState, drs_iterate
+from drsplit.drt import drt_bsolver
 from drsplit.errors import (ContractViolation, InvariantViolation,
                             IterationBudgetExceeded)
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
-from drsplit.qp import (faces_instance, generate_instance, qp_operators,
-                        tau0_default)
+from drsplit.qp import (drt_problem, faces_instance, generate_instance,
+                        qp_operators)
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
 from oracles import BoxAffineSum
 
@@ -162,7 +163,7 @@ def test_converges_to_exact_resolvent():
     # driving tau_hat down pins z_next to the resolvent of the full sum
     inst = generate_instance(10, True, 17)
     ops = qp_operators(inst)
-    gamma = 2.0 * ops.eta * 0.99 ** 2
+    gamma = gamma_max(ops.eta, 0.0, 0.99)
     z_hat = np.full(10, 7.0)
     p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, gamma=gamma, sigma=0.99)
     out = tseng_solve(p, z_hat, 1e-24, max_inner=5000)
@@ -173,9 +174,19 @@ def test_converges_to_exact_resolvent():
 
 
 def test_budget_exceeded():
-    # first step lands at lhs = 6, far above tau_hat
-    with pytest.raises(IterationBudgetExceeded):
-        tseng_solve(_scalar_problem(), Z_HAT, 1e-6, max_inner=1)
+    # first step lands at lhs = 6, far above tau_hat; a numpy integer is a
+    # budget as an int is
+    for max_inner in (1, np.int64(1)):
+        with pytest.raises(IterationBudgetExceeded):
+            tseng_solve(_scalar_problem(), Z_HAT, 1e-6, max_inner=max_inner)
+
+
+@pytest.mark.parametrize("max_inner", [2.5, float("nan"), 0, -3])
+def test_inner_budget_that_is_not_a_positive_integer_is_rejected(max_inner):
+    # a fraction or NaN reached range() as a bare TypeError, and 0 or -3
+    # ended as a budget error "in 0 steps"
+    with pytest.raises(ValueError, match="^max_inner must be an integer >= 1$"):
+        tseng_solve(_scalar_problem(), Z_HAT, 1e-6, max_inner=max_inner)
 
 
 def test_one_f2_eval_per_step():
@@ -185,7 +196,7 @@ def test_one_f2_eval_per_step():
     inst = generate_instance(5, True, 31)
     ops = qp_operators(inst)
     assert ops.F1 is None
-    gamma = 2.0 * ops.eta * 0.9 ** 2
+    gamma = gamma_max(ops.eta, 0.0, 0.9)
     z_hat = np.full(5, 2.0)
     calls = {"F1": 0, "F2": 0}
 
@@ -263,17 +274,16 @@ def _reference_solve(inst, gamma, sigma, eta, z_hat, tau_hat):
 def _textbook_requests(family, seed, calls, generic):
     # the (z_hat, tau_hat) requests of the first outer calls of an n=100
     # solve, made through the generic step or the affine one
-    n, sigma = 100, 0.99
+    n = 100
     inst = (generate_instance(n, True, seed) if family == "paper"
             else faces_instance(n, False, seed))
-    ops = qp_operators(inst)
-    F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta) if generic else ops.F2
     z0 = initial_point(n, seed)
-    cfg = DrsConfig(gamma=2.0 * ops.eta * sigma ** 2, sigma=sigma,
-                    theta=0.01, tau0=tau0_default(inst, z0), rho_tol=1e-6,
-                    eps_tol=1e-6)
-    prob = DrtProblem(A=ops.A, C=ops.C, F1=ops.F1, F2=F2, cfg=cfg)
+    prob = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-6)
+    if generic:
+        prob = replace(prob, F2=CocoerciveMap(eval=prob.F2.eval,
+                                              eta=prob.F2.eta))
     assert (prob.tseng.G is None) == generic
+    cfg = prob.cfg
     bsolver = drt_bsolver(prob)
     requests = []
 
@@ -283,21 +293,21 @@ def _textbook_requests(family, seed, calls, generic):
 
     state = DrsState.initial(z0, cfg)
     for _ in range(calls):
-        drs_iterate(state, cfg, recording, ops.A)
-    return inst, ops, cfg, prob, requests
+        drs_iterate(state, cfg, recording, prob.A)
+    return inst, cfg, prob, requests
 
 
 @pytest.mark.parametrize("family", ["paper", "faces"])
 def test_inner_loop_matches_textbook_reference_bitwise(family):
     # on the generic step every output and certificate must equal the
     # reference's bits
-    inst, ops, cfg, prob, requests = _textbook_requests(family, 3, 4,
-                                                        generic=True)
+    inst, cfg, prob, requests = _textbook_requests(family, 3, 4,
+                                                   generic=True)
     steps = 0
     for z_hat, tau_hat in requests:
         certs = []
         out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=certs)
-        ref, ref_certs = _reference_solve(inst, cfg.gamma, cfg.sigma, ops.eta,
+        ref, ref_certs = _reference_solve(inst, cfg.gamma, cfg.sigma, inst.eta,
                                           z_hat, tau_hat)
         for got, want in zip(out, ref):
             assert_array_equal(got, want)
@@ -320,12 +330,12 @@ def test_affine_step_matches_textbook_reference_to_round_off(family):
     BOUND = 64 * np.finfo(float).eps * 10.0
     worst, steps = 0.0, 0
     for seed in range(10):
-        inst, ops, cfg, prob, requests = _textbook_requests(
+        inst, cfg, prob, requests = _textbook_requests(
             family, seed, 30, generic=False)
         for z_hat, tau_hat in requests:
             certs = []
             out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=certs)
-            ref, _ = _reference_solve(inst, cfg.gamma, cfg.sigma, ops.eta,
+            ref, _ = _reference_solve(inst, cfg.gamma, cfg.sigma, inst.eta,
                                       z_hat, tau_hat)
             assert out.inner_iters == ref[-1] == len(certs)
             assert all(verify_hpe_inequality(c) for c in certs)
@@ -447,24 +457,33 @@ def _counting_check_dim(monkeypatch):
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e299])
 def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
     # a large but safe z_hat (1e150) takes the trusted path, one past the
-    # bound (1e299) the checked one; either way iterates and certificates
-    # are those of the checked path, bit for bit
+    # bound (1e299) the checked one; either way iterates, certificates and
+    # errors are those of the checked path, bit for bit
     p = _faces_tseng(20, 2)
     z_hat = scale * np.random.default_rng(2).uniform(-5.0, 5.0, 20)
     trusted = scale < 1e299
     calls = _counting_check_dim(monkeypatch)
     runs = []
     for q in (p, _checked(p)):
-        del calls[:]
-        certs = []
+        certs, error = [], None
         # at 1e299 the first step's squared norms overflow to inf
         with np.errstate(over="ignore"):
-            out = tseng_solve(q, z_hat, 1e-10, cert_log=certs)
+            out = tseng_solve(q, z_hat, 1e-10)
+            del calls[:]
+            try:
+                tseng_solve(q, z_hat, 1e-10, cert_log=certs)
+            except InvariantViolation as exc:
+                error = str(exc)
         # trusted steps skip the point check; checked ones run it once each
         assert len(calls) == (0 if trusted and q is p else out.inner_iters)
-        runs.append((out, certs))
-    (out, certs), (ref, ref_certs) = runs
-    assert out.inner_iters == ref.inner_iters == len(certs) > 1
+        runs.append((out, certs, error))
+    (out, certs, error), (ref, ref_certs, ref_error) = runs
+    assert out.inner_iters == ref.inner_iters > 1
+    # at 1e299 step 1's certificate has eps = inf and an inf right-hand
+    # side; inf <= inf certifies nothing, so it fails
+    assert error == ref_error == (
+        None if trusted else "inner step 1 failed its certificate")
+    assert len(certs) == len(ref_certs) == (out.inner_iters if trusted else 0)
     for got, want in zip(out, ref):
         assert_array_equal(got, want)
     for cert, want in zip(certs, ref_certs):

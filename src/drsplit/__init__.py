@@ -9,8 +9,8 @@ benchmark harness reproduces the box/equality-constrained QP experiments
 """
 
 from .drs import (DrsConfig, DrsState, Quadruple, check_termination,
-                  drs_ergodic, drs_iterate, embed_hpe, exact_bsolver,
-                  null_step_bounds)
+                  drs_ergodic, drs_iterate, exact_bsolver, null_step_bounds,
+                  outer_certificates)
 from .drt import (DrtProblem, RunRecord, delta_stop, drt_bsolver, drt_solve,
                   residual_stop, tolerance_stop)
 from .errors import (ContractViolation, InvariantViolation,
@@ -39,9 +39,9 @@ __all__ = [
     "SplittableOperator", "StateError", "TsengOutput", "TsengProblem",
     "check_termination", "cocoercive_enlargement", "delta_stop",
     "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_problem", "drt_solve",
-    "embed_hpe", "ergodic_bound", "estimate_beta_V", "estimate_eta",
+    "ergodic_bound", "estimate_beta_V", "estimate_eta",
     "exact_bsolver", "faces_instance", "gamma_max", "generate_instance",
-    "null_step_bounds",
+    "null_step_bounds", "outer_certificates",
     "pointwise_bound", "project_nullspace", "qp_operators",
     "reference_solution", "residual_stop", "strong_rate",
     "tau0_default", "tolerance_stop", "tseng_solve",

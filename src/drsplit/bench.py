@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import run_baseline
-from .drs import DrsState
+from .drs import DrsConfig, DrsState, outer_certificates
 from .drt import RunRecord, delta_stop, drt_solve, residual_stop
 from .errors import InvariantViolation, OracleFailure, ParseError
 from .qp import drt_problem, generate_instance, reference_solution
@@ -113,7 +113,7 @@ class SingleResult:
     record: RunRecord
     solution: np.ndarray | None
     state: DrsState | None = None   # drt only
-    gamma: float | None = None      # drt only
+    cfg: DrsConfig | None = None    # drt only
 
 
 def _tally(stats: dict | None, seconds: float) -> None:
@@ -148,7 +148,7 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
         stop = (delta_stop if spec.stop == "delta" else residual_stop)(spec.tol)
         state = DrsState.initial(z0, prob.cfg)
         rec, quad = drt_solve(prob, stop, state)
-        result = SingleResult(rec, quad.x, state=state, gamma=prob.cfg.gamma)
+        result = SingleResult(rec, quad.x, state=state, cfg=prob.cfg)
     else:
         t0 = time.perf_counter()
         rec, sol = run_baseline(inst, spec.algo, spec.tol, z0=z0)
@@ -161,16 +161,15 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
     return result
 
 
-def _verify_trace_equivalence(state: DrsState, gamma: float) -> None:
+def _verify_trace_equivalence(state: DrsState, cfg: DrsConfig) -> None:
     # on every extragradient step the three residual readings agree:
-    # ||z_k - z_{k-1}|| = gamma*||a+b|| = ||x - y|| to 1e-12; null steps
-    # do not move z, so z_k is the next step's start or the final state.z
-    z_after = state.hist_z_prev[1:] + [state.z]
-    for idx in range(state.n_extragradient):
-        zb, za = state.hist_z_prev[idx], z_after[idx]
-        v = gamma * (state.hist_a[idx] + state.hist_b[idx])
-        shift = float(np.linalg.norm(za - zb))
-        vnorm = float(np.linalg.norm(v))
+    # ||z_k - z_{k-1}|| = ||v|| = ||x - y|| to 1e-12; null steps do not
+    # move z, so z_k is the next step's start or the final state.z
+    certs = outer_certificates(state, cfg)
+    z_after = [c.z_prev for c in certs[1:]] + [state.z]
+    for idx, (cert, za) in enumerate(zip(certs, z_after)):
+        shift = float(np.linalg.norm(za - cert.z_prev))
+        vnorm = float(np.linalg.norm(cert.v))
         res = float(np.linalg.norm(state.hist_x[idx] - state.hist_y[idx]))
         tol = 1e-12 * (1.0 + res)
         if abs(shift - vnorm) > tol or abs(shift - res) > tol:
@@ -200,7 +199,7 @@ def run_batch(spec: BenchSpec, trace_path=None, stats: dict | None = None) -> li
             continue
         records.append(result.record)
         if trace_path is not None and result.state is not None:
-            _verify_trace_equivalence(result.state, result.gamma)
+            _verify_trace_equivalence(result.state, result.cfg)
             blocks.append((i, result.state.trace))
     if trace_path is not None:
         write_trace(trace_path, blocks)

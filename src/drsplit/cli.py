@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import combinations
 
 from .bench import (BenchSpec, format_summary, run_batch, summarize,
                     summary_csv_path, write_records, write_summary_csv)
@@ -69,15 +70,20 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     # fail before the batch, not after it, on an output path that cannot be made
     summary = summary_csv_path(args.out) if args.out else None
-    for flag, path in (("--out", args.out), ("--out", summary),
-                       ("--trace", args.trace)):
-        if not path:
-            continue
+    outputs = [(name, path) for name, path in (
+        ("--out", args.out), ("the --out summary", summary),
+        ("--trace", args.trace)) if path]
+    for name, path in outputs:
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
-            parser.error(f"{flag}: directory {parent!r} does not exist")
+            parser.error(f"{name}: directory {parent!r} does not exist")
         if os.path.isdir(path):
-            parser.error(f"{flag}: {path!r} is a directory")
+            parser.error(f"{name}: {path!r} is a directory")
+    # of two outputs that resolve to one file, the one written last
+    # replaces the other
+    for (name, path), (other, other_path) in combinations(outputs, 2):
+        if os.path.realpath(path) == os.path.realpath(other_path):
+            parser.error(f"{name} and {other} are one file: {path!r}")
 
     stats: dict = {}
     records = run_batch(spec, trace_path=args.trace, stats=stats)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
-from .hpe import HpeStepCertificate, verify_hpe_inequality
+from .hpe import HpeStepCertificate
 from .operators import SplittableOperator, slack
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "drs_iterate",
     "check_termination",
     "drs_ergodic",
-    "embed_hpe",
+    "outer_certificates",
     "null_step_bounds",
 ]
 
@@ -99,9 +99,9 @@ class DrsState:
     """Mutable per-solve state: governing iterate, tolerance ladder, history.
 
     tau always equals theta**beta * tau0 in exponent arithmetic.  The
-    extragradient history (one entry per extragradient index) feeds the
-    ergodic averages and the step certificates; null steps only append to
-    the trace.
+    extragradient history (one entry per extragradient index) feeds
+    drs_ergodic and outer_certificates; null steps only append to the
+    trace.
     """
 
     def __init__(self, z0, tau0):
@@ -299,27 +299,22 @@ def _ergodic_average(zs, vs, eps) -> tuple[np.ndarray, np.ndarray, float]:
     return zbar, vbar, max(ebar, 0.0)
 
 
-def embed_hpe(state: DrsState, cfg: DrsConfig) -> HpeStepCertificate:
-    """Certificate of the last step as an inexact proximal step (lam = 1).
+def outer_certificates(state: DrsState,
+                       cfg: DrsConfig) -> list[HpeStepCertificate]:
+    """Each extragradient step taken so far as an inexact proximal step.
 
-    Only valid right after an extragradient step: z_tilde = y + gamma*b,
-    v = gamma*(a+b), eps = gamma*eps_b against the splitting operator.
+    One certificate per step, in order, at lam = 1 against the splitting
+    operator: z_tilde = y + gamma*b, v = gamma*(a+b), eps = gamma*eps_b,
+    and the update replays it, z = z_prev - v.  Null steps have none, so
+    the list is empty before the first extragradient step.  The rows are
+    not checked here; verify_hpe_inequality checks one.
     """
-    if state.last is None or state.last_step != EXTRAGRADIENT:
-        raise StateError("certificate requires a completed extragradient step")
-    x, y, a, b, _, eps_b = state.last
-    gamma = cfg.gamma
-    cert = HpeStepCertificate(
-        z_prev=state.z_prev,
-        z_tilde=y + gamma * b,
-        v=gamma * (a + b),
-        eps=gamma * eps_b,
-        lam=1.0,
-        sigma=cfg.sigma,
-    )
-    if not verify_hpe_inequality(cert):
-        raise InvariantViolation("extragradient step failed its certificate")
-    return cert
+    gamma, sigma = cfg.gamma, cfg.sigma
+    return [HpeStepCertificate(z_prev, y + gamma * b, gamma * (a + b),
+                               gamma * eps_b, 1.0, sigma)
+            for z_prev, y, a, b, eps_b in zip(
+                state.hist_z_prev, state.hist_y, state.hist_a, state.hist_b,
+                state.hist_eps_b)]
 
 
 def null_step_bounds(tau0: float, sigma: float, beta_prev: int,

@@ -257,6 +257,10 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     the point check.  A NaN or inf in z_hat, or a norm that overflows,
     fails the bound, and the steps keep the checked projection; so every
     z_hat meets the same iterates, certificates and errors either way.
+    The same norms show when max(||z_hat||, ||r||) + ||r|| < 1e150 that
+    no squared step length can overflow; otherwise, and without
+    p.trust_norms, the squares go through np.vdot, whose overflow to inf
+    does not warn.
 
     With a cert_log, every inner step is certified: stepsize lam = gamma,
     v = (z_prev - z_next)/gamma and eps = ||z_prime - z_tilde||^2/(4 eta),
@@ -286,12 +290,20 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     one_difference = p.F1 is None
     c = None if p.G is None else z_hat * 0.5 - p.h
     trusted = False
+    # squared step lengths: .dot warns when one overflows, np.vdot returns
+    # inf without a warning but costs more per call
+    square = np.vdot
     if p.trust_norms is not None:
         g_fro, r_norm, h_norm = p.trust_norms
         z_norm = _norm(z_hat)
-        # a NaN makes the comparison False
-        trusted = (g_fro * max(z_norm, r_norm) + z_norm / 2.0 + h_norm
-                   < TRUST_BOUND)
+        m = max(z_norm, r_norm)
+        # a NaN makes both comparisons False
+        trusted = g_fro * m + z_norm / 2.0 + h_norm < TRUST_BOUND
+        # z_next is a box point, so a step is at most ||z_hat|| + ||r||
+        # long at step 1 and 2||r|| after it; below 1e150, the root of
+        # TRUST_BOUND, neither square can overflow
+        if m + r_norm < 1e150:
+            square = np.ndarray.dot
     if cert_log is not None:
         prev, tildes, nexts, epsilons = cert_log.begin()
     for j in range(1, max_inner + 1):
@@ -300,12 +312,12 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
         except ValueError as exc:
             raise ContractViolation(f"inner step {j}: {exc}") from exc
         d1 = z - z_next
-        d1_sq = float(d1.dot(d1))
+        d1_sq = float(square(d1, d1))
         if one_difference:
             d2_sq = d1_sq
         else:
             d2 = z_prime - z_tilde
-            d2_sq = float(d2.dot(d2))
+            d2_sq = float(square(d2, d2))
         eps = d2_sq / (4.0 * eta)
         if cert_log is not None:
             prev.append(z)

@@ -22,10 +22,10 @@ from drsplit.drs import (
     DrsState,
     drs_iterate,
     null_step_bounds,
+    outer_certificates,
 )
 from drsplit.drt import delta_stop, drt_bsolver, drt_solve, tolerance_stop
 from drsplit.hpe import (
-    HpeStepCertificate,
     RateEnvelope,
     ergodic_bound,
     pointwise_bound,
@@ -142,17 +142,7 @@ def test_accept_01_outer_hpe_certificates(cert_runs):
         total = 0
         bad = 0
         for run in runs:
-            state, cfg = run["state"], run["cfg"]
-            g = cfg.gamma
-            for j in range(state.n_extragradient):
-                cert = HpeStepCertificate(
-                    z_prev=state.hist_z_prev[j],
-                    z_tilde=state.hist_y[j] + g * state.hist_b[j],
-                    v=g * (state.hist_a[j] + state.hist_b[j]),
-                    eps=g * state.hist_eps_b[j],
-                    lam=1.0,
-                    sigma=cfg.sigma,
-                )
+            for cert in outer_certificates(run["state"], run["cfg"]):
                 total += 1
                 if not verify_hpe_inequality(cert):
                     bad += 1

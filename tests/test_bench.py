@@ -72,7 +72,7 @@ def test_run_single_drt():
     assert rec.n == 4
     assert rec.iters == rec.extragrad + rec.null
     assert np.isfinite(rec.abs_err)
-    assert res.state is not None and res.gamma is not None
+    assert res.state is not None and res.cfg is not None
     assert len(res.state.trace) == rec.iters
     assert stats["estimate_time_s"] >= 0.0
 

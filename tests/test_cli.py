@@ -129,6 +129,23 @@ def test_a_directory_at_the_summary_path_fails_before_the_batch(
     assert "bench.summary.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trace", ["x.csv", "x.summary.csv", "sub/../x.csv",
+                                   "link.csv"],
+                         ids=["out", "summary", "dotdot", "symlink"])
+def test_outputs_in_one_file_fail_before_the_batch(
+        trace, tmp_path, monkeypatch, capsys):
+    # the records CSV, its summary and the trace would overwrite each other
+    _no_batch(monkeypatch)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "x.csv")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as ei:
+        main(["--n", "2", "--instances", "1", "--out", "x.csv",
+              "--trace", trace])
+    assert ei.value.code == 1
+    assert "are one file" in capsys.readouterr().err
+
+
 def test_failed_instance_exits_two(monkeypatch, capsys):
     real = bench.run_single
 

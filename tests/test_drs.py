@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.drs import (
     EXTRAGRADIENT,
@@ -13,9 +13,9 @@ from drsplit.drs import (
     check_termination,
     drs_ergodic,
     drs_iterate,
-    embed_hpe,
     exact_bsolver,
     null_step_bounds,
+    outer_certificates,
 )
 from drsplit.errors import (
     ContractViolation,
@@ -25,7 +25,9 @@ from drsplit.errors import (
 )
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import NullspaceNormalCone
-from drsplit.qp import generate_instance
+from drsplit.bench import initial_point
+from drsplit.drt import delta_stop, drt_bsolver
+from drsplit.qp import drt_problem, faces_instance, generate_instance
 from oracles import AffineMonotone, BoxAffineSum, ergodic_prefix
 
 
@@ -290,25 +292,41 @@ def test_ergodic_averages_and_guards():
     assert_allclose(e3.y, np.mean(state.hist_y[:3], axis=0), atol=1e-14)
 
 
-def test_embed_hpe_certificate():
-    inst = generate_instance(4, True, 6)
-    cfg = _cfg(gamma=0.7)
-    A = NullspaceNormalCone(inst.K)
-    B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
-    state = DrsState.initial(np.full(4, 1.5), cfg)
-    bs = exact_bsolver(B)
-    with pytest.raises(StateError):
-        embed_hpe(state, cfg)
-    drs_iterate(state, cfg, bs, A)
-    cert = embed_hpe(state, cfg)
-    assert cert.lam == 1.0
-    x, y, a, b, _, eps_b = state.last
-    assert_allclose(cert.z_tilde, y + cfg.gamma * b, atol=1e-14)
-    assert_allclose(cert.v, cfg.gamma * (a + b), atol=1e-14)
-    assert cert.eps == pytest.approx(cfg.gamma * eps_b)
-    assert verify_hpe_inequality(cert)
-    # the update replays the certificate: z = z_prev - v
-    assert_allclose(state.z, cert.z_prev - cert.v, atol=1e-14)
+@pytest.mark.parametrize("family", [generate_instance, faces_instance],
+                         ids=["paper", "faces"])
+def test_outer_certificates(family):
+    # one certificate per extragradient step of a drt run, bitwise the
+    # hand formula on that step's quadruple, replaying the iterates
+    inst = family(10, True, 3)
+    z0 = initial_point(10, 3)
+    prob = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-6)
+    cfg, g = prob.cfg, prob.cfg.gamma
+    state = DrsState.initial(z0, cfg)
+    bs, stop = drt_bsolver(prob), delta_stop(1e-6)
+    assert outer_certificates(state, cfg) == []
+    hand = []
+    while not stop(state):
+        drs_iterate(state, cfg, bs, prob.A)
+        if state.last_step == EXTRAGRADIENT:
+            _, y, a, b, _, eps_b = state.last
+            hand.append((state.z_prev, y + g * b, g * (a + b), g * eps_b,
+                         1.0, cfg.sigma))
+    assert state.n_null >= 1 and state.n_extragradient >= 2
+    certs = outer_certificates(state, cfg)
+    assert len(certs) == len(hand) == state.n_extragradient
+    for cert, want in zip(certs, hand):
+        for got, w in zip(cert, want):
+            assert_array_equal(got, w)
+    assert all(map(verify_hpe_inequality, certs))
+    # the update replays each certificate: z_l = z_prev_l - v_l
+    z_after = [c.z_prev for c in certs[1:]] + [state.z]
+    for cert, z in zip(certs, z_after):
+        assert_array_equal(z, cert.z_prev - cert.v)
+    # an enlargement that doubles the right-hand side fails step 2 alone
+    r = certs[1].z_tilde - certs[1].z_prev
+    state.hist_eps_b[1] = float(r.dot(r)) / g
+    assert ([verify_hpe_inequality(c) for c in outer_certificates(state, cfg)]
+            == [j != 1 for j in range(len(certs))])
 
 
 def test_null_step_bounds_values():

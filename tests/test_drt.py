@@ -14,6 +14,7 @@ from drsplit.drs import (
     check_termination,
     drs_ergodic,
     drs_iterate,
+    outer_certificates,
 )
 from drsplit.drt import (
     RunRecord,
@@ -26,8 +27,7 @@ from drsplit.drt import (
 from drsplit.errors import (ContractViolation, InvariantViolation,
                             IterationBudgetExceeded)
 from drsplit.bench import CSV_COLUMNS, initial_point
-from drsplit.hpe import (HpeStepCertificate, verify_hpe_inequality,
-                         verify_hpe_rows)
+from drsplit.hpe import verify_hpe_inequality, verify_hpe_rows
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                EnlargementTriple, LipschitzMap)
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
@@ -357,15 +357,8 @@ def test_skew_f1_certificates_verify():
     record, _ = drt_solve(p, delta_stop(1e-6), state, inner_cert_log=certs)
     assert record.null >= 1 and len(certs) == record.inner
     assert all(c.lam == gamma and verify_hpe_inequality(c) for c in certs)
-    # outer certificates rebuilt from the extragradient history
-    assert state.n_extragradient >= 1
-    for j in range(state.n_extragradient):
-        b = state.hist_b[j]
-        cert = HpeStepCertificate(
-            z_prev=state.hist_z_prev[j], z_tilde=state.hist_y[j] + gamma * b,
-            v=gamma * (state.hist_a[j] + b), eps=gamma * state.hist_eps_b[j],
-            lam=1.0, sigma=cfg.sigma)
-        assert verify_hpe_inequality(cert)
+    outer = outer_certificates(state, cfg)
+    assert len(outer) >= 1 and all(map(verify_hpe_inequality, outer))
 
 
 @pytest.mark.parametrize("family", ["paper", "skew"])

@@ -454,33 +454,33 @@ def _counting_check_dim(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e150, 1e299])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e155, 1e299])
 def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
-    # a large but safe z_hat (1e150) takes the trusted path, one past the
-    # bound (1e299) the checked one; either way iterates, certificates and
-    # errors are those of the checked path, bit for bit
+    # a large but safe z_hat (1e150) takes the trusted path; from 1e155 on
+    # ||z_hat||^2 overflows, so z_hat fails the bound and takes the checked
+    # one; either way iterates, certificates and errors are those of the
+    # checked path, bit for bit, and no overflowing square warns
     p = _faces_tseng(20, 2)
     z_hat = scale * np.random.default_rng(2).uniform(-5.0, 5.0, 20)
-    trusted = scale < 1e299
+    trusted = scale < 1e155
     calls = _counting_check_dim(monkeypatch)
     runs = []
     for q in (p, _checked(p)):
         certs, error = [], None
-        # at 1e299 the first step's squared norms overflow to inf
-        with np.errstate(over="ignore"):
-            out = tseng_solve(q, z_hat, 1e-10)
-            del calls[:]
-            try:
-                tseng_solve(q, z_hat, 1e-10, cert_log=certs)
-            except InvariantViolation as exc:
-                error = str(exc)
+        out = tseng_solve(q, z_hat, 1e-10)
+        del calls[:]
+        try:
+            tseng_solve(q, z_hat, 1e-10, cert_log=certs)
+        except InvariantViolation as exc:
+            error = str(exc)
         # trusted steps skip the point check; checked ones run it once each
         assert len(calls) == (0 if trusted and q is p else out.inner_iters)
         runs.append((out, certs, error))
     (out, certs, error), (ref, ref_certs, ref_error) = runs
     assert out.inner_iters == ref.inner_iters > 1
-    # at 1e299 step 1's certificate has eps = inf and an inf right-hand
-    # side; inf <= inf certifies nothing, so it fails
+    # past the bound step 1's certificate has eps = inf and an inf
+    # right-hand side; inf <= inf certifies nothing, so it fails
     assert error == ref_error == (
         None if trusted else "inner step 1 failed its certificate")
     assert len(certs) == len(ref_certs) == (out.inner_iters if trusted else 0)

@@ -43,7 +43,8 @@ class DrtProblem:
     """0 in A + C + F1 + F2 with the outer configuration; F1 may be None.
 
     The Tseng subproblem (C, F1, F2, gamma, sigma) is built once here, and
-    its construction is what rejects a gamma above gamma_max.
+    its construction is what rejects a gamma above gamma_max.  An A whose
+    dimension is not C's raises ValueError.
     """
 
     A: SplittableOperator
@@ -54,6 +55,9 @@ class DrtProblem:
     tseng: TsengProblem = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.A.dim != self.C.dim:
+            raise ValueError(f"A has dimension {self.A.dim}, "
+                             f"C has dimension {self.C.dim}")
         object.__setattr__(self, "tseng", TsengProblem(
             C=self.C, F1=self.F1, F2=self.F2, gamma=self.cfg.gamma,
             sigma=self.cfg.sigma))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -33,21 +34,21 @@ __all__ = [
     "tseng_solve",
 ]
 
-# the trust bound of tseng_solve: far enough below the largest double
-# (1.8e308) that round-off in forming w cannot carry it over
+# the bound on |w| that trust_radius keeps: far enough below the largest
+# double (1.8e308) that round-off in forming w cannot carry it over
 TRUST_BOUND = 1e300
 
 
 def _norm(a) -> float:
-    # vdot, unlike dot and linalg.norm, does not warn when the square
-    # overflows; the norm is then inf
+    # np.vdot, unlike .dot, does not warn when the square overflows to inf
     return math.sqrt(np.vdot(a, a))
 
 
 def gamma_max(eta: float, L: float, sigma: float) -> float:
     """Largest admissible stepsize: 4*eta*sigma^2/(1 + sqrt(1 + 16 L^2 eta^2 sigma^2)).
 
-    Collapses to 2*eta*sigma^2 when L = 0.
+    Collapses to 2*eta*sigma^2 when L = 0, and at eta = inf (F2 = 0) is the
+    limit, sigma/L, or inf when L = 0 too.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
@@ -55,7 +56,15 @@ def gamma_max(eta: float, L: float, sigma: float) -> float:
         raise ValueError("L must be >= 0")
     if not 0 < sigma < 1:
         raise ValueError("sigma must lie in (0, 1)")
-    return 4.0 * eta * sigma ** 2 / (1.0 + np.sqrt(1.0 + 16.0 * L ** 2 * eta ** 2 * sigma ** 2))
+    eta, L, sigma = float(eta), float(L), float(sigma)  # ** raises on overflow
+    with suppress(OverflowError):
+        g = 4.0 * eta * sigma ** 2 / (1.0 + math.sqrt(1.0 + 16.0 * L ** 2 * eta ** 2 * sigma ** 2))
+        if g > 0:
+            return g
+    # a square or the root overflowed, or eta = inf: the same quotient with
+    # both terms divided by 4 eta sigma, so that nothing is squared
+    t = 0.25 / eta / sigma
+    return sigma / (t + math.hypot(t, L)) if t or L else math.inf
 
 
 @dataclass(frozen=True)
@@ -69,13 +78,14 @@ class TsengProblem:
     G = (I - gamma Q)/2 and vector h = gamma e/2 are built here, once;
     otherwise both are None and the step evaluates F2.
 
-    When, in addition, C is a BoxNormalCone [lo, hi], trust_norms holds
-    (||G||_F, ||r||, ||h||) with r = max(|lo|, |hi|), the three norms of
-    the bound tseng_solve tests once per call: with
-    ||G||_F max(||z_hat||, ||r||) + ||z_hat||/2 + ||h|| < TRUST_BOUND, no
-    entry of w = G z + c, nor any partial sum inside G z, can overflow at
-    z = z_hat or at any box point z, so the box projection may skip its
-    point check.  Otherwise trust_norms is None.
+    When, in addition, C is a BoxNormalCone [lo, hi], trust_radius is
+    R = min(1e150 - ||r||, (TRUST_BOUND - ||h||)/(||G||_F + 1/2)) with
+    r = max(|lo|, |hi|), or 0.0 if ||r|| is not below R (and on any other
+    problem).  A solve from ||z_hat|| < R meets only points z with
+    ||z|| < R (z_hat and box points), so each entry and partial sum of
+    w = G z + c stays below (||G||_F + 1/2) R + ||h|| <= TRUST_BOUND, and
+    each step is shorter than R + ||r|| <= 1e150, so its square is finite.
+    An affine F2 whose dimension is not C's raises ValueError.
     """
 
     C: SplittableOperator
@@ -85,8 +95,7 @@ class TsengProblem:
     sigma: float
     G: np.ndarray | None = field(init=False, compare=False, repr=False)
     h: np.ndarray | None = field(init=False, compare=False, repr=False)
-    trust_norms: tuple[float, float, float] | None = field(
-        init=False, compare=False, repr=False)
+    trust_radius: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -96,18 +105,23 @@ class TsengProblem:
         # allow round-off at the boundary gamma == gamma_max
         if self.gamma > gmax * (1.0 + 1e-12):
             raise ValueError(f"gamma={self.gamma} exceeds gamma_max={gmax}")
-        G = h = norms = None
-        if self.F1 is None and isinstance(self.F2, AffineCocoerciveMap):
-            Q = self.F2.Q
-            G = (np.eye(Q.shape[0]) - self.gamma * Q) / 2.0
+        affine = isinstance(self.F2, AffineCocoerciveMap)
+        if affine and self.F2.e.size != self.C.dim:
+            raise ValueError(f"F2 has dimension {self.F2.e.size}, "
+                             f"C has dimension {self.C.dim}")
+        G = h = None
+        radius = 0.0
+        if self.F1 is None and affine:
+            G = (np.eye(self.C.dim) - self.gamma * self.F2.Q) / 2.0
             h = self.gamma * self.F2.e / 2.0
-            C = self.C
-            if isinstance(C, BoxNormalCone):
-                r = np.maximum(np.abs(C.lo), np.abs(C.hi))
-                norms = (_norm(G), _norm(r), _norm(h))
+            if isinstance(self.C, BoxNormalCone):
+                r = _norm(np.maximum(np.abs(self.C.lo), np.abs(self.C.hi)))
+                q = (TRUST_BOUND - _norm(h)) / (_norm(G) + 0.5)
+                if r < q and r < 1e150 - r:     # False for a NaN q
+                    radius = min(q, 1e150 - r)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "trust_norms", norms)
+        object.__setattr__(self, "trust_radius", radius)
 
 
 class TsengOutput(NamedTuple):
@@ -134,8 +148,8 @@ def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray,
     c = z_hat/2 - h, bitwise (z_hat - gamma e)/2; it agrees with the
     generic form to round-off.  c depends only on z_hat, so tseng_solve
     forms it once per solve and passes it; a caller that omits it gets it
-    formed here.  trusted=True, which tseng_solve passes when z_hat meets
-    the bound of TsengProblem, calls the box projection without its point
+    formed here.  trusted=True, which tseng_solve passes when ||z_hat|| is
+    below p.trust_radius, calls the box projection without its point
     check; a caller that has not tested that bound leaves it False.
     """
     gamma = p.gamma
@@ -249,18 +263,11 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     serves both.  With p.G set, the step's constant c is formed once here.
 
     A z_hat of another shape than (n,), n = C.dim, or a max_inner that is
-    not an integer >= 1 raises ValueError before the first step.  With
-    p.trust_norms set (an affine F2 and a box C, see TsengProblem), one
-    np.vdot(z_hat, z_hat) per call tests ||G||_F max(||z_hat||, ||r||) +
-    ||z_hat||/2 + ||h|| < TRUST_BOUND; when it holds, no w = G z + c of
-    the solve can hold a non-finite entry and every step projects without
-    the point check.  A NaN or inf in z_hat, or a norm that overflows,
-    fails the bound, and the steps keep the checked projection; so every
-    z_hat meets the same iterates, certificates and errors either way.
-    The same norms show when max(||z_hat||, ||r||) + ||r|| < 1e150 that
-    no squared step length can overflow; otherwise, and without
-    p.trust_norms, the squares go through np.vdot, whose overflow to inf
-    does not warn.
+    not an integer >= 1 raises ValueError before the first step.  One
+    comparison per call, ||z_hat|| < p.trust_radius (see TsengProblem),
+    picks unchecked projections and .dot squares, or else checked ones and
+    np.vdot, whose overflow to inf does not warn (a NaN, inf or overflowing
+    norm fails it); iterates, certificates and errors agree either way.
 
     With a cert_log, every inner step is certified: stepsize lam = gamma,
     v = (z_prev - z_next)/gamma and eps = ||z_prime - z_tilde||^2/(4 eta),
@@ -289,21 +296,9 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     eta = p.F2.eta
     one_difference = p.F1 is None
     c = None if p.G is None else z_hat * 0.5 - p.h
-    trusted = False
-    # squared step lengths: .dot warns when one overflows, np.vdot returns
-    # inf without a warning but costs more per call
-    square = np.vdot
-    if p.trust_norms is not None:
-        g_fro, r_norm, h_norm = p.trust_norms
-        z_norm = _norm(z_hat)
-        m = max(z_norm, r_norm)
-        # a NaN makes both comparisons False
-        trusted = g_fro * m + z_norm / 2.0 + h_norm < TRUST_BOUND
-        # z_next is a box point, so a step is at most ||z_hat|| + ||r||
-        # long at step 1 and 2||r|| after it; below 1e150, the root of
-        # TRUST_BOUND, neither square can overflow
-        if m + r_norm < 1e150:
-            square = np.ndarray.dot
+    trusted = p.trust_radius > 0.0 and _norm(z_hat) < p.trust_radius
+    # .dot warns on a square that overflows; np.vdot does not but costs more
+    square = np.ndarray.dot if trusted else np.vdot
     if cert_log is not None:
         prev, tildes, nexts, epsilons = cert_log.begin()
     for j in range(1, max_inner + 1):

@@ -67,6 +67,14 @@ def test_problem_rejects_oversized_gamma():
         replace(p, cfg=bad)
 
 
+def test_problem_rejects_an_a_of_another_dimension_than_c():
+    _, qp, _ = _problem()
+    A = BoxNormalCone(np.zeros(7), np.ones(7))
+    with pytest.raises(ValueError,
+                       match=r"^A has dimension 7, C has dimension 6$"):
+        replace(qp, A=A)
+
+
 def test_run_record_matches_csv_schema():
     fields = list(RunRecord.__dataclass_fields__)
     assert tuple(fields[:len(CSV_COLUMNS)]) == CSV_COLUMNS

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -12,7 +13,8 @@ from drsplit.drt import drt_bsolver
 from drsplit.errors import (ContractViolation, InvariantViolation,
                             IterationBudgetExceeded)
 from drsplit.hpe import verify_hpe_inequality
-from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
+from drsplit.operators import (AffineCocoerciveMap, BoxNormalCone,
+                               CocoerciveMap, LipschitzMap)
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
                         qp_operators)
 from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
@@ -48,6 +50,55 @@ def test_gamma_max_frozen_and_limit():
         gamma_max(float("nan"), 0.0, 0.5)
     with pytest.raises(ValueError, match="L must"):
         gamma_max(1.0, float("nan"), 0.5)
+
+
+def test_gamma_max_keeps_the_formula_bitwise_where_it_is_finite():
+    # the textbook expression, wherever none of its squares overflows
+    for eta in (1e-300, 1e-8, 0.37, 1.0, 3.5e4, 1e100, 1e150):
+        for L in (0.0, 1e-12, 0.5, 1.0, 7.25, 1e30):
+            if L * eta > 1e150:
+                continue
+            for sigma in (1e-3, 0.5, 0.9, 0.99):
+                want = 4.0 * eta * sigma ** 2 / (
+                    1.0 + np.sqrt(1.0 + 16.0 * L ** 2 * eta ** 2 * sigma ** 2))
+                assert gamma_max(eta, L, sigma) == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_max_at_infinite_and_at_large_eta():
+    # eta = inf (F2 = 0) gives the limits sigma/L and, at L = 0, inf
+    inf = float("inf")
+    assert gamma_max(inf, 0.0, 0.5) == inf
+    assert gamma_max(inf, 1.0, 0.5) == 0.5
+    assert gamma_max(inf, 4.0, 0.9) == 0.9 / 4.0
+    # a finite eta whose square overflows gets a finite value, near the
+    # limit sigma/L (or 2 eta sigma^2 at L = 0), also as a numpy scalar
+    for eta in (1e200, np.float64(1e200), 1e300):
+        assert gamma_max(eta, 1.0, 0.5) == pytest.approx(0.5, rel=1e-15)
+        assert gamma_max(eta, 0.0, 0.5) == pytest.approx(eta / 2.0,
+                                                         rel=1e-15)
+    # L eta sigma past the root's overflow: sigma/L, not 0
+    assert gamma_max(1e100, 1e100, 0.5) == pytest.approx(5e-101, rel=1e-15)
+
+
+def test_problem_with_an_infinite_eta_rejects_gamma_above_sigma_over_l():
+    # F2 = 0 (eta = inf) with an L = 1 map: gamma_max = sigma/L = 0.5
+    box = BoxNormalCone(np.zeros(2), np.ones(2))
+    F1 = LipschitzMap(eval=lambda z: z, L=1.0)
+    F2 = CocoerciveMap(eval=np.zeros_like, eta=float("inf"))
+    with pytest.raises(ValueError, match=r"^gamma=1000000000.0 exceeds "
+                                         r"gamma_max=0.5$"):
+        TsengProblem(C=box, F1=F1, F2=F2, gamma=1e9, sigma=0.5)
+    assert TsengProblem(C=box, F1=F1, F2=F2, gamma=0.5, sigma=0.5).gamma == 0.5
+
+
+def test_affine_map_of_another_dimension_than_the_cone_is_rejected():
+    box = BoxNormalCone(-np.ones(6), np.ones(6))
+    F2 = AffineCocoerciveMap(Q=np.eye(7), e=np.zeros(7), eta=1.0)
+    for F1 in (None, LipschitzMap(eval=np.zeros_like, L=0.0)):
+        with pytest.raises(ValueError,
+                           match=r"^F2 has dimension 7, C has dimension 6$"):
+            TsengProblem(C=box, F1=F1, F2=F2, gamma=1.0, sigma=0.99)
 
 
 def test_problem_rejects_nan_eta():
@@ -378,10 +429,10 @@ def _faces_tseng(n, seed, generic=False):
 
 
 def _checked(p):
-    # the same problem with the trust bound withheld: every step projects
+    # the same problem with a zero trust radius: every step projects
     # through the checked resolvent
     q = TsengProblem(C=p.C, F1=p.F1, F2=p.F2, gamma=p.gamma, sigma=p.sigma)
-    object.__setattr__(q, "trust_norms", None)
+    object.__setattr__(q, "trust_radius", 0.0)
     return q
 
 
@@ -398,17 +449,38 @@ def test_misshapen_prox_centre_is_rejected_before_the_first_step(z_hat,
         tseng_solve(p, z_hat, 1e-8, cert_log=[])
 
 
-def test_trust_norms_are_set_only_for_an_affine_step_on_a_box():
+def _vnorm(a):
+    # np.linalg.norm warns when the square overflows; vdot returns inf
+    return math.sqrt(np.vdot(a, a))
+
+
+def test_trust_radius_is_set_only_for_an_affine_step_on_a_box():
     p = _faces_tseng(6, 0)
-    r = np.maximum(np.abs(p.C.lo), np.abs(p.C.hi))
-    assert p.trust_norms == pytest.approx(
-        (np.linalg.norm(p.G), np.linalg.norm(r), np.linalg.norm(p.h)),
-        rel=1e-14)
-    assert _faces_tseng(6, 0, generic=True).trust_norms is None
-    ops = qp_operators(faces_instance(6, False, 0))
+    r = np.linalg.norm(np.maximum(np.abs(p.C.lo), np.abs(p.C.hi)))
+    want = min(1e150 - r, (1e300 - np.linalg.norm(p.h))
+               / (np.linalg.norm(p.G) + 0.5))
+    assert p.trust_radius == pytest.approx(want, rel=1e-14)
+    assert p.trust_radius == pytest.approx(1e150, rel=1e-14)
+    assert _faces_tseng(6, 0, generic=True).trust_radius == 0.0
+    ops = qp_operators(faces_instance(100, False, 0))
+    gamma = gamma_max(ops.eta, 0.0, 0.99)
     # an affine F2 on another cone keeps the checked resolvent
-    q = TsengProblem(C=ops.A, F1=None, F2=ops.F2, gamma=p.gamma, sigma=0.99)
-    assert q.G is not None and q.trust_norms is None
+    q = TsengProblem(C=ops.A, F1=None, F2=ops.F2, gamma=gamma, sigma=0.99)
+    assert q.G is not None and q.trust_radius == 0.0
+    # a box whose corner is 1e150 long: ||r|| is not below 1e150 - ||r||
+    wide = BoxNormalCone(np.full(100, -1e149), np.full(100, 1e149))
+    assert _vnorm(np.full(100, 1e149)) == pytest.approx(1e150, rel=1e-14)
+    q = TsengProblem(C=wide, F1=None, F2=ops.F2, gamma=gamma, sigma=0.99)
+    assert q.G is not None and q.trust_radius == 0.0
+    # gamma = inf passes at eta = inf, L = 0, and G = (I - inf Q)/2 holds
+    # NaN: a NaN norm gives a zero radius, not 1e150
+    zero = AffineCocoerciveMap(Q=np.zeros((2, 2)), e=np.ones(2),
+                               eta=float("inf"))
+    box = BoxNormalCone(np.zeros(2), np.ones(2))
+    with np.errstate(invalid="ignore"):
+        q = TsengProblem(C=box, F1=None, F2=zero, gamma=float("inf"),
+                         sigma=0.5)
+    assert np.isnan(q.G).all() and q.trust_radius == 0.0
 
 
 def _overflowing_centre(p, sign):
@@ -425,9 +497,9 @@ def _overflowing_centre(p, sign):
 @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "1.7e308",
                                   "-1.7e308"])
 def test_untrusted_prox_centre_keeps_the_checked_error(case):
-    # a non-finite z_hat, or one whose w overflows, fails the trust bound
-    # and meets the point check of the resolvent at step 1, as it would
-    # without the bound
+    # a non-finite z_hat, or one whose w overflows, is not within the trust
+    # radius and meets the point check of the resolvent at step 1, as it
+    # would without the radius
     p = _faces_tseng(6, 0)
     if case.endswith("e308"):
         z_hat = _overflowing_centre(p, -1.0 if case[0] == "-" else 1.0)
@@ -455,15 +527,19 @@ def _counting_check_dim(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1.0, 1e150, 1e155, 1e299])
+@pytest.mark.parametrize("scale", [1.0, 1e148, 1e150, 1e155, 1e299])
 def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
-    # a large but safe z_hat (1e150) takes the trusted path; from 1e155 on
-    # ||z_hat||^2 overflows, so z_hat fails the bound and takes the checked
-    # one; either way iterates, certificates and errors are those of the
-    # checked path, bit for bit, and no overflowing square warns
+    # ||z_hat|| is about 13 scale and the radius 1e150: up to 1e148 the
+    # solve takes the trusted path, from 1e150 on the checked one; either
+    # way iterates, certificates and errors are those of the checked path,
+    # bit for bit, and no overflowing square warns
     p = _faces_tseng(20, 2)
     z_hat = scale * np.random.default_rng(2).uniform(-5.0, 5.0, 20)
-    trusted = scale < 1e155
+    trusted = scale <= 1e148
+    assert (_vnorm(z_hat) < p.trust_radius) == trusted
+    # from 1e155 on ||z_hat||^2 overflows, and so does step 1's square
+    overflows = _vnorm(z_hat) == math.inf
+    assert overflows == (scale >= 1e155)
     calls = _counting_check_dim(monkeypatch)
     runs = []
     for q in (p, _checked(p)):
@@ -479,11 +555,11 @@ def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
         runs.append((out, certs, error))
     (out, certs, error), (ref, ref_certs, ref_error) = runs
     assert out.inner_iters == ref.inner_iters > 1
-    # past the bound step 1's certificate has eps = inf and an inf
-    # right-hand side; inf <= inf certifies nothing, so it fails
+    # when the square overflows, step 1's certificate has eps = inf and an
+    # inf right-hand side; inf <= inf certifies nothing, so it fails
     assert error == ref_error == (
-        None if trusted else "inner step 1 failed its certificate")
-    assert len(certs) == len(ref_certs) == (out.inner_iters if trusted else 0)
+        "inner step 1 failed its certificate" if overflows else None)
+    assert len(certs) == len(ref_certs) == (0 if overflows else out.inner_iters)
     for got, want in zip(out, ref):
         assert_array_equal(got, want)
     for cert, want in zip(certs, ref_certs):

@@ -81,8 +81,8 @@ class BenchSpec:
             raise ValueError(f"algo must be one of {_ALGOS}")
         if self.stop not in _STOPS:
             raise ValueError(f"stop must be one of {_STOPS}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not 0 < self.sigma < 1:
             raise ValueError("sigma must lie in (0, 1)")
         if not 0 < self.theta < 1:

@@ -41,9 +41,9 @@ __all__ = [
 EXTRAGRADIENT = "extragradient"
 NULL = "null"
 
-# (z_prev, tau, gamma) -> (x, b, eps_b) with ||gamma*b + x - z_prev||^2
-# + 2*gamma*eps_b <= tau and b in B^{eps_b}(x).
-BSolver = Callable[[np.ndarray, float, float], tuple[np.ndarray, np.ndarray, float]]
+# (z_prev, tau, gamma) -> (x, b, eps_b, inner) with ||gamma*b + x - z_prev||^2
+# + 2*gamma*eps_b <= tau, b in B^{eps_b}(x) and inner the solver's steps.
+BSolver = Callable[[np.ndarray, float, float], tuple[np.ndarray, np.ndarray, float, int]]
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,17 @@ class TraceRecord(NamedTuple):
     tau: float
     residual: float
     eps_b: float
+    inner: int
 
 
 class DrsState:
     """Mutable per-solve state: governing iterate, tolerance ladder, history.
 
     tau always equals theta**beta * tau0 in exponent arithmetic.  The
-    extragradient history (one entry per extragradient index) feeds
-    drs_ergodic and outer_certificates; null steps only append to the
-    trace.
+    trace has one TraceRecord per step: kind, tau after it, ||x - y||,
+    eps_b and the B-solver's inner steps.  The extragradient history (one
+    entry per extragradient index) feeds drs_ergodic and
+    outer_certificates.
     """
 
     def __init__(self, z0, tau0):
@@ -144,11 +146,11 @@ class DrsState:
 
 
 def exact_bsolver(opB: SplittableOperator) -> BSolver:
-    """B-solver from an exact resolvent oracle; eps_b = 0, any tau."""
+    """B-solver from an exact resolvent oracle; eps_b = inner = 0, any tau."""
 
     def solve(z_prev, tau, gamma):
         x = opB.resolvent(gamma, z_prev)
-        return x, (z_prev - x) / gamma, 0.0
+        return x, (z_prev - x) / gamma, 0.0, 0
 
     return solve
 
@@ -172,7 +174,9 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     contract, takes the resolvent point y of A at w = x - gamma*b and
     forms a = (w - y)/gamma, and applies the relative-error test: on
     success the extragradient update moves z and keeps tau, otherwise z
-    freezes and tau shrinks by theta.  Mutates and returns state.
+    freezes and tau shrinks by theta.  Mutates and returns state.  A
+    ContractViolation or IterationBudgetExceeded from the B-solver gets
+    the prefix "outer B-solve call <k>: ", k = state.k + 1.
     """
     if state.k >= cfg.max_iter:
         raise IterationBudgetExceeded(f"max_iter={cfg.max_iter} reached")
@@ -180,7 +184,10 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     tau_prev = state.tau
     z = state.z
 
-    x, b, eps_b = bsolver(z, tau_prev, gamma)
+    try:
+        x, b, eps_b, inner = bsolver(z, tau_prev, gamma)
+    except (ContractViolation, IterationBudgetExceeded) as exc:
+        raise type(exc)(f"outer B-solve call {state.k + 1}: {exc}") from exc
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if x.shape != z.shape or b.shape != z.shape:
@@ -191,6 +198,9 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     # written so that NaN fails both tests
     if not eps_b >= 0:
         raise ContractViolation(f"bsolver returned eps_b={eps_b}, not >= 0")
+    if not (isinstance(inner, numbers.Integral) and inner >= 0):
+        raise ContractViolation(
+            f"bsolver returned inner={inner!r}, not an integer >= 0")
     gb = gamma * b
     r_b = gb + x - z
     lhs = float(r_b.dot(r_b)) + 2.0 * gamma * eps_b
@@ -234,7 +244,8 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         step = NULL
     state.k += 1
     state.last = quad
-    state.trace.append(TraceRecord(state.k, step, state.tau, residual, eps_b))
+    state.trace.append(TraceRecord(state.k, step, state.tau, residual, eps_b,
+                                   int(inner)))
     return state
 
 

@@ -21,7 +21,6 @@ from typing import Callable
 
 from .drs import (EXTRAGRADIENT, BSolver, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
-from .errors import ContractViolation, IterationBudgetExceeded
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
 from .tseng import CertBlock, TsengProblem, tseng_solve
 
@@ -123,35 +122,25 @@ def residual_stop(tol: float) -> StopRule:
 
 
 def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
-                inner_log: list | None = None,
                 block: CertBlock | None = None) -> BSolver:
     """B-solver running the inner Tseng loop on each outer request.
 
     Receives the pre-update tolerance tau_{k-1} and prox center z_{k-1};
     every call reuses the problem's one Tseng subproblem, so gamma must be
-    the problem's.  Inner iteration counts append to inner_log, and each
-    call's steps join block when given.
-    Inner budget errors and rejected operator outputs carry outer-call
-    context.
+    the problem's.  Returns the inner iteration count as its fourth value,
+    and each call's steps join block when given.  Its errors carry no
+    outer-call context; drs_iterate adds it.
     """
     sub = p.tseng
-    call = 0
 
     def solve(z_prev, tau, gamma):
-        nonlocal call
         if gamma != sub.gamma:
             raise ValueError(
                 f"B-solver built for gamma={sub.gamma}, called with {gamma}")
-        call += 1
-        try:
-            out = tseng_solve(sub, z_prev, tau, max_inner=max_inner,
-                              cert_log=block)
-        except (ContractViolation, IterationBudgetExceeded) as exc:
-            raise type(exc)(f"outer B-solve call {call}: {exc}") from exc
-        if inner_log is not None:
-            inner_log.append(out.inner_iters)
+        out = tseng_solve(sub, z_prev, tau, max_inner=max_inner,
+                          cert_log=block)
         b = (z_prev + out.z_prev - (out.z_next + out.z_tilde)) / gamma
-        return out.z_tilde, b, out.eps
+        return out.z_tilde, b, out.eps, out.inner_iters
 
     return solve
 
@@ -163,18 +152,17 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
 
     The state, DrsState.initial(z0, p.cfg) for a start z0, is the one
     start; advanced in place, it keeps the full iteration history for the
-    caller.  The record's f2_evals equals its inner count: each Tseng
-    step evaluates F2 exactly once.
+    caller.  The record's counts are read from the state's trace, so they
+    cover every step the state has taken; its f2_evals equals its inner
+    count: each Tseng step evaluates F2 exactly once.
 
     With inner_cert_log, every inner step is certified (see tseng_solve)
     and all B-solves add their steps to one CertBlock, so a failing step
     raises InvariantViolation naming its outer B-solve call and inner step.
     """
-    inner_log: list[int] = []
     block = (None if inner_cert_log is None else
              CertBlock(p.tseng, inner_cert_log, label="outer B-solve call"))
-    bsolver = drt_bsolver(p, max_inner=max_inner, inner_log=inner_log,
-                          block=block)
+    bsolver = drt_bsolver(p, max_inner=max_inner, block=block)
 
     t0 = time.perf_counter()
     with block if block is not None else nullcontext():
@@ -184,7 +172,7 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
                 break
     elapsed = time.perf_counter() - t0
 
-    inner = sum(inner_log)
+    inner = sum(t.inner for t in state.trace)
     record = RunRecord(
         algo="drt",
         n=p.A.dim,

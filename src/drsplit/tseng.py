@@ -98,8 +98,8 @@ class TsengProblem:
     trust_radius: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         L = 0.0 if self.F1 is None else self.F1.L
         gmax = gamma_max(self.F2.eta, L, self.sigma)
         # allow round-off at the boundary gamma == gamma_max

@@ -16,15 +16,8 @@ import numpy as np
 import pytest
 
 from drsplit.bench import BenchSpec, initial_point, run_batch, summarize
-from drsplit.drs import (
-    EXTRAGRADIENT,
-    NULL,
-    DrsState,
-    drs_iterate,
-    null_step_bounds,
-    outer_certificates,
-)
-from drsplit.drt import delta_stop, drt_bsolver, drt_solve, tolerance_stop
+from drsplit.drs import NULL, DrsState, null_step_bounds, outer_certificates
+from drsplit.drt import delta_stop, drt_solve, tolerance_stop
 from drsplit.hpe import (
     RateEnvelope,
     ergodic_bound,
@@ -96,27 +89,18 @@ def _instrumented(family):
     for seed in range(20):
         inst, cfg, prob, z0 = _drt_setup(family, 10, seed)
         state = DrsState.initial(z0, cfg)
-        bsolver = drt_bsolver(prob, inner_log=(inner_log := []))
-        stop = delta_stop(1e-6)
-        zs, taus = [], []
-        while True:
-            taus.append(state.tau)
-            drs_iterate(state, cfg, bsolver, prob.A)
-            zs.append(state.z.copy())
-            if stop(state):
-                break
+        drt_solve(prob, delta_stop(1e-6), state)
         z_inf, d0 = drs_reference_zero(inst, cfg.gamma, z0)
         x_box = box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi)
         d0b = float(np.linalg.norm(z0 - x_box))
-        items.append(dict(inst=inst, cfg=cfg, state=state, z0=z0, zs=zs,
-                          taus=taus, inner_log=inner_log, z_inf=z_inf,
-                          d0=d0, d0b=d0b))
+        items.append(dict(cfg=cfg, state=state, z0=z0, z_inf=z_inf, d0=d0,
+                          d0b=d0b))
     return items, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def instrumented():
-    """Per family, 20 fully logged n=10 solves plus their reference
+    """Per family, 20 n=10 solves with full state plus their reference
     constants."""
     return {family: _instrumented(family) for family in FAMILIES}
 
@@ -338,9 +322,12 @@ def test_accept_09_inner_linear_decay(instrumented):
         worst_ratio = 0.0
         for it in instrumented[family][0]:
             d = 2.0 * it["d0"] + it["d0b"]
-            for cnt, tau_prev in zip(it["inner_log"], it["taus"]):
+            trace = it["state"].trace
+            # each step's B-solve is given the tau the step before it left
+            taus = [it["cfg"].tau0] + [t.tau for t in trace[:-1]]
+            for t, tau_prev in zip(trace, taus):
                 envelope = 1.0 + max(0.0, np.log(d / np.sqrt(tau_prev)))
-                worst_ratio = max(worst_ratio, cnt / envelope)
+                worst_ratio = max(worst_ratio, t.inner / envelope)
         return (violations == 0 and checked > 0 and worst_inner <= 50
                 and worst_ratio <= 2.0,
                 f"checks={checked} violations={violations} "
@@ -357,14 +344,13 @@ def test_accept_10_fejer_boundedness(instrumented):
         for it in items:
             state, z0, z_inf, d0 = (it["state"], it["z0"], it["z_inf"],
                                     it["d0"])
-            for z in it["zs"]:
+            # the iterate after each extragradient step; null steps keep z
+            dists = [d0]
+            for z in state.hist_z_prev[1:] + [state.z]:
                 checked += 1
                 if np.linalg.norm(z - z0) > 2.0 * d0 * (1 + 1e-10):
                     violations += 1
-            dists = [d0]
-            for z, t in zip(it["zs"], state.trace):
-                if t.step == EXTRAGRADIENT:
-                    dists.append(float(np.linalg.norm(z - z_inf)))
+                dists.append(float(np.linalg.norm(z - z_inf)))
             for a, b in zip(dists, dists[1:]):
                 checked += 1
                 if b > a * (1 + 1e-10) + 1e-12:

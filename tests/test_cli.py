@@ -98,7 +98,8 @@ def test_missing_output_directory_fails_before_the_batch(
     assert "missing_dir" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--tol", "nan"], ["--seed", "-1"]])
+@pytest.mark.parametrize("argv", [["--tol", "nan"], ["--seed", "-1"],
+                                  ["--tol", "inf"]])
 def test_nan_tol_and_negative_seed_exit_one_before_the_batch(
         argv, monkeypatch, capsys):
     _no_batch(monkeypatch)

@@ -124,7 +124,7 @@ def test_null_step_freezes_z_and_shrinks_tau():
     def sloppy(z_prev, tau, gamma):
         # feasible for the tolerance but far from the sigma test: large
         # eps_b forces a null step
-        return z_prev.copy(), np.zeros(2), 40.0
+        return z_prev.copy(), np.zeros(2), 40.0, 0
 
     drs_iterate(state, cfg, sloppy, A)
     assert state.last_step == NULL
@@ -141,17 +141,21 @@ def test_contract_violation_raises():
     A = NullspaceNormalCone(np.array([1.0]))
 
     def liar(z_prev, tau, gamma):
-        return z_prev + 5.0, np.zeros(1), 0.0  # lhs 25 >> tau
+        return z_prev + 5.0, np.zeros(1), 0.0, 0  # lhs 25 >> tau
 
     with pytest.raises(ContractViolation):
         drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg, liar, A)
 
     def negative_eps(z_prev, tau, gamma):
-        return z_prev.copy(), np.zeros(1), -1.0
+        return z_prev.copy(), np.zeros(1), -1.0, 0
 
     with pytest.raises(ContractViolation):
         drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg,
                     negative_eps, A)
+    for inner in (-1, 1.0, float("nan"), None):
+        with pytest.raises(ContractViolation, match=f"inner={inner!r}, not"):
+            drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg,
+                        lambda z, tau, g: (z, np.zeros(1), 0.0, inner), A)
 
 
 def test_nan_contract_data_fails_on_the_first_call():
@@ -163,11 +167,11 @@ def test_nan_contract_data_fails_on_the_first_call():
 
     def nan_eps(z_prev, tau, gamma):
         calls.append(None)
-        return z_prev / 2.0, z_prev / 2.0, float("nan")
+        return z_prev / 2.0, z_prev / 2.0, float("nan"), 0
 
     def nan_point(z_prev, tau, gamma):
         calls.append(None)
-        return np.array([np.nan, 0.0]), np.zeros(2), 0.0
+        return np.array([np.nan, 0.0]), np.zeros(2), 0.0, 0
 
     for bsolver, match in ((nan_eps, "eps_b=nan"), (nan_point, "tolerance")):
         calls.clear()
@@ -205,10 +209,10 @@ def test_bsolver_output_of_the_wrong_shape_fails_on_the_first_call():
     z0 = np.array([2.0, -1.0, 0.5])
     short = np.array([1.0])
     cases = (
-        (lambda z, tau, g: (short, z - short, 0.0),
+        (lambda z, tau, g: (short, z - short, 0.0, 0),
          r"\(1,\) and b .* \(3,\)"),
-        (lambda z, tau, g: (1.0, z - 1.0, 0.0), r"\(\) and b .* \(3,\)"),
-        (lambda z, tau, g: (z / 2.0, z[:1] / 2.0, 0.0),
+        (lambda z, tau, g: (1.0, z - 1.0, 0.0, 0), r"\(\) and b .* \(3,\)"),
+        (lambda z, tau, g: (z / 2.0, z[:1] / 2.0, 0.0, 0),
          r"\(3,\) and b .* \(1,\)"),
     )
     for bsolver, shapes in cases:
@@ -228,8 +232,24 @@ def test_iteration_budget():
     bs = exact_bsolver(B)
     drs_iterate(state, cfg, bs, A)
     drs_iterate(state, cfg, bs, A)
-    with pytest.raises(IterationBudgetExceeded):
+    with pytest.raises(IterationBudgetExceeded, match="^max_iter=2 reached$"):
         drs_iterate(state, cfg, bs, A)
+
+
+@pytest.mark.parametrize("error", [ContractViolation, IterationBudgetExceeded])
+def test_exact_steps_take_no_inner_steps_and_errors_name_the_outer_call(error):
+    # drs_iterate, not the B-solver, names the outer call that failed
+    cfg, A = _cfg(), NullspaceNormalCone(np.array([1.0]))
+    state = DrsState.initial(np.array([2.0]), cfg)
+    for _ in range(2):
+        drs_iterate(state, cfg, exact_bsolver(AffineMonotone(np.eye(1))), A)
+    assert [t.inner for t in state.trace] == [0, 0]
+
+    def fails(z_prev, tau, gamma):
+        raise error("inner trouble")
+
+    with pytest.raises(error, match="^outer B-solve call 3: inner trouble$"):
+        drs_iterate(state, cfg, fails, A)
 
 
 def test_residual_identity_every_step():

@@ -32,7 +32,6 @@ from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                EnlargementTriple, LipschitzMap)
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
                         reference_solution)
-from drsplit import drt as drt_module
 from drsplit import tseng
 from drsplit.tseng import (CERT_BLOCK_ROWS, TsengProblem, gamma_max,
                            tseng_solve, tseng_step)
@@ -89,11 +88,11 @@ def test_bsolver_satisfies_outer_contract_identity():
     bs = drt_bsolver(p)
     gamma = cfg.gamma
     for tau in (cfg.tau0, 1e-2, 1e-6):
-        x, b, eps_b = bs(z0, tau, gamma)
+        x, b, eps_b, inner = bs(z0, tau, gamma)
         r = gamma * b + x - z0
         lhs = float(r @ r) + 2.0 * gamma * eps_b
         assert lhs <= tau * (1 + 1e-10)
-        assert eps_b >= 0.0
+        assert eps_b >= 0.0 and inner >= 1
 
 
 def test_bsolver_matches_hand_inner_loop():
@@ -105,7 +104,7 @@ def test_bsolver_matches_hand_inner_loop():
 
     def hand_bsolver(z_hat, tau, gm):
         z = z_hat.copy()
-        while True:
+        for j in range(1, 1001):
             z_prime = z
             w = (z_hat + z - gm * (Q @ z_prime + e)) / 2.0
             z_tilde = np.clip(w, inst.lo, inst.hi)
@@ -115,7 +114,7 @@ def test_bsolver_matches_hand_inner_loop():
             if float(d1 @ d1) + gm * float(d2 @ d2) / (2.0 * eta) <= tau:
                 x = z_tilde
                 b = (z_hat + z - (z_next + z_tilde)) / gm
-                return x, b, float(d2 @ d2) / (4.0 * eta)
+                return x, b, float(d2 @ d2) / (4.0 * eta), j
             z = z_next
 
     # the generic step: the affine one (p.tseng.G) agrees to round-off
@@ -126,7 +125,8 @@ def test_bsolver_matches_hand_inner_loop():
     for _ in range(40):
         drs_iterate(lib, cfg, lib_bs, p.A)
         drs_iterate(ref, cfg, hand_bsolver, p.A)
-        assert lib.trace[-1].step == ref.trace[-1].step
+        got, want = lib.trace[-1], ref.trace[-1]
+        assert (got.step, got.inner) == (want.step, want.inner)
         assert_array_equal(lib.z, ref.z)
         assert lib.tau == ref.tau
 
@@ -179,35 +179,29 @@ def test_tolerance_stop_falls_back_to_the_ergodic_average():
 def test_delta_stop_ignores_null_steps():
     inst, p, z0 = _problem(n=6, seed=11)
     state = DrsState.initial(z0, p.cfg)
-    bs = drt_bsolver(p)
-    stop = delta_stop(1e-6)
-    fired_on = None
-    while True:
-        drs_iterate(state, p.cfg, bs, p.A)
-        if stop(state):
-            fired_on = state.last_step
-            break
-    assert fired_on == EXTRAGRADIENT
+    drt_solve(p, delta_stop(1e-6), state)
+    assert state.n_null >= 1 and state.last_step == EXTRAGRADIENT
     assert np.linalg.norm(state.z - state.z_prev) <= 1e-6
 
 
 def test_full_solve_record_consistency():
     inst, qp, z0 = _problem(n=10, seed=1)
-    calls = 0
+    state = DrsState.initial(z0, qp.cfg)
+    calls = [0] * 100   # F2 evaluations made during each outer step
 
     def counted(z):
-        nonlocal calls
-        calls += 1
+        calls[len(state.trace)] += 1
         return qp.F2.eval(z)
 
     p = replace(qp, F2=CocoerciveMap(eval=counted, eta=qp.F2.eta))
-    record, quad = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg))
+    record, quad = drt_solve(p, delta_stop(1e-6), state)
     assert record.algo == "drt"
     assert record.n == 10
     assert record.iters == record.extragrad + record.null
     assert record.iters >= 1
-    # the record's F2 count is the number of evaluations actually made
-    assert record.f2_evals == calls == record.inner
+    # the trace's inner counts and the record's are the F2 evaluations made
+    assert [t.inner for t in state.trace] == calls[:record.iters]
+    assert record.f2_evals == sum(calls) == record.inner
     assert record.inner >= record.iters  # every outer step runs >= 1 inner
     assert record.residual == pytest.approx(
         np.linalg.norm(quad.x - quad.y), rel=1e-12)
@@ -307,12 +301,9 @@ def _poisoned(F2, bad_call):
 def test_non_finite_f2_output_names_outer_call_and_inner_step():
     inst, qp, z0 = _problem(n=20, seed=0)
     # where F2 evaluation 7 falls in the clean run: outer call, inner step
-    log = []
-    clean = drt_bsolver(qp, inner_log=log)
     state = DrsState.initial(z0, qp.cfg)
-    while sum(log) < 7:
-        drs_iterate(state, qp.cfg, clean, qp.A)
-    call, step = len(log), 7 - sum(log[:-1])
+    drt_solve(qp, delta_stop(1e-6), state)
+    call, step = _call_and_step([t.inner for t in state.trace], 7)
     assert call > 1
     p = replace(qp, F2=_poisoned(qp.F2, 7))
     with pytest.raises(ContractViolation,
@@ -485,15 +476,9 @@ def _clean_skew_log():
     # inner counts per B-solve call and every inner certificate of the
     # clean skew-F1 solve
     _, p, z0 = _skew_problem()
-    counts, certs = [], []
-    bsolver = drt_bsolver(p, inner_log=counts)
-    state, stop = DrsState.initial(z0, p.cfg), delta_stop(1e-6)
-    while True:
-        drs_iterate(state, p.cfg, bsolver, p.A)
-        if stop(state):
-            break
-    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
-                          inner_cert_log=certs)
+    state, certs = DrsState.initial(z0, p.cfg), []
+    record, _ = drt_solve(p, delta_stop(1e-6), state, inner_cert_log=certs)
+    counts = [t.inner for t in state.trace]
     assert record.inner == sum(counts) == len(certs) > CERT_BLOCK_ROWS
     return counts, certs
 
@@ -582,27 +567,20 @@ def test_pending_certificates_are_checked_when_drs_iterate_raises():
 
 
 def _block_rows(monkeypatch):
-    # rows per verify_hpe_rows call, and inner steps per B-solve call
-    rows, counts = [], []
-    real_rows, real_solve = tseng.verify_hpe_rows, drt_module.tseng_solve
+    # rows per verify_hpe_rows call
+    rows, real_rows = [], tseng.verify_hpe_rows
 
     def spy_rows(Z_prev, *args):
         rows.append(len(Z_prev))
         return real_rows(Z_prev, *args)
 
-    def spy_solve(*args, **kwargs):
-        out = real_solve(*args, **kwargs)
-        counts.append(out.inner_iters)
-        return out
-
     monkeypatch.setattr(tseng, "verify_hpe_rows", spy_rows)
-    monkeypatch.setattr(drt_module, "tseng_solve", spy_solve)
-    return rows, counts
+    return rows
 
 
 def test_short_solve_is_checked_in_full(monkeypatch):
     # fewer rows than a block: one check, of every step, before returning
-    rows, counts = _block_rows(monkeypatch)
+    rows = _block_rows(monkeypatch)
     inst, p, z0 = _problem()
     certs = []
     record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
@@ -626,14 +604,12 @@ def test_blocks_span_bsolves_and_log_what_per_call_checks_log(monkeypatch):
         return bsolver(z_prev, tau, gamma)
 
     state, stop = DrsState.initial(z0, cfg), delta_stop(1e-6)
-    while True:
+    while not stop(state):
         drs_iterate(state, cfg, checked_per_call, p.A)
-        if stop(state):
-            break
-    rows, counts = _block_rows(monkeypatch)
-    certs = []
-    record, _ = drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, cfg),
-                          inner_cert_log=certs)
+    rows = _block_rows(monkeypatch)
+    state, certs = DrsState.initial(z0, cfg), []
+    record, _ = drt_solve(p, delta_stop(1e-6), state, inner_cert_log=certs)
+    counts = [t.inner for t in state.trace]
     assert sum(rows) == sum(counts) == record.inner == len(certs)
     assert 1 < len(rows) < len(counts) // 4
     ends = np.cumsum(counts).tolist()

@@ -92,6 +92,15 @@ def test_problem_with_an_infinite_eta_rejects_gamma_above_sigma_over_l():
     assert TsengProblem(C=box, F1=F1, F2=F2, gamma=0.5, sigma=0.5).gamma == 0.5
 
 
+def test_problem_rejects_an_infinite_gamma():
+    # at eta = inf and L = 0 gamma_max is inf, which gamma = inf does not
+    # exceed; its first solve then multiplied inf by 0
+    F2 = CocoerciveMap(eval=np.zeros_like, eta=float("inf"))
+    with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
+        TsengProblem(C=BoxNormalCone(np.zeros(2), np.ones(2)), F1=None, F2=F2,
+                     gamma=float("inf"), sigma=0.5)
+
+
 def test_affine_map_of_another_dimension_than_the_cone_is_rejected():
     box = BoxNormalCone(-np.ones(6), np.ones(6))
     F2 = AffineCocoerciveMap(Q=np.eye(7), e=np.zeros(7), eta=1.0)
@@ -472,15 +481,14 @@ def test_trust_radius_is_set_only_for_an_affine_step_on_a_box():
     assert _vnorm(np.full(100, 1e149)) == pytest.approx(1e150, rel=1e-14)
     q = TsengProblem(C=wide, F1=None, F2=ops.F2, gamma=gamma, sigma=0.99)
     assert q.G is not None and q.trust_radius == 0.0
-    # gamma = inf passes at eta = inf, L = 0, and G = (I - inf Q)/2 holds
-    # NaN: a NaN norm gives a zero radius, not 1e150
-    zero = AffineCocoerciveMap(Q=np.zeros((2, 2)), e=np.ones(2),
-                               eta=float("inf"))
+    # an eta = inf that Q belies admits a huge gamma, and h and ||G||
+    # overflow: q = -inf/inf is NaN, which gives a zero radius, not 1e150
+    lie = AffineCocoerciveMap(Q=np.eye(2), e=np.full(2, 1e10),
+                              eta=float("inf"))
     box = BoxNormalCone(np.zeros(2), np.ones(2))
-    with np.errstate(invalid="ignore"):
-        q = TsengProblem(C=box, F1=None, F2=zero, gamma=float("inf"),
-                         sigma=0.5)
-    assert np.isnan(q.G).all() and q.trust_radius == 0.0
+    with np.errstate(over="ignore"):
+        q = TsengProblem(C=box, F1=None, F2=lie, gamma=1e308, sigma=0.5)
+    assert _vnorm(q.G) == _vnorm(q.h) == math.inf and q.trust_radius == 0
 
 
 def _overflowing_centre(p, sign):

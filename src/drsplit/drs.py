@@ -102,13 +102,12 @@ class DrsState:
     tau always equals theta**beta * tau0 in exponent arithmetic.  The
     trace has one TraceRecord per step: kind, tau after it, ||x - y||,
     eps_b and the B-solver's inner steps.  The extragradient history (one
-    entry per extragradient index) feeds drs_ergodic and
-    outer_certificates.
+    entry per extragradient index) feeds drs_ergodic, outer_certificates
+    and delta_stop (z_{k-1} = hist_z_prev[-1]); drt_solve takes it fresh.
     """
 
     def __init__(self, z0, tau0):
         self.z = np.asarray(z0, dtype=float).copy()
-        self.z_prev = self.z.copy()
         self.tau = float(tau0)
         self.k = 0
         self.beta = 0
@@ -176,7 +175,8 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     success the extragradient update moves z and keeps tau, otherwise z
     freezes and tau shrinks by theta.  Mutates and returns state.  A
     ContractViolation or IterationBudgetExceeded from the B-solver gets
-    the prefix "outer B-solve call <k>: ", k = state.k + 1.
+    the prefix "outer B-solve call <k>: ", k = state.k + 1; a return that
+    does not unpack to (x, b, eps_b, inner) raises ContractViolation.
     """
     if state.k >= cfg.max_iter:
         raise IterationBudgetExceeded(f"max_iter={cfg.max_iter} reached")
@@ -185,9 +185,14 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     z = state.z
 
     try:
-        x, b, eps_b, inner = bsolver(z, tau_prev, gamma)
+        out = bsolver(z, tau_prev, gamma)
     except (ContractViolation, IterationBudgetExceeded) as exc:
         raise type(exc)(f"outer B-solve call {state.k + 1}: {exc}") from exc
+    try:
+        x, b, eps_b, inner = out
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"bsolver returned a {type(out).__name__}, "
+                                f"not (x, b, eps_b, inner): {exc}") from exc
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if x.shape != z.shape or b.shape != z.shape:
@@ -224,7 +229,6 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
 
     r_test = gb + y - z
     rhs = cfg.sigma ** 2 * float(r_test.dot(r_test))
-    state.z_prev = z
     # inclusive: equality classifies as extragradient; the round-off
     # allowance is computed only when the plain test fails, and since it
     # is >= 0 the decision is that of lhs <= rhs + _tie_noise(...)
@@ -238,7 +242,6 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         state.z = z - v
         step = EXTRAGRADIENT
     else:
-        state.z = z
         state.beta += 1
         state.tau = cfg.theta ** state.beta * cfg.tau0
         step = NULL

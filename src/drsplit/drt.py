@@ -21,6 +21,7 @@ from typing import Callable
 
 from .drs import (EXTRAGRADIENT, BSolver, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
+from .errors import StateError
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
 from .tseng import CertBlock, TsengProblem, tseng_solve
 
@@ -97,14 +98,15 @@ def tolerance_stop(cfg: DrsConfig) -> StopRule:
 
 
 def delta_stop(tol: float) -> StopRule:
-    """Successive-iterate rule ||z_k - z_{k-1}|| <= tol, extragradient steps only."""
+    """Successive-iterate rule ||z_k - z_{k-1}|| <= tol, extragradient steps
+    only; z_{k-1} is state.hist_z_prev[-1], the start of the last step."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
 
     def fired(state: DrsState) -> bool:
         if state.last_step != EXTRAGRADIENT:
             return False
-        d = state.z - state.z_prev
+        d = state.z - state.hist_z_prev[-1]
         return math.sqrt(float(d.dot(d))) <= tol
 
     return fired
@@ -148,24 +150,23 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
 def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
               max_inner: int = 1000,
               inner_cert_log: list | None = None) -> tuple[RunRecord, Quadruple]:
-    """Run the outer loop from state until the stop rule fires.
+    """Run the outer loop from a fresh state until the stop rule fires.
 
-    The state, DrsState.initial(z0, p.cfg) for a start z0, is the one
-    start; advanced in place, it keeps the full iteration history for the
-    caller.  The record's counts are read from the state's trace, so they
-    cover every step the state has taken; its f2_evals equals its inner
-    count: each Tseng step evaluates F2 exactly once.
+    The state is DrsState.initial(z0, p.cfg), advanced in place; one that
+    has stepped raises StateError, so the record (counts from the trace,
+    time_s), trace, certificate log and outer call numbers cover the same
+    steps.  f2_evals = inner: each Tseng step evaluates F2 exactly once.
 
     With inner_cert_log, every inner step is certified (see tseng_solve)
     and all B-solves add their steps to one CertBlock, so a failing step
     raises InvariantViolation naming its outer B-solve call and inner step.
     """
-    block = (None if inner_cert_log is None else
-             CertBlock(p.tseng, inner_cert_log, label="outer B-solve call"))
-    bsolver = drt_bsolver(p, max_inner=max_inner, block=block)
-
+    if state.k:
+        raise StateError(f"drt_solve needs a fresh state, got one at k={state.k}")
     t0 = time.perf_counter()
-    with block if block is not None else nullcontext():
+    with (nullcontext() if inner_cert_log is None else
+          CertBlock(p.tseng, inner_cert_log, label="outer B-solve call")) as block:
+        bsolver = drt_bsolver(p, max_inner=max_inner, block=block)
         while True:
             drs_iterate(state, p.cfg, bsolver, p.A)
             if stop(state):

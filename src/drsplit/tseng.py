@@ -187,20 +187,20 @@ CERT_BLOCK_ROWS = 64
 class CertBlock:
     """Inner-step certificates of one or more solves, checked together.
 
-    A context manager.  begin() opens a solve and returns the four lists
-    (z_prev, z_tilde, z_next, eps) its steps append to, first checking the
-    pending rows when CERT_BLOCK_ROWS or more wait; leaving the block
-    checks the rest.  Without F1, z_next is z_tilde, so the steps leave
-    the z_next list empty and one stack of z_tilde serves both.  check()
-    verifies the pending rows in one hpe.verify_hpe_rows pass, with
+    The one way to certify Tseng steps: open a block (a context manager)
+    and pass it to tseng_solve as cert_log.  begin() opens a solve and
+    returns the four lists (z_prev, z_tilde, z_next, eps) its steps append
+    to, first checking the pending rows when CERT_BLOCK_ROWS or more wait;
+    leaving the block checks the rest.  Without F1, z_next is z_tilde, so
+    the z_next list stays empty and one stack of z_tilde serves both.
+    check() verifies the pending rows in one hpe.verify_hpe_rows pass, with
     v = (z_prev - z_next)/gamma formed for the block (each row bitwise
     that step's own), appends one HpeStepCertificate per row to log, and
     empties the block.  A failing row logs the certificates before it and
-    raises InvariantViolation naming its step within its solve and, when
-    the block has a label, the solve ("<label> <k>: inner step <j> ...",
-    k counting the solves begun in this block).  Raised on leaving, that
-    error replaces the one that ended the block, which becomes its
-    __context__.
+    raises InvariantViolation naming its step within its solve and, with a
+    label, the solve ("<label> <k>: inner step <j> ...", k counting the
+    solves begun in the block).  Raised on leaving, it replaces the error
+    that ended the block, which becomes its __context__.
     """
 
     def __init__(self, p: TsengProblem, log: list, label: str | None = None):
@@ -253,7 +253,7 @@ class CertBlock:
 
 
 def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
-                cert_log: list | CertBlock | None = None) -> TsengOutput:
+                cert_log: CertBlock | None = None) -> TsengOutput:
     """Iterate from z0 = z_hat until the exit test fires.
 
     Exit test: ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta)
@@ -269,19 +269,15 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     np.vdot, whose overflow to inf does not warn (a NaN, inf or overflowing
     norm fails it); iterates, certificates and errors agree either way.
 
-    With a cert_log, every inner step is certified: stepsize lam = gamma,
-    v = (z_prev - z_next)/gamma and eps = ||z_prime - z_tilde||^2/(4 eta),
-    the eps of the exit test; the implied operator is B plus the strongly
-    monotone prox term (1/gamma)(. - z_hat).  The steps join a CertBlock
-    (see there): cert_log itself, or, when cert_log is a list, a block of
-    this call alone, checked when the call returns or raises.
+    With a cert_log, a CertBlock the caller has opened (see there), every
+    inner step is certified: stepsize lam = gamma, v = (z_prev - z_next)/gamma
+    and eps = ||z_prime - z_tilde||^2/(4 eta), the eps of the exit test; the
+    implied operator is B plus the strongly monotone prox term
+    (1/gamma)(. - z_hat).  The steps join the block, which checks them.
 
     A step whose operator output the resolvent rejects (non-finite or of
     the wrong shape) raises ContractViolation naming the inner step.
     """
-    if cert_log is not None and not isinstance(cert_log, CertBlock):
-        with CertBlock(p, cert_log) as block:
-            return tseng_solve(p, z_hat, tau_hat, max_inner, block)
     if not tau_hat > 0:
         raise ValueError("tau_hat must be positive")
     # type() first: the ABC isinstance is slow and runs once per B-solve

@@ -32,7 +32,7 @@ from drsplit.qp import (
     reference_solution,
 )
 from drsplit.baselines import run_baseline
-from drsplit.tseng import tseng_solve
+from drsplit.tseng import CertBlock, tseng_solve
 from oracles import (box_qp_solve, drs_reference_zero, ergodic_prefix,
                      transport_ergodic)
 
@@ -308,7 +308,8 @@ def test_accept_09_inner_linear_decay(instrumented):
             d_zb = float(np.linalg.norm(z0 - x_box))
             for tau_hat in (1e-8, cfg.tau0):
                 certs = []
-                out = tseng_solve(prob.tseng, z0, tau_hat, cert_log=certs)
+                with CertBlock(prob.tseng, certs) as block:
+                    out = tseng_solve(prob.tseng, z0, tau_hat, cert_log=block)
                 worst_inner = max(worst_inner, out.inner_iters)
                 for j, c in enumerate(certs, start=1):
                     lhs = (float(np.dot(g * c.v, g * c.v))

@@ -188,6 +188,21 @@ def test_a_poisoned_instance_is_one_error_row(algo, monkeypatch):
     assert math.isnan(records[1].time_s)
 
 
+def test_a_three_value_bsolver_is_one_error_row_per_instance(monkeypatch):
+    # a B-solver written to the three-value protocol breaks its contract
+    # on every instance: each becomes an error row, and the batch runs on
+    def three_values(p, max_inner=1000, block=None):
+        return lambda z, tau, gamma: (z / 2.0, z / 2.0, 0.0)
+
+    monkeypatch.setattr(drt_module, "drt_bsolver", three_values)
+    records = run_batch(BenchSpec(n=10, instances=2))
+    assert [r.instance for r in records] == [0, 1]
+    for r in records:
+        assert re.fullmatch(r"ContractViolation: bsolver returned a tuple, "
+                            r"not \(x, b, eps_b, inner\): .*", r.error)
+        assert math.isnan(r.time_s)
+
+
 def test_trace_requires_drt(tmp_path):
     with pytest.raises(ValueError):
         run_batch(BenchSpec(n=3, instances=1, algo="rfdrs"),
@@ -223,9 +238,10 @@ def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
     real = drt_module.drs_iterate
 
     def overshoot(state, cfg, bsolver, A):
+        z = state.z
         real(state, cfg, bsolver, A)
         if state.last_step == EXTRAGRADIENT and state.n_extragradient == 1:
-            state.z = state.z_prev + 1.01 * (state.z - state.z_prev)
+            state.z = z + 1.01 * (state.z - z)
         return state
 
     monkeypatch.setattr(drt_module, "drs_iterate", overshoot)

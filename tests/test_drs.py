@@ -224,6 +224,36 @@ def test_bsolver_output_of_the_wrong_shape_fails_on_the_first_call():
         assert state.k == 0
 
 
+def test_bsolver_return_that_is_not_four_values_is_a_contract_violation():
+    # a B-solver written to the three-value protocol, and returns that do
+    # not unpack at all; a ValueError raised inside the B-solver keeps its
+    # type
+    cfg = _cfg()
+    A = NullspaceNormalCone(np.ones(2))
+    z0 = np.array([2.0, -1.0])
+    cases = (
+        (lambda z, tau, g: (z / 2.0, z / 2.0, 0.0), "tuple", r"got 3"),
+        (lambda z, tau, g: (z / 2.0, z / 2.0, 0.0, 0, 0), "tuple",
+         r"expected 4"),
+        (lambda z, tau, g: None, "NoneType", "non-iterable"),
+        (lambda z, tau, g: 1.0, "float", "non-iterable"),
+    )
+    for bsolver, kind, why in cases:
+        state = DrsState.initial(z0, cfg)
+        with pytest.raises(ContractViolation,
+                           match=rf"^bsolver returned a {kind}, not \(x, b, "
+                                 rf"eps_b, inner\): .*{why}"):
+            drs_iterate(state, cfg, bsolver, A)
+        assert state.k == 0 and state.trace == []
+        assert_array_equal(state.z, z0)
+
+    def raises(z_prev, tau, gamma):
+        raise ValueError("inner trouble")
+
+    with pytest.raises(ValueError, match="^inner trouble$"):
+        drs_iterate(DrsState.initial(z0, cfg), cfg, raises, A)
+
+
 def test_iteration_budget():
     cfg = _cfg(max_iter=2)
     A = NullspaceNormalCone(np.array([1.0]))
@@ -326,11 +356,12 @@ def test_outer_certificates(family):
     assert outer_certificates(state, cfg) == []
     hand = []
     while not stop(state):
+        z = state.z
         drs_iterate(state, cfg, bs, prob.A)
         if state.last_step == EXTRAGRADIENT:
             _, y, a, b, _, eps_b = state.last
-            hand.append((state.z_prev, y + g * b, g * (a + b), g * eps_b,
-                         1.0, cfg.sigma))
+            hand.append((z, y + g * b, g * (a + b), g * eps_b, 1.0,
+                         cfg.sigma))
     assert state.n_null >= 1 and state.n_extragradient >= 2
     certs = outer_certificates(state, cfg)
     assert len(certs) == len(hand) == state.n_extragradient

@@ -25,16 +25,16 @@ from drsplit.drt import (
     tolerance_stop,
 )
 from drsplit.errors import (ContractViolation, InvariantViolation,
-                            IterationBudgetExceeded)
+                            IterationBudgetExceeded, StateError)
 from drsplit.bench import CSV_COLUMNS, initial_point
 from drsplit.hpe import verify_hpe_inequality, verify_hpe_rows
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                EnlargementTriple, LipschitzMap)
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
                         reference_solution)
-from drsplit import tseng
-from drsplit.tseng import (CERT_BLOCK_ROWS, TsengProblem, gamma_max,
-                           tseng_solve, tseng_step)
+from drsplit import drt as drt_module, tseng
+from drsplit.tseng import (CERT_BLOCK_ROWS, CertBlock, TsengProblem,
+                           gamma_max, tseng_solve, tseng_step)
 
 
 def _problem(n=6, seed=0, tol=1e-6, family=generate_instance, definite=True):
@@ -181,7 +181,7 @@ def test_delta_stop_ignores_null_steps():
     state = DrsState.initial(z0, p.cfg)
     drt_solve(p, delta_stop(1e-6), state)
     assert state.n_null >= 1 and state.last_step == EXTRAGRADIENT
-    assert np.linalg.norm(state.z - state.z_prev) <= 1e-6
+    assert np.linalg.norm(state.z - state.hist_z_prev[-1]) <= 1e-6
 
 
 def test_full_solve_record_consistency():
@@ -233,6 +233,23 @@ def test_solve_with_caller_state_exposes_history():
             beta += 1
         assert rec.tau == pytest.approx(cfg.theta ** beta * cfg.tau0,
                                         rel=1e-12)
+
+
+def test_solve_refuses_a_state_that_has_stepped():
+    # one run is one window: a state that has stepped, by a whole solve or
+    # by one outer step, raises before any step and is left as it was
+    inst, p, z0 = _problem(n=6, seed=13)
+    solved = DrsState.initial(z0, p.cfg)
+    drt_solve(p, delta_stop(1e-6), solved)
+    stepped = drs_iterate(DrsState.initial(z0, p.cfg), p.cfg, drt_bsolver(p),
+                          p.A)
+    for state in (solved, stepped):
+        k, trace, z = state.k, list(state.trace), state.z.copy()
+        certs = []
+        with pytest.raises(StateError, match=f"fresh state.*k={k}$"):
+            drt_solve(p, delta_stop(1e-6), state, inner_cert_log=certs)
+        assert state.k == k and state.trace == trace and certs == []
+        assert_array_equal(state.z, z)
 
 
 @pytest.mark.parametrize("max_inner", [2.5, float("nan"), 0, -3])
@@ -414,12 +431,14 @@ def test_wrong_correction_at_step_3_fails_its_certificate(monkeypatch):
     _, drt_p, z_hat = _skew_problem()
     p = drt_p.tseng
     clean = []
-    assert tseng_solve(p, z_hat, 1e-24, cert_log=clean).inner_iters > 3
+    with CertBlock(p, clean) as block:
+        assert tseng_solve(p, z_hat, 1e-24, cert_log=block).inner_iters > 3
     _mutated_at_step_3(monkeypatch, lambda zp, zt, zn:
                        (zp, zt, zt + 10.0 * (zn - zt)))
     certs = []
     with pytest.raises(InvariantViolation, match=r"^inner step 3 failed"):
-        tseng_solve(p, z_hat, 1e-24, cert_log=certs)
+        with CertBlock(p, certs) as block:
+            tseng_solve(p, z_hat, 1e-24, cert_log=block)
     assert len(certs) == 2
     for got, want in zip(certs, clean):
         for x, y in zip(got, want):
@@ -437,7 +456,8 @@ def test_step_that_raises_keeps_the_certificates_before_it(monkeypatch):
     _mutated_at_step_3(monkeypatch, poisoned)
     certs = []
     with pytest.raises(ContractViolation, match=r"^inner step 3: point"):
-        tseng_solve(drt_p.tseng, z_hat, 1e-24, cert_log=certs)
+        with CertBlock(drt_p.tseng, certs) as block:
+            tseng_solve(drt_p.tseng, z_hat, 1e-24, cert_log=block)
     assert len(certs) == 2
     assert all(verify_hpe_inequality(c) for c in certs)
 
@@ -507,7 +527,20 @@ def test_failed_certificate_in_a_later_bsolve_names_call_and_step(
     bad = 9
     call, step = _call_and_step(counts, bad)
     assert call > 2 and step > 1 and bad < CERT_BLOCK_ROWS
-    _mutated(monkeypatch, {bad: _wrong_correction})
+    # the block names the outer call that drs_iterate numbers (state.k + 1)
+    # at the B-solve that takes the bad step
+    numbered, at_bad, real_iterate = [], [], drt_module.drs_iterate
+
+    def iterate(state, *args):
+        numbered.append(state.k + 1)
+        return real_iterate(state, *args)
+
+    def wrong_and_noted(*out):
+        at_bad.append(numbered[-1])
+        return _wrong_correction(*out)
+
+    monkeypatch.setattr(drt_module, "drs_iterate", iterate)
+    _mutated(monkeypatch, {bad: wrong_and_noted})
     _, p, z0 = _skew_problem()
     certs = []
     with pytest.raises(InvariantViolation,
@@ -515,6 +548,7 @@ def test_failed_certificate_in_a_later_bsolve_names_call_and_step(
                              "failed its certificate$"):
         drt_solve(p, delta_stop(1e-6), DrsState.initial(z0, p.cfg),
                   inner_cert_log=certs)
+    assert at_bad == [call]
     assert len(certs) == bad - 1
     for got, want in zip(certs, clean):
         for x, y in zip(got, want):
@@ -600,7 +634,8 @@ def test_blocks_span_bsolves_and_log_what_per_call_checks_log(monkeypatch):
     bsolver = drt_bsolver(p)
 
     def checked_per_call(z_prev, tau, gamma):
-        tseng_solve(p.tseng, z_prev, tau, cert_log=per_call)
+        with CertBlock(p.tseng, per_call) as block:
+            tseng_solve(p.tseng, z_prev, tau, cert_log=block)
         return bsolver(z_prev, tau, gamma)
 
     state, stop = DrsState.initial(z0, cfg), delta_stop(1e-6)

@@ -17,7 +17,9 @@ from drsplit.operators import (AffineCocoerciveMap, BoxNormalCone,
                                CocoerciveMap, LipschitzMap)
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
                         qp_operators)
-from drsplit.tseng import TsengProblem, gamma_max, tseng_solve, tseng_step
+import drsplit.tseng as tseng_module
+from drsplit.tseng import (CertBlock, TsengProblem, gamma_max, tseng_solve,
+                           tseng_step)
 from oracles import BoxAffineSum
 
 Z_HAT = np.array([4.0])
@@ -167,13 +169,25 @@ def test_scalar_second_step_is_exact():
 def test_hand_step_certificate():
     p = _scalar_problem()
     certs = []
-    tseng_solve(p, Z_HAT, 6.0, cert_log=certs)
+    with CertBlock(p, certs) as block:
+        tseng_solve(p, Z_HAT, 6.0, cert_log=block)
     cert, = certs
     assert cert.lam == p.gamma
     assert_allclose(cert.v, [2.0])
     assert cert.eps == pytest.approx(1.0)
     # lhs = ||2 + 2 - 4||^2 + 2*1*1 = 2, rhs = 0.9801*4
     assert verify_hpe_inequality(cert)
+
+
+def test_a_list_certificate_log_fails_before_the_first_step(monkeypatch):
+    # steps are certified only through a CertBlock the caller opens
+    steps = []
+    monkeypatch.setattr(tseng_module, "tseng_step",
+                        lambda *args: steps.append(args))
+    certs = []
+    with pytest.raises(AttributeError, match="begin"):
+        tseng_solve(_scalar_problem(), Z_HAT, 6.0, cert_log=certs)
+    assert steps == [] and certs == []
 
 
 def test_certificates_along_seeded_solves():
@@ -187,7 +201,8 @@ def test_certificates_along_seeded_solves():
         p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, gamma=gamma,
                          sigma=sigma)
         certs = []
-        out = tseng_solve(p, z_hat, 1e-10, cert_log=certs)
+        with CertBlock(p, certs) as block:
+            out = tseng_solve(p, z_hat, 1e-10, cert_log=block)
         assert len(certs) == out.inner_iters
         for c in certs:
             assert verify_hpe_inequality(c)
@@ -207,7 +222,8 @@ def test_gamma_above_gamma_max_fails_the_first_certificate():
     z_hat = np.random.default_rng(40).uniform(-5.0, 15.0, 8)
     certs = []
     with pytest.raises(InvariantViolation, match=r"^inner step 1 failed"):
-        tseng_solve(p, z_hat, 1e-10, cert_log=certs)
+        with CertBlock(p, certs) as block:
+            tseng_solve(p, z_hat, 1e-10, cert_log=block)
     assert certs == []
     # without a certificate log the same loop runs to its exit
     assert tseng_solve(p, z_hat, 1e-10).inner_iters > 1
@@ -216,7 +232,8 @@ def test_gamma_above_gamma_max_fails_the_first_certificate():
     with pytest.raises(IterationBudgetExceeded):
         tseng_solve(p, z_hat, 1e-30, max_inner=3)
     with pytest.raises(InvariantViolation, match=r"^inner step 1 failed"):
-        tseng_solve(p, z_hat, 1e-30, max_inner=3, cert_log=[])
+        with CertBlock(p, []) as block:
+            tseng_solve(p, z_hat, 1e-30, max_inner=3, cert_log=block)
 
 
 def test_converges_to_exact_resolvent():
@@ -297,8 +314,9 @@ def test_absent_f1_matches_explicit_zero_map_bitwise():
         p = TsengProblem(C=ops.C, F1=F1, F2=F2, gamma=gamma, sigma=sigma)
         assert p.G is None
         certs = []
-        outs.append(tseng_solve(p, z_hat, 1e-20, max_inner=5000,
-                                cert_log=certs))
+        with CertBlock(p, certs) as block:
+            outs.append(tseng_solve(p, z_hat, 1e-20, max_inner=5000,
+                                    cert_log=block))
         logs.append(certs)
     absent, explicit = outs
     assert absent.inner_iters == explicit.inner_iters > 1
@@ -366,7 +384,8 @@ def test_inner_loop_matches_textbook_reference_bitwise(family):
     steps = 0
     for z_hat, tau_hat in requests:
         certs = []
-        out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=certs)
+        with CertBlock(prob.tseng, certs) as block:
+            out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=block)
         ref, ref_certs = _reference_solve(inst, cfg.gamma, cfg.sigma, inst.eta,
                                           z_hat, tau_hat)
         for got, want in zip(out, ref):
@@ -394,7 +413,8 @@ def test_affine_step_matches_textbook_reference_to_round_off(family):
             family, seed, 30, generic=False)
         for z_hat, tau_hat in requests:
             certs = []
-            out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=certs)
+            with CertBlock(prob.tseng, certs) as block:
+                out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=block)
             ref, _ = _reference_solve(inst, cfg.gamma, cfg.sigma, inst.eta,
                                       z_hat, tau_hat)
             assert out.inner_iters == ref[-1] == len(certs)
@@ -455,7 +475,8 @@ def test_misshapen_prox_centre_is_rejected_before_the_first_step(z_hat,
     shape = np.shape(z_hat)
     with pytest.raises(ValueError,
                        match=rf"^z_hat must have shape \(6,\), got {re.escape(str(shape))}$"):
-        tseng_solve(p, z_hat, 1e-8, cert_log=[])
+        with CertBlock(p, []) as block:
+            tseng_solve(p, z_hat, 1e-8, cert_log=block)
 
 
 def _vnorm(a):
@@ -519,7 +540,8 @@ def test_untrusted_prox_centre_keeps_the_checked_error(case):
             with pytest.raises(ContractViolation,
                                match=r"^inner step 1: point contains "
                                      r"non-finite entries$"):
-                tseng_solve(q, z_hat, 1e-8, cert_log=[])
+                with CertBlock(q, []) as block:
+                    tseng_solve(q, z_hat, 1e-8, cert_log=block)
 
 
 def _counting_check_dim(monkeypatch):
@@ -555,7 +577,8 @@ def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
         out = tseng_solve(q, z_hat, 1e-10)
         del calls[:]
         try:
-            tseng_solve(q, z_hat, 1e-10, cert_log=certs)
+            with CertBlock(q, certs) as block:
+                tseng_solve(q, z_hat, 1e-10, cert_log=block)
         except InvariantViolation as exc:
             error = str(exc)
         # trusted steps skip the point check; checked ones run it once each

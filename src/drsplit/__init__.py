@@ -9,8 +9,7 @@ benchmark harness reproduces the box/equality-constrained QP experiments
 """
 
 from .drs import (DrsConfig, DrsState, Quadruple, check_termination,
-                  drs_ergodic, drs_iterate, exact_bsolver, null_step_bounds,
-                  outer_certificates)
+                  drs_ergodic, drs_iterate, null_step_bounds, outer_certificates)
 from .drt import (DrtProblem, RunRecord, delta_stop, drt_bsolver, drt_solve,
                   residual_stop, tolerance_stop)
 from .errors import (ContractViolation, InvariantViolation,
@@ -19,31 +18,27 @@ from .errors import (ContractViolation, InvariantViolation,
 from .hpe import (HpeStepCertificate, RateEnvelope, ergodic_bound,
                   pointwise_bound, strong_rate, verify_hpe_inequality)
 from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
-                        EnlargementTriple, LipschitzMap, NullspaceNormalCone,
-                        SplittableOperator, cocoercive_enlargement,
-                        project_nullspace)
+                        LipschitzMap, NullspaceNormalCone, SplittableOperator)
 from .qp import (QpInstance, QpOperators, drt_problem, estimate_beta_V,
-                 estimate_eta, faces_instance, generate_instance,
-                 qp_operators, reference_solution, tau0_default)
-from .tseng import TsengOutput, TsengProblem, gamma_max, tseng_solve, tseng_step
+                 faces_instance, generate_instance, qp_operators,
+                 reference_solution, tau0_default)
+from .tseng import (CertBlock, TsengOutput, TsengProblem, gamma_max,
+                    tseng_solve, tseng_step)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineCocoerciveMap", "BoxNormalCone", "CocoerciveMap", "ContractViolation",
-    "DrsConfig", "DrsState", "DrtProblem", "EnlargementTriple",
-    "HpeStepCertificate",
-    "InvariantViolation", "IterationBudgetExceeded", "LipschitzMap",
-    "NullspaceNormalCone", "OracleFailure", "ParseError", "QpInstance",
-    "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",
+    "AffineCocoerciveMap", "BoxNormalCone", "CertBlock", "CocoerciveMap",
+    "ContractViolation", "DrsConfig", "DrsState", "DrtProblem",
+    "HpeStepCertificate", "InvariantViolation", "IterationBudgetExceeded",
+    "LipschitzMap", "NullspaceNormalCone", "OracleFailure", "ParseError",
+    "QpInstance", "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",
     "SplittableOperator", "StateError", "TsengOutput", "TsengProblem",
-    "check_termination", "cocoercive_enlargement", "delta_stop",
-    "drs_ergodic", "drs_iterate", "drt_bsolver", "drt_problem", "drt_solve",
-    "ergodic_bound", "estimate_beta_V", "estimate_eta",
-    "exact_bsolver", "faces_instance", "gamma_max", "generate_instance",
-    "null_step_bounds", "outer_certificates",
-    "pointwise_bound", "project_nullspace", "qp_operators",
-    "reference_solution", "residual_stop", "strong_rate",
-    "tau0_default", "tolerance_stop", "tseng_solve",
-    "tseng_step", "verify_hpe_inequality",
+    "check_termination", "delta_stop", "drs_ergodic", "drs_iterate",
+    "drt_bsolver", "drt_problem", "drt_solve", "ergodic_bound",
+    "estimate_beta_V", "faces_instance", "gamma_max", "generate_instance",
+    "null_step_bounds", "outer_certificates", "pointwise_bound",
+    "qp_operators", "reference_solution", "residual_stop", "strong_rate",
+    "tau0_default", "tolerance_stop", "tseng_solve", "tseng_step",
+    "verify_hpe_inequality",
 ]

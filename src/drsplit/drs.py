@@ -30,7 +30,6 @@ __all__ = [
     "Quadruple",
     "TraceRecord",
     "BSolver",
-    "exact_bsolver",
     "drs_iterate",
     "check_termination",
     "drs_ergodic",
@@ -142,16 +141,6 @@ class DrsState:
         if not self.trace:
             raise StateError("no iteration taken yet")
         return self.trace[-1].residual
-
-
-def exact_bsolver(opB: SplittableOperator) -> BSolver:
-    """B-solver from an exact resolvent oracle; eps_b = inner = 0, any tau."""
-
-    def solve(z_prev, tau, gamma):
-        x = opB.resolvent(gamma, z_prev)
-        return x, (z_prev - x) / gamma, 0.0, 0
-
-    return solve
 
 
 def _tie_noise(gamma, z, x, y, b) -> float:
@@ -337,7 +326,14 @@ def null_step_bounds(tau0: float, sigma: float, beta_prev: int,
 
     Returns ((1 + 1/sigma) * sqrt(theta**beta_prev * tau0),
     theta**beta_prev * tau0 / 2) bounding the residual ||x - y|| and
-    gamma*eps_b respectively.
+    gamma*eps_b respectively.  The arguments are checked as DrsConfig
+    checks its fields, so that NaN fails.
     """
+    if not (isinstance(beta_prev, numbers.Integral) and beta_prev >= 0):
+        raise ValueError("beta_prev must be an integer >= 0")
+    if not 0 < tau0 < math.inf:
+        raise ValueError("tau0 must be positive and finite")
+    if not (0 < sigma < 1 and 0 < theta < 1):
+        raise ValueError("sigma and theta must lie in (0, 1)")
     tau = theta ** beta_prev * tau0
     return (1.0 + 1.0 / sigma) * float(np.sqrt(tau)), tau / 2.0

@@ -47,9 +47,13 @@ def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
     """Check the relative-error inequality to ``slack(rhs)``.
 
     The slack is 1e-10*(1 + rhs), so near convergence its floor decides;
-    a non-finite rhs fails, since inf <= inf would certify nothing.
+    a non-finite rhs fails, since inf <= inf would certify nothing.  So
+    does a certificate outside the HPE definition: eps < 0, lam <= 0 or
+    sigma outside [0, 1), NaN included.
     """
     z_prev, z_tilde, v, eps, lam, sigma = cert
+    if not (eps >= 0 and lam > 0 and 0 <= sigma < 1):
+        return False
     d = lam * v + z_tilde - z_prev
     lhs = float(d.dot(d)) + 2.0 * lam * eps
     r = z_tilde - z_prev
@@ -71,7 +75,8 @@ def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
     lhs = np.einsum("ij,ij->i", D, D) + 2.0 * lam * eps
     R = Z_tilde - Z_prev
     rhs = sigma ** 2 * np.einsum("ij,ij->i", R, R)
-    return np.isfinite(rhs) & (lhs <= rhs + slack(rhs))
+    ok = np.isfinite(rhs) & (lhs <= rhs + slack(rhs)) & (eps >= 0)
+    return ok & (lam > 0 and 0 <= sigma < 1)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Monotone operator primitives.
 
 Resolvent-based access to maximal monotone operators, concrete resolvents
-and exact eps-enlargement membership for the cones used by the benchmark
-family (box normal cone, nullspace normal cone of a sign row), Lipschitz
-and cocoercive forward maps, and the eps-enlargement triple with the
-enlargement of a cocoercive map evaluated off-target.
+for the cones used by the benchmark family (box normal cone, nullspace
+normal cone of a sign row), and Lipschitz and cocoercive forward maps.
+The eps-enlargement triple, the cones' membership tests and the
+enlargement of a cocoercive map evaluated off-target have no solver
+caller; they live with the test oracles.
 
 Everything lives in R^n with the standard Euclidean inner product.
 """
@@ -13,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "EnlargementTriple",
     "SplittableOperator",
     "BoxNormalCone",
     "NullspaceNormalCone",
@@ -26,7 +26,6 @@ __all__ = [
     "CocoerciveMap",
     "AffineCocoerciveMap",
     "project_nullspace",
-    "cocoercive_enlargement",
     "slack",
 ]
 
@@ -46,14 +45,6 @@ def _point(z) -> np.ndarray:
     if not math.isfinite(np.vdot(z, z)) and not np.isfinite(z).all():
         raise ValueError("point contains non-finite entries")
     return z
-
-
-class EnlargementTriple(NamedTuple):
-    """A point z, a candidate v in T^eps(z), and the enlargement level eps."""
-
-    z: np.ndarray
-    v: np.ndarray
-    eps: float
 
 
 class SplittableOperator:
@@ -122,22 +113,6 @@ class BoxNormalCone(SplittableOperator):
         # bitwise equal to z.clip(lo, hi), without clip's Python wrapper
         return np.minimum(np.maximum(z, self.lo), self.hi)
 
-    def contains(self, triple: EnlargementTriple) -> bool:
-        """Exact test of v in N_X^eps(z), to round-off.
-
-        True iff z lies in X = [lo, hi] and the support-function gap
-        sigma_X(v) - <v, z> = sum_i v_i (hi_i - z_i if v_i > 0 else
-        lo_i - z_i) is at most eps.  The gap is 0 at (x, (z - x)/gamma) for
-        a resolvent output x = resolvent(gamma, z).
-        """
-        z = self._check_dim(triple.z)
-        v = self._check_dim(triple.v)
-        if (np.any(z < self.lo - slack(self.lo))
-                or np.any(z > self.hi + slack(self.hi))):
-            return False
-        terms = np.where(v > 0, v * (self.hi - z), v * (self.lo - z))
-        return float(terms.sum()) <= triple.eps + slack(float(np.abs(terms).sum()))
-
 
 class NullspaceNormalCone(SplittableOperator):
     """Normal cone of M = null(K) for a +/-1 row K; resolvent is P_M."""
@@ -154,21 +129,6 @@ class NullspaceNormalCone(SplittableOperator):
             raise ValueError("gamma must be positive")
         z = self._check_dim(z)
         return _project_sign_row(self.K, z)
-
-    def contains(self, triple: EnlargementTriple) -> bool:
-        """Exact test of v in N_M^eps(z), to round-off.
-
-        For z in M the enlargement is M-perp at every eps >= 0, so: True
-        iff K.z = 0, v is parallel to K (sigma_M(v) = 0) and the gap
-        -<v, z>, which is then 0, is at most eps.
-        """
-        z = self._check_dim(triple.z)
-        v = self._check_dim(triple.v)
-        in_M = abs(float(self.K @ z)) <= slack(float(np.abs(z).sum()))
-        along_K = (np.abs(_project_sign_row(self.K, v)).max()
-                   <= slack(float(np.abs(v).max())))
-        return bool(in_M and along_K and -float(v @ z)
-                    <= triple.eps + slack(float(np.abs(v) @ np.abs(z))))
 
 
 @dataclass(frozen=True)
@@ -244,19 +204,3 @@ def _inverse_norm(w) -> float:
     # cocoercivity modulus when W is PSD); inf for W = 0
     nrm = max(-float(w[0]), float(w[-1]))
     return float("inf") if nrm == 0.0 else 1.0 / nrm
-
-
-def cocoercive_enlargement(F2: CocoerciveMap, z_eval, z_target) -> EnlargementTriple:
-    """Enlargement triple for a cocoercive map evaluated off-target.
-
-    Returns ``(z_target, F2(z_eval), ||z_eval - z_target||^2 / (4 eta))``;
-    the value of F2 at z_eval belongs to the eps-enlargement of F2 at
-    z_target with exactly that eps.
-    """
-    z_eval = _point(z_eval)
-    z_target = _point(z_target)
-    if z_eval.shape != z_target.shape:
-        raise ValueError("dimension mismatch")
-    v = _point(F2.eval(z_eval))
-    eps = float(np.dot(z_eval - z_target, z_eval - z_target)) / (4.0 * F2.eta)
-    return EnlargementTriple(z_target, v, eps)

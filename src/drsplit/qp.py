@@ -168,8 +168,14 @@ def qp_operators(inst: QpInstance) -> QpOperators:
 def drt_problem(inst: QpInstance, z0, *, sigma: float, theta: float,
                 tol: float) -> DrtProblem:
     """drt on inst.ops from z0: gamma = gamma_max(eta, 0, sigma) (no F1),
-    tau0 = tau0_default(inst, z0) and rho_tol = eps_tol = tol."""
+    tau0 = tau0_default(inst, z0) and rho_tol = eps_tol = tol.  z0 must
+    be a finite point of R^n."""
     ops = qp_operators(inst)
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (inst.n,):
+        raise ValueError(f"z0 has shape {z0.shape}, not ({inst.n},)")
+    if not np.isfinite(z0).all():
+        raise ValueError("z0 contains non-finite entries")
     cfg = DrsConfig(float(gamma_max(ops.eta, 0.0, sigma)), sigma, theta,
                     tau0=tau0_default(inst, z0), rho_tol=tol, eps_tol=tol)
     return DrtProblem(ops.A, ops.C, ops.F1, ops.F2, cfg)

@@ -32,6 +32,7 @@ __all__ = [
     "gamma_max",
     "tseng_step",
     "tseng_solve",
+    "CertBlock",
 ]
 
 # the bound on |w| that trust_radius keeps: far enough below the largest

@@ -1,23 +1,97 @@
 """Reference oracles for the test suite; no solver path uses them.
 
 An exact-resolvent Douglas-Rachford run and the projected-gradient
-box-QP solver behind it, an affine monotone test operator, the
-transportation formula for enlargement triples, and prefix ergodic
-averages read through ``drs.drs_ergodic``.  pytest does not collect this
-module (no ``test_`` prefix); test modules import it with ``from oracles
-import ...``, which resolves because pytest's default import mode puts
-the tests directory on ``sys.path``.
+box-QP solver behind it, a B-solver from an exact resolvent, an affine
+monotone test operator, the eps-enlargement triple with exact membership
+tests for the two cones and the enlargement of a cocoercive map
+evaluated off-target, the transportation formula for enlargement
+triples, and prefix ergodic averages read through ``drs.drs_ergodic``.
+pytest does not collect this module (no ``test_`` prefix); test modules
+import it with ``from oracles import ...``, which resolves because
+pytest's default import mode puts the tests directory on ``sys.path``.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from drsplit.drs import DrsState, Quadruple, drs_ergodic
+from drsplit.drs import BSolver, DrsState, Quadruple, drs_ergodic
 from drsplit.errors import InvariantViolation, OracleFailure
-from drsplit.operators import (EnlargementTriple, SplittableOperator,
-                               _check_symmetric, slack)
+from drsplit.operators import (BoxNormalCone, CocoerciveMap,
+                               NullspaceNormalCone, SplittableOperator,
+                               _check_symmetric, _point, _project_sign_row,
+                               slack)
 from drsplit.qp import QpInstance, estimate_eta
+
+
+class EnlargementTriple(NamedTuple):
+    """A point z, a candidate v in T^eps(z), and the enlargement level eps."""
+
+    z: np.ndarray
+    v: np.ndarray
+    eps: float
+
+
+def box_contains(C: BoxNormalCone, triple: EnlargementTriple) -> bool:
+    """Exact test of v in N_X^eps(z), to round-off.
+
+    True iff z lies in X = [lo, hi] and the support-function gap
+    sigma_X(v) - <v, z> = sum_i v_i (hi_i - z_i if v_i > 0 else
+    lo_i - z_i) is at most eps.  The gap is 0 at (x, (z - x)/gamma) for
+    a resolvent output x = resolvent(gamma, z).
+    """
+    z = C._check_dim(triple.z)
+    v = C._check_dim(triple.v)
+    if (np.any(z < C.lo - slack(C.lo))
+            or np.any(z > C.hi + slack(C.hi))):
+        return False
+    terms = np.where(v > 0, v * (C.hi - z), v * (C.lo - z))
+    return float(terms.sum()) <= triple.eps + slack(float(np.abs(terms).sum()))
+
+
+def nullspace_contains(A: NullspaceNormalCone,
+                       triple: EnlargementTriple) -> bool:
+    """Exact test of v in N_M^eps(z), to round-off.
+
+    For z in M the enlargement is M-perp at every eps >= 0, so: True
+    iff K.z = 0, v is parallel to K (sigma_M(v) = 0) and the gap
+    -<v, z>, which is then 0, is at most eps.
+    """
+    z = A._check_dim(triple.z)
+    v = A._check_dim(triple.v)
+    in_M = abs(float(A.K @ z)) <= slack(float(np.abs(z).sum()))
+    along_K = (np.abs(_project_sign_row(A.K, v)).max()
+               <= slack(float(np.abs(v).max())))
+    return bool(in_M and along_K and -float(v @ z)
+                <= triple.eps + slack(float(np.abs(v) @ np.abs(z))))
+
+
+def cocoercive_enlargement(F2: CocoerciveMap, z_eval, z_target) -> EnlargementTriple:
+    """Enlargement triple for a cocoercive map evaluated off-target.
+
+    Returns ``(z_target, F2(z_eval), ||z_eval - z_target||^2 / (4 eta))``;
+    the value of F2 at z_eval belongs to the eps-enlargement of F2 at
+    z_target with exactly that eps.
+    """
+    z_eval = _point(z_eval)
+    z_target = _point(z_target)
+    if z_eval.shape != z_target.shape:
+        raise ValueError("dimension mismatch")
+    v = _point(F2.eval(z_eval))
+    eps = float(np.dot(z_eval - z_target, z_eval - z_target)) / (4.0 * F2.eta)
+    return EnlargementTriple(z_target, v, eps)
+
+
+def exact_bsolver(opB: SplittableOperator) -> BSolver:
+    """B-solver from an exact resolvent oracle; eps_b = inner = 0, any tau."""
+
+    def solve(z_prev, tau, gamma):
+        x = opB.resolvent(gamma, z_prev)
+        return x, (z_prev - x) / gamma, 0.0, 0
+
+    return solve
 
 
 def box_qp_solve(H, c, lo, hi, max_iter: int = 100000,

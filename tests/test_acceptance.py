@@ -24,7 +24,6 @@ from drsplit.hpe import (
     pointwise_bound,
     verify_hpe_inequality,
 )
-from drsplit.operators import EnlargementTriple
 from drsplit.qp import (
     drt_problem,
     faces_instance,
@@ -33,8 +32,8 @@ from drsplit.qp import (
 )
 from drsplit.baselines import run_baseline
 from drsplit.tseng import CertBlock, tseng_solve
-from oracles import (box_qp_solve, drs_reference_zero, ergodic_prefix,
-                     transport_ergodic)
+from oracles import (EnlargementTriple, box_qp_solve, drs_reference_zero,
+                     ergodic_prefix, transport_ergodic)
 
 SIGMA = 0.99
 THETA = 0.01

@@ -13,7 +13,6 @@ from drsplit.drs import (
     check_termination,
     drs_ergodic,
     drs_iterate,
-    exact_bsolver,
     null_step_bounds,
     outer_certificates,
 )
@@ -28,7 +27,7 @@ from drsplit.operators import NullspaceNormalCone
 from drsplit.bench import initial_point
 from drsplit.drt import delta_stop, drt_bsolver
 from drsplit.qp import drt_problem, faces_instance, generate_instance
-from oracles import AffineMonotone, BoxAffineSum, ergodic_prefix
+from oracles import AffineMonotone, BoxAffineSum, ergodic_prefix, exact_bsolver
 
 
 def _cfg(**kw):
@@ -387,6 +386,27 @@ def test_null_step_bounds_values():
     r2, e2 = null_step_bounds(100.0, 0.5, 2, 0.1)
     assert r2 == pytest.approx(3.0 * 1.0)
     assert e2 == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 0.5, -3, 0.5), "beta_prev"),
+    ((1.0, 0.5, 1.5, 0.5), "beta_prev"),
+    ((1.0, 0.5, np.nan, 0.5), "beta_prev"),
+    ((np.nan, 0.5, 0, 0.5), "tau0"),
+    ((0.0, 0.5, 0, 0.5), "tau0"),
+    ((np.inf, 0.5, 0, 0.5), "tau0"),
+    ((1.0, 1.0, 0, 0.5), "sigma"),
+    ((1.0, np.nan, 0, 0.5), "sigma"),
+    ((1.0, 0.5, 0, 0.0), "theta"),
+    ((1.0, 0.5, 0, np.nan), "theta"),
+], ids=["beta-negative", "beta-fraction", "beta-nan", "tau0-nan",
+        "tau0-zero", "tau0-inf", "sigma-one", "sigma-nan", "theta-zero",
+        "theta-nan"])
+def test_null_step_bounds_rejects_bad_arguments(args, message):
+    # beta_prev = -3 once returned the bounds for tau = 8 > tau0, and a
+    # NaN tau0 returned (nan, nan)
+    with pytest.raises(ValueError, match=message):
+        null_step_bounds(*args)
 
 
 def test_state_accessors_before_first_step():

@@ -28,13 +28,13 @@ from drsplit.errors import (ContractViolation, InvariantViolation,
                             IterationBudgetExceeded, StateError)
 from drsplit.bench import CSV_COLUMNS, initial_point
 from drsplit.hpe import verify_hpe_inequality, verify_hpe_rows
-from drsplit.operators import (BoxNormalCone, CocoerciveMap,
-                               EnlargementTriple, LipschitzMap)
+from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
                         reference_solution)
 from drsplit import drt as drt_module, tseng
 from drsplit.tseng import (CERT_BLOCK_ROWS, CertBlock, TsengProblem,
                            gamma_max, tseng_solve, tseng_step)
+from oracles import EnlargementTriple, box_contains, nullspace_contains
 
 
 def _problem(n=6, seed=0, tol=1e-6, family=generate_instance, definite=True):
@@ -400,10 +400,10 @@ def test_solver_output_lies_in_the_cone_graphs_exactly(family, monkeypatch):
     assert len(outputs) == record.inner
     for op, z, g, x in outputs:
         assert op is p.C
-        assert op.contains(EnlargementTriple(x, (z - x) / g, 0.0))
+        assert box_contains(op, EnlargementTriple(x, (z - x) / g, 0.0))
     assert state.n_extragradient >= 1
     for y, a in zip(state.hist_y, state.hist_a):
-        assert p.A.contains(EnlargementTriple(y, a, 0.0))
+        assert nullspace_contains(p.A, EnlargementTriple(y, a, 0.0))
 
 
 def _mutated(monkeypatch, mutations):

@@ -16,8 +16,7 @@ from drsplit.hpe import (
     verify_hpe_inequality,
     verify_hpe_rows,
 )
-from drsplit.operators import EnlargementTriple
-from oracles import transport_ergodic
+from oracles import EnlargementTriple, transport_ergodic
 
 
 def _cert(z_prev, z_tilde, v, eps, lam=1.0, sigma=0.99):
@@ -52,6 +51,39 @@ def test_certificate_with_an_infinite_bound_fails():
         rows = verify_hpe_rows(*map(np.stack, zip(big[:3], fine[:3])),
                                np.array([np.inf, 0.1]), 1.0, 0.99)
     assert rows.tolist() == [False, True]
+
+
+def _verify_row(cert):
+    # verify_hpe_rows on a block of one row
+    return bool(verify_hpe_rows(*(x[None] for x in cert[:3]),
+                                np.array([cert.eps]), cert.lam,
+                                cert.sigma)[0])
+
+
+both_verifiers = pytest.mark.parametrize(
+    "verify", [verify_hpe_inequality, _verify_row], ids=["scalar", "rows"])
+
+
+@both_verifiers
+@pytest.mark.parametrize("fields", [
+    dict(eps=-1e3), dict(sigma=10.0), dict(sigma=-10.0),
+    dict(lam=-1.0, eps=1e3)], ids=["eps<0", "sigma>1", "sigma<0", "lam<0"])
+def test_certificate_outside_the_hpe_definition_fails(verify, fields):
+    # the step fails honestly at eps = 0, lam = 1, sigma = 0.5; each field
+    # change made the inequality hold, with eps, lam or sigma outside
+    # the definition (eps >= 0, lam > 0, 0 <= sigma < 1)
+    honest = HpeStepCertificate(np.zeros(3), np.ones(3), np.full(3, 5.0),
+                                0.0, 1.0, 0.5)
+    assert not verify(honest)
+    assert not verify(honest._replace(**fields))
+
+
+@both_verifiers
+@pytest.mark.parametrize("field", ["eps", "lam", "sigma"])
+def test_certificate_with_a_nan_field_fails(verify, field):
+    good = _cert(0.0, 1.0, -0.5, 0.1)
+    assert verify(good)
+    assert not verify(good._replace(**{field: np.nan}))
 
 
 def _history(x, b, eps_b, y, a):

@@ -8,16 +8,16 @@ from drsplit.operators import (
     BoxNormalCone,
     AffineCocoerciveMap,
     CocoerciveMap,
-    EnlargementTriple,
     LipschitzMap,
     NullspaceNormalCone,
     _point,
-    cocoercive_enlargement,
     project_nullspace,
     slack,
 )
 from drsplit.errors import InvariantViolation
-from oracles import AffineMonotone, transport_ergodic
+from oracles import (AffineMonotone, EnlargementTriple, box_contains,
+                     cocoercive_enlargement, nullspace_contains,
+                     transport_ergodic)
 
 
 def test_slack_scales_with_magnitude():
@@ -63,7 +63,7 @@ def test_resolvent_box_projects_and_reconstructs():
     # the graph element (z - x)/gamma is in N_X(x): its signs match the
     # active faces
     u = (z - x) / 2.0
-    assert op.contains(EnlargementTriple(x, u, 0.0))
+    assert box_contains(op, EnlargementTriple(x, u, 0.0))
     assert u[0] < 0 and u[1] == 0 and u[2] > 0
 
 
@@ -181,7 +181,7 @@ def test_cone_resolvents_match_module_functions_bitwise():
         gamma = float(rng.uniform(0.1, 3.0))
         box = BoxNormalCone(lo, hi)
         x = box.resolvent(gamma, z)
-        assert box.contains(EnlargementTriple(x, (z - x) / gamma, 0.0))
+        assert box_contains(box, EnlargementTriple(x, (z - x) / gamma, 0.0))
         assert_array_equal(x, np.clip(z, lo, hi))
         y = NullspaceNormalCone(K).resolvent(gamma, z)
         assert_array_equal(y, project_nullspace(K, z))
@@ -205,10 +205,11 @@ def test_nullspace_graph_membership_check():
     z = np.array([0.3, -1.2, 4.0])
     y = op.resolvent(1.0, z)
     a = z - y
-    assert op.contains(EnlargementTriple(y, a, 0.0))
+    assert nullspace_contains(op, EnlargementTriple(y, a, 0.0))
     # off M, or a normal not along K, is outside at any eps
-    assert not op.contains(EnlargementTriple(y + 1e-6, a, 100.0))
-    assert not op.contains(EnlargementTriple(y, a + [1e-6, 0, 0], 100.0))
+    assert not nullspace_contains(op, EnlargementTriple(y + 1e-6, a, 100.0))
+    assert not nullspace_contains(op, EnlargementTriple(y, a + [1e-6, 0, 0],
+                                                        100.0))
 
 
 def test_box_contains_detects_outsiders():
@@ -216,17 +217,17 @@ def test_box_contains_detects_outsiders():
     z = np.array([-3.0, 5.0])
     good_x = op.resolvent(1.0, z)
     good_u = z - good_x
-    assert op.contains(EnlargementTriple(good_x, good_u, 0.0))
+    assert box_contains(op, EnlargementTriple(good_x, good_u, 0.0))
     # interior point with a large normal element is not in the graph
     bad = EnlargementTriple(np.array([5.0, 5.0]), np.array([-3.0, 0.0]), 0.0)
-    assert not op.contains(bad)
+    assert not box_contains(op, bad)
     # a generous eps absorbs the violation (the gap is exactly 15)
-    assert op.contains(EnlargementTriple(bad.z, bad.v, 100.0))
-    assert not op.contains(EnlargementTriple(bad.z, bad.v, 14.9))
+    assert box_contains(op, EnlargementTriple(bad.z, bad.v, 100.0))
+    assert not box_contains(op, EnlargementTriple(bad.z, bad.v, 14.9))
     # a sign-flipped normal fails; a point off the box fails at any eps
-    assert not op.contains(EnlargementTriple(good_x, -good_u, 0.0))
-    assert not op.contains(EnlargementTriple(np.array([-1e-6, 5.0]),
-                                             np.zeros(2), 100.0))
+    assert not box_contains(op, EnlargementTriple(good_x, -good_u, 0.0))
+    assert not box_contains(op, EnlargementTriple(np.array([-1e-6, 5.0]),
+                                                  np.zeros(2), 100.0))
 
 
 def test_affine_monotone_resolvent_solves_system():

@@ -1,5 +1,5 @@
-"""The package's public surface: every exported name resolves, and the
-test oracles stay out of it."""
+"""The package's public surface: every exported name resolves and has a
+library caller or a stated reason, and the test oracles stay out of it."""
 
 import ast
 import importlib
@@ -13,9 +13,18 @@ from pathlib import Path
 import pytest
 
 import drsplit
+from drsplit.operators import BoxNormalCone, NullspaceNormalCone
 from drsplit.qp import kkt_check
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(drsplit.__path__))
+
+# exports that no library code calls, each with its reason
+UNCALLED_EXPORTS = {
+    **dict.fromkeys(["pointwise_bound", "ergodic_bound", "strong_rate",
+                     "null_step_bounds", "tolerance_stop",
+                     "verify_hpe_inequality"], "a result the paper states"),
+    "faces_instance": "testbed family, for drsplit-bench's --family",
+}
 
 
 def test_package_all_resolves():
@@ -74,6 +83,38 @@ def test_module_imports_are_used(name):
     assert _unused_imports(path.read_text()) == []
 
 
+def _uncalled_exports(sources, exports) -> list[str]:
+    # exports that no module's code reads as a Name or an Attribute; a
+    # read inside the name's own top-level def or class does not count,
+    # and imports, __all__ lists and docstrings hold no such node
+    read = set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name is not None and name != own:
+                    read.add(name)
+    return sorted(set(exports) - read)
+
+
+def test_uncalled_export_scan_finds_a_stray_name():
+    sources = ['"""called by stray() and own()"""\n'
+               'from m import called\n__all__ = ["stray", "own"]\n'
+               'def stray():\n    pass\n'
+               'def own(k):\n    return own(k - 1) if k else k.attr\n',
+               'def f():\n    return called(m.via_attr)\n']
+    exports = ["called", "via_attr", "attr", "stray", "own"]
+    assert _uncalled_exports(sources, exports) == ["own", "stray"]
+
+
+def test_every_export_has_a_library_caller_or_a_reason():
+    sources = [Path(drsplit.__file__).with_name(f"{name}.py").read_text()
+               for name in MODULES]
+    assert _uncalled_exports(sources, drsplit.__all__) == \
+        sorted(UNCALLED_EXPORTS)
+
+
 def test_oracles_stay_out_of_the_package():
     tests = Path(__file__).resolve().parent
     tree = ast.parse((tests / "oracles.py").read_text())
@@ -83,6 +124,9 @@ def test_oracles_stay_out_of_the_package():
     left = sorted(f"drsplit.{mod}.{name}" for mod in MODULES for name in defined
                   if hasattr(importlib.import_module(f"drsplit.{mod}"), name))
     assert left == []
+    # the cones' membership tests are oracle functions, not methods
+    assert [cone.__name__ for cone in (BoxNormalCone, NullspaceNormalCone)
+            if hasattr(cone, "contains")] == []
     # run from the tests directory, where oracles.py is importable, so a
     # stray import in the package would load it
     env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))

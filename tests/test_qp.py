@@ -355,6 +355,19 @@ def test_drt_problem_recipe(family, sigma):
         assert getattr(p, name) is getattr(inst.ops, name)
 
 
+@pytest.mark.parametrize("z0, message", [
+    (np.zeros(7), r"shape \(7,\), not \(6,\)"),
+    (0.0, r"shape \(\), not \(6,\)"),
+    (np.full(6, np.nan), "non-finite"),
+], ids=["length-7", "scalar", "nan"])
+def test_drt_problem_names_a_bad_start(z0, message):
+    # each once failed inside tau0_default or DrsConfig, on a broadcast,
+    # a matmul or "tau0 must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        drt_problem(generate_instance(6, True, 0), z0, sigma=0.99,
+                    theta=0.01, tol=1e-6)
+
+
 def test_cocoercivity_sampled():
     # defining inequality of the eta estimate, on random pairs
     inst = generate_instance(7, True, 25)

@@ -23,7 +23,7 @@ from .drt import RunRecord
 from .errors import ContractViolation, IterationBudgetExceeded
 from .operators import _inverse_norm
 
-if TYPE_CHECKING:   # qp runs tos_iterate for its reference oracle
+if TYPE_CHECKING:   # qp runs the TOS loop for its reference oracle
     from .qp import QpInstance
 
 __all__ = [
@@ -52,11 +52,10 @@ def tos_gamma(inst: QpInstance) -> float:
 
 
 def rfdrs_gamma(inst: QpInstance) -> float:
-    """rFDRS step 1.99*beta with beta = 1/||P_M Q P_M||."""
+    """rFDRS step 1.99*beta with beta = 1/||P_M Q P_M||; the TOS step where
+    P_M Q P_M vanishes (n = 1: M = {0}, so any step is admissible)."""
     beta = estimate_beta_V(inst.Q, inst.K)
-    if not np.isfinite(beta):
-        raise ValueError("P_M Q P_M vanishes: beta is unbounded")
-    return 1.99 * beta
+    return 1.99 * beta if np.isfinite(beta) else tos_gamma(inst)
 
 
 def tos_iterate(z, inst: QpInstance, gamma: float):
@@ -74,6 +73,26 @@ def rfdrs_iterate(z, inst: QpInstance, gamma: float):
     g = A.resolvent(gamma, F2.eval(x))
     w = C.resolvent(gamma, 2.0 * x - z - gamma * g)
     return z + (w - x)
+
+
+def _fixed_point(step, z, inst: QpInstance, gamma: float, tol: float,
+                 max_iter: int, algo: str):
+    """(z, iters, residual) of z <- step(z, inst, gamma) to ||z+ - z|| <= tol.
+
+    The loop of run_baseline and of qp's reference oracle; a resolvent's
+    ValueError becomes ContractViolation naming algo and the iteration.
+    """
+    try:
+        for k in range(1, max_iter + 1):
+            z_new = step(z, inst, gamma)
+            resid = float(np.linalg.norm(z_new - z))
+            z = z_new
+            if resid <= tol:
+                return z, k, resid
+    except ValueError as exc:
+        raise ContractViolation(f"{algo} iteration {k}: {exc}") from exc
+    raise IterationBudgetExceeded(
+        f"{algo} did not reach tol {tol} in {max_iter} iterations")
 
 
 def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
@@ -94,24 +113,9 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
         gamma, step, block = rfdrs_gamma(inst), rfdrs_iterate, inst.ops.A
     else:
         raise ValueError(f"unknown baseline {algo!r}")
-    z = np.zeros(inst.n) if z0 is None else np.asarray(z0, dtype=float).copy()
-    iters = 0
-    resid = float("nan")
+    z = np.zeros(inst.n) if z0 is None else np.asarray(z0, dtype=float)
     t0 = time.perf_counter()
-    try:
-        for _ in range(max_iter):
-            z_new = step(z, inst, gamma)
-            resid = float(np.linalg.norm(z_new - z))
-            z = z_new
-            iters += 1
-            if resid <= tol:
-                break
-        else:
-            raise IterationBudgetExceeded(
-                f"{algo} did not reach tol {tol} in {max_iter} iterations")
-    except ValueError as exc:
-        # a resolvent rejected its input: a non-finite operator output
-        raise ContractViolation(f"{algo} iteration {iters + 1}: {exc}") from exc
+    z, iters, resid = _fixed_point(step, z, inst, gamma, tol, max_iter, algo)
     elapsed = time.perf_counter() - t0
     sol = block.resolvent(gamma, z)
     rec = RunRecord(algo=algo, n=inst.n, iters=iters, extragrad=0, null=0,

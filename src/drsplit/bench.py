@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import stat
 import time
@@ -28,9 +27,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import run_baseline
-from .drs import DrsConfig, DrsState, outer_certificates
+from .drs import EXTRAGRADIENT, DrsConfig, DrsState, outer_certificates
 from .drt import RunRecord, delta_stop, drt_solve, residual_stop
 from .errors import InvariantViolation, OracleFailure, ParseError
+from .operators import _integral
 from .qp import drt_problem, generate_instance, reference_solution
 
 __all__ = [
@@ -71,7 +71,7 @@ class BenchSpec:
         # a NaN passes the range tests below, and a NaN or a fraction
         # would reach range() and the seeds as a bare TypeError
         for name in ("n", "instances", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _integral(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -163,27 +163,27 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
 
 def _verify_trace_equivalence(state: DrsState, cfg: DrsConfig) -> None:
     # on every extragradient step the three residual readings agree:
-    # ||z_k - z_{k-1}|| = ||v|| = ||x - y|| to 1e-12; null steps do not
-    # move z, so z_k is the next step's start or the final state.z
+    # ||z_k - z_{k-1}|| = ||v|| = the trace's ||x - y|| to 1e-12; null
+    # steps do not move z, so z_k is the next step's start or the final state.z
     certs = outer_certificates(state, cfg)
     z_after = [c.z_prev for c in certs[1:]] + [state.z]
-    for idx, (cert, za) in enumerate(zip(certs, z_after)):
+    steps = [t for t in state.trace if t.step == EXTRAGRADIENT]
+    for idx, (cert, za, t) in enumerate(zip(certs, z_after, steps)):
         shift = float(np.linalg.norm(za - cert.z_prev))
         vnorm = float(np.linalg.norm(cert.v))
-        res = float(np.linalg.norm(state.hist_x[idx] - state.hist_y[idx]))
-        tol = 1e-12 * (1.0 + res)
-        if abs(shift - vnorm) > tol or abs(shift - res) > tol:
+        tol = 1e-12 * (1.0 + t.residual)
+        if abs(shift - vnorm) > tol or abs(shift - t.residual) > tol:
             raise InvariantViolation(
                 f"extragradient step {idx + 1}: residual readings diverge "
-                f"({shift} vs {vnorm} vs {res})")
+                f"({shift} vs {vnorm} vs {t.residual})")
 
 
 def run_batch(spec: BenchSpec, trace_path=None, stats: dict | None = None) -> list[RunRecord]:
     """All instances in order; per-instance failures marked, never raised.
 
     trace_path (drt only) writes one block per instance with the
-    per-iteration step log and additionally cross-checks the residual
-    equivalence on every extragradient step.
+    per-iteration step log, after checking on every extragradient step
+    that the residual it writes agrees with ||z_k - z_{k-1}|| and ||v||.
     """
     if trace_path is not None and spec.algo != "drt":
         raise ValueError("trace output requires the drt solver")

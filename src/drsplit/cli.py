@@ -5,10 +5,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from itertools import combinations
 
-from .bench import (BenchSpec, format_summary, run_batch, summarize,
-                    summary_csv_path, write_records, write_summary_csv)
+from .bench import (_ALGOS, _STOPS, BenchSpec, format_summary, run_batch,
+                    summarize, summary_csv_path, write_records,
+                    write_summary_csv)
 
 __all__ = ["build_parser", "main"]
 
@@ -21,33 +23,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # BenchSpec owns the defaults and bench the choices; help shows them
+    d = {f.name: f.default for f in fields(BenchSpec)}
     p = _Parser(
         prog="drsplit-bench",
         description="Solve seeded batches of box/equality-constrained QP "
                     "instances with the splitting solvers and print "
                     "min/max/mean summary statistics.")
     p.add_argument("--n", type=int, required=True, help="problem dimension")
-    p.add_argument("--instances", type=int, default=100,
-                   help="batch size (default 100)")
+    p.add_argument("--instances", type=int, default=d["instances"],
+                   help="batch size (default %(default)s)")
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--definite", dest="definite", action="store_true",
-                      default=True, help="positive definite Q (default)")
+                      default=d["definite"],
+                      help="positive definite Q (default %(default)s)")
     kind.add_argument("--semidefinite", dest="definite",
                       action="store_false", help="rank-deficient Q")
-    p.add_argument("--algo", choices=("drt", "rfdrs", "tos"), default="drt",
-                   help="solver (default drt)")
-    p.add_argument("--stop", choices=("delta", "residual"), default="delta",
-                   help="stopping rule of drt (default delta); tos and rfdrs "
-                        "run at unit relaxation, where both rules are one "
-                        "test")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="stopping tolerance (default 1e-6)")
-    p.add_argument("--sigma", type=float, default=0.99,
-                   help="relative-error parameter (default 0.99)")
-    p.add_argument("--theta", type=float, default=0.01,
-                   help="null-step shrink factor (default 0.01)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed; instance i uses seed+i (default 0)")
+    p.add_argument("--algo", choices=_ALGOS, default=d["algo"],
+                   help="solver (default %(default)s)")
+    p.add_argument("--stop", choices=_STOPS, default=d["stop"],
+                   help="stopping rule of drt (default %(default)s); tos "
+                        "and rfdrs run at unit relaxation, where both rules "
+                        "are one test")
+    p.add_argument("--tol", type=float, default=d["tol"],
+                   help="stopping tolerance (default %(default)s)")
+    p.add_argument("--sigma", type=float, default=d["sigma"],
+                   help="relative-error parameter (default %(default)s)")
+    p.add_argument("--theta", type=float, default=d["theta"],
+                   help="null-step shrink factor (default %(default)s)")
+    p.add_argument("--seed", type=int, default=d["seed"],
+                   help="master seed; instance i uses seed+i "
+                        "(default %(default)s)")
     p.add_argument("--out", metavar="CSV",
                    help="write per-instance records here and the summary "
                         "to the sibling *.summary.csv")
@@ -62,10 +68,8 @@ def main(argv=None) -> int:
     if args.trace and args.algo != "drt":
         parser.error("--trace requires --algo drt")
     try:
-        spec = BenchSpec(n=args.n, instances=args.instances,
-                         definite=args.definite, algo=args.algo,
-                         stop=args.stop, tol=args.tol, sigma=args.sigma,
-                         theta=args.theta, seed=args.seed)
+        spec = BenchSpec(**{f.name: getattr(args, f.name)
+                            for f in fields(BenchSpec)})
     except ValueError as exc:
         parser.error(str(exc))
     # fail before the batch, not after it, on an output path that cannot be made

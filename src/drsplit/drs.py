@@ -11,7 +11,6 @@ null step that only shrinks tau.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
 from .hpe import HpeStepCertificate
-from .operators import SplittableOperator, slack
+from .operators import SplittableOperator, _integral, slack
 
 __all__ = [
     "EXTRAGRADIENT",
@@ -70,8 +69,7 @@ class DrsConfig:
             raise ValueError("tolerances must be positive")
         # a NaN never trips the k >= max_iter budget test, and a
         # fraction would round the budget up
-        if not (isinstance(self.max_iter, numbers.Integral)
-                and self.max_iter >= 1):
+        if not (_integral(self.max_iter) and self.max_iter >= 1):
             raise ValueError("max_iter must be an integer >= 1")
 
 
@@ -98,10 +96,11 @@ class TraceRecord(NamedTuple):
 class DrsState:
     """Mutable per-solve state: governing iterate, tolerance ladder, history.
 
-    tau always equals theta**beta * tau0 in exponent arithmetic.  The
-    trace has one TraceRecord per step: kind, tau after it, ||x - y||,
-    eps_b and the B-solver's inner steps.  The extragradient history (one
-    entry per extragradient index) feeds drs_ergodic, outer_certificates
+    beta counts the null steps, and tau always equals theta**beta * tau0
+    in exponent arithmetic.  The trace has one TraceRecord per step:
+    kind, tau after it, ||x - y||, eps_b and the B-solver's inner steps,
+    so the last step's kind is trace[-1].step.  The extragradient history
+    (one entry per extragradient index) feeds drs_ergodic, outer_certificates
     and delta_stop (z_{k-1} = hist_z_prev[-1]); drt_solve takes it fresh.
     """
 
@@ -126,14 +125,6 @@ class DrsState:
     @property
     def n_extragradient(self) -> int:
         return len(self.hist_x)
-
-    @property
-    def n_null(self) -> int:
-        return self.beta
-
-    @property
-    def last_step(self) -> str | None:
-        return self.trace[-1].step if self.trace else None
 
     @property
     def residual(self) -> float:
@@ -192,7 +183,7 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     # written so that NaN fails both tests
     if not eps_b >= 0:
         raise ContractViolation(f"bsolver returned eps_b={eps_b}, not >= 0")
-    if not (isinstance(inner, numbers.Integral) and inner >= 0):
+    if not (_integral(inner) and inner >= 0):
         raise ContractViolation(
             f"bsolver returned inner={inner!r}, not an integer >= 0")
     gb = gamma * b
@@ -329,7 +320,7 @@ def null_step_bounds(tau0: float, sigma: float, beta_prev: int,
     gamma*eps_b respectively.  The arguments are checked as DrsConfig
     checks its fields, so that NaN fails.
     """
-    if not (isinstance(beta_prev, numbers.Integral) and beta_prev >= 0):
+    if not (_integral(beta_prev) and beta_prev >= 0):
         raise ValueError("beta_prev must be an integer >= 0")
     if not 0 < tau0 < math.inf:
         raise ValueError("tau0 must be positive and finite")

@@ -104,7 +104,7 @@ def delta_stop(tol: float) -> StopRule:
         raise ValueError("tolerance must be positive")
 
     def fired(state: DrsState) -> bool:
-        if state.last_step != EXTRAGRADIENT:
+        if not state.trace or state.trace[-1].step != EXTRAGRADIENT:
             return False
         d = state.z - state.hist_z_prev[-1]
         return math.sqrt(float(d.dot(d))) <= tol
@@ -179,7 +179,7 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
         n=p.A.dim,
         iters=state.k,
         extragrad=state.n_extragradient,
-        null=state.n_null,
+        null=state.beta,
         inner=inner,
         f2_evals=inner,
         time_s=elapsed,

@@ -13,6 +13,7 @@ Everything lives in R^n with the standard Euclidean inner product.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +34,11 @@ __all__ = [
 def slack(magnitude: float) -> float:
     """Round-off tolerance: absolute 1e-10 plus relative 1e-10 * magnitude."""
     return 1e-10 * (1.0 + abs(magnitude))
+
+
+def _integral(value) -> bool:
+    """An int or any numbers.Integral; type() first, as isinstance is slow."""
+    return type(value) is int or isinstance(value, numbers.Integral)
 
 
 def _point(z) -> np.ndarray:

@@ -18,8 +18,8 @@ point on Kz = 0): ``qp_operators`` returns it, and the drt solver, both
 baselines and the iterative oracle all step with it.
 
 Oracles: KKT active-set enumeration for n <= 6 and a high-accuracy
-three-operator fixed-point reference for larger n (it runs the TOS step
-of ``baselines.tos_iterate`` to a 1e-12 fixed point); the benchmark's
+three-operator fixed-point reference for larger n (it runs the baselines'
+TOS loop to a 1e-12 fixed point); the benchmark's
 ``abs_err`` column reads them through ``reference_solution``.
 """
 
@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # re-exported: perfbench's every-run span list looks up qp.estimate_beta_V
-from .baselines import estimate_beta_V, tos_iterate
+from .baselines import _fixed_point, estimate_beta_V, tos_iterate
 from .drs import DrsConfig
 from .drt import DrtProblem
-from .errors import OracleFailure
+from .errors import ContractViolation, IterationBudgetExceeded, OracleFailure
 from .operators import (AffineCocoerciveMap, BoxNormalCone, LipschitzMap,
                         NullspaceNormalCone, _check_symmetric, _inverse_norm,
                         slack)
@@ -260,17 +260,10 @@ def _kkt_enumerate(inst: QpInstance) -> np.ndarray:
 def _tos_reference(inst: QpInstance) -> np.ndarray:
     beta = inst.eta if np.isfinite(inst.eta) else 1.0
     gamma = 1.99 * beta
-    z = np.zeros(inst.n)
     try:
-        for _ in range(10 ** 6):
-            z_new = tos_iterate(z, inst, gamma)
-            if float(np.linalg.norm(z_new - z)) <= 1e-12:
-                z = z_new
-                break
-            z = z_new
-        else:
-            raise OracleFailure("reference fixed-point iteration hit its cap")
-    except ValueError as exc:
+        z, _, _ = _fixed_point(tos_iterate, np.zeros(inst.n), inst, gamma,
+                               1e-12, 10 ** 6, "tos")
+    except (ContractViolation, IterationBudgetExceeded) as exc:
         raise OracleFailure(f"reference fixed-point iteration: {exc}") from exc
     x = inst.ops.C.resolvent(gamma, z)
     if not kkt_check(inst, x, 1e-8):

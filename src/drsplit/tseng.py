@@ -11,7 +11,6 @@ outer splitting loop accept its output.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded)
 from .hpe import HpeStepCertificate, verify_hpe_rows
 from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
-                        LipschitzMap, SplittableOperator)
+                        LipschitzMap, SplittableOperator, _integral)
 
 __all__ = [
     "TsengProblem",
@@ -281,9 +280,7 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     """
     if not tau_hat > 0:
         raise ValueError("tau_hat must be positive")
-    # type() first: the ABC isinstance is slow and runs once per B-solve
-    if (type(max_inner) is not int
-            and not isinstance(max_inner, numbers.Integral)) or max_inner < 1:
+    if not _integral(max_inner) or max_inner < 1:
         raise ValueError("max_inner must be an integer >= 1")
     z_hat = z = np.asarray(z_hat, dtype=float)
     n = p.C.dim

@@ -13,7 +13,8 @@ from drsplit.bench import initial_point
 from drsplit.errors import IterationBudgetExceeded
 from drsplit.operators import project_nullspace
 from drsplit.qp import (QpInstance, estimate_beta_V, faces_instance,
-                        generate_instance, qp_operators, reference_solution)
+                        generate_instance, kkt_check, qp_operators,
+                        reference_solution)
 
 
 def _two_dim():
@@ -135,6 +136,22 @@ def test_run_baseline_validation_and_budget():
     with pytest.raises(IterationBudgetExceeded):
         run_baseline(inst, "tos", tol=1e-14, max_iter=3,
                      z0=np.full(5, 9.0))
+
+
+@pytest.mark.parametrize("family", [generate_instance, faces_instance])
+@pytest.mark.parametrize("definite", [True, False])
+def test_one_dimensional_rfdrs_takes_the_tos_step(family, definite):
+    # n = 1: M = null(K) = {0}, so P_M Q P_M = 0, the forward term is
+    # constant on M and any step is admissible; the only feasible point
+    # is the origin
+    for seed in range(4):
+        inst = family(1, definite, seed)
+        assert rfdrs_gamma(inst) == tos_gamma(inst)
+        rec, sol = run_baseline(inst, "rfdrs", tol=1e-6,
+                                z0=initial_point(1, seed))
+        assert rec.error is None and 1 <= rec.iters <= 3
+        assert sol.tolist() == [0.0]
+        assert kkt_check(inst, sol, 1e-5)
 
 
 def _textbook_tos(z, inst, gamma):

@@ -240,7 +240,7 @@ def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
     def overshoot(state, cfg, bsolver, A):
         z = state.z
         real(state, cfg, bsolver, A)
-        if state.last_step == EXTRAGRADIENT and state.n_extragradient == 1:
+        if state.trace[-1].step == EXTRAGRADIENT and state.n_extragradient == 1:
             state.z = z + 1.01 * (state.z - z)
         return state
 
@@ -248,6 +248,25 @@ def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
     with pytest.raises(InvariantViolation,
                        match="^extragradient step 1: residual readings"):
         run_batch(BenchSpec(n=20, instances=5), trace_path=tmp_path / "t")
+
+
+def test_trace_cross_check_reads_the_trace_it_writes(monkeypatch, tmp_path):
+    # the second extragradient step's trace residual is off by 1%; the
+    # iterates and certificates are untouched, so only the trace shows it
+    real = bench.run_single
+
+    def misrecorded(spec, i, stats=None):
+        result = real(spec, i, stats=stats)
+        trace = result.state.trace
+        k = [j for j, t in enumerate(trace) if t.step == EXTRAGRADIENT][1]
+        trace[k] = trace[k]._replace(residual=1.01 * trace[k].residual)
+        return result
+
+    monkeypatch.setattr(bench, "run_single", misrecorded)
+    with pytest.raises(InvariantViolation,
+                       match="^extragradient step 2: residual readings"):
+        run_batch(BenchSpec(n=20, instances=2), trace_path=tmp_path / "t")
+    assert not (tmp_path / "t").exists()
 
 
 def test_trace_rewrite_replaces_the_file(tmp_path):

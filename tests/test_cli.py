@@ -5,7 +5,7 @@ import pytest
 
 import drsplit.bench as bench
 import drsplit.cli as cli
-from drsplit.bench import read_records
+from drsplit.bench import BenchSpec, read_records
 from drsplit.cli import build_parser, main
 from drsplit.errors import IterationBudgetExceeded
 
@@ -61,6 +61,18 @@ def test_baseline_head_line_names_no_stop_rule(capsys):
     assert rc == 0
     head = capsys.readouterr().out.splitlines()[0]
     assert "algo=tos" in head and "stop=" not in head
+
+
+@pytest.mark.parametrize("kind", ["--definite", "--semidefinite"])
+@pytest.mark.parametrize("algo", ["drt", "tos", "rfdrs"])
+def test_one_dimensional_batch_exits_zero(algo, kind, tmp_path, capsys):
+    # at n = 1 rfdrs's nullspace-restricted curvature vanishes
+    out = tmp_path / "n1.csv"
+    assert main(["--n", "1", "--instances", "3", "--algo", algo, kind,
+                 "--out", str(out)]) == 0
+    records = read_records(out)
+    assert [r.error for r in records] == [None] * 3
+    assert all(r.iters >= 1 and r.residual <= 1e-6 for r in records)
 
 
 def test_out_writes_records_and_summary(tmp_path, capsys):
@@ -169,6 +181,19 @@ def test_console_script_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "algo=drt" in proc.stdout
+
+
+def test_parser_defaults_are_the_spec_defaults(monkeypatch):
+    specs = []
+
+    def capture(spec, trace_path=None, stats=None):
+        specs.append(spec)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "run_batch", capture)
+    with pytest.raises(SystemExit):
+        main(["--n", "5"])
+    assert specs == [BenchSpec(n=5)]
 
 
 def test_parser_defaults():

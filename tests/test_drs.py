@@ -79,7 +79,7 @@ def test_one_dimensional_exact_run():
     for k, want in enumerate(expect, start=1):
         drs_iterate(state, cfg, bs, A)
         assert state.k == k
-        assert state.last_step == EXTRAGRADIENT
+        assert state.trace[-1].step == EXTRAGRADIENT
         assert state.residual == pytest.approx(want, rel=1e-12)
         x, y, a, b, _, eps_b = state.last
         assert x[0] == pytest.approx(want, rel=1e-12)
@@ -89,7 +89,7 @@ def test_one_dimensional_exact_run():
         assert eps_b == 0.0
         assert state.z[0] == pytest.approx(want, rel=1e-12)
     assert state.n_extragradient == 3
-    assert state.n_null == 0
+    assert state.beta == 0
     assert state.tau == cfg.tau0
 
 
@@ -109,9 +109,9 @@ def test_exact_bsolver_matches_plain_recursion():
         x_ref = B.resolvent(gamma, z_ref)
         y_ref = A.resolvent(gamma, 2.0 * x_ref - z_ref)
         z_ref = z_ref - x_ref + y_ref
-        assert state.last_step == EXTRAGRADIENT
+        assert state.trace[-1].step == EXTRAGRADIENT
         assert_allclose(state.z, z_ref, atol=1e-12)
-    assert state.n_null == 0
+    assert state.beta == 0
 
 
 def test_null_step_freezes_z_and_shrinks_tau():
@@ -126,8 +126,8 @@ def test_null_step_freezes_z_and_shrinks_tau():
         return z_prev.copy(), np.zeros(2), 40.0, 0
 
     drs_iterate(state, cfg, sloppy, A)
-    assert state.last_step == NULL
-    assert state.n_null == 1
+    assert state.trace[-1].step == NULL
+    assert state.beta == 1
     assert_allclose(state.z, z0)
     assert state.tau == pytest.approx(cfg.theta * cfg.tau0)
     # trace records the post-update tolerance
@@ -357,11 +357,11 @@ def test_outer_certificates(family):
     while not stop(state):
         z = state.z
         drs_iterate(state, cfg, bs, prob.A)
-        if state.last_step == EXTRAGRADIENT:
+        if state.trace[-1].step == EXTRAGRADIENT:
             _, y, a, b, _, eps_b = state.last
             hand.append((z, y + g * b, g * (a + b), g * eps_b, 1.0,
                          cfg.sigma))
-    assert state.n_null >= 1 and state.n_extragradient >= 2
+    assert state.beta >= 1 and state.n_extragradient >= 2
     certs = outer_certificates(state, cfg)
     assert len(certs) == len(hand) == state.n_extragradient
     for cert, want in zip(certs, hand):
@@ -412,6 +412,6 @@ def test_null_step_bounds_rejects_bad_arguments(args, message):
 def test_state_accessors_before_first_step():
     state = DrsState.initial(np.zeros(3), _cfg())
     assert state.last is None
-    assert state.last_step is None
+    assert state.trace == []
     with pytest.raises(StateError):
         state.residual

@@ -180,7 +180,7 @@ def test_delta_stop_ignores_null_steps():
     inst, p, z0 = _problem(n=6, seed=11)
     state = DrsState.initial(z0, p.cfg)
     drt_solve(p, delta_stop(1e-6), state)
-    assert state.n_null >= 1 and state.last_step == EXTRAGRADIENT
+    assert state.beta >= 1 and state.trace[-1].step == EXTRAGRADIENT
     assert np.linalg.norm(state.z - state.hist_z_prev[-1]) <= 1e-6
 
 

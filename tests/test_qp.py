@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import drsplit.qp as qp_module
+
 from drsplit.baselines import run_baseline
 from drsplit.bench import BenchSpec, initial_point, run_single
 from drsplit.drs import DrsState
@@ -225,6 +227,21 @@ def test_tos_reference_turns_a_non_finite_step_into_an_oracle_failure():
     object.__setattr__(inst, "ops", dataclasses.replace(inst.ops, F2=nan_f2))
     with pytest.raises(OracleFailure, match="non-finite"):
         reference_solution(inst)
+
+
+def test_tos_reference_turns_a_budget_error_into_an_oracle_failure(
+        monkeypatch):
+    # the shared loop, capped at one step, raises IterationBudgetExceeded
+    real = qp_module._fixed_point
+
+    def one_step(step, z, inst, gamma, tol, max_iter, algo):
+        return real(step, z, inst, gamma, tol, 1, algo)
+
+    monkeypatch.setattr(qp_module, "_fixed_point", one_step)
+    with pytest.raises(OracleFailure, match="^reference fixed-point "
+                       "iteration: tos did not reach tol 1e-12 in 1 "
+                       "iterations$"):
+        _tos_reference(generate_instance(10, True, 3))
 
 
 # ------------------------------------------------------------------ spectral

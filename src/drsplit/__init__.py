@@ -22,8 +22,8 @@ from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
 from .qp import (QpInstance, QpOperators, drt_problem, estimate_beta_V,
                  faces_instance, generate_instance, qp_operators,
                  reference_solution, tau0_default)
-from .tseng import (CertBlock, TsengOutput, TsengProblem, gamma_max,
-                    tseng_solve, tseng_step)
+from .tseng import (CertBlock, TsengProblem, gamma_max, tseng_solve,
+                    tseng_step)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "HpeStepCertificate", "InvariantViolation", "IterationBudgetExceeded",
     "LipschitzMap", "NullspaceNormalCone", "OracleFailure", "ParseError",
     "QpInstance", "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",
-    "SplittableOperator", "StateError", "TsengOutput", "TsengProblem",
+    "SplittableOperator", "StateError", "TsengProblem",
     "check_termination", "delta_stop", "drs_ergodic", "drs_iterate",
     "drt_bsolver", "drt_problem", "drt_solve", "ergodic_bound",
     "estimate_beta_V", "faces_instance", "gamma_max", "generate_instance",

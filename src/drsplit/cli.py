@@ -93,18 +93,27 @@ def main(argv=None) -> int:
     records = run_batch(spec, trace_path=args.trace, stats=stats)
     failed = [r for r in records if r.error is not None]
     table = summarize(records)
-    print(format_summary(table, spec=spec, errors=len(failed)))
-    est = stats.get("estimate_time_s")
-    if est is not None:
-        print(f"instance set-up (eigvalsh of Q, rfdrs beta): {est:.3f} s "
-              "total (excluded from time_s)")
+    stdout_closed = False
+    try:
+        print(format_summary(table, spec=spec, errors=len(failed)))
+        est = stats.get("estimate_time_s")
+        if est is not None:
+            print(f"instance set-up (eigvalsh of Q, rfdrs beta): {est:.3f} s "
+                  "total (excluded from time_s)")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the SIGPIPE recipe of the Python docs: point stdout at devnull, so
+        # that the flush at exit does not raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        stdout_closed = True
 
     if args.out:
         write_records(records, args.out)
         write_summary_csv(table, summary)
     for r in failed:
         print(f"instance {r.instance}: {r.error}", file=sys.stderr)
-    return 2 if failed else 0
+    return 3 if stdout_closed else 2 if failed else 0
 
 
 if __name__ == "__main__":

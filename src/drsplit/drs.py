@@ -205,7 +205,6 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     if not math.isfinite(residual):
         raise ContractViolation(
             f"A's resolvent returned a non-finite point (||x-y||={residual})")
-    v = gamma * (a + b)
 
     r_test = gb + y - z
     rhs = cfg.sigma ** 2 * float(r_test.dot(r_test))
@@ -219,7 +218,7 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         state.hist_a.append(a)
         state.hist_b.append(b)
         state.hist_eps_b.append(eps_b)
-        state.z = z - v
+        state.z = z - gamma * (a + b)
         step = EXTRAGRADIENT
     else:
         state.beta += 1

@@ -3,12 +3,7 @@
 Solves 0 in A(z) + C(z) + F1(z) + F2(z) by running the inexact
 Douglas-Rachford iteration on A and B = C + F1 + F2, where each B-solve
 is delegated to the Tseng forward-backward loop on the strongly monotone
-prox subproblem.  The inner output quadruple maps to the outer triple as
-
-    x = z_tilde,  b = (z_hat + z_prev_inner - (z_next + z_tilde))/gamma,
-    eps_b = ||z_prime - z_tilde||^2 / (4 eta),
-
-which satisfies the outer tolerance contract by the inner exit test.
+prox subproblem (tseng_solve), which returns the B-solver's triple.
 """
 
 from __future__ import annotations
@@ -129,7 +124,7 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
 
     Receives the pre-update tolerance tau_{k-1} and prox center z_{k-1};
     every call reuses the problem's one Tseng subproblem, so gamma must be
-    the problem's.  Returns the inner iteration count as its fourth value,
+    the problem's.  Returns what tseng_solve returns, (x, b, eps_b, inner),
     and each call's steps join block when given.  Its errors carry no
     outer-call context; drs_iterate adds it.
     """
@@ -139,10 +134,8 @@ def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
         if gamma != sub.gamma:
             raise ValueError(
                 f"B-solver built for gamma={sub.gamma}, called with {gamma}")
-        out = tseng_solve(sub, z_prev, tau, max_inner=max_inner,
-                          cert_log=block)
-        b = (z_prev + out.z_prev - (out.z_next + out.z_tilde)) / gamma
-        return out.z_tilde, b, out.eps, out.inner_iters
+        return tseng_solve(sub, z_prev, tau, max_inner=max_inner,
+                           cert_log=block)
 
     return solve
 

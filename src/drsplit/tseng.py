@@ -15,7 +15,6 @@ from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
 
 __all__ = [
     "TsengProblem",
-    "TsengOutput",
     "gamma_max",
     "tseng_step",
     "tseng_solve",
@@ -122,14 +120,6 @@ class TsengProblem:
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "trust_radius", radius)
-
-
-class TsengOutput(NamedTuple):
-    z_prev: np.ndarray
-    z_next: np.ndarray
-    z_tilde: np.ndarray
-    eps: float          # ||z_prime - z_tilde||^2/(4 eta) of the last step
-    inner_iters: int
 
 
 def tseng_step(p: TsengProblem, z_hat: np.ndarray, z_prev: np.ndarray,
@@ -253,14 +243,22 @@ class CertBlock:
 
 
 def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
-                cert_log: CertBlock | None = None) -> TsengOutput:
-    """Iterate from z0 = z_hat until the exit test fires.
+                cert_log: CertBlock | None = None
+                ) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The B-solve at prox center z_hat: (x, b, eps, inner), b in B^eps(x).
 
-    Exit test: ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta)
-    <= tau_hat.  The start z_hat is the one the inner complexity bound
-    assumes.  Without F1, z_prime is z_prev and z_next is z_tilde, so the
-    two differences of the test are one vector and one squared norm
-    serves both.  With p.G set, the step's constant c is formed once here.
+    Iterates from z0 = z_hat (the start the inner complexity bound
+    assumes) until the exit test
+    ||z_prev - z_next||^2 + gamma*||z_prime - z_tilde||^2/(2 eta) <= tau_hat
+    fires, and maps the last step to x = z_tilde, inner = steps taken,
+    b = (z_hat + z_prev - (z_next + z_tilde))/gamma and
+    eps = ||z_prime - z_tilde||^2/(4 eta).  Then gamma b + x - z_hat is
+    z_prev - z_next, so the exit test is the B-solver contract
+    ||gamma b + x - z_hat||^2 + 2 gamma eps <= tau_hat that drs_iterate
+    checks.  Without F1, z_prime is z_prev and z_next is
+    z_tilde, so the two differences of the test are one vector and one
+    squared norm serves both.  With p.G set, the step's constant c is
+    formed once here.
 
     A z_hat of another shape than (n,), n = C.dim, or a max_inner that is
     not an integer >= 1 raises ValueError before the first step.  One
@@ -271,9 +269,9 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
 
     With a cert_log, a CertBlock the caller has opened (see there), every
     inner step is certified: stepsize lam = gamma, v = (z_prev - z_next)/gamma
-    and eps = ||z_prime - z_tilde||^2/(4 eta), the eps of the exit test; the
-    implied operator is B plus the strongly monotone prox term
-    (1/gamma)(. - z_hat).  The steps join the block, which checks them.
+    and the step's eps; the implied operator is B plus the strongly monotone
+    prox term (1/gamma)(. - z_hat).  The steps join the block, which checks
+    them.
 
     A step whose operator output the resolvent rejects (non-finite or of
     the wrong shape) raises ContractViolation naming the inner step.
@@ -320,4 +318,4 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     else:
         raise IterationBudgetExceeded(
             f"inner solver did not reach tau_hat={tau_hat} in {max_inner} steps")
-    return TsengOutput(z, z_next, z_tilde, eps, j)
+    return z_tilde, (z_hat + z - (z_next + z_tilde)) / gamma, eps, j

@@ -308,8 +308,9 @@ def test_accept_09_inner_linear_decay(instrumented):
             for tau_hat in (1e-8, cfg.tau0):
                 certs = []
                 with CertBlock(prob.tseng, certs) as block:
-                    out = tseng_solve(prob.tseng, z0, tau_hat, cert_log=block)
-                worst_inner = max(worst_inner, out.inner_iters)
+                    *_, inner = tseng_solve(prob.tseng, z0, tau_hat,
+                                            cert_log=block)
+                worst_inner = max(worst_inner, inner)
                 for j, c in enumerate(certs, start=1):
                     lhs = (float(np.dot(g * c.v, g * c.v))
                            + 2.0 * g * c.eps)

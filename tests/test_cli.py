@@ -1,3 +1,5 @@
+import io
+import os
 import subprocess
 import sys
 
@@ -173,6 +175,55 @@ def test_failed_instance_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "(1 failed)" in captured.out
     assert "instance 0" in captured.err
+
+
+def test_closed_stdout_exits_three_and_writes_the_outputs(tmp_path):
+    # stdout is a pipe whose read end is already closed, so the summary's
+    # write fails with EPIPE: no traceback, exit 3, and --out still written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "o.csv"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "drsplit.cli", "--n", "1", "--instances",
+             "3", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert [r.error for r in read_records(out)] == [None] * 3
+    summary = (tmp_path / "o.summary.csv").read_text()
+    assert summary.startswith("column,min,max,mean")
+
+
+def test_closed_stdout_takes_precedence_over_a_failed_instance(
+        monkeypatch, tmp_path, capsys):
+    # the summary's write fails as on a closed pipe; main points the fd
+    # that stdout reports at devnull (here a file of its own) and exits 3
+    real = bench.run_single
+
+    def flaky(spec, i, stats=None):
+        if i == 0:
+            raise IterationBudgetExceeded("synthetic failure")
+        return real(spec, i, stats=stats)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(bench, "run_single", flaky)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        rc = main(["--n", "2", "--instances", "2"])
+    finally:
+        os.close(fd)
+    assert rc == 3
+    assert "instance 0: IterationBudgetExceeded" in capsys.readouterr().err
 
 
 def test_console_script_installed():

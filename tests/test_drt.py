@@ -1,5 +1,6 @@
 """Four-operator composition: B-solver mapping, stop rules, full solves."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -261,13 +262,20 @@ def test_solve_rejects_an_inner_budget_that_is_not_an_integer_from_1(max_inner):
                   max_inner=max_inner)
 
 
-def test_bsolver_rejects_a_foreign_gamma():
+def test_bsolver_rejects_a_foreign_gamma(monkeypatch):
     # the B-solver reuses the problem's one Tseng subproblem, built for
-    # cfg.gamma; any other stepsize is refused, even a smaller one
+    # cfg.gamma; any other stepsize is refused, even a smaller one, before
+    # an inner step runs
     inst, p, z0 = _problem(n=8, seed=3)
     bs = drt_bsolver(p)
-    with pytest.raises(ValueError, match="gamma"):
-        bs(z0, p.cfg.tau0, 0.5 * p.cfg.gamma)
+    steps = []
+    monkeypatch.setattr(tseng, "tseng_step", lambda *args: steps.append(args))
+    gamma = p.cfg.gamma
+    for other in (0.5 * gamma, 2.0 * gamma):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"B-solver built for gamma={gamma}, called with {other}") + "$"):
+            bs(z0, p.cfg.tau0, other)
+    assert steps == []
 
 
 def test_one_gamma_max_check_per_solve(monkeypatch):
@@ -332,10 +340,13 @@ def test_non_finite_f2_output_names_outer_call_and_inner_step():
 def test_skew_f1_inner_solve_reaches_resolvent():
     inst, drt_p, z_hat = _skew_problem()
     p, gamma = drt_p.tseng, drt_p.cfg.gamma
-    z = tseng_solve(p, z_hat, 1e-24).z_tilde
+    z, b, _, _ = tseng_solve(p, z_hat, 1e-24)
     # natural residual of 0 in N_X(z) + S z + Q z + e + (z - z_hat)/gamma
     g = p.F1.eval(z) + inst.Q @ z + inst.e + (z - z_hat) / gamma
     assert np.linalg.norm(z - np.clip(z - g, inst.lo, inst.hi)) <= 1e-9
+    # gamma*b + x - z_hat is the last step's z_prev - z_next, which the
+    # exit test bounds by sqrt(tau_hat), here with the correction in z_next
+    assert np.linalg.norm(gamma * b + z - z_hat) <= 1e-12
     # z_hat lies outside the box, so the domain projection moves it, and
     # the correction F1(z_tilde) - F1(z_prime) moves z_next off z_tilde
     z_prime, z_tilde, z_next = tseng_step(p, z_hat, z_hat)
@@ -360,9 +371,9 @@ def test_skew_f1_two_f1_evals_per_step():
                                                 F1.project_domain),
                      F2=CocoerciveMap(counted("F2", F2.eval), F2.eta),
                      gamma=drt_p.cfg.gamma, sigma=0.99)
-    out = tseng_solve(p, z0, 1e-12)
-    assert out.inner_iters > 1
-    assert calls == {"F1": 2 * out.inner_iters, "F2": out.inner_iters}
+    *_, inner = tseng_solve(p, z0, 1e-12)
+    assert inner > 1
+    assert calls == {"F1": 2 * inner, "F2": inner}
 
 
 def test_skew_f1_certificates_verify():
@@ -432,7 +443,8 @@ def test_wrong_correction_at_step_3_fails_its_certificate(monkeypatch):
     p = drt_p.tseng
     clean = []
     with CertBlock(p, clean) as block:
-        assert tseng_solve(p, z_hat, 1e-24, cert_log=block).inner_iters > 3
+        *_, inner = tseng_solve(p, z_hat, 1e-24, cert_log=block)
+    assert inner > 3
     _mutated_at_step_3(monkeypatch, lambda zp, zt, zn:
                        (zp, zt, zt + 10.0 * (zn - zt)))
     certs = []

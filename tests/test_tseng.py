@@ -149,21 +149,27 @@ def test_scalar_hand_step():
     assert_allclose(z_prime, [4.0])
     assert_allclose(z_tilde, [2.0])
     assert_allclose(z_next, [2.0])
-    # exit lhs = ||4-2||^2 + 1*||4-2||^2/2 = 6, boundary counts as done
-    out = tseng_solve(p, Z_HAT, 6.0)
-    assert out.inner_iters == 1
-    assert_allclose(out.z_next, [2.0])
-    assert_allclose(out.z_tilde, [2.0])
-    assert out.eps == pytest.approx(1.0)
+    # exit lhs = ||4-2||^2 + 1*||4-2||^2/2 = 6, boundary counts as done;
+    # x = z_tilde, b = (z_hat + z_prev - (z_next + z_tilde))/gamma
+    x, b, eps, inner = tseng_solve(p, Z_HAT, 6.0)
+    assert inner == 1
+    assert_allclose(x, [2.0])
+    assert_allclose(b, [4.0])
+    assert eps == pytest.approx(1.0)
+    # the exit test is the B-solver contract: gamma*b + x - z_hat is
+    # z_prev - z_next = 2, and 2^2 + 2*gamma*eps = 6 <= tau_hat
+    assert_allclose(p.gamma * b + x - Z_HAT, [2.0])
 
 
 def test_scalar_second_step_is_exact():
-    # below the boundary the first step fails the test; the second lands
-    # on the exact resolvent (2 + 2 - 4)/2 = 0 displacement
-    out = tseng_solve(_scalar_problem(), Z_HAT, 5.9)
-    assert out.inner_iters == 2
-    assert_allclose(out.z_next, [2.0])
-    assert_allclose(out.z_prev, [2.0])
+    # below the boundary the first step fails the test; the second starts
+    # at 2, the exact resolvent, and does not move (z_prev = z_next = 2), so
+    # b = (z_hat - x)/gamma = 2 = x is the identity map's value at x
+    x, b, eps, inner = tseng_solve(_scalar_problem(), Z_HAT, 5.9)
+    assert inner == 2
+    assert_allclose(x, [2.0])
+    assert_allclose(b, [2.0])
+    assert eps == 0.0
 
 
 def test_hand_step_certificate():
@@ -202,8 +208,8 @@ def test_certificates_along_seeded_solves():
                          sigma=sigma)
         certs = []
         with CertBlock(p, certs) as block:
-            out = tseng_solve(p, z_hat, 1e-10, cert_log=block)
-        assert len(certs) == out.inner_iters
+            *_, inner = tseng_solve(p, z_hat, 1e-10, cert_log=block)
+        assert len(certs) == inner
         for c in certs:
             assert verify_hpe_inequality(c)
             assert c.eps >= 0.0
@@ -226,7 +232,8 @@ def test_gamma_above_gamma_max_fails_the_first_certificate():
             tseng_solve(p, z_hat, 1e-10, cert_log=block)
     assert certs == []
     # without a certificate log the same loop runs to its exit
-    assert tseng_solve(p, z_hat, 1e-10).inner_iters > 1
+    *_, inner = tseng_solve(p, z_hat, 1e-10)
+    assert inner > 1
     # the failed certificate of step 1 takes precedence over the budget
     # error that ends the loop at step 3
     with pytest.raises(IterationBudgetExceeded):
@@ -237,17 +244,19 @@ def test_gamma_above_gamma_max_fails_the_first_certificate():
 
 
 def test_converges_to_exact_resolvent():
-    # driving tau_hat down pins z_next to the resolvent of the full sum
+    # driving tau_hat down pins x to the resolvent of the full sum, and
+    # gamma*b to z_hat - x, the exact resolvent's
     inst = generate_instance(10, True, 17)
     ops = qp_operators(inst)
     gamma = gamma_max(ops.eta, 0.0, 0.99)
     z_hat = np.full(10, 7.0)
     p = TsengProblem(C=ops.C, F1=ops.F1, F2=ops.F2, gamma=gamma, sigma=0.99)
-    out = tseng_solve(p, z_hat, 1e-24, max_inner=5000)
+    x, b, eps, _ = tseng_solve(p, z_hat, 1e-24, max_inner=5000)
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     x_star = B.resolvent(gamma, z_hat)
-    assert np.linalg.norm(out.z_next - x_star) < 1e-8
-    assert np.linalg.norm(out.z_tilde - x_star) < 1e-8
+    assert np.linalg.norm(x - x_star) < 1e-8
+    assert np.linalg.norm(gamma * b - (z_hat - x_star)) < 1e-8
+    assert 0.0 <= eps < 1e-20
 
 
 def test_budget_exceeded():
@@ -289,9 +298,9 @@ def test_one_f2_eval_per_step():
     for F1 in (None, zero):
         calls.update(F1=0, F2=0)
         p = TsengProblem(C=ops.C, F1=F1, F2=F2, gamma=gamma, sigma=0.9)
-        out = tseng_solve(p, z_hat, 1e-8, max_inner=5000)
-        assert out.inner_iters > 1
-        counts.append((dict(calls), out.inner_iters))
+        *_, inner = tseng_solve(p, z_hat, 1e-8, max_inner=5000)
+        assert inner > 1
+        counts.append((dict(calls), inner))
     (absent, k), (explicit, k_zero) = counts
     assert absent == {"F1": 0, "F2": k}
     assert explicit == {"F1": 2 * k_zero, "F2": k_zero}
@@ -319,10 +328,10 @@ def test_absent_f1_matches_explicit_zero_map_bitwise():
                                     cert_log=block))
         logs.append(certs)
     absent, explicit = outs
-    assert absent.inner_iters == explicit.inner_iters > 1
-    for name in ("z_prev", "z_next", "z_tilde", "eps"):
-        assert_array_equal(getattr(absent, name), getattr(explicit, name))
-    assert len(logs[0]) == len(logs[1]) == absent.inner_iters
+    assert absent[3] == explicit[3] > 1
+    for got, want in zip(absent, explicit):
+        assert_array_equal(got, want)
+    assert len(logs[0]) == len(logs[1]) == absent[3]
     for a, b in zip(*logs):
         for x, y in zip(a, b):
             assert_array_equal(x, y)
@@ -330,7 +339,8 @@ def test_absent_f1_matches_explicit_zero_map_bitwise():
 
 def _reference_solve(inst, gamma, sigma, eta, z_hat, tau_hat):
     # the F1-free Tseng loop written with the textbook formulas: matmul,
-    # np.clip, and both differences formed separately
+    # np.clip, and both differences formed separately; its last step maps
+    # to (x, b, eps, steps) by the formulas of tseng_solve's docstring
     certs = []
     z = z_hat
     for j in range(1, 1001):
@@ -344,7 +354,8 @@ def _reference_solve(inst, gamma, sigma, eta, z_hat, tau_hat):
         eps = d2_sq / (4.0 * eta)
         certs.append((z, z_tilde, d1 / gamma, eps, gamma, sigma))
         if float(d1 @ d1) + gamma * d2_sq / (2.0 * eta) <= tau_hat:
-            return (z, z_next, z_tilde, eps, j), certs
+            b = (z_hat + z - (z_next + z_tilde)) / gamma
+            return (z_tilde, b, eps, j), certs
         z = z_next
     raise AssertionError("reference loop hit its budget")
 
@@ -390,11 +401,11 @@ def test_inner_loop_matches_textbook_reference_bitwise(family):
                                           z_hat, tau_hat)
         for got, want in zip(out, ref):
             assert_array_equal(got, want)
-        assert out.inner_iters == ref[-1] == len(certs) == len(ref_certs)
+        assert out[3] == ref[3] == len(certs) == len(ref_certs)
         for cert, want in zip(certs, ref_certs):
             for got, w in zip(cert, want):
                 assert_array_equal(got, w)
-        steps += out.inner_iters
+        steps += out[3]
     assert steps > 4
 
 
@@ -404,8 +415,9 @@ def test_affine_step_matches_textbook_reference_to_round_off(family):
     # F2(z))/2, so w differs from the reference's in its last bits.  The
     # map z -> P_X(G z + c) is a (1/2)-contraction (||G|| <= 1/2 at
     # gamma <= 2 eta), so those errors do not build up along the loop:
-    # iterates stay within BOUND of the reference's, 64 ulps of the box
-    # scale 10, and every request takes as many steps
+    # every step's iterates, x and gamma*b (a sum of iterates) stay within
+    # BOUND of the reference's, 64 ulps of the box scale 10, and every
+    # request takes as many steps
     BOUND = 64 * np.finfo(float).eps * 10.0
     worst, steps = 0.0, 0
     for seed in range(10):
@@ -414,14 +426,18 @@ def test_affine_step_matches_textbook_reference_to_round_off(family):
         for z_hat, tau_hat in requests:
             certs = []
             with CertBlock(prob.tseng, certs) as block:
-                out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=block)
-            ref, _ = _reference_solve(inst, cfg.gamma, cfg.sigma, inst.eta,
-                                      z_hat, tau_hat)
-            assert out.inner_iters == ref[-1] == len(certs)
+                x, b, _, inner = tseng_solve(prob.tseng, z_hat, tau_hat,
+                                             cert_log=block)
+            ref, ref_certs = _reference_solve(inst, cfg.gamma, cfg.sigma,
+                                              inst.eta, z_hat, tau_hat)
+            assert inner == ref[3] == len(certs)
             assert all(verify_hpe_inequality(c) for c in certs)
-            for got, want in zip(out[:3], ref[:3]):
+            pairs = [(x, ref[0]), (cfg.gamma * b, cfg.gamma * ref[1])]
+            pairs += [(c[i], r[i]) for c, r in zip(certs, ref_certs)
+                      for i in (0, 1)]
+            for got, want in pairs:
                 worst = max(worst, float(np.abs(got - want).max()))
-            steps += out.inner_iters
+            steps += inner
     assert worst <= BOUND
     assert steps > 500
 
@@ -575,6 +591,7 @@ def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
     for q in (p, _checked(p)):
         certs, error = [], None
         out = tseng_solve(q, z_hat, 1e-10)
+        inner = out[3]
         del calls[:]
         try:
             with CertBlock(q, certs) as block:
@@ -582,15 +599,15 @@ def test_trusted_solve_equals_the_checked_one_bitwise(scale, monkeypatch):
         except InvariantViolation as exc:
             error = str(exc)
         # trusted steps skip the point check; checked ones run it once each
-        assert len(calls) == (0 if trusted and q is p else out.inner_iters)
+        assert len(calls) == (0 if trusted and q is p else inner)
         runs.append((out, certs, error))
     (out, certs, error), (ref, ref_certs, ref_error) = runs
-    assert out.inner_iters == ref.inner_iters > 1
+    assert out[3] == ref[3] > 1
     # when the square overflows, step 1's certificate has eps = inf and an
     # inf right-hand side; inf <= inf certifies nothing, so it fails
     assert error == ref_error == (
         "inner step 1 failed its certificate" if overflows else None)
-    assert len(certs) == len(ref_certs) == (0 if overflows else out.inner_iters)
+    assert len(certs) == len(ref_certs) == (0 if overflows else out[3])
     for got, want in zip(out, ref):
         assert_array_equal(got, want)
     for cert, want in zip(certs, ref_certs):
@@ -603,10 +620,10 @@ def test_point_check_runs_only_on_the_generic_step(monkeypatch):
     # box's point check, the generic step calls it once per inner step
     calls = _counting_check_dim(monkeypatch)
     z_hat = initial_point(100, 5)
-    out = tseng_solve(_faces_tseng(100, 5), z_hat, 1e-8)
-    assert out.inner_iters > 1 and calls == []
-    out = tseng_solve(_faces_tseng(100, 5, generic=True), z_hat, 1e-8)
-    assert len(calls) == out.inner_iters > 1
+    *_, inner = tseng_solve(_faces_tseng(100, 5), z_hat, 1e-8)
+    assert inner > 1 and calls == []
+    *_, inner = tseng_solve(_faces_tseng(100, 5, generic=True), z_hat, 1e-8)
+    assert len(calls) == inner > 1
 
 
 def test_direct_step_call_projects_through_the_checked_resolvent(monkeypatch):

@@ -8,8 +8,8 @@ themselves are formed by drs.drs_ergodic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple
 
 import numpy as np
@@ -44,39 +44,36 @@ class HpeStepCertificate(NamedTuple):
 
 
 def verify_hpe_inequality(cert: HpeStepCertificate) -> bool:
-    """Check the relative-error inequality to ``slack(rhs)``.
-
-    The slack is 1e-10*(1 + rhs), so near convergence its floor decides;
-    a non-finite rhs fails, since inf <= inf would certify nothing.  So
-    does a certificate outside the HPE definition: eps < 0, lam <= 0 or
-    sigma outside [0, 1), NaN included.
-    """
-    z_prev, z_tilde, v, eps, lam, sigma = cert
-    if not (eps >= 0 and lam > 0 and 0 <= sigma < 1):
-        return False
-    d = lam * v + z_tilde - z_prev
-    lhs = float(d.dot(d)) + 2.0 * lam * eps
-    r = z_tilde - z_prev
-    rhs = sigma ** 2 * float(r.dot(r))
-    return math.isfinite(rhs) and lhs <= rhs + slack(rhs)
+    """verify_hpe_rows on one certificate, as a bool; outside the HPE
+    definition (eps < 0, lam not in (0, inf), sigma not in [0, 1)) False."""
+    return bool(verify_hpe_rows(*cert))
 
 
 def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
-                    sigma: float) -> np.ndarray:
-    """verify_hpe_inequality on each row of a block of steps at one lam.
+                    sigma: float) -> np.ndarray | bool:
+    """Check the relative-error inequality to ``slack(rhs)``.
 
-    Row i is the certificate (Z_prev[i], Z_tilde[i], V[i], eps[i], lam,
-    sigma); returns the boolean verdict per row.  Element-wise it forms
-    the same differences in the same order, with the same slack; each
-    squared norm is a row sum, so it may differ from the scalar check's
-    dot product in the last bits.
+    Takes one certificate (1-D z_prev, z_tilde, v, a scalar eps; one
+    verdict, squared norms by dot product) or a block at one lam and sigma
+    (a certificate and an eps per row; a verdict per row, squared norms by
+    row sums of one einsum).  The slack is 1e-10*(1 + rhs), so near
+    convergence its floor decides; a non-finite rhs fails, since
+    inf <= inf would certify nothing.  So does a certificate outside the
+    HPE definition: eps < 0, lam not in (0, inf) or sigma not in [0, 1),
+    NaN included.
     """
+    if not (0 < lam < inf and 0 <= sigma < 1):
+        return np.zeros(np.shape(eps), bool)
     D = lam * V + Z_tilde - Z_prev
-    lhs = np.einsum("ij,ij->i", D, D) + 2.0 * lam * eps
     R = Z_tilde - Z_prev
-    rhs = sigma ** 2 * np.einsum("ij,ij->i", R, R)
-    ok = np.isfinite(rhs) & (lhs <= rhs + slack(rhs)) & (eps >= 0)
-    return ok & (lam > 0 and 0 <= sigma < 1)
+    if D.ndim == 1:
+        dd, rr = float(D.dot(D)), float(R.dot(R))
+    else:
+        dd, rr = np.einsum("ij,ij->i", D, D), np.einsum("ij,ij->i", R, R)
+    lhs = dd + 2.0 * lam * eps
+    rhs = sigma ** 2 * rr
+    # rhs is >= 0 or NaN, so rhs < inf is its finiteness test
+    return (rhs < inf) & (lhs <= rhs + slack(rhs)) & (eps >= 0)
 
 
 @dataclass(frozen=True)

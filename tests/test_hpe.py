@@ -67,13 +67,16 @@ both_verifiers = pytest.mark.parametrize(
 @both_verifiers
 @pytest.mark.parametrize("fields", [
     dict(eps=-1e3), dict(sigma=10.0), dict(sigma=-10.0),
-    dict(lam=-1.0, eps=1e3)], ids=["eps<0", "sigma>1", "sigma<0", "lam<0"])
+    dict(lam=-1.0, eps=1e3), dict(lam=np.inf)],
+    ids=["eps<0", "sigma>1", "sigma<0", "lam<0", "lam=inf"])
 def test_certificate_outside_the_hpe_definition_fails(verify, fields):
-    # the step fails honestly at eps = 0, lam = 1, sigma = 0.5; each field
-    # change made the inequality hold, with eps, lam or sigma outside
-    # the definition (eps >= 0, lam > 0, 0 <= sigma < 1)
-    honest = HpeStepCertificate(np.zeros(3), np.ones(3), np.full(3, 5.0),
-                                0.0, 1.0, 0.5)
+    # the step fails honestly at eps = 0, lam = 1, sigma = 0.5; each of
+    # the first four field changes made the inequality hold, with eps, lam
+    # or sigma outside the definition (eps >= 0, 0 < lam < inf,
+    # 0 <= sigma < 1).  lam = inf meets the zero entry of v: inf*0 is NaN,
+    # and the check fails before that product warns
+    honest = HpeStepCertificate(np.zeros(3), np.ones(3),
+                                np.array([5.0, 0.0, 5.0]), 0.0, 1.0, 0.5)
     assert not verify(honest)
     assert not verify(honest._replace(**fields))
 

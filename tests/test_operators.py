@@ -10,6 +10,7 @@ from drsplit.operators import (
     CocoerciveMap,
     LipschitzMap,
     NullspaceNormalCone,
+    SplittableOperator,
     _point,
     project_nullspace,
     slack,
@@ -102,6 +103,15 @@ def test_cone_constructors_reject_bad_data():
                 BoxNormalCone(np.zeros(2), hi)
     with pytest.raises(ValueError):
         NullspaceNormalCone(np.array([1.0, 0.5, -1.0]))
+
+
+def test_operators_reject_dimension_zero():
+    # an empty box or K builds no operator: R^0 has no points to solve for
+    for make in (lambda: SplittableOperator(0),
+                 lambda: BoxNormalCone(np.zeros(0), np.zeros(0)),
+                 lambda: NullspaceNormalCone(np.zeros(0))):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            make()
 
 
 def test_resolvents_reject_nan_and_nonpositive_gamma():

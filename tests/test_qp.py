@@ -133,6 +133,21 @@ def test_faces_instance_equals_the_benchmark_copy(monkeypatch):
             assert definite.definite
 
 
+@pytest.mark.parametrize("name", ["e", "K", "lo", "hi"])
+def test_instance_rejects_a_vector_of_the_wrong_length(name):
+    ok = generate_instance(3, True, 0)
+    fields = dict(Q=ok.Q, e=ok.e, K=ok.K, lo=ok.lo, hi=ok.hi)
+    fields[name] = fields[name][:2]
+    with pytest.raises(ValueError, match=f"^{name} must have length 3$"):
+        QpInstance(**fields, definite=True, seed=0)
+
+
+@pytest.mark.parametrize("family", [generate_instance, faces_instance])
+def test_families_reject_an_empty_instance(family):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        family(0, True, 0)
+
+
 def test_instance_validation():
     ok = generate_instance(3, True, 0)
     with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ import csv
 import math
 import os
 import stat
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -99,6 +98,8 @@ def initial_point(n: int, seed: int) -> np.ndarray:
     direction at box-diagonal distance makes the iteration counts
     informative.  The stream is decorrelated from the instance draw.
     """
+    if not _integral(n) or n < 1:
+        raise ValueError("n must be >= 1")
     rng = np.random.default_rng([1, seed])
     z = rng.standard_normal(n)
     nrm = float(np.linalg.norm(z))
@@ -116,25 +117,15 @@ class SingleResult:
     cfg: DrsConfig | None = None    # drt only
 
 
-def _tally(stats: dict | None, seconds: float) -> None:
-    if stats is not None:
-        stats["estimate_time_s"] = stats.get("estimate_time_s", 0.0) + seconds
-
-
-def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResult:
+def run_single(spec: BenchSpec, i: int) -> SingleResult:
     """Run instance i of the batch; raises on solver failure.
 
-    stats, when given, accumulates "estimate_time_s" (instance
-    construction, whose eigendecomposition yields eta, plus the baseline
-    step, which computes beta for rfdrs), excluded from the record's wall
-    time.  This is where every record gets its instance and abs_err, the
+    This is where every record gets its instance and abs_err, the
     distance of the solution block (quad.x for drt, the baseline's
     solution otherwise) to the reference solution.
     """
     seed = spec.seed + i
-    t0 = time.perf_counter()
     inst = generate_instance(spec.n, spec.definite, seed)
-    _tally(stats, time.perf_counter() - t0)
     z0 = initial_point(spec.n, seed)
 
     try:
@@ -150,10 +141,7 @@ def run_single(spec: BenchSpec, i: int, stats: dict | None = None) -> SingleResu
         rec, quad = drt_solve(prob, stop, state)
         result = SingleResult(rec, quad.x, state=state, cfg=prob.cfg)
     else:
-        t0 = time.perf_counter()
         rec, sol = run_baseline(inst, spec.algo, spec.tol, z0=z0)
-        # run_baseline computes its step before its timer
-        _tally(stats, time.perf_counter() - t0 - rec.time_s)
         result = SingleResult(rec, sol)
     rec.instance = i
     if z_star is not None:
@@ -178,7 +166,7 @@ def _verify_trace_equivalence(state: DrsState, cfg: DrsConfig) -> None:
                 f"({shift} vs {vnorm} vs {t.residual})")
 
 
-def run_batch(spec: BenchSpec, trace_path=None, stats: dict | None = None) -> list[RunRecord]:
+def run_batch(spec: BenchSpec, trace_path=None) -> list[RunRecord]:
     """All instances in order; per-instance failures marked, never raised.
 
     trace_path (drt only) writes one block per instance with the
@@ -191,7 +179,7 @@ def run_batch(spec: BenchSpec, trace_path=None, stats: dict | None = None) -> li
     blocks = []
     for i in range(spec.instances):
         try:
-            result = run_single(spec, i, stats=stats)
+            result = run_single(spec, i)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             records.append(RunRecord(instance=i, algo=spec.algo, n=spec.n,
                                      time_s=float("nan"),

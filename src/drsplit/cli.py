@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import fields
 from itertools import combinations
 
@@ -89,17 +90,20 @@ def main(argv=None) -> int:
         if os.path.realpath(path) == os.path.realpath(other_path):
             parser.error(f"{name} and {other} are one file: {path!r}")
 
-    stats: dict = {}
-    records = run_batch(spec, trace_path=args.trace, stats=stats)
+    t0 = time.perf_counter()
+    records = run_batch(spec, trace_path=args.trace)
+    # rounded to the printed millisecond, so that the printed parts add up
+    wall = round(time.perf_counter() - t0, 3)
+    solvers = round(sum(r.time_s for r in records if r.error is None), 3)
     failed = [r for r in records if r.error is not None]
     table = summarize(records)
     stdout_closed = False
     try:
         print(format_summary(table, spec=spec, errors=len(failed)))
-        est = stats.get("estimate_time_s")
-        if est is not None:
-            print(f"instance set-up (eigvalsh of Q, rfdrs beta): {est:.3f} s "
-                  "total (excluded from time_s)")
+        print(f"batch wall {wall:.3f} s = solvers {solvers:.3f} s (sum of "
+              f"time_s) + rest {wall - solvers:.3f} s (instances with "
+              "eigvalsh, reference oracle, solver set-up, failed instances, "
+              "trace)")
         sys.stdout.flush()
     except BrokenPipeError:
         # the SIGPIPE recipe of the Python docs: point stdout at devnull, so

@@ -105,8 +105,10 @@ class DrsState:
     """
 
     def __init__(self, z0, tau0):
-        self.z = np.asarray(z0, dtype=float).copy()
         self.tau = float(tau0)
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau0 must be positive and finite")
+        self.z = np.asarray(z0, dtype=float).copy()
         self.k = 0
         self.beta = 0
         self.last: Quadruple | None = None

@@ -1,7 +1,9 @@
 import io
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -38,6 +40,17 @@ def test_trace_restricted_to_drt(tmp_path):
     assert ei.value.code == 1
 
 
+_WALL_SPLIT = re.compile(r"^batch wall (\S+) s = solvers (\S+) s \(sum of "
+                         r"time_s\) \+ rest (\S+) s \(instances", re.M)
+
+
+def _wall_split(out):
+    # (wall, solvers, rest) of the timing line, in seconds
+    m = _WALL_SPLIT.search(out)
+    assert m, out
+    return tuple(float(g) for g in m.groups())
+
+
 def test_successful_batch_prints_summary(capsys):
     rc = main(["--n", "2", "--instances", "3", "--seed", "5"])
     assert rc == 0
@@ -46,7 +59,39 @@ def test_successful_batch_prints_summary(capsys):
     assert "algo=drt" in head and "n=2" in head and "instances=3" in head
     assert "stop=delta" in head
     assert "iters" in out and "residual" in out
-    assert "instance set-up (eigvalsh of Q, rfdrs beta):" in out
+    wall, solvers, rest = _wall_split(out)
+    assert solvers >= 0 and rest >= 0
+    assert f"{solvers + rest:.3f}" == f"{wall:.3f}"
+
+
+@pytest.mark.parametrize("algo", ["drt", "tos", "rfdrs"])
+def test_the_solvers_part_is_the_sum_of_time_s(algo, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["--n", "5", "--instances", "4", "--algo", algo,
+                 "--out", str(out)]) == 0
+    _, solvers, _ = _wall_split(capsys.readouterr().out)
+    assert f"{solvers:.3f}" == f"{sum(r.time_s for r in read_records(out)):.3f}"
+
+
+def test_the_rest_holds_the_reference_oracle(monkeypatch, capsys):
+    # the oracle runs outside every solver's timer: 20 ms more per call
+    # moves the rest by 60 ms on three instances and the solvers' part not
+    argv = ["--n", "2", "--instances", "3"]
+    base = []
+    for _ in range(2):
+        assert main(argv) == 0
+        base.append(_wall_split(capsys.readouterr().out))
+    real = bench.reference_solution
+
+    def slow(inst):
+        time.sleep(0.02)
+        return real(inst)
+
+    monkeypatch.setattr(bench, "reference_solution", slow)
+    assert main(argv) == 0
+    _, solvers, rest = _wall_split(capsys.readouterr().out)
+    assert rest - min(b[2] for b in base) >= 0.055
+    assert solvers - min(b[1] for b in base) < 0.02
 
 
 def test_semidefinite_and_baseline_run(capsys):
@@ -164,10 +209,10 @@ def test_outputs_in_one_file_fail_before_the_batch(
 def test_failed_instance_exits_two(monkeypatch, capsys):
     real = bench.run_single
 
-    def flaky(spec, i, stats=None):
+    def flaky(spec, i):
         if i == 0:
             raise IterationBudgetExceeded("synthetic failure")
-        return real(spec, i, stats=stats)
+        return real(spec, i)
 
     monkeypatch.setattr(bench, "run_single", flaky)
     rc = main(["--n", "2", "--instances", "2"])
@@ -203,10 +248,10 @@ def test_closed_stdout_takes_precedence_over_a_failed_instance(
     # that stdout reports at devnull (here a file of its own) and exits 3
     real = bench.run_single
 
-    def flaky(spec, i, stats=None):
+    def flaky(spec, i):
         if i == 0:
             raise IterationBudgetExceeded("synthetic failure")
-        return real(spec, i, stats=stats)
+        return real(spec, i)
 
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -237,7 +282,7 @@ def test_console_script_installed():
 def test_parser_defaults_are_the_spec_defaults(monkeypatch):
     specs = []
 
-    def capture(spec, trace_path=None, stats=None):
+    def capture(spec, trace_path=None):
         specs.append(spec)
         raise SystemExit(0)
 

@@ -409,6 +409,14 @@ def test_null_step_bounds_rejects_bad_arguments(args, message):
         null_step_bounds(*args)
 
 
+@pytest.mark.parametrize("tau0", [float("nan"), 0.0, -1.0, float("inf")])
+def test_state_rejects_a_bad_tau0(tau0):
+    # as DrsConfig does: a bad tau0 used to fail at the first B-solve with
+    # an untyped error, or (inf) to run every step at tau = inf
+    with pytest.raises(ValueError, match="^tau0 must be positive and finite"):
+        DrsState(np.zeros(3), tau0)
+
+
 def test_state_accessors_before_first_step():
     state = DrsState.initial(np.zeros(3), _cfg())
     assert state.last is None

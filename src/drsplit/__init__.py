@@ -10,8 +10,8 @@ benchmark harness reproduces the box/equality-constrained QP experiments
 
 from .drs import (DrsConfig, DrsState, Quadruple, check_termination,
                   drs_ergodic, drs_iterate, null_step_bounds, outer_certificates)
-from .drt import (DrtProblem, RunRecord, delta_stop, drt_bsolver, drt_solve,
-                  residual_stop, tolerance_stop)
+from .drt import (DrtProblem, RunRecord, delta_stop, drt_solve, residual_stop,
+                  tolerance_stop)
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, OracleFailure, ParseError,
                      StateError)
@@ -35,7 +35,7 @@ __all__ = [
     "QpInstance", "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",
     "SplittableOperator", "StateError", "TsengProblem",
     "check_termination", "delta_stop", "drs_ergodic", "drs_iterate",
-    "drt_bsolver", "drt_problem", "drt_solve", "ergodic_bound",
+    "drt_problem", "drt_solve", "ergodic_bound",
     "estimate_beta_V", "faces_instance", "gamma_max", "generate_instance",
     "null_step_bounds", "outer_certificates", "pointwise_bound",
     "qp_operators", "reference_solution", "residual_stop", "strong_rate",

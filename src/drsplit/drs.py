@@ -39,9 +39,10 @@ __all__ = [
 EXTRAGRADIENT = "extragradient"
 NULL = "null"
 
-# (z_prev, tau, gamma) -> (x, b, eps_b, inner) with ||gamma*b + x - z_prev||^2
-# + 2*gamma*eps_b <= tau, b in B^{eps_b}(x) and inner the solver's steps.
-BSolver = Callable[[np.ndarray, float, float], tuple[np.ndarray, np.ndarray, float, int]]
+# (z_prev, tau) -> (x, b, eps_b, inner) with ||gamma*b + x - z_prev||^2
+# + 2*gamma*eps_b <= tau, b in B^{eps_b}(x) and inner the solver's steps;
+# gamma is the problem's, fixed when the B-solver is built.
+BSolver = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, float, int]]
 
 
 @dataclass(frozen=True)
@@ -96,20 +97,20 @@ class TraceRecord(NamedTuple):
 class DrsState:
     """Mutable per-solve state: governing iterate, tolerance ladder, history.
 
-    beta counts the null steps, and tau always equals theta**beta * tau0
-    in exponent arithmetic.  The trace has one TraceRecord per step:
-    kind, tau after it, ||x - y||, eps_b and the B-solver's inner steps,
-    so the last step's kind is trace[-1].step.  The extragradient history
+    tau0 is the state's own start: beta counts the null steps, and tau
+    always equals theta**beta * tau0 in exponent arithmetic.  The trace
+    has one TraceRecord per step (k is its length): kind, tau after it,
+    ||x - y||, eps_b and the B-solver's inner steps, so the last step's
+    kind is trace[-1].step.  The extragradient history
     (one entry per extragradient index) feeds drs_ergodic, outer_certificates
     and delta_stop (z_{k-1} = hist_z_prev[-1]); drt_solve takes it fresh.
     """
 
     def __init__(self, z0, tau0):
-        self.tau = float(tau0)
+        self.tau0 = self.tau = float(tau0)
         if not 0 < self.tau < math.inf:
             raise ValueError("tau0 must be positive and finite")
         self.z = np.asarray(z0, dtype=float).copy()
-        self.k = 0
         self.beta = 0
         self.last: Quadruple | None = None
         self.hist_z_prev: list[np.ndarray] = []
@@ -123,6 +124,10 @@ class DrsState:
     @classmethod
     def initial(cls, z0, cfg: DrsConfig) -> "DrsState":
         return cls(z0, cfg.tau0)
+
+    @property
+    def k(self) -> int:
+        return len(self.trace)
 
     @property
     def n_extragradient(self) -> int:
@@ -151,14 +156,18 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
                 A: SplittableOperator) -> DrsState:
     """One outer iteration: B-solve, A-resolvent, classify, update.
 
-    Calls the B-solver with (z_{k-1}, tau_{k-1}, gamma), checks its
-    contract, takes the resolvent point y of A at w = x - gamma*b and
+    Calls the B-solver with (z_{k-1}, tau_{k-1}), checks its contract
+    at cfg.gamma (the check that catches a B-solver built for another
+    gamma), takes the resolvent point y of A at w = x - gamma*b and
     forms a = (w - y)/gamma, and applies the relative-error test: on
     success the extragradient update moves z and keeps tau, otherwise z
-    freezes and tau shrinks by theta.  Mutates and returns state.  A
-    ContractViolation or IterationBudgetExceeded from the B-solver gets
-    the prefix "outer B-solve call <k>: ", k = state.k + 1; a return that
-    does not unpack to (x, b, eps_b, inner) raises ContractViolation.
+    freezes and tau steps down the state's own ladder, theta**beta *
+    state.tau0.  Mutates and returns state.  A ContractViolation or
+    IterationBudgetExceeded from the B-solver, and a ContractViolation
+    about its return (not four values, x or b of another shape, eps_b
+    not >= 0, inner not an integer >= 0, tolerance exceeded), carry the
+    prefix "outer B-solve call <k>: ", k = state.k + 1, and leave state
+    as it was.
     """
     if state.k >= cfg.max_iter:
         raise IterationBudgetExceeded(f"max_iter={cfg.max_iter} reached")
@@ -167,33 +176,36 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     z = state.z
 
     try:
-        out = bsolver(z, tau_prev, gamma)
+        out = bsolver(z, tau_prev)
+        try:
+            x, b, eps_b, inner = out
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(
+                f"bsolver returned a {type(out).__name__}, not (x, b, eps_b, "
+                f"inner): {exc}") from exc
+        x = np.asarray(x, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if x.shape != z.shape or b.shape != z.shape:
+            raise ContractViolation(
+                f"bsolver returned x of shape {x.shape} and b of shape "
+                f"{b.shape}, not {z.shape}")
+        eps_b = float(eps_b)
+        # written so that NaN fails both tests
+        if not eps_b >= 0:
+            raise ContractViolation(f"bsolver returned eps_b={eps_b}, "
+                                    "not >= 0")
+        if not (_integral(inner) and inner >= 0):
+            raise ContractViolation(
+                f"bsolver returned inner={inner!r}, not an integer >= 0")
+        gb = gamma * b
+        r_b = gb + x - z
+        lhs = float(r_b.dot(r_b)) + 2.0 * gamma * eps_b
+        if not lhs <= tau_prev + slack(tau_prev):
+            raise ContractViolation(
+                f"bsolver output violates its tolerance: {lhs} > {tau_prev}")
     except (ContractViolation, IterationBudgetExceeded) as exc:
+        # the B-solver's own errors and the checks of its return alike
         raise type(exc)(f"outer B-solve call {state.k + 1}: {exc}") from exc
-    try:
-        x, b, eps_b, inner = out
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"bsolver returned a {type(out).__name__}, "
-                                f"not (x, b, eps_b, inner): {exc}") from exc
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.shape != z.shape or b.shape != z.shape:
-        raise ContractViolation(
-            f"bsolver returned x of shape {x.shape} and b of shape "
-            f"{b.shape}, not {z.shape}")
-    eps_b = float(eps_b)
-    # written so that NaN fails both tests
-    if not eps_b >= 0:
-        raise ContractViolation(f"bsolver returned eps_b={eps_b}, not >= 0")
-    if not (_integral(inner) and inner >= 0):
-        raise ContractViolation(
-            f"bsolver returned inner={inner!r}, not an integer >= 0")
-    gb = gamma * b
-    r_b = gb + x - z
-    lhs = float(r_b.dot(r_b)) + 2.0 * gamma * eps_b
-    if not lhs <= tau_prev + slack(tau_prev):
-        raise ContractViolation(
-            f"bsolver output violates its tolerance: {lhs} > {tau_prev}")
 
     w = x - gb
     y = A.resolvent(gamma, w)
@@ -224,12 +236,11 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         step = EXTRAGRADIENT
     else:
         state.beta += 1
-        state.tau = cfg.theta ** state.beta * cfg.tau0
+        state.tau = cfg.theta ** state.beta * state.tau0
         step = NULL
-    state.k += 1
     state.last = quad
-    state.trace.append(TraceRecord(state.k, step, state.tau, residual, eps_b,
-                                   int(inner)))
+    state.trace.append(TraceRecord(state.k + 1, step, state.tau, residual,
+                                   eps_b, int(inner)))
     return state
 
 

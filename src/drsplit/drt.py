@@ -12,9 +12,10 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
-from .drs import (EXTRAGRADIENT, BSolver, DrsConfig, DrsState, Quadruple,
+from .drs import (EXTRAGRADIENT, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
 from .errors import StateError
 from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
@@ -27,7 +28,6 @@ __all__ = [
     "tolerance_stop",
     "delta_stop",
     "residual_stop",
-    "drt_bsolver",
     "drt_solve",
 ]
 
@@ -118,28 +118,6 @@ def residual_stop(tol: float) -> StopRule:
     return fired
 
 
-def drt_bsolver(p: DrtProblem, max_inner: int = 1000,
-                block: CertBlock | None = None) -> BSolver:
-    """B-solver running the inner Tseng loop on each outer request.
-
-    Receives the pre-update tolerance tau_{k-1} and prox center z_{k-1};
-    every call reuses the problem's one Tseng subproblem, so gamma must be
-    the problem's.  Returns what tseng_solve returns, (x, b, eps_b, inner),
-    and each call's steps join block when given.  Its errors carry no
-    outer-call context; drs_iterate adds it.
-    """
-    sub = p.tseng
-
-    def solve(z_prev, tau, gamma):
-        if gamma != sub.gamma:
-            raise ValueError(
-                f"B-solver built for gamma={sub.gamma}, called with {gamma}")
-        return tseng_solve(sub, z_prev, tau, max_inner=max_inner,
-                           cert_log=block)
-
-    return solve
-
-
 def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
               max_inner: int = 1000,
               inner_cert_log: list | None = None) -> tuple[RunRecord, Quadruple]:
@@ -150,6 +128,9 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
     time_s), trace, certificate log and outer call numbers cover the same
     steps.  f2_evals = inner: each Tseng step evaluates F2 exactly once.
 
+    The B-solve is tseng_solve on the problem's one Tseng subproblem,
+    whose gamma was checked against gamma_max when p was built; it takes
+    each request (z_{k-1}, tau_{k-1}) and returns (x, b, eps_b, inner).
     With inner_cert_log, every inner step is certified (see tseng_solve)
     and all B-solves add their steps to one CertBlock, so a failing step
     raises InvariantViolation naming its outer B-solve call and inner step.
@@ -159,7 +140,8 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
     t0 = time.perf_counter()
     with (nullcontext() if inner_cert_log is None else
           CertBlock(p.tseng, inner_cert_log, label="outer B-solve call")) as block:
-        bsolver = drt_bsolver(p, max_inner=max_inner, block=block)
+        bsolver = partial(tseng_solve, p.tseng, max_inner=max_inner,
+                          cert_log=block)
         while True:
             drs_iterate(state, p.cfg, bsolver, p.A)
             if stop(state):

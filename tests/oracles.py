@@ -84,10 +84,11 @@ def cocoercive_enlargement(F2: CocoerciveMap, z_eval, z_target) -> EnlargementTr
     return EnlargementTriple(z_target, v, eps)
 
 
-def exact_bsolver(opB: SplittableOperator) -> BSolver:
-    """B-solver from an exact resolvent oracle; eps_b = inner = 0, any tau."""
+def exact_bsolver(opB: SplittableOperator, gamma: float) -> BSolver:
+    """B-solver from an exact resolvent oracle at the stepsize gamma;
+    eps_b = inner = 0, any tau."""
 
-    def solve(z_prev, tau, gamma):
+    def solve(z_prev, tau):
         x = opB.resolvent(gamma, z_prev)
         return x, (z_prev - x) / gamma, 0.0, 0
 

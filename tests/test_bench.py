@@ -196,15 +196,16 @@ def test_a_poisoned_instance_is_one_error_row(algo, monkeypatch):
 def test_a_three_value_bsolver_is_one_error_row_per_instance(monkeypatch):
     # a B-solver written to the three-value protocol breaks its contract
     # on every instance: each becomes an error row, and the batch runs on
-    def three_values(p, max_inner=1000, block=None):
-        return lambda z, tau, gamma: (z / 2.0, z / 2.0, 0.0)
+    def three_values(sub, z, tau, max_inner=1000, cert_log=None):
+        return z / 2.0, z / 2.0, 0.0
 
-    monkeypatch.setattr(drt_module, "drt_bsolver", three_values)
+    monkeypatch.setattr(drt_module, "tseng_solve", three_values)
     records = run_batch(BenchSpec(n=10, instances=2))
     assert [r.instance for r in records] == [0, 1]
     for r in records:
-        assert re.fullmatch(r"ContractViolation: bsolver returned a tuple, "
-                            r"not \(x, b, eps_b, inner\): .*", r.error)
+        assert re.fullmatch(r"ContractViolation: outer B-solve call 1: "
+                            r"bsolver returned a tuple, not \(x, b, eps_b, "
+                            r"inner\): .*", r.error)
         assert math.isnan(r.time_s)
 
 

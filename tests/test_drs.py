@@ -1,5 +1,7 @@
 """Outer relative-error splitting loop: hand runs, contracts, ergodics."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -25,8 +27,9 @@ from drsplit.errors import (
 from drsplit.hpe import verify_hpe_inequality
 from drsplit.operators import NullspaceNormalCone
 from drsplit.bench import initial_point
-from drsplit.drt import delta_stop, drt_bsolver
+from drsplit.drt import delta_stop
 from drsplit.qp import drt_problem, faces_instance, generate_instance
+from drsplit.tseng import tseng_solve
 from oracles import AffineMonotone, BoxAffineSum, ergodic_prefix, exact_bsolver
 
 
@@ -74,7 +77,7 @@ def test_one_dimensional_exact_run():
     A = NullspaceNormalCone(np.array([1.0]))
     B = AffineMonotone(np.eye(1))
     state = DrsState.initial(np.array([2.0]), cfg)
-    bs = exact_bsolver(B)
+    bs = exact_bsolver(B, cfg.gamma)
     expect = [1.0, 0.5, 0.25]
     for k, want in enumerate(expect, start=1):
         drs_iterate(state, cfg, bs, A)
@@ -102,7 +105,7 @@ def test_exact_bsolver_matches_plain_recursion():
     A = NullspaceNormalCone(inst.K)
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     state = DrsState.initial(np.full(6, 3.0), cfg)
-    bs = exact_bsolver(B)
+    bs = exact_bsolver(B, cfg.gamma)
     z_ref = np.full(6, 3.0)
     for _ in range(25):
         drs_iterate(state, cfg, bs, A)
@@ -120,7 +123,7 @@ def test_null_step_freezes_z_and_shrinks_tau():
     z0 = np.array([4.0, 0.0])
     state = DrsState.initial(z0, cfg)
 
-    def sloppy(z_prev, tau, gamma):
+    def sloppy(z_prev, tau):
         # feasible for the tolerance but far from the sigma test: large
         # eps_b forces a null step
         return z_prev.copy(), np.zeros(2), 40.0, 0
@@ -139,13 +142,13 @@ def test_contract_violation_raises():
     cfg = _cfg(tau0=1e-6)
     A = NullspaceNormalCone(np.array([1.0]))
 
-    def liar(z_prev, tau, gamma):
+    def liar(z_prev, tau):
         return z_prev + 5.0, np.zeros(1), 0.0, 0  # lhs 25 >> tau
 
     with pytest.raises(ContractViolation):
         drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg, liar, A)
 
-    def negative_eps(z_prev, tau, gamma):
+    def negative_eps(z_prev, tau):
         return z_prev.copy(), np.zeros(1), -1.0, 0
 
     with pytest.raises(ContractViolation):
@@ -154,7 +157,7 @@ def test_contract_violation_raises():
     for inner in (-1, 1.0, float("nan"), None):
         with pytest.raises(ContractViolation, match=f"inner={inner!r}, not"):
             drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg,
-                        lambda z, tau, g: (z, np.zeros(1), 0.0, inner), A)
+                        lambda z, tau: (z, np.zeros(1), 0.0, inner), A)
 
 
 def test_nan_contract_data_fails_on_the_first_call():
@@ -164,11 +167,11 @@ def test_nan_contract_data_fails_on_the_first_call():
     A = NullspaceNormalCone(np.array([1.0, 1.0]))
     calls = []
 
-    def nan_eps(z_prev, tau, gamma):
+    def nan_eps(z_prev, tau):
         calls.append(None)
         return z_prev / 2.0, z_prev / 2.0, float("nan"), 0
 
-    def nan_point(z_prev, tau, gamma):
+    def nan_point(z_prev, tau):
         calls.append(None)
         return np.array([np.nan, 0.0]), np.zeros(2), 0.0, 0
 
@@ -191,7 +194,7 @@ def test_non_finite_resolvent_of_a_fails_on_the_first_call():
             return np.full_like(z, self.bad)
 
     cfg = _cfg(max_iter=5)
-    bs = exact_bsolver(AffineMonotone(np.eye(1)))
+    bs = exact_bsolver(AffineMonotone(np.eye(1)), cfg.gamma)
     for bad in (np.nan, np.inf):
         state = DrsState.initial(np.array([2.0]), cfg)
         with pytest.raises(ContractViolation,
@@ -208,17 +211,17 @@ def test_bsolver_output_of_the_wrong_shape_fails_on_the_first_call():
     z0 = np.array([2.0, -1.0, 0.5])
     short = np.array([1.0])
     cases = (
-        (lambda z, tau, g: (short, z - short, 0.0, 0),
+        (lambda z, tau: (short, z - short, 0.0, 0),
          r"\(1,\) and b .* \(3,\)"),
-        (lambda z, tau, g: (1.0, z - 1.0, 0.0, 0), r"\(\) and b .* \(3,\)"),
-        (lambda z, tau, g: (z / 2.0, z[:1] / 2.0, 0.0, 0),
+        (lambda z, tau: (1.0, z - 1.0, 0.0, 0), r"\(\) and b .* \(3,\)"),
+        (lambda z, tau: (z / 2.0, z[:1] / 2.0, 0.0, 0),
          r"\(3,\) and b .* \(1,\)"),
     )
     for bsolver, shapes in cases:
         state = DrsState.initial(z0, cfg)
         with pytest.raises(ContractViolation,
-                           match=rf"^bsolver returned x of shape {shapes}, "
-                                 r"not \(3,\)$"):
+                           match=r"^outer B-solve call 1: bsolver returned x "
+                                 rf"of shape {shapes}, not \(3,\)$"):
             drs_iterate(state, cfg, bsolver, A)
         assert state.k == 0
 
@@ -231,22 +234,23 @@ def test_bsolver_return_that_is_not_four_values_is_a_contract_violation():
     A = NullspaceNormalCone(np.ones(2))
     z0 = np.array([2.0, -1.0])
     cases = (
-        (lambda z, tau, g: (z / 2.0, z / 2.0, 0.0), "tuple", r"got 3"),
-        (lambda z, tau, g: (z / 2.0, z / 2.0, 0.0, 0, 0), "tuple",
+        (lambda z, tau: (z / 2.0, z / 2.0, 0.0), "tuple", r"got 3"),
+        (lambda z, tau: (z / 2.0, z / 2.0, 0.0, 0, 0), "tuple",
          r"expected 4"),
-        (lambda z, tau, g: None, "NoneType", "non-iterable"),
-        (lambda z, tau, g: 1.0, "float", "non-iterable"),
+        (lambda z, tau: None, "NoneType", "non-iterable"),
+        (lambda z, tau: 1.0, "float", "non-iterable"),
     )
     for bsolver, kind, why in cases:
         state = DrsState.initial(z0, cfg)
         with pytest.raises(ContractViolation,
-                           match=rf"^bsolver returned a {kind}, not \(x, b, "
-                                 rf"eps_b, inner\): .*{why}"):
+                           match=r"^outer B-solve call 1: bsolver returned "
+                                 rf"a {kind}, not \(x, b, eps_b, inner\): "
+                                 rf".*{why}"):
             drs_iterate(state, cfg, bsolver, A)
         assert state.k == 0 and state.trace == []
         assert_array_equal(state.z, z0)
 
-    def raises(z_prev, tau, gamma):
+    def raises(z_prev, tau):
         raise ValueError("inner trouble")
 
     with pytest.raises(ValueError, match="^inner trouble$"):
@@ -258,7 +262,7 @@ def test_iteration_budget():
     A = NullspaceNormalCone(np.array([1.0]))
     B = AffineMonotone(np.eye(1))
     state = DrsState.initial(np.array([2.0]), cfg)
-    bs = exact_bsolver(B)
+    bs = exact_bsolver(B, cfg.gamma)
     drs_iterate(state, cfg, bs, A)
     drs_iterate(state, cfg, bs, A)
     with pytest.raises(IterationBudgetExceeded, match="^max_iter=2 reached$"):
@@ -271,14 +275,60 @@ def test_exact_steps_take_no_inner_steps_and_errors_name_the_outer_call(error):
     cfg, A = _cfg(), NullspaceNormalCone(np.array([1.0]))
     state = DrsState.initial(np.array([2.0]), cfg)
     for _ in range(2):
-        drs_iterate(state, cfg, exact_bsolver(AffineMonotone(np.eye(1))), A)
+        drs_iterate(state, cfg, exact_bsolver(AffineMonotone(np.eye(1)), cfg.gamma), A)
     assert [t.inner for t in state.trace] == [0, 0]
 
-    def fails(z_prev, tau, gamma):
+    def fails(z_prev, tau):
         raise error("inner trouble")
 
     with pytest.raises(error, match="^outer B-solve call 3: inner trouble$"):
         drs_iterate(state, cfg, fails, A)
+
+
+@pytest.mark.parametrize("out, what", [
+    (lambda z: (z, z), r"bsolver returned a tuple, not \(x, b, eps_b, inner\)"),
+    (lambda z: (z[:0], z, 0.0, 0), r"bsolver returned x of shape \(0,\)"),
+    (lambda z: (z, 0 * z, -1.0, 0), r"bsolver returned eps_b=-1.0, not >= 0$"),
+    (lambda z: (z, 0 * z, 0.0, 1.5), r"bsolver returned inner=1.5, not an "),
+    (lambda z: (z + 100.0, 0 * z, 0.0, 0), "bsolver output violates its "
+                                           r"tolerance: \d"),
+], ids=["arity", "shape", "eps_b", "inner", "tolerance"])
+def test_a_bad_return_names_the_outer_call_and_leaves_the_state(out, what):
+    # drs_iterate's own checks on the B-solver's return carry the prefix
+    # that errors raised inside the B-solver get, and take no step
+    cfg, A = _cfg(), NullspaceNormalCone(np.array([1.0]))
+    state = DrsState.initial(np.array([2.0]), cfg)
+    for _ in range(2):
+        drs_iterate(state, cfg, exact_bsolver(AffineMonotone(np.eye(1)),
+                                              cfg.gamma), A)
+    z, last, trace = state.z, state.last, list(state.trace)
+    with pytest.raises(ContractViolation,
+                       match=rf"^outer B-solve call 3: {what}"):
+        drs_iterate(state, cfg, lambda z_prev, tau: out(z_prev), A)
+    assert (state.k, state.beta, state.tau) == (2, 0, cfg.tau0)
+    assert state.z is z and state.last is last and state.trace == trace
+    assert state.n_extragradient == 2
+
+
+def test_a_state_runs_its_ladder_from_its_own_tau0():
+    # a state started above cfg.tau0 (paper n=20, seed 3, at 1e6 x tau0):
+    # a null step takes theta times the state's own start, not cfg.tau0's
+    # ladder, and every step after keeps to theta**beta * state.tau0
+    inst = generate_instance(20, True, 3)
+    z0 = initial_point(20, 3)
+    prob = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-6)
+    cfg, tau0 = prob.cfg, 1e6 * prob.cfg.tau0
+    state = DrsState(z0, tau0)
+    bs = partial(tseng_solve, prob.tseng)
+    while state.beta == 0:
+        drs_iterate(state, cfg, bs, prob.A)
+    assert state.trace[-1].step == NULL
+    assert state.tau == cfg.theta * tau0
+    for _ in range(20):
+        drs_iterate(state, cfg, bs, prob.A)
+        assert state.tau == cfg.theta ** state.beta * tau0
+    assert state.beta >= 2 and state.tau0 == tau0
+    assert DrsState.initial(z0, cfg).tau0 == cfg.tau0
 
 
 def test_residual_identity_every_step():
@@ -290,7 +340,7 @@ def test_residual_identity_every_step():
     A = NullspaceNormalCone(inst.K)
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     state = DrsState.initial(np.full(8, -2.0), cfg)
-    bs = exact_bsolver(B)
+    bs = exact_bsolver(B, cfg.gamma)
     for _ in range(20):
         drs_iterate(state, cfg, bs, A)
         x, y, a, b, _, _ = state.last
@@ -327,7 +377,7 @@ def test_ergodic_averages_and_guards():
     A = NullspaceNormalCone(inst.K)
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     state = DrsState.initial(np.full(5, 2.0), cfg)
-    bs = exact_bsolver(B)
+    bs = exact_bsolver(B, cfg.gamma)
     with pytest.raises(StateError):
         drs_ergodic(state)
     for _ in range(12):
@@ -351,7 +401,7 @@ def test_outer_certificates(family):
     prob = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-6)
     cfg, g = prob.cfg, prob.cfg.gamma
     state = DrsState.initial(z0, cfg)
-    bs, stop = drt_bsolver(prob), delta_stop(1e-6)
+    bs, stop = partial(tseng_solve, prob.tseng), delta_stop(1e-6)
     assert outer_certificates(state, cfg) == []
     hand = []
     while not stop(state):

@@ -1,7 +1,7 @@
 """Four-operator composition: B-solver mapping, stop rules, full solves."""
 
-import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from drsplit.drs import (
 from drsplit.drt import (
     RunRecord,
     delta_stop,
-    drt_bsolver,
     drt_solve,
     residual_stop,
     tolerance_stop,
@@ -86,10 +85,10 @@ def test_bsolver_satisfies_outer_contract_identity():
     # - z collapses to the last inner displacement
     inst, p, z0 = _problem(n=8, seed=3)
     cfg = p.cfg
-    bs = drt_bsolver(p)
+    bs = partial(tseng_solve, p.tseng)
     gamma = cfg.gamma
     for tau in (cfg.tau0, 1e-2, 1e-6):
-        x, b, eps_b, inner = bs(z0, tau, gamma)
+        x, b, eps_b, inner = bs(z0, tau)
         r = gamma * b + x - z0
         lhs = float(r @ r) + 2.0 * gamma * eps_b
         assert lhs <= tau * (1 + 1e-10)
@@ -103,18 +102,18 @@ def test_bsolver_matches_hand_inner_loop():
     gamma = cfg.gamma
     Q, e, eta = inst.Q, inst.e, qp.F2.eta
 
-    def hand_bsolver(z_hat, tau, gm):
+    def hand_bsolver(z_hat, tau):
         z = z_hat.copy()
         for j in range(1, 1001):
             z_prime = z
-            w = (z_hat + z - gm * (Q @ z_prime + e)) / 2.0
+            w = (z_hat + z - gamma * (Q @ z_prime + e)) / 2.0
             z_tilde = np.clip(w, inst.lo, inst.hi)
             z_next = z_tilde
             d1 = z - z_next
             d2 = z_prime - z_tilde
-            if float(d1 @ d1) + gm * float(d2 @ d2) / (2.0 * eta) <= tau:
+            if float(d1 @ d1) + gamma * float(d2 @ d2) / (2.0 * eta) <= tau:
                 x = z_tilde
-                b = (z_hat + z - (z_next + z_tilde)) / gm
+                b = (z_hat + z - (z_next + z_tilde)) / gamma
                 return x, b, float(d2 @ d2) / (4.0 * eta), j
             z = z_next
 
@@ -122,7 +121,7 @@ def test_bsolver_matches_hand_inner_loop():
     p = replace(qp, F2=CocoerciveMap(eval=qp.F2.eval, eta=qp.F2.eta))
     lib = DrsState.initial(z0, cfg)
     ref = DrsState.initial(z0, cfg)
-    lib_bs = drt_bsolver(p)
+    lib_bs = partial(tseng_solve, p.tseng)
     for _ in range(40):
         drs_iterate(lib, cfg, lib_bs, p.A)
         drs_iterate(ref, cfg, hand_bsolver, p.A)
@@ -242,8 +241,8 @@ def test_solve_refuses_a_state_that_has_stepped():
     inst, p, z0 = _problem(n=6, seed=13)
     solved = DrsState.initial(z0, p.cfg)
     drt_solve(p, delta_stop(1e-6), solved)
-    stepped = drs_iterate(DrsState.initial(z0, p.cfg), p.cfg, drt_bsolver(p),
-                          p.A)
+    stepped = drs_iterate(DrsState.initial(z0, p.cfg), p.cfg,
+                          partial(tseng_solve, p.tseng), p.A)
     for state in (solved, stepped):
         k, trace, z = state.k, list(state.trace), state.z.copy()
         certs = []
@@ -262,20 +261,27 @@ def test_solve_rejects_an_inner_budget_that_is_not_an_integer_from_1(max_inner):
                   max_inner=max_inner)
 
 
-def test_bsolver_rejects_a_foreign_gamma(monkeypatch):
-    # the B-solver reuses the problem's one Tseng subproblem, built for
-    # cfg.gamma; any other stepsize is refused, even a smaller one, before
-    # an inner step runs
-    inst, p, z0 = _problem(n=8, seed=3)
-    bs = drt_bsolver(p)
-    steps = []
-    monkeypatch.setattr(tseng, "tseng_step", lambda *args: steps.append(args))
-    gamma = p.cfg.gamma
-    for other in (0.5 * gamma, 2.0 * gamma):
-        with pytest.raises(ValueError, match="^" + re.escape(
-                f"B-solver built for gamma={gamma}, called with {other}") + "$"):
-            bs(z0, p.cfg.tau0, other)
-    assert steps == []
+@pytest.mark.parametrize("family, definite",
+                         [(generate_instance, True), (faces_instance, False)],
+                         ids=["paper", "faces"])
+def test_a_bsolver_built_for_another_gamma_breaks_the_outer_contract(
+        family, definite):
+    # the B-solve request carries no stepsize: a Tseng subproblem built at
+    # half of cfg.gamma answers every request, and drs_iterate's contract
+    # check at cfg.gamma is what catches it (tolerance 2081.2 exceeded on
+    # paper, 154.7 on faces)
+    inst, p, z0 = _problem(n=8, seed=3, family=family, definite=definite)
+    cfg = p.cfg
+    half = TsengProblem(p.C, p.F1, p.F2, gamma=cfg.gamma / 2,
+                        sigma=cfg.sigma)
+    state = DrsState.initial(z0, cfg)
+    bs = partial(tseng_solve, half)
+    with pytest.raises(ContractViolation) as info:
+        while True:
+            drs_iterate(state, cfg, bs, p.A)
+    assert str(info.value).startswith(
+        "outer B-solve call 2: bsolver output violates its tolerance")
+    assert state.k == 1
 
 
 def test_one_gamma_max_check_per_solve(monkeypatch):
@@ -643,12 +649,11 @@ def test_blocks_span_bsolves_and_log_what_per_call_checks_log(monkeypatch):
     inst, p, z0 = _problem(n=100, family=faces_instance, definite=False)
     cfg = p.cfg
     per_call = []
-    bsolver = drt_bsolver(p)
 
-    def checked_per_call(z_prev, tau, gamma):
+    def checked_per_call(z_prev, tau):
         with CertBlock(p.tseng, per_call) as block:
             tseng_solve(p.tseng, z_prev, tau, cert_log=block)
-        return bsolver(z_prev, tau, gamma)
+        return tseng_solve(p.tseng, z_prev, tau)
 
     state, stop = DrsState.initial(z0, cfg), delta_stop(1e-6)
     while not stop(state):

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.bench import initial_point
 from drsplit.drs import DrsState, drs_iterate
-from drsplit.drt import drt_bsolver
 from drsplit.errors import (ContractViolation, InvariantViolation,
                             IterationBudgetExceeded)
 from drsplit.hpe import verify_hpe_inequality
@@ -373,12 +372,11 @@ def _textbook_requests(family, seed, calls, generic):
                                               eta=prob.F2.eta))
     assert (prob.tseng.G is None) == generic
     cfg = prob.cfg
-    bsolver = drt_bsolver(prob)
     requests = []
 
-    def recording(z_prev, tau, gamma):
+    def recording(z_prev, tau):
         requests.append((z_prev, tau))
-        return bsolver(z_prev, tau, gamma)
+        return tseng_solve(prob.tseng, z_prev, tau)
 
     state = DrsState.initial(z0, cfg)
     for _ in range(calls):

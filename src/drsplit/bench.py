@@ -62,8 +62,6 @@ class BenchSpec:
     algo: str = "drt"
     stop: str = "delta"
     tol: float = 1e-6
-    sigma: float = 0.99
-    theta: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -82,10 +80,6 @@ class BenchSpec:
             raise ValueError(f"stop must be one of {_STOPS}")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must lie in (0, 1)")
-        if not 0 < self.theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -134,8 +128,7 @@ def run_single(spec: BenchSpec, i: int) -> SingleResult:
         z_star = None   # abs_err stays nan, record otherwise valid
 
     if spec.algo == "drt":
-        prob = drt_problem(inst, z0, sigma=spec.sigma, theta=spec.theta,
-                           tol=spec.tol)
+        prob = drt_problem(inst, z0, tol=spec.tol)
         stop = (delta_stop if spec.stop == "delta" else residual_stop)(spec.tol)
         state = DrsState.initial(z0, prob.cfg)
         rec, quad = drt_solve(prob, stop, state)

@@ -48,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "are one test")
     p.add_argument("--tol", type=float, default=d["tol"],
                    help="stopping tolerance (default %(default)s)")
-    p.add_argument("--sigma", type=float, default=d["sigma"],
-                   help="relative-error parameter (default %(default)s)")
-    p.add_argument("--theta", type=float, default=d["theta"],
-                   help="null-step shrink factor (default %(default)s)")
     p.add_argument("--seed", type=int, default=d["seed"],
                    help="master seed; instance i uses seed+i "
                         "(default %(default)s)")

@@ -290,8 +290,8 @@ def _ergodic_average(zs, vs, eps) -> tuple[np.ndarray, np.ndarray, float]:
     # ebar = (1/j) sum_l (eps_l + <z_l - zbar, v_l>); ebar >= 0 up to
     # round-off when each v_l lies in T^{eps_l}(z_l), so a clearly
     # negative value raises, and so does NaN
-    Z = np.stack(zs)
-    V = np.stack(vs)
+    Z = np.array(zs)
+    V = np.array(vs)
     eps = np.asarray(eps, dtype=float)
     j = len(Z)
     zbar = Z.sum(axis=0) / j

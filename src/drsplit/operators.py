@@ -96,7 +96,7 @@ class BoxNormalCone(SplittableOperator):
     """Normal cone of the box [lo, hi] in R^n; resolvent is the box projection."""
 
     def __init__(self, lo, hi):
-        lo = _point(lo)
+        lo = _point(lo).copy()
         hi = np.broadcast_to(_point(hi), lo.shape).copy()
         super().__init__(lo.size)
         # NaN fails lo <= hi, where it would pass a lo > hi test
@@ -124,7 +124,7 @@ class NullspaceNormalCone(SplittableOperator):
     """Normal cone of M = null(K) for a +/-1 row K; resolvent is P_M."""
 
     def __init__(self, K):
-        K = _point(K)
+        K = _point(K).copy()
         if not np.all(np.abs(K) == 1.0):
             raise ValueError("K entries must be +1 or -1")
         super().__init__(K.size)
@@ -173,7 +173,8 @@ class AffineCocoerciveMap(CocoerciveMap):
     (Q, e) is the map's one source: eval is built from it, so a step that
     reads Q and e directly and one that calls eval evaluate the same map.
     Both must be finite.  The caller vouches for eta, as for any
-    CocoerciveMap (1/||Q|| for a symmetric PSD Q).
+    CocoerciveMap (1/||Q|| for a symmetric PSD Q).  The cones copy the
+    data they check; the map shares Q and e (a copy is 80 KB at n=100).
     """
 
     eval: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)

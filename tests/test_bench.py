@@ -41,8 +41,7 @@ def _strip_time(rec):
 def test_spec_validation():
     for bad in (dict(n=0), dict(instances=0), dict(algo="pdhg"),
                 dict(stop="energy"), dict(tol=0.0), dict(tol=float("nan")),
-                dict(tol=float("inf")),
-                dict(sigma=1.0), dict(theta=0.0), dict(seed=-1),
+                dict(tol=float("inf")), dict(seed=-1),
                 dict(n=float("nan")), dict(n=2.5), dict(n=4.0),
                 dict(instances=float("nan")), dict(instances=2.5),
                 dict(seed=float("nan")), dict(seed=1.5)):

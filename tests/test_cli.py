@@ -28,9 +28,6 @@ def test_spec_errors_exit_one():
     with pytest.raises(SystemExit) as ei:
         main(["--n", "0"])
     assert ei.value.code == 1
-    with pytest.raises(SystemExit) as ei:
-        main(["--n", "2", "--sigma", "1.5"])
-    assert ei.value.code == 1
 
 
 def test_trace_restricted_to_drt(tmp_path):
@@ -168,6 +165,17 @@ def test_nan_tol_and_negative_seed_exit_one_before_the_batch(
     assert argv[0].lstrip("-") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--sigma", "--theta"])
+def test_sigma_and_theta_are_not_options(flag, monkeypatch, capsys):
+    # qp.drt_problem owns both values; the CLI rejects them as usage
+    _no_batch(monkeypatch)
+    with pytest.raises(SystemExit) as ei:
+        main(["--n", "5", flag, "0.5"])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments" in err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
 def test_a_directory_as_output_fails_before_the_batch(
         flag, tmp_path, monkeypatch, capsys):
@@ -299,6 +307,4 @@ def test_parser_defaults():
     assert args.algo == "drt"
     assert args.stop == "delta"
     assert args.tol == 1e-6
-    assert args.sigma == 0.99
-    assert args.theta == 0.01
     assert args.seed == 0

@@ -316,7 +316,7 @@ def test_a_state_runs_its_ladder_from_its_own_tau0():
     # ladder, and every step after keeps to theta**beta * state.tau0
     inst = generate_instance(20, True, 3)
     z0 = initial_point(20, 3)
-    prob = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-6)
+    prob = drt_problem(inst, z0, tol=1e-6)
     cfg, tau0 = prob.cfg, 1e6 * prob.cfg.tau0
     state = DrsState(z0, tau0)
     bs = partial(tseng_solve, prob.tseng)
@@ -398,7 +398,7 @@ def test_outer_certificates(family):
     # hand formula on that step's quadruple, replaying the iterates
     inst = family(10, True, 3)
     z0 = initial_point(10, 3)
-    prob = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-6)
+    prob = drt_problem(inst, z0, tol=1e-6)
     cfg, g = prob.cfg, prob.cfg.gamma
     state = DrsState.initial(z0, cfg)
     bs, stop = partial(tseng_solve, prob.tseng), delta_stop(1e-6)

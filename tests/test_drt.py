@@ -42,7 +42,7 @@ def _problem(n=6, seed=0, tol=1e-6, family=generate_instance, definite=True):
     # the benchmark's start
     inst = family(n, definite, seed)
     z0 = initial_point(n, seed)
-    return inst, drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=tol), z0
+    return inst, drt_problem(inst, z0, tol=tol), z0
 
 
 def _skew_problem(max_iter=10000):

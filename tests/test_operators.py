@@ -105,6 +105,19 @@ def test_cone_constructors_reject_bad_data():
         NullspaceNormalCone(np.array([1.0, 0.5, -1.0]))
 
 
+def test_cones_keep_the_data_they_checked():
+    # a write into the caller's arrays after construction would otherwise
+    # leave the cones projecting onto data their constructors reject
+    lo, hi, K = np.zeros(3), np.ones(3), np.array([1.0, -1.0, 1.0])
+    box, null = BoxNormalCone(lo, hi), NullspaceNormalCone(K)
+    z = np.array([0.5, 2.0, -1.0])
+    x_box, x_null = box.resolvent(1.0, z), null.resolvent(1.0, z)
+    lo[0], hi[1], K[1] = 5.0, -5.0, 0.5
+    assert_array_equal(box.resolvent(1.0, z), x_box)
+    assert_array_equal(x_box, [0.5, 1.0, 0.0])
+    assert_array_equal(null.resolvent(1.0, z), x_null)
+
+
 def test_operators_reject_dimension_zero():
     # an empty box or K builds no operator: R^0 has no points to solve for
     for make in (lambda: SplittableOperator(0),

@@ -387,6 +387,13 @@ def test_drt_problem_recipe(family, sigma):
         assert getattr(p, name) is getattr(inst.ops, name)
 
 
+def test_drt_problem_defaults_sigma_and_theta():
+    # the one owner of the values every benchmark run uses
+    inst, z0 = generate_instance(8, True, 1), initial_point(8, 1)
+    assert drt_problem(inst, z0, tol=1e-6).cfg == drt_problem(
+        inst, z0, sigma=0.99, theta=0.01, tol=1e-6).cfg
+
+
 @pytest.mark.parametrize("z0, message", [
     (np.zeros(7), r"shape \(7,\), not \(6,\)"),
     (0.0, r"shape \(\), not \(6,\)"),
@@ -396,8 +403,7 @@ def test_drt_problem_names_a_bad_start(z0, message):
     # each once failed inside tau0_default or DrsConfig, on a broadcast,
     # a matmul or "tau0 must be positive and finite"
     with pytest.raises(ValueError, match=message):
-        drt_problem(generate_instance(6, True, 0), z0, sigma=0.99,
-                    theta=0.01, tol=1e-6)
+        drt_problem(generate_instance(6, True, 0), z0, tol=1e-6)
 
 
 def test_cocoercivity_sampled():
@@ -538,7 +544,7 @@ def test_oracle_and_drt_agree_on_boxes_with_fixed_coordinates():
         n_fixed += bool(np.any(inst.lo == inst.hi))
         x_ref = reference_solution(inst)
         z0 = initial_point(inst.n, seed)
-        p = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-8)
+        p = drt_problem(inst, z0, tol=1e-8)
         _, quad = drt_solve(p, delta_stop(1e-8), DrsState.initial(z0, p.cfg))
         assert kkt_check(inst, quad.x, 1e-5)
         assert objective(inst, quad.x) == pytest.approx(

@@ -366,7 +366,7 @@ def _textbook_requests(family, seed, calls, generic):
     inst = (generate_instance(n, True, seed) if family == "paper"
             else faces_instance(n, False, seed))
     z0 = initial_point(n, seed)
-    prob = drt_problem(inst, z0, sigma=0.99, theta=0.01, tol=1e-6)
+    prob = drt_problem(inst, z0, tol=1e-6)
     if generic:
         prob = replace(prob, F2=CocoerciveMap(eval=prob.F2.eval,
                                               eta=prob.F2.eta))

@@ -14,7 +14,11 @@ qp.faces_instance(n, False, j) for faces, bench.initial_point(n, j) and
 qp.drt_problem at sigma 0.99, theta 0.01, tol 1e-6, the copy that builds
 first alternating with j (building every change instance first read 1%
 slower A/A).  A solve is drt_solve with delta_stop(1e-6) from
-DrsState.initial, timed alone.
+DrsState.initial, timed alone.  A faces solve passes a fresh
+inner_cert_log, so every inner step is certified, as in the
+faces-certified-n100 workload; a paper solve runs uncertified, as the
+CLI runs it.  REF keeps sigma and theta passed explicitly: it may
+predate their defaults in qp.drt_problem.
 
 Each repetition runs every solve 3 times with each copy, the copies
 taking turns and the copy that goes first alternating from solve to
@@ -97,12 +101,14 @@ def _builder(package: str, family: str, n: int):
     qp, bench, drs, drt = (importlib.import_module(f"{package}.{m}")
                            for m in ("qp", "bench", "drs", "drt"))
     make = qp.generate_instance if family == "paper" else qp.faces_instance
+    certified = family == "faces"
 
     def solve(prob, z0):
         state = drs.DrsState.initial(z0, prob.cfg)
         stop = drt.delta_stop(TOL)
+        certs = [] if certified else None
         t0 = time.perf_counter()
-        rec, _ = drt.drt_solve(prob, stop, state)
+        rec, _ = drt.drt_solve(prob, stop, state, inner_cert_log=certs)
         return time.perf_counter() - t0, rec
 
     def build(j):

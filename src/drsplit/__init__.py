@@ -15,8 +15,8 @@ from .drt import (DrtProblem, RunRecord, delta_stop, drt_solve, residual_stop,
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, OracleFailure, ParseError,
                      StateError)
-from .hpe import (HpeStepCertificate, RateEnvelope, ergodic_bound,
-                  pointwise_bound, strong_rate, verify_hpe_inequality)
+from .hpe import (HpeStepCertificate, ergodic_bound, pointwise_bound,
+                  verify_hpe_inequality)
 from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
                         LipschitzMap, NullspaceNormalCone, SplittableOperator)
 from .qp import (QpInstance, QpOperators, drt_problem, estimate_beta_V,
@@ -32,13 +32,13 @@ __all__ = [
     "ContractViolation", "DrsConfig", "DrsState", "DrtProblem",
     "HpeStepCertificate", "InvariantViolation", "IterationBudgetExceeded",
     "LipschitzMap", "NullspaceNormalCone", "OracleFailure", "ParseError",
-    "QpInstance", "QpOperators", "Quadruple", "RateEnvelope", "RunRecord",
+    "QpInstance", "QpOperators", "Quadruple", "RunRecord",
     "SplittableOperator", "StateError", "TsengProblem",
     "check_termination", "delta_stop", "drs_ergodic", "drs_iterate",
     "drt_problem", "drt_solve", "ergodic_bound",
     "estimate_beta_V", "faces_instance", "gamma_max", "generate_instance",
     "null_step_bounds", "outer_certificates", "pointwise_bound",
-    "qp_operators", "reference_solution", "residual_stop", "strong_rate",
+    "qp_operators", "reference_solution", "residual_stop",
     "tau0_default", "tolerance_stop", "tseng_solve", "tseng_step",
     "verify_hpe_inequality",
 ]

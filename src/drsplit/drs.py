@@ -162,7 +162,9 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     forms a = (w - y)/gamma, and applies the relative-error test: on
     success the extragradient update moves z and keeps tau, otherwise z
     freezes and tau steps down the state's own ladder, theta**beta *
-    state.tau0.  Mutates and returns state.  A ContractViolation or
+    state.tau0.  Mutates and returns state.  A ladder that has underflowed
+    to tau = 0 raises IterationBudgetExceeded naming the outer step and
+    beta before the B-solver is called.  A ContractViolation or
     IterationBudgetExceeded from the B-solver, and a ContractViolation
     about its return (not four values, x or b of another shape, eps_b
     not >= 0, inner not an integer >= 0, tolerance exceeded), carry the
@@ -173,6 +175,10 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         raise IterationBudgetExceeded(f"max_iter={cfg.max_iter} reached")
     gamma = cfg.gamma
     tau_prev = state.tau
+    if not tau_prev > 0:
+        raise IterationBudgetExceeded(
+            f"outer step {state.k + 1}: the tolerance ladder collapsed: "
+            f"theta**beta * tau0 is {tau_prev:g} at beta={state.beta}")
     z = state.z
 
     try:
@@ -323,20 +329,14 @@ def outer_certificates(state: DrsState,
                 state.hist_eps_b)]
 
 
-def null_step_bounds(tau0: float, sigma: float, beta_prev: int,
-                     theta: float) -> tuple[float, float]:
-    """Upper bounds valid at any null step taken with beta_prev prior nulls.
+def null_step_bounds(tau: float, sigma: float) -> tuple[float, float]:
+    """Upper bounds valid at a null step whose B-solve was given tau.
 
-    Returns ((1 + 1/sigma) * sqrt(theta**beta_prev * tau0),
-    theta**beta_prev * tau0 / 2) bounding the residual ||x - y|| and
-    gamma*eps_b respectively.  The arguments are checked as DrsConfig
-    checks its fields, so that NaN fails.
+    tau is state.tau0 for the first step and the previous trace record's
+    tau after it.  Returns ((1 + 1/sigma) * sqrt(tau), tau / 2) bounding
+    the residual ||x - y|| and gamma*eps_b respectively.
     """
-    if not (_integral(beta_prev) and beta_prev >= 0):
-        raise ValueError("beta_prev must be an integer >= 0")
-    if not 0 < tau0 < math.inf:
-        raise ValueError("tau0 must be positive and finite")
-    if not (0 < sigma < 1 and 0 < theta < 1):
-        raise ValueError("sigma and theta must lie in (0, 1)")
-    tau = theta ** beta_prev * tau0
-    return (1.0 + 1.0 / sigma) * float(np.sqrt(tau)), tau / 2.0
+    # written so that NaN fails
+    if not (0 < tau < math.inf and 0 < sigma < 1):
+        raise ValueError("tau must be positive and finite and sigma in (0, 1)")
+    return (1.0 + 1.0 / sigma) * math.sqrt(tau), tau / 2.0

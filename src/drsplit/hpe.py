@@ -1,14 +1,13 @@
 """Hybrid proximal extragradient core.
 
 Step certificates for the relative-error proximal condition and the
-rate-envelope calculators (pointwise, ergodic, and linear under strong
-monotonicity) used as oracles by the solver tests.  The ergodic averages
+pointwise and ergodic complexity bounds, at the lam = 1 of the outer
+embedding, used as oracles by the solver tests.  The ergodic averages
 themselves are formed by drs.drs_ergodic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple
 
@@ -20,10 +19,8 @@ __all__ = [
     "HpeStepCertificate",
     "verify_hpe_inequality",
     "verify_hpe_rows",
-    "RateEnvelope",
     "pointwise_bound",
     "ergodic_bound",
-    "strong_rate",
 ]
 
 
@@ -76,68 +73,34 @@ def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
     return (rhs < inf) & (lhs <= rhs + slack(rhs)) & (eps >= 0)
 
 
-@dataclass(frozen=True)
-class RateEnvelope:
-    """Constants entering the HPE complexity bounds.
-
-    d0 is the distance from the start point to the solution set; it must
-    come from a reference solve, never a silent estimate.  mu is the
-    strong-monotonicity modulus (0 when absent).
-    """
-
-    d0: float
-    lambda_min: float
-    sigma: float
-    mu: float = 0.0
-
-    def __post_init__(self):
-        if not (self.d0 >= 0 and self.lambda_min > 0 and self.mu >= 0):
-            raise ValueError("invalid envelope constants")
-        if not 0 <= self.sigma < 1:
-            raise ValueError("sigma must lie in [0, 1)")
-
-    @property
-    def alpha(self) -> float:
-        """Linear-rate exponent base, defined for mu > 0; lies in (0, 1)."""
-        if self.mu <= 0:
-            raise ValueError("alpha requires mu > 0")
-        return 1.0 / (1.0 / (2.0 * self.lambda_min * self.mu)
-                      + 1.0 / (1.0 - self.sigma ** 2))
+def _check_bound_args(d0: float, sigma: float, j: int) -> None:
+    # written so that NaN fails
+    if not 0 <= d0 < inf:
+        raise ValueError("d0 must be >= 0 and finite")
+    if not 0 <= sigma < 1:
+        raise ValueError("sigma must lie in [0, 1)")
+    if not j >= 1:
+        raise ValueError("j must be >= 1")
 
 
-def pointwise_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
+def pointwise_bound(d0: float, sigma: float, j: int) -> tuple[float, float]:
     """Pointwise O(1/sqrt(j)) residual and O(1/j) eps bounds.
 
-    Some index i <= j carries a residual v_i with
-    ``||v_i|| <= rho_bound`` and eps_i with ``eps_i <= eps_bound``.
+    d0 is the distance from the start point to the solution set (from a
+    reference solve, never a silent estimate) and sigma the relative-error
+    constant; the stepsize is the outer embedding's lam = 1.  Some index
+    i <= j carries a residual v_i with ``||v_i|| <= rho_bound`` and eps_i
+    with ``eps_i <= eps_bound``.
     """
-    # written so that NaN fails, here and in the two bounds below
-    if not j >= 1:
-        raise ValueError("j must be >= 1")
-    s = env.sigma
-    rho = env.d0 / (env.lambda_min * np.sqrt(j)) * np.sqrt((1 + s) / (1 - s))
-    eps = s ** 2 * env.d0 ** 2 / (2 * (1 - s ** 2) * env.lambda_min * j)
+    _check_bound_args(d0, sigma, j)
+    rho = d0 / np.sqrt(j) * np.sqrt((1 + sigma) / (1 - sigma))
+    eps = sigma ** 2 * d0 ** 2 / (2 * (1 - sigma ** 2) * j)
     return float(rho), float(eps)
 
 
-def ergodic_bound(env: RateEnvelope, j: int) -> tuple[float, float]:
-    """Ergodic O(1/j) bounds on ||vbar_j|| and ebar_j."""
-    if not j >= 1:
-        raise ValueError("j must be >= 1")
-    s = env.sigma
-    rho = 2.0 * env.d0 / (env.lambda_min * j)
-    eps = 2.0 * (1 + s / np.sqrt(1 - s ** 2)) * env.d0 ** 2 / (env.lambda_min * j)
+def ergodic_bound(d0: float, sigma: float, j: int) -> tuple[float, float]:
+    """Ergodic O(1/j) bounds on ||vbar_j|| and ebar_j, at lam = 1."""
+    _check_bound_args(d0, sigma, j)
+    rho = 2.0 * d0 / j
+    eps = 2.0 * (1 + sigma / np.sqrt(1 - sigma ** 2)) * d0 ** 2 / j
     return float(rho), float(eps)
-
-
-def strong_rate(env: RateEnvelope, j: int) -> tuple[float, float]:
-    """Linear-decay bounds under strong monotonicity (mu > 0)."""
-    if not j >= 1:
-        raise ValueError("j must be >= 1")
-    s = env.sigma
-    a = env.alpha
-    v_bound = (np.sqrt((1 + s) / (1 - s))
-               * (1 - a) ** ((j - 1) / 2.0) / env.lambda_min * env.d0)
-    eps_bound = (s ** 2 / (2 * (1 - s ** 2))
-                 * (1 - a) ** (j - 1) / env.lambda_min * env.d0 ** 2)
-    return float(v_bound), float(eps_bound)

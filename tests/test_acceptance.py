@@ -18,12 +18,7 @@ import pytest
 from drsplit.bench import BenchSpec, initial_point, run_batch, summarize
 from drsplit.drs import NULL, DrsState, null_step_bounds, outer_certificates
 from drsplit.drt import delta_stop, drt_solve, tolerance_stop
-from drsplit.hpe import (
-    RateEnvelope,
-    ergodic_bound,
-    pointwise_bound,
-    verify_hpe_inequality,
-)
+from drsplit.hpe import ergodic_bound, pointwise_bound, verify_hpe_inequality
 from drsplit.qp import (
     drt_problem,
     faces_instance,
@@ -221,24 +216,36 @@ def test_accept_05_residual_stop_band(table_batches):
     _accept(5, "residual stop band", check, families=("paper",))
 
 
+def _given_taus(state):
+    # the tau each step's B-solve was given: the state's own start, then
+    # the tau the step before it left
+    return [state.tau0] + [t.tau for t in state.trace[:-1]]
+
+
 def test_accept_06_pointwise_rate_envelope(instrumented):
     def check(family):
         items, elapsed = instrumented[family]
         checked = 0
         violations = 0
+        worst = np.zeros(2)
         for it in items:
             state, cfg, d0 = it["state"], it["cfg"], it["d0"]
-            env = RateEnvelope(d0=d0, lambda_min=1.0, sigma=cfg.sigma)
-            resids = [cfg.gamma * float(np.linalg.norm(a + b))
-                      for a, b in zip(state.hist_a, state.hist_b)]
-            best = np.minimum.accumulate(resids)
-            for j in range(1, len(resids) + 1):
-                rho, _ = pointwise_bound(env, j)
+            g = cfg.gamma
+            # (||v_i||, eps_i) of each outer certificate: v = gamma*(a+b),
+            # eps = gamma*eps_b
+            rows = np.array([(g * float(np.linalg.norm(a + b)), g * e)
+                             for a, b, e in zip(state.hist_a, state.hist_b,
+                                                state.hist_eps_b)])
+            for j in range(1, len(rows) + 1):
+                ratios = rows[:j] / pointwise_bound(d0, cfg.sigma, j)
                 checked += 1
-                if best[j - 1] > rho * (1 + 1e-10):
+                worst = np.maximum(worst, ratios.min(axis=0))
+                # both halves hold at one index i <= j
+                if ratios.max(axis=1).min() > 1 + 1e-10:
                     violations += 1
         return (violations == 0 and checked > 0 and elapsed < 60.0,
                 f"checks={checked} violations={violations} "
+                f"rho_ratio={worst[0]:#.2g} eps_ratio={worst[1]:#.2g} "
                 f"time={elapsed:.1f}s")
 
     _accept(6, "pointwise rate envelope", check)
@@ -249,21 +256,23 @@ def test_accept_07_ergodic_rate_envelope(instrumented):
         items, _ = instrumented[family]
         checked = 0
         violations = 0
+        worst_rho = worst_eps = 0.0
         for it in items:
             state, cfg, d0 = it["state"], it["cfg"], it["d0"]
             g = cfg.gamma
-            env = RateEnvelope(d0=d0, lambda_min=1.0, sigma=cfg.sigma)
             for j in range(1, state.n_extragradient + 1):
                 e = ergodic_prefix(state, j)
-                rho, eps = ergodic_bound(env, j)
+                rho, eps = ergodic_bound(d0, cfg.sigma, j)
+                r_ratio = g * float(np.linalg.norm(e.a + e.b)) / rho
+                e_ratio = g * (e.eps_a + e.eps_b) / eps
+                worst_rho = max(worst_rho, r_ratio)
+                worst_eps = max(worst_eps, e_ratio)
                 checked += 1
-                bad = (g * float(np.linalg.norm(e.a + e.b))
-                       > rho * (1 + 1e-10)
-                       or e.eps_a + e.eps_b > (eps / g) * (1 + 1e-10)
-                       or e.eps_a < -1e-10 or e.eps_b < -1e-10)
-                violations += bad
+                violations += (r_ratio > 1 + 1e-10 or e_ratio > 1 + 1e-10
+                               or e.eps_a < -1e-10 or e.eps_b < -1e-10)
         return (violations == 0 and checked > 0,
-                f"checks={checked} violations={violations}")
+                f"checks={checked} violations={violations} "
+                f"rho_ratio={worst_rho:#.2g} eps_ratio={worst_eps:#.2g}")
 
     _accept(7, "ergodic rate envelope", check)
 
@@ -273,26 +282,31 @@ def test_accept_08_null_step_decay(instrumented):
         items, _ = instrumented[family]
         nulls = 0
         violations = 0
+        worst_rho = worst_eps = 0.0
         for it in items:
             state, cfg = it["state"], it["cfg"]
-            beta = 0
-            for t in state.trace:
+            for t, tau in zip(state.trace, _given_taus(state)):
                 if t.step == NULL:
-                    r_bound, e_bound = null_step_bounds(
-                        cfg.tau0, cfg.sigma, beta, cfg.theta)
+                    r_bound, e_bound = null_step_bounds(tau, cfg.sigma)
+                    r_ratio = t.residual / r_bound
+                    e_ratio = cfg.gamma * t.eps_b / e_bound
+                    worst_rho = max(worst_rho, r_ratio)
+                    worst_eps = max(worst_eps, e_ratio)
                     nulls += 1
-                    if (t.residual > r_bound * (1 + 1e-10)
-                            or cfg.gamma * t.eps_b > e_bound * (1 + 1e-10)):
+                    if r_ratio > 1 + 1e-10 or e_ratio > 1 + 1e-10:
                         violations += 1
-                    beta += 1
         return (violations == 0 and nulls > 0,
-                f"null_steps={nulls} violations={violations}")
+                f"null_steps={nulls} violations={violations} "
+                f"rho_ratio={worst_rho:#.2g} eps_ratio={worst_eps:#.2g}")
 
     _accept(8, "null step decay bounds", check)
 
 
 def test_accept_09_inner_linear_decay(instrumented):
+    # the inner solve is HPE at lam = gamma on an operator that is
+    # (1/gamma)-strongly monotone, so lam*mu = 1 in the linear-rate base
     cconst = ((1 + SIGMA) ** 2 + SIGMA ** 2) / (1 - SIGMA ** 2)
+    alpha = 1.0 / (1.0 / 2.0 + 1.0 / (1 - SIGMA ** 2))
 
     def check(family):
         checked = 0
@@ -301,8 +315,6 @@ def test_accept_09_inner_linear_decay(instrumented):
         for seed in range(200, 220):
             inst, cfg, prob, z0 = _drt_setup(family, 10, seed)
             g = cfg.gamma
-            alpha = RateEnvelope(d0=1.0, lambda_min=g, sigma=SIGMA,
-                                 mu=1.0 / g).alpha
             x_box = box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi)
             d_zb = float(np.linalg.norm(z0 - x_box))
             for tau_hat in (1e-8, cfg.tau0):
@@ -324,10 +336,8 @@ def test_accept_09_inner_linear_decay(instrumented):
         for it in instrumented[family][0]:
             d = 2.0 * it["d0"] + it["d0b"]
             trace = it["state"].trace
-            # each step's B-solve is given the tau the step before it left
-            taus = [it["cfg"].tau0] + [t.tau for t in trace[:-1]]
-            for t, tau_prev in zip(trace, taus):
-                envelope = 1.0 + max(0.0, np.log(d / np.sqrt(tau_prev)))
+            for t, tau in zip(trace, _given_taus(it["state"])):
+                envelope = 1.0 + max(0.0, np.log(d / np.sqrt(tau)))
                 worst_ratio = max(worst_ratio, t.inner / envelope)
         return (violations == 0 and checked > 0 and worst_inner <= 50
                 and worst_ratio <= 2.0,

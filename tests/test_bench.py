@@ -208,6 +208,28 @@ def test_a_three_value_bsolver_is_one_error_row_per_instance(monkeypatch):
         assert math.isnan(r.time_s)
 
 
+def test_a_collapsing_ladder_is_one_error_row_per_instance(monkeypatch):
+    # a B-solve whose enlargement is 1e-11 too large stays inside the
+    # contract's absolute slack but fails every relative-error test: the
+    # ladder underflows to tau = 0, and each instance becomes an error
+    # row naming the collapse instead of an untyped error from tseng_solve
+    tseng_solve = drt_module.tseng_solve
+
+    def loose(sub, z, tau, max_inner=1000, cert_log=None):
+        x, b, eps_b, inner = tseng_solve(sub, z, tau, max_inner=max_inner,
+                                         cert_log=cert_log)
+        return x, b, eps_b + 1e-11, inner
+
+    monkeypatch.setattr(drt_module, "tseng_solve", loose)
+    records = run_batch(BenchSpec(n=10, instances=2))
+    assert [r.instance for r in records] == [0, 1]
+    for r in records:
+        assert re.fullmatch(r"IterationBudgetExceeded: outer step \d+: the "
+                            r"tolerance ladder collapsed: theta\*\*beta \* "
+                            r"tau0 is 0 at beta=\d+", r.error)
+        assert math.isnan(r.time_s)
+
+
 def test_trace_requires_drt(tmp_path):
     with pytest.raises(ValueError):
         run_batch(BenchSpec(n=3, instances=1, algo="rfdrs"),

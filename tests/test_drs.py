@@ -430,33 +430,51 @@ def test_outer_certificates(family):
 
 
 def test_null_step_bounds_values():
-    r0, e0 = null_step_bounds(100.0, 0.5, 0, 0.1)
-    assert r0 == pytest.approx(3.0 * 10.0)  # (1 + 1/sigma) * sqrt(tau0)
+    r0, e0 = null_step_bounds(100.0, 0.5)
+    assert r0 == pytest.approx(3.0 * 10.0)  # (1 + 1/sigma) * sqrt(tau)
     assert e0 == pytest.approx(50.0)
-    r2, e2 = null_step_bounds(100.0, 0.5, 2, 0.1)
+    r2, e2 = null_step_bounds(1.0, 0.5)
     assert r2 == pytest.approx(3.0 * 1.0)
     assert e2 == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("args, message", [
-    ((1.0, 0.5, -3, 0.5), "beta_prev"),
-    ((1.0, 0.5, 1.5, 0.5), "beta_prev"),
-    ((1.0, 0.5, np.nan, 0.5), "beta_prev"),
-    ((np.nan, 0.5, 0, 0.5), "tau0"),
-    ((0.0, 0.5, 0, 0.5), "tau0"),
-    ((np.inf, 0.5, 0, 0.5), "tau0"),
-    ((1.0, 1.0, 0, 0.5), "sigma"),
-    ((1.0, np.nan, 0, 0.5), "sigma"),
-    ((1.0, 0.5, 0, 0.0), "theta"),
-    ((1.0, 0.5, 0, np.nan), "theta"),
-], ids=["beta-negative", "beta-fraction", "beta-nan", "tau0-nan",
-        "tau0-zero", "tau0-inf", "sigma-one", "sigma-nan", "theta-zero",
-        "theta-nan"])
-def test_null_step_bounds_rejects_bad_arguments(args, message):
-    # beta_prev = -3 once returned the bounds for tau = 8 > tau0, and a
-    # NaN tau0 returned (nan, nan)
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("args", [
+    (np.nan, 0.5), (0.0, 0.5), (np.inf, 0.5), (1.0, 1.0), (1.0, np.nan),
+], ids=["tau0-nan", "tau0-zero", "tau0-inf", "sigma-one", "sigma-nan"])
+def test_null_step_bounds_rejects_bad_arguments(args):
+    # the first step's tau is the state's tau0; a NaN one once returned
+    # (nan, nan)
+    with pytest.raises(ValueError, match="^tau must be positive"):
         null_step_bounds(*args)
+
+
+def test_a_collapsed_ladder_is_a_typed_error():
+    # a B-solver whose only error is an enlargement inside the contract's
+    # absolute slack: with A's resolvent the origin, the relative-error
+    # test reads 2e-11 <= 0 and fails, so every step is a null step; with
+    # theta = 1e-200 the ladder theta**beta * tau0 reaches 0 at beta = 2.
+    # The step after raises IterationBudgetExceeded before the B-solver
+    # sees tau = 0, and leaves the state as it was
+    cfg, A = _cfg(theta=1e-200), NullspaceNormalCone(np.array([1.0]))
+    state = DrsState.initial(np.array([2.0]), cfg)
+    given = []
+
+    def misses(z_prev, tau):
+        given.append(tau)
+        return 0.0 * z_prev, z_prev, 1e-11, 0
+
+    for _ in range(2):
+        drs_iterate(state, cfg, misses, A)
+    assert [t.step for t in state.trace] == [NULL, NULL]
+    assert state.tau == 0.0
+    trace = list(state.trace)
+    with pytest.raises(IterationBudgetExceeded,
+                       match=r"^outer step 3: the tolerance ladder "
+                             r"collapsed: theta\*\*beta \* tau0 is 0 at "
+                             r"beta=2$"):
+        drs_iterate(state, cfg, misses, A)
+    assert given == [cfg.tau0, cfg.theta * cfg.tau0]
+    assert state.trace == trace and state.beta == 2
 
 
 @pytest.mark.parametrize("tau0", [float("nan"), 0.0, -1.0, float("inf")])

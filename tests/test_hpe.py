@@ -1,5 +1,5 @@
-"""Certificate verification, the ergodic reader against its reference,
-and rate envelopes."""
+"""Certificate verification, the ergodic reader on hand histories, and
+the pointwise and ergodic bounds."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,11 @@ from drsplit.drs import DrsState, drs_ergodic
 from drsplit.errors import InvariantViolation
 from drsplit.hpe import (
     HpeStepCertificate,
-    RateEnvelope,
     ergodic_bound,
     pointwise_bound,
-    strong_rate,
     verify_hpe_inequality,
     verify_hpe_rows,
 )
-from oracles import EnlargementTriple, transport_ergodic
 
 
 def _cert(z_prev, z_tilde, v, eps, lam=1.0, sigma=0.99):
@@ -97,7 +94,7 @@ def _history(x, b, eps_b, y, a):
     return state
 
 
-def test_accumulator_mirrored_pair():
+def test_ergodic_mirrored_pair():
     # drs_ergodic on two mirrored triples: the averages cancel and the
     # correction terms carry the whole enlargement
     z = [np.array([1.0]), np.array([-1.0])]
@@ -108,34 +105,7 @@ def test_accumulator_mirrored_pair():
     assert out.eps_a == pytest.approx(1.0)
 
 
-def test_accumulator_matches_transport_formula():
-    # drs_ergodic and the brute-force transported combination at uniform
-    # weights agree on both halves; monotone-generated data keeps eps
-    # well defined
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 10))
-        Wb, Wa = (M.T @ M for M in rng.standard_normal((2, n, n)))
-        xs = [rng.standard_normal(n) * 2.0 for _ in range(m)]
-        ys = [rng.standard_normal(n) * 2.0 for _ in range(m)]
-        bs = [Wb @ x for x in xs]
-        as_ = [Wa @ y for y in ys]
-        eps_b = [float(rng.random()) for _ in range(m)]
-        got = drs_ergodic(_history(xs, bs, eps_b, ys, as_))
-        w = np.full(m, 1.0 / m)
-        want_b = transport_ergodic(
-            [EnlargementTriple(x, b, e) for x, b, e in zip(xs, bs, eps_b)], w)
-        want_a = transport_ergodic(
-            [EnlargementTriple(y, a, 0.0) for y, a in zip(ys, as_)], w)
-        for z, v, eps, want in ((got.x, got.b, got.eps_b, want_b),
-                                (got.y, got.a, got.eps_a, want_a)):
-            assert_allclose(z, want.z, atol=1e-12)
-            assert_allclose(v, want.v, atol=1e-12)
-            assert eps == pytest.approx(want.eps, abs=1e-12)
-
-
-def test_accumulator_flags_negative_ergodic_eps():
+def test_ergodic_flags_negative_eps():
     # anti-monotone history: the averaged enlargement is clearly negative
     z = [np.array([1.0]), np.array([-1.0])]
     v = [-zl for zl in z]
@@ -146,41 +116,18 @@ def test_accumulator_flags_negative_ergodic_eps():
         drs_ergodic(_history(z, z, [float("nan"), 0.0], z, z))
 
 
-def test_rate_envelope_alpha_frozen():
-    env = RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.99, mu=1.0)
-    assert env.alpha == pytest.approx(0.019703945739888144, rel=0, abs=1e-15)
-
-
-def test_alpha_closed_form_random():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        lam = float(rng.random()) + 0.1
-        mu = float(rng.random()) + 0.1
-        s = float(rng.uniform(0.05, 0.95))
-        env = RateEnvelope(d0=1.0, lambda_min=lam, sigma=s, mu=mu)
-        want = 1.0 / (1.0 / (2 * lam * mu) + 1.0 / (1 - s ** 2))
-        assert env.alpha == pytest.approx(want, rel=1e-14)
-        assert 0 < env.alpha < 1
-
-
 def test_pointwise_bound_frozen():
-    env = RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.99)
-    rho, eps = pointwise_bound(env, 100)
-    assert rho == pytest.approx(1.4106735979665879, rel=0, abs=1e-15)
-    assert eps == pytest.approx(0.24625628140703482, rel=0, abs=1e-15)
+    assert pointwise_bound(1.0, 0.99, 100) == (1.4106735979665879,
+                                               0.24625628140703482)
 
 
 def test_ergodic_bound_frozen():
-    env = RateEnvelope(d0=2.0, lambda_min=1.0, sigma=0.99)
-    rho, eps = ergodic_bound(env, 10)
-    assert rho == pytest.approx(0.4, rel=0, abs=1e-15)
-    assert eps == pytest.approx(6.414339143666017, rel=0, abs=1e-12)
+    assert ergodic_bound(2.0, 0.99, 10) == (0.4, 6.414339143666017)
 
 
 def test_bounds_decay():
-    env = RateEnvelope(d0=3.0, lambda_min=0.5, sigma=0.9)
-    pw = [pointwise_bound(env, j) for j in (1, 4, 16, 64)]
-    er = [ergodic_bound(env, j) for j in (1, 4, 16, 64)]
+    pw = [pointwise_bound(3.0, 0.9, j) for j in (1, 4, 16, 64)]
+    er = [ergodic_bound(3.0, 0.9, j) for j in (1, 4, 16, 64)]
     for seq in (pw, er):
         rhos = [r for r, _ in seq]
         epss = [e for _, e in seq]
@@ -192,36 +139,16 @@ def test_bounds_decay():
     assert er[1][0] == pytest.approx(er[0][0] / 4.0, rel=1e-12)
 
 
-def test_strong_rate_linear_decay():
-    env = RateEnvelope(d0=2.0, lambda_min=1.0, sigma=0.99, mu=1.0)
-    v1, e1 = strong_rate(env, 1)
-    s = env.sigma
-    assert v1 == pytest.approx(np.sqrt((1 + s) / (1 - s)) * env.d0, rel=1e-12)
-    assert e1 == pytest.approx(s ** 2 / (2 * (1 - s ** 2)) * env.d0 ** 2,
-                               rel=1e-12)
-    v2, e2 = strong_rate(env, 2)
-    assert v2 == pytest.approx(v1 * np.sqrt(1 - env.alpha), rel=1e-12)
-    assert e2 == pytest.approx(e1 * (1 - env.alpha), rel=1e-12)
-
-
-def test_rate_envelope_rejects_nan_constants():
-    good = dict(d0=1.0, lambda_min=1.0, sigma=0.5, mu=1.0)
-    for name in good:
-        with pytest.raises(ValueError):
-            RateEnvelope(**{**good, name: float("nan")})
-
-
 def test_rate_domain_errors():
-    env = RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.9)
-    with pytest.raises(ValueError):
-        pointwise_bound(env, 0)
-    with pytest.raises(ValueError):
-        ergodic_bound(env, 0)
-    with pytest.raises(ValueError):
-        strong_rate(env, 1)  # mu = 0
-    with pytest.raises(ValueError):
-        strong_rate(RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.9, mu=1.0), 0)
-    strong = RateEnvelope(d0=1.0, lambda_min=1.0, sigma=0.9, mu=1.0)
-    for bound in (pointwise_bound, ergodic_bound, strong_rate):
-        with pytest.raises(ValueError, match="j must be"):
-            bound(strong, float("nan"))
+    # each argument outside its domain raises, NaN included; the edges
+    # d0 = 0 and sigma = 0 are inside it
+    nan, inf = float("nan"), float("inf")
+    for bound in (pointwise_bound, ergodic_bound):
+        assert bound(0.0, 0.0, 1) == (0.0, 0.0)
+        for d0, sigma, j, what in [
+                (-1.0, 0.5, 1, "d0"), (nan, 0.5, 1, "d0"), (inf, 0.5, 1, "d0"),
+                (1.0, 1.0, 1, "sigma"), (1.0, -0.1, 1, "sigma"),
+                (1.0, nan, 1, "sigma"), (1.0, 0.5, 0, "j"),
+                (1.0, 0.5, nan, "j")]:
+            with pytest.raises(ValueError, match=f"^{what} must"):
+                bound(d0, sigma, j)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .drt import RunRecord
 from .errors import ContractViolation, IterationBudgetExceeded
-from .operators import _inverse_norm
+from .operators import _inverse_norm, _norm
 
 if TYPE_CHECKING:   # qp runs the TOS loop for its reference oracle
     from .qp import QpInstance
@@ -85,7 +85,7 @@ def _fixed_point(step, z, inst: QpInstance, gamma: float, tol: float,
     try:
         for k in range(1, max_iter + 1):
             z_new = step(z, inst, gamma)
-            resid = float(np.linalg.norm(z_new - z))
+            resid = _norm(z_new - z)
             z = z_new
             if resid <= tol:
                 return z, k, resid

@@ -29,7 +29,7 @@ from .baselines import run_baseline
 from .drs import EXTRAGRADIENT, DrsConfig, DrsState, outer_certificates
 from .drt import RunRecord, delta_stop, drt_solve, residual_stop
 from .errors import InvariantViolation, OracleFailure, ParseError
-from .operators import _integral
+from .operators import _integral, _norm
 from .qp import drt_problem, generate_instance, reference_solution
 
 __all__ = [
@@ -96,7 +96,7 @@ def initial_point(n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng([1, seed])
     z = rng.standard_normal(n)
-    nrm = float(np.linalg.norm(z))
+    nrm = _norm(z)
     if nrm < 1e-8:  # essentially impossible; keep the start well scaled
         z = np.ones(n)
         nrm = float(np.sqrt(n))
@@ -138,7 +138,7 @@ def run_single(spec: BenchSpec, i: int) -> SingleResult:
         result = SingleResult(rec, sol)
     rec.instance = i
     if z_star is not None:
-        rec.abs_err = float(np.linalg.norm(result.solution - z_star))
+        rec.abs_err = _norm(result.solution - z_star)
     return result
 
 
@@ -150,8 +150,8 @@ def _verify_trace_equivalence(state: DrsState, cfg: DrsConfig) -> None:
     z_after = [c.z_prev for c in certs[1:]] + [state.z]
     steps = [t for t in state.trace if t.step == EXTRAGRADIENT]
     for idx, (cert, za, t) in enumerate(zip(certs, z_after, steps)):
-        shift = float(np.linalg.norm(za - cert.z_prev))
-        vnorm = float(np.linalg.norm(cert.v))
+        shift = _norm(za - cert.z_prev)
+        vnorm = _norm(cert.v)
         tol = 1e-12 * (1.0 + t.residual)
         if abs(shift - vnorm) > tol or abs(shift - t.residual) > tol:
             raise InvariantViolation(

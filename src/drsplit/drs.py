@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
 from .hpe import HpeStepCertificate
-from .operators import SplittableOperator, _integral, slack
+from .operators import SplittableOperator, _integral, _norm, slack
 
 __all__ = [
     "EXTRAGRADIENT",
@@ -147,8 +147,7 @@ def _tie_noise(gamma, z, x, y, b) -> float:
     # ordering is round-off, and the exact-arithmetic value of lhs there is
     # 0 (b recomposes x and z), so the tie must break toward extragradient
     # or tau underflows
-    scale = (math.sqrt(float(z.dot(z))) + math.sqrt(float(x.dot(x)))
-             + math.sqrt(float(y.dot(y))) + gamma * math.sqrt(float(b.dot(b))))
+    scale = _norm(z) + _norm(x) + _norm(y) + gamma * _norm(b)
     return (1e-13 * (1.0 + scale)) ** 2
 
 
@@ -217,8 +216,7 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     y = A.resolvent(gamma, w)
     a = (w - y) / gamma
     quad = Quadruple(x, y, a, b, 0.0, eps_b)
-    d = x - y
-    residual = math.sqrt(float(d.dot(d)))
+    residual = _norm(x - y)
 
     # a is formed from y, so gamma*(a+b) = x - y up to round-off; only a
     # non-finite y can break it (x passed the tolerance check)
@@ -265,10 +263,8 @@ def check_termination(q: Quadruple, cfg: DrsConfig) -> bool:
     if not (eps_a >= 0 and eps_b >= 0):
         raise ContractViolation(
             f"enlargements eps_a={eps_a}, eps_b={eps_b} are not both >= 0")
-    d = np.asarray(x) - np.asarray(y)
-    v = np.asarray(a) + np.asarray(b)
-    residual = math.sqrt(float(d.dot(d)))
-    vnorm = cfg.gamma * math.sqrt(float(v.dot(v)))
+    residual = _norm(np.asarray(x) - np.asarray(y))
+    vnorm = cfg.gamma * _norm(np.asarray(a) + np.asarray(b))
     if not abs(vnorm - residual) <= slack(residual):
         raise ContractViolation("gamma*||a+b|| deviates from ||x-y||")
     return residual <= cfg.rho_tol and eps_a + eps_b <= cfg.eps_tol

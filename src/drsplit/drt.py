@@ -8,7 +8,6 @@ prox subproblem (tseng_solve), which returns the B-solver's triple.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -18,7 +17,8 @@ from typing import Callable
 from .drs import (EXTRAGRADIENT, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
 from .errors import StateError
-from .operators import CocoerciveMap, LipschitzMap, SplittableOperator
+from .operators import (CocoerciveMap, LipschitzMap, SplittableOperator,
+                        _norm)
 from .tseng import CertBlock, TsengProblem, tseng_solve
 
 __all__ = [
@@ -101,8 +101,7 @@ def delta_stop(tol: float) -> StopRule:
     def fired(state: DrsState) -> bool:
         if not state.trace or state.trace[-1].step != EXTRAGRADIENT:
             return False
-        d = state.z - state.hist_z_prev[-1]
-        return math.sqrt(float(d.dot(d))) <= tol
+        return _norm(state.z - state.hist_z_prev[-1]) <= tol
 
     return fired
 

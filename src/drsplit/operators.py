@@ -41,10 +41,21 @@ def _integral(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral)
 
 
+def _norm(a) -> float:
+    # the Euclidean length of a vector; bitwise numpy.linalg.norm on a
+    # contiguous one, and like it warns when the square overflows
+    return math.sqrt(float(a.dot(a)))
+
+
+def _clip(z, lo, hi) -> np.ndarray:
+    # bitwise equal to numpy.clip(z, lo, hi), without its Python wrapper
+    return np.minimum(np.maximum(z, lo), hi)
+
+
 def _point(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
-        z = np.atleast_1d(z.squeeze())
+        raise ValueError(f"a point must be a vector, got shape {z.shape}")
     # a finite squared norm proves every entry finite; a NaN or inf entry
     # makes it non-finite, and so does overflow, which the exact test
     # clears (vdot, unlike dot, does not warn on that overflow)
@@ -76,28 +87,14 @@ class SplittableOperator:
         return z
 
 
-# perfbench's --trace 1 span list looks this up by name: keep it here
-def project_nullspace(K, z) -> np.ndarray:
-    """Project onto the nullspace of a single +/-1 row K: z - (K.z/n) K."""
-    K = _point(K)
-    z = _point(z)
-    if K.shape != z.shape:
-        raise ValueError("K and z must share a dimension")
-    if not np.all(np.abs(K) == 1.0):
-        raise ValueError("K entries must be +1 or -1")
-    return _project_sign_row(K, z)
-
-
-def _project_sign_row(K, z) -> np.ndarray:
-    return z - (K.dot(z) / K.size) * K
-
-
 class BoxNormalCone(SplittableOperator):
     """Normal cone of the box [lo, hi] in R^n; resolvent is the box projection."""
 
     def __init__(self, lo, hi):
         lo = _point(lo).copy()
-        hi = np.broadcast_to(_point(hi), lo.shape).copy()
+        hi = _point(hi).copy()
+        if hi.shape != lo.shape:
+            raise ValueError(f"hi has shape {hi.shape}, lo {lo.shape}")
         super().__init__(lo.size)
         # NaN fails lo <= hi, where it would pass a lo > hi test
         if not np.all(lo <= hi):
@@ -116,8 +113,7 @@ class BoxNormalCone(SplittableOperator):
             if not gamma > 0:
                 raise ValueError("gamma must be positive")
             z = self._check_dim(z)
-        # bitwise equal to z.clip(lo, hi), without clip's Python wrapper
-        return np.minimum(np.maximum(z, self.lo), self.hi)
+        return _clip(z, self.lo, self.hi)
 
 
 class NullspaceNormalCone(SplittableOperator):
@@ -134,7 +130,13 @@ class NullspaceNormalCone(SplittableOperator):
         if not gamma > 0:
             raise ValueError("gamma must be positive")
         z = self._check_dim(z)
-        return _project_sign_row(self.K, z)
+        return z - (self.K.dot(z) / self.K.size) * self.K
+
+
+# perfbench's --trace 1 span list looks this up by name: keep it here
+def project_nullspace(K, z) -> np.ndarray:
+    """Project onto the nullspace of a single +/-1 row K: z - (K.z/n) K."""
+    return NullspaceNormalCone(K).resolvent(1.0, z)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from .drs import DrsConfig
 from .drt import DrtProblem
 from .errors import ContractViolation, IterationBudgetExceeded, OracleFailure
 from .operators import (AffineCocoerciveMap, BoxNormalCone, LipschitzMap,
-                        NullspaceNormalCone, _check_symmetric, _inverse_norm,
-                        slack)
+                        NullspaceNormalCone, _check_symmetric, _clip,
+                        _inverse_norm, _norm, slack)
 from .tseng import gamma_max
 
 __all__ = [
@@ -202,12 +202,13 @@ def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
     both bounds (fixed, lo_i == hi_i) has N = R there and puts no
     constraint on lam.
     """
-    z = np.asarray(z, dtype=float)
+    # contiguous, so that _norm(z) has numpy.linalg.norm's bits on a view too
+    z = np.asarray(z, dtype=float, order="C")
     if not np.isfinite(z).all():
         return False
     if np.any(z < inst.lo - tol) or np.any(z > inst.hi + tol):
         return False
-    if abs(float(inst.K @ z)) > tol * (1.0 + float(np.linalg.norm(z))):
+    if abs(float(inst.K @ z)) > tol * (1.0 + _norm(z)):
         return False
     w = inst.Q @ z + inst.e
     at_lo = z <= inst.lo + tol
@@ -249,9 +250,9 @@ def _kkt_enumerate(inst: QpInstance) -> np.ndarray:
             continue
         if not kkt_check(inst, z):
             continue
-        zc = np.clip(z, inst.lo, inst.hi)
+        zc = _clip(z, inst.lo, inst.hi)
         obj = objective(inst, zc)
-        nrm = float(np.linalg.norm(zc))
+        nrm = _norm(zc)
         cmp_tol = 1e-10 * (1.0 + abs(obj))
         if best is None or obj < best_obj - cmp_tol or \
                 (obj < best_obj + cmp_tol and nrm < best_nrm):
@@ -292,5 +293,5 @@ def tau0_default(inst: QpInstance, z0) -> float:
     The linear term e of the forward map does not enter.
     """
     z0 = np.asarray(z0, dtype=float)
-    r = z0 - np.clip(z0, inst.lo, inst.hi) + inst.Q @ z0
-    return float(np.linalg.norm(r)) ** 3 + 1.0
+    r = z0 - _clip(z0, inst.lo, inst.hi) + inst.Q @ z0
+    return _norm(r) ** 3 + 1.0

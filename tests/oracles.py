@@ -21,8 +21,7 @@ from drsplit.drs import BSolver, DrsState, Quadruple, drs_ergodic
 from drsplit.errors import InvariantViolation, OracleFailure
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                NullspaceNormalCone, SplittableOperator,
-                               _check_symmetric, _point, _project_sign_row,
-                               slack)
+                               _check_symmetric, _point, slack)
 from drsplit.qp import QpInstance, estimate_eta
 
 
@@ -62,7 +61,7 @@ def nullspace_contains(A: NullspaceNormalCone,
     z = A._check_dim(triple.z)
     v = A._check_dim(triple.v)
     in_M = abs(float(A.K @ z)) <= slack(float(np.abs(z).sum()))
-    along_K = (np.abs(_project_sign_row(A.K, v)).max()
+    along_K = (np.abs(A.resolvent(1.0, v)).max()
                <= slack(float(np.abs(v).max())))
     return bool(in_M and along_K and -float(v @ z)
                 <= triple.eps + slack(float(np.abs(v) @ np.abs(z))))

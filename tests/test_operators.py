@@ -98,11 +98,29 @@ def test_cone_constructors_reject_bad_data():
         BoxNormalCone(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
     # hi is checked as lo is: a NaN hi also passed a lo > hi test
     for bad in (np.nan, np.inf):
-        for hi in (np.array([bad, 1.0]), bad):
+        for hi in (np.array([bad, 1.0]), np.array([1.0, bad])):
             with pytest.raises(ValueError):
                 BoxNormalCone(np.zeros(2), hi)
     with pytest.raises(ValueError):
         NullspaceNormalCone(np.array([1.0, 0.5, -1.0]))
+
+
+def test_box_bounds_share_a_shape():
+    # hi is not broadcast to lo's shape
+    for hi in (1.0, np.ones(1), np.ones(3)):
+        with pytest.raises(ValueError):
+            BoxNormalCone(np.zeros(2), hi)
+
+
+def test_a_point_must_be_a_vector():
+    # a column, a row or a scalar is not squeezed into a vector
+    for bad in (np.zeros((3, 1)), np.zeros((1, 3)), 1.0):
+        with pytest.raises(ValueError, match="must be a vector"):
+            _point(bad)
+    with pytest.raises(ValueError, match="must be a vector"):
+        NullspaceNormalCone(np.ones(3)).resolvent(1.0, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="must be a vector"):
+        project_nullspace(np.ones((1, 3)), np.zeros(3))
 
 
 def test_cones_keep_the_data_they_checked():
@@ -193,7 +211,9 @@ def test_box_projection_is_bitwise_clip(lo, hi):
 
 def test_cone_resolvents_match_module_functions_bitwise():
     # the box output with u = (z - x)/gamma is an exact graph point; the
-    # nullspace resolvent matches project_nullspace bit for bit
+    # nullspace resolvent does not depend on gamma, so it is bitwise
+    # project_nullspace, the one at gamma = 1, and it is the orthogonal
+    # projection onto K.z = 0
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(1, 20))
@@ -208,6 +228,7 @@ def test_cone_resolvents_match_module_functions_bitwise():
         assert_array_equal(x, np.clip(z, lo, hi))
         y = NullspaceNormalCone(K).resolvent(gamma, z)
         assert_array_equal(y, project_nullspace(K, z))
+        assert_allclose(y, z - np.outer(K, K) @ z / n, atol=1e-12)
 
 
 def test_nullspace_normal_cone_resolvent():

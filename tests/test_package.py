@@ -85,6 +85,31 @@ def test_module_imports_are_used(name):
     assert _unused_imports(path.read_text()) == []
 
 
+# numpy's vector primitives that operators codes once, as _norm and _clip
+VECTOR_PRIMITIVES = ("np.linalg.norm", "np.clip")
+
+
+def _primitive_calls(source: str) -> list[str]:
+    # calls of a numpy vector primitive, by the dotted name they are made by
+    calls = (ast.unparse(node.func) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call))
+    return sorted(name for name in calls if name in VECTOR_PRIMITIVES)
+
+
+def test_primitive_call_scan_finds_a_stray_call():
+    src = "import numpy as np\n# np.clip(a, 0, 1)\n" \
+          "x = np.clip(np.linalg.norm(a), 0, 1) + np.linalg.eigvalsh(w)[0]\n"
+    assert _primitive_calls(src) == ["np.clip", "np.linalg.norm"]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "operators"])
+def test_vector_primitives_have_one_owner(name):
+    # the package's norm and box clip are operators._norm and _clip; the
+    # tests keep numpy's functions as independent references
+    path = Path(drsplit.__file__).with_name(f"{name}.py")
+    assert _primitive_calls(path.read_text()) == []
+
+
 def _uncalled_exports(sources, exports) -> list[str]:
     # exports that no module's code reads as a Name or an Attribute; a
     # read inside the name's own top-level def or class does not count,

@@ -259,6 +259,23 @@ def test_tos_reference_turns_a_budget_error_into_an_oracle_failure(
         _tos_reference(generate_instance(10, True, 3))
 
 
+@pytest.mark.parametrize("n, message", [
+    (5, "^no active-set pattern satisfied the KKT system$"),
+    (7, "^reference iterate failed the KKT check$")])
+def test_a_failed_kkt_check_is_an_oracle_failure_and_a_nan_abs_err(
+        n, message, monkeypatch):
+    # n <= 6 enumerates active sets and larger n runs the TOS reference;
+    # a KKT check that passes no point leaves either without a verified
+    # optimizer, and run_single keeps the solve's record with abs_err nan
+    monkeypatch.setattr(qp_module, "kkt_check",
+                        lambda inst, z, tol=1e-8: False)
+    with pytest.raises(OracleFailure, match=message):
+        reference_solution(generate_instance(n, True, 3))
+    rec = run_single(BenchSpec(n=n, instances=1, seed=3), 0).record
+    assert rec.error is None and rec.iters > 0
+    assert np.isnan(rec.abs_err)
+
+
 # ------------------------------------------------------------------ spectral
 
 def test_estimate_eta_diagonal():

@@ -21,7 +21,7 @@ import numpy as np
 
 from .drt import RunRecord
 from .errors import ContractViolation, IterationBudgetExceeded
-from .operators import _inverse_norm, _norm
+from .operators import _inverse_norm, _norm, _point
 
 if TYPE_CHECKING:   # qp runs the TOS loop for its reference oracle
     from .qp import QpInstance
@@ -37,7 +37,7 @@ __all__ = [
 
 def estimate_beta_V(Q, K) -> float:
     """Reciprocal spectral norm of P_M Q P_M with M = null(K)."""
-    K = np.asarray(K, dtype=float)
+    K = _point(K, name="K")
     P = np.eye(K.size) - np.outer(K, K) / K.size
     Q = np.asarray(Q, dtype=float)
     return _inverse_norm(np.linalg.eigvalsh(P @ Q @ P))
@@ -104,8 +104,9 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
     the scheme's own solution-approximating block: P_X(z) for TOS, P_M(z)
     for rFDRS.  The record's instance is -1 and its abs_err nan;
     bench.run_single fills both.
-    A step whose resolvent rejects its input (a non-finite operator
-    output) raises ContractViolation naming the algorithm and iteration.
+    A bad z0 raises ValueError naming it.  A step whose resolvent rejects
+    its input (a non-finite operator output) raises ContractViolation
+    naming the algorithm and iteration.
     """
     if algo == "tos":
         gamma, step, block = tos_gamma(inst), tos_iterate, inst.ops.C
@@ -113,7 +114,7 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
         gamma, step, block = rfdrs_gamma(inst), rfdrs_iterate, inst.ops.A
     else:
         raise ValueError(f"unknown baseline {algo!r}")
-    z = np.zeros(inst.n) if z0 is None else np.asarray(z0, dtype=float)
+    z = np.zeros(inst.n) if z0 is None else _point(z0, inst.n, "z0")
     t0 = time.perf_counter()
     z, iters, resid = _fixed_point(step, z, inst, gamma, tol, max_iter, algo)
     elapsed = time.perf_counter() - t0

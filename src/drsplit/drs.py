@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
 from .hpe import HpeStepCertificate
-from .operators import SplittableOperator, _integral, _norm, slack
+from .operators import SplittableOperator, _integral, _norm, _point, slack
 
 __all__ = [
     "EXTRAGRADIENT",
@@ -110,7 +110,7 @@ class DrsState:
         self.tau0 = self.tau = float(tau0)
         if not 0 < self.tau < math.inf:
             raise ValueError("tau0 must be positive and finite")
-        self.z = np.asarray(z0, dtype=float).copy()
+        self.z = _point(z0, name="z0").copy()
         self.beta = 0
         self.last: Quadruple | None = None
         self.hist_z_prev: list[np.ndarray] = []
@@ -168,7 +168,8 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     about its return (not four values, x or b of another shape, eps_b
     not >= 0, inner not an integer >= 0, tolerance exceeded), carry the
     prefix "outer B-solve call <k>: ", k = state.k + 1, and leave state
-    as it was.
+    as it was; so does A's resolvent's ValueError, as ContractViolation
+    with the prefix "outer step <k>: ".
     """
     if state.k >= cfg.max_iter:
         raise IterationBudgetExceeded(f"max_iter={cfg.max_iter} reached")
@@ -213,7 +214,10 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
         raise type(exc)(f"outer B-solve call {state.k + 1}: {exc}") from exc
 
     w = x - gb
-    y = A.resolvent(gamma, w)
+    try:
+        y = A.resolvent(gamma, w)
+    except ValueError as exc:
+        raise ContractViolation(f"outer step {state.k + 1}: {exc}") from exc
     a = (w - y) / gamma
     quad = Quadruple(x, y, a, b, 0.0, eps_b)
     residual = _norm(x - y)

@@ -52,15 +52,19 @@ def _clip(z, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(z, lo), hi)
 
 
-def _point(z) -> np.ndarray:
+def _point(z, n=None, name="point") -> np.ndarray:
+    # the package's one check of a caller's vector: 1-D, of length n when
+    # n is given, and finite; each ValueError names the argument
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
-        raise ValueError(f"a point must be a vector, got shape {z.shape}")
+        raise ValueError(f"{name} must be a vector, got shape {z.shape}")
+    if n is not None and z.size != n:
+        raise ValueError(f"{name} must have length {n}")
     # a finite squared norm proves every entry finite; a NaN or inf entry
     # makes it non-finite, and so does overflow, which the exact test
     # clears (vdot, unlike dot, does not warn on that overflow)
     if not math.isfinite(np.vdot(z, z)) and not np.isfinite(z).all():
-        raise ValueError("point contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return z
 
 
@@ -81,20 +85,15 @@ class SplittableOperator:
         raise NotImplementedError
 
     def _check_dim(self, z: np.ndarray) -> np.ndarray:
-        z = _point(z)
-        if z.shape != (self.dim,):
-            raise ValueError(f"expected dimension {self.dim}, got {z.shape}")
-        return z
+        return _point(z, self.dim)
 
 
 class BoxNormalCone(SplittableOperator):
     """Normal cone of the box [lo, hi] in R^n; resolvent is the box projection."""
 
     def __init__(self, lo, hi):
-        lo = _point(lo).copy()
-        hi = _point(hi).copy()
-        if hi.shape != lo.shape:
-            raise ValueError(f"hi has shape {hi.shape}, lo {lo.shape}")
+        lo = _point(lo, name="lo").copy()
+        hi = _point(hi, lo.size, "hi").copy()
         super().__init__(lo.size)
         # NaN fails lo <= hi, where it would pass a lo > hi test
         if not np.all(lo <= hi):
@@ -120,7 +119,7 @@ class NullspaceNormalCone(SplittableOperator):
     """Normal cone of M = null(K) for a +/-1 row K; resolvent is P_M."""
 
     def __init__(self, K):
-        K = _point(K).copy()
+        K = _point(K, name="K").copy()
         if not np.all(np.abs(K) == 1.0):
             raise ValueError("K entries must be +1 or -1")
         super().__init__(K.size)
@@ -184,14 +183,13 @@ class AffineCocoerciveMap(CocoerciveMap):
     e: np.ndarray
 
     def __post_init__(self):
+        e = _point(self.e, name="e")
         Q = np.asarray(self.Q, dtype=float)
-        e = np.asarray(self.e, dtype=float)
-        if e.ndim != 1 or Q.shape != (e.size, e.size):
-            raise ValueError(f"Q must be n x n and e of length n, got "
-                             f"{Q.shape} and {e.shape}")
-        for name, x in (("Q", Q), ("e", e)):
-            if not np.isfinite(x).all():
-                raise ValueError(f"{name} contains non-finite entries")
+        if Q.shape != (e.size, e.size):
+            raise ValueError(f"Q must be n x n for e of length n = {e.size}, "
+                             f"got {Q.shape}")
+        if not np.isfinite(Q).all():
+            raise ValueError("Q contains non-finite entries")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "eval", lambda z: Q.dot(z) + e)

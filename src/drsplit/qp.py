@@ -37,7 +37,7 @@ from .drt import DrtProblem
 from .errors import ContractViolation, IterationBudgetExceeded, OracleFailure
 from .operators import (AffineCocoerciveMap, BoxNormalCone, LipschitzMap,
                         NullspaceNormalCone, _check_symmetric, _clip,
-                        _inverse_norm, _norm, slack)
+                        _inverse_norm, _norm, _point, slack)
 from .tseng import gamma_max
 
 __all__ = [
@@ -69,15 +69,13 @@ class QpInstance:
     ops: QpOperators = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("Q", "e", "K", "lo", "hi"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
-        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
+        Q = np.asarray(self.Q, dtype=float)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be a square matrix")
-        n = self.Q.shape[0]
+        object.__setattr__(self, "Q", Q)
         for name in ("e", "K", "lo", "hi"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have length {n}")
+            object.__setattr__(self, name,
+                               _point(getattr(self, name), Q.shape[0], name))
         _check_symmetric(self.Q, "Q")
         A = NullspaceNormalCone(self.K)
         C = BoxNormalCone(self.lo, self.hi)
@@ -175,37 +173,34 @@ def drt_problem(inst: QpInstance, z0, *, tol: float, sigma: float = 0.99,
     paper family at n=20, sigma=1e-4 stops with x 19 to 26 away from it,
     sigma=0.01 reaches max_iter and sigma=0.1 converges."""
     ops = qp_operators(inst)
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (inst.n,):
-        raise ValueError(f"z0 has shape {z0.shape}, not ({inst.n},)")
-    if not np.isfinite(z0).all():
-        raise ValueError("z0 contains non-finite entries")
+    tau0 = tau0_default(inst, z0)
     cfg = DrsConfig(float(gamma_max(ops.eta, 0.0, sigma)), sigma, theta,
-                    tau0=tau0_default(inst, z0), rho_tol=tol, eps_tol=tol)
+                    tau0=tau0, rho_tol=tol, eps_tol=tol)
     return DrtProblem(ops.A, ops.C, ops.F1, ops.F2, cfg)
 
 
 def objective(inst: QpInstance, z) -> float:
-    z = np.asarray(z, dtype=float)
+    z = _point(z, inst.n, "z")
     return float(0.5 * z @ inst.Q @ z + inst.e @ z)
 
 
 def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
     """Feasibility plus stationarity of z for the instance, to tolerance.
 
-    A point with a non-finite entry fails.  Stationarity requires a
-    scalar multiplier lam with -(Qz + e + lam*K^T) in N_X(z): with
-    w = Qz + e, each coordinate bounds t_i = lam*K_i to an interval,
-    [-w_i - tol, inf) at its lower bound, (-inf, -w_i + tol] at its upper
-    bound and [-w_i - tol, -w_i + tol] in between, and the test
-    intersects the intervals mapped to lam.  A coordinate within tol of
-    both bounds (fixed, lo_i == hi_i) has N = R there and puts no
-    constraint on lam.
+    A point with a non-finite entry fails; one of another shape than (n,)
+    raises ValueError.  Stationarity requires a scalar multiplier lam with
+    -(Qz + e + lam*K^T) in N_X(z): with w = Qz + e, each coordinate bounds
+    t_i = lam*K_i to an interval, [-w_i - tol, inf) at its lower bound,
+    (-inf, -w_i + tol] at its upper bound and [-w_i - tol, -w_i + tol] in
+    between, and the test intersects the intervals mapped to lam.  A
+    coordinate within tol of both bounds (fixed, lo_i == hi_i) has N = R
+    there and puts no constraint on lam.
     """
     # contiguous, so that _norm(z) has numpy.linalg.norm's bits on a view too
     z = np.asarray(z, dtype=float, order="C")
     if not np.isfinite(z).all():
         return False
+    z = _point(z, inst.n, "z")
     if np.any(z < inst.lo - tol) or np.any(z > inst.hi + tol):
         return False
     if abs(float(inst.K @ z)) > tol * (1.0 + _norm(z)):
@@ -246,9 +241,7 @@ def _kkt_enumerate(inst: QpInstance) -> np.ndarray:
             sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             z = z.astype(float)
             z[fidx] = sol[:nf]
-        if not np.all(np.isfinite(z)):
-            continue
-        if not kkt_check(inst, z):
+        if not kkt_check(inst, z):       # False on a non-finite z, too
             continue
         zc = _clip(z, inst.lo, inst.hi)
         obj = objective(inst, zc)
@@ -292,6 +285,6 @@ def tau0_default(inst: QpInstance, z0) -> float:
 
     The linear term e of the forward map does not enter.
     """
-    z0 = np.asarray(z0, dtype=float)
+    z0 = _point(z0, inst.n, "z0")
     r = z0 - _clip(z0, inst.lo, inst.hi) + inst.Q @ z0
     return _norm(r) ** 3 + 1.0

@@ -261,7 +261,9 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     formed once here.
 
     A z_hat of another shape than (n,), n = C.dim, or a max_inner that is
-    not an integer >= 1 raises ValueError before the first step.  One
+    not an integer >= 1 raises ValueError before the first step (a shape
+    test of its own: operators._point's finiteness pass would cost every
+    B-solve, and step 1's resolvent names a non-finite z_hat).  One
     comparison per call, ||z_hat|| < p.trust_radius (see TsengProblem),
     picks unchecked projections and .dot squares, or else checked ones and
     np.vdot, whose overflow to inf does not warn (a NaN, inf or overflowing

@@ -25,7 +25,7 @@ from drsplit.errors import (
     StateError,
 )
 from drsplit.hpe import verify_hpe_inequality
-from drsplit.operators import NullspaceNormalCone
+from drsplit.operators import NullspaceNormalCone, SplittableOperator
 from drsplit.bench import initial_point
 from drsplit.drt import delta_stop
 from drsplit.qp import drt_problem, faces_instance, generate_instance
@@ -201,6 +201,34 @@ def test_non_finite_resolvent_of_a_fails_on_the_first_call():
                            match=r"^A's resolvent returned a non-finite"):
             drs_iterate(state, cfg, bs, NonFiniteResolvent(bad))
         assert state.k == 0 and state.trace == []
+
+
+def test_a_resolvent_that_raises_names_the_outer_step():
+    # an A-resolvent's ValueError (here on the second call) fails the
+    # outer step's contract: run_batch records a ContractViolation as the
+    # instance's error row, where a bare ValueError would escape it; the
+    # state stays as the first step left it
+    class RejectsSecondCall(SplittableOperator):
+        calls = 0
+
+        def resolvent(self, gamma, z):
+            self.calls += 1
+            if self.calls == 2:
+                raise ValueError("point contains non-finite entries")
+            return z
+
+    cfg = _cfg(max_iter=5)
+    bs = exact_bsolver(AffineMonotone(np.eye(1)), cfg.gamma)
+    A = RejectsSecondCall(1)
+    state = DrsState.initial(np.array([2.0]), cfg)
+    drs_iterate(state, cfg, bs, A)
+    z, trace = state.z.copy(), list(state.trace)
+    with pytest.raises(ContractViolation,
+                       match=r"^outer step 2: point contains non-finite "
+                             r"entries$"):
+        drs_iterate(state, cfg, bs, A)
+    assert state.k == 1 and state.trace == trace
+    assert_array_equal(state.z, z)
 
 
 def test_bsolver_output_of_the_wrong_shape_fails_on_the_first_call():

@@ -110,6 +110,36 @@ def test_vector_primitives_have_one_owner(name):
     assert _primitive_calls(path.read_text()) == []
 
 
+# the messages of operators._point, the package's one check of a
+# caller's vector
+POINT_MESSAGES = ("must be a vector", "must have length",
+                  "contains non-finite entries")
+
+
+def _point_messages(source: str) -> list[str]:
+    # string constants, the literal parts of f-strings included, that
+    # hold a phrase of the point rule
+    return sorted(node.value for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and any(phrase in node.value for phrase in POINT_MESSAGES))
+
+
+def test_point_message_scan_finds_a_stray_check():
+    src = "# z must be a vector\nx = 'must be finite'\n" \
+          "raise ValueError(f'{name} must have length {n}')\n" \
+          "raise ValueError('z0 contains non-finite entries')\n"
+    assert _point_messages(src) == [" must have length ",
+                                    "z0 contains non-finite entries"]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "operators"])
+def test_the_point_rule_has_one_owner(name):
+    # every vector a caller hands the package goes through operators._point
+    path = Path(drsplit.__file__).with_name(f"{name}.py")
+    assert _point_messages(path.read_text()) == []
+
+
 def _uncalled_exports(sources, exports) -> list[str]:
     # exports that no module's code reads as a Name or an Attribute; a
     # read inside the name's own top-level def or class does not count,

@@ -412,15 +412,54 @@ def test_drt_problem_defaults_sigma_and_theta():
 
 
 @pytest.mark.parametrize("z0, message", [
-    (np.zeros(7), r"shape \(7,\), not \(6,\)"),
-    (0.0, r"shape \(\), not \(6,\)"),
-    (np.full(6, np.nan), "non-finite"),
+    (np.zeros(7), r"^z0 must have length 6$"),
+    (0.0, r"^z0 must be a vector, got shape \(\)$"),
+    (np.full(6, np.nan), "^z0 contains non-finite entries$"),
 ], ids=["length-7", "scalar", "nan"])
 def test_drt_problem_names_a_bad_start(z0, message):
     # each once failed inside tau0_default or DrsConfig, on a broadcast,
     # a matmul or "tau0 must be positive and finite"
     with pytest.raises(ValueError, match=message):
         drt_problem(generate_instance(6, True, 0), z0, tol=1e-6)
+
+
+# each entry point that takes a caller's point, with the argument its
+# messages name; a state has no dimension of its own, so DrsState meets
+# no short point (tseng_solve checks it against the problem's)
+POINT_ENTRIES = {
+    "drt_problem": ("z0", lambda inst, z: drt_problem(inst, z, tol=1e-6)),
+    "tau0_default": ("z0", tau0_default),
+    "objective": ("z", objective),
+    "kkt_check": ("z", kkt_check),
+    "DrsState": ("z0", lambda inst, z: DrsState(z, 1.0)),
+    "DrsState.initial": ("z0", lambda inst, z: DrsState.initial(
+        z, drt_problem(inst, np.zeros(inst.n), tol=1e-6).cfg)),
+    "run_baseline": ("z0", lambda inst, z: run_baseline(inst, "tos", 1e-6,
+                                                         z0=z)),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in POINT_ENTRIES
+    for case in ("column", "short", "nan")
+    if not (entry.startswith("DrsState") and case == "short")])
+def test_every_entry_point_names_a_bad_point(entry, case):
+    # unchecked, a column broadcasts or raises TypeError, a short point
+    # meets numpy's broadcast error, and run_baseline would report each as
+    # a failure of its first iteration, a solver failure to run_batch
+    inst = generate_instance(5, True, 0)
+    arg, call = POINT_ENTRIES[entry]
+    z, message = {
+        "column": (np.zeros((5, 1)),
+                   rf"^{arg} must be a vector, got shape \(5, 1\)$"),
+        "short": (np.zeros(4), f"^{arg} must have length 5$"),
+        "nan": (np.full(5, np.nan), f"^{arg} contains non-finite entries$"),
+    }[case]
+    if entry == "kkt_check" and case == "nan":
+        assert kkt_check(inst, z) is False
+        return
+    with pytest.raises(ValueError, match=message):
+        call(inst, z)
 
 
 def test_cocoercivity_sampled():

@@ -19,9 +19,9 @@ from .hpe import (HpeStepCertificate, ergodic_bound, pointwise_bound,
                   verify_hpe_inequality)
 from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
                         LipschitzMap, NullspaceNormalCone, SplittableOperator)
-from .qp import (QpInstance, QpOperators, drt_problem, estimate_beta_V,
-                 faces_instance, generate_instance, qp_operators,
-                 reference_solution, tau0_default)
+from .qp import (QpInstance, drt_problem, estimate_beta_V, faces_instance,
+                 generate_instance, qp_operators, reference_solution,
+                 tau0_default)
 from .tseng import (CertBlock, TsengProblem, gamma_max, tseng_solve,
                     tseng_step)
 
@@ -32,7 +32,7 @@ __all__ = [
     "ContractViolation", "DrsConfig", "DrsState", "DrtProblem",
     "HpeStepCertificate", "InvariantViolation", "IterationBudgetExceeded",
     "LipschitzMap", "NullspaceNormalCone", "OracleFailure", "ParseError",
-    "QpInstance", "QpOperators", "Quadruple", "RunRecord",
+    "QpInstance", "Quadruple", "RunRecord",
     "SplittableOperator", "StateError", "TsengProblem",
     "check_termination", "delta_stop", "drs_ergodic", "drs_iterate",
     "drt_problem", "drt_solve", "ergodic_bound",

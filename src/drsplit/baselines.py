@@ -4,8 +4,7 @@ Two fixed-point schemes over the same three-piece decomposition
 (box, nullspace, affine forward map): a three-operator splitting (TOS)
 iteration and a relaxed forward-Douglas-Rachford (rFDRS) iteration,
 both run with step gamma = 1.99*beta for the scheme's own cocoercivity
-constant beta.  Both step with the instance's operator set
-(``inst.ops``), the cone resolvents and forward map drt steps with, so
+constant beta.  Both step with the instance's operators, as drt does, so
 their timings compare algorithms rather than kernels.  Both run at unit
 relaxation, where a step's displacement ||z+ - z|| is also its
 fixed-point residual, so the delta and residual stopping rules are one
@@ -21,7 +20,7 @@ import numpy as np
 
 from .drt import RunRecord
 from .errors import ContractViolation, IterationBudgetExceeded
-from .operators import _inverse_norm, _norm, _point
+from .operators import _integral, _inverse_norm, _norm, _point
 
 if TYPE_CHECKING:   # qp runs the TOS loop for its reference oracle
     from .qp import QpInstance
@@ -60,18 +59,16 @@ def rfdrs_gamma(inst: QpInstance) -> float:
 
 def tos_iterate(z, inst: QpInstance, gamma: float):
     """One TOS step: box point, shifted nullspace projection, update."""
-    A, C, F2 = inst.ops.A, inst.ops.C, inst.ops.F2
-    xB = C.resolvent(gamma, z)
-    xA = A.resolvent(gamma, 2.0 * xB - z - gamma * F2.eval(xB))
+    xB = inst.C.resolvent(gamma, z)
+    xA = inst.A.resolvent(gamma, 2.0 * xB - z - gamma * inst.F2.eval(xB))
     return z + (xA - xB)
 
 
 def rfdrs_iterate(z, inst: QpInstance, gamma: float):
     """One rFDRS step; the forward term is evaluated through P_M."""
-    A, C, F2 = inst.ops.A, inst.ops.C, inst.ops.F2
-    x = A.resolvent(gamma, z)
-    g = A.resolvent(gamma, F2.eval(x))
-    w = C.resolvent(gamma, 2.0 * x - z - gamma * g)
+    x = inst.A.resolvent(gamma, z)
+    g = inst.A.resolvent(gamma, inst.F2.eval(x))
+    w = inst.C.resolvent(gamma, 2.0 * x - z - gamma * g)
     return z + (w - x)
 
 
@@ -104,14 +101,19 @@ def run_baseline(inst: QpInstance, algo: str, tol: float, z0=None,
     the scheme's own solution-approximating block: P_X(z) for TOS, P_M(z)
     for rFDRS.  The record's instance is -1 and its abs_err nan;
     bench.run_single fills both.
-    A bad z0 raises ValueError naming it.  A step whose resolvent rejects
-    its input (a non-finite operator output) raises ContractViolation
-    naming the algorithm and iteration.
+    A bad tol, max_iter or z0 raises ValueError naming it before the
+    first step.  A step whose resolvent rejects its input (a non-finite
+    operator output) raises ContractViolation naming the algorithm and
+    iteration.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if not (_integral(max_iter) and max_iter >= 1):
+        raise ValueError("max_iter must be an integer >= 1")
     if algo == "tos":
-        gamma, step, block = tos_gamma(inst), tos_iterate, inst.ops.C
+        gamma, step, block = tos_gamma(inst), tos_iterate, inst.C
     elif algo == "rfdrs":
-        gamma, step, block = rfdrs_gamma(inst), rfdrs_iterate, inst.ops.A
+        gamma, step, block = rfdrs_gamma(inst), rfdrs_iterate, inst.A
     else:
         raise ValueError(f"unknown baseline {algo!r}")
     z = np.zeros(inst.n) if z0 is None else _point(z0, inst.n, "z0")

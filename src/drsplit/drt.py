@@ -18,7 +18,7 @@ from .drs import (EXTRAGRADIENT, DrsConfig, DrsState, Quadruple,
                   check_termination, drs_ergodic, drs_iterate)
 from .errors import StateError
 from .operators import (CocoerciveMap, LipschitzMap, SplittableOperator,
-                        _norm)
+                        _norm, _point)
 from .tseng import CertBlock, TsengProblem, tseng_solve
 
 __all__ = [
@@ -125,7 +125,8 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
     The state is DrsState.initial(z0, p.cfg), advanced in place; one that
     has stepped raises StateError, so the record (counts from the trace,
     time_s), trace, certificate log and outer call numbers cover the same
-    steps.  f2_evals = inner: each Tseng step evaluates F2 exactly once.
+    steps; a z0 of another length than the problem's raises ValueError.
+    f2_evals = inner: each Tseng step evaluates F2 exactly once.
 
     The B-solve is tseng_solve on the problem's one Tseng subproblem,
     whose gamma was checked against gamma_max when p was built; it takes
@@ -136,6 +137,7 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
     """
     if state.k:
         raise StateError(f"drt_solve needs a fresh state, got one at k={state.k}")
+    _point(state.z, p.A.dim, "z0")
     t0 = time.perf_counter()
     with (nullcontext() if inner_cert_log is None else
           CertBlock(p.tseng, inner_cert_log, label="outer B-solve call")) as block:

@@ -11,11 +11,11 @@ The operator decomposition used by the solvers is A = N_M (M = null(K)),
 C = N_X, no F1 (``F1=None``: there is no Lipschitz term) and
 F2(z) = Qz + e with eta = 1/||Q||.  Spectral constants are exact: each
 instance runs one eigvalsh(Q) when it is built, which both checks Q for
-positive semidefiniteness and fixes eta.  The instance also builds that
-operator set once (``inst.ops``; its cones reject a K outside
+positive semidefiniteness and fixes eta, which ``inst.F2`` stores.  The
+instance is that operator set, built once (its cones reject a K outside
 {+1, -1}^n and an empty box, and the instance rejects a box with no
-point on Kz = 0): ``qp_operators`` returns it, and the drt solver, both
-baselines and the iterative oracle all step with it.
+point on Kz = 0): the drt solver, both baselines and the iterative
+oracle all step with ``inst.A``, ``inst.C`` and ``inst.F2``.
 
 Oracles: KKT active-set enumeration for n <= 6 and a high-accuracy
 three-operator fixed-point reference for larger n (it runs the baselines'
@@ -35,14 +35,13 @@ from .baselines import _fixed_point, estimate_beta_V, tos_iterate
 from .drs import DrsConfig
 from .drt import DrtProblem
 from .errors import ContractViolation, IterationBudgetExceeded, OracleFailure
-from .operators import (AffineCocoerciveMap, BoxNormalCone, LipschitzMap,
+from .operators import (AffineCocoerciveMap, BoxNormalCone,
                         NullspaceNormalCone, _check_symmetric, _clip,
                         _inverse_norm, _norm, _point, slack)
 from .tseng import gamma_max
 
 __all__ = [
     "QpInstance",
-    "QpOperators",
     "generate_instance",
     "faces_instance",
     "qp_operators",
@@ -65,8 +64,10 @@ class QpInstance:
     hi: np.ndarray
     definite: bool
     seed: int
-    eta: float = field(init=False, compare=False)   # 1/||Q||, inf for Q = 0
-    ops: QpOperators = field(init=False, compare=False, repr=False)
+    A: NullspaceNormalCone = field(init=False, compare=False, repr=False)
+    C: BoxNormalCone = field(init=False, compare=False, repr=False)
+    F2: AffineCocoerciveMap = field(init=False, compare=False, repr=False)
+    F1 = None                   # the family has no Lipschitz term
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -77,8 +78,8 @@ class QpInstance:
             object.__setattr__(self, name,
                                _point(getattr(self, name), Q.shape[0], name))
         _check_symmetric(self.Q, "Q")
-        A = NullspaceNormalCone(self.K)
-        C = BoxNormalCone(self.lo, self.hi)
+        object.__setattr__(self, "A", NullspaceNormalCone(self.K))
+        object.__setattr__(self, "C", BoxNormalCone(self.lo, self.hi))
         # K is +/-1, so K.z ranges over K.(lo + hi)/2 +/- sum(hi - lo)/2 on
         # the box: Kz = 0 meets the box iff |K.(lo + hi)| <= sum(hi - lo)
         span = float((self.hi - self.lo).sum())
@@ -87,24 +88,17 @@ class QpInstance:
         w = np.linalg.eigvalsh(self.Q)
         if w[0] < -1e-10:
             raise ValueError(f"Q has eigenvalue {w[0]} < -1e-10")
-        eta = _inverse_norm(w)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "ops", QpOperators(
-            A=A, C=C, F1=None,
-            F2=AffineCocoerciveMap(Q=self.Q, e=self.e, eta=eta), eta=eta))
+        object.__setattr__(self, "F2", AffineCocoerciveMap(
+            Q=self.Q, e=self.e, eta=_inverse_norm(w)))
 
     @property
     def n(self) -> int:
         return self.Q.shape[0]
 
-
-@dataclass(frozen=True)
-class QpOperators:
-    A: NullspaceNormalCone
-    C: BoxNormalCone
-    F1: LipschitzMap | None     # None: the family has no Lipschitz term
-    F2: AffineCocoerciveMap     # Q z + e, built from the instance's Q and e
-    eta: float
+    @property
+    def eta(self) -> float:
+        """1/||Q||, inf for Q = 0: the forward map's own constant."""
+        return self.F2.eta
 
 
 def _draw_curvature(n: int, definite: bool, seed: int):
@@ -156,27 +150,27 @@ def estimate_eta(Q) -> float:
     return _inverse_norm(np.linalg.eigvalsh(np.asarray(Q, dtype=float)))
 
 
-def qp_operators(inst: QpInstance) -> QpOperators:
-    """The instance's operator set; rejects an unbounded eta (Q = 0)."""
+def qp_operators(inst: QpInstance) -> QpInstance:
+    """The instance, its own operator set; rejects an unbounded eta (Q = 0)."""
     if not np.isfinite(inst.eta):
         raise ValueError("zero quadratic term: eta is unbounded")
-    return inst.ops
+    return inst
 
 
 def drt_problem(inst: QpInstance, z0, *, tol: float, sigma: float = 0.99,
                 theta: float = 0.01) -> DrtProblem:
-    """drt on inst.ops from z0: gamma = gamma_max(eta, 0, sigma) (no F1),
+    """drt on the instance from z0: gamma = gamma_max(eta, 0, sigma) (no F1),
     tau0 = tau0_default(inst, z0) and rho_tol = eps_tol = tol.  z0 must
     be a finite point of R^n.  sigma and theta default to the benchmark's
     values.  gamma = 2*sigma^2/||Q|| and both stop rules read
     gamma*||a+b||, so a small sigma stops far from the optimum: on the
     paper family at n=20, sigma=1e-4 stops with x 19 to 26 away from it,
     sigma=0.01 reaches max_iter and sigma=0.1 converges."""
-    ops = qp_operators(inst)
+    qp_operators(inst)                  # rejects Q = 0
     tau0 = tau0_default(inst, z0)
-    cfg = DrsConfig(float(gamma_max(ops.eta, 0.0, sigma)), sigma, theta,
+    cfg = DrsConfig(float(gamma_max(inst.eta, 0.0, sigma)), sigma, theta,
                     tau0=tau0, rho_tol=tol, eps_tol=tol)
-    return DrtProblem(ops.A, ops.C, ops.F1, ops.F2, cfg)
+    return DrtProblem(inst.A, inst.C, inst.F1, inst.F2, cfg)
 
 
 def objective(inst: QpInstance, z) -> float:
@@ -263,7 +257,7 @@ def _tos_reference(inst: QpInstance) -> np.ndarray:
                                1e-12, 10 ** 6, "tos")
     except (ContractViolation, IterationBudgetExceeded) as exc:
         raise OracleFailure(f"reference fixed-point iteration: {exc}") from exc
-    x = inst.ops.C.resolvent(gamma, z)
+    x = inst.C.resolvent(gamma, z)
     if not kkt_check(inst, x, 1e-8):
         raise OracleFailure("reference iterate failed the KKT check")
     return x

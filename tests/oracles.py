@@ -154,7 +154,7 @@ def drs_reference_zero(inst: QpInstance, gamma: float, z0):
     z = z0.copy()
     for _ in range(10 ** 6):
         x = Jb.resolvent(gamma, z)
-        y = inst.ops.A.resolvent(gamma, 2.0 * x - z)
+        y = inst.A.resolvent(gamma, 2.0 * x - z)
         z_new = z + (y - x)
         if float(np.linalg.norm(z_new - z)) <= 1e-12:
             z = z_new

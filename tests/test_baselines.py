@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import drsplit.baselines as baselines_module
 from drsplit.baselines import (
     rfdrs_gamma,
     rfdrs_iterate,
@@ -136,6 +137,29 @@ def test_run_baseline_validation_and_budget():
     with pytest.raises(IterationBudgetExceeded):
         run_baseline(inst, "tos", tol=1e-14, max_iter=3,
                      z0=np.full(5, 9.0))
+
+
+@pytest.mark.parametrize("algo", ["tos", "rfdrs"])
+@pytest.mark.parametrize("tol, max_iter, message", [
+    (float("nan"), 5, "tol must be positive and finite"),
+    (-1.0, 5, "tol must be positive and finite"),
+    (float("inf"), 5, "tol must be positive and finite"),
+    (1e-6, 2.5, "max_iter must be an integer >= 1"),
+    (1e-6, 0, "max_iter must be an integer >= 1"),
+    (1e-6, float("nan"), "max_iter must be an integer >= 1"),
+])
+def test_run_baseline_rejects_a_bad_tol_or_budget_before_a_step(
+        algo, tol, max_iter, message, monkeypatch):
+    # a NaN or negative tol ran the whole budget into IterationBudgetExceeded,
+    # a fractional budget reached range() as a bare TypeError, and a zero one
+    # reported a budget error after no step
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(baselines_module, "_fixed_point", no_step)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_baseline(generate_instance(6, True, 0), algo, tol=tol,
+                     max_iter=max_iter)
 
 
 @pytest.mark.parametrize("family", [generate_instance, faces_instance])

@@ -252,6 +252,18 @@ def test_solve_refuses_a_state_that_has_stepped():
         assert_array_equal(state.z, z)
 
 
+def test_solve_rejects_a_start_of_another_dimension_before_a_step():
+    # a 5-vector start on an n=6 problem used to fail inside the first
+    # B-solve with a message about z_hat
+    _, p, _ = _problem()
+    state = DrsState.initial(np.zeros(5), p.cfg)
+    k, trace, z = state.k, list(state.trace), state.z.copy()
+    with pytest.raises(ValueError, match="^z0 must have length 6$"):
+        drt_solve(p, delta_stop(1e-6), state)
+    assert state.k == k and state.trace == trace
+    assert_array_equal(state.z, z)
+
+
 @pytest.mark.parametrize("max_inner", [2.5, float("nan"), 0, -3])
 def test_solve_rejects_an_inner_budget_that_is_not_an_integer_from_1(max_inner):
     # a fraction or NaN escaped as a bare TypeError, 0 or -3 as a budget error

@@ -239,7 +239,7 @@ def test_tos_reference_turns_a_non_finite_step_into_an_oracle_failure():
     inst = generate_instance(10, True, 3)
     nan_f2 = CocoerciveMap(eval=lambda z: np.full_like(z, np.nan),
                            eta=inst.eta)
-    object.__setattr__(inst, "ops", dataclasses.replace(inst.ops, F2=nan_f2))
+    object.__setattr__(inst, "F2", nan_f2)
     with pytest.raises(OracleFailure, match="non-finite"):
         reference_solution(inst)
 
@@ -342,22 +342,27 @@ def test_psd_check_runs_above_n_200():
 # ----------------------------------------------------------------- operators
 
 def test_qp_operators_bundle():
+    # the instance is its operator set: qp_operators hands it back, and
+    # 1/||Q|| is stored once, on the forward map
     inst = generate_instance(6, True, 14)
-    ops = qp_operators(inst)
+    assert qp_operators(inst) is inst
     z = np.linspace(-3.0, 3.0, 6)
-    assert_allclose(ops.F2.eval(z), inst.Q @ z + inst.e, atol=1e-14)
-    assert ops.F1 is None
-    assert ops.eta * np.linalg.eigvalsh(inst.Q).max() == pytest.approx(
+    assert_allclose(inst.F2.eval(z), inst.Q @ z + inst.e, atol=1e-14)
+    assert inst.F1 is None
+    assert inst.eta == inst.F2.eta
+    assert "eta" not in {f.name for f in dataclasses.fields(QpInstance)}
+    assert inst.eta * np.linalg.eigvalsh(inst.Q).max() == pytest.approx(
         1.0, rel=1e-8)
-    y = ops.A.resolvent(1.0, z)
+    y = inst.A.resolvent(1.0, z)
     assert abs(inst.K @ y) < 1e-12
-    x = ops.C.resolvent(1.0, z)
+    x = inst.C.resolvent(1.0, z)
     assert_array_equal(x, np.clip(z, 0.0, 10.0))
 
 
 def test_instance_builds_its_cones_once(monkeypatch):
-    # qp_operators hands out the instance's own set, and the oracle, both
-    # baselines and a drt solve step with it instead of building their own
+    # qp_operators hands out the instance itself, and drt_problem, the
+    # oracle and both baselines step with its operators instead of building
+    # their own
     built = []
     for cone in (BoxNormalCone, NullspaceNormalCone):
         init = cone.__init__
@@ -370,8 +375,9 @@ def test_instance_builds_its_cones_once(monkeypatch):
     spec = BenchSpec(n=20, instances=1, seed=3)
     inst = generate_instance(spec.n, spec.definite, spec.seed)
     assert sorted(built) == ["BoxNormalCone", "NullspaceNormalCone"]
-    ops = qp_operators(inst)
-    assert qp_operators(inst) is ops is inst.ops
+    assert qp_operators(inst) is inst
+    p = drt_problem(inst, initial_point(spec.n, spec.seed), tol=spec.tol)
+    assert p.A is inst.A and p.C is inst.C and p.F2 is inst.F2
     reference_solution(inst)
     for algo in ("tos", "rfdrs"):
         run_baseline(inst, algo, tol=1e-8)
@@ -401,7 +407,7 @@ def test_drt_problem_recipe(family, sigma):
     assert (cfg.tau0, cfg.sigma, cfg.theta, cfg.rho_tol, cfg.eps_tol) == (
         tau0_default(inst, z0), sigma, 0.3, 1e-7, 1e-7)
     for name in ("A", "C", "F1", "F2"):
-        assert getattr(p, name) is getattr(inst.ops, name)
+        assert getattr(p, name) is getattr(inst, name)
 
 
 def test_drt_problem_defaults_sigma_and_theta():

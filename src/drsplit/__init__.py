@@ -9,7 +9,8 @@ benchmark harness reproduces the box/equality-constrained QP experiments
 """
 
 from .drs import (DrsConfig, DrsState, Quadruple, check_termination,
-                  drs_ergodic, drs_iterate, null_step_bounds, outer_certificates)
+                  drs_ergodic, drs_iterate, envelope, null_step_bounds,
+                  outer_certificates)
 from .drt import (DrtProblem, RunRecord, delta_stop, drt_solve, residual_stop,
                   tolerance_stop)
 from .errors import (ContractViolation, InvariantViolation,
@@ -20,8 +21,8 @@ from .hpe import (HpeStepCertificate, ergodic_bound, pointwise_bound,
 from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
                         LipschitzMap, NullspaceNormalCone, SplittableOperator)
 from .qp import (QpInstance, drt_problem, estimate_beta_V, faces_instance,
-                 generate_instance, qp_operators, reference_solution,
-                 tau0_default)
+                 generate_instance, nearest_zero, qp_operators,
+                 reference_solution, tau0_default)
 from .tseng import (CertBlock, TsengProblem, gamma_max, tseng_solve,
                     tseng_step)
 
@@ -35,9 +36,10 @@ __all__ = [
     "QpInstance", "Quadruple", "RunRecord",
     "SplittableOperator", "StateError", "TsengProblem",
     "check_termination", "delta_stop", "drs_ergodic", "drs_iterate",
-    "drt_problem", "drt_solve", "ergodic_bound",
+    "drt_problem", "drt_solve", "envelope", "ergodic_bound",
     "estimate_beta_V", "faces_instance", "gamma_max", "generate_instance",
-    "null_step_bounds", "outer_certificates", "pointwise_bound",
+    "nearest_zero", "null_step_bounds", "outer_certificates",
+    "pointwise_bound",
     "qp_operators", "reference_solution", "residual_stop",
     "tau0_default", "tolerance_stop", "tseng_solve", "tseng_step",
     "verify_hpe_inequality",

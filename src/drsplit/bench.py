@@ -2,9 +2,10 @@
 
 A batch runs one solver (drt, rfdrs, or tos) over `instances` seeded QP
 instances of dimension n, instance i drawing its data from seed
-master+i, and collects one RunRecord per instance.  Solver failures mark
-the record and the batch continues.  Summaries report min/max/mean per
-numeric column as aligned text and as CSV.
+master+i, and collects one RunRecord per instance.  Solver failures, and
+with a trace a run that fails its checks, mark the record and the batch
+continues.  Summaries report min/max/mean per numeric column as aligned
+text and as CSV.
 
 Every output file is opened through one helper.  An existing regular
 file that the caller owns and may write is replaced by a new file rather
@@ -26,11 +27,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .baselines import run_baseline
-from .drs import EXTRAGRADIENT, DrsConfig, DrsState, outer_certificates
+from .drs import (EXTRAGRADIENT, DrsConfig, DrsState, envelope,
+                  outer_certificates)
 from .drt import RunRecord, delta_stop, drt_solve, residual_stop
 from .errors import InvariantViolation, OracleFailure, ParseError
 from .operators import _integral, _norm
-from .qp import drt_problem, generate_instance, reference_solution
+from .qp import (QpInstance, drt_problem, generate_instance, nearest_zero,
+                 reference_solution)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -109,6 +112,11 @@ class SingleResult:
     solution: np.ndarray | None
     state: DrsState | None = None   # drt only
     cfg: DrsConfig | None = None    # drt only
+    # what the run was built from: the instance, its start and the
+    # reference solution (None when the oracle failed)
+    inst: QpInstance | None = None
+    z0: np.ndarray | None = None
+    reference: np.ndarray | None = None
 
 
 def run_single(spec: BenchSpec, i: int) -> SingleResult:
@@ -136,6 +144,7 @@ def run_single(spec: BenchSpec, i: int) -> SingleResult:
     else:
         rec, sol = run_baseline(inst, spec.algo, spec.tol, z0=z0)
         result = SingleResult(rec, sol)
+    result.inst, result.z0, result.reference = inst, z0, z_star
     rec.instance = i
     if z_star is not None:
         rec.abs_err = _norm(result.solution - z_star)
@@ -159,12 +168,34 @@ def _verify_trace_equivalence(state: DrsState, cfg: DrsConfig) -> None:
                 f"({shift} vs {vnorm} vs {t.residual})")
 
 
+def _verify_bounds(result: SingleResult) -> None:
+    # the paper's bounds (drs.envelope) at d0 from the reference solution;
+    # an instance whose oracle failed has no d0 and is not checked
+    if result.reference is None:
+        return
+    _, d0 = nearest_zero(result.inst, result.reference, result.cfg.gamma,
+                         result.z0)
+    for bound, check in envelope(result.state, result.cfg, d0).items():
+        if check.violations:
+            step = "outer step" if bound == "null-step" else \
+                "extragradient step"
+            raise InvariantViolation(
+                f"{step} {check.first}: the {bound} bound fails at "
+                f"d0={d0!r} ({check.violations} of {check.checked} rows, "
+                f"worst ratio {max(check.worst):.6g})")
+
+
 def run_batch(spec: BenchSpec, trace_path=None) -> list[RunRecord]:
     """All instances in order; per-instance failures marked, never raised.
 
     trace_path (drt only) writes one block per instance with the
-    per-iteration step log, after checking on every extragradient step
-    that the residual it writes agrees with ||z_k - z_{k-1}|| and ||v||.
+    per-iteration step log, after two checks of its run: on every
+    extragradient step the residual it writes agrees with ||z_k - z_{k-1}||
+    and ||v||, and the run keeps the paper's pointwise, ergodic and
+    null-step bounds (drs.envelope) at d0, the distance from the start
+    to the zero set that qp.nearest_zero reads off the reference
+    solution.  An instance that fails either is an error row, and its
+    block is not written.
     """
     if trace_path is not None and spec.algo != "drt":
         raise ValueError("trace output requires the drt solver")
@@ -173,14 +204,16 @@ def run_batch(spec: BenchSpec, trace_path=None) -> list[RunRecord]:
     for i in range(spec.instances):
         try:
             result = run_single(spec, i)
+            if trace_path is not None:
+                _verify_trace_equivalence(result.state, result.cfg)
+                _verify_bounds(result)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
             records.append(RunRecord(instance=i, algo=spec.algo, n=spec.n,
                                      time_s=float("nan"),
                                      error=f"{type(exc).__name__}: {exc}"))
             continue
         records.append(result.record)
-        if trace_path is not None and result.state is not None:
-            _verify_trace_equivalence(result.state, result.cfg)
+        if trace_path is not None:
             blocks.append((i, result.state.trace))
     if trace_path is not None:
         write_trace(trace_path, blocks)

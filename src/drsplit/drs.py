@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded, StateError)
-from .hpe import HpeStepCertificate
+from .hpe import HpeStepCertificate, ergodic_bound, pointwise_bound
 from .operators import SplittableOperator, _integral, _norm, _point, slack
 
 __all__ = [
@@ -34,6 +34,8 @@ __all__ = [
     "drs_ergodic",
     "outer_certificates",
     "null_step_bounds",
+    "BoundCheck",
+    "envelope",
 ]
 
 EXTRAGRADIENT = "extragradient"
@@ -340,3 +342,100 @@ def null_step_bounds(tau: float, sigma: float) -> tuple[float, float]:
     if not (0 < tau < math.inf and 0 < sigma < 1):
         raise ValueError("tau must be positive and finite and sigma in (0, 1)")
     return (1.0 + 1.0 / sigma) * math.sqrt(tau), tau / 2.0
+
+
+class BoundCheck(NamedTuple):
+    """One of the paper's bounds read over a run (see envelope).
+
+    checked counts the rows, violations those whose observed value exceeds
+    its bound by more than a relative 1e-10 (NaN included), and first is
+    the index of the first violating row (j, or a null step's outer step
+    k), 0 when none.  worst is the
+    largest ratio of observed value to bound for each half, (residual,
+    eps), and late the same over the later half of the run; both are 0
+    without rows.
+    """
+
+    checked: int
+    violations: int
+    first: int
+    worst: tuple[float, float]
+    late: tuple[float, float]
+
+
+def envelope(state: DrsState, cfg: DrsConfig,
+             d0: float) -> dict[str, BoundCheck]:
+    """The paper's pointwise, ergodic and null-step bounds over a run.
+
+    d0 >= 0 is the distance from the run's start to the zero set of the
+    splitting operator (an upper bound on it serves); a bound that reads
+    0 holds only for an observed 0.  Keys, in order:
+    - "pointwise": a row per extragradient index j = 1..J, which holds
+      when some step i <= j of outer_certificates has ||v_i|| and eps_i
+      both within pointwise_bound(d0, sigma, j); its ratio per half is
+      that of the best i <= j; late is over j > J/2;
+    - "ergodic": a row per prefix j, the uniform averages of the first j
+      steps, gamma*||abar + bbar|| and gamma*(eps_a_bar + eps_b_bar)
+      against ergodic_bound(d0, sigma, j); late is over j > J/2;
+    - "null-step": a row per null step, indexed by its outer step k, its
+      residual and gamma*eps_b against null_step_bounds at the tau its
+      B-solve was given; late is over k > state.k/2.
+    O(J^2 n): the prefix averages are formed anew for each j, by
+    drs_ergodic's kernel, so a negative averaged enlargement raises
+    InvariantViolation here too.
+    """
+    if not 0 <= d0 < math.inf:
+        raise ValueError("d0 must be >= 0 and finite")
+    gamma, sigma = cfg.gamma, cfg.sigma
+    J = state.n_extragradient
+    # each row: (index, in the later half, ratio per half, level), and
+    # the row holds while level <= 1 + 1e-10
+    pointwise, ergodic, null = [], [], []
+    certs = np.array([(_norm(c.v), c.eps)
+                      for c in outer_certificates(state, cfg)]).reshape(J, 2)
+    for j in range(1, J + 1):
+        ratios = _ratio(certs[:j], pointwise_bound(d0, sigma, j))
+        # both halves at one index i <= j, as the theorem states
+        pointwise.append((j, 2 * j > J, ratios.min(axis=0),
+                          ratios.max(axis=1).min()))
+        _, abar, eps_a = _ergodic_average(state.hist_y[:j], state.hist_a[:j],
+                                          np.zeros(j))
+        _, bbar, eps_b = _ergodic_average(state.hist_x[:j], state.hist_b[:j],
+                                          state.hist_eps_b[:j])
+        ratios = _ratio((gamma * _norm(abar + bbar), gamma * (eps_a + eps_b)),
+                        ergodic_bound(d0, sigma, j))
+        ergodic.append((j, 2 * j > J, ratios, ratios.max()))
+    # the tau each B-solve was given: the state's own start, then the tau
+    # the step before it left
+    given = [state.tau0] + [t.tau for t in state.trace[:-1]]
+    for t, tau in zip(state.trace, given):
+        if t.step == NULL:
+            ratios = _ratio((t.residual, gamma * t.eps_b),
+                            null_step_bounds(tau, sigma))
+            null.append((t.k, 2 * t.k > state.k, ratios, ratios.max()))
+    return {"pointwise": _bound_check(pointwise),
+            "ergodic": _bound_check(ergodic),
+            "null-step": _bound_check(null)}
+
+
+def _ratio(observed, bound) -> np.ndarray:
+    # observed / bound, where 0/0 is 0: a zero bound met exactly
+    observed = np.asarray(observed, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(observed == 0, 0.0, observed / np.asarray(bound))
+
+
+def _bound_check(rows) -> BoundCheck:
+    worst = late = np.zeros(2)
+    first = violations = 0
+    for index, in_late, ratios, level in rows:
+        worst = np.maximum(worst, ratios)
+        if in_late:
+            late = np.maximum(late, ratios)
+        # written so that NaN fails
+        if not level <= 1 + 1e-10:
+            violations += 1
+            first = first or index
+    return BoundCheck(len(rows), violations, first,
+                      (float(worst[0]), float(worst[1])),
+                      (float(late[0]), float(late[1])))

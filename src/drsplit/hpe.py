@@ -2,7 +2,7 @@
 
 Step certificates for the relative-error proximal condition and the
 pointwise and ergodic complexity bounds, at the lam = 1 of the outer
-embedding, used as oracles by the solver tests.  The ergodic averages
+embedding, which drs.envelope checks over a run.  The ergodic averages
 themselves are formed by drs.drs_ergodic.
 """
 
@@ -86,8 +86,9 @@ def _check_bound_args(d0: float, sigma: float, j: int) -> None:
 def pointwise_bound(d0: float, sigma: float, j: int) -> tuple[float, float]:
     """Pointwise O(1/sqrt(j)) residual and O(1/j) eps bounds.
 
-    d0 is the distance from the start point to the solution set (from a
-    reference solve, never a silent estimate) and sigma the relative-error
+    d0 is the distance from the start point to the zero set of the
+    splitting operator (qp.nearest_zero reads it off a reference
+    solution, never a silent estimate) and sigma the relative-error
     constant; the stepsize is the outer embedding's lam = 1.  Some index
     i <= j carries a residual v_i with ``||v_i|| <= rho_bound`` and eps_i
     with ``eps_i <= eps_bound``.

@@ -20,7 +20,10 @@ oracle all step with ``inst.A``, ``inst.C`` and ``inst.F2``.
 Oracles: KKT active-set enumeration for n <= 6 and a high-accuracy
 three-operator fixed-point reference for larger n (it runs the baselines'
 TOS loop to a 1e-12 fixed point); the benchmark's
-``abs_err`` column reads them through ``reference_solution``.
+``abs_err`` column reads them through ``reference_solution``.  At a
+solution, ``nearest_zero`` reads the zero set of drt's splitting operator
+off kkt_check's multiplier interval, and with it the distance d0 that
+the paper's bounds take.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "estimate_beta_V",
     "reference_solution",
     "kkt_check",
+    "nearest_zero",
     "objective",
     "tau0_default",
 ]
@@ -199,6 +203,14 @@ def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
         return False
     if abs(float(inst.K @ z)) > tol * (1.0 + _norm(z)):
         return False
+    lower, upper = _multiplier_interval(inst, z, tol)
+    return lower <= upper
+
+
+def _multiplier_interval(inst: QpInstance, z: np.ndarray,
+                         tol: float) -> tuple[float, float]:
+    # the lam with -(Qz + e + lam*K^T) in N_X(z) to tol, as (lower, upper):
+    # empty when lower > upper, unbounded on a side no coordinate bounds
     w = inst.Q @ z + inst.e
     at_lo = z <= inst.lo + tol
     at_hi = z >= inst.hi - tol
@@ -207,7 +219,37 @@ def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
     pos = inst.K > 0                        # K is +/-1: negation is exact
     lower = np.where(pos, t_lo, -t_hi)
     upper = np.where(pos, t_hi, -t_lo)
-    return bool(lower.max() <= upper.min())
+    return float(lower.max()), float(upper.min())
+
+
+def nearest_zero(inst: QpInstance, x_star, gamma: float,
+                 z0) -> tuple[np.ndarray, float]:
+    """The zero of drt's splitting operator nearest z0 on x_star's segment.
+
+    At a solution x_star the zeros are z = x_star - gamma*lam*K, lam in
+    the multiplier interval of kkt_check at 1e-8, the tolerance that
+    reference_solution verifies to; that segment is the whole zero set
+    when x_star is the unique solution (Q definite) and a part of it
+    otherwise.  Returns (z, ||z0 - z||) in O(n) after one
+    product Q x_star: the distance d0 that the paper's bounds take, and an
+    upper bound on it when the solution is not unique.  x_star and z0 go
+    through the point rule; an x_star with an empty interval raises
+    ValueError.
+    """
+    x_star = _point(x_star, inst.n, "x_star")
+    z0 = _point(z0, inst.n, "z0")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
+    lower, upper = _multiplier_interval(inst, x_star, 1e-8)
+    if not lower <= upper:
+        raise ValueError(f"x_star has no multiplier to 1e-8: "
+                         f"[{lower!r}, {upper!r}] is empty")
+    # ||z0 - x_star + gamma*lam*K||^2 is a parabola in lam: its vertex,
+    # moved into the interval
+    lam = -float(inst.K.dot(z0 - x_star)) / (gamma * float(inst.K.dot(inst.K)))
+    lam = min(max(lam, lower), upper)
+    z = x_star - (gamma * lam) * inst.K
+    return z, _norm(z0 - z)
 
 
 def _kkt_enumerate(inst: QpInstance) -> np.ndarray:

@@ -16,19 +16,20 @@ import numpy as np
 import pytest
 
 from drsplit.bench import BenchSpec, initial_point, run_batch, summarize
-from drsplit.drs import NULL, DrsState, null_step_bounds, outer_certificates
+from drsplit.drs import DrsState, envelope, outer_certificates
 from drsplit.drt import delta_stop, drt_solve, tolerance_stop
-from drsplit.hpe import ergodic_bound, pointwise_bound, verify_hpe_inequality
+from drsplit.hpe import verify_hpe_inequality
 from drsplit.qp import (
     drt_problem,
     faces_instance,
     generate_instance,
+    nearest_zero,
     reference_solution,
 )
 from drsplit.baselines import run_baseline
 from drsplit.tseng import CertBlock, tseng_solve
-from oracles import (EnlargementTriple, box_qp_solve, drs_reference_zero,
-                     ergodic_prefix, transport_ergodic)
+from oracles import (EnlargementTriple, box_qp_solve, ergodic_prefix,
+                     transport_ergodic)
 
 SIGMA = 0.99
 THETA = 0.01
@@ -84,18 +85,19 @@ def _instrumented(family):
         inst, cfg, prob, z0 = _drt_setup(family, 10, seed)
         state = DrsState.initial(z0, cfg)
         drt_solve(prob, delta_stop(1e-6), state)
-        z_inf, d0 = drs_reference_zero(inst, cfg.gamma, z0)
+        z_inf, d0 = nearest_zero(inst, reference_solution(inst), cfg.gamma,
+                                 z0)
         x_box = box_qp_solve(inst.Q, -inst.e, inst.lo, inst.hi)
         d0b = float(np.linalg.norm(z0 - x_box))
         items.append(dict(cfg=cfg, state=state, z0=z0, z_inf=z_inf, d0=d0,
-                          d0b=d0b))
+                          d0b=d0b, envelope=envelope(state, cfg, d0)))
     return items, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def instrumented():
-    """Per family, 20 n=10 solves with full state plus their reference
-    constants."""
+    """Per family, 20 n=10 solves with full state, the zero nearest the
+    start and its distance d0, and drs.envelope's reading at d0."""
     return {family: _instrumented(family) for family in FAMILIES}
 
 
@@ -222,92 +224,37 @@ def _given_taus(state):
     return [state.tau0] + [t.tau for t in state.trace[:-1]]
 
 
+def _envelope_line(items, bound):
+    # drs.envelope's reading of one bound, over the logged runs
+    checks = [it["envelope"][bound] for it in items]
+    checked = sum(c.checked for c in checks)
+    violations = sum(c.violations for c in checks)
+    worst = np.max([c.worst for c in checks], axis=0)
+    late = np.max([c.late for c in checks], axis=0)
+    return (violations == 0 and checked > 0,
+            f"checks={checked} violations={violations} "
+            f"rho_ratio={worst[0]:#.2g} eps_ratio={worst[1]:#.2g} "
+            f"late_rho_ratio={late[0]:#.2g} late_eps_ratio={late[1]:#.2g}")
+
+
 def test_accept_06_pointwise_rate_envelope(instrumented):
     def check(family):
         items, elapsed = instrumented[family]
-        checked = 0
-        violations = 0
-        worst = np.zeros(2)
-        late = np.zeros(2)      # over the later half, j > J/2, of each run
-        for it in items:
-            state, cfg, d0 = it["state"], it["cfg"], it["d0"]
-            # (||v_i||, eps_i) of each outer certificate
-            rows = np.array([(np.linalg.norm(c.v), c.eps)
-                             for c in outer_certificates(state, cfg)])
-            J = len(rows)
-            for j in range(1, J + 1):
-                ratios = rows[:j] / pointwise_bound(d0, cfg.sigma, j)
-                checked += 1
-                best = ratios.min(axis=0)
-                worst = np.maximum(worst, best)
-                if 2 * j > J:
-                    late = np.maximum(late, best)
-                # both halves hold at one index i <= j
-                if ratios.max(axis=1).min() > 1 + 1e-10:
-                    violations += 1
-        return (violations == 0 and checked > 0 and elapsed < 60.0,
-                f"checks={checked} violations={violations} "
-                f"rho_ratio={worst[0]:#.2g} eps_ratio={worst[1]:#.2g} "
-                f"late_rho_ratio={late[0]:#.2g} "
-                f"late_eps_ratio={late[1]:#.2g} time={elapsed:.1f}s")
+        ok, detail = _envelope_line(items, "pointwise")
+        return ok and elapsed < 60.0, f"{detail} time={elapsed:.1f}s"
 
     _accept(6, "pointwise rate envelope", check)
 
 
 def test_accept_07_ergodic_rate_envelope(instrumented):
-    def check(family):
-        items, _ = instrumented[family]
-        checked = 0
-        violations = 0
-        worst = np.zeros(2)
-        late = np.zeros(2)      # over the later half, j > J/2, of each run
-        for it in items:
-            state, cfg, d0 = it["state"], it["cfg"], it["d0"]
-            g = cfg.gamma
-            J = state.n_extragradient
-            for j in range(1, J + 1):
-                e = ergodic_prefix(state, j)
-                rho, eps = ergodic_bound(d0, cfg.sigma, j)
-                ratios = np.array([g * float(np.linalg.norm(e.a + e.b)) / rho,
-                                   g * (e.eps_a + e.eps_b) / eps])
-                worst = np.maximum(worst, ratios)
-                if 2 * j > J:
-                    late = np.maximum(late, ratios)
-                checked += 1
-                violations += (ratios.max() > 1 + 1e-10
-                               or e.eps_a < -1e-10 or e.eps_b < -1e-10)
-        return (violations == 0 and checked > 0,
-                f"checks={checked} violations={violations} "
-                f"rho_ratio={worst[0]:#.2g} eps_ratio={worst[1]:#.2g} "
-                f"late_rho_ratio={late[0]:#.2g} "
-                f"late_eps_ratio={late[1]:#.2g}")
-
-    _accept(7, "ergodic rate envelope", check)
+    _accept(7, "ergodic rate envelope",
+            lambda family: _envelope_line(instrumented[family][0], "ergodic"))
 
 
 def test_accept_08_null_step_decay(instrumented):
-    def check(family):
-        items, _ = instrumented[family]
-        nulls = 0
-        violations = 0
-        worst_rho = worst_eps = 0.0
-        for it in items:
-            state, cfg = it["state"], it["cfg"]
-            for t, tau in zip(state.trace, _given_taus(state)):
-                if t.step == NULL:
-                    r_bound, e_bound = null_step_bounds(tau, cfg.sigma)
-                    r_ratio = t.residual / r_bound
-                    e_ratio = cfg.gamma * t.eps_b / e_bound
-                    worst_rho = max(worst_rho, r_ratio)
-                    worst_eps = max(worst_eps, e_ratio)
-                    nulls += 1
-                    if r_ratio > 1 + 1e-10 or e_ratio > 1 + 1e-10:
-                        violations += 1
-        return (violations == 0 and nulls > 0,
-                f"null_steps={nulls} violations={violations} "
-                f"rho_ratio={worst_rho:#.2g} eps_ratio={worst_eps:#.2g}")
-
-    _accept(8, "null step decay bounds", check)
+    _accept(8, "null step decay bounds",
+            lambda family: _envelope_line(instrumented[family][0],
+                                          "null-step"))
 
 
 def test_accept_09_inner_linear_decay(instrumented):

@@ -262,7 +262,8 @@ def test_trace_file_contents(tmp_path):
 
 def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
     # the first extragradient step of every solve moves z 1% too far; a, b,
-    # x and y still agree, so only the stored iterate shows the fault
+    # x and y still agree, so only the stored iterate shows the fault, and
+    # each instance becomes an error row with no trace block
     real = drt_module.drs_iterate
 
     def overshoot(state, cfg, bsolver, A):
@@ -273,28 +274,39 @@ def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
         return state
 
     monkeypatch.setattr(drt_module, "drs_iterate", overshoot)
-    with pytest.raises(InvariantViolation,
-                       match="^extragradient step 1: residual readings"):
-        run_batch(BenchSpec(n=20, instances=5), trace_path=tmp_path / "t")
+    records = run_batch(BenchSpec(n=20, instances=5), trace_path=tmp_path / "t")
+    assert [r.instance for r in records] == list(range(5))
+    for r in records:
+        assert r.error.startswith("InvariantViolation: extragradient step 1: "
+                                  "residual readings diverge")
+        assert math.isnan(r.time_s)
+    assert (tmp_path / "t").read_text() == ""
 
 
 def test_trace_cross_check_reads_the_trace_it_writes(monkeypatch, tmp_path):
-    # the second extragradient step's trace residual is off by 1%; the
-    # iterates and certificates are untouched, so only the trace shows it
+    # instance 1's second extragradient step has its trace residual off by
+    # 1%; the iterates and certificates are untouched, so only the trace
+    # shows it: that instance is an error row, and the trace holds the
+    # blocks of the others
     real = bench.run_single
 
     def misrecorded(spec, i):
         result = real(spec, i)
-        trace = result.state.trace
-        k = [j for j, t in enumerate(trace) if t.step == EXTRAGRADIENT][1]
-        trace[k] = trace[k]._replace(residual=1.01 * trace[k].residual)
+        if i == 1:
+            trace = result.state.trace
+            k = [j for j, t in enumerate(trace)
+                 if t.step == EXTRAGRADIENT][1]
+            trace[k] = trace[k]._replace(residual=1.01 * trace[k].residual)
         return result
 
     monkeypatch.setattr(bench, "run_single", misrecorded)
-    with pytest.raises(InvariantViolation,
-                       match="^extragradient step 2: residual readings"):
-        run_batch(BenchSpec(n=20, instances=2), trace_path=tmp_path / "t")
-    assert not (tmp_path / "t").exists()
+    records = run_batch(BenchSpec(n=20, instances=3), trace_path=tmp_path / "t")
+    assert [r.error is None for r in records] == [True, False, True]
+    assert records[1].error.startswith(
+        "InvariantViolation: extragradient step 2: residual readings diverge")
+    blocks = [line for line in (tmp_path / "t").read_text().splitlines()
+              if line.startswith("#")]
+    assert blocks == ["# instance 0", "# instance 2"]
 
 
 def test_trace_rewrite_replaces_the_file(tmp_path):

@@ -9,8 +9,10 @@ import pytest
 
 import drsplit.bench as bench
 import drsplit.cli as cli
+import drsplit.drt as drt_module
 from drsplit.bench import BenchSpec, read_records
 from drsplit.cli import build_parser, main
+from drsplit.drs import EXTRAGRADIENT
 from drsplit.errors import IterationBudgetExceeded
 
 
@@ -228,6 +230,53 @@ def test_failed_instance_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "(1 failed)" in captured.out
     assert "instance 0" in captured.err
+
+
+def _plant_a_small_d0(monkeypatch):
+    # d0/100: every run breaks the pointwise bound at its first step
+    real = bench.nearest_zero
+
+    def too_close(inst, x_star, gamma, z0):
+        z, d0 = real(inst, x_star, gamma, z0)
+        return z, d0 / 100
+
+    monkeypatch.setattr(bench, "nearest_zero", too_close)
+    return "extragradient step 1: the pointwise bound fails at d0="
+
+
+def _plant_an_overshoot(monkeypatch):
+    # the first extragradient step moves z 1% too far
+    real = drt_module.drs_iterate
+
+    def overshoot(state, cfg, bsolver, A):
+        z = state.z
+        real(state, cfg, bsolver, A)
+        if state.trace[-1].step == EXTRAGRADIENT and state.n_extragradient == 1:
+            state.z = z + 1.01 * (state.z - z)
+        return state
+
+    monkeypatch.setattr(drt_module, "drs_iterate", overshoot)
+    return "extragradient step 1: residual readings diverge"
+
+
+@pytest.mark.parametrize("plant", [_plant_a_small_d0, _plant_an_overshoot])
+def test_a_failed_trace_check_is_an_error_row_and_exits_two(
+        plant, monkeypatch, tmp_path, capsys):
+    # no traceback: each instance is an error row with its stderr line,
+    # --out is written, and the trace holds no block of a failed instance
+    message = plant(monkeypatch)
+    out, trace = tmp_path / "o.csv", tmp_path / "t"
+    rc = main(["--n", "20", "--instances", "3", "--out", str(out),
+               "--trace", str(trace)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "(3 failed)" in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    for i, line in enumerate(lines):
+        assert line.startswith(f"instance {i}: InvariantViolation: {message}")
+    assert [r.error for r in read_records(out)] == ["error row"] * 3
+    assert trace.read_text() == ""
 
 
 def test_closed_stdout_exits_three_and_writes_the_outputs(tmp_path):

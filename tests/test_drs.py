@@ -15,6 +15,7 @@ from drsplit.drs import (
     check_termination,
     drs_ergodic,
     drs_iterate,
+    envelope,
     null_step_bounds,
     outer_certificates,
 )
@@ -24,11 +25,12 @@ from drsplit.errors import (
     IterationBudgetExceeded,
     StateError,
 )
-from drsplit.hpe import verify_hpe_inequality
+from drsplit.hpe import ergodic_bound, pointwise_bound, verify_hpe_inequality
 from drsplit.operators import NullspaceNormalCone, SplittableOperator
 from drsplit.bench import initial_point
-from drsplit.drt import delta_stop
-from drsplit.qp import drt_problem, faces_instance, generate_instance
+from drsplit.drt import delta_stop, drt_solve
+from drsplit.qp import (drt_problem, faces_instance, generate_instance,
+                        nearest_zero, reference_solution)
 from drsplit.tseng import tseng_solve
 from oracles import AffineMonotone, BoxAffineSum, ergodic_prefix, exact_bsolver
 
@@ -474,6 +476,88 @@ def test_null_step_bounds_rejects_bad_arguments(args):
     # (nan, nan)
     with pytest.raises(ValueError, match="^tau must be positive"):
         null_step_bounds(*args)
+
+
+def _logged_run(family, n, definite, seed):
+    # a seeded drt run with the distance d0 from its start to the zero set
+    inst = family(n, definite, seed)
+    z0 = initial_point(n, seed)
+    prob = drt_problem(inst, z0, tol=1e-6)
+    state = DrsState.initial(z0, prob.cfg)
+    drt_solve(prob, delta_stop(1e-6), state)
+    _, d0 = nearest_zero(inst, reference_solution(inst), prob.cfg.gamma, z0)
+    return state, prob.cfg, d0
+
+
+def _hand_envelope(state, cfg, d0):
+    # the worst ratio per half of each bound, as ACCEPT 06-08 once looped
+    # over a run by hand
+    g, J = cfg.gamma, state.n_extragradient
+    rows = np.array([(np.linalg.norm(c.v), c.eps)
+                     for c in outer_certificates(state, cfg)])
+    pointwise, ergodic = np.zeros(2), np.zeros(2)
+    for j in range(1, J + 1):
+        ratios = rows[:j] / pointwise_bound(d0, cfg.sigma, j)
+        pointwise = np.maximum(pointwise, ratios.min(axis=0))
+        e = ergodic_prefix(state, j)
+        rho, eps = ergodic_bound(d0, cfg.sigma, j)
+        ergodic = np.maximum(ergodic, [g * np.linalg.norm(e.a + e.b) / rho,
+                                       g * (e.eps_a + e.eps_b) / eps])
+    null = np.zeros(2)
+    given = [state.tau0] + [t.tau for t in state.trace[:-1]]
+    for t, tau in zip(state.trace, given):
+        if t.step == NULL:
+            r, e = null_step_bounds(tau, cfg.sigma)
+            null = np.maximum(null, [t.residual / r, g * t.eps_b / e])
+    return {"pointwise": pointwise, "ergodic": ergodic, "null-step": null}
+
+
+@pytest.mark.parametrize("family", [generate_instance, faces_instance])
+def test_envelope_reads_what_the_hand_loops_read(family):
+    state, cfg, d0 = _logged_run(family, 10, True, 3)
+    env = envelope(state, cfg, d0)
+    assert list(env) == ["pointwise", "ergodic", "null-step"]
+    J, nulls = state.n_extragradient, state.beta
+    assert [c.checked for c in env.values()] == [J, J, nulls]
+    assert [c.violations for c in env.values()] == [0, 0, 0]
+    assert [c.first for c in env.values()] == [0, 0, 0]
+    for bound, want in _hand_envelope(state, cfg, d0).items():
+        assert env[bound].worst == tuple(want)
+        assert 0 < min(env[bound].worst) and max(env[bound].worst) <= 1
+        assert all(late <= worst for late, worst in
+                   zip(env[bound].late, env[bound].worst))
+
+
+def test_envelope_reports_a_planted_violation():
+    # d0/100 shrinks the pointwise and ergodic bounds 100 and 10^4 times,
+    # so the run breaks them from its first extragradient step on; the
+    # null-step bounds take tau, not d0, and do not move
+    state, cfg, d0 = _logged_run(generate_instance, 10, True, 3)
+    fair, planted = envelope(state, cfg, d0), envelope(state, cfg, d0 / 100)
+    for bound in ("pointwise", "ergodic"):
+        check = planted[bound]
+        assert check.violations > 0 and check.first == 1
+        assert max(check.worst) > 1
+    assert planted["null-step"] == fair["null-step"]
+
+
+def test_envelope_at_d0_zero_holds_only_for_zero_rows():
+    # from a start on the zero set (n = 1, z0 = -10: the paper optimum 0
+    # with lam*K >= -1), the one extragradient step has v = 0 exactly
+    # and meets bounds of 0; a row of 0.5 does not, and reads inf
+    state, cfg, d0 = _logged_run(generate_instance, 1, True, 2)
+    assert d0 == 0.0
+    env = envelope(state, cfg, 0.0)
+    assert env["pointwise"].violations == env["ergodic"].violations == 0
+    state.hist_b[0] = state.hist_b[0] + 0.5 / cfg.gamma
+    check = envelope(state, cfg, 0.0)["pointwise"]
+    assert check.violations == 1 and check.worst[0] == np.inf
+
+
+@pytest.mark.parametrize("d0", [-1.0, float("nan"), float("inf")])
+def test_envelope_rejects_a_bad_d0(d0):
+    with pytest.raises(ValueError, match="^d0 must be >= 0 and finite"):
+        envelope(DrsState(np.zeros(2), 1.0), _cfg(), d0)
 
 
 def test_a_collapsed_ladder_is_a_typed_error():

@@ -21,8 +21,6 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(drsplit.__path__))
 # exports that no library code calls, each with the change that gives it
 # a caller (ROADMAP items)
 UNCALLED_EXPORTS = {
-    **dict.fromkeys(["pointwise_bound", "ergodic_bound", "null_step_bounds"],
-                    "item 15's rate envelope on recorded runs"),
     "tolerance_stop": "item 10's stop rule on the paper's tolerances",
     "verify_hpe_inequality": "perfbench's certificate replay, until item 1a",
     "faces_instance": "item 6's faces family in drsplit-bench",

@@ -17,6 +17,7 @@ from drsplit.errors import OracleFailure
 from drsplit.operators import BoxNormalCone, CocoerciveMap, NullspaceNormalCone
 from drsplit.qp import (
     QpInstance,
+    _multiplier_interval,
     _tos_reference,
     drt_problem,
     estimate_beta_V,
@@ -24,6 +25,7 @@ from drsplit.qp import (
     faces_instance,
     generate_instance,
     kkt_check,
+    nearest_zero,
     objective,
     qp_operators,
     reference_solution,
@@ -544,6 +546,12 @@ def _kkt_check_loop(inst, z, tol):
         return False
     if abs(float(inst.K @ z)) > tol * (1.0 + float(np.linalg.norm(z))):
         return False
+    lam_lo, lam_hi = _multiplier_loop(inst, z, tol)
+    return lam_lo <= lam_hi
+
+
+def _multiplier_loop(inst, z, tol):
+    # the multiplier interval of _kkt_check_loop, coordinate by coordinate
     w = inst.Q @ z + inst.e
     lam_lo, lam_hi = -np.inf, np.inf
     for i in range(z.size):
@@ -568,7 +576,7 @@ def _kkt_check_loop(inst, z, tol):
             else:
                 lam_lo = max(lam_lo, -c - tol)
                 lam_hi = min(lam_hi, -c + tol)
-    return lam_lo <= lam_hi
+    return float(lam_lo), float(lam_hi)
 
 
 def test_kkt_check_verdicts_equal_the_coordinate_loop():
@@ -593,6 +601,9 @@ def test_kkt_check_verdicts_equal_the_coordinate_loop():
                         [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * tol
                 want = bool(_kkt_check_loop(inst, z, tol))
                 assert kkt_check(inst, z, tol) == want
+                # the interval kkt_check tests, bound for bound
+                assert _multiplier_interval(inst, z, tol) == \
+                    _multiplier_loop(inst, z, tol)
                 verdicts.append(want)
     assert 0.2 < np.mean(verdicts) < 0.8
 
@@ -690,6 +701,73 @@ def test_drs_reference_zero_is_fixed_point():
     y = project_nullspace(inst.K, 2.0 * x - z_inf)
     z_next = z_inf + y - x
     assert np.linalg.norm(z_next - z_inf) < 1e-10
+
+
+def test_nearest_zero_against_the_reference_zero():
+    # 40 n=10 instances, both families and both kinds of Q: the segment's
+    # d0 is never larger than the distance to the one zero that the
+    # exact-resolvent run reaches, and where the multiplier is unique to
+    # 1e-6 (the segment is nearly a point) both agree to 1e-7
+    narrow = 0
+    for family in (generate_instance, faces_instance):
+        for definite in (True, False):
+            for seed in range(10):
+                inst = family(10, definite, seed)
+                z0 = initial_point(10, seed)
+                gamma = drt_problem(inst, z0, tol=1e-6).cfg.gamma
+                x_star = reference_solution(inst)
+                z, d0 = nearest_zero(inst, x_star, gamma, z0)
+                z_inf, d_ref = drs_reference_zero(inst, gamma, z0)
+                assert d0 <= d_ref + 1e-12
+                lower, upper = _multiplier_interval(inst, x_star, 1e-8)
+                if upper - lower < 1e-6:
+                    narrow += 1
+                    assert d_ref - d0 <= 1e-7
+                    assert np.linalg.norm(z - z_inf) <= 1e-7
+    assert narrow >= 19
+
+
+def test_nearest_zero_on_hand_examples():
+    # interior optimum (4, 4) with w = Qx + e = 0: lam = 0 is the only
+    # multiplier (to 1e-8), so the zero set is the point x* itself
+    inst = _manual_instance(np.eye(2), [-4.0, -4.0], [1.0, -1.0])
+    z, d0 = nearest_zero(inst, [4.0, 4.0], 0.5, [7.0, 0.0])
+    assert_allclose(z, [4.0, 4.0], atol=1e-8)
+    assert d0 == pytest.approx(5.0, abs=1e-8)
+    # the paper family's optimum 0 sits on the lower face with w = e = 1,
+    # so lam*K_i >= -1 - tol (tol = 1e-8) for every i and lam spans
+    # [-1 - tol, 1 + tol] when K has both signs; z = -gamma*lam*K, and the nearest point
+    # clips the parabola's vertex -K.z0/(gamma*n) to that interval
+    inst = _manual_instance(np.eye(3), [1.0, 1.0, 1.0], [1.0, -1.0, 1.0])
+    gamma, tol = 0.5, 1e-8
+    for z0, lam in (([0.1, 0.0, 0.2], -0.2), ([30.0, 0.0, 0.0], -1 - tol),
+                    ([0.0, 30.0, 0.0], 1 + tol)):
+        z, d0 = nearest_zero(inst, np.zeros(3), gamma, z0)
+        assert_allclose(z, -gamma * lam * inst.K, rtol=1e-15)
+        assert d0 == pytest.approx(np.linalg.norm(np.asarray(z0) - z),
+                                   rel=1e-15)
+    # the returned point is a zero: one exact splitting step keeps it, to
+    # the 1e-8 that the interval is read at
+    inst = generate_instance(6, True, 41)
+    z, _ = nearest_zero(inst, reference_solution(inst), 0.5, np.full(6, 5.0))
+    B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
+    x = B.resolvent(0.5, z)
+    y = inst.A.resolvent(0.5, 2.0 * x - z)
+    assert np.linalg.norm(y - x) < 1e-7
+
+
+def test_nearest_zero_rejects_bad_arguments():
+    inst = _manual_instance(np.eye(2), [-4.0, -4.0], [1.0, -1.0])
+    for gamma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            nearest_zero(inst, [4.0, 4.0], gamma, [0.0, 0.0])
+    # (5, 5) is feasible but not optimal: no multiplier, no segment
+    with pytest.raises(ValueError, match="no multiplier"):
+        nearest_zero(inst, [5.0, 5.0], 0.5, [0.0, 0.0])
+    with pytest.raises(ValueError, match="^x_star must have length 2"):
+        nearest_zero(inst, [4.0], 0.5, [0.0, 0.0])
+    with pytest.raises(ValueError, match="^z0 contains non-finite"):
+        nearest_zero(inst, [4.0, 4.0], 0.5, [0.0, float("nan")])
 
 
 def test_tau0_default_formula():

@@ -281,36 +281,42 @@ def drs_ergodic(state: DrsState) -> Quadruple:
 
     eps_a_bar = (1/j) sum <y_l - ybar, a_l>;
     eps_b_bar = (1/j) sum (eps_b_l + <x_l - xbar, b_l>).
-    Both are >= 0 up to round-off (transported enlargements).
+    Both are >= 0 up to round-off (transported enlargements).  Read from
+    whole-history sums, they are envelope's last prefix (exactly if n > 1).
     """
-    j = state.n_extragradient
-    if j < 1:
+    if state.n_extragradient < 1:
         raise StateError("no extragradient steps taken yet")
-    ybar, abar, eps_a_bar = _ergodic_average(
-        state.hist_y, state.hist_a, np.zeros(j))
-    xbar, bbar, eps_b_bar = _ergodic_average(
-        state.hist_x, state.hist_b, state.hist_eps_b)
-    return Quadruple(xbar, ybar, abar, bbar, eps_a_bar, eps_b_bar)
+    (ybar, abar, eps_a), (xbar, bbar, eps_b) = _ergodic_averages(state, False)
+    return Quadruple(xbar, ybar, abar, bbar, float(eps_a), float(eps_b))
 
 
-def _ergodic_average(zs, vs, eps) -> tuple[np.ndarray, np.ndarray, float]:
-    # (zbar, vbar, ebar) in the expanded correction form
-    # ebar = (1/j) sum_l (eps_l + <z_l - zbar, v_l>); ebar >= 0 up to
-    # round-off when each v_l lies in T^{eps_l}(z_l), so a clearly
-    # negative value raises, and so does NaN
-    Z = np.array(zs)
-    V = np.array(vs)
-    eps = np.asarray(eps, dtype=float)
-    j = len(Z)
-    zbar = Z.sum(axis=0) / j
-    vbar = V.sum(axis=0) / j
-    corr = np.einsum("ij,ij->i", Z - zbar, V)
-    ebar = float((eps + corr).sum()) / j
-    scale = float((np.abs(eps) + np.abs(corr)).sum()) / j
-    if not ebar >= -slack(scale):
-        raise InvariantViolation(
-            f"negative or NaN ergodic enlargement: {ebar}")
-    return zbar, vbar, max(ebar, 0.0)
+def _ergodic_averages(state: DrsState, every_prefix: bool):
+    # (zbar, vbar, ebar) of A's triples (y_l, a_l, 0), then B's (x_l, b_l,
+    # eps_b_l), over the history or per prefix j, from sums: S_z/j, S_v/j,
+    # (S_e - <S_z, S_v>/j)/j with S_e = sum (eps_l + <z_l, v_l>), that is
+    # (1/j) sum (eps_l + <z_l - zbar, v_l>), >= 0 to round-off at the scale
+    # S_m of its terms; NaN or less raises, naming the first such prefix.
+    # Z.sum(axis=0) is Z.cumsum(axis=0)[-1] bit for bit for 2+ columns
+    J, n = state.n_extragradient, state.z.size
+    j = np.arange(1.0, J + 1) if every_prefix else np.array(float(J))
+    for zs, vs, eps in ((state.hist_y, state.hist_a, 0.0),
+                        (state.hist_x, state.hist_b, state.hist_eps_b)):
+        Z, V = np.array(zs).reshape(J, n), np.array(vs).reshape(J, n)
+        zv = np.einsum("ij,ij->i", Z, V)
+        S_e, S_m = (eps + zv).cumsum(), (np.abs(eps) + np.abs(zv)).cumsum()
+        S_z, S_v, S_e, S_m = (
+            (Z.cumsum(axis=0), V.cumsum(axis=0), S_e, S_m) if every_prefix
+            else (Z.sum(axis=0), V.sum(axis=0), S_e[-1], S_m[-1]))
+        del Z, V        # before the next side's stacks: half the peak memory
+        zv = np.einsum("...i,...i->...", S_z, S_v) / j
+        ebar = (S_e - zv) / j
+        ok = ebar >= -slack((S_m + np.abs(zv)) / j)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InvariantViolation(
+                f"prefix {int(np.ravel(j)[i])}: negative or NaN ergodic "
+                f"enlargement: {np.ravel(ebar)[i]}")
+        yield S_z / j[..., None], S_v / j[..., None], np.maximum(ebar, 0.0)
 
 
 def outer_certificates(state: DrsState,
@@ -350,10 +356,9 @@ class BoundCheck(NamedTuple):
     checked counts the rows, violations those whose observed value exceeds
     its bound by more than a relative 1e-10 (NaN included), and first is
     the index of the first violating row (j, or a null step's outer step
-    k), 0 when none.  worst is the
-    largest ratio of observed value to bound for each half, (residual,
-    eps), and late the same over the later half of the run; both are 0
-    without rows.
+    k), 0 when none.  worst is the largest ratio of observed value to
+    bound for each half, (residual, eps), and late the same over the
+    later half of the run; both are 0 without rows.
     """
 
     checked: int
@@ -373,69 +378,60 @@ def envelope(state: DrsState, cfg: DrsConfig,
     - "pointwise": a row per extragradient index j = 1..J, which holds
       when some step i <= j of outer_certificates has ||v_i|| and eps_i
       both within pointwise_bound(d0, sigma, j); its ratio per half is
-      that of the best i <= j; late is over j > J/2;
+      that of the best i <= j;
     - "ergodic": a row per prefix j, the uniform averages of the first j
-      steps, gamma*||abar + bbar|| and gamma*(eps_a_bar + eps_b_bar)
-      against ergodic_bound(d0, sigma, j); late is over j > J/2;
+      steps (drs_ergodic's, from prefix sums), gamma*||abar + bbar|| and
+      gamma*(eps_a_bar + eps_b_bar) against ergodic_bound(d0, sigma, j);
+      a negative or NaN averaged enlargement raises InvariantViolation
+      naming its prefix j;
     - "null-step": a row per null step, indexed by its outer step k, its
       residual and gamma*eps_b against null_step_bounds at the tau its
-      B-solve was given; late is over k > state.k/2.
-    O(J^2 n): the prefix averages are formed anew for each j, by
-    drs_ergodic's kernel, so a negative averaged enlargement raises
-    InvariantViolation here too.
+      B-solve was given.
     """
     if not 0 <= d0 < math.inf:
         raise ValueError("d0 must be >= 0 and finite")
-    gamma, sigma = cfg.gamma, cfg.sigma
-    J = state.n_extragradient
-    # each row: (index, in the later half, ratio per half, level), and
-    # the row holds while level <= 1 + 1e-10
-    pointwise, ergodic, null = [], [], []
-    certs = np.array([(_norm(c.v), c.eps)
-                      for c in outer_certificates(state, cfg)]).reshape(J, 2)
-    for j in range(1, J + 1):
-        ratios = _ratio(certs[:j], pointwise_bound(d0, sigma, j))
-        # both halves at one index i <= j, as the theorem states
-        pointwise.append((j, 2 * j > J, ratios.min(axis=0),
-                          ratios.max(axis=1).min()))
-        _, abar, eps_a = _ergodic_average(state.hist_y[:j], state.hist_a[:j],
-                                          np.zeros(j))
-        _, bbar, eps_b = _ergodic_average(state.hist_x[:j], state.hist_b[:j],
-                                          state.hist_eps_b[:j])
-        ratios = _ratio((gamma * _norm(abar + bbar), gamma * (eps_a + eps_b)),
-                        ergodic_bound(d0, sigma, j))
-        ergodic.append((j, 2 * j > J, ratios, ratios.max()))
-    # the tau each B-solve was given: the state's own start, then the tau
-    # the step before it left
+    gamma, sigma, J = cfg.gamma, cfg.sigma, state.n_extragradient
+    js = np.arange(1, J + 1)
+    obs = np.array([(_norm(c.v), c.eps)
+                    for c in outer_certificates(state, cfg)]).reshape(J, 2)
+    bound, ergodic_bounds = np.array([
+        (pointwise_bound(d0, sigma, j), ergodic_bound(d0, sigma, j))
+        for j in range(1, J + 1)]).reshape(J, 2, 2).transpose(1, 0, 2)
+    # both halves at one index i <= j, as the theorem states, 64 rows j at
+    # a time (memory O(J)); per half, the best i <= j is the running minimum
+    level = np.empty(J)
+    for lo in range(0, J, 64):
+        larger = np.maximum(*_ratio(obs.T[:, None],
+                                    bound[lo:lo + 64].T[..., None]))
+        level[lo:lo + 64] = np.where(js[lo:lo + 64, None] > np.arange(J),
+                                     larger, np.inf).min(axis=1)
+    pointwise = _bound_check(js, J, np.minimum.accumulate(obs), bound, level)
+    (_, abar, eps_a), (_, bbar, eps_b) = _ergodic_averages(state, True)
+    v = abar + bbar
+    ergodic = _bound_check(js, J, gamma * np.column_stack((
+        np.sqrt(np.einsum("ij,ij->i", v, v)), eps_a + eps_b)), ergodic_bounds)
+    # the tau each B-solve was given: tau0, then the one the step before left
     given = [state.tau0] + [t.tau for t in state.trace[:-1]]
-    for t, tau in zip(state.trace, given):
-        if t.step == NULL:
-            ratios = _ratio((t.residual, gamma * t.eps_b),
-                            null_step_bounds(tau, sigma))
-            null.append((t.k, 2 * t.k > state.k, ratios, ratios.max()))
-    return {"pointwise": _bound_check(pointwise),
-            "ergodic": _bound_check(ergodic),
-            "null-step": _bound_check(null)}
+    null = np.reshape([(t.k, t.residual, gamma * t.eps_b,
+                        *null_step_bounds(tau, sigma))
+                       for t, tau in zip(state.trace, given)
+                       if t.step == NULL], (-1, 5))
+    return {"pointwise": pointwise, "ergodic": ergodic, "null-step":
+            _bound_check(null[:, 0], state.k, null[:, 1:3], null[:, 3:])}
 
 
 def _ratio(observed, bound) -> np.ndarray:
     # observed / bound, where 0/0 is 0: a zero bound met exactly
-    observed = np.asarray(observed, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(observed == 0, 0.0, observed / np.asarray(bound))
+        return np.where(observed == 0, 0.0, observed / bound)
 
 
-def _bound_check(rows) -> BoundCheck:
-    worst = late = np.zeros(2)
-    first = violations = 0
-    for index, in_late, ratios, level in rows:
-        worst = np.maximum(worst, ratios)
-        if in_late:
-            late = np.maximum(late, ratios)
-        # written so that NaN fails
-        if not level <= 1 + 1e-10:
-            violations += 1
-            first = first or index
-    return BoundCheck(len(rows), violations, first,
-                      (float(worst[0]), float(worst[1])),
-                      (float(late[0]), float(late[1])))
+def _bound_check(index, total, observed, bound, level=None) -> BoundCheck:
+    # row r reads the bound at index[r] of total and holds while its level,
+    # by default its larger ratio, is <= 1 + 1e-10 (written so NaN fails)
+    ratios = _ratio(observed, bound)
+    bad = ~((np.maximum(*ratios.T) if level is None else level) <= 1 + 1e-10)
+    worst, late = (tuple(ratios[rows].max(axis=0, initial=0.0).tolist())
+                   for rows in (slice(None), 2 * index > total))
+    return BoundCheck(len(index), int(np.count_nonzero(bad)),
+                      int(next(iter(index[bad]), 0)), worst, late)

@@ -2,8 +2,9 @@
 
 Step certificates for the relative-error proximal condition and the
 pointwise and ergodic complexity bounds, at the lam = 1 of the outer
-embedding, which drs.envelope checks over a run.  The ergodic averages
-themselves are formed by drs.drs_ergodic.
+embedding, which drs.envelope checks over a run.  drs reads the ergodic
+averages from sums, ebar = (S_e - <S_z, S_v>/j)/j with S_e = sum (eps_l
++ <z_l, v_l>), over a whole run (drs_ergodic) or each prefix (envelope).
 """
 
 from __future__ import annotations

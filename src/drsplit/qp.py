@@ -169,7 +169,9 @@ def drt_problem(inst: QpInstance, z0, *, tol: float, sigma: float = 0.99,
     values.  gamma = 2*sigma^2/||Q|| and both stop rules read
     gamma*||a+b||, so a small sigma stops far from the optimum: on the
     paper family at n=20, sigma=1e-4 stops with x 19 to 26 away from it,
-    sigma=0.01 reaches max_iter and sigma=0.1 converges."""
+    sigma=0.01 reaches max_iter and sigma=0.1 converges.  A tiny ||Q||
+    puts the zeros x* - gamma*lam*K about gamma*|lam| away: on
+    faces_instance(1, False, 7), gamma = 1.3e6 and drt_solve hits max_iter."""
     qp_operators(inst)                  # rejects Q = 0
     tau0 = tau0_default(inst, z0)
     cfg = DrsConfig(float(gamma_max(inst.eta, 0.0, sigma)), sigma, theta,

@@ -13,6 +13,7 @@ from drsplit.drs import (
     DrsState,
     Quadruple,
     check_termination,
+    _ergodic_averages,
     drs_ergodic,
     drs_iterate,
     envelope,
@@ -32,7 +33,8 @@ from drsplit.drt import delta_stop, drt_solve
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
                         nearest_zero, reference_solution)
 from drsplit.tseng import tseng_solve
-from oracles import AffineMonotone, BoxAffineSum, ergodic_prefix, exact_bsolver
+from oracles import (AffineMonotone, BoxAffineSum, EnlargementTriple,
+                     ergodic_prefix, exact_bsolver, transport_ergodic)
 
 
 def _cfg(**kw):
@@ -491,7 +493,9 @@ def _logged_run(family, n, definite, seed):
 
 def _hand_envelope(state, cfg, d0):
     # the worst ratio per half of each bound, as ACCEPT 06-08 once looped
-    # over a run by hand
+    # over a run by hand; each prefix average is the transportation
+    # formula's (oracles.transport_ergodic at uniform weights, centered
+    # weighted sums), not the library's expanded form from sums
     g, J = cfg.gamma, state.n_extragradient
     rows = np.array([(np.linalg.norm(c.v), c.eps)
                      for c in outer_certificates(state, cfg)])
@@ -499,10 +503,14 @@ def _hand_envelope(state, cfg, d0):
     for j in range(1, J + 1):
         ratios = rows[:j] / pointwise_bound(d0, cfg.sigma, j)
         pointwise = np.maximum(pointwise, ratios.min(axis=0))
-        e = ergodic_prefix(state, j)
+        w = np.full(j, 1.0 / j)
+        a = transport_ergodic(map(EnlargementTriple, state.hist_y[:j],
+                                  state.hist_a[:j], np.zeros(j)), w)
+        b = transport_ergodic(map(EnlargementTriple, state.hist_x[:j],
+                                  state.hist_b[:j], state.hist_eps_b[:j]), w)
         rho, eps = ergodic_bound(d0, cfg.sigma, j)
-        ergodic = np.maximum(ergodic, [g * np.linalg.norm(e.a + e.b) / rho,
-                                       g * (e.eps_a + e.eps_b) / eps])
+        ergodic = np.maximum(ergodic, [g * np.linalg.norm(a.v + b.v) / rho,
+                                       g * (a.eps + b.eps) / eps])
     null = np.zeros(2)
     given = [state.tau0] + [t.tau for t in state.trace[:-1]]
     for t, tau in zip(state.trace, given):
@@ -512,9 +520,13 @@ def _hand_envelope(state, cfg, d0):
     return {"pointwise": pointwise, "ergodic": ergodic, "null-step": null}
 
 
-@pytest.mark.parametrize("family", [generate_instance, faces_instance])
-def test_envelope_reads_what_the_hand_loops_read(family):
-    state, cfg, d0 = _logged_run(family, 10, True, 3)
+@pytest.mark.parametrize("run", [
+    (generate_instance, 10, True, 3), (faces_instance, 10, True, 3),
+    (faces_instance, 100, False, 7),
+], ids=["generate_instance", "faces_instance", "faces-n100-semidefinite-7"])
+def test_envelope_reads_what_the_hand_loops_read(run):
+    # the last run is faces at benchmark size, with J = 291 prefixes
+    state, cfg, d0 = _logged_run(*run)
     env = envelope(state, cfg, d0)
     assert list(env) == ["pointwise", "ergodic", "null-step"]
     J, nulls = state.n_extragradient, state.beta
@@ -522,10 +534,61 @@ def test_envelope_reads_what_the_hand_loops_read(family):
     assert [c.violations for c in env.values()] == [0, 0, 0]
     assert [c.first for c in env.values()] == [0, 0, 0]
     for bound, want in _hand_envelope(state, cfg, d0).items():
-        assert env[bound].worst == tuple(want)
+        # the pointwise and null-step rows are the hand loop's bit for
+        # bit; the ergodic ones agree to round-off
+        if bound == "ergodic":
+            assert_allclose(env[bound].worst, want, rtol=1e-12, atol=0)
+        else:
+            assert env[bound].worst == tuple(want)
         assert 0 < min(env[bound].worst) and max(env[bound].worst) <= 1
         assert all(late <= worst for late, worst in
                    zip(env[bound].late, env[bound].worst))
+
+
+@pytest.mark.parametrize("run", [
+    (generate_instance, 10, True, 3), (faces_instance, 100, False, 7),
+], ids=["paper", "faces-n100-semidefinite-7"])
+def test_every_prefix_average_is_drs_ergodic_of_that_prefix(run):
+    # envelope's prefix averages (the kernel on the prefix sums of one
+    # stack) are drs_ergodic's on each prefix bit for bit, the last one
+    # drs_ergodic's on the whole run
+    state, _, _ = _logged_run(*run)
+    J = state.n_extragradient
+    (y, a, eps_a), (x, b, eps_b) = _ergodic_averages(state, True)
+    assert len(x) == J >= 8
+    for j, want in [(J, drs_ergodic(state))] + [
+            (j, ergodic_prefix(state, j)) for j in range(1, J)]:
+        got = (x[j - 1], y[j - 1], a[j - 1], b[j - 1], eps_a[j - 1],
+               eps_b[j - 1])
+        for g, w in zip(got, want):
+            assert_array_equal(g, w)
+
+
+def test_envelope_raises_on_a_bad_history_naming_its_prefix():
+    # a NaN enlargement at step 3, and an anti-monotone B history (b
+    # falls where x rises at step 3), make the averaged enlargement of
+    # prefix 3 NaN or clearly negative; drs_ergodic reads the same formula
+    state, cfg, d0 = _logged_run(generate_instance, 10, True, 3)
+    state.hist_eps_b[2] = float("nan")
+    with pytest.raises(InvariantViolation,
+                       match=r"^prefix 3: negative or NaN ergodic "
+                             r"enlargement: nan$"):
+        envelope(state, cfg, d0)
+    with pytest.raises(InvariantViolation, match="NaN"):
+        drs_ergodic(state)
+    state = DrsState(np.zeros(1), 1.0)
+    state.hist_z_prev = state.hist_y = state.hist_a = [np.zeros(1)] * 3
+    state.hist_x = [np.array([0.0]), np.array([0.0]), np.array([1.0])]
+    state.hist_b = [np.array([1.0]), np.array([1.0]), np.array([-1.0])]
+    state.hist_eps_b = [0.0, 0.0, 0.0]
+    with pytest.raises(InvariantViolation,
+                       match=r"^prefix 3: negative or NaN ergodic "
+                             r"enlargement: -0\.44"):
+        envelope(state, _cfg(), 1.0)
+    with pytest.raises(InvariantViolation, match="^prefix 3: "):
+        drs_ergodic(state)
+    # the first two steps alone are a monotone history
+    assert ergodic_prefix(state, 2).eps_b == 0.0
 
 
 def test_envelope_reports_a_planted_violation():

@@ -176,6 +176,27 @@ def test_tolerance_stop_falls_back_to_the_ergodic_average():
     assert not stop(state(0.0, steps=0))
 
 
+def test_a_tiny_q_ends_in_the_budget_error_not_a_wrong_answer():
+    # faces semidefinite n = 1, seed 7: ||Q|| = 1.5e-6 makes gamma =
+    # 2*sigma^2/||Q|| = 1.3e6, and the zero set z* = x* - gamma*lam*K lies
+    # 8.6e6 from the start; each extragradient step moves z by the box's
+    # half width, 5, so the run ends in the typed budget error at
+    # max_iter with z finite near -5e4, never in a NaN or a converged
+    # record
+    inst = faces_instance(1, False, 7)
+    z0 = initial_point(1, 7)
+    prob = drt_problem(inst, z0, tol=1e-6)
+    assert prob.cfg.gamma > 1e6
+    state = DrsState.initial(z0, prob.cfg)
+    with pytest.raises(IterationBudgetExceeded,
+                       match=r"^max_iter=10000 reached$"):
+        drt_solve(prob, delta_stop(1e-6), state)
+    assert state.k == prob.cfg.max_iter == 10000
+    assert np.isfinite(state.z).all() and -5.1e4 < state.z[0] < -4.9e4
+    assert [t.residual for t in state.trace[-10:]] == pytest.approx(
+        [5.0] * 10, rel=1e-12)
+
+
 def test_delta_stop_ignores_null_steps():
     inst, p, z0 = _problem(n=6, seed=11)
     state = DrsState.initial(z0, p.cfg)

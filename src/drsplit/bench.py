@@ -99,11 +99,7 @@ def initial_point(n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng([1, seed])
     z = rng.standard_normal(n)
-    nrm = _norm(z)
-    if nrm < 1e-8:  # essentially impossible; keep the start well scaled
-        z = np.ones(n)
-        nrm = float(np.sqrt(n))
-    return (10.0 * np.sqrt(n) / nrm) * z
+    return (10.0 * np.sqrt(n) / _norm(z)) * z
 
 
 @dataclass

@@ -337,17 +337,18 @@ def outer_certificates(state: DrsState,
                 state.hist_eps_b)]
 
 
-def null_step_bounds(tau: float, sigma: float) -> tuple[float, float]:
+def null_step_bounds(tau, sigma: float) -> tuple:
     """Upper bounds valid at a null step whose B-solve was given tau.
 
     tau is state.tau0 for the first step and the previous trace record's
     tau after it.  Returns ((1 + 1/sigma) * sqrt(tau), tau / 2) bounding
-    the residual ||x - y|| and gamma*eps_b respectively.
+    the residual ||x - y|| and gamma*eps_b; an array of tau gives arrays.
     """
+    tau = np.asarray(tau, dtype=float)
     # written so that NaN fails
-    if not (0 < tau < math.inf and 0 < sigma < 1):
+    if not (np.all((0 < tau) & (tau < math.inf)) and 0 < sigma < 1):
         raise ValueError("tau must be positive and finite and sigma in (0, 1)")
-    return (1.0 + 1.0 / sigma) * math.sqrt(tau), tau / 2.0
+    return (1.0 + 1.0 / sigma) * np.sqrt(tau), tau / 2.0
 
 
 class BoundCheck(NamedTuple):
@@ -374,7 +375,8 @@ def envelope(state: DrsState, cfg: DrsConfig,
 
     d0 >= 0 is the distance from the run's start to the zero set of the
     splitting operator (an upper bound on it serves); a bound that reads
-    0 holds only for an observed 0.  Keys, in order:
+    0 holds only for an observed 0.  Each bound is called once, on its
+    rows' indices or taus (so pointwise_bound checks d0).  Keys, in order:
     - "pointwise": a row per extragradient index j = 1..J, which holds
       when some step i <= j of outer_certificates has ||v_i|| and eps_i
       both within pointwise_bound(d0, sigma, j); its ratio per half is
@@ -388,36 +390,32 @@ def envelope(state: DrsState, cfg: DrsConfig,
       residual and gamma*eps_b against null_step_bounds at the tau its
       B-solve was given.
     """
-    if not 0 <= d0 < math.inf:
-        raise ValueError("d0 must be >= 0 and finite")
     gamma, sigma, J = cfg.gamma, cfg.sigma, state.n_extragradient
     js = np.arange(1, J + 1)
+    bound = np.array(pointwise_bound(d0, sigma, js))
     obs = np.array([(_norm(c.v), c.eps)
-                    for c in outer_certificates(state, cfg)]).reshape(J, 2)
-    bound, ergodic_bounds = np.array([
-        (pointwise_bound(d0, sigma, j), ergodic_bound(d0, sigma, j))
-        for j in range(1, J + 1)]).reshape(J, 2, 2).transpose(1, 0, 2)
+                    for c in outer_certificates(state, cfg)]).reshape(J, 2).T
     # both halves at one index i <= j, as the theorem states, 64 rows j at
     # a time (memory O(J)); per half, the best i <= j is the running minimum
     level = np.empty(J)
     for lo in range(0, J, 64):
-        larger = np.maximum(*_ratio(obs.T[:, None],
-                                    bound[lo:lo + 64].T[..., None]))
+        larger = np.maximum(*_ratio(obs[:, None], bound[:, lo:lo + 64, None]))
         level[lo:lo + 64] = np.where(js[lo:lo + 64, None] > np.arange(J),
                                      larger, np.inf).min(axis=1)
-    pointwise = _bound_check(js, J, np.minimum.accumulate(obs), bound, level)
+    pointwise = _bound_check(js, J, np.minimum.accumulate(obs, 1), bound, level)
     (_, abar, eps_a), (_, bbar, eps_b) = _ergodic_averages(state, True)
     v = abar + bbar
-    ergodic = _bound_check(js, J, gamma * np.column_stack((
-        np.sqrt(np.einsum("ij,ij->i", v, v)), eps_a + eps_b)), ergodic_bounds)
+    ergodic = _bound_check(js, J, gamma * np.array((
+        np.sqrt(np.einsum("ij,ij->i", v, v)), eps_a + eps_b)),
+        ergodic_bound(d0, sigma, js))
     # the tau each B-solve was given: tau0, then the one the step before left
     given = [state.tau0] + [t.tau for t in state.trace[:-1]]
-    null = np.reshape([(t.k, t.residual, gamma * t.eps_b,
-                        *null_step_bounds(tau, sigma))
+    null = np.reshape([(t.k, t.residual, gamma * t.eps_b, tau)
                        for t, tau in zip(state.trace, given)
-                       if t.step == NULL], (-1, 5))
+                       if t.step == NULL], (-1, 4)).T
     return {"pointwise": pointwise, "ergodic": ergodic, "null-step":
-            _bound_check(null[:, 0], state.k, null[:, 1:3], null[:, 3:])}
+            _bound_check(null[0], state.k, null[1:3],
+                         null_step_bounds(null[3], sigma))}
 
 
 def _ratio(observed, bound) -> np.ndarray:
@@ -427,11 +425,12 @@ def _ratio(observed, bound) -> np.ndarray:
 
 
 def _bound_check(index, total, observed, bound, level=None) -> BoundCheck:
-    # row r reads the bound at index[r] of total and holds while its level,
+    # observed and bound are (residual, eps) pairs, as the bounds return them;
+    # entry r reads the bound at index[r] of total and holds while its level,
     # by default its larger ratio, is <= 1 + 1e-10 (written so NaN fails)
     ratios = _ratio(observed, bound)
-    bad = ~((np.maximum(*ratios.T) if level is None else level) <= 1 + 1e-10)
-    worst, late = (tuple(ratios[rows].max(axis=0, initial=0.0).tolist())
+    bad = ~((np.maximum(*ratios) if level is None else level) <= 1 + 1e-10)
+    worst, late = (tuple(ratios[:, rows].max(axis=1, initial=0.0).tolist())
                    for rows in (slice(None), 2 * index > total))
     return BoundCheck(len(index), int(np.count_nonzero(bad)),
                       int(next(iter(index[bad]), 0)), worst, late)

@@ -74,17 +74,17 @@ def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
     return (rhs < inf) & (lhs <= rhs + slack(rhs)) & (eps >= 0)
 
 
-def _check_bound_args(d0: float, sigma: float, j: int) -> None:
-    # written so that NaN fails
+def _check_bound_args(d0: float, sigma: float, j) -> None:
+    # written so that NaN fails; j is one index or an array of them
     if not 0 <= d0 < inf:
         raise ValueError("d0 must be >= 0 and finite")
     if not 0 <= sigma < 1:
         raise ValueError("sigma must lie in [0, 1)")
-    if not j >= 1:
+    if not np.all(j >= 1):
         raise ValueError("j must be >= 1")
 
 
-def pointwise_bound(d0: float, sigma: float, j: int) -> tuple[float, float]:
+def pointwise_bound(d0: float, sigma: float, j) -> tuple:
     """Pointwise O(1/sqrt(j)) residual and O(1/j) eps bounds.
 
     d0 is the distance from the start point to the zero set of the
@@ -92,17 +92,19 @@ def pointwise_bound(d0: float, sigma: float, j: int) -> tuple[float, float]:
     solution, never a silent estimate) and sigma the relative-error
     constant; the stepsize is the outer embedding's lam = 1.  Some index
     i <= j carries a residual v_i with ``||v_i|| <= rho_bound`` and eps_i
-    with ``eps_i <= eps_bound``.
+    with ``eps_i <= eps_bound``; an array of j gives each j's bounds, bitwise.
     """
+    j = np.asarray(j)
     _check_bound_args(d0, sigma, j)
     rho = d0 / np.sqrt(j) * np.sqrt((1 + sigma) / (1 - sigma))
     eps = sigma ** 2 * d0 ** 2 / (2 * (1 - sigma ** 2) * j)
-    return float(rho), float(eps)
+    return rho, eps
 
 
-def ergodic_bound(d0: float, sigma: float, j: int) -> tuple[float, float]:
-    """Ergodic O(1/j) bounds on ||vbar_j|| and ebar_j, at lam = 1."""
+def ergodic_bound(d0: float, sigma: float, j) -> tuple:
+    """Ergodic O(1/j) bounds on ||vbar_j|| and ebar_j (lam = 1, j as above)."""
+    j = np.asarray(j)
     _check_bound_args(d0, sigma, j)
     rho = 2.0 * d0 / j
     eps = 2.0 * (1 + sigma / np.sqrt(1 - sigma ** 2)) * d0 ** 2 / j
-    return float(rho), float(eps)
+    return rho, eps

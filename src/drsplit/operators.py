@@ -47,6 +47,11 @@ def _norm(a) -> float:
     return math.sqrt(float(a.dot(a)))
 
 
+def _quiet_norm(a) -> float:
+    # _norm by np.vdot, which does not warn when the square overflows
+    return math.sqrt(np.vdot(a, a))
+
+
 def _clip(z, lo, hi) -> np.ndarray:
     # bitwise equal to numpy.clip(z, lo, hi), without its Python wrapper
     return np.minimum(np.maximum(z, lo), hi)

@@ -22,7 +22,8 @@ from .errors import (ContractViolation, InvariantViolation,
                      IterationBudgetExceeded)
 from .hpe import HpeStepCertificate, verify_hpe_rows
 from .operators import (AffineCocoerciveMap, BoxNormalCone, CocoerciveMap,
-                        LipschitzMap, SplittableOperator, _integral)
+                        LipschitzMap, SplittableOperator, _integral,
+                        _quiet_norm)
 
 __all__ = [
     "TsengProblem",
@@ -35,11 +36,6 @@ __all__ = [
 # the bound on |w| that trust_radius keeps: far enough below the largest
 # double (1.8e308) that round-off in forming w cannot carry it over
 TRUST_BOUND = 1e300
-
-
-def _norm(a) -> float:
-    # np.vdot, unlike .dot, does not warn when the square overflows to inf
-    return math.sqrt(np.vdot(a, a))
 
 
 def gamma_max(eta: float, L: float, sigma: float) -> float:
@@ -113,8 +109,8 @@ class TsengProblem:
             G = (np.eye(self.C.dim) - self.gamma * self.F2.Q) / 2.0
             h = self.gamma * self.F2.e / 2.0
             if isinstance(self.C, BoxNormalCone):
-                r = _norm(np.maximum(np.abs(self.C.lo), np.abs(self.C.hi)))
-                q = (TRUST_BOUND - _norm(h)) / (_norm(G) + 0.5)
+                r = _quiet_norm(np.maximum(abs(self.C.lo), abs(self.C.hi)))
+                q = (TRUST_BOUND - _quiet_norm(h)) / (_quiet_norm(G) + 0.5)
                 if r < q and r < 1e150 - r:     # False for a NaN q
                     radius = min(q, 1e150 - r)
         object.__setattr__(self, "G", G)
@@ -290,7 +286,7 @@ def tseng_solve(p: TsengProblem, z_hat, tau_hat: float, max_inner: int = 1000,
     eta = p.F2.eta
     one_difference = p.F1 is None
     c = None if p.G is None else z_hat * 0.5 - p.h
-    trusted = p.trust_radius > 0.0 and _norm(z_hat) < p.trust_radius
+    trusted = p.trust_radius > 0.0 and _quiet_norm(z_hat) < p.trust_radius
     # .dot warns on a square that overflows; np.vdot does not but costs more
     square = np.ndarray.dot if trusted else np.vdot
     if cert_log is not None:

@@ -29,7 +29,7 @@ import drsplit.qp as qp_module
 from drsplit.drs import EXTRAGRADIENT
 from drsplit.drt import RunRecord
 from drsplit.errors import (InvariantViolation, IterationBudgetExceeded,
-                            ParseError)
+                            OracleFailure, ParseError)
 from drsplit.operators import CocoerciveMap
 from drsplit.qp import generate_instance, reference_solution
 
@@ -309,6 +309,47 @@ def test_trace_cross_check_reads_the_trace_it_writes(monkeypatch, tmp_path):
     assert blocks == ["# instance 0", "# instance 2"]
 
 
+def test_a_traced_batch_without_a_reference_still_checks_its_readings(
+        monkeypatch, tmp_path):
+    # every reference solve fails: no instance has a d0, so the bounds are
+    # not read (abs_err stays nan and each clean block is written), but the
+    # residual readings still are, and instance 1's first extragradient
+    # step, planted 1% too far, makes that instance an error row
+    def no_oracle(inst):
+        raise OracleFailure("synthetic")
+
+    real_iterate, real_single, planted = (drt_module.drs_iterate,
+                                          bench.run_single, [])
+
+    def overshoot(state, cfg, bsolver, A):
+        z = state.z
+        real_iterate(state, cfg, bsolver, A)
+        if (planted and state.trace[-1].step == EXTRAGRADIENT
+                and state.n_extragradient == 1):
+            state.z = z + 1.01 * (state.z - z)
+        return state
+
+    def plant_in_one(spec, i):
+        planted[:] = [True] if i == 1 else []
+        return real_single(spec, i)
+
+    envelopes = []
+    monkeypatch.setattr(bench, "reference_solution", no_oracle)
+    monkeypatch.setattr(bench, "envelope", lambda *a: envelopes.append(a))
+    monkeypatch.setattr(drt_module, "drs_iterate", overshoot)
+    monkeypatch.setattr(bench, "run_single", plant_in_one)
+    records = run_batch(BenchSpec(n=20, instances=3), trace_path=tmp_path / "t")
+    assert [r.error is None for r in records] == [True, False, True]
+    assert records[1].error.startswith(
+        "InvariantViolation: extragradient step 1: residual readings diverge")
+    assert math.isnan(records[0].abs_err) and math.isnan(records[2].abs_err)
+    assert records[0].iters > 0 and records[2].iters > 0
+    blocks = [line for line in (tmp_path / "t").read_text().splitlines()
+              if line.startswith("#")]
+    assert blocks == ["# instance 0", "# instance 2"]
+    assert envelopes == []
+
+
 def test_trace_rewrite_replaces_the_file(tmp_path):
     path, alias = tmp_path / "trace.csv", tmp_path / "alias.csv"
     run_batch(BenchSpec(n=3, instances=3, seed=3), trace_path=path)
@@ -502,6 +543,19 @@ def test_read_records_rejects_bad_input(tmp_path):
         assert ei.value.lineno == 3
     p.write_text(",".join(CSV_COLUMNS) + "\n0,drt,3,5.0,3,2,6,6,0.1,0,0\n")
     assert read_records(p)[0].iters == 5
+
+
+def test_read_records_skips_a_blank_line(tmp_path):
+    # a blank line between rows is no row, and later line numbers count it
+    rows = ["0,drt,3,5,3,2,6,6,0.1,0,0", "1,drt,3,4,4,0,5,5,0.2,0,0.5"]
+    p = tmp_path / "blank.csv"
+    p.write_text(",".join(CSV_COLUMNS) + f"\n{rows[0]}\n\n{rows[1]}\n")
+    assert [(r.instance, r.iters, r.abs_err) for r in read_records(p)] == [
+        (0, 5, 0.0), (1, 4, 0.5)]
+    p.write_text(",".join(CSV_COLUMNS) + f"\n{rows[0]}\n\n0,drt,3,1\n")
+    with pytest.raises(ParseError) as ei:
+        read_records(p)
+    assert ei.value.lineno == 4
 
 
 def test_summary_csv(tmp_path):

@@ -472,12 +472,27 @@ def test_null_step_bounds_values():
 
 @pytest.mark.parametrize("args", [
     (np.nan, 0.5), (0.0, 0.5), (np.inf, 0.5), (1.0, 1.0), (1.0, np.nan),
-], ids=["tau0-nan", "tau0-zero", "tau0-inf", "sigma-one", "sigma-nan"])
+    (np.array([1.0, 0.0, 1e-4]), 0.5), (np.array([1.0, np.nan]), 0.5),
+], ids=["tau0-nan", "tau0-zero", "tau0-inf", "sigma-one", "sigma-nan",
+        "taus-one-zero", "taus-one-nan"])
 def test_null_step_bounds_rejects_bad_arguments(args):
     # the first step's tau is the state's tau0; a NaN one once returned
-    # (nan, nan)
+    # (nan, nan); an array of taus with one such entry raises as it does
     with pytest.raises(ValueError, match="^tau must be positive"):
         null_step_bounds(*args)
+
+
+def test_null_step_bounds_on_the_taus_of_a_run_are_the_scalar_calls():
+    # one call on the tau every B-solve of a real run was given returns,
+    # element by element, the bits of one call per tau; a scalar tau
+    # returns numpy floats
+    state, cfg, _ = _logged_run(faces_instance, 10, True, 3)
+    taus = np.array([state.tau0] + [t.tau for t in state.trace[:-1]])
+    assert len(set(taus.tolist())) > 2
+    r, e = null_step_bounds(taus, cfg.sigma)
+    want = [null_step_bounds(tau, cfg.sigma) for tau in taus.tolist()]
+    assert all(type(a) is type(b) is np.float64 for a, b in want)
+    assert (r.tolist(), e.tolist()) == tuple(map(list, zip(*want)))
 
 
 def _logged_run(family, n, definite, seed):

@@ -125,6 +125,20 @@ def test_ergodic_bound_frozen():
     assert ergodic_bound(2.0, 0.99, 10) == (0.4, 6.414339143666017)
 
 
+@pytest.mark.parametrize("bound", [pointwise_bound, ergodic_bound])
+def test_a_bound_on_an_array_is_the_scalar_calls_bit_for_bit(bound):
+    # one call on indices 1..300 returns, element by element, what one
+    # call per index returns; a scalar index returns numpy floats
+    js = np.arange(1, 301)
+    for d0, sigma in ((1.0, 0.99), (3.7, 0.5), (0.0, 0.0)):
+        rho, eps = bound(d0, sigma, js)
+        assert rho.shape == eps.shape == js.shape
+        want = [bound(d0, sigma, j) for j in range(1, 301)]
+        assert all(type(r) is type(e) is np.float64 for r, e in want)
+        assert (rho.tolist(), eps.tolist()) == tuple(map(list, zip(*want)))
+    assert [len(b) for b in bound(1.0, 0.5, js[:0])] == [0, 0]
+
+
 def test_bounds_decay():
     pw = [pointwise_bound(3.0, 0.9, j) for j in (1, 4, 16, 64)]
     er = [ergodic_bound(3.0, 0.9, j) for j in (1, 4, 16, 64)]
@@ -140,8 +154,9 @@ def test_bounds_decay():
 
 
 def test_rate_domain_errors():
-    # each argument outside its domain raises, NaN included; the edges
-    # d0 = 0 and sigma = 0 are inside it
+    # each argument outside its domain raises, NaN included, and so does
+    # an array of j with one such entry; the edges d0 = 0 and sigma = 0
+    # are inside it
     nan, inf = float("nan"), float("inf")
     for bound in (pointwise_bound, ergodic_bound):
         assert bound(0.0, 0.0, 1) == (0.0, 0.0)
@@ -149,6 +164,7 @@ def test_rate_domain_errors():
                 (-1.0, 0.5, 1, "d0"), (nan, 0.5, 1, "d0"), (inf, 0.5, 1, "d0"),
                 (1.0, 1.0, 1, "sigma"), (1.0, -0.1, 1, "sigma"),
                 (1.0, nan, 1, "sigma"), (1.0, 0.5, 0, "j"),
-                (1.0, 0.5, nan, "j")]:
+                (1.0, 0.5, nan, "j"), (1.0, 0.5, np.array([1, 0, 3]), "j"),
+                (1.0, 0.5, np.array([1.0, nan, 3.0]), "j")]:
             with pytest.raises(ValueError, match=f"^{what} must"):
                 bound(d0, sigma, j)

@@ -83,8 +83,9 @@ def test_module_imports_are_used(name):
     assert _unused_imports(path.read_text()) == []
 
 
-# numpy's vector primitives that operators codes once, as _norm and _clip
-VECTOR_PRIMITIVES = ("np.linalg.norm", "np.clip")
+# numpy's vector primitives that operators codes once, as _norm, _clip
+# and the overflow-quiet _quiet_norm (and, in _point, its finiteness test)
+VECTOR_PRIMITIVES = ("np.linalg.norm", "np.clip", "np.vdot")
 
 
 def _primitive_calls(source: str) -> list[str]:
@@ -95,15 +96,17 @@ def _primitive_calls(source: str) -> list[str]:
 
 
 def test_primitive_call_scan_finds_a_stray_call():
-    src = "import numpy as np\n# np.clip(a, 0, 1)\n" \
-          "x = np.clip(np.linalg.norm(a), 0, 1) + np.linalg.eigvalsh(w)[0]\n"
-    assert _primitive_calls(src) == ["np.clip", "np.linalg.norm"]
+    # a reference that is not called, such as square = np.vdot, is no call
+    src = "import numpy as np\n# np.clip(a, 0, 1)\nsquare = np.vdot\n" \
+          "x = np.clip(np.linalg.norm(a), 0, 1) + np.linalg.eigvalsh(w)[0]\n" \
+          "y = math.sqrt(np.vdot(a, a))\n"
+    assert _primitive_calls(src) == ["np.clip", "np.linalg.norm", "np.vdot"]
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "operators"])
 def test_vector_primitives_have_one_owner(name):
-    # the package's norm and box clip are operators._norm and _clip; the
-    # tests keep numpy's functions as independent references
+    # the package's norms and box clip are operators._norm, _quiet_norm
+    # and _clip; the tests keep numpy's functions as independent references
     path = Path(drsplit.__file__).with_name(f"{name}.py")
     assert _primitive_calls(path.read_text()) == []
 

@@ -324,17 +324,33 @@ def outer_certificates(state: DrsState,
     """Each extragradient step taken so far as an inexact proximal step.
 
     One certificate per step, in order, at lam = 1 against the splitting
-    operator: z_tilde = y + gamma*b, v = gamma*(a+b), eps = gamma*eps_b,
-    and the update replays it, z = z_prev - v.  Null steps have none, so
-    the list is empty before the first extragradient step.  The rows are
-    not checked here; verify_hpe_inequality checks one.
+    operator: z_tilde = y + gamma*b, v = gamma*(a+b), eps = gamma*eps_b;
+    null steps have none.  Raises InvariantViolation unless the rows pair
+    one to one with the trace's extragradient records and the update
+    replays each: the move ||z - z_prev|| (z the next row's z_prev, or
+    state.z), ||v|| and the residual agree to 1e-12*(1 + residual).
+    verify_hpe_inequality checks a row's inequality.
     """
     gamma, sigma = cfg.gamma, cfg.sigma
-    return [HpeStepCertificate(z_prev, y + gamma * b, gamma * (a + b),
-                               gamma * eps_b, 1.0, sigma)
-            for z_prev, y, a, b, eps_b in zip(
-                state.hist_z_prev, state.hist_y, state.hist_a, state.hist_b,
-                state.hist_eps_b)]
+    certs = [HpeStepCertificate(z_prev, y + gamma * b, gamma * (a + b),
+                                gamma * eps_b, 1.0, sigma)
+             for z_prev, y, a, b, eps_b in zip(
+                 state.hist_z_prev, state.hist_y, state.hist_a, state.hist_b,
+                 state.hist_eps_b)]
+    steps = [t for t in state.trace if t.step == EXTRAGRADIENT]
+    if len(steps) != len(certs):
+        raise InvariantViolation(
+            f"{len(certs)} extragradient steps in the history but "
+            f"{len(steps)} in the trace")
+    z_after = [c.z_prev for c in certs[1:]] + [state.z]
+    for j, (cert, z, t) in enumerate(zip(certs, z_after, steps), 1):
+        shift, vnorm = _norm(z - cert.z_prev), _norm(cert.v)
+        tol = 1e-12 * (1.0 + t.residual)
+        if abs(shift - vnorm) > tol or abs(shift - t.residual) > tol:
+            raise InvariantViolation(
+                f"extragradient step {j}: residual readings diverge "
+                f"({shift} vs {vnorm} vs {t.residual})")
+    return certs
 
 
 def null_step_bounds(tau, sigma: float) -> tuple:
@@ -380,12 +396,13 @@ def envelope(state: DrsState, cfg: DrsConfig,
     - "pointwise": a row per extragradient index j = 1..J, which holds
       when some step i <= j of outer_certificates has ||v_i|| and eps_i
       both within pointwise_bound(d0, sigma, j); its ratio per half is
-      that of the best i <= j;
+      that of the best i <= j (outer_certificates raises on a history
+      that does not replay its rows);
     - "ergodic": a row per prefix j, the uniform averages of the first j
       steps (drs_ergodic's, from prefix sums), gamma*||abar + bbar|| and
       gamma*(eps_a_bar + eps_b_bar) against ergodic_bound(d0, sigma, j);
       a negative or NaN averaged enlargement raises InvariantViolation
-      naming its prefix j;
+      naming its prefix j, before the pointwise rows are built;
     - "null-step": a row per null step, indexed by its outer step k, its
       residual and gamma*eps_b against null_step_bounds at the tau its
       B-solve was given.
@@ -393,6 +410,12 @@ def envelope(state: DrsState, cfg: DrsConfig,
     gamma, sigma, J = cfg.gamma, cfg.sigma, state.n_extragradient
     js = np.arange(1, J + 1)
     bound = np.array(pointwise_bound(d0, sigma, js))
+    # the ergodic rows first: a bad history without a trace names its prefix
+    (_, abar, eps_a), (_, bbar, eps_b) = _ergodic_averages(state, True)
+    v = abar + bbar
+    ergodic = _bound_check(js, J, gamma * np.array((
+        np.sqrt(np.einsum("ij,ij->i", v, v)), eps_a + eps_b)),
+        ergodic_bound(d0, sigma, js))
     obs = np.array([(_norm(c.v), c.eps)
                     for c in outer_certificates(state, cfg)]).reshape(J, 2).T
     # both halves at one index i <= j, as the theorem states, 64 rows j at
@@ -403,11 +426,6 @@ def envelope(state: DrsState, cfg: DrsConfig,
         level[lo:lo + 64] = np.where(js[lo:lo + 64, None] > np.arange(J),
                                      larger, np.inf).min(axis=1)
     pointwise = _bound_check(js, J, np.minimum.accumulate(obs, 1), bound, level)
-    (_, abar, eps_a), (_, bbar, eps_b) = _ergodic_averages(state, True)
-    v = abar + bbar
-    ergodic = _bound_check(js, J, gamma * np.array((
-        np.sqrt(np.einsum("ij,ij->i", v, v)), eps_a + eps_b)),
-        ergodic_bound(d0, sigma, js))
     # the tau each B-solve was given: tau0, then the one the step before left
     given = [state.tau0] + [t.tau for t in state.trace[:-1]]
     null = np.reshape([(t.k, t.residual, gamma * t.eps_b, tau)

@@ -24,6 +24,7 @@ from drsplit.bench import (
     write_records,
     write_summary_csv,
 )
+import drsplit.drs as drs_module
 import drsplit.drt as drt_module
 import drsplit.qp as qp_module
 from drsplit.drs import EXTRAGRADIENT
@@ -348,6 +349,59 @@ def test_a_traced_batch_without_a_reference_still_checks_its_readings(
               if line.startswith("#")]
     assert blocks == ["# instance 0", "# instance 2"]
     assert envelopes == []
+
+
+def test_a_trace_that_lost_a_record_is_an_error_row(monkeypatch, tmp_path):
+    # instance 1's trace loses its last extragradient record, so the
+    # history holds one row more than the trace; a pairing that stopped at
+    # the shorter of the two would pass it
+    real, counts = bench.run_single, []
+
+    def truncated(spec, i):
+        result = real(spec, i)
+        if i == 1:
+            trace = result.state.trace
+            del trace[max(j for j, t in enumerate(trace)
+                          if t.step == EXTRAGRADIENT)]
+            counts.append(result.state.n_extragradient)
+        return result
+
+    monkeypatch.setattr(bench, "run_single", truncated)
+    records = run_batch(BenchSpec(n=20, instances=3), trace_path=tmp_path / "t")
+    assert [r.error is None for r in records] == [True, False, True]
+    J = counts[0]
+    assert records[1].error == (
+        f"InvariantViolation: {J} extragradient steps in the history but "
+        f"{J - 1} in the trace")
+    blocks = [line for line in (tmp_path / "t").read_text().splitlines()
+              if line.startswith("#")]
+    assert blocks == ["# instance 0", "# instance 2"]
+
+
+@pytest.mark.parametrize("oracle", [True, False],
+                         ids=["reference", "no-reference"])
+def test_a_traced_instance_builds_its_outer_rows_once(oracle, monkeypatch,
+                                                      tmp_path):
+    # with a reference the rows are built inside drs.envelope, without one
+    # by bench itself; either way once per instance, for both checks
+    real, states = drs_module.outer_certificates, []
+
+    def spy(state, cfg):
+        states.append(state)
+        return real(state, cfg)
+
+    def no_oracle(inst):
+        raise OracleFailure("synthetic")
+
+    monkeypatch.setattr(drs_module, "outer_certificates", spy)
+    monkeypatch.setattr(bench, "outer_certificates", spy)
+    if not oracle:
+        monkeypatch.setattr(bench, "reference_solution", no_oracle)
+    records = run_batch(BenchSpec(n=20, instances=3), trace_path=tmp_path / "t")
+    assert [r.error for r in records] == [None] * 3
+    assert [math.isfinite(r.abs_err) for r in records] == [oracle] * 3
+    assert len(states) == 3 and len({id(s) for s in states}) == 3
+    assert all(s.n_extragradient > 0 for s in states)
 
 
 def test_trace_rewrite_replaces_the_file(tmp_path):

@@ -461,6 +461,20 @@ def test_outer_certificates(family):
             == [j != 1 for j in range(len(certs))])
 
 
+def test_outer_certificates_pair_the_history_with_the_whole_trace():
+    # the trace loses its last extragradient record: the history has one
+    # row more than the trace, and the check names both counts
+    state, cfg, _ = _logged_run(faces_instance, 10, True, 3)
+    J = state.n_extragradient
+    assert len(outer_certificates(state, cfg)) == J >= 2
+    del state.trace[max(k for k, t in enumerate(state.trace)
+                        if t.step == EXTRAGRADIENT)]
+    with pytest.raises(InvariantViolation,
+                       match=rf"^{J} extragradient steps in the history but "
+                             rf"{J - 1} in the trace$"):
+        outer_certificates(state, cfg)
+
+
 def test_null_step_bounds_values():
     r0, e0 = null_step_bounds(100.0, 0.5)
     assert r0 == pytest.approx(3.0 * 10.0)  # (1 + 1/sigma) * sqrt(tau)
@@ -622,12 +636,17 @@ def test_envelope_reports_a_planted_violation():
 def test_envelope_at_d0_zero_holds_only_for_zero_rows():
     # from a start on the zero set (n = 1, z0 = -10: the paper optimum 0
     # with lam*K >= -1), the one extragradient step has v = 0 exactly
-    # and meets bounds of 0; a row of 0.5 does not, and reads inf
+    # and meets bounds of 0; a row of 0.5 does not, and reads inf (the
+    # iterate and the trace planted with it, so the history replays)
     state, cfg, d0 = _logged_run(generate_instance, 1, True, 2)
     assert d0 == 0.0
     env = envelope(state, cfg, 0.0)
     assert env["pointwise"].violations == env["ergodic"].violations == 0
     state.hist_b[0] = state.hist_b[0] + 0.5 / cfg.gamma
+    v = cfg.gamma * (state.hist_a[0] + state.hist_b[0])
+    state.z = state.hist_z_prev[0] - v
+    k = next(i for i, t in enumerate(state.trace) if t.step == EXTRAGRADIENT)
+    state.trace[k] = state.trace[k]._replace(residual=np.linalg.norm(v))
     check = envelope(state, cfg, 0.0)["pointwise"]
     assert check.violations == 1 and check.worst[0] == np.inf
 

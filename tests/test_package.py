@@ -117,13 +117,17 @@ POINT_MESSAGES = ("must be a vector", "must have length",
                   "contains non-finite entries")
 
 
-def _point_messages(source: str) -> list[str]:
+def _messages(source: str, phrases) -> list[str]:
     # string constants, the literal parts of f-strings included, that
-    # hold a phrase of the point rule
+    # hold one of the phrases
     return sorted(node.value for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Constant)
                   and isinstance(node.value, str)
-                  and any(phrase in node.value for phrase in POINT_MESSAGES))
+                  and any(phrase in node.value for phrase in phrases))
+
+
+def _point_messages(source: str) -> list[str]:
+    return _messages(source, POINT_MESSAGES)
 
 
 def test_point_message_scan_finds_a_stray_check():
@@ -139,6 +143,28 @@ def test_the_point_rule_has_one_owner(name):
     # every vector a caller hands the package goes through operators._point
     path = Path(drsplit.__file__).with_name(f"{name}.py")
     assert _point_messages(path.read_text()) == []
+
+
+# the message of drs.outer_certificates, the package's one replay of a
+# run's history against its trace
+REPLAY_MESSAGES = ("residual readings diverge",)
+
+
+def test_replay_message_scan_finds_a_stray_check():
+    # adjacent f-strings are one node; a comment or another phrase is none
+    src = "# the residual readings diverge here\n" \
+          "x = 'the residual readings agree'\n" \
+          "raise InvariantViolation(\n" \
+          "    f'extragradient step {j}: residual readings diverge '\n" \
+          "    f'({shift} vs {vnorm})')\n"
+    assert _messages(src, REPLAY_MESSAGES) == [": residual readings diverge ("]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "drs"])
+def test_the_replay_check_has_one_owner(name):
+    # a run's history is replayed against its trace in outer_certificates
+    path = Path(drsplit.__file__).with_name(f"{name}.py")
+    assert _messages(path.read_text(), REPLAY_MESSAGES) == []
 
 
 def _uncalled_exports(sources, exports) -> list[str]:

@@ -254,19 +254,15 @@ def summarize(records) -> dict[str, tuple[float, float, float]]:
     return stats
 
 
-def format_summary(stats, spec: BenchSpec | None = None,
-                   errors: int = 0) -> str:
-    lines = []
-    if spec is not None:
-        kind = "definite" if spec.definite else "semidefinite"
-        # the baselines run at unit relaxation, where the stop rules agree
-        stop = f" stop={spec.stop}" if spec.algo == "drt" else ""
-        head = (f"algo={spec.algo} n={spec.n} instances={spec.instances} "
-                f"{kind}{stop} tol={spec.tol:g}")
-        if errors:
-            head += f" ({errors} failed)"
-        lines.append(head)
-    lines.append(f"{'column':<10}{'min':>14}{'max':>14}{'mean':>14}")
+def format_summary(stats, spec: BenchSpec, errors: int = 0) -> str:
+    kind = "definite" if spec.definite else "semidefinite"
+    # the baselines run at unit relaxation, where the stop rules agree
+    stop = f" stop={spec.stop}" if spec.algo == "drt" else ""
+    head = (f"algo={spec.algo} n={spec.n} instances={spec.instances} "
+            f"{kind}{stop} tol={spec.tol:g}")
+    if errors:
+        head += f" ({errors} failed)"
+    lines = [head, f"{'column':<10}{'min':>14}{'max':>14}{'mean':>14}"]
     for col, (lo, hi, mean) in stats.items():
         lines.append(f"{col:<10}{lo:>14.6g}{hi:>14.6g}{mean:>14.6g}")
     return "\n".join(lines)

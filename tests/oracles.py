@@ -1,7 +1,8 @@
 """Reference oracles for the test suite; no solver path uses them.
 
 An exact-resolvent Douglas-Rachford run and the projected-gradient
-box-QP solver behind it, a B-solver from an exact resolvent, an affine
+box-QP solver behind it, a B-solver from an exact resolvent, the F1-free
+Tseng loop on a box QP in textbook formulas, an affine
 monotone test operator, the eps-enlargement triple with exact membership
 tests for the two cones and the enlargement of a cocoercive map
 evaluated off-target, the transportation formula for enlargement
@@ -92,6 +93,36 @@ def exact_bsolver(opB: SplittableOperator, gamma: float) -> BSolver:
         return x, (z_prev - x) / gamma, 0.0, 0
 
     return solve
+
+
+def textbook_tseng(inst: QpInstance, gamma: float, eta: float, z_hat,
+                   tau_hat: float, sigma: float | None = None):
+    """The F1-free Tseng loop on a box QP, written with the textbook formulas.
+
+    Matmul, ``np.clip``, and both differences formed separately.  Returns
+    ``(x, b, eps, steps)`` of its last step, by the formulas of
+    ``tseng_solve``'s docstring; with ``sigma`` given, returns that tuple
+    and the step certificates ``(z, z_tilde, v, eps, gamma, sigma)`` as
+    ``CertBlock`` logs them.  Raises AssertionError after 1000 steps.
+    """
+    certs = []
+    z = z_hat
+    for j in range(1, 1001):
+        z_prime = z
+        w = (z_hat + z_prime - gamma * (inst.Q @ z_prime + inst.e)) / 2.0
+        z_tilde = np.clip(w, inst.lo, inst.hi)
+        z_next = z_tilde
+        d1 = z - z_next
+        d2 = z_prime - z_tilde
+        d2_sq = float(d2 @ d2)
+        eps = d2_sq / (4.0 * eta)
+        certs.append((z, z_tilde, d1 / gamma, eps, gamma, sigma))
+        if float(d1 @ d1) + gamma * d2_sq / (2.0 * eta) <= tau_hat:
+            b = (z_hat + z - (z_next + z_tilde)) / gamma
+            out = (z_tilde, b, eps, j)
+            return out if sigma is None else (out, certs)
+        z = z_next
+    raise AssertionError("textbook Tseng loop hit its budget")
 
 
 def box_qp_solve(H, c, lo, hi, max_iter: int = 100000,

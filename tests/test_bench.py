@@ -261,6 +261,11 @@ def test_trace_file_contents(tmp_path):
     assert ks[:records[0].iters] == list(range(1, records[0].iters + 1))
 
 
+def _trace_blocks(path):
+    return [line for line in path.read_text().splitlines()
+            if line.startswith("#")]
+
+
 def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
     # the first extragradient step of every solve moves z 1% too far; a, b,
     # x and y still agree, so only the stored iterate shows the fault, and
@@ -305,9 +310,7 @@ def test_trace_cross_check_reads_the_trace_it_writes(monkeypatch, tmp_path):
     assert [r.error is None for r in records] == [True, False, True]
     assert records[1].error.startswith(
         "InvariantViolation: extragradient step 2: residual readings diverge")
-    blocks = [line for line in (tmp_path / "t").read_text().splitlines()
-              if line.startswith("#")]
-    assert blocks == ["# instance 0", "# instance 2"]
+    assert _trace_blocks(tmp_path / "t") == ["# instance 0", "# instance 2"]
 
 
 def test_a_traced_batch_without_a_reference_still_checks_its_readings(
@@ -345,9 +348,7 @@ def test_a_traced_batch_without_a_reference_still_checks_its_readings(
         "InvariantViolation: extragradient step 1: residual readings diverge")
     assert math.isnan(records[0].abs_err) and math.isnan(records[2].abs_err)
     assert records[0].iters > 0 and records[2].iters > 0
-    blocks = [line for line in (tmp_path / "t").read_text().splitlines()
-              if line.startswith("#")]
-    assert blocks == ["# instance 0", "# instance 2"]
+    assert _trace_blocks(tmp_path / "t") == ["# instance 0", "# instance 2"]
     assert envelopes == []
 
 
@@ -373,9 +374,7 @@ def test_a_trace_that_lost_a_record_is_an_error_row(monkeypatch, tmp_path):
     assert records[1].error == (
         f"InvariantViolation: {J} extragradient steps in the history but "
         f"{J - 1} in the trace")
-    blocks = [line for line in (tmp_path / "t").read_text().splitlines()
-              if line.startswith("#")]
-    assert blocks == ["# instance 0", "# instance 2"]
+    assert _trace_blocks(tmp_path / "t") == ["# instance 0", "# instance 2"]
 
 
 @pytest.mark.parametrize("oracle", [True, False],
@@ -402,6 +401,28 @@ def test_a_traced_instance_builds_its_outer_rows_once(oracle, monkeypatch,
     assert [math.isfinite(r.abs_err) for r in records] == [oracle] * 3
     assert len(states) == 3 and len({id(s) for s in states}) == 3
     assert all(s.n_extragradient > 0 for s in states)
+
+
+def test_a_semidefinite_residual_stop_batch_writes_every_block(tmp_path):
+    # x* is not unique, so the d0 that the trace's bound check reads is
+    # only an upper bound: every instance still passes and writes its block
+    records = run_batch(BenchSpec(n=20, instances=5, definite=False,
+                                  stop="residual"), trace_path=tmp_path / "t")
+    assert [r.error for r in records] == [None] * 5
+    assert _trace_blocks(tmp_path / "t") == [f"# instance {i}"
+                                             for i in range(5)]
+
+
+def test_a_benchmark_size_traced_batch_repeats_its_bytes(tmp_path):
+    # n = 100, semidefinite: the replay and bound checks pass on every
+    # instance, and a second run writes the same trace
+    spec = BenchSpec(n=100, instances=10, definite=False)
+    first, second = tmp_path / "first", tmp_path / "second"
+    records = run_batch(spec, trace_path=first)
+    assert [r.error for r in records] == [None] * 10
+    assert _trace_blocks(first) == [f"# instance {i}" for i in range(10)]
+    run_batch(spec, trace_path=second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_trace_rewrite_replaces_the_file(tmp_path):

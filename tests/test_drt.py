@@ -34,7 +34,8 @@ from drsplit.qp import (drt_problem, faces_instance, generate_instance,
 from drsplit import drt as drt_module, tseng
 from drsplit.tseng import (CERT_BLOCK_ROWS, CertBlock, TsengProblem,
                            gamma_max, tseng_solve, tseng_step)
-from oracles import EnlargementTriple, box_contains, nullspace_contains
+from oracles import (EnlargementTriple, box_contains, nullspace_contains,
+                     textbook_tseng)
 
 
 def _problem(n=6, seed=0, tol=1e-6, family=generate_instance, definite=True):
@@ -96,26 +97,10 @@ def test_bsolver_satisfies_outer_contract_identity():
 
 
 def test_bsolver_matches_hand_inner_loop():
-    # direct transcription of the inner recursion, no tseng module
+    # the textbook inner loop, no tseng module
     inst, qp, z0 = _problem(n=7, seed=5)
     cfg = qp.cfg
-    gamma = cfg.gamma
-    Q, e, eta = inst.Q, inst.e, qp.F2.eta
-
-    def hand_bsolver(z_hat, tau):
-        z = z_hat.copy()
-        for j in range(1, 1001):
-            z_prime = z
-            w = (z_hat + z - gamma * (Q @ z_prime + e)) / 2.0
-            z_tilde = np.clip(w, inst.lo, inst.hi)
-            z_next = z_tilde
-            d1 = z - z_next
-            d2 = z_prime - z_tilde
-            if float(d1 @ d1) + gamma * float(d2 @ d2) / (2.0 * eta) <= tau:
-                x = z_tilde
-                b = (z_hat + z - (z_next + z_tilde)) / gamma
-                return x, b, float(d2 @ d2) / (4.0 * eta), j
-            z = z_next
+    hand_bsolver = partial(textbook_tseng, inst, cfg.gamma, qp.F2.eta)
 
     # the generic step: the affine one (p.tseng.G) agrees to round-off
     p = replace(qp, F2=CocoerciveMap(eval=qp.F2.eval, eta=qp.F2.eta))

@@ -212,8 +212,10 @@ def test_oracles_stay_out_of_the_package():
     assert [cone.__name__ for cone in (BoxNormalCone, NullspaceNormalCone)
             if hasattr(cone, "contains")] == []
     # run from the tests directory, where oracles.py is importable, so a
-    # stray import in the package would load it
-    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    # stray import in the package would load it; the subprocess imports
+    # the drsplit this test imported, installed or from the source tree
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(drsplit.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, drsplit; print('oracles' in sys.modules)"],

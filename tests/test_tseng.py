@@ -19,7 +19,7 @@ from drsplit.qp import (drt_problem, faces_instance, generate_instance,
 import drsplit.tseng as tseng_module
 from drsplit.tseng import (CertBlock, TsengProblem, gamma_max, tseng_solve,
                            tseng_step)
-from oracles import BoxAffineSum
+from oracles import BoxAffineSum, textbook_tseng
 
 Z_HAT = np.array([4.0])
 
@@ -336,29 +336,6 @@ def test_absent_f1_matches_explicit_zero_map_bitwise():
             assert_array_equal(x, y)
 
 
-def _reference_solve(inst, gamma, sigma, eta, z_hat, tau_hat):
-    # the F1-free Tseng loop written with the textbook formulas: matmul,
-    # np.clip, and both differences formed separately; its last step maps
-    # to (x, b, eps, steps) by the formulas of tseng_solve's docstring
-    certs = []
-    z = z_hat
-    for j in range(1, 1001):
-        z_prime = z
-        w = (z_hat + z_prime - gamma * (inst.Q @ z_prime + inst.e)) / 2.0
-        z_tilde = np.clip(w, inst.lo, inst.hi)
-        z_next = z_tilde
-        d1 = z - z_next
-        d2 = z_prime - z_tilde
-        d2_sq = float(d2 @ d2)
-        eps = d2_sq / (4.0 * eta)
-        certs.append((z, z_tilde, d1 / gamma, eps, gamma, sigma))
-        if float(d1 @ d1) + gamma * d2_sq / (2.0 * eta) <= tau_hat:
-            b = (z_hat + z - (z_next + z_tilde)) / gamma
-            return (z_tilde, b, eps, j), certs
-        z = z_next
-    raise AssertionError("reference loop hit its budget")
-
-
 def _textbook_requests(family, seed, calls, generic):
     # the (z_hat, tau_hat) requests of the first outer calls of an n=100
     # solve, made through the generic step or the affine one
@@ -395,8 +372,8 @@ def test_inner_loop_matches_textbook_reference_bitwise(family):
         certs = []
         with CertBlock(prob.tseng, certs) as block:
             out = tseng_solve(prob.tseng, z_hat, tau_hat, cert_log=block)
-        ref, ref_certs = _reference_solve(inst, cfg.gamma, cfg.sigma, inst.eta,
-                                          z_hat, tau_hat)
+        ref, ref_certs = textbook_tseng(inst, cfg.gamma, inst.eta, z_hat,
+                                        tau_hat, sigma=cfg.sigma)
         for got, want in zip(out, ref):
             assert_array_equal(got, want)
         assert out[3] == ref[3] == len(certs) == len(ref_certs)
@@ -426,8 +403,8 @@ def test_affine_step_matches_textbook_reference_to_round_off(family):
             with CertBlock(prob.tseng, certs) as block:
                 x, b, _, inner = tseng_solve(prob.tseng, z_hat, tau_hat,
                                              cert_log=block)
-            ref, ref_certs = _reference_solve(inst, cfg.gamma, cfg.sigma,
-                                              inst.eta, z_hat, tau_hat)
+            ref, ref_certs = textbook_tseng(inst, cfg.gamma, inst.eta,
+                                            z_hat, tau_hat, sigma=cfg.sigma)
             assert inner == ref[3] == len(certs)
             assert all(verify_hpe_inequality(c) for c in certs)
             pairs = [(x, ref[0]), (cfg.gamma * b, cfg.gamma * ref[1])]

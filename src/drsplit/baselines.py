@@ -78,6 +78,8 @@ def _fixed_point(step, z, inst: QpInstance, gamma: float, tol: float,
 
     The loop of run_baseline and of qp's reference oracle; a resolvent's
     ValueError becomes ContractViolation naming algo and the iteration.
+    The oracle calls this loop, not run_baseline, so its time stays out of
+    the records' time_s.
     """
     try:
         for k in range(1, max_iter + 1):

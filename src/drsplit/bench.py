@@ -119,7 +119,10 @@ def run_single(spec: BenchSpec, i: int) -> SingleResult:
 
     This is where every record gets its instance and abs_err, the
     distance of the solution block (quad.x for drt, the baseline's
-    solution otherwise) to the reference solution.
+    solution otherwise) to the reference solution; not of drt's governing
+    iterate z, which converges to a zero of the splitting operator rather
+    than to the QP's optimum.  drt runs at drt_problem's sigma and theta
+    with no certificate log.
     """
     seed = spec.seed + i
     inst = generate_instance(spec.n, spec.definite, seed)
@@ -172,7 +175,8 @@ def run_batch(spec: BenchSpec, trace_path=None) -> list[RunRecord]:
     replays the trace it writes (drs.outer_certificates), and it keeps
     the paper's pointwise, ergodic and null-step bounds (drs.envelope)
     at d0, the distance from the start to the zero set that
-    qp.nearest_zero reads off a reference solution, if any.  An instance
+    qp.nearest_zero reads off a reference solution; an instance whose
+    oracle failed has no d0, and only its replay is checked.  An instance
     that fails a check is an error row, and its block is not written.
     """
     if trace_path is not None and spec.algo != "drt":
@@ -298,7 +302,12 @@ def _count(value: float) -> int:
 
 
 def read_records(path) -> list[RunRecord]:
-    """Inverse of write_records; a nan iters cell marks an error row."""
+    """Inverse of write_records; a nan iters cell marks an error row.
+
+    A bad header, a row of another length or a cell that does not parse,
+    a count cell that is not an integer included, raises ParseError
+    naming the line.
+    """
     records = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)

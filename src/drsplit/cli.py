@@ -60,6 +60,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one batch from the command line and return the exit code.
+
+    Before the batch, the output paths are checked: the directories of
+    --out, its *.summary.csv sibling and --trace must exist, none of the
+    paths may be a directory, and no two may resolve to one file.  A
+    failed check, like a bad option (--trace without --algo drt
+    included), prints the usage and exits 1 before any instance is
+    solved.  Then it prints the summary table and the line "batch wall W
+    s = solvers S s (sum of time_s) + rest R s (...)": W is one clock
+    around run_batch, S sums time_s over the solved instances, both
+    rounded to the printed millisecond so that R = W - S adds up.  The
+    --out files are written after the clock stops, and each failed
+    instance's error goes to stderr.  Returns 0 when every instance
+    solved, 2 when one failed, in its solve or in a check of its traced
+    run, and 3 when stdout was closed (no traceback, and --out is still
+    written), which takes precedence over 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.trace and args.algo != "drt":

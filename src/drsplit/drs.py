@@ -106,6 +106,8 @@ class DrsState:
     kind is trace[-1].step.  The extragradient history
     (one entry per extragradient index) feeds drs_ergodic, outer_certificates
     and delta_stop (z_{k-1} = hist_z_prev[-1]); drt_solve takes it fresh.
+    z0 must be a finite vector (ValueError naming z0); a state has no
+    dimension of its own, so its length is the solve's to check.
     """
 
     def __init__(self, z0, tau0):
@@ -171,7 +173,9 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     not >= 0, inner not an integer >= 0, tolerance exceeded), carry the
     prefix "outer B-solve call <k>: ", k = state.k + 1, and leave state
     as it was; so does A's resolvent's ValueError, as ContractViolation
-    with the prefix "outer step <k>: ".
+    with the prefix "outer step <k>: ".  A NaN eps_b or point fails the
+    contract at the first call rather than running null steps to
+    max_iter; a ValueError raised inside the B-solver keeps its type.
     """
     if state.k >= cfg.max_iter:
         raise IterationBudgetExceeded(f"max_iter={cfg.max_iter} reached")
@@ -328,8 +332,10 @@ def outer_certificates(state: DrsState,
     null steps have none.  Raises InvariantViolation unless the rows pair
     one to one with the trace's extragradient records and the update
     replays each: the move ||z - z_prev|| (z the next row's z_prev, or
-    state.z), ||v|| and the residual agree to 1e-12*(1 + residual).
-    verify_hpe_inequality checks a row's inequality.
+    state.z), ||v|| and the residual agree to 1e-12*(1 + residual +
+    ||z_prev|| + ||z||), a tolerance that scales with the iterates the
+    move subtracts (their round-off reached 2.6e-12 on converged runs at
+    ||z|| about 1e4).  verify_hpe_inequality checks a row's inequality.
     """
     gamma, sigma = cfg.gamma, cfg.sigma
     certs = [HpeStepCertificate(z_prev, y + gamma * b, gamma * (a + b),
@@ -345,7 +351,7 @@ def outer_certificates(state: DrsState,
     z_after = [c.z_prev for c in certs[1:]] + [state.z]
     for j, (cert, z, t) in enumerate(zip(certs, z_after, steps), 1):
         shift, vnorm = _norm(z - cert.z_prev), _norm(cert.v)
-        tol = 1e-12 * (1.0 + t.residual)
+        tol = 1e-12 * (1.0 + t.residual + _norm(cert.z_prev) + _norm(z))
         if abs(shift - vnorm) > tol or abs(shift - t.residual) > tol:
             raise InvariantViolation(
                 f"extragradient step {j}: residual readings diverge "
@@ -375,7 +381,8 @@ class BoundCheck(NamedTuple):
     the index of the first violating row (j, or a null step's outer step
     k), 0 when none.  worst is the largest ratio of observed value to
     bound for each half, (residual, eps), and late the same over the
-    later half of the run; both are 0 without rows.
+    later half of the run; both are 0 without rows.  The first rows cannot
+    tell a 1/sqrt(j) bound from a 1/j one, and the later half can.
     """
 
     checked: int
@@ -406,6 +413,8 @@ def envelope(state: DrsState, cfg: DrsConfig,
     - "null-step": a row per null step, indexed by its outer step k, its
       residual and gamma*eps_b against null_step_bounds at the tau its
       B-solve was given.
+    The ergodic rows cost O(J n); the pointwise rows compare every step
+    i <= j with bound j, O(J^2) scalar work in memory O(J n).
     """
     gamma, sigma, J = cfg.gamma, cfg.sigma, state.n_extragradient
     js = np.arange(1, J + 1)

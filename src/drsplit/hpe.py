@@ -58,7 +58,9 @@ def verify_hpe_rows(Z_prev, Z_tilde, V, eps, lam: float,
     convergence its floor decides; a non-finite rhs fails, since
     inf <= inf would certify nothing.  So does a certificate outside the
     HPE definition: eps < 0, lam not in (0, inf) or sigma not in [0, 1),
-    NaN included.
+    NaN included.  A negative eps, a large sigma or a negative lam would
+    make the inequality hold for any step, and an infinite lam leaves
+    lam*v undefined where v has a zero entry.
     """
     if not (0 < lam < inf and 0 <= sigma < 1):
         return np.zeros(np.shape(eps), bool)
@@ -92,7 +94,9 @@ def pointwise_bound(d0: float, sigma: float, j) -> tuple:
     solution, never a silent estimate) and sigma the relative-error
     constant; the stepsize is the outer embedding's lam = 1.  Some index
     i <= j carries a residual v_i with ``||v_i|| <= rho_bound`` and eps_i
-    with ``eps_i <= eps_bound``; an array of j gives each j's bounds, bitwise.
+    with ``eps_i <= eps_bound``; an array of j gives each j's bounds, bitwise,
+    and a scalar j a pair of numpy floats.  d0 must be >= 0 and finite,
+    sigma in [0, 1) and every j >= 1, NaN failing each (ValueError).
     """
     j = np.asarray(j)
     _check_bound_args(d0, sigma, j)

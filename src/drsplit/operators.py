@@ -5,7 +5,8 @@ for the cones used by the benchmark family (box normal cone, nullspace
 normal cone of a sign row), and Lipschitz and cocoercive forward maps.
 The eps-enlargement triple, the cones' membership tests and the
 enlargement of a cocoercive map evaluated off-target have no solver
-caller; they live with the test oracles.
+caller; they live with the test oracles.  The cones validate their data
+once, when built, and each resolvent checks only the incoming point.
 
 Everything lives in R^n with the standard Euclidean inner product.
 """
@@ -77,8 +78,10 @@ class SplittableOperator:
     """Maximal monotone operator accessed through its resolvent.
 
     Subclasses implement ``resolvent(gamma, z) -> x``, the point
-    ``x = (I + gamma*T)^{-1} z`` for a ``gamma > 0``.  A caller that needs
-    the graph element ``u in T(x)`` takes ``u = (z - x)/gamma``.
+    ``x = (I + gamma*T)^{-1} z``; a ``gamma`` that is not ``> 0``, NaN
+    included, and a ``z`` that fails the point rule raise ValueError.  A
+    caller that needs the graph element ``u in T(x)`` takes
+    ``u = (z - x)/gamma``.
     """
 
     def __init__(self, dim: int):
@@ -94,7 +97,10 @@ class SplittableOperator:
 
 
 class BoxNormalCone(SplittableOperator):
-    """Normal cone of the box [lo, hi] in R^n; resolvent is the box projection."""
+    """Normal cone of the box [lo, hi] in R^n; resolvent is the box projection.
+
+    hi must have lo's length (it is not broadcast) and lo <= hi.
+    """
 
     def __init__(self, lo, hi):
         lo = _point(lo, name="lo").copy()

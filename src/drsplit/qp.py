@@ -61,6 +61,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QpInstance:
+    """One QP of the family, and its own operator set, built once.
+
+    Q, e, K, lo and hi are read as float arrays (lists included).  Q must
+    be a square matrix, symmetric to 1e-12*max|Q| with no per-entry
+    slack, and positive semidefinite to -1e-10: one eigvalsh(Q) checks
+    that and fixes eta = 1/||Q|| (inf for Q = 0).  e, K, lo and hi go
+    through the point rule at length n.  A = NullspaceNormalCone(K) and
+    C = BoxNormalCone(lo, hi) copy and check their data (K in {+1, -1}^n,
+    lo <= hi); F2 = AffineCocoerciveMap(Q, e) shares Q and e, and
+    inst.eta reads F2.eta.  A box with no point on Kz = 0, |K.(lo + hi)|
+    > sum(hi - lo), raises ValueError (an O(n) test).
+    """
+
     Q: np.ndarray
     e: np.ndarray
     K: np.ndarray
@@ -194,7 +207,8 @@ def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
     (-inf, -w_i + tol] at its upper bound and [-w_i - tol, -w_i + tol] in
     between, and the test intersects the intervals mapped to lam.  A
     coordinate within tol of both bounds (fixed, lo_i == hi_i) has N = R
-    there and puts no constraint on lam.
+    there and puts no constraint on lam.  It reads the raw arrays, not the
+    instance's operators, so it checks the solvers independently.
     """
     # contiguous, so that _norm(z) has numpy.linalg.norm's bits on a view too
     z = np.asarray(z, dtype=float, order="C")
@@ -312,6 +326,10 @@ def reference_solution(inst: QpInstance) -> np.ndarray:
 
     Enumeration covers all 3^n box patterns with the equality multiplier,
     verifies each candidate, and breaks objective ties by minimal norm.
+    Raises OracleFailure when no pattern passes, and when the iterative
+    reference meets a non-finite operator output, reaches its 10**6-step
+    cap or ends at a point that fails kkt_check at 1e-8; the benchmark
+    then leaves that instance's abs_err nan.
     """
     if inst.n <= 6:
         return _kkt_enumerate(inst)

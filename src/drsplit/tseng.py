@@ -186,7 +186,10 @@ class CertBlock:
     raises InvariantViolation naming its step within its solve and, with a
     label, the solve ("<label> <k>: inner step <j> ...", k counting the
     solves begun in the block).  Raised on leaving, it replaces the error
-    that ended the block, which becomes its __context__.
+    that ended the block, which becomes its __context__.  The log does not
+    depend on how solves are grouped: one block for all the B-solves of a
+    run, as drt_solve opens, logs element for element what a block per
+    solve logs.
     """
 
     def __init__(self, p: TsengProblem, log: list, label: str | None = None):

@@ -31,7 +31,7 @@ from drsplit.operators import NullspaceNormalCone, SplittableOperator
 from drsplit.bench import initial_point
 from drsplit.drt import delta_stop, drt_solve
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
-                        nearest_zero, reference_solution)
+                        kkt_check, nearest_zero, reference_solution)
 from drsplit.tseng import tseng_solve
 from oracles import (AffineMonotone, BoxAffineSum, EnlargementTriple,
                      ergodic_prefix, exact_bsolver, transport_ergodic)
@@ -473,6 +473,25 @@ def test_outer_certificates_pair_the_history_with_the_whole_trace():
                        match=rf"^{J} extragradient steps in the history but "
                              rf"{J - 1} in the trace$"):
         outer_certificates(state, cfg)
+
+
+@pytest.mark.parametrize("seed", [11, 39])
+def test_a_converged_run_far_from_the_origin_replays_its_trace(seed):
+    # faces semidefinite n = 1: the run converges with ||z|| about 1e4,
+    # where the move ||z - z_prev|| carries up to 2.6e-12 of round-off, more
+    # than a tolerance of 1e-12*(1 + residual) allows; the replay check
+    # scales with the iterates it subtracts and passes, and so do the
+    # paper's bounds
+    inst = faces_instance(1, False, seed)
+    z0 = initial_point(1, seed)
+    prob = drt_problem(inst, z0, tol=1e-6)
+    state = DrsState.initial(z0, prob.cfg)
+    _, quad = drt_solve(prob, delta_stop(1e-6), state)
+    assert kkt_check(inst, quad.x, 1e-5) and abs(state.z[0]) > 1e4
+    assert len(outer_certificates(state, prob.cfg)) == state.n_extragradient
+    _, d0 = nearest_zero(inst, reference_solution(inst), prob.cfg.gamma, z0)
+    assert [c.violations for c in envelope(state, prob.cfg, d0).values()] \
+        == [0, 0, 0]
 
 
 def test_null_step_bounds_values():

@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 
 import drsplit
+from drsplit import cli
 from drsplit.operators import BoxNormalCone, NullspaceNormalCone
 from drsplit.qp import kkt_check
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(drsplit.__path__))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # exports that no library code calls, each with the change that gives it
 # a caller (ROADMAP items)
@@ -43,13 +45,84 @@ def test_module_all_resolves(name):
 def test_readme_quick_start_runs(capsys):
     # the one python block of the README runs as written, and its solve
     # ends at a KKT point of its instance
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     ns = {}
-    exec(compile(blocks[0], str(readme), "exec"), ns)
+    exec(compile(blocks[0], str(README), "exec"), ns)
     assert capsys.readouterr().out
     assert kkt_check(ns["inst"], ns["quad"].x, 1e-5)
+
+
+# the references of a backticked span: a dotted name that starts with
+# drsplit or one of its modules, and a repository path, a span with a
+# slash or a source suffix whose parts start with a letter, "_" or "."
+# (so 1/j and runs.csv are neither)
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+PART = r"[A-Za-z_.][\w.-]*"
+REPO_PATH = re.compile(
+    rf"{PART}(?:/{PART})*(?:/|\.(?:py|md|json|toml|yml))|{PART}(?:/{PART})+")
+
+
+def _stale_references(text: str, root: Path) -> list[str]:
+    # backticked drsplit names that do not resolve and repository paths
+    # that do not exist under root; fenced blocks hold code, not references
+    stale = []
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    for span in (" ".join(s.split()) for s in re.findall(r"`([^`]+)`", text)):
+        if REPO_PATH.fullmatch(span):
+            if not (root / span).exists():
+                stale.append(span)
+            continue
+        name = DOTTED.match(span)
+        parts = name.group().split(".") if name else []
+        if parts[:1] == ["drsplit"]:
+            parts = parts[1:]
+        elif not (len(parts) > 1 and parts[0] in MODULES):
+            continue
+        obj = drsplit
+        for part in parts:
+            if obj is drsplit and part in MODULES:
+                obj = importlib.import_module(f"drsplit.{part}")
+            elif hasattr(obj, part):
+                obj = getattr(obj, part)
+            else:
+                stale.append(span)
+                break
+    return sorted(stale)
+
+
+def test_reference_scan_finds_a_stray_name_and_path():
+    text = ("`drs.envelope(state, cfg, d0)` and `drsplit.CertBlock` and\n"
+            "`drsplit.qp`, then `drs.embed_hpe` and `drsplit.qp.no_such`;\n"
+            "`tests/` `tests/test_package.py` `tests/no_such.py` `nowhere/`\n"
+            "`inst.F2` `runs.csv` `1/j` `drsplit-bench --n 2`\n"
+            "```\n`drs.fenced_name`\n```\n")
+    assert _stale_references(text, README.parent) == [
+        "drs.embed_hpe", "drsplit.qp.no_such", "nowhere/", "tests/no_such.py"]
+
+
+def test_readme_names_and_paths_resolve():
+    assert _stale_references(README.read_text(), README.parent) == []
+
+
+def _option_mismatch(text: str, options) -> list[str]:
+    # the --options of the README's CLI section that the parser lacks,
+    # and the parser's long options that the section does not name
+    section = re.search(r"^## Command line\n(.*?)(?=^## |\Z)", text,
+                        re.S | re.M).group(1)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    return sorted(named ^ set(options))
+
+
+def test_option_scan_finds_a_stray_and_a_missing_option():
+    text = "## Command line\n`--n N` and `--sigma S`\n## Modules\n--theta\n"
+    assert _option_mismatch(text, ["--n", "--seed"]) == ["--seed", "--sigma"]
+
+
+def test_readme_cli_section_names_the_parser_options():
+    options = [s for action in cli.build_parser()._actions
+               for s in action.option_strings if s.startswith("--")]
+    assert _option_mismatch(README.read_text(), options) == []
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -20,6 +20,14 @@ faces-certified-n100 workload; a paper solve runs uncertified, as the
 CLI runs it.  REF keeps sigma and theta passed explicitly: it may
 predate their defaults in qp.drt_problem.
 
+The faces ratio does not cover the whole solve that faces-certified-n100
+times.  That workload replays every certificate after each solve
+(perfbench's replay_certificates: hpe.verify_hpe_inequality on each
+inner and outer certificate, then drs.drs_ergodic), and the replay is
+about a third of its per-solve wall; the ratio times drt_solve with its
+certificate log alone.  So a change to hpe's single-certificate path can
+move the workload's solves_per_s while this ratio stays put.
+
 Each repetition runs every solve 3 times with each copy, the copies
 taking turns and the copy that goes first alternating from solve to
 solve and from repetition to repetition, and keeps the fastest run of

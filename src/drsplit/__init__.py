@@ -9,8 +9,8 @@ benchmark harness reproduces the box/equality-constrained QP experiments
 """
 
 from .drs import (DrsConfig, DrsState, Quadruple, check_termination,
-                  drs_ergodic, drs_iterate, envelope, null_step_bounds,
-                  outer_certificates)
+                  drs_ergodic, drs_iterate, drs_solve, envelope,
+                  null_step_bounds, outer_certificates)
 from .drt import (DrtProblem, RunRecord, delta_stop, drt_solve, residual_stop,
                   tolerance_stop)
 from .errors import (ContractViolation, InvariantViolation,
@@ -36,7 +36,7 @@ __all__ = [
     "QpInstance", "Quadruple", "RunRecord",
     "SplittableOperator", "StateError", "TsengProblem",
     "check_termination", "delta_stop", "drs_ergodic", "drs_iterate",
-    "drt_problem", "drt_solve", "envelope", "ergodic_bound",
+    "drs_solve", "drt_problem", "drt_solve", "envelope", "ergodic_bound",
     "estimate_beta_V", "faces_instance", "gamma_max", "generate_instance",
     "nearest_zero", "null_step_bounds", "outer_certificates",
     "pointwise_bound",

@@ -11,6 +11,7 @@ null step that only shrinks tau.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -29,7 +30,9 @@ __all__ = [
     "Quadruple",
     "TraceRecord",
     "BSolver",
+    "StopRule",
     "drs_iterate",
+    "drs_solve",
     "check_termination",
     "drs_ergodic",
     "outer_certificates",
@@ -105,7 +108,7 @@ class DrsState:
     ||x - y||, eps_b and the B-solver's inner steps, so the last step's
     kind is trace[-1].step.  The extragradient history
     (one entry per extragradient index) feeds drs_ergodic, outer_certificates
-    and delta_stop (z_{k-1} = hist_z_prev[-1]); drt_solve takes it fresh.
+    and delta_stop (z_{k-1} = hist_z_prev[-1]); drs_solve takes it fresh.
     z0 must be a finite vector (ValueError naming z0); a state has no
     dimension of its own, so its length is the solve's to check.
     """
@@ -256,6 +259,29 @@ def drs_iterate(state: DrsState, cfg: DrsConfig, bsolver: BSolver,
     state.trace.append(TraceRecord(state.k + 1, step, state.tau, residual,
                                    eps_b, int(inner)))
     return state
+
+
+StopRule = Callable[[DrsState], bool]
+
+
+def drs_solve(A: SplittableOperator, bsolver: BSolver, cfg: DrsConfig,
+              stop: StopRule, state: DrsState) -> float:
+    """Run drs_iterate from a fresh state until stop(state); wall seconds.
+
+    The state is advanced in place, and stop is read after each step, so
+    a run takes at least one.  A state that has stepped raises StateError
+    and a z0 of another length than A's ValueError, both before the first
+    B-solve, so the trace and history cover this run alone; a step's error
+    propagates with the state as drs_iterate left it.
+    """
+    if state.k:
+        raise StateError(f"drs_solve needs a fresh state, got one at k={state.k}")
+    _point(state.z, A.dim, "z0")
+    t0 = time.perf_counter()
+    while True:
+        drs_iterate(state, cfg, bsolver, A)
+        if stop(state):
+            return time.perf_counter() - t0
 
 
 def check_termination(q: Quadruple, cfg: DrsConfig) -> bool:

@@ -1,37 +1,31 @@
 """Four-operator splitting: Douglas-Rachford outer loop, Tseng inner solver.
 
 Solves 0 in A(z) + C(z) + F1(z) + F2(z) by running the inexact
-Douglas-Rachford iteration on A and B = C + F1 + F2, where each B-solve
-is delegated to the Tseng forward-backward loop on the strongly monotone
-prox subproblem (tseng_solve), which returns the B-solver's triple.
+Douglas-Rachford loop, drs.drs_solve, on A and B = C + F1 + F2, where each
+B-solve is delegated to the Tseng forward-backward loop on the strongly
+monotone prox subproblem (tseng_solve), which returns the B-solver's triple.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
-from .drs import (EXTRAGRADIENT, DrsConfig, DrsState, Quadruple,
-                  check_termination, drs_ergodic, drs_iterate)
-from .errors import StateError
-from .operators import (CocoerciveMap, LipschitzMap, SplittableOperator,
-                        _norm, _point)
+from .drs import (EXTRAGRADIENT, DrsConfig, DrsState, Quadruple, StopRule,
+                  check_termination, drs_ergodic, drs_solve)
+from .operators import CocoerciveMap, LipschitzMap, SplittableOperator, _norm
 from .tseng import CertBlock, TsengProblem, tseng_solve
 
 __all__ = [
     "DrtProblem",
     "RunRecord",
-    "StopRule",
     "tolerance_stop",
     "delta_stop",
     "residual_stop",
     "drt_solve",
 ]
 
-StopRule = Callable[[DrsState], bool]
 
 @dataclass(frozen=True)
 class DrtProblem:
@@ -120,12 +114,12 @@ def residual_stop(tol: float) -> StopRule:
 def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
               max_inner: int = 1000,
               inner_cert_log: list | None = None) -> tuple[RunRecord, Quadruple]:
-    """Run the outer loop from a fresh state until the stop rule fires.
+    """drs_solve on p with tseng_solve as its B-solver; the run's record.
 
-    The state is DrsState.initial(z0, p.cfg), advanced in place; one that
-    has stepped raises StateError, so the record (counts from the trace,
-    time_s), trace, certificate log and outer call numbers cover the same
-    steps; a z0 of another length than the problem's raises ValueError.
+    The state is DrsState.initial(z0, p.cfg); drs_solve's checks on it
+    make the record (counts from the trace; time_s, drs_solve's wall,
+    which the last certificate block's check follows), trace, certificate
+    log and outer call numbers cover the same steps.
     f2_evals = inner: each Tseng step evaluates F2 exactly once.
 
     The B-solve is tseng_solve on the problem's one Tseng subproblem,
@@ -135,19 +129,11 @@ def drt_solve(p: DrtProblem, stop: StopRule, state: DrsState,
     and all B-solves add their steps to one CertBlock, so a failing step
     raises InvariantViolation naming its outer B-solve call and inner step.
     """
-    if state.k:
-        raise StateError(f"drt_solve needs a fresh state, got one at k={state.k}")
-    _point(state.z, p.A.dim, "z0")
-    t0 = time.perf_counter()
     with (nullcontext() if inner_cert_log is None else
           CertBlock(p.tseng, inner_cert_log, label="outer B-solve call")) as block:
-        bsolver = partial(tseng_solve, p.tseng, max_inner=max_inner,
-                          cert_log=block)
-        while True:
-            drs_iterate(state, p.cfg, bsolver, p.A)
-            if stop(state):
-                break
-    elapsed = time.perf_counter() - t0
+        elapsed = drs_solve(p.A, partial(tseng_solve, p.tseng,
+                                         max_inner=max_inner, cert_log=block),
+                            p.cfg, stop, state)
 
     inner = sum(t.inner for t in state.trace)
     record = RunRecord(

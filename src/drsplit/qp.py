@@ -184,7 +184,9 @@ def drt_problem(inst: QpInstance, z0, *, tol: float, sigma: float = 0.99,
     paper family at n=20, sigma=1e-4 stops with x 19 to 26 away from it,
     sigma=0.01 reaches max_iter and sigma=0.1 converges.  A tiny ||Q||
     puts the zeros x* - gamma*lam*K about gamma*|lam| away: on
-    faces_instance(1, False, 7), gamma = 1.3e6 and drt_solve hits max_iter."""
+    faces_instance(1, False, 7), gamma = 1.3e6 and drt_solve hits max_iter.
+    That typed budget error is the outcome there, not a wrong answer, and
+    tests/test_sweep.py accepts it only where gamma*||e|| > 1e4*||hi - lo||."""
     qp_operators(inst)                  # rejects Q = 0
     tau0 = tau0_default(inst, z0)
     cfg = DrsConfig(float(gamma_max(inst.eta, 0.0, sigma)), sigma, theta,

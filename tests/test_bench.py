@@ -270,7 +270,7 @@ def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
     # the first extragradient step of every solve moves z 1% too far; a, b,
     # x and y still agree, so only the stored iterate shows the fault, and
     # each instance becomes an error row with no trace block
-    real = drt_module.drs_iterate
+    real = drs_module.drs_iterate
 
     def overshoot(state, cfg, bsolver, A):
         z = state.z
@@ -279,7 +279,7 @@ def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
             state.z = z + 1.01 * (state.z - z)
         return state
 
-    monkeypatch.setattr(drt_module, "drs_iterate", overshoot)
+    monkeypatch.setattr(drs_module, "drs_iterate", overshoot)
     records = run_batch(BenchSpec(n=20, instances=5), trace_path=tmp_path / "t")
     assert [r.instance for r in records] == list(range(5))
     for r in records:
@@ -322,7 +322,7 @@ def test_a_traced_batch_without_a_reference_still_checks_its_readings(
     def no_oracle(inst):
         raise OracleFailure("synthetic")
 
-    real_iterate, real_single, planted = (drt_module.drs_iterate,
+    real_iterate, real_single, planted = (drs_module.drs_iterate,
                                           bench.run_single, [])
 
     def overshoot(state, cfg, bsolver, A):
@@ -340,7 +340,7 @@ def test_a_traced_batch_without_a_reference_still_checks_its_readings(
     envelopes = []
     monkeypatch.setattr(bench, "reference_solution", no_oracle)
     monkeypatch.setattr(bench, "envelope", lambda *a: envelopes.append(a))
-    monkeypatch.setattr(drt_module, "drs_iterate", overshoot)
+    monkeypatch.setattr(drs_module, "drs_iterate", overshoot)
     monkeypatch.setattr(bench, "run_single", plant_in_one)
     records = run_batch(BenchSpec(n=20, instances=3), trace_path=tmp_path / "t")
     assert [r.error is None for r in records] == [True, False, True]

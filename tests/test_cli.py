@@ -9,7 +9,7 @@ import pytest
 
 import drsplit.bench as bench
 import drsplit.cli as cli
-import drsplit.drt as drt_module
+import drsplit.drs as drs_module
 from drsplit.bench import BenchSpec, read_records
 from drsplit.cli import build_parser, main
 from drsplit.drs import EXTRAGRADIENT
@@ -246,7 +246,7 @@ def _plant_a_small_d0(monkeypatch):
 
 def _plant_an_overshoot(monkeypatch):
     # the first extragradient step moves z 1% too far
-    real = drt_module.drs_iterate
+    real = drs_module.drs_iterate
 
     def overshoot(state, cfg, bsolver, A):
         z = state.z
@@ -255,7 +255,7 @@ def _plant_an_overshoot(monkeypatch):
             state.z = z + 1.01 * (state.z - z)
         return state
 
-    monkeypatch.setattr(drt_module, "drs_iterate", overshoot)
+    monkeypatch.setattr(drs_module, "drs_iterate", overshoot)
     return "extragradient step 1: residual readings diverge"
 
 

@@ -16,6 +16,7 @@ from drsplit.drs import (
     _ergodic_averages,
     drs_ergodic,
     drs_iterate,
+    drs_solve,
     envelope,
     null_step_bounds,
     outer_certificates,
@@ -412,8 +413,7 @@ def test_ergodic_averages_and_guards():
     bs = exact_bsolver(B, cfg.gamma)
     with pytest.raises(StateError):
         drs_ergodic(state)
-    for _ in range(12):
-        drs_iterate(state, cfg, bs, A)
+    drs_solve(A, bs, cfg, lambda s: s.k == 12, state)
     e = drs_ergodic(state)
     assert_allclose(e.x, np.mean(state.hist_x, axis=0), atol=1e-14)
     assert_allclose(e.b, np.mean(state.hist_b, axis=0), atol=1e-14)

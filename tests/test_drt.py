@@ -15,6 +15,7 @@ from drsplit.drs import (
     check_termination,
     drs_ergodic,
     drs_iterate,
+    drs_solve,
     outer_certificates,
 )
 from drsplit.drt import (
@@ -31,11 +32,11 @@ from drsplit.hpe import verify_hpe_inequality, verify_hpe_rows
 from drsplit.operators import BoxNormalCone, CocoerciveMap, LipschitzMap
 from drsplit.qp import (drt_problem, faces_instance, generate_instance,
                         reference_solution)
-from drsplit import drt as drt_module, tseng
+from drsplit import drs as drs_module, tseng
 from drsplit.tseng import (CERT_BLOCK_ROWS, CertBlock, TsengProblem,
                            gamma_max, tseng_solve, tseng_step)
-from oracles import (EnlargementTriple, box_contains, nullspace_contains,
-                     textbook_tseng)
+from oracles import (BoxAffineSum, EnlargementTriple, box_contains,
+                     exact_bsolver, nullspace_contains, textbook_tseng)
 
 
 def _problem(n=6, seed=0, tol=1e-6, family=generate_instance, definite=True):
@@ -241,32 +242,55 @@ def test_solve_with_caller_state_exposes_history():
                                         rel=1e-12)
 
 
+def _exact_requests(inst, gamma):
+    # the exact B-resolvent of C + F2, and the requests it has been given
+    exact, requests = exact_bsolver(
+        BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi), gamma), []
+
+    def recorded(z_prev, tau):
+        requests.append((z_prev, tau))
+        return exact(z_prev, tau)
+
+    return recorded, requests
+
+
 def test_solve_refuses_a_state_that_has_stepped():
     # one run is one window: a state that has stepped, by a whole solve or
-    # by one outer step, raises before any step and is left as it was
+    # by one outer step, raises before any step and is left as it was;
+    # drs_solve, the loop drt_solve runs, does so with an exact B-solver
     inst, p, z0 = _problem(n=6, seed=13)
-    solved = DrsState.initial(z0, p.cfg)
+    solved, exact_run = (DrsState.initial(z0, p.cfg) for _ in range(2))
     drt_solve(p, delta_stop(1e-6), solved)
+    exact, requests = _exact_requests(inst, p.cfg.gamma)
+    drs_solve(p.A, exact, p.cfg, delta_stop(1e-6), exact_run)
+    assert len(requests) == exact_run.k > 1
     stepped = drs_iterate(DrsState.initial(z0, p.cfg), p.cfg,
                           partial(tseng_solve, p.tseng), p.A)
-    for state in (solved, stepped):
+    for state in (solved, exact_run, stepped):
         k, trace, z = state.k, list(state.trace), state.z.copy()
-        certs = []
+        certs, requests[:] = [], []
         with pytest.raises(StateError, match=f"fresh state.*k={k}$"):
             drt_solve(p, delta_stop(1e-6), state, inner_cert_log=certs)
-        assert state.k == k and state.trace == trace and certs == []
+        with pytest.raises(StateError, match=f"fresh state.*k={k}$"):
+            drs_solve(p.A, exact, p.cfg, delta_stop(1e-6), state)
+        assert state.k == k and state.trace == trace
+        assert certs == [] == requests
         assert_array_equal(state.z, z)
 
 
 def test_solve_rejects_a_start_of_another_dimension_before_a_step():
     # a 5-vector start on an n=6 problem used to fail inside the first
-    # B-solve with a message about z_hat
-    _, p, _ = _problem()
+    # B-solve with a message about z_hat; drs_solve raises before its first
+    # B-solve too
+    inst, p, _ = _problem()
+    exact, requests = _exact_requests(inst, p.cfg.gamma)
     state = DrsState.initial(np.zeros(5), p.cfg)
     k, trace, z = state.k, list(state.trace), state.z.copy()
     with pytest.raises(ValueError, match="^z0 must have length 6$"):
         drt_solve(p, delta_stop(1e-6), state)
-    assert state.k == k and state.trace == trace
+    with pytest.raises(ValueError, match="^z0 must have length 6$"):
+        drs_solve(p.A, exact, p.cfg, delta_stop(1e-6), state)
+    assert state.k == k and state.trace == trace and requests == []
     assert_array_equal(state.z, z)
 
 
@@ -293,10 +317,9 @@ def test_a_bsolver_built_for_another_gamma_breaks_the_outer_contract(
     half = TsengProblem(p.C, p.F1, p.F2, gamma=cfg.gamma / 2,
                         sigma=cfg.sigma)
     state = DrsState.initial(z0, cfg)
-    bs = partial(tseng_solve, half)
     with pytest.raises(ContractViolation) as info:
-        while True:
-            drs_iterate(state, cfg, bs, p.A)
+        drs_solve(p.A, partial(tseng_solve, half), cfg, lambda s: False,
+                  state)
     assert str(info.value).startswith(
         "outer B-solve call 2: bsolver output violates its tolerance")
     assert state.k == 1
@@ -565,7 +588,7 @@ def test_failed_certificate_in_a_later_bsolve_names_call_and_step(
     assert call > 2 and step > 1 and bad < CERT_BLOCK_ROWS
     # the block names the outer call that drs_iterate numbers (state.k + 1)
     # at the B-solve that takes the bad step
-    numbered, at_bad, real_iterate = [], [], drt_module.drs_iterate
+    numbered, at_bad, real_iterate = [], [], drs_module.drs_iterate
 
     def iterate(state, *args):
         numbered.append(state.k + 1)
@@ -575,7 +598,7 @@ def test_failed_certificate_in_a_later_bsolve_names_call_and_step(
         at_bad.append(numbered[-1])
         return _wrong_correction(*out)
 
-    monkeypatch.setattr(drt_module, "drs_iterate", iterate)
+    monkeypatch.setattr(drs_module, "drs_iterate", iterate)
     _mutated(monkeypatch, {bad: wrong_and_noted})
     _, p, z0 = _skew_problem()
     certs = []
@@ -673,9 +696,8 @@ def test_blocks_span_bsolves_and_log_what_per_call_checks_log(monkeypatch):
             tseng_solve(p.tseng, z_prev, tau, cert_log=block)
         return tseng_solve(p.tseng, z_prev, tau)
 
-    state, stop = DrsState.initial(z0, cfg), delta_stop(1e-6)
-    while not stop(state):
-        drs_iterate(state, cfg, checked_per_call, p.A)
+    drs_solve(p.A, checked_per_call, cfg, delta_stop(1e-6),
+              DrsState.initial(z0, cfg))
     rows = _block_rows(monkeypatch)
     state, certs = DrsState.initial(z0, cfg), []
     record, _ = drt_solve(p, delta_stop(1e-6), state, inner_cert_log=certs)

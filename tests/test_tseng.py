@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from drsplit.bench import initial_point
-from drsplit.drs import DrsState, drs_iterate
+from drsplit.drs import DrsState, drs_solve
 from drsplit.errors import (ContractViolation, InvariantViolation,
                             IterationBudgetExceeded)
 from drsplit.hpe import verify_hpe_inequality
@@ -355,9 +355,8 @@ def _textbook_requests(family, seed, calls, generic):
         requests.append((z_prev, tau))
         return tseng_solve(prob.tseng, z_prev, tau)
 
-    state = DrsState.initial(z0, cfg)
-    for _ in range(calls):
-        drs_iterate(state, cfg, recording, prob.A)
+    drs_solve(prob.A, recording, cfg, lambda s: s.k == calls,
+              DrsState.initial(z0, cfg))
     return inst, cfg, prob, requests
 
 

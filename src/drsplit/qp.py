@@ -210,8 +210,12 @@ def kkt_check(inst: QpInstance, z, tol: float = 1e-8) -> bool:
     between, and the test intersects the intervals mapped to lam.  A
     coordinate within tol of both bounds (fixed, lo_i == hi_i) has N = R
     there and puts no constraint on lam.  It reads the raw arrays, not the
-    instance's operators, so it checks the solvers independently.
+    instance's operators, so it checks the solvers independently.  A tol
+    outside (0, inf), NaN included, raises ValueError.
     """
+    # written so that NaN fails: tol = inf certifies any feasible point
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     # contiguous, so that _norm(z) has numpy.linalg.norm's bits on a view too
     z = np.asarray(z, dtype=float, order="C")
     if not np.isfinite(z).all():
@@ -341,8 +345,20 @@ def reference_solution(inst: QpInstance) -> np.ndarray:
 def tau0_default(inst: QpInstance, z0) -> float:
     """Initial inner tolerance tau0 = ||z0 - P_X(z0) + Q z0||^3 + 1.
 
-    The linear term e of the forward map does not enter.
+    The linear term e of the forward map does not enter.  A z0 whose
+    tau0 is not finite (||r||^3 overflows above about 5.6e102) raises
+    ValueError naming z0.
     """
     z0 = _point(z0, inst.n, "z0")
-    r = z0 - _clip(z0, inst.lo, inst.hi) + inst.Q @ z0
-    return _norm(r) ** 3 + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = z0 - _clip(z0, inst.lo, inst.hi) + inst.Q @ z0
+        norm = _norm(r)
+    try:
+        tau0 = norm ** 3 + 1.0
+    except OverflowError:
+        tau0 = np.inf
+    # written so that NaN fails
+    if not tau0 < np.inf:
+        raise ValueError("z0 is too large: tau0 = ||z0 - P_X(z0) + Q z0||^3 "
+                         "+ 1 is not finite")
+    return tau0

@@ -266,29 +266,6 @@ def _trace_blocks(path):
             if line.startswith("#")]
 
 
-def test_trace_cross_check_reads_the_solver_iterate(monkeypatch, tmp_path):
-    # the first extragradient step of every solve moves z 1% too far; a, b,
-    # x and y still agree, so only the stored iterate shows the fault, and
-    # each instance becomes an error row with no trace block
-    real = drs_module.drs_iterate
-
-    def overshoot(state, cfg, bsolver, A):
-        z = state.z
-        real(state, cfg, bsolver, A)
-        if state.trace[-1].step == EXTRAGRADIENT and state.n_extragradient == 1:
-            state.z = z + 1.01 * (state.z - z)
-        return state
-
-    monkeypatch.setattr(drs_module, "drs_iterate", overshoot)
-    records = run_batch(BenchSpec(n=20, instances=5), trace_path=tmp_path / "t")
-    assert [r.instance for r in records] == list(range(5))
-    for r in records:
-        assert r.error.startswith("InvariantViolation: extragradient step 1: "
-                                  "residual readings diverge")
-        assert math.isnan(r.time_s)
-    assert (tmp_path / "t").read_text() == ""
-
-
 def test_trace_cross_check_reads_the_trace_it_writes(monkeypatch, tmp_path):
     # instance 1's second extragradient step has its trace residual off by
     # 1%; the iterates and certificates are untouched, so only the trace
@@ -346,6 +323,7 @@ def test_a_traced_batch_without_a_reference_still_checks_its_readings(
     assert [r.error is None for r in records] == [True, False, True]
     assert records[1].error.startswith(
         "InvariantViolation: extragradient step 1: residual readings diverge")
+    assert math.isnan(records[1].time_s)
     assert math.isnan(records[0].abs_err) and math.isnan(records[2].abs_err)
     assert records[0].iters > 0 and records[2].iters > 0
     assert _trace_blocks(tmp_path / "t") == ["# instance 0", "# instance 2"]

@@ -11,7 +11,7 @@ import drsplit.bench as bench
 import drsplit.cli as cli
 import drsplit.drs as drs_module
 from drsplit.bench import BenchSpec, read_records
-from drsplit.cli import build_parser, main
+from drsplit.cli import main
 from drsplit.drs import EXTRAGRADIENT
 from drsplit.errors import IterationBudgetExceeded
 
@@ -346,14 +346,8 @@ def test_parser_defaults_are_the_spec_defaults(monkeypatch):
     monkeypatch.setattr(cli, "run_batch", capture)
     with pytest.raises(SystemExit):
         main(["--n", "5"])
-    assert specs == [BenchSpec(n=5)]
+    # n, instances, definite, algo, stop, tol and seed
+    assert specs == [BenchSpec(n=5)] == [
+        BenchSpec(5, 100, True, "drt", "delta", 1e-6, 0)]
+    assert specs[0].definite is True
 
-
-def test_parser_defaults():
-    args = build_parser().parse_args(["--n", "7"])
-    assert args.instances == 100
-    assert args.definite is True
-    assert args.algo == "drt"
-    assert args.stop == "delta"
-    assert args.tol == 1e-6
-    assert args.seed == 0

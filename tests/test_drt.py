@@ -401,28 +401,6 @@ def test_skew_f1_inner_solve_reaches_resolvent():
     assert np.linalg.norm(z_next - z_tilde) > 1e-3
 
 
-def test_skew_f1_two_f1_evals_per_step():
-    # a nonzero Lipschitz F1 runs the correction: F1 at z_prime and at
-    # z_tilde, F2 once
-    inst, drt_p, z0 = _skew_problem()
-    F1, F2 = drt_p.F1, drt_p.F2
-    calls = {"F1": 0, "F2": 0}
-
-    def counted(name, f):
-        def g(z):
-            calls[name] += 1
-            return f(z)
-        return g
-
-    p = TsengProblem(C=drt_p.C, F1=LipschitzMap(counted("F1", F1.eval), F1.L,
-                                                F1.project_domain),
-                     F2=CocoerciveMap(counted("F2", F2.eval), F2.eta),
-                     gamma=drt_p.cfg.gamma, sigma=0.99)
-    *_, inner = tseng_solve(p, z0, 1e-12)
-    assert inner > 1
-    assert calls == {"F1": 2 * inner, "F2": inner}
-
-
 def test_skew_f1_certificates_verify():
     inst, p, z0 = _skew_problem()
     cfg, gamma = p.cfg, p.cfg.gamma

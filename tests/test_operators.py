@@ -68,15 +68,6 @@ def test_resolvent_box_projects_and_reconstructs():
     assert u[0] < 0 and u[1] == 0 and u[2] > 0
 
 
-def test_resolvent_box_scaling_invariance():
-    rng = np.random.default_rng(7)
-    z = rng.standard_normal(6) * 8.0
-    op = BoxNormalCone(np.zeros(6), 10.0 * np.ones(6))
-    x1 = op.resolvent(0.3, z)
-    x2 = op.resolvent(5.0, z)
-    assert_array_equal(x1, x2)
-
-
 def test_resolvent_box_rejects_bad_input():
     with pytest.raises(ValueError):
         BoxNormalCone(np.zeros(2), np.ones(2)).resolvent(0.0, np.zeros(2))
@@ -210,10 +201,10 @@ def test_box_projection_is_bitwise_clip(lo, hi):
 
 
 def test_cone_resolvents_match_module_functions_bitwise():
-    # the box output with u = (z - x)/gamma is an exact graph point; the
-    # nullspace resolvent does not depend on gamma, so it is bitwise
-    # project_nullspace, the one at gamma = 1, and it is the orthogonal
-    # projection onto K.z = 0
+    # the box output with u = (z - x)/gamma is an exact graph point, and
+    # neither resolvent depends on gamma: the box one is np.clip and the
+    # nullspace one bitwise project_nullspace, the one at gamma = 1, and
+    # the orthogonal projection onto K.z = 0
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(1, 20))
@@ -221,7 +212,7 @@ def test_cone_resolvents_match_module_functions_bitwise():
         hi = lo + rng.uniform(0.0, 5.0, n)
         K = rng.integers(0, 2, n) * 2.0 - 1.0
         z = rng.standard_normal(n) * 6.0
-        gamma = float(rng.uniform(0.1, 3.0))
+        gamma = float(rng.uniform(0.1, 5.0))
         box = BoxNormalCone(lo, hi)
         x = box.resolvent(gamma, z)
         assert box_contains(box, EnlargementTriple(x, (z - x) / gamma, 0.0))
@@ -229,18 +220,6 @@ def test_cone_resolvents_match_module_functions_bitwise():
         y = NullspaceNormalCone(K).resolvent(gamma, z)
         assert_array_equal(y, project_nullspace(K, z))
         assert_allclose(y, z - np.outer(K, K) @ z / n, atol=1e-12)
-
-
-def test_nullspace_normal_cone_resolvent():
-    K = np.array([1.0, 1.0, -1.0])
-    op = NullspaceNormalCone(K)
-    z = np.array([1.0, 2.0, 3.0])
-    for gamma in (0.25, 1.0, 4.0):
-        y = op.resolvent(gamma, z)
-        assert abs(K @ y) < 1e-12
-        a = (z - y) / gamma
-        # a is normal to the nullspace, i.e. a multiple of K
-        assert_allclose(a, (K @ a / 3.0) * K, atol=1e-13)
 
 
 def test_nullspace_graph_membership_check():

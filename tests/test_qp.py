@@ -423,10 +423,14 @@ def test_drt_problem_defaults_sigma_and_theta():
     (np.zeros(7), r"^z0 must have length 6$"),
     (0.0, r"^z0 must be a vector, got shape \(\)$"),
     (np.full(6, np.nan), "^z0 contains non-finite entries$"),
-], ids=["length-7", "scalar", "nan"])
+    (np.full(6, 1e110), "^z0 is too large: "),
+    (np.full(6, 1e160), "^z0 is too large: "),
+], ids=["length-7", "scalar", "nan", "cube-overflows",
+        "square-overflows"])
 def test_drt_problem_names_a_bad_start(z0, message):
     # each once failed inside tau0_default or DrsConfig, on a broadcast,
-    # a matmul or "tau0 must be positive and finite"
+    # a matmul, "tau0 must be positive and finite", an OverflowError or an
+    # overflow warning
     with pytest.raises(ValueError, match=message):
         drt_problem(generate_instance(6, True, 0), z0, tol=1e-6)
 
@@ -517,6 +521,11 @@ def test_kkt_check_accepts_and_rejects():
     assert not kkt_check(inst, np.array([5.0, 5.0]))  # feasible, not optimal
     assert not kkt_check(inst, np.array([4.0, 3.0]))  # leaves the nullspace
     assert not kkt_check(inst, np.array([-1.0, -1.0]))  # outside the box
+    # a tol outside (0, inf) raises: inf certified (5, 5), NaN rejected z
+    for tol in (np.inf, np.nan, -1.0, 0.0):
+        for point in (z, np.array([5.0, 5.0])):
+            with pytest.raises(ValueError, match="^tol must be positive and"):
+                kkt_check(inst, point, tol)
     # NaN slips through every comparison, so a non-finite point is rejected
     # before the tests: one NaN entry or all, at the optimum or not
     for case, good in ((inst, z), (generate_instance(5, True, 0),
@@ -776,3 +785,7 @@ def test_tau0_default_formula():
     r = z0 - np.clip(z0, inst.lo, inst.hi) + inst.Q @ z0
     assert tau0_default(inst, z0) == pytest.approx(
         np.linalg.norm(r) ** 3 + 1.0, rel=1e-12)
+    # ||r||^3 overflowed at 1e110 (a bare OverflowError), ||r||^2 at 1e160
+    for scale in (1e110, 1e160):
+        with pytest.raises(ValueError, match="^z0 is too large: tau0 = "):
+            tau0_default(inst, np.full(5, scale))

@@ -71,8 +71,9 @@ class DrsConfig:
             raise ValueError("theta must lie in (0, 1)")
         if not 0 < self.tau0 < math.inf:
             raise ValueError("tau0 must be positive and finite")
-        if not (self.rho_tol > 0 and self.eps_tol > 0):
-            raise ValueError("tolerances must be positive")
+        # an infinite tolerance stops at once, at a point that is no answer
+        if not (0 < self.rho_tol < math.inf and 0 < self.eps_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         # a NaN never trips the k >= max_iter budget test, and a
         # fraction would round the budget up
         if not (_integral(self.max_iter) and self.max_iter >= 1):

@@ -8,6 +8,7 @@ monotone prox subproblem (tseng_solve), which returns the B-solver's triple.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -89,8 +90,8 @@ def tolerance_stop(cfg: DrsConfig) -> StopRule:
 def delta_stop(tol: float) -> StopRule:
     """Successive-iterate rule ||z_k - z_{k-1}|| <= tol, extragradient steps
     only; z_{k-1} is state.hist_z_prev[-1], the start of the last step."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:         # written so that NaN fails
+        raise ValueError("tolerance must be positive and finite")
 
     def fired(state: DrsState) -> bool:
         if not state.trace or state.trace[-1].step != EXTRAGRADIENT:
@@ -102,8 +103,8 @@ def delta_stop(tol: float) -> StopRule:
 
 def residual_stop(tol: float) -> StopRule:
     """Residual rule gamma*||a+b|| = ||x-y|| <= tol, every step."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:         # written so that NaN fails
+        raise ValueError("tolerance must be positive and finite")
 
     def fired(state: DrsState) -> bool:
         return state.last is not None and state.residual <= tol

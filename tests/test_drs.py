@@ -68,6 +68,12 @@ def test_config_validation():
         for bad in (float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 _cfg(**{field: bad})
+    # an infinite tolerance stops at once, at a point that is no answer
+    for field in ("rho_tol", "eps_tol"):
+        for bad in (float("inf"), -float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="^tolerances must be "
+                               "positive and finite$"):
+                _cfg(**{field: bad})
     # with NaN the k >= max_iter budget test never fires
     for bad in (float("nan"), 2.5, float("inf")):
         with pytest.raises(ValueError, match="max_iter"):

@@ -35,8 +35,9 @@ from drsplit.qp import (drt_problem, faces_instance, generate_instance,
 from drsplit import drs as drs_module, tseng
 from drsplit.tseng import (CERT_BLOCK_ROWS, CertBlock, TsengProblem,
                            gamma_max, tseng_solve, tseng_step)
-from oracles import (BoxAffineSum, EnlargementTriple, box_contains,
-                     exact_bsolver, nullspace_contains, textbook_tseng)
+from oracles import (AffineMonotone, BoxAffineSum, EnlargementTriple,
+                     box_contains, exact_bsolver, nullspace_contains,
+                     textbook_tseng)
 
 
 def _problem(n=6, seed=0, tol=1e-6, family=generate_instance, definite=True):
@@ -122,9 +123,15 @@ def test_stop_rules():
         delta_stop(0.0)
     with pytest.raises(ValueError):
         residual_stop(-1.0)
+    # an infinite tolerance fires after an outer step or three, at a point
+    # that fails kkt_check at 1e-5
     for rule in (delta_stop, residual_stop):
-        with pytest.raises(ValueError):
-            rule(float("nan"))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^tolerance must be "
+                               "positive and finite$"):
+                rule(bad)
+    with pytest.raises(ValueError, match="^tolerances must be positive"):
+        _problem(tol=float("inf"))
     inst, p, z0 = _problem(n=5, seed=8)
     # before any iteration nothing fires
     state = DrsState.initial(z0, p.cfg)
@@ -399,6 +406,21 @@ def test_skew_f1_inner_solve_reaches_resolvent():
     z_prime, z_tilde, z_next = tseng_step(p, z_hat, z_hat)
     assert np.linalg.norm(z_prime - z_hat) > 1.0
     assert np.linalg.norm(z_next - z_tilde) > 1e-3
+    # a C whose resolvent reads its parameter, C(z) = W z + c on all of
+    # R^n (so no domain projection): the solve is the exact resolvent of
+    # B = C + F1 + F2, one linear solve, which a backward step at gamma
+    # instead of gamma/2 misses by about 1
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((6, 6))
+    W, c = M @ M.T / 6.0, rng.standard_normal(6)
+    affine = replace(p, C=AffineMonotone(W, c),
+                     F1=replace(p.F1, project_domain=None))
+    z, b, _, _ = tseng_solve(affine, z_hat, 1e-24)
+    S = p.F1.eval(np.eye(6))
+    exact = np.linalg.solve(np.eye(6) + gamma * (W + S + inst.Q),
+                            z_hat - gamma * (c + inst.e))
+    assert np.linalg.norm(z - exact) <= 1e-11
+    assert np.linalg.norm(gamma * b + z - z_hat) <= 1e-12
 
 
 def test_skew_f1_certificates_verify():

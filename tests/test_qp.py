@@ -246,19 +246,75 @@ def test_tos_reference_turns_a_non_finite_step_into_an_oracle_failure():
         reference_solution(inst)
 
 
+def _failed_polish(monkeypatch):
+    # the polish's pattern solve, shifted off its answer: no polished point
+    # passes kkt_check, so the reference runs its 1e-12 tail
+    real = qp_module._solve_pattern
+    monkeypatch.setattr(qp_module, "_solve_pattern",
+                        lambda inst, at_lo, at_hi:
+                        (real(inst, at_lo, at_hi)[0] + 1e-3, np.nan))
+
+
 def test_tos_reference_turns_a_budget_error_into_an_oracle_failure(
         monkeypatch):
-    # the shared loop, capped at one step, raises IterationBudgetExceeded
+    # the shared loop, capped at one step, raises IterationBudgetExceeded:
+    # in the run to 1e-4, and in the 1e-12 tail after a failed polish
     real = qp_module._fixed_point
 
     def one_step(step, z, inst, gamma, tol, max_iter, algo):
         return real(step, z, inst, gamma, tol, 1, algo)
 
-    monkeypatch.setattr(qp_module, "_fixed_point", one_step)
-    with pytest.raises(OracleFailure, match="^reference fixed-point "
-                       "iteration: tos did not reach tol 1e-12 in 1 "
-                       "iterations$"):
-        _tos_reference(generate_instance(10, True, 3))
+    def one_tail_step(step, z, inst, gamma, tol, max_iter, algo):
+        return real(step, z, inst, gamma, tol,
+                    1 if tol == 1e-12 else max_iter, algo)
+
+    _failed_polish(monkeypatch)
+    for loop, tol, inst in (
+            (one_step, "0.0001", generate_instance(10, True, 3)),
+            (one_tail_step, "1e-12", faces_instance(10, True, 3))):
+        monkeypatch.setattr(qp_module, "_fixed_point", loop)
+        with pytest.raises(OracleFailure, match="^reference fixed-point "
+                           f"iteration: tos did not reach tol {tol} in 1 "
+                           "iterations$"):
+            _tos_reference(inst)
+
+
+def test_a_failed_polish_returns_the_1e12_fixed_point_bitwise(monkeypatch):
+    # the fallback is the TOS run from 0 to 1e-12 and its box point, bit
+    # for bit; the polish it replaces lies within 1e-10 of that point
+    for definite in (True, False):
+        inst = faces_instance(100, definite, 3)
+        gamma = 1.99 * inst.eta
+        z, _, _ = qp_module._fixed_point(qp_module.tos_iterate,
+                                         np.zeros(100), inst, gamma, 1e-12,
+                                         10 ** 6, "tos")
+        tail = inst.C.resolvent(gamma, z)
+        polished = _tos_reference(inst)
+        assert kkt_check(inst, polished, 1e-10)
+        assert np.max(np.abs(polished - tail)) <= 1e-10
+        with monkeypatch.context() as m:
+            _failed_polish(m)
+            assert_array_equal(_tos_reference(inst), tail)
+
+
+def test_reference_solution_passes_kkt_at_1e10_without_the_tail(monkeypatch):
+    # both families and Q kinds, a few seeds at n = 10 and 100: the TOS
+    # box point or its polish passes at 1e-10, and no run needs the tail
+    tols = []
+    real = qp_module._fixed_point
+
+    def logged(step, z, inst, gamma, tol, max_iter, algo):
+        tols.append(tol)
+        return real(step, z, inst, gamma, tol, max_iter, algo)
+
+    monkeypatch.setattr(qp_module, "_fixed_point", logged)
+    for family in (generate_instance, faces_instance):
+        for definite in (True, False):
+            for n in (10, 100):
+                for seed in range(3):
+                    inst = family(n, definite, seed)
+                    assert kkt_check(inst, reference_solution(inst), 1e-10)
+    assert tols == [1e-4] * 24
 
 
 @pytest.mark.parametrize("n, message", [

@@ -138,11 +138,7 @@ MUTANTS = (
     Mutant("resolvent-at-gamma", "tseng.py",
            "z_tilde = p.C.resolvent(gamma / 2.0, w)\n    z_next",
            "z_tilde = p.C.resolvent(gamma, w)\n    z_next", 14,
-           "tests/test_drt.py::test_skew_f1_inner_solve_reaches_resolvent",
-           "survived", "every C of the tests' problems is a normal cone, "
-           "whose resolvent is a projection that ignores its parameter; only "
-           "a C whose resolvent depends on it, such as oracles.AffineMonotone, "
-           "can kill it (item 14)"),
+           "tests/test_drt.py::test_skew_f1_inner_solve_reaches_resolvent"),
     Mutant("exit-without-eps", "tseng.py",
            "if d1_sq + gamma * d2_sq / (2.0 * eta) <= tau_hat:",
            "if d1_sq <= tau_hat:", 14,

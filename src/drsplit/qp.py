@@ -1,4 +1,4 @@
-"""Constrained-QP benchmark family and its solution oracles.
+"""Constrained-QP benchmark family and its solution oracle.
 
 Instances minimize 0.5 <Qz, z> + <e, z> subject to Kz = 0 and
 z in X = [lo, hi], with Q symmetric positive semidefinite and K a single
@@ -14,22 +14,20 @@ instance runs one eigvalsh(Q) when it is built, which both checks Q for
 positive semidefiniteness and fixes eta, which ``inst.F2`` stores.  The
 instance is that operator set, built once (its cones reject a K outside
 {+1, -1}^n and an empty box, and the instance rejects a box with no
-point on Kz = 0): the drt solver, both baselines and the iterative
-oracle all step with ``inst.A``, ``inst.C`` and ``inst.F2``.
+point on Kz = 0): the drt solver, both baselines and the oracle all
+step with ``inst.A``, ``inst.C`` and ``inst.F2``.
 
-Oracles: KKT active-set enumeration for n <= 6 and, for larger n, the
-baselines' TOS loop run to a 1e-4 fixed point and polished by one solve
-of the KKT system on its active set (the enumeration's per-pattern
-solve), with a 1e-12 TOS tail where the polish fails its check; the
-benchmark's ``abs_err`` column reads them through
-``reference_solution``.  At a solution, ``nearest_zero`` reads the zero
-set of drt's splitting operator off kkt_check's multiplier interval, and
-with it the distance d0 that the paper's bounds take.
+One oracle serves every n: ``reference_solution`` runs the baselines'
+TOS loop to a 1e-4 fixed point and polishes it by one solve of the KKT
+system on its active set, with a 1e-12 TOS tail where the polish fails
+its check; the benchmark's ``abs_err`` column reads it.  At a
+solution, ``nearest_zero`` reads the zero set of drt's splitting
+operator off kkt_check's multiplier interval, and with it the distance
+d0 that the paper's bounds take.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,30 +299,20 @@ def _solve_pattern(inst: QpInstance, at_lo: np.ndarray,
     return z, float(sol[nf])
 
 
-def _kkt_enumerate(inst: QpInstance) -> np.ndarray:
-    # 3^n active-set patterns: each coordinate at lo, free, or at hi
-    best = None
-    best_obj = np.inf
-    best_nrm = np.inf
-    for pattern in itertools.product((0, 1, 2), repeat=inst.n):
-        pat = np.asarray(pattern)
-        z, _ = _solve_pattern(inst, pat == 0, pat == 2)
-        if not kkt_check(inst, z):       # False on a non-finite z, too
-            continue
-        zc = _clip(z, inst.lo, inst.hi)
-        obj = objective(inst, zc)
-        nrm = _norm(zc)
-        cmp_tol = 1e-10 * (1.0 + abs(obj))
-        if best is None or obj < best_obj - cmp_tol or \
-                (obj < best_obj + cmp_tol and nrm < best_nrm):
-            best, best_obj, best_nrm = zc, obj, nrm
-    if best is None:
-        raise OracleFailure("no active-set pattern satisfied the KKT system")
-    return best
+def reference_solution(inst: QpInstance) -> np.ndarray:
+    """Verified optimizer: TOS from 0, polished on its active set.
 
-
-def _tos_reference(inst: QpInstance) -> np.ndarray:
-    # one TOS run from 0 with a checked shortcut at 1e-4 (reference_solution)
+    TOS runs from 0 to a displacement of 1e-4, and the first of two
+    points that passes kkt_check at 1e-10 is returned: TOS's box point,
+    then that point's active set (coordinates within 1e-6 of a bound)
+    solved as one KKT system and clipped to the box.  When neither
+    passes, the same TOS run goes on to 1e-12, and its box point must
+    pass kkt_check at 1e-8.  Where the optimum is not unique, the answer
+    is one optimum, not a chosen one.  Raises OracleFailure when TOS
+    meets a non-finite operator output, reaches its 10**6-step cap (both
+    stages together) or ends at a point that fails its 1e-8 check; the
+    benchmark then leaves that instance's abs_err nan.
+    """
     beta = inst.eta if np.isfinite(inst.eta) else 1.0
     gamma = 1.99 * beta
     try:
@@ -347,27 +335,6 @@ def _tos_reference(inst: QpInstance) -> np.ndarray:
     if not kkt_check(inst, x, 1e-8):
         raise OracleFailure("reference iterate failed the KKT check")
     return x
-
-
-def reference_solution(inst: QpInstance) -> np.ndarray:
-    """Verified optimizer: KKT enumeration (n <= 6) or iterative reference.
-
-    Enumeration covers all 3^n box patterns with the equality multiplier,
-    verifies each candidate at kkt_check's 1e-8, and breaks objective ties
-    by minimal norm.  The iterative reference runs TOS from 0 to a
-    displacement of 1e-4 and returns the first of two points that passes
-    kkt_check at 1e-10: TOS's box point, then that point's active set
-    (coordinates within 1e-6 of a bound) solved as one KKT system and
-    clipped to the box.  When neither passes, the same TOS run goes on to
-    1e-12, and its box point must pass at 1e-8.  Raises OracleFailure
-    when no pattern passes, and when the iterative reference meets a
-    non-finite operator output, reaches its 10**6-step cap (both stages
-    together) or ends at a point that fails its check; the benchmark then
-    leaves that instance's abs_err nan.
-    """
-    if inst.n <= 6:
-        return _kkt_enumerate(inst)
-    return _tos_reference(inst)
 
 
 def tau0_default(inst: QpInstance, z0) -> float:

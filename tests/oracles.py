@@ -1,6 +1,8 @@
 """Reference oracles for the test suite; no solver path uses them.
 
-An exact-resolvent Douglas-Rachford run and the projected-gradient
+The KKT active-set enumeration, the exhaustive optimizer of a small QP
+that ``qp.reference_solution`` and the solvers are checked against, an
+exact-resolvent Douglas-Rachford run and the projected-gradient
 box-QP solver behind it, a B-solver from an exact resolvent, the F1-free
 Tseng loop on a box QP in textbook formulas, an affine
 monotone test operator, the eps-enlargement triple with exact membership
@@ -23,7 +25,53 @@ from drsplit.errors import InvariantViolation, OracleFailure
 from drsplit.operators import (BoxNormalCone, CocoerciveMap,
                                NullspaceNormalCone, SplittableOperator,
                                _check_symmetric, _point, slack)
-from drsplit.qp import QpInstance, estimate_eta
+from drsplit.qp import QpInstance, estimate_eta, kkt_check, objective
+
+
+def kkt_enumerate(inst: QpInstance) -> np.ndarray:
+    """Optimizer of a small QP by all 3^n active-set patterns.
+
+    Each coordinate is at lo, free or at hi.  All patterns are solved in
+    one stacked pseudo-inverse of the full (n + 1)-square KKT system:
+    a bound coordinate's row is the identity row with its bound on the
+    right, a free one's is (Q_i, K_i) with -e_i, and the last row is
+    Kz = 0.  This is written apart from ``qp._solve_pattern``'s reduced
+    bordered system and its lstsq, so that a fault in one cannot hide in
+    the other.  The candidates that pass kkt_check at 1e-8, clipped to
+    the box, are ranked by objective, ties within 1e-10*(1 + |f|) broken
+    by least norm.  Raises OracleFailure when no pattern passes.  Memory
+    and time grow as 3^n: meant for n <= 6.
+    """
+    n = inst.n
+    pats = np.indices((3,) * n).reshape(n, -1).T - 1     # -1 lo, 0 free, 1 hi
+    bound = pats != 0
+    M = np.zeros((pats.shape[0], n + 1, n + 1))
+    M[:, :n, :n] = np.where(bound[:, :, None], np.eye(n), inst.Q)
+    M[:, :n, n] = np.where(bound, 0.0, inst.K)
+    M[:, n, :n] = inst.K
+    rhs = np.zeros((pats.shape[0], n + 1))
+    rhs[:, :n] = np.where(pats < 0, inst.lo,
+                          np.where(pats > 0, inst.hi, -inst.e))
+    Z = np.einsum("pij,pj->pi", np.linalg.pinv(M), rhs)[:, :n]
+    # kkt_check's first two tests on the whole stack, to spare it the
+    # candidates outside the box or off Kz = 0
+    near = (np.all(Z >= inst.lo - 1e-8, axis=1)
+            & np.all(Z <= inst.hi + 1e-8, axis=1)
+            & (np.abs(Z @ inst.K) <= 1e-8 * (1.0 + np.linalg.norm(Z, axis=1))))
+    best = None
+    for z in Z[near]:
+        if not kkt_check(inst, z):
+            continue
+        zc = np.clip(z, inst.lo, inst.hi)
+        obj = objective(inst, zc)
+        nrm = float(np.linalg.norm(zc))
+        cmp_tol = 1e-10 * (1.0 + abs(obj))
+        if best is None or obj < best_obj - cmp_tol or \
+                (obj < best_obj + cmp_tol and nrm < best_nrm):
+            best, best_obj, best_nrm = zc, obj, nrm
+    if best is None:
+        raise OracleFailure("no active-set pattern satisfied the KKT system")
+    return best
 
 
 class EnlargementTriple(NamedTuple):

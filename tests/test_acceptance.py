@@ -30,7 +30,7 @@ from drsplit.qp import (
 from drsplit.baselines import run_baseline
 from drsplit.tseng import CertBlock, tseng_solve
 from oracles import (EnlargementTriple, box_qp_solve, ergodic_prefix,
-                     transport_ergodic)
+                     kkt_enumerate, transport_ergodic)
 
 SIGMA = 0.99
 THETA = 0.01
@@ -161,7 +161,7 @@ def test_accept_03_oracle_equivalence():
         for n, seeds in plan:
             for seed in seeds:
                 inst, cfg, prob, z0 = _drt_setup(family, n, seed, tol=1e-8)
-                z_star = reference_solution(inst)
+                z_star = kkt_enumerate(inst)
                 _, quad = drt_solve(prob, tolerance_stop(cfg),
                                     DrsState.initial(z0, cfg))
                 worst_drt = max(worst_drt,

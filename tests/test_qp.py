@@ -18,7 +18,6 @@ from drsplit.operators import BoxNormalCone, CocoerciveMap, NullspaceNormalCone
 from drsplit.qp import (
     QpInstance,
     _multiplier_interval,
-    _tos_reference,
     drt_problem,
     estimate_beta_V,
     estimate_eta,
@@ -32,7 +31,8 @@ from drsplit.qp import (
     tau0_default,
 )
 from drsplit.tseng import gamma_max
-from oracles import BoxAffineSum, box_qp_solve, drs_reference_zero
+from oracles import (BoxAffineSum, box_qp_solve, drs_reference_zero,
+                     kkt_enumerate)
 
 
 def _manual_instance(Q, e, K, lo=None, hi=None):
@@ -276,7 +276,7 @@ def test_tos_reference_turns_a_budget_error_into_an_oracle_failure(
         with pytest.raises(OracleFailure, match="^reference fixed-point "
                            f"iteration: tos did not reach tol {tol} in 1 "
                            "iterations$"):
-            _tos_reference(inst)
+            reference_solution(inst)
 
 
 def test_a_failed_polish_returns_the_1e12_fixed_point_bitwise(monkeypatch):
@@ -289,12 +289,12 @@ def test_a_failed_polish_returns_the_1e12_fixed_point_bitwise(monkeypatch):
                                          np.zeros(100), inst, gamma, 1e-12,
                                          10 ** 6, "tos")
         tail = inst.C.resolvent(gamma, z)
-        polished = _tos_reference(inst)
+        polished = reference_solution(inst)
         assert kkt_check(inst, polished, 1e-10)
         assert np.max(np.abs(polished - tail)) <= 1e-10
         with monkeypatch.context() as m:
             _failed_polish(m)
-            assert_array_equal(_tos_reference(inst), tail)
+            assert_array_equal(reference_solution(inst), tail)
 
 
 def test_reference_solution_passes_kkt_at_1e10_without_the_tail(monkeypatch):
@@ -318,13 +318,12 @@ def test_reference_solution_passes_kkt_at_1e10_without_the_tail(monkeypatch):
 
 
 @pytest.mark.parametrize("n, message", [
-    (5, "^no active-set pattern satisfied the KKT system$"),
     (7, "^reference iterate failed the KKT check$")])
 def test_a_failed_kkt_check_is_an_oracle_failure_and_a_nan_abs_err(
         n, message, monkeypatch):
-    # n <= 6 enumerates active sets and larger n runs the TOS reference;
-    # a KKT check that passes no point leaves either without a verified
-    # optimizer, and run_single keeps the solve's record with abs_err nan
+    # a KKT check that passes no point leaves the reference without a
+    # verified optimizer, and run_single keeps the solve's record with
+    # abs_err nan
     monkeypatch.setattr(qp_module, "kkt_check",
                         lambda inst, z, tol=1e-8: False)
     with pytest.raises(OracleFailure, match=message):
@@ -690,20 +689,34 @@ def test_oracle_and_drt_agree_on_boxes_with_fixed_coordinates():
     assert 25 <= n_fixed <= 50
 
 
-def test_enumeration_agrees_with_iterative():
-    for n in (2, 3, 4, 5, 6):
-        for seed in range(4):
-            inst = generate_instance(n, True, 300 + seed)
-            z_enum = reference_solution(inst)
-            z_iter = _tos_reference(inst)
-            assert np.max(np.abs(z_enum - z_iter)) < 1e-6
-
-
-def test_reference_solution_large_uses_iterative():
+def test_reference_solution_matches_the_enumeration():
+    # seeded n = 1-6 instances of both families and Q kinds, and boxes with
+    # fixed coordinates: by distance where Q is definite (one optimum), by
+    # objective where the optimum need not be unique; every reference
+    # passes kkt_check at 1e-10, at n = 12 too
+    cases = [family(n, definite, seed)
+             for family in (generate_instance, faces_instance)
+             for definite in (True, False)
+             for n in range(1, 7) for seed in range(3)]
+    cases += [generate_instance(n, True, 300 + seed)
+              for n in range(2, 7) for seed in range(4)]
+    cases += [_sweep_instance(seed) for seed in range(24)]
+    worst_dist = worst_obj = 0.0
+    for inst in cases:
+        x = reference_solution(inst)
+        assert kkt_check(inst, x, 1e-10)
+        x_enum = kkt_enumerate(inst)
+        if inst.definite:
+            worst_dist = max(worst_dist, float(np.linalg.norm(x - x_enum)))
+        f = objective(inst, x_enum)
+        gap = abs(objective(inst, x) - f)
+        assert gap <= 1e-12 * (1.0 + abs(f))
+        worst_obj = max(worst_obj, gap)
+    print(f"reference against enumeration: distance {worst_dist:.3g}, "
+          f"objective gap {worst_obj:.3g}")
+    assert worst_dist <= 1e-12
     inst = generate_instance(12, True, 77)
-    z = reference_solution(inst)
-    assert kkt_check(inst, z, tol=1e-6)
-    assert abs(inst.K @ z) < 1e-8
+    assert kkt_check(inst, reference_solution(inst), 1e-10)
 
 
 # --------------------------------------------------------------- box solvers

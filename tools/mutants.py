@@ -164,6 +164,19 @@ MUTANTS = (
     Mutant("sign-row-n-plus-1", "operators.py",
            "(self.K.dot(z) / self.K.size)", "(self.K.dot(z) / (self.K.size + 1))",
            14, "tests/test_operators.py::test_project_nullspace_hand_example"),
+    # the polish's reduced KKT system: every faces reference then runs the
+    # 1e-12 tail, which the killer rules out
+    Mutant("pattern-border-row-negated", "qp.py",
+           "A[nf, :nf] = inst.K[fidx]", "A[nf, :nf] = -inst.K[fidx]", 29,
+           "tests/test_qp.py::test_reference_solution_passes_kkt_at_1e10"
+           "_without_the_tail"),
+    Mutant("multiplier-sign-swapped", "qp.py",
+           "pos = inst.K > 0", "pos = inst.K < 0", 29,
+           "tests/test_qp.py::test_kkt_check_verdicts_equal_the_coordinate"
+           "_loop"),
+    Mutant("nearest-zero-lower-clamp-dropped", "qp.py",
+           "lam = min(max(lam, lower), upper)", "lam = min(lam, upper)", 29,
+           "tests/test_qp.py::test_nearest_zero_on_hand_examples"),
 )
 
 

@@ -693,13 +693,11 @@ def test_reference_solution_matches_the_enumeration():
     # seeded n = 1-6 instances of both families and Q kinds, and boxes with
     # fixed coordinates: by distance where Q is definite (one optimum), by
     # objective where the optimum need not be unique; every reference
-    # passes kkt_check at 1e-10, at n = 12 too
+    # passes kkt_check at 1e-10
     cases = [family(n, definite, seed)
              for family in (generate_instance, faces_instance)
              for definite in (True, False)
              for n in range(1, 7) for seed in range(3)]
-    cases += [generate_instance(n, True, 300 + seed)
-              for n in range(2, 7) for seed in range(4)]
     cases += [_sweep_instance(seed) for seed in range(24)]
     worst_dist = worst_obj = 0.0
     for inst in cases:
@@ -715,8 +713,25 @@ def test_reference_solution_matches_the_enumeration():
     print(f"reference against enumeration: distance {worst_dist:.3g}, "
           f"objective gap {worst_obj:.3g}")
     assert worst_dist <= 1e-12
+
+
+def test_enumeration_agrees_with_iterative():
+    # the pattern enumeration of tests/oracles against the TOS-based
+    # reference on definite instances, where the optimum is unique
+    for n in (2, 3, 4, 5, 6):
+        for seed in range(4):
+            inst = generate_instance(n, True, 300 + seed)
+            z_iter = reference_solution(inst)
+            assert kkt_check(inst, z_iter, 1e-10)
+            assert np.linalg.norm(z_iter - kkt_enumerate(inst)) <= 1e-12
+
+
+def test_reference_solution_large_uses_iterative():
+    # above the enumeration's reach the reference is still verified
     inst = generate_instance(12, True, 77)
-    assert kkt_check(inst, reference_solution(inst), 1e-10)
+    z = reference_solution(inst)
+    assert kkt_check(inst, z, 1e-10)
+    assert abs(inst.K @ z) < 1e-8
 
 
 # --------------------------------------------------------------- box solvers

@@ -7,41 +7,56 @@ MUTANTS is the committed list.  Each entry replaces an exact `old` text,
 which must occur once in its file under src/drsplit, by `new`; it names
 the ROADMAP item it guards and the tier-1 test id expected to kill it.
 `expect` is how the mutant fares today: "killed" (its killer fails),
-"others" (tests fail, its killer not among them) or "survived" (no test
-fails).  An entry that expects anything but "killed" carries a `known`
-note naming what kills it or why nothing can.
+"others" (tests fail, its killer not among them), "survived" (no test
+fails) or "timeout" (the run outlasts its limit).  An entry that expects
+anything but "killed" carries a `known` note naming what kills it or why
+nothing can.
 
 The checkout that holds this file (its working tree, less .git, caches
-and build outputs) is copied once to a temporary directory, because
+and build outputs) is copied to a temporary directory, because
 perfbench/tests/conftest.py puts its own checkout's src first on
 sys.path: a mutated copy of the package alone would leave those tests on
-the unmutated source.  In the copy, the tier-1 command
+the unmutated source.  In a copy, the tier-1 command
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
 must pass unmutated, with tests/test_mutants.py left out: it checks
 the list against the source, which every mutant changes.  Then each
-mutant is applied, the command runs, and the file is restored.  The
-report is one line per mutant,
+mutant is applied in a copy, the command runs, and the file is restored.
+min(4, cpu count) copies run mutants at once; the report keeps the
+list's order.  A mutated run that takes more than LIMIT_FACTOR times the
+unmutated run's wall is stopped.  The report is one line per mutant,
 
     killed    NAME (item I): KILLER failed
     others    NAME (item I): KILLER passed
     survived  NAME (item I): no test failed
+    timeout   NAME (item I): stopped after L s
 
-each followed by the ids of the tests that failed, indented: that is
-the kill matrix.  A line whose outcome is not the entry's `expect` ends
-in UNEXPECTED.  The run exits 1 on any UNEXPECTED line, on an unmutated
-copy that fails, and on an entry whose `old` does not occur exactly once;
-otherwise 0.  A full run is one tier-1 run per mutant, plus one.
+each followed by the ids of the tests that failed, indented (none for a
+timeout): that is the kill matrix.  A line whose outcome is not the
+entry's `expect` ends in UNEXPECTED.  Two lines end the report: the
+count of each outcome, and
+
+    tests that kill no mutant: K of T
+
+where T counts the tests the unmutated run collected.  The run exits 1
+on any UNEXPECTED line, on an unmutated copy that fails, and on an entry
+whose `old` does not occur exactly once; otherwise 0.  A full run is one
+tier-1 run per mutant, plus one.
 """
 
 from __future__ import annotations
 
+import collections
 import os
+import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,7 +64,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # what the copy leaves out: version control, caches and build outputs
 IGNORE = (".git", "__pycache__", ".pytest_cache", ".bench_run", ".benchmarks",
           "build", "*.egg-info")
-FAILED_LOG = "MUTANTS_FAILED_LOG"
+FAILED_LOG, COLLECTED_LOG = "MUTANTS_FAILED_LOG", "MUTANTS_COLLECTED_LOG"
+# a mutated run stops at this multiple of the unmutated run's wall: a
+# broken step or a stop rule that never fires would run each solve to its
+# budget, the reference oracle's 10**6 steps included.  The slowest run
+# that ends, a-half's, takes about 9 times the unmutated wall
+LIMIT_FACTOR = 20
+OUTCOMES = ("killed", "others", "survived", "timeout")
 # checks the list against the source, which every mutant changes
 SELF_TEST = "tests/test_mutants.py"
 # no stale bytecode of a restored file, and no third-party pytest plugin:
@@ -184,20 +205,39 @@ def occurrences(m: Mutant) -> int:
     return (ROOT / "src" / "drsplit" / m.file).read_text().count(m.old)
 
 
-def _tier1(copy: Path, log: Path, tests: list[str]) -> tuple[int, list[str]]:
-    # (pytest exit code, failed test ids in order); the ids come from this
-    # module loaded as a pytest plugin, since a summary line can't be split
-    # where a parameter id holds spaces
-    log.write_text("")
-    env = dict(os.environ, **ENV, **{FAILED_LOG: str(log)},
+def _tier1(copy: Path, tests: list[str], limit: float | None = None
+           ) -> tuple[int | None, list[str], list[str], float]:
+    # (pytest exit code, None past the limit; failed test ids in order;
+    # collected test ids; wall seconds).  The ids come from this module
+    # loaded as a pytest plugin, since a summary line can't be split where
+    # a parameter id holds spaces
+    failed_log = copy.with_name(copy.name + ".failed")
+    collected_log = copy.with_name(copy.name + ".collected")
+    failed_log.write_text("")
+    collected_log.write_text("")
+    env = dict(os.environ, **ENV, **{FAILED_LOG: str(failed_log),
+                                     COLLECTED_LOG: str(collected_log)},
                PYTHONPATH=os.pathsep.join((str(copy / "src"),
                                            str(copy / "tools"))))
-    proc = subprocess.run(
+    t0 = time.perf_counter()
+    # a session of its own, so that a stopped run takes with it the
+    # processes its tests started
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-p", "mutants", "-p",
          "no:cacheprovider", "--continue-on-collection-errors",
          "--ignore=" + SELF_TEST, *tests],
-        cwd=copy, env=env, capture_output=True, text=True)
-    return proc.returncode, list(dict.fromkeys(log.read_text().splitlines()))
+        cwd=copy, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        code = proc.wait(timeout=limit)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        code = None
+    wall = time.perf_counter() - t0
+    failed = list(dict.fromkeys(failed_log.read_text().splitlines()))
+    return (code, [] if code is None else failed,
+            collected_log.read_text().splitlines(), wall)
 
 
 def pytest_runtest_logreport(report):
@@ -210,7 +250,15 @@ def pytest_runtest_logreport(report):
 pytest_collectreport = pytest_runtest_logreport     # a module that errors
 
 
-def _verdict(m: Mutant, code: int, failed: list[str]) -> tuple[str, str]:
+def pytest_collection_finish(session):
+    with open(os.environ[COLLECTED_LOG], "w") as f:
+        f.write("".join(item.nodeid + "\n" for item in session.items))
+
+
+def _verdict(m: Mutant, code: int | None, failed: list[str],
+             limit: float) -> tuple[str, str]:
+    if code is None:
+        return "timeout", f"stopped after {limit:.0f} s"
     if code not in (0, 1):
         return f"exit {code}", "pytest did not run to the end"
     if not failed:
@@ -236,32 +284,51 @@ def run(mutants=MUTANTS, killers_only: bool = False) -> int:
     if status:
         return status
     with tempfile.TemporaryDirectory() as tmp:
-        copy, log = Path(tmp) / "checkout", Path(tmp) / "failed.txt"
-        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(*IGNORE))
-        code, failed = _tier1(
-            copy, log, sorted({m.killer for m in mutants}) if killers_only
+        copies = queue.SimpleQueue()     # the copies no mutant is using
+        for j in range(max(1, min(4, os.cpu_count() or 1, len(mutants)))):
+            copy = Path(tmp) / f"checkout{j}"
+            shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(*IGNORE))
+            copies.put(copy)
+        code, failed, collected, wall = _tier1(
+            copy, sorted({m.killer for m in mutants}) if killers_only
             else [])
         if code != 0:
             print(f"the unmutated copy fails (pytest exit {code}); "
                   "no mutant can be judged")
             print("".join(f"    {t}\n" for t in failed), end="")
             return 1
-        for m in mutants:
+        limit = LIMIT_FACTOR * wall
+
+        def mutated(m: Mutant):
+            copy = copies.get()
             path = copy / "src" / "drsplit" / m.file
             source = path.read_text()
             path.write_text(source.replace(m.old, m.new))
             try:
-                code, failed = _tier1(copy, log, [m.killer] if killers_only
-                                      else [])
+                return _tier1(copy, [m.killer] if killers_only else [],
+                              limit)
             finally:
                 path.write_text(source)
-            got, detail = _verdict(m, code, failed)
-            line = f"{got:<9} {m.name} (item {m.item}): {detail}"
-            if got != m.expect:
-                line += "  UNEXPECTED"
-                status = 1
-            print(line)
-            print("".join(f"    {t}\n" for t in failed), end="", flush=True)
+                copies.put(copy)
+
+        outcomes, killing = collections.Counter(), set()
+        with ThreadPoolExecutor(copies.qsize()) as pool:
+            for m, (code, failed, _, _) in zip(mutants,
+                                               pool.map(mutated, mutants)):
+                got, detail = _verdict(m, code, failed, limit)
+                outcomes[got] += 1
+                killing.update(failed)
+                line = f"{got:<9} {m.name} (item {m.item}): {detail}"
+                if got != m.expect:
+                    line += "  UNEXPECTED"
+                    status = 1
+                print(line)
+                print("".join(f"    {t}\n" for t in failed), end="",
+                      flush=True)
+    print(", ".join(f"{got} {outcomes.pop(got, 0)}" for got in OUTCOMES)
+          + "".join(f", {got} {count}" for got, count in outcomes.items()))
+    print(f"tests that kill no mutant: {len(set(collected) - killing)} of "
+          f"{len(collected)}")
     return status
 
 

@@ -25,12 +25,9 @@ from drsplit.bench import (
     write_summary_csv,
 )
 import drsplit.drs as drs_module
-import drsplit.drt as drt_module
-import drsplit.qp as qp_module
 from drsplit.drs import EXTRAGRADIENT
 from drsplit.drt import RunRecord
-from drsplit.errors import (InvariantViolation, IterationBudgetExceeded,
-                            OracleFailure, ParseError)
+from drsplit.errors import IterationBudgetExceeded, OracleFailure, ParseError
 from drsplit.operators import CocoerciveMap
 from drsplit.qp import generate_instance, reference_solution
 
@@ -102,6 +99,8 @@ def test_abs_err_is_measured_on_the_solution_block(algo):
     # the paper family's optimum is the origin; the governing iterate z of
     # every scheme stays far from it while its solution block lands on it
     records = run_batch(BenchSpec(n=100, instances=20, algo=algo))
+    assert all(r.algo == algo and r.error is None and r.iters >= 1
+               for r in records)
     errs = [r.abs_err for r in records]
     assert sum(errs) / len(errs) <= 1e-8
 
@@ -134,38 +133,6 @@ def test_run_batch_marks_failures_and_continues(monkeypatch):
     assert stats["iters"][0] >= 1
 
 
-def test_run_batch_records_a_non_finite_operator_output(monkeypatch):
-    # instance 1's F2 returns NaN on its fifth call: that instance becomes
-    # an error row naming the outer call and inner step, the rest solve
-    spec = BenchSpec(n=5, instances=3, seed=5)
-    real = qp_module.qp_operators
-
-    def poisoned(inst):
-        inst = real(inst)
-        if inst.seed != spec.seed + 1:
-            return inst
-        f2, calls = inst.F2.eval, []
-
-        def eval(z):
-            calls.append(None)
-            return f2(z) * (np.nan if len(calls) == 5 else 1.0)
-
-        # the instance is its operator set, and drt_problem reads its F2
-        # after this check
-        object.__setattr__(inst, "F2", CocoerciveMap(eval=eval, eta=inst.eta))
-        return inst
-
-    # the recipe run_single calls looks qp_operators up in drsplit.qp
-    monkeypatch.setattr(qp_module, "qp_operators", poisoned)
-    records = run_batch(spec)
-    assert [r.instance for r in records] == [0, 1, 2]
-    assert records[0].error is None and records[2].error is None
-    assert re.fullmatch(r"ContractViolation: outer B-solve call \d+: inner "
-                        r"step \d+: point contains non-finite entries",
-                        records[1].error)
-    assert math.isnan(records[1].time_s)
-
-
 @pytest.mark.parametrize("algo", ["drt", "tos", "rfdrs"])
 def test_a_poisoned_instance_is_one_error_row(algo, monkeypatch):
     # instance 1's F2 returns NaN: at n=10 the TOS reference oracle meets
@@ -192,44 +159,6 @@ def test_a_poisoned_instance_is_one_error_row(algo, monkeypatch):
     assert re.fullmatch(rf"ContractViolation: {where}: point contains "
                         r"non-finite entries", records[1].error)
     assert math.isnan(records[1].time_s)
-
-
-def test_a_three_value_bsolver_is_one_error_row_per_instance(monkeypatch):
-    # a B-solver written to the three-value protocol breaks its contract
-    # on every instance: each becomes an error row, and the batch runs on
-    def three_values(sub, z, tau, max_inner=1000, cert_log=None):
-        return z / 2.0, z / 2.0, 0.0
-
-    monkeypatch.setattr(drt_module, "tseng_solve", three_values)
-    records = run_batch(BenchSpec(n=10, instances=2))
-    assert [r.instance for r in records] == [0, 1]
-    for r in records:
-        assert re.fullmatch(r"ContractViolation: outer B-solve call 1: "
-                            r"bsolver returned a tuple, not \(x, b, eps_b, "
-                            r"inner\): .*", r.error)
-        assert math.isnan(r.time_s)
-
-
-def test_a_collapsing_ladder_is_one_error_row_per_instance(monkeypatch):
-    # a B-solve whose enlargement is 1e-11 too large stays inside the
-    # contract's absolute slack but fails every relative-error test: the
-    # ladder underflows to tau = 0, and each instance becomes an error
-    # row naming the collapse instead of an untyped error from tseng_solve
-    tseng_solve = drt_module.tseng_solve
-
-    def loose(sub, z, tau, max_inner=1000, cert_log=None):
-        x, b, eps_b, inner = tseng_solve(sub, z, tau, max_inner=max_inner,
-                                         cert_log=cert_log)
-        return x, b, eps_b + 1e-11, inner
-
-    monkeypatch.setattr(drt_module, "tseng_solve", loose)
-    records = run_batch(BenchSpec(n=10, instances=2))
-    assert [r.instance for r in records] == [0, 1]
-    for r in records:
-        assert re.fullmatch(r"IterationBudgetExceeded: outer step \d+: the "
-                            r"tolerance ladder collapsed: theta\*\*beta \* "
-                            r"tau0 is 0 at beta=\d+", r.error)
-        assert math.isnan(r.time_s)
 
 
 def test_trace_requires_drt(tmp_path):
@@ -287,71 +216,6 @@ def test_trace_cross_check_reads_the_trace_it_writes(monkeypatch, tmp_path):
     assert [r.error is None for r in records] == [True, False, True]
     assert records[1].error.startswith(
         "InvariantViolation: extragradient step 2: residual readings diverge")
-    assert _trace_blocks(tmp_path / "t") == ["# instance 0", "# instance 2"]
-
-
-def test_a_traced_batch_without_a_reference_still_checks_its_readings(
-        monkeypatch, tmp_path):
-    # every reference solve fails: no instance has a d0, so the bounds are
-    # not read (abs_err stays nan and each clean block is written), but the
-    # residual readings still are, and instance 1's first extragradient
-    # step, planted 1% too far, makes that instance an error row
-    def no_oracle(inst):
-        raise OracleFailure("synthetic")
-
-    real_iterate, real_single, planted = (drs_module.drs_iterate,
-                                          bench.run_single, [])
-
-    def overshoot(state, cfg, bsolver, A):
-        z = state.z
-        real_iterate(state, cfg, bsolver, A)
-        if (planted and state.trace[-1].step == EXTRAGRADIENT
-                and state.n_extragradient == 1):
-            state.z = z + 1.01 * (state.z - z)
-        return state
-
-    def plant_in_one(spec, i):
-        planted[:] = [True] if i == 1 else []
-        return real_single(spec, i)
-
-    envelopes = []
-    monkeypatch.setattr(bench, "reference_solution", no_oracle)
-    monkeypatch.setattr(bench, "envelope", lambda *a: envelopes.append(a))
-    monkeypatch.setattr(drs_module, "drs_iterate", overshoot)
-    monkeypatch.setattr(bench, "run_single", plant_in_one)
-    records = run_batch(BenchSpec(n=20, instances=3), trace_path=tmp_path / "t")
-    assert [r.error is None for r in records] == [True, False, True]
-    assert records[1].error.startswith(
-        "InvariantViolation: extragradient step 1: residual readings diverge")
-    assert math.isnan(records[1].time_s)
-    assert math.isnan(records[0].abs_err) and math.isnan(records[2].abs_err)
-    assert records[0].iters > 0 and records[2].iters > 0
-    assert _trace_blocks(tmp_path / "t") == ["# instance 0", "# instance 2"]
-    assert envelopes == []
-
-
-def test_a_trace_that_lost_a_record_is_an_error_row(monkeypatch, tmp_path):
-    # instance 1's trace loses its last extragradient record, so the
-    # history holds one row more than the trace; a pairing that stopped at
-    # the shorter of the two would pass it
-    real, counts = bench.run_single, []
-
-    def truncated(spec, i):
-        result = real(spec, i)
-        if i == 1:
-            trace = result.state.trace
-            del trace[max(j for j, t in enumerate(trace)
-                          if t.step == EXTRAGRADIENT)]
-            counts.append(result.state.n_extragradient)
-        return result
-
-    monkeypatch.setattr(bench, "run_single", truncated)
-    records = run_batch(BenchSpec(n=20, instances=3), trace_path=tmp_path / "t")
-    assert [r.error is None for r in records] == [True, False, True]
-    J = counts[0]
-    assert records[1].error == (
-        f"InvariantViolation: {J} extragradient steps in the history but "
-        f"{J - 1} in the trace")
     assert _trace_blocks(tmp_path / "t") == ["# instance 0", "# instance 2"]
 
 
@@ -432,15 +296,8 @@ def test_summarize_and_format():
     assert any(l.startswith("iters") for l in text.splitlines())
     with pytest.raises(ValueError):
         summarize([])
-
-
-def test_summarize_all_nan_column():
-    r = RunRecord(instance=0, algo="drt", n=2, iters=5, extragrad=5, null=0,
-                  inner=5, f2_evals=5, time_s=0.1, residual=1e-8,
-                  abs_err=float("nan"))
-    stats = summarize([r])
-    assert all(math.isnan(v) for v in stats["abs_err"])
-    assert stats["iters"] == (5.0, 5.0, 5.0)
+    # a column with no finite cell reads nan
+    assert all(math.isnan(v) for v in summarize([r1])["abs_err"])
 
 
 def test_records_csv_round_trip(tmp_path):
@@ -460,13 +317,17 @@ def test_records_csv_error_rows(tmp_path):
     ok = RunRecord(instance=0, algo="drt", n=3, iters=4, extragrad=3, null=1,
                    inner=6, f2_evals=6, time_s=0.2, residual=1e-7,
                    abs_err=0.5)
+    # a failed oracle leaves abs_err nan on a row that is no error row
+    no_oracle = dataclasses.replace(ok, instance=2, abs_err=float("nan"))
     path = tmp_path / "mixed.csv"
-    write_records([ok, bad], path)
+    write_records([ok, bad, no_oracle], path)
     back = read_records(path)
     assert back[0] == ok
     assert back[1].error == "error row"
     assert back[1].instance == 1 and back[1].n == 3
     assert math.isnan(back[1].time_s)
+    assert back[2].error is None and back[2].iters == 4
+    assert math.isnan(back[2].abs_err)
 
 
 def test_rewrite_replaces_the_file_and_a_hard_link_keeps_the_old(tmp_path):
@@ -626,12 +487,3 @@ def test_summary_csv(tmp_path):
         want = stats[col]
         if all(np.isfinite(want)):
             assert got[col] == want
-
-
-def test_batch_baseline_algos():
-    for algo in ("tos", "rfdrs"):
-        spec = BenchSpec(n=3, instances=2, algo=algo, seed=4)
-        records = run_batch(spec)
-        assert all(r.algo == algo for r in records)
-        assert all(r.error is None for r in records)
-        assert all(r.iters >= 1 for r in records)

@@ -26,12 +26,6 @@ def test_usage_errors_exit_one(capsys):
     assert "usage:" in err
 
 
-def test_spec_errors_exit_one():
-    with pytest.raises(SystemExit) as ei:
-        main(["--n", "0"])
-    assert ei.value.code == 1
-
-
 def test_trace_restricted_to_drt(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["--n", "2", "--algo", "tos", "--trace",
@@ -50,9 +44,12 @@ def _wall_split(out):
     return tuple(float(g) for g in m.groups())
 
 
-def test_successful_batch_prints_summary(capsys):
-    rc = main(["--n", "2", "--instances", "3", "--seed", "5"])
+def test_successful_batch_prints_summary(tmp_path, capsys):
+    trace = tmp_path / "steps.csv"
+    rc = main(["--n", "2", "--instances", "3", "--seed", "5",
+               "--trace", str(trace)])
     assert rc == 0
+    assert trace.read_text().startswith("# instance 0")
     out = capsys.readouterr().out
     head = out.splitlines()[0]
     assert "algo=drt" in head and "n=2" in head and "instances=3" in head
@@ -93,20 +90,14 @@ def test_the_rest_holds_the_reference_oracle(monkeypatch, capsys):
     assert solvers - min(b[1] for b in base) < 0.02
 
 
-def test_semidefinite_and_baseline_run(capsys):
-    rc = main(["--n", "2", "--instances", "2", "--semidefinite",
-               "--algo", "rfdrs", "--tol", "1e-5"])
-    assert rc == 0
-    assert "semidefinite" in capsys.readouterr().out.splitlines()[0]
-
-
 def test_baseline_head_line_names_no_stop_rule(capsys):
     # --stop selects drt's rule only; a tos head line must not name one
     rc = main(["--n", "2", "--instances", "1", "--algo", "tos",
-               "--stop", "residual"])
+               "--stop", "residual", "--semidefinite"])
     assert rc == 0
     head = capsys.readouterr().out.splitlines()[0]
     assert "algo=tos" in head and "stop=" not in head
+    assert "semidefinite" in head
 
 
 @pytest.mark.parametrize("kind", ["--definite", "--semidefinite"])
@@ -119,23 +110,6 @@ def test_one_dimensional_batch_exits_zero(algo, kind, tmp_path, capsys):
     records = read_records(out)
     assert [r.error for r in records] == [None] * 3
     assert all(r.iters >= 1 and r.residual <= 1e-6 for r in records)
-
-
-def test_out_writes_records_and_summary(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    rc = main(["--n", "2", "--instances", "2", "--out", str(out)])
-    assert rc == 0
-    records = read_records(out)
-    assert len(records) == 2
-    summary = (tmp_path / "bench.summary.csv").read_text()
-    assert summary.startswith("column,min,max,mean")
-
-
-def test_trace_written(tmp_path):
-    trace = tmp_path / "steps.csv"
-    rc = main(["--n", "2", "--instances", "1", "--trace", str(trace)])
-    assert rc == 0
-    assert trace.read_text().startswith("# instance 0")
 
 
 def _no_batch(monkeypatch):
@@ -157,7 +131,7 @@ def test_missing_output_directory_fails_before_the_batch(
 
 
 @pytest.mark.parametrize("argv", [["--tol", "nan"], ["--seed", "-1"],
-                                  ["--tol", "inf"]])
+                                  ["--tol", "inf"], ["--n", "0"]])
 def test_nan_tol_and_negative_seed_exit_one_before_the_batch(
         argv, monkeypatch, capsys):
     _no_batch(monkeypatch)

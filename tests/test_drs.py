@@ -149,51 +149,6 @@ def test_null_step_freezes_z_and_shrinks_tau():
     assert state.trace[-1].tau == pytest.approx(state.tau)
 
 
-def test_contract_violation_raises():
-    cfg = _cfg(tau0=1e-6)
-    A = NullspaceNormalCone(np.array([1.0]))
-
-    def liar(z_prev, tau):
-        return z_prev + 5.0, np.zeros(1), 0.0, 0  # lhs 25 >> tau
-
-    with pytest.raises(ContractViolation):
-        drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg, liar, A)
-
-    def negative_eps(z_prev, tau):
-        return z_prev.copy(), np.zeros(1), -1.0, 0
-
-    with pytest.raises(ContractViolation):
-        drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg,
-                    negative_eps, A)
-    for inner in (-1, 1.0, float("nan"), None):
-        with pytest.raises(ContractViolation, match=f"inner={inner!r}, not"):
-            drs_iterate(DrsState.initial(np.array([2.0]), cfg), cfg,
-                        lambda z, tau: (z, np.zeros(1), 0.0, inner), A)
-
-
-def test_nan_contract_data_fails_on_the_first_call():
-    # NaN passes a test written as eps_b < 0 or lhs > tau, and then every
-    # step classifies as null until max_iter; both tests reject it at once
-    cfg = _cfg(tau0=1.0)
-    A = NullspaceNormalCone(np.array([1.0, 1.0]))
-    calls = []
-
-    def nan_eps(z_prev, tau):
-        calls.append(None)
-        return z_prev / 2.0, z_prev / 2.0, float("nan"), 0
-
-    def nan_point(z_prev, tau):
-        calls.append(None)
-        return np.array([np.nan, 0.0]), np.zeros(2), 0.0, 0
-
-    for bsolver, match in ((nan_eps, "eps_b=nan"), (nan_point, "tolerance")):
-        calls.clear()
-        state = DrsState.initial(np.array([2.0, 0.0]), cfg)
-        with pytest.raises(ContractViolation, match=match):
-            drs_iterate(state, cfg, bsolver, A)
-        assert len(calls) == 1 and state.k == 0
-
-
 def test_non_finite_resolvent_of_a_fails_on_the_first_call():
     # a NaN y makes the residual NaN, which no relative-error test
     # rejects: every step would classify as null until max_iter
@@ -242,75 +197,11 @@ def test_a_resolvent_that_raises_names_the_outer_step():
     assert_array_equal(state.z, z)
 
 
-def test_bsolver_output_of_the_wrong_shape_fails_on_the_first_call():
-    # x or b of another shape than z broadcasts through the contract and
-    # the relative-error test, and a scalar x reaches the ergodic averages
-    cfg = _cfg()
-    A = NullspaceNormalCone(np.ones(3))
-    z0 = np.array([2.0, -1.0, 0.5])
-    short = np.array([1.0])
-    cases = (
-        (lambda z, tau: (short, z - short, 0.0, 0),
-         r"\(1,\) and b .* \(3,\)"),
-        (lambda z, tau: (1.0, z - 1.0, 0.0, 0), r"\(\) and b .* \(3,\)"),
-        (lambda z, tau: (z / 2.0, z[:1] / 2.0, 0.0, 0),
-         r"\(3,\) and b .* \(1,\)"),
-    )
-    for bsolver, shapes in cases:
-        state = DrsState.initial(z0, cfg)
-        with pytest.raises(ContractViolation,
-                           match=r"^outer B-solve call 1: bsolver returned x "
-                                 rf"of shape {shapes}, not \(3,\)$"):
-            drs_iterate(state, cfg, bsolver, A)
-        assert state.k == 0
-
-
-def test_bsolver_return_that_is_not_four_values_is_a_contract_violation():
-    # a B-solver written to the three-value protocol, and returns that do
-    # not unpack at all; a ValueError raised inside the B-solver keeps its
-    # type
-    cfg = _cfg()
-    A = NullspaceNormalCone(np.ones(2))
-    z0 = np.array([2.0, -1.0])
-    cases = (
-        (lambda z, tau: (z / 2.0, z / 2.0, 0.0), "tuple", r"got 3"),
-        (lambda z, tau: (z / 2.0, z / 2.0, 0.0, 0, 0), "tuple",
-         r"expected 4"),
-        (lambda z, tau: None, "NoneType", "non-iterable"),
-        (lambda z, tau: 1.0, "float", "non-iterable"),
-    )
-    for bsolver, kind, why in cases:
-        state = DrsState.initial(z0, cfg)
-        with pytest.raises(ContractViolation,
-                           match=r"^outer B-solve call 1: bsolver returned "
-                                 rf"a {kind}, not \(x, b, eps_b, inner\): "
-                                 rf".*{why}"):
-            drs_iterate(state, cfg, bsolver, A)
-        assert state.k == 0 and state.trace == []
-        assert_array_equal(state.z, z0)
-
-    def raises(z_prev, tau):
-        raise ValueError("inner trouble")
-
-    with pytest.raises(ValueError, match="^inner trouble$"):
-        drs_iterate(DrsState.initial(z0, cfg), cfg, raises, A)
-
-
-def test_iteration_budget():
-    cfg = _cfg(max_iter=2)
-    A = NullspaceNormalCone(np.array([1.0]))
-    B = AffineMonotone(np.eye(1))
-    state = DrsState.initial(np.array([2.0]), cfg)
-    bs = exact_bsolver(B, cfg.gamma)
-    drs_iterate(state, cfg, bs, A)
-    drs_iterate(state, cfg, bs, A)
-    with pytest.raises(IterationBudgetExceeded, match="^max_iter=2 reached$"):
-        drs_iterate(state, cfg, bs, A)
-
-
-@pytest.mark.parametrize("error", [ContractViolation, IterationBudgetExceeded])
+@pytest.mark.parametrize("error", [ContractViolation, IterationBudgetExceeded,
+                                   ValueError])
 def test_exact_steps_take_no_inner_steps_and_errors_name_the_outer_call(error):
-    # drs_iterate, not the B-solver, names the outer call that failed
+    # drs_iterate, not the B-solver, names the outer call that failed; a
+    # ValueError raised inside the B-solver keeps its type and message
     cfg, A = _cfg(), NullspaceNormalCone(np.array([1.0]))
     state = DrsState.initial(np.array([2.0]), cfg)
     for _ in range(2):
@@ -320,21 +211,43 @@ def test_exact_steps_take_no_inner_steps_and_errors_name_the_outer_call(error):
     def fails(z_prev, tau):
         raise error("inner trouble")
 
-    with pytest.raises(error, match="^outer B-solve call 3: inner trouble$"):
+    prefix = "" if error is ValueError else "outer B-solve call 3: "
+    with pytest.raises(error, match=f"^{prefix}inner trouble$"):
         drs_iterate(state, cfg, fails, A)
 
 
 @pytest.mark.parametrize("out, what", [
-    (lambda z: (z, z), r"bsolver returned a tuple, not \(x, b, eps_b, inner\)"),
-    (lambda z: (z[:0], z, 0.0, 0), r"bsolver returned x of shape \(0,\)"),
+    (lambda z: (z, z, 0.0), r"bsolver returned a tuple, not \(x, b, eps_b, "
+                            r"inner\): .*got 3"),
+    (lambda z: (z, z, 0.0, 0, 0), r"bsolver returned a tuple, .*expected 4"),
+    (lambda z: None, r"bsolver returned a NoneType, .*non-iterable"),
+    (lambda z: 1.0, r"bsolver returned a float, .*non-iterable"),
+    (lambda z: (z[:0], z, 0.0, 0), r"bsolver returned x of shape \(0,\) and "
+                                   r"b of shape \(1,\), not \(1,\)$"),
+    (lambda z: (1.0, z, 0.0, 0), r"bsolver returned x of shape \(\) and b "
+                                 r"of shape \(1,\)"),
+    (lambda z: (z, z[:0], 0.0, 0), r"bsolver returned x of shape \(1,\) and "
+                                   r"b of shape \(0,\)"),
     (lambda z: (z, 0 * z, -1.0, 0), r"bsolver returned eps_b=-1.0, not >= 0$"),
-    (lambda z: (z, 0 * z, 0.0, 1.5), r"bsolver returned inner=1.5, not an "),
+    (lambda z: (z, 0 * z, np.nan, 0), r"bsolver returned eps_b=nan, not >= 0$"),
+    (lambda z: (z, 0 * z, 0.0, 1.5), r"bsolver returned inner=1.5, not an "
+                                     r"integer >= 0$"),
+    (lambda z: (z, 0 * z, 0.0, -1), r"bsolver returned inner=-1, not an "),
+    (lambda z: (z, 0 * z, 0.0, 1.0), r"bsolver returned inner=1.0, not an "),
+    (lambda z: (z, 0 * z, 0.0, np.nan), r"bsolver returned inner=nan, not "),
+    (lambda z: (z, 0 * z, 0.0, None), r"bsolver returned inner=None, not "),
     (lambda z: (z + 100.0, 0 * z, 0.0, 0), "bsolver output violates its "
                                            r"tolerance: \d"),
-], ids=["arity", "shape", "eps_b", "inner", "tolerance"])
+    (lambda z: (np.full_like(z, np.nan), 0 * z, 0.0, 0),
+     "bsolver output violates its tolerance: nan"),
+], ids=["arity", "five-values", "none", "float", "shape", "scalar-x",
+        "short-b", "eps_b", "eps_b-nan", "inner", "inner-negative",
+        "inner-float", "inner-nan", "inner-none", "tolerance", "x-nan"])
 def test_a_bad_return_names_the_outer_call_and_leaves_the_state(out, what):
     # drs_iterate's own checks on the B-solver's return carry the prefix
-    # that errors raised inside the B-solver get, and take no step
+    # that errors raised inside the B-solver get, and take no step; a NaN
+    # passes a test written as eps_b < 0 or lhs > tau, and would classify
+    # every step as null until max_iter
     cfg, A = _cfg(), NullspaceNormalCone(np.array([1.0]))
     state = DrsState.initial(np.array([2.0]), cfg)
     for _ in range(2):
@@ -417,6 +330,10 @@ def test_ergodic_averages_and_guards():
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     state = DrsState.initial(np.full(5, 2.0), cfg)
     bs = exact_bsolver(B, cfg.gamma)
+    # a state that has not stepped has no quadruple, residual or average
+    assert state.last is None and state.trace == []
+    with pytest.raises(StateError):
+        state.residual
     with pytest.raises(StateError):
         drs_ergodic(state)
     drs_solve(A, bs, cfg, lambda s: s.k == 12, state)
@@ -581,9 +498,21 @@ def _hand_envelope(state, cfg, d0):
 def test_envelope_reads_what_the_hand_loops_read(run):
     # the last run is faces at benchmark size, with J = 291 prefixes
     state, cfg, d0 = _logged_run(*run)
+    # envelope's prefix averages (the kernel on the prefix sums of one
+    # stack) are drs_ergodic's on each prefix bit for bit, the last one
+    # drs_ergodic's on the whole run
+    J = state.n_extragradient
+    (y, a, eps_a), (x, b, eps_b) = _ergodic_averages(state, True)
+    assert len(x) == J >= 8
+    for j, want in [(J, drs_ergodic(state))] + [
+            (j, ergodic_prefix(state, j)) for j in range(1, J)]:
+        got = (x[j - 1], y[j - 1], a[j - 1], b[j - 1], eps_a[j - 1],
+               eps_b[j - 1])
+        for g, w in zip(got, want):
+            assert_array_equal(g, w)
     env = envelope(state, cfg, d0)
     assert list(env) == ["pointwise", "ergodic", "null-step"]
-    J, nulls = state.n_extragradient, state.beta
+    nulls = state.beta
     assert [c.checked for c in env.values()] == [J, J, nulls]
     assert [c.violations for c in env.values()] == [0, 0, 0]
     assert [c.first for c in env.values()] == [0, 0, 0]
@@ -597,25 +526,6 @@ def test_envelope_reads_what_the_hand_loops_read(run):
         assert 0 < min(env[bound].worst) and max(env[bound].worst) <= 1
         assert all(late <= worst for late, worst in
                    zip(env[bound].late, env[bound].worst))
-
-
-@pytest.mark.parametrize("run", [
-    (generate_instance, 10, True, 3), (faces_instance, 100, False, 7),
-], ids=["paper", "faces-n100-semidefinite-7"])
-def test_every_prefix_average_is_drs_ergodic_of_that_prefix(run):
-    # envelope's prefix averages (the kernel on the prefix sums of one
-    # stack) are drs_ergodic's on each prefix bit for bit, the last one
-    # drs_ergodic's on the whole run
-    state, _, _ = _logged_run(*run)
-    J = state.n_extragradient
-    (y, a, eps_a), (x, b, eps_b) = _ergodic_averages(state, True)
-    assert len(x) == J >= 8
-    for j, want in [(J, drs_ergodic(state))] + [
-            (j, ergodic_prefix(state, j)) for j in range(1, J)]:
-        got = (x[j - 1], y[j - 1], a[j - 1], b[j - 1], eps_a[j - 1],
-               eps_b[j - 1])
-        for g, w in zip(got, want):
-            assert_array_equal(g, w)
 
 
 def test_envelope_raises_on_a_bad_history_naming_its_prefix():
@@ -717,11 +627,3 @@ def test_state_rejects_a_bad_tau0(tau0):
     # an untyped error, or (inf) to run every step at tau = inf
     with pytest.raises(ValueError, match="^tau0 must be positive and finite"):
         DrsState(np.zeros(3), tau0)
-
-
-def test_state_accessors_before_first_step():
-    state = DrsState.initial(np.zeros(3), _cfg())
-    assert state.last is None
-    assert state.trace == []
-    with pytest.raises(StateError):
-        state.residual

@@ -198,6 +198,98 @@ MUTANTS = (
     Mutant("nearest-zero-lower-clamp-dropped", "qp.py",
            "lam = min(max(lam, lower), upper)", "lam = min(lam, upper)", 29,
            "tests/test_qp.py::test_nearest_zero_on_hand_examples"),
+    # the package's public contracts (item 29)
+    Mutant("tos-half-step", "baselines.py",
+           "return z + (xA - xB)", "return z + 0.5 * (xA - xB)", 29,
+           "tests/test_baselines.py::test_steps_match_textbook_reference"
+           "_bitwise[True]"),
+    Mutant("tos-step-size-one", "baselines.py",
+           "return 1.99 * beta\n", "return 1.0 * beta\n", 29,
+           "tests/test_baselines.py::test_one_eta_per_instance"),
+    Mutant("rfdrs-forward-unprojected", "baselines.py",
+           "g = inst.A.resolvent(gamma, inst.F2.eval(x))",
+           "g = inst.F2.eval(x)", 29,
+           "tests/test_baselines.py::test_steps_match_textbook_reference"
+           "_bitwise[True]"),
+    Mutant("rfdrs-n1-fallback-dropped", "baselines.py",
+           "return 1.99 * beta if np.isfinite(beta) else tos_gamma(inst)",
+           "return 1.99 * beta", 29,
+           "tests/test_baselines.py::test_one_dimensional_rfdrs_takes_the"
+           "_tos_step[True-generate_instance]"),
+    Mutant("rfdrs-solution-block-in-the-box", "baselines.py",
+           "rfdrs_gamma(inst), rfdrs_iterate, inst.A",
+           "rfdrs_gamma(inst), rfdrs_iterate, inst.C", 29,
+           "tests/test_baselines.py::test_steps_match_textbook_reference"
+           "_bitwise[True]"),
+    Mutant("baseline-f2-evals-off-by-one", "baselines.py",
+           "inner=0, f2_evals=iters,", "inner=0, f2_evals=iters + 1,", 29,
+           "tests/test_baselines.py::test_run_baseline_record_fields"),
+    Mutant("delta-stop-at-z0", "drt.py",
+           "return _norm(state.z - state.hist_z_prev[-1]) <= tol",
+           "return _norm(state.z - state.hist_z_prev[0]) <= tol", 29,
+           "tests/test_drt.py::test_delta_stop_ignores_null_steps", "timeout",
+           "the rule compares z_k with the start, which a run leaves for good, "
+           "so it never fires and every delta-stop solve runs to max_iter; "
+           "its killer fails on the budget error when run alone"),
+    Mutant("delta-stop-on-null-steps", "drt.py",
+           "if not state.trace or state.trace[-1].step != EXTRAGRADIENT:",
+           "if not state.trace:", 29,
+           "tests/test_drt.py::test_delta_stop_ignores_null_steps"),
+    Mutant("tolerance-stop-without-ergodic", "drt.py",
+           "or (state.n_extragradient >= 1", "or (state.n_extragradient < 0",
+           29, "tests/test_drt.py::test_tolerance_stop_falls_back_to_the"
+           "_ergodic_average"),
+    Mutant("record-null-counts-extragradient", "drt.py",
+           "null=state.beta,", "null=state.n_extragradient,", 29,
+           "tests/test_drt.py::test_full_solve_record_consistency"),
+    Mutant("record-inner-skips-the-first-step", "drt.py",
+           "inner = sum(t.inner for t in state.trace)",
+           "inner = sum(t.inner for t in state.trace[1:])", 29,
+           "tests/test_drt.py::test_full_solve_record_consistency"),
+    Mutant("abs-err-on-z", "bench.py",
+           "result = SingleResult(rec, quad.x,",
+           "result = SingleResult(rec, state.z,", 29,
+           "tests/test_bench.py::test_abs_err_is_measured_on_the_solution"
+           "_block[drt]"),
+    Mutant("records-csv-residual-rounded", "bench.py",
+           "repr(float(r.residual))", "f\"{r.residual:.6g}\"", 29,
+           "tests/test_bench.py::test_records_csv_round_trip"),
+    Mutant("error-row-on-a-nan-abs-err", "bench.py",
+           "counts = (None if math.isnan(nums[0])",
+           "counts = (None if math.isnan(nums[-1])", 29,
+           "tests/test_bench.py::test_records_csv_error_rows"),
+    Mutant("summary-counts-error-rows", "bench.py",
+           "good = [r for r in records if r.error is None]",
+           "good = list(records)", 29,
+           "tests/test_bench.py::test_run_batch_marks_failures_and_continues"),
+    Mutant("create-unlinks-a-write-protected-file", "bench.py",
+           "if (stat.S_ISREG(st.st_mode) and st.st_mode & stat.S_IWUSR",
+           "if (stat.S_ISREG(st.st_mode)", 29,
+           "tests/test_bench.py::test_a_write_protected_out_is_not_replaced"),
+    Mutant("create-drops-the-old-mode", "bench.py",
+           "st.st_mode & 0o777)", "0o666)", 29,
+           "tests/test_bench.py::test_rewrite_keeps_the_old_mode_and_a_new"
+           "_file_gets_the_umask"),
+    Mutant("exit-two-before-three", "cli.py",
+           "return 3 if stdout_closed else 2 if failed else 0",
+           "return 2 if failed else 3 if stdout_closed else 0", 29,
+           "tests/test_cli.py::test_closed_stdout_takes_precedence_over_a"
+           "_failed_instance"),
+    Mutant("usage-exit-two", "cli.py",
+           "self.exit(1, f", "self.exit(2, f", 29,
+           "tests/test_cli.py::test_usage_errors_exit_one"),
+    Mutant("broken-pipe-uncaught", "cli.py",
+           "except BrokenPipeError:", "except ValueError:", 29,
+           "tests/test_cli.py::test_closed_stdout_exits_three_and_writes"
+           "_the_outputs"),
+    Mutant("one-file-by-name", "cli.py",
+           "if os.path.realpath(path) == os.path.realpath(other_path):",
+           "if path == other_path:", 29,
+           "tests/test_cli.py::test_outputs_in_one_file_fail_before_the"
+           "_batch[dotdot]"),
+    Mutant("trace-with-a-baseline-allowed", "cli.py",
+           'if args.trace and args.algo != "drt":', "if False:", 29,
+           "tests/test_cli.py::test_trace_restricted_to_drt"),
 )
 
 

@@ -24,15 +24,21 @@ def _two_dim():
                       definite=True, seed=-1)
 
 
+def test_configs_from_instance():
+    inst = generate_instance(8, True, 2)
+    t = tos_gamma(inst)
+    r = rfdrs_gamma(inst)
+    assert t == pytest.approx(1.99 * inst.eta)
+    assert r == pytest.approx(1.99 * estimate_beta_V(inst.Q, inst.K))
+    # the nullspace-restricted curvature is no larger, so its step is no
+    # smaller
+    assert r >= t * (1 - 1e-9)
+
+
 def test_one_eta_per_instance():
     inst = generate_instance(30, True, 9)
     assert inst.eta == qp_operators(inst).eta
     assert tos_gamma(inst) == 1.99 * inst.eta
-    r = rfdrs_gamma(inst)
-    assert r == pytest.approx(1.99 * estimate_beta_V(inst.Q, inst.K))
-    # the nullspace-restricted curvature is no larger, so its step is no
-    # smaller
-    assert r >= tos_gamma(inst) * (1 - 1e-9)
 
 
 def test_configs_reject_zero_curvature():

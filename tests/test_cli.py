@@ -44,12 +44,9 @@ def _wall_split(out):
     return tuple(float(g) for g in m.groups())
 
 
-def test_successful_batch_prints_summary(tmp_path, capsys):
-    trace = tmp_path / "steps.csv"
-    rc = main(["--n", "2", "--instances", "3", "--seed", "5",
-               "--trace", str(trace)])
+def test_successful_batch_prints_summary(capsys):
+    rc = main(["--n", "2", "--instances", "3", "--seed", "5"])
     assert rc == 0
-    assert trace.read_text().startswith("# instance 0")
     out = capsys.readouterr().out
     head = out.splitlines()[0]
     assert "algo=drt" in head and "n=2" in head and "instances=3" in head
@@ -90,14 +87,20 @@ def test_the_rest_holds_the_reference_oracle(monkeypatch, capsys):
     assert solvers - min(b[1] for b in base) < 0.02
 
 
+def test_semidefinite_and_baseline_run(capsys):
+    rc = main(["--n", "2", "--instances", "2", "--semidefinite",
+               "--algo", "rfdrs", "--tol", "1e-5"])
+    assert rc == 0
+    assert "semidefinite" in capsys.readouterr().out.splitlines()[0]
+
+
 def test_baseline_head_line_names_no_stop_rule(capsys):
     # --stop selects drt's rule only; a tos head line must not name one
     rc = main(["--n", "2", "--instances", "1", "--algo", "tos",
-               "--stop", "residual", "--semidefinite"])
+               "--stop", "residual"])
     assert rc == 0
     head = capsys.readouterr().out.splitlines()[0]
     assert "algo=tos" in head and "stop=" not in head
-    assert "semidefinite" in head
 
 
 @pytest.mark.parametrize("kind", ["--definite", "--semidefinite"])
@@ -110,6 +113,13 @@ def test_one_dimensional_batch_exits_zero(algo, kind, tmp_path, capsys):
     records = read_records(out)
     assert [r.error for r in records] == [None] * 3
     assert all(r.iters >= 1 and r.residual <= 1e-6 for r in records)
+
+
+def test_trace_written(tmp_path):
+    trace = tmp_path / "steps.csv"
+    rc = main(["--n", "2", "--instances", "1", "--trace", str(trace)])
+    assert rc == 0
+    assert trace.read_text().startswith("# instance 0")
 
 
 def _no_batch(monkeypatch):

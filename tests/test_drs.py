@@ -330,10 +330,6 @@ def test_ergodic_averages_and_guards():
     B = BoxAffineSum(inst.Q, inst.e, inst.lo, inst.hi)
     state = DrsState.initial(np.full(5, 2.0), cfg)
     bs = exact_bsolver(B, cfg.gamma)
-    # a state that has not stepped has no quadruple, residual or average
-    assert state.last is None and state.trace == []
-    with pytest.raises(StateError):
-        state.residual
     with pytest.raises(StateError):
         drs_ergodic(state)
     drs_solve(A, bs, cfg, lambda s: s.k == 12, state)
@@ -498,21 +494,9 @@ def _hand_envelope(state, cfg, d0):
 def test_envelope_reads_what_the_hand_loops_read(run):
     # the last run is faces at benchmark size, with J = 291 prefixes
     state, cfg, d0 = _logged_run(*run)
-    # envelope's prefix averages (the kernel on the prefix sums of one
-    # stack) are drs_ergodic's on each prefix bit for bit, the last one
-    # drs_ergodic's on the whole run
-    J = state.n_extragradient
-    (y, a, eps_a), (x, b, eps_b) = _ergodic_averages(state, True)
-    assert len(x) == J >= 8
-    for j, want in [(J, drs_ergodic(state))] + [
-            (j, ergodic_prefix(state, j)) for j in range(1, J)]:
-        got = (x[j - 1], y[j - 1], a[j - 1], b[j - 1], eps_a[j - 1],
-               eps_b[j - 1])
-        for g, w in zip(got, want):
-            assert_array_equal(g, w)
     env = envelope(state, cfg, d0)
     assert list(env) == ["pointwise", "ergodic", "null-step"]
-    nulls = state.beta
+    J, nulls = state.n_extragradient, state.beta
     assert [c.checked for c in env.values()] == [J, J, nulls]
     assert [c.violations for c in env.values()] == [0, 0, 0]
     assert [c.first for c in env.values()] == [0, 0, 0]
@@ -526,6 +510,25 @@ def test_envelope_reads_what_the_hand_loops_read(run):
         assert 0 < min(env[bound].worst) and max(env[bound].worst) <= 1
         assert all(late <= worst for late, worst in
                    zip(env[bound].late, env[bound].worst))
+
+
+@pytest.mark.parametrize("run", [
+    (generate_instance, 10, True, 3), (faces_instance, 100, False, 7),
+], ids=["paper", "faces-n100-semidefinite-7"])
+def test_every_prefix_average_is_drs_ergodic_of_that_prefix(run):
+    # envelope's prefix averages (the kernel on the prefix sums of one
+    # stack) are drs_ergodic's on each prefix bit for bit, the last one
+    # drs_ergodic's on the whole run
+    state, _, _ = _logged_run(*run)
+    J = state.n_extragradient
+    (y, a, eps_a), (x, b, eps_b) = _ergodic_averages(state, True)
+    assert len(x) == J >= 8
+    for j, want in [(J, drs_ergodic(state))] + [
+            (j, ergodic_prefix(state, j)) for j in range(1, J)]:
+        got = (x[j - 1], y[j - 1], a[j - 1], b[j - 1], eps_a[j - 1],
+               eps_b[j - 1])
+        for g, w in zip(got, want):
+            assert_array_equal(g, w)
 
 
 def test_envelope_raises_on_a_bad_history_naming_its_prefix():
@@ -627,3 +630,11 @@ def test_state_rejects_a_bad_tau0(tau0):
     # an untyped error, or (inf) to run every step at tau = inf
     with pytest.raises(ValueError, match="^tau0 must be positive and finite"):
         DrsState(np.zeros(3), tau0)
+
+
+def test_state_accessors_before_first_step():
+    state = DrsState.initial(np.zeros(3), _cfg())
+    assert state.last is None
+    assert state.trace == []
+    with pytest.raises(StateError):
+        state.residual

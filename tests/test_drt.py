@@ -225,15 +225,6 @@ def test_full_solve_record_consistency():
         np.linalg.norm(quad.x - quad.y), rel=1e-12)
     assert record.time_s > 0.0
     assert record.error is None
-    # the caller's state holds the run's history
-    assert state.k == record.iters and len(state.trace) == record.iters
-    assert len(state.hist_x) == record.extragrad and record.null >= 1
-    # trace tolerances follow theta**beta * tau0 exactly
-    beta = 0
-    for rec in state.trace:
-        beta += rec.step == "null"
-        assert rec.tau == pytest.approx(qp.cfg.theta ** beta * qp.cfg.tau0,
-                                        rel=1e-12)
 
 
 def test_solve_accuracy_against_oracle():
@@ -243,6 +234,23 @@ def test_solve_accuracy_against_oracle():
                                  DrsState.initial(z0, p.cfg))
         z_star = reference_solution(inst)
         assert np.max(np.abs(quad.x - z_star)) < 1e-4
+
+
+def test_solve_with_caller_state_exposes_history():
+    inst, p, z0 = _problem(n=6, seed=13)
+    cfg = p.cfg
+    state = DrsState.initial(z0, cfg)
+    record, _ = drt_solve(p, delta_stop(1e-6), state)
+    assert state.k == record.iters
+    assert len(state.hist_x) == record.extragrad
+    assert len(state.trace) == record.iters
+    # trace tolerances follow theta**beta * tau0 exactly
+    beta = 0
+    for rec in state.trace:
+        if rec.step == "null":
+            beta += 1
+        assert rec.tau == pytest.approx(cfg.theta ** beta * cfg.tau0,
+                                        rel=1e-12)
 
 
 def _exact_requests(inst, gamma):

@@ -68,6 +68,14 @@ def test_resolvent_box_projects_and_reconstructs():
     assert u[0] < 0 and u[1] == 0 and u[2] > 0
 
 
+def test_box_normal_cone_resolvent_and_dim_check():
+    op = BoxNormalCone(np.zeros(3), 10.0 * np.ones(3))
+    x = op.resolvent(1.5, np.array([-2.0, 4.0, 11.0]))
+    assert_array_equal(x, [0.0, 4.0, 10.0])
+    with pytest.raises(ValueError):
+        op.resolvent(1.0, np.zeros(4))
+
+
 def test_cone_constructors_reject_bad_data():
     # the cones check lo/hi and K once, here, and not per resolvent
     with pytest.raises(ValueError):
@@ -79,6 +87,9 @@ def test_cone_constructors_reject_bad_data():
                 BoxNormalCone(np.zeros(2), hi)
     with pytest.raises(ValueError):
         NullspaceNormalCone(np.array([1.0, 0.5, -1.0]))
+
+
+def test_box_bounds_share_a_shape():
     # hi is not broadcast to lo's shape
     for hi in (1.0, np.ones(1), np.ones(3)):
         with pytest.raises(ValueError):
@@ -94,9 +105,6 @@ def test_a_point_must_be_a_vector():
         NullspaceNormalCone(np.ones(3)).resolvent(1.0, np.zeros((3, 1)))
     with pytest.raises(ValueError, match="must be a vector"):
         project_nullspace(np.ones((1, 3)), np.zeros(3))
-    # nor is a vector of another length than the box
-    with pytest.raises(ValueError):
-        BoxNormalCone(np.zeros(3), np.ones(3)).resolvent(1.0, np.zeros(4))
 
 
 def test_cones_keep_the_data_they_checked():
@@ -313,17 +321,21 @@ def test_cocoercive_enlargement_formula_and_inequality():
     assert_array_equal(tr.z, z_t)
     assert_array_equal(tr.v, z_e)
     assert tr.eps == pytest.approx(np.sum((z_e - z_t) ** 2) / 4.0)
-    # the defining inequality <z - s, v - F(s)> >= -eps, sampled, here and
-    # for F(z) = Qz + e against random graph points
+    # the defining inequality <z - s, v - F(s)> >= -eps, sampled
     rng = np.random.default_rng(0)
     for _ in range(200):
         s = rng.standard_normal(2) * 5.0
         assert (tr.z - s) @ (tr.v - s) >= -tr.eps - 1e-12
+
+
+def test_cocoercive_enlargement_property_loop():
+    # eps certifies membership for F(z) = Qz + e against random graph points
     rng = np.random.default_rng(21)
     M = rng.standard_normal((5, 5))
     Q = M.T @ M / 5.0
     e = rng.standard_normal(5)
-    F = CocoerciveMap(eval=lambda z: Q @ z + e, eta=1.0 / np.linalg.norm(Q, 2))
+    eta = 1.0 / np.linalg.norm(Q, 2)
+    F = CocoerciveMap(eval=lambda z: Q @ z + e, eta=eta)
     for _ in range(200):
         z_t = rng.standard_normal(5) * 3.0
         z_e = z_t + rng.standard_normal(5)

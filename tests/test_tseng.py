@@ -93,6 +93,15 @@ def test_problem_with_an_infinite_eta_rejects_gamma_above_sigma_over_l():
     assert TsengProblem(C=box, F1=F1, F2=F2, gamma=0.5, sigma=0.5).gamma == 0.5
 
 
+def test_problem_rejects_an_infinite_gamma():
+    # at eta = inf and L = 0 gamma_max is inf, which gamma = inf does not
+    # exceed; its first solve then multiplied inf by 0
+    F2 = CocoerciveMap(eval=np.zeros_like, eta=float("inf"))
+    with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
+        TsengProblem(C=BoxNormalCone(np.zeros(2), np.ones(2)), F1=None, F2=F2,
+                     gamma=float("inf"), sigma=0.5)
+
+
 def test_affine_map_of_another_dimension_than_the_cone_is_rejected():
     box = BoxNormalCone(-np.ones(6), np.ones(6))
     F2 = AffineCocoerciveMap(Q=np.eye(7), e=np.zeros(7), eta=1.0)
@@ -131,12 +140,6 @@ def test_problem_validation():
         _scalar_problem(gamma=float("nan"))
     with pytest.raises(ValueError):
         tseng_solve(p, Z_HAT, float("nan"))
-    # at eta = inf and L = 0 gamma_max is inf, which gamma = inf does not
-    # exceed; its first solve then multiplied inf by 0
-    F2 = CocoerciveMap(eval=np.zeros_like, eta=float("inf"))
-    with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
-        TsengProblem(C=BoxNormalCone(np.zeros(2), np.ones(2)), F1=None, F2=F2,
-                     gamma=float("inf"), sigma=0.5)
 
 
 def test_scalar_hand_step():
@@ -255,8 +258,7 @@ def test_inner_budget_that_is_not_a_positive_integer_is_rejected(max_inner):
 def test_one_f2_eval_per_step():
     # the QP family has no F1: each step evaluates F2 once, at z_prev
     # itself, and no F1 at all; the explicit zero map runs the projection,
-    # F1 at z_prime and the correction at z_tilde.  Adding and subtracting
-    # exact zeros changes no bit, so outputs and certificates must agree
+    # F1 at z_prime and the correction at z_tilde
     inst = generate_instance(5, True, 31)
     ops = qp_operators(inst)
     assert ops.F1 is None
@@ -270,27 +272,46 @@ def test_one_f2_eval_per_step():
             return f(z)
         return g
 
-    # the generic step: the affine one (p.G) is checked to round-off below
     F2 = CocoerciveMap(eval=counted("F2", ops.F2.eval), eta=ops.F2.eta)
     zero = LipschitzMap(eval=counted("F1", np.zeros_like), L=0.0)
-    counts, outs, logs = [], [], []
+    counts = []
     for F1 in (None, zero):
         calls.update(F1=0, F2=0)
         p = TsengProblem(C=ops.C, F1=F1, F2=F2, gamma=gamma, sigma=0.9)
+        *_, inner = tseng_solve(p, z_hat, 1e-8, max_inner=5000)
+        assert inner > 1
+        counts.append((dict(calls), inner))
+    (absent, k), (explicit, k_zero) = counts
+    assert absent == {"F1": 0, "F2": k}
+    assert explicit == {"F1": 2 * k_zero, "F2": k_zero}
+
+
+def test_absent_f1_matches_explicit_zero_map_bitwise():
+    # F1=None skips the projection, the F1 evaluations and the correction;
+    # the explicit zero map runs all three.  Adding and subtracting exact
+    # zeros changes no bit, so outputs and certificates must agree
+    inst = generate_instance(8, True, 12)
+    ops = qp_operators(inst)
+    rng = np.random.default_rng(12)
+    z_hat = rng.uniform(-5.0, 15.0, 8)
+    sigma = 0.9
+    gamma = gamma_max(ops.eta, 0.0, sigma)
+    # the generic step: the affine one (p.G) is checked to round-off below
+    F2 = CocoerciveMap(eval=ops.F2.eval, eta=ops.F2.eta)
+    outs, logs = [], []
+    for F1 in (None, LipschitzMap(eval=np.zeros_like, L=0.0)):
+        p = TsengProblem(C=ops.C, F1=F1, F2=F2, gamma=gamma, sigma=sigma)
         assert p.G is None
         certs = []
         with CertBlock(p, certs) as block:
-            outs.append(tseng_solve(p, z_hat, 1e-8, max_inner=5000,
+            outs.append(tseng_solve(p, z_hat, 1e-20, max_inner=5000,
                                     cert_log=block))
-        counts.append((dict(calls), outs[-1][3]))
         logs.append(certs)
-    (absent, k), (explicit, k_zero) = counts
-    assert k == k_zero > 1
-    assert absent == {"F1": 0, "F2": k}
-    assert explicit == {"F1": 2 * k_zero, "F2": k_zero}
-    for got, want in zip(*outs):
+    absent, explicit = outs
+    assert absent[3] == explicit[3] > 1
+    for got, want in zip(absent, explicit):
         assert_array_equal(got, want)
-    assert len(logs[0]) == len(logs[1]) == k
+    assert len(logs[0]) == len(logs[1]) == absent[3]
     for a, b in zip(*logs):
         for x, y in zip(a, b):
             assert_array_equal(x, y)
